@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES
+from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES, read_rows
 from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion
 from .evaluation import cross_validate, rmse
 from .forest import ForestConfig
@@ -30,11 +30,9 @@ from .pipeline import (
     ForestKind,
     FOREST_INPUT_RAW,
     FOREST_INPUT_SCORES,
+    KINDS,
     PcaLmKind,
     PipelineSpec,
-    PIPELINE_EMPIRICAL,
-    PIPELINE_FOREST,
-    PIPELINE_PCA_LM,
     fit_pipeline,
     predict_pipeline,
 )
@@ -47,8 +45,6 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_COMPAT = 5
 
-PIPELINE_CHOICES = (PIPELINE_EMPIRICAL, PIPELINE_PCA_LM, PIPELINE_FOREST)
-
 
 def _timestamp() -> str:
     """UTC creation stamp; SOURCE_DATE_EPOCH pins it for reproducible builds."""
@@ -58,6 +54,14 @@ def _timestamp() -> str:
     else:
         dt = datetime.now(tz=timezone.utc)
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _flagged(flags: str, make, **kwargs):
+    """make(**kwargs), naming the flags behind any BadConfig it raises."""
+    try:
+        return make(**kwargs)
+    except BadConfig as exc:
+        raise BadConfig(f"{flags}: {exc}") from exc
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
@@ -73,10 +77,8 @@ def _grid_from_args(args: argparse.Namespace, default: GridSpec = GridSpec()) ->
     start = default.start_mm if args.grid_start is None else args.grid_start
     spacing = default.spacing_mm if args.grid_spacing is None else args.grid_spacing
     points = default.n_points if args.grid_points is None else args.grid_points
-    try:
-        return GridSpec(start_mm=start, spacing_mm=spacing, n_points=points)
-    except BadConfig as exc:
-        raise BadConfig(f"--grid-start/--grid-spacing/--grid-points: {exc}") from exc
+    return _flagged("--grid-start/--grid-spacing/--grid-points", GridSpec,
+                    start_mm=start, spacing_mm=spacing, n_points=points)
 
 
 def _grid_flags_given(args: argparse.Namespace) -> bool:
@@ -84,7 +86,7 @@ def _grid_flags_given(args: argparse.Namespace) -> bool:
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pipeline", choices=PIPELINE_CHOICES, required=True,
+    parser.add_argument("--pipeline", choices=tuple(KINDS), required=True,
                         help="model family to fit")
     parser.add_argument("--mode", choices=EMPIRICAL_MODES, default=MODE_INSTABILITY_FORCE,
                         help="empirical correlation variant")
@@ -115,41 +117,25 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
     if args.workers < 1:
         raise BadConfig("--workers must be >= 1")
-    if args.pipeline == PIPELINE_EMPIRICAL:
+    if args.pipeline == EmpiricalKind.name:
         kind = EmpiricalKind(mode=args.mode, marker_strategy=args.marker)
-    elif args.pipeline == PIPELINE_PCA_LM:
-        if not (0.0 < args.variance_threshold <= 1.0):
-            raise BadConfig("--variance-threshold must be in (0, 1]")
-        kind = PcaLmKind(variance_threshold=args.variance_threshold)
+    elif args.pipeline == PcaLmKind.name:
+        kind = _flagged("--variance-threshold", PcaLmKind,
+                        variance_threshold=args.variance_threshold)
     else:
-        if args.trees < 1:
-            raise BadConfig("--trees must be >= 1")
-        if args.min_leaf < 1:
-            raise BadConfig("--min-leaf must be >= 1")
-        if args.max_depth is not None and args.max_depth < 1:
-            raise BadConfig("--max-depth must be >= 1")
-        if args.mtry is not None and args.mtry < 1:
-            raise BadConfig("--mtry must be >= 1")
-        if not (0.0 < args.variance_threshold <= 1.0):
-            raise BadConfig("--variance-threshold must be in (0, 1]")
-        kind = ForestKind(
-            config=ForestConfig(
-                n_trees=args.trees,
-                max_depth=args.max_depth,
-                min_leaf=args.min_leaf,
-                mtry=args.mtry,
-                bootstrap=True,
-                seed=args.seed,
-            ),
-            input=args.rf_input,
-            variance_threshold=args.variance_threshold,
+        config = _flagged(
+            "--trees/--max-depth/--min-leaf/--mtry/--seed", ForestConfig,
+            n_trees=args.trees, max_depth=args.max_depth, min_leaf=args.min_leaf,
+            mtry=args.mtry, bootstrap=True, seed=args.seed,
         )
+        kind = _flagged("--rf-input/--variance-threshold", ForestKind, config=config,
+                        input=args.rf_input, variance_threshold=args.variance_threshold)
     return PipelineSpec(kind=kind, standardize=not args.no_standardize)
 
 
-def _v_star_for(args: argparse.Namespace, names: list[str]):
-    """Resolve the fixed-v displacement source for empirical pipelines."""
-    if args.pipeline != PIPELINE_EMPIRICAL or args.marker != MARKER_FIXED_V:
+def _v_star_for(args: argparse.Namespace, names: list[str], strategy: str | None):
+    """Resolve the fixed-v displacement source for the marker strategy in use."""
+    if strategy != MARKER_FIXED_V:
         return None
     if args.truth is not None:
         table = dataio.read_truth(args.truth)
@@ -163,36 +149,26 @@ def _v_star_for(args: argparse.Namespace, names: list[str]):
         if args.v_star <= 0.0:
             raise BadConfig("--v-star must be > 0")
         return args.v_star
-    raise BadConfig("--marker fixed-v needs --v-star or --truth")
+    raise BadConfig("the fixed-v marker needs --v-star or --truth")
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.noise_sigma < 0.0:
-        raise BadConfig("--noise-sigma must be >= 0")
-    if args.materials < 1:
-        raise BadConfig("--materials must be >= 1")
-    if args.per_material < 1:
-        raise BadConfig("--per-material must be >= 1")
-    if args.beta <= 0.0:
-        raise BadConfig("--beta must be > 0")
-    if args.h0 <= 0.0:
-        raise BadConfig("--h0 must be > 0")
-    try:
-        cfg = SynthConfig(
-            n_materials=args.materials,
-            curves_per_material=args.per_material,
-            beta_true=args.beta,
-            h0_mm=args.h0,
-            rm_range_MPa=tuple(args.rm_range),
-            v_i_range_mm=tuple(args.vi_range),
-            noise_sigma_N=args.noise_sigma,
-            temp_range_C=tuple(args.temp_range),
-            temp_slope_MPa_per_C=args.temp_slope,
-            seed=args.seed,
-            v_i_step_mm=args.vi_step,
-        )
-    except BadConfig as exc:
-        raise BadConfig(f"synth flags: {exc}") from exc
+    cfg = _flagged(
+        "--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
+        "--vi-range/--vi-step/--temp-range/--temp-slope/--seed",
+        SynthConfig,
+        n_materials=args.materials,
+        curves_per_material=args.per_material,
+        beta_true=args.beta,
+        h0_mm=args.h0,
+        rm_range_MPa=tuple(args.rm_range),
+        v_i_range_mm=tuple(args.vi_range),
+        noise_sigma_N=args.noise_sigma,
+        temp_range_C=tuple(args.temp_range),
+        temp_slope_MPa_per_C=args.temp_slope,
+        seed=args.seed,
+        v_i_step_mm=args.vi_step,
+    )
     curves, truth = generate(cfg)
 
     outdir = args.out
@@ -220,14 +196,13 @@ def cmd_cv(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     names, curves = dataio.load_curves(args.manifest, grid)
     spec = _spec_from_args(args)
-    v_star = _v_star_for(args, names)
+    v_star = _v_star_for(args, names, spec.kind.marker_strategy)
     report = cross_validate(
         curves,
         spec,
         k=args.k,
         seed=args.seed,
         v_star=v_star,
-        legacy_global_pca=args.legacy_global_pca,
         stratify_material=args.stratify_material,
         n_workers=args.workers,
     )
@@ -244,7 +219,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     names, curves = dataio.load_curves(args.manifest, grid)
     spec = _spec_from_args(args)
-    v_star = _v_star_for(args, names)
+    v_star = _v_star_for(args, names, spec.kind.marker_strategy)
     trained = fit_pipeline(curves, spec, v_star=v_star, n_workers=args.workers)
     preds = predict_pipeline(trained, curves, v_star=v_star)
     truths = np.array([c.meta.rm_MPa for c in curves], dtype=float)
@@ -282,24 +257,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"wrote 0 predictions to {args.out}")
         return EXIT_OK
     names, curves = dataio.load_curves(args.manifest, trained.grid)
-
-    v_star = None
-    kind = trained.spec.kind
-    if isinstance(kind, EmpiricalKind) and kind.marker_strategy == MARKER_FIXED_V:
-        if args.truth is not None:
-            table = dataio.read_truth(args.truth)
-            v_star = []
-            for name in names:
-                if name not in table:
-                    raise BadConfig(f"--truth: {args.truth} has no row for curve file '{name}'")
-                v_star.append(table[name][1])
-        elif args.v_star is not None:
-            if args.v_star <= 0.0:
-                raise BadConfig("--v-star must be > 0")
-            v_star = args.v_star
-        else:
-            raise BadConfig("model uses the fixed-v marker: provide --v-star or --truth")
-
+    v_star = _v_star_for(args, names, trained.spec.kind.marker_strategy)
     preds = predict_pipeline(trained, curves, v_star=v_star)
     rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)
@@ -308,11 +266,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    lines = args.samples.read_text().splitlines()
-    data_lines = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    if not data_lines:
+    rows = read_rows(args.samples.read_text())
+    if not rows:
         raise SmallPunchError(f"{args.samples}: empty table")
-    header = [c.strip() for c in data_lines[0].split(",")]
+    header = rows[0][1]
 
     def col(candidates: tuple[str, ...]) -> int:
         for name in candidates:
@@ -325,8 +282,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     true_col = col(("true_MPa", "rm_MPa"))
     pred_col = col(("pred_MPa", "pred_rm_MPa"))
     pairs: list[tuple[float, float]] = []
-    for lineno, line in enumerate(data_lines[1:], start=2):
-        cells = [c.strip() for c in line.split(",")]
+    for lineno, cells in rows[1:]:
         if len(cells) != len(header):
             raise SmallPunchError(
                 f"{args.samples}: row {lineno}: expected {len(header)} columns, got {len(cells)}"
@@ -383,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_cv)
     p_cv.add_argument("--k", type=int, default=10)
     p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--legacy-global-pca", action="store_true",
-                      help="fit standardizer/PCA once on all rows (leaky legacy ordering)")
     p_cv.add_argument("--stratify-material", action="store_true",
                       help="keep each material's curves inside one fold")
     p_cv.add_argument("--out", type=Path, required=True, help="output directory")

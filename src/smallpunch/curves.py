@@ -9,8 +9,6 @@ instability (F_i at v_i).
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TextIO
@@ -183,38 +181,48 @@ class CurveMarkers:
             raise InvalidMarkers(f"unknown marker strategy: {self.strategy!r}")
 
 
+def read_rows(text: str) -> list[tuple[int, list[str]]]:
+    """Cells of every row of a comma-separated table, with 1-based line numbers.
+
+    This is the one dialect of every table the package reads: blank lines
+    and lines starting with ``#`` are skipped, each other line is split on
+    commas and its cells are stripped.  There is no quoting, so a quoted
+    cell keeps its quotes and fails the caller's header or number check.
+    Callers check their own header, the first row returned.
+    """
+    return [
+        (lineno, [c.strip() for c in line.split(",")])
+        for lineno, line in enumerate(text.splitlines(), start=1)
+        if line.strip() and not line.lstrip().startswith("#")
+    ]
+
+
 def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     """Parse a displacement/force table into a RawCurve.
 
-    The table is two columns with header ``displacement_um,force_N``;
-    displacements are converted from um to mm.  Rows are sorted by
-    displacement and exact duplicate abscissae are averaged, so the result
-    does not depend on the input row order.
+    The table is two columns with header ``displacement_um,force_N`` in the
+    dialect of read_rows; displacements are converted from um to mm.  Rows
+    are sorted by displacement and exact duplicate abscissae are averaged,
+    so the result does not depend on the input row order.
 
     Raises
     ------
     MalformedRow
-        Wrong header, wrong column count or a non-numeric cell.
+        Wrong header, wrong column count or a non-numeric (or quoted) cell.
     NonFiniteValue
         A cell parses to NaN or infinity.
     EmptyCurve
         Fewer than two rows remain after duplicate collapse.
     """
-    stream = io.StringIO(text) if isinstance(text, str) else text
+    rows = read_rows(text if isinstance(text, str) else text.read())
+    if rows and rows[0][1] != list(CURVE_HEADER):
+        lineno, cells = rows[0]
+        raise MalformedRow(
+            f"row {lineno}: expected header '{','.join(CURVE_HEADER)}', got '{','.join(cells)}'"
+        )
     disp_um: list[float] = []
     force: list[float] = []
-    header_seen = False
-    for lineno, row in enumerate(csv.reader(stream), start=1):
-        cells = [c.strip() for c in row]
-        if not cells or all(not c for c in cells):
-            continue
-        if not header_seen:
-            if cells != list(CURVE_HEADER):
-                raise MalformedRow(
-                    f"row {lineno}: expected header '{','.join(CURVE_HEADER)}', got '{','.join(cells)}'"
-                )
-            header_seen = True
-            continue
+    for lineno, cells in rows[1:]:
         if len(cells) != 2:
             raise MalformedRow(f"row {lineno}: expected 2 columns, got {len(cells)}")
         try:

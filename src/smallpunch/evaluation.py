@@ -2,9 +2,7 @@
 
 Every fold refits the whole pipeline (standardizer, PCA, model) on its
 training rows only; held-out rows contribute nothing to any fitted
-parameter.  The legacy_global_pca switch reproduces the older ordering
-where preprocessing is fitted once on all rows before splitting, kept only
-for comparison.
+parameter.
 """
 
 from __future__ import annotations
@@ -23,19 +21,7 @@ from .errors import (
     PartialTargets,
     SmallPunchError,
 )
-from .features import apply_standardizer, assemble, fit_standardizer
-from .pca import fit_pca
-from .pipeline import (
-    EmpiricalKind,
-    FittedPreprocessing,
-    ForestKind,
-    FOREST_INPUT_SCORES,
-    PcaLmKind,
-    PipelineSpec,
-    TrainedPipeline,
-    fit_pipeline,
-    predict_pipeline,
-)
+from .pipeline import PipelineSpec, TrainedPipeline, fit_pipeline, predict_pipeline
 
 
 def rmse(predictions: Sequence[float] | np.ndarray, truths: Sequence[float] | np.ndarray) -> float:
@@ -124,30 +110,12 @@ class CvReport:
             raise InvalidModel("mean_rmse must be the arithmetic mean of fold_rmse")
 
 
-def _fit_global_preprocessing(
-    curves: list[UniformCurve], spec: PipelineSpec
-) -> FittedPreprocessing | None:
-    """Preprocessing fitted once on every row (the leaky legacy ordering)."""
-    if isinstance(spec.kind, EmpiricalKind):
-        return None
-    matrix, _ = assemble(curves)
-    std = fit_standardizer(matrix) if spec.standardize else None
-    prepared = apply_standardizer(std, matrix) if std is not None else matrix
-    pca = None
-    if isinstance(spec.kind, PcaLmKind):
-        pca = fit_pca(prepared, spec.kind.variance_threshold)
-    elif isinstance(spec.kind, ForestKind) and spec.kind.input == FOREST_INPUT_SCORES:
-        pca = fit_pca(prepared, spec.kind.variance_threshold)
-    return FittedPreprocessing(standardizer=std, pca=pca)
-
-
 def cross_validate(
     curves: Sequence[UniformCurve],
     spec: PipelineSpec,
     k: int = 10,
     seed: int = 0,
     v_star: float | Sequence[float] | None = None,
-    legacy_global_pca: bool = False,
     stratify_material: bool = False,
     n_workers: int = 1,
     collect_models: bool = False,
@@ -181,8 +149,6 @@ def cross_validate(
             return stars[idx]
         return v_star
 
-    preprocessing = _fit_global_preprocessing(curve_list, spec) if legacy_global_pca else None
-
     all_rows = np.arange(n)
     fold_rmse: list[float] = []
     per_sample: list[tuple[int, float, float]] = []
@@ -195,7 +161,6 @@ def cross_validate(
                 spec,
                 v_star=star_subset(train_idx),
                 n_workers=n_workers,
-                preprocessing=preprocessing,
             )
             preds = predict_pipeline(
                 trained, [curve_list[i] for i in test_idx], v_star=star_subset(test_idx)

@@ -3,7 +3,8 @@
 JSON keeps the file human-inspectable; floats are serialized by repr so a
 saved model predicts bit-identically after reload.  Files declare
 format_version and loading refuses versions it does not know instead of
-guessing.
+guessing.  The family's own blocks, its settings under "pipeline" and its
+parameters under "model", are laid out by its kind class in pipeline.py.
 """
 
 from __future__ import annotations
@@ -17,160 +18,22 @@ import numpy as np
 from .curves import GridSpec
 from .errors import ModelFileError, UnsupportedVersion
 from .features import Standardizer
-from .forest import ForestConfig, ForestModel, Leaf, Split, TreeNode
 from .pca import PcaModel
-from .pipeline import (
-    EmpiricalKind,
-    ForestKind,
-    PcaLmKind,
-    PipelineSpec,
-    TrainedPipeline,
-)
-from .regress import EmpiricalModel, LinearModel
+from .pipeline import KINDS, PipelineSpec, TrainedPipeline
 
 FORMAT_VERSION = 1
 
 
-def _spec_to_dict(spec: PipelineSpec) -> dict[str, Any]:
-    kind = spec.kind
-    if isinstance(kind, EmpiricalKind):
-        return {
-            "family": "empirical",
-            "standardize": spec.standardize,
-            "mode": kind.mode,
-            "marker_strategy": kind.marker_strategy,
-        }
-    if isinstance(kind, PcaLmKind):
-        return {
-            "family": "pca-lm",
-            "standardize": spec.standardize,
-            "variance_threshold": kind.variance_threshold,
-        }
-    if isinstance(kind, ForestKind):
-        return {
-            "family": "rf",
-            "standardize": spec.standardize,
-            "input": kind.input,
-            "variance_threshold": kind.variance_threshold,
-            "forest": {
-                "n_trees": kind.config.n_trees,
-                "max_depth": kind.config.max_depth,
-                "min_leaf": kind.config.min_leaf,
-                "mtry": kind.config.mtry,
-                "bootstrap": kind.config.bootstrap,
-                "seed": kind.config.seed,
-            },
-        }
-    raise ModelFileError(f"unknown pipeline kind: {kind!r}")
-
-
-def _spec_from_dict(doc: dict[str, Any]) -> PipelineSpec:
-    family = doc.get("family")
-    standardize = bool(doc.get("standardize", True))
-    if family == "empirical":
-        kind = EmpiricalKind(mode=doc["mode"], marker_strategy=doc["marker_strategy"])
-    elif family == "pca-lm":
-        kind = PcaLmKind(variance_threshold=float(doc["variance_threshold"]))
-    elif family == "rf":
-        f = doc["forest"]
-        kind = ForestKind(
-            config=ForestConfig(
-                n_trees=int(f["n_trees"]),
-                max_depth=None if f["max_depth"] is None else int(f["max_depth"]),
-                min_leaf=int(f["min_leaf"]),
-                mtry=None if f["mtry"] is None else int(f["mtry"]),
-                bootstrap=bool(f["bootstrap"]),
-                seed=int(f["seed"]),
-            ),
-            input=doc["input"],
-            variance_threshold=float(doc["variance_threshold"]),
-        )
-    else:
-        raise ModelFileError(f"unknown pipeline family: {family!r}")
-    return PipelineSpec(kind=kind, standardize=standardize)
-
-
-def _tree_to_dict(node: TreeNode) -> dict[str, Any]:
-    if isinstance(node, Leaf):
-        return {"value": node.value, "count": node.count}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(doc: dict[str, Any]) -> TreeNode:
-    if "value" in doc:
-        return Leaf(value=float(doc["value"]), count=int(doc["count"]))
-    return Split(
-        feature=int(doc["feature"]),
-        threshold=float(doc["threshold"]),
-        left=_tree_from_dict(doc["left"]),
-        right=_tree_from_dict(doc["right"]),
-    )
-
-
-def _model_to_dict(model: EmpiricalModel | LinearModel | ForestModel) -> dict[str, Any]:
-    if isinstance(model, EmpiricalModel):
-        return {
-            "type": "empirical",
-            "beta": model.beta,
-            "mode": model.mode,
-            "marker_strategy": model.marker_strategy,
-        }
-    if isinstance(model, LinearModel):
-        return {
-            "type": "linear",
-            "intercept": model.intercept,
-            "coefficients": model.coefficients.tolist(),
-        }
-    if isinstance(model, ForestModel):
-        return {
-            "type": "forest",
-            "n_features": model.n_features,
-            "importances": model.importances.tolist(),
-            "oob_rmse": model.oob_rmse,
-            "trees": [_tree_to_dict(t) for t in model.trees],
-        }
-    raise ModelFileError(f"unknown model type: {type(model).__name__}")
-
-
-def _model_from_dict(doc: dict[str, Any], spec: PipelineSpec):
-    mtype = doc.get("type")
-    if mtype == "empirical":
-        return EmpiricalModel(
-            beta=float(doc["beta"]),
-            mode=doc["mode"],
-            marker_strategy=doc["marker_strategy"],
-        )
-    if mtype == "linear":
-        return LinearModel(
-            intercept=float(doc["intercept"]),
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-        )
-    if mtype == "forest":
-        if not isinstance(spec.kind, ForestKind):
-            raise ModelFileError("forest parameters under a non-forest pipeline")
-        return ForestModel(
-            trees=tuple(_tree_from_dict(t) for t in doc["trees"]),
-            config=spec.kind.config,
-            n_features=int(doc["n_features"]),
-            importances=np.asarray(doc["importances"], dtype=float),
-            oob_rmse=None if doc["oob_rmse"] is None else float(doc["oob_rmse"]),
-        )
-    raise ModelFileError(f"unknown model type: {mtype!r}")
-
-
-_EXPECTED_MODEL_TYPE = {"empirical": "empirical", "pca-lm": "linear", "rf": "forest"}
-
-
 def save_model(path: Path, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
     """Write a trained pipeline with its provenance block."""
+    kind = trained.spec.kind
     doc = {
         "format_version": FORMAT_VERSION,
-        "pipeline": _spec_to_dict(trained.spec),
+        "pipeline": {
+            "family": kind.name,
+            "standardize": trained.spec.standardize,
+            **kind.to_doc(),
+        },
         "grid": {
             "start_mm": trained.grid.start_mm,
             "spacing_mm": trained.grid.spacing_mm,
@@ -192,7 +55,7 @@ def save_model(path: Path, trained: TrainedPipeline, provenance: dict[str, Any])
             "threshold": trained.pca.threshold,
             "total_variance": trained.pca.total_variance,
         },
-        "model": _model_to_dict(trained.model),
+        "model": {"type": kind.model_type, **kind.model_to_doc(trained.model)},
         "provenance": dict(provenance),
     }
     path.write_text(json.dumps(doc, indent=2) + "\n")
@@ -220,7 +83,12 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
             f"{path}: unknown model format_version {version!r} (this build reads {FORMAT_VERSION})"
         )
     try:
-        spec = _spec_from_dict(doc["pipeline"])
+        spec_doc = doc["pipeline"]
+        family = spec_doc.get("family")
+        if not isinstance(family, str) or family not in KINDS:
+            raise ModelFileError(f"{path}: unknown pipeline family: {family!r}")
+        kind = KINDS[family].from_doc(spec_doc)
+        spec = PipelineSpec(kind=kind, standardize=bool(spec_doc.get("standardize", True)))
         grid_doc = doc["grid"]
         grid = GridSpec(
             start_mm=float(grid_doc["start_mm"]),
@@ -245,26 +113,23 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
                 threshold=float(pca_doc["threshold"]),
                 total_variance=float(pca_doc["total_variance"]),
             )
-        model = _model_from_dict(doc["model"], spec)
+        model_doc = doc["model"]
+        actual = model_doc.get("type")
+        if actual != kind.model_type:
+            raise ModelFileError(
+                f"{path}: pipeline family {family!r} expects a {kind.model_type} model,"
+                f" got {actual!r}"
+            )
+        model = kind.model_from_doc(model_doc)
         provenance = doc.get("provenance", {})
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
 
-    expected = _EXPECTED_MODEL_TYPE[spec.name]
-    actual = doc["model"].get("type")
-    if actual != expected:
-        raise ModelFileError(
-            f"{path}: pipeline family {spec.name!r} expects a {expected} model, got {actual!r}"
-        )
-    if isinstance(spec.kind, PcaLmKind) and pca is None:
-        raise ModelFileError(f"{path}: pca-lm model file lacks the PCA block")
+    if kind.uses_pca and pca is None:
+        raise ModelFileError(f"{path}: {family} model file lacks the PCA block")
     # the empirical family works on raw markers and never fits a standardizer,
     # whatever the flag says
-    if (
-        spec.standardize
-        and standardizer is None
-        and not isinstance(spec.kind, EmpiricalKind)
-    ):
+    if spec.standardize and standardizer is None and kind.uses_features:
         raise ModelFileError(f"{path}: standardize=true but no standardizer stored")
 
     trained = TrainedPipeline(

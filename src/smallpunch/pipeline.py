@@ -5,7 +5,11 @@ applied before it:
 
 * empirical: curve markers -> single-factor correlation;
 * pca-lm: standardized features -> PCA scores -> linear model;
-* forest: standardized features (raw columns or PCA scores) -> forest.
+* rf: standardized features (raw columns or PCA scores) -> forest.
+
+Everything that depends on the family lives on its kind class here: the
+family name, fitting and predicting, and the family's part of the model
+file.  KINDS finds a kind class by family name.
 
 fit_pipeline touches only the curves it is given, which is what makes the
 cross-validation in evaluation.py leakage-free: every fold refits the
@@ -15,7 +19,7 @@ standardizer, the PCA and the model on training rows alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Any, ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -28,8 +32,8 @@ from .curves import (
     extract_markers,
 )
 from .errors import BadConfig, EmptyTraining, GridMismatch, LengthMismatch
-from .features import FeatureMatrix, Standardizer, apply_standardizer, assemble, fit_standardizer
-from .forest import ForestConfig, ForestModel, fit_forest, predict_forest
+from .features import Standardizer, apply_standardizer, assemble, fit_standardizer
+from .forest import ForestConfig, ForestModel, Leaf, Split, TreeNode, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
 from .regress import (
     EmpiricalModel,
@@ -46,14 +50,22 @@ from .regress import (
 FOREST_INPUT_RAW = "raw"
 FOREST_INPUT_SCORES = "scores"
 
-PIPELINE_EMPIRICAL = "empirical"
-PIPELINE_PCA_LM = "pca-lm"
-PIPELINE_FOREST = "rf"
+# Every kind class provides: name (the family) and model_type (the model
+# file's "type"); marker_strategy, None for families without markers;
+# uses_features and uses_pca, which preprocessing the family fits;
+# fit -> Fitted and predict; to_doc/from_doc for its "pipeline" settings
+# and model_to_doc/model_from_doc for its "model" parameters.
+Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
 @dataclass(frozen=True)
 class EmpiricalKind:
     """Marker-based correlation family."""
+
+    name: ClassVar[str] = "empirical"
+    model_type: ClassVar[str] = "empirical"
+    uses_features: ClassVar[bool] = False
+    uses_pca: ClassVar[bool] = False
 
     mode: str = MODE_INSTABILITY_FORCE
     marker_strategy: str = MARKER_MAX_SLOPE
@@ -64,12 +76,51 @@ class EmpiricalKind:
         if self.marker_strategy not in MARKER_STRATEGIES:
             raise BadConfig(f"unknown marker strategy: {self.marker_strategy!r}")
 
+    def _markers(self, curves: list[UniformCurve], v_star):
+        stars = _broadcast_v_star(v_star, len(curves), self.marker_strategy)
+        for c, vs in zip(curves, stars):
+            yield c, extract_markers(c, self.marker_strategy, vs)
 
-@dataclass(frozen=True)
-class PcaLmKind:
-    """PCA scores into a linear model."""
+    def fit(self, curves, matrix, targets, standardize, v_star, n_workers) -> Fitted:
+        feats = [
+            empirical_feature(markers, c.meta.thickness_mm, self.mode)
+            for c, markers in self._markers(curves, v_star)
+        ]
+        model = fit_beta(feats, targets, mode=self.mode, marker_strategy=self.marker_strategy)
+        return None, None, model
 
-    variance_threshold: float = 0.99
+    def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
+        return np.asarray([
+            predict_empirical(trained.model, markers, c.meta.thickness_mm)
+            for c, markers in self._markers(curves, v_star)
+        ])
+
+    def to_doc(self) -> dict[str, Any]:
+        return {"mode": self.mode, "marker_strategy": self.marker_strategy}
+
+    @classmethod
+    def from_doc(cls, doc: dict[str, Any]) -> EmpiricalKind:
+        return cls(mode=doc["mode"], marker_strategy=doc["marker_strategy"])
+
+    @staticmethod
+    def model_to_doc(model: EmpiricalModel) -> dict[str, Any]:
+        return {"beta": model.beta, "mode": model.mode, "marker_strategy": model.marker_strategy}
+
+    def model_from_doc(self, doc: dict[str, Any]) -> EmpiricalModel:
+        return EmpiricalModel(
+            beta=float(doc["beta"]), mode=doc["mode"], marker_strategy=doc["marker_strategy"]
+        )
+
+
+class _FeatureKind:
+    """Fit and predict shared by the families that model the feature matrix.
+
+    Subclasses define variance_threshold, uses_pca, _fit_model and
+    _predict_model.
+    """
+
+    uses_features = True
+    marker_strategy = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.variance_threshold <= 1.0):
@@ -77,10 +128,63 @@ class PcaLmKind:
                 f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
             )
 
+    def fit(self, curves, matrix, targets, standardize, v_star, n_workers) -> Fitted:
+        std = fit_standardizer(matrix) if standardize else None
+        prepared = apply_standardizer(std, matrix) if std is not None else matrix
+        pca = fit_pca(prepared, self.variance_threshold) if self.uses_pca else None
+        design = transform(pca, prepared) if self.uses_pca else prepared.values
+        return std, pca, self._fit_model(design, targets, n_workers)
+
+    def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
+        matrix, _ = assemble(curves)
+        std = trained.standardizer
+        prepared = apply_standardizer(std, matrix) if std is not None else matrix
+        design = transform(trained.pca, prepared) if self.uses_pca else prepared.values
+        return self._predict_model(trained.model, design)
+
 
 @dataclass(frozen=True)
-class ForestKind:
+class PcaLmKind(_FeatureKind):
+    """PCA scores into a linear model."""
+
+    name: ClassVar[str] = "pca-lm"
+    model_type: ClassVar[str] = "linear"
+    uses_pca: ClassVar[bool] = True
+
+    variance_threshold: float = 0.99
+
+    @staticmethod
+    def _fit_model(design, targets, n_workers) -> LinearModel:
+        return fit_ols(design, targets)
+
+    @staticmethod
+    def _predict_model(model: LinearModel, design) -> np.ndarray:
+        return predict_linear(model, design)
+
+    def to_doc(self) -> dict[str, Any]:
+        return {"variance_threshold": self.variance_threshold}
+
+    @classmethod
+    def from_doc(cls, doc: dict[str, Any]) -> PcaLmKind:
+        return cls(variance_threshold=float(doc["variance_threshold"]))
+
+    @staticmethod
+    def model_to_doc(model: LinearModel) -> dict[str, Any]:
+        return {"intercept": model.intercept, "coefficients": model.coefficients.tolist()}
+
+    def model_from_doc(self, doc: dict[str, Any]) -> LinearModel:
+        return LinearModel(
+            intercept=float(doc["intercept"]),
+            coefficients=np.asarray(doc["coefficients"], dtype=float),
+        )
+
+
+@dataclass(frozen=True)
+class ForestKind(_FeatureKind):
     """Random forest on raw standardized columns or on PCA scores."""
+
+    name: ClassVar[str] = "rf"
+    model_type: ClassVar[str] = "forest"
 
     config: ForestConfig = ForestConfig()
     input: str = FOREST_INPUT_RAW
@@ -89,13 +193,94 @@ class ForestKind:
     def __post_init__(self) -> None:
         if self.input not in (FOREST_INPUT_RAW, FOREST_INPUT_SCORES):
             raise BadConfig(f"forest input must be 'raw' or 'scores', got {self.input!r}")
-        if not (0.0 < self.variance_threshold <= 1.0):
-            raise BadConfig(
-                f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
-            )
+        super().__post_init__()
+
+    @property
+    def uses_pca(self) -> bool:
+        return self.input == FOREST_INPUT_SCORES
+
+    def _fit_model(self, design, targets, n_workers) -> ForestModel:
+        return fit_forest(design, targets, self.config, n_workers=n_workers)
+
+    @staticmethod
+    def _predict_model(model: ForestModel, design) -> np.ndarray:
+        return predict_forest(model, design)
+
+    def to_doc(self) -> dict[str, Any]:
+        c = self.config
+        return {
+            "input": self.input,
+            "variance_threshold": self.variance_threshold,
+            "forest": {
+                "n_trees": c.n_trees,
+                "max_depth": c.max_depth,
+                "min_leaf": c.min_leaf,
+                "mtry": c.mtry,
+                "bootstrap": c.bootstrap,
+                "seed": c.seed,
+            },
+        }
+
+    @classmethod
+    def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
+        f = doc["forest"]
+        return cls(
+            config=ForestConfig(
+                n_trees=int(f["n_trees"]),
+                max_depth=None if f["max_depth"] is None else int(f["max_depth"]),
+                min_leaf=int(f["min_leaf"]),
+                mtry=None if f["mtry"] is None else int(f["mtry"]),
+                bootstrap=bool(f["bootstrap"]),
+                seed=int(f["seed"]),
+            ),
+            input=doc["input"],
+            variance_threshold=float(doc["variance_threshold"]),
+        )
+
+    @staticmethod
+    def model_to_doc(model: ForestModel) -> dict[str, Any]:
+        return {
+            "n_features": model.n_features,
+            "importances": model.importances.tolist(),
+            "oob_rmse": model.oob_rmse,
+            "trees": [_tree_to_doc(t) for t in model.trees],
+        }
+
+    def model_from_doc(self, doc: dict[str, Any]) -> ForestModel:
+        return ForestModel(
+            trees=tuple(_tree_from_doc(t) for t in doc["trees"]),
+            config=self.config,
+            n_features=int(doc["n_features"]),
+            importances=np.asarray(doc["importances"], dtype=float),
+            oob_rmse=None if doc["oob_rmse"] is None else float(doc["oob_rmse"]),
+        )
+
+
+def _tree_to_doc(node: TreeNode) -> dict[str, Any]:
+    if isinstance(node, Leaf):
+        return {"value": node.value, "count": node.count}
+    return {
+        "feature": node.feature,
+        "threshold": node.threshold,
+        "left": _tree_to_doc(node.left),
+        "right": _tree_to_doc(node.right),
+    }
+
+
+def _tree_from_doc(doc: dict[str, Any]) -> TreeNode:
+    if "value" in doc:
+        return Leaf(value=float(doc["value"]), count=int(doc["count"]))
+    return Split(
+        feature=int(doc["feature"]),
+        threshold=float(doc["threshold"]),
+        left=_tree_from_doc(doc["left"]),
+        right=_tree_from_doc(doc["right"]),
+    )
 
 
 PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]
+
+KINDS: dict[str, type] = {k.name: k for k in (EmpiricalKind, PcaLmKind, ForestKind)}
 
 
 @dataclass(frozen=True)
@@ -107,19 +292,7 @@ class PipelineSpec:
 
     @property
     def name(self) -> str:
-        if isinstance(self.kind, EmpiricalKind):
-            return PIPELINE_EMPIRICAL
-        if isinstance(self.kind, PcaLmKind):
-            return PIPELINE_PCA_LM
-        return PIPELINE_FOREST
-
-
-@dataclass(frozen=True)
-class FittedPreprocessing:
-    """Externally fitted preprocessing, for the legacy global-PCA mode."""
-
-    standardizer: Standardizer | None
-    pca: PcaModel | None
+        return self.kind.name
 
 
 @dataclass(frozen=True)
@@ -151,74 +324,25 @@ def _broadcast_v_star(
     return values
 
 
-def _preprocess_fit(
-    matrix: FeatureMatrix,
-    spec: PipelineSpec,
-    threshold: float,
-    want_pca: bool,
-    preset: FittedPreprocessing | None,
-) -> tuple[Standardizer | None, PcaModel | None, FeatureMatrix, np.ndarray | None]:
-    if preset is not None:
-        std = preset.standardizer
-        pca = preset.pca if want_pca else None
-    else:
-        std = fit_standardizer(matrix) if spec.standardize else None
-        pca = None
-    prepared = apply_standardizer(std, matrix) if std is not None else matrix
-    scores = None
-    if want_pca:
-        if pca is None:
-            pca = fit_pca(prepared, threshold)
-        scores = transform(pca, prepared)
-    return std, pca, prepared, scores
-
-
 def fit_pipeline(
     curves: Sequence[UniformCurve],
     spec: PipelineSpec,
     v_star: float | Sequence[float] | None = None,
     n_workers: int = 1,
-    preprocessing: FittedPreprocessing | None = None,
 ) -> TrainedPipeline:
     """Fit one pipeline on labeled curves.
 
     v_star feeds the fixed-v marker strategy: a scalar is shared by every
-    curve, a sequence is matched to the curves one-to-one.  preprocessing
-    injects an externally fitted standardizer/PCA (legacy global mode);
-    leave it None for the leakage-free default.
+    curve, a sequence is matched to the curves one-to-one.
     """
     curve_list = list(curves)
     matrix, targets = assemble(curve_list)
     if targets is None:
         raise EmptyTraining("training requires labeled curves (rm_MPa set)")
-
-    kind = spec.kind
-    if isinstance(kind, EmpiricalKind):
-        stars = _broadcast_v_star(v_star, len(curve_list), kind.marker_strategy)
-        feats = []
-        for c, vs in zip(curve_list, stars):
-            markers = extract_markers(c, kind.marker_strategy, vs)
-            feats.append(empirical_feature(markers, c.meta.thickness_mm, kind.mode))
-        model = fit_beta(feats, targets, mode=kind.mode, marker_strategy=kind.marker_strategy)
-        return TrainedPipeline(spec, curve_list[0].grid, None, None, model)
-
-    if isinstance(kind, PcaLmKind):
-        std, pca, _, scores = _preprocess_fit(
-            matrix, spec, kind.variance_threshold, True, preprocessing
-        )
-        model = fit_ols(scores, targets)
-        return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
-
-    if isinstance(kind, ForestKind):
-        want_pca = kind.input == FOREST_INPUT_SCORES
-        std, pca, prepared, scores = _preprocess_fit(
-            matrix, spec, kind.variance_threshold, want_pca, preprocessing
-        )
-        design = scores if want_pca else prepared.values
-        model = fit_forest(design, targets, kind.config, n_workers=n_workers)
-        return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
-
-    raise BadConfig(f"unknown pipeline kind: {kind!r}")
+    std, pca, model = spec.kind.fit(
+        curve_list, matrix, targets, spec.standardize, v_star, n_workers
+    )
+    return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
 
 
 def predict_pipeline(
@@ -231,29 +355,4 @@ def predict_pipeline(
     for i, c in enumerate(curve_list):
         if c.grid != trained.grid:
             raise GridMismatch(f"curve {i} grid {c.grid} differs from model grid {trained.grid}")
-
-    kind = trained.spec.kind
-    if isinstance(kind, EmpiricalKind):
-        stars = _broadcast_v_star(v_star, len(curve_list), kind.marker_strategy)
-        preds = []
-        for c, vs in zip(curve_list, stars):
-            markers = extract_markers(c, kind.marker_strategy, vs)
-            preds.append(predict_empirical(trained.model, markers, c.meta.thickness_mm))
-        return np.asarray(preds)
-
-    matrix, _ = assemble(curve_list)
-    prepared = (
-        apply_standardizer(trained.standardizer, matrix)
-        if trained.standardizer is not None
-        else matrix
-    )
-    if isinstance(kind, PcaLmKind):
-        scores = transform(trained.pca, prepared)
-        return predict_linear(trained.model, scores)
-    if isinstance(kind, ForestKind):
-        if kind.input == FOREST_INPUT_SCORES:
-            design = transform(trained.pca, prepared)
-        else:
-            design = prepared.values
-        return predict_forest(trained.model, design)
-    raise BadConfig(f"unknown pipeline kind: {kind!r}")
+    return trained.spec.kind.predict(trained, curve_list, v_star)

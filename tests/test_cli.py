@@ -66,6 +66,37 @@ def test_synth_rejects_negative_noise(tmp_path, capsys):
     assert "error:" in err and "--noise-sigma" in err
 
 
+@pytest.fixture(scope="module")
+def small_manifest(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--materials", "2", "--per-material", "2",
+                 "--out", str(out)]) == 0
+    return out / "manifest.csv"
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("train", "--pipeline", "rf", "--trees", "0"), "--trees"),
+    (("train", "--pipeline", "rf", "--min-leaf", "0"), "--min-leaf"),
+    (("train", "--pipeline", "rf", "--max-depth", "0"), "--max-depth"),
+    (("train", "--pipeline", "rf", "--mtry", "0"), "--mtry"),
+    (("train", "--pipeline", "rf", "--variance-threshold", "0"), "--variance-threshold"),
+    (("train", "--pipeline", "pca-lm", "--variance-threshold", "1.5"), "--variance-threshold"),
+    (("synth", "--noise-sigma", "-1"), "--noise-sigma"),
+    (("synth", "--materials", "0"), "--materials"),
+    (("synth", "--per-material", "0"), "--per-material"),
+    (("synth", "--beta", "0"), "--beta"),
+    (("synth", "--h0", "0"), "--h0"),
+])
+def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, small_manifest,
+                                            argv, flag):
+    command, *flags = argv
+    where = [str(small_manifest)] if command == "train" else []
+    code, _, err = run(capsys, command, *where, *flags,
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "error:" in err and flag in err
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "synth", "--does-not-exist", "1",
                      "--out", str(tmp_path / "x"))
@@ -237,6 +268,19 @@ def test_predict_unknown_model_version_exits_5(tmp_path, capsys):
                        "--model", str(model_path),
                        "--out", str(tmp_path / "p.csv"))
     assert code == 5 and "format_version" in err
+
+
+def test_predict_fixed_v_without_source_exits_2(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", str(data / "manifest.csv"),
+                     "--pipeline", "empirical", "--marker", "fixed-v",
+                     "--v-star", "0.5", "--out", str(model_path))
+    assert code == 0
+    code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
+                       "--model", str(model_path),
+                       "--out", str(tmp_path / "p.csv"))
+    assert code == 2 and "--v-star or --truth" in err
 
 
 def test_predict_empty_manifest_writes_header_only(tmp_path, capsys):

@@ -108,6 +108,24 @@ def test_parse_rejects_non_numeric_cell():
     assert "row 3" in str(err.value)
 
 
+def test_parse_skips_comment_lines():
+    plain = parse_curve_csv("displacement_um,force_N\n0,0\n10,12.5\n", make_meta())
+    commented = parse_curve_csv(
+        "# exported by the test rig\ndisplacement_um,force_N\n0,0\n"
+        "  # mid-table note\n10,12.5\n", make_meta())
+    assert np.array_equal(commented.displacement_mm, plain.displacement_mm)
+    assert np.array_equal(commented.force_N, plain.force_N)
+
+
+@pytest.mark.parametrize("text", [
+    '"displacement_um","force_N"\n0,0\n10,1\n',
+    'displacement_um,force_N\n0,0\n"10","1"\n',
+])
+def test_parse_rejects_quoted_cells(text):
+    with pytest.raises(MalformedRow):
+        parse_curve_csv(text, make_meta())
+
+
 def test_parse_rejects_non_finite():
     with pytest.raises(NonFiniteValue):
         parse_curve_csv("displacement_um,force_N\n0,0\n10,nan\n", make_meta())

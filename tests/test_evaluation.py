@@ -184,18 +184,14 @@ def test_held_out_rows_are_not_memorized():
     assert report.mean_rmse > 1.0
 
 
-def test_legacy_global_preprocessing_is_shared_across_folds():
+def test_each_fold_fits_its_own_pca():
     cfg = SynthConfig(n_materials=4, curves_per_material=4, noise_sigma_N=5.0,
                       seed=11)
     curves, _ = _synth_uniform(cfg)
     spec = PipelineSpec(PcaLmKind())
-    legacy = cross_validate(curves, spec, k=4, seed=5, legacy_global_pca=True,
-                            collect_models=True)
-    clean = cross_validate(curves, spec, k=4, seed=5, collect_models=True)
-    l0, l1 = legacy.fold_models[0], legacy.fold_models[1]
-    c0, c1 = clean.fold_models[0], clean.fold_models[1]
-    assert np.array_equal(l0.pca.mean, l1.pca.mean)
-    assert not np.array_equal(c0.pca.mean, c1.pca.mean)
+    report = cross_validate(curves, spec, k=4, seed=5, collect_models=True)
+    m0, m1 = report.fold_models[0], report.fold_models[1]
+    assert not np.array_equal(m0.pca.mean, m1.pca.mean)
 
 
 def test_stratified_cv_runs_and_differs_from_plain():

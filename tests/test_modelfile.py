@@ -131,14 +131,16 @@ def test_missing_block_is_refused(tmp_path, dataset):
 
 def test_stripped_pca_block_is_refused(tmp_path, dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
-    path = tmp_path / "model.json"
-    save_model(path, trained, {})
-    doc = json.loads(path.read_text())
-    doc["pca"] = None
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match="PCA"):
-        load_model(path)
+    scores = ForestKind(config=ForestConfig(n_trees=2, seed=1), input="scores")
+    for kind in (PcaLmKind(), scores):
+        trained = fit_pipeline(curves, PipelineSpec(kind))
+        path = tmp_path / "model.json"
+        save_model(path, trained, {})
+        doc = json.loads(path.read_text())
+        doc["pca"] = None
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFileError, match="PCA"):
+            load_model(path)
 
 
 def test_forest_trees_survive_re_save(tmp_path, dataset):
