@@ -111,7 +111,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         default=FOREST_INPUT_RAW,
                         help="feed the forest raw standardized columns or PCA scores")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads for forest fitting (result is identical)")
+                        help="has no effect; forests are grown in one thread")
 
 
 def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
@@ -204,7 +204,6 @@ def cmd_cv(args: argparse.Namespace) -> int:
         seed=args.seed,
         v_star=v_star,
         stratify_material=args.stratify_material,
-        n_workers=args.workers,
     )
     args.out.mkdir(parents=True, exist_ok=True)
     prefix = args.pipeline
@@ -220,7 +219,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     names, curves = dataio.load_curves(args.manifest, grid)
     spec = _spec_from_args(args)
     v_star = _v_star_for(args, names, spec.kind.marker_strategy)
-    trained = fit_pipeline(curves, spec, v_star=v_star, n_workers=args.workers)
+    trained = fit_pipeline(curves, spec, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
     truths = np.array([c.meta.rm_MPa for c in curves], dtype=float)
     train_rmse = rmse(preds, truths)

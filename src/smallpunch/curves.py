@@ -186,15 +186,20 @@ def read_rows(text: str) -> list[tuple[int, list[str]]]:
 
     This is the one dialect of every table the package reads: blank lines
     and lines starting with ``#`` are skipped, each other line is split on
-    commas and its cells are stripped.  There is no quoting, so a quoted
-    cell keeps its quotes and fails the caller's header or number check.
+    commas and its cells are stripped.  There is no quoting: a cell that
+    starts with a double quote raises MalformedRow naming its line.
     Callers check their own header, the first row returned.
     """
-    return [
+    rows = [
         (lineno, [c.strip() for c in line.split(",")])
         for lineno, line in enumerate(text.splitlines(), start=1)
         if line.strip() and not line.lstrip().startswith("#")
     ]
+    if '"' in text:  # one scan of the text spares the per-cell check on clean tables
+        for lineno, cells in rows:
+            if any(c.startswith('"') for c in cells):
+                raise MalformedRow(f"row {lineno}: quoted cell; tables take no quoting")
+    return rows
 
 
 def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:

@@ -38,7 +38,10 @@ def fmt(x: float) -> str:
 
 def _read_table(path: Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
     """Data rows of a table with a fixed header, with 1-based line numbers."""
-    rows = read_rows(path.read_text())
+    try:
+        rows = read_rows(path.read_text())
+    except MalformedRow as exc:
+        raise MalformedRow(f"{path}: {exc}") from exc
     if not rows:
         raise MalformedRow(f"{path}: missing header '{','.join(header)}'")
     lineno, cells = rows[0]

@@ -14,6 +14,7 @@ import numpy as np
 
 from .curves import UniformCurve
 from .errors import (
+    BadConfig,
     BadK,
     EmptyInput,
     InvalidModel,
@@ -43,6 +44,8 @@ def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """
     if not (2 <= k <= n):
         raise BadK(f"need 2 <= k <= n, got k={k}, n={n}")
+    if seed < 0:
+        raise BadConfig(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
     sizes = np.full(k, n // k, dtype=int)
     sizes[: n % k] += 1
@@ -68,6 +71,8 @@ def group_kfold_split(material_ids: Sequence[str], k: int, seed: int) -> list[np
             unique.append(mid)
     if not (2 <= k <= len(unique)):
         raise BadK(f"need 2 <= k <= number of materials, got k={k}, materials={len(unique)}")
+    if seed < 0:
+        raise BadConfig(f"seed must be >= 0, got {seed}")
     order = np.random.default_rng(seed).permutation(len(unique))
     fold_of: dict[str, int] = {}
     fold_sizes = [0] * k
@@ -117,7 +122,6 @@ def cross_validate(
     seed: int = 0,
     v_star: float | Sequence[float] | None = None,
     stratify_material: bool = False,
-    n_workers: int = 1,
     collect_models: bool = False,
 ) -> CvReport:
     """Seeded k-fold cross-validation of one pipeline spec.
@@ -160,7 +164,6 @@ def cross_validate(
                 [curve_list[i] for i in train_idx],
                 spec,
                 v_star=star_subset(train_idx),
-                n_workers=n_workers,
             )
             preds = predict_pipeline(
                 trained, [curve_list[i] for i in test_idx], v_star=star_subset(test_idx)

@@ -3,21 +3,22 @@
 Variance-reduction regression trees with bootstrap resampling, per-node
 feature subsampling and out-of-bag error.  Determinism is a hard contract:
 
-* tree t draws from its own RNG stream seeded by (seed, t), so the result
-  is independent of how trees are scheduled across workers;
+* tree t draws from its own RNG stream seeded by (seed, t), so its bag
+  can be rebuilt without growing the trees before it;
 * within a tree the traversal order is fixed (node, then left subtree,
   then right subtree) and every RNG draw happens in that order;
 * split ties are broken toward the lower feature index, then the lower
   threshold; candidate thresholds are midpoints between consecutive
   distinct sorted values.
 
-The same bits in always produce the same model bits, whatever n_workers is.
+The same bits in always produce the same model bits.  Trees are grown one
+after another in one thread: growth is mostly Python-level work on small
+arrays, so threads only contend for the interpreter lock and were slower.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -209,19 +210,6 @@ def _bootstrap_rows(rng: np.random.Generator, n: int, bootstrap: bool) -> np.nda
     return np.arange(n)
 
 
-def _build_tree(
-    x: np.ndarray, y: np.ndarray, cfg: ForestConfig, mtry: int, t: int
-) -> tuple[TreeNode, np.ndarray, np.ndarray]:
-    """Build tree t; returns (root, per-feature reductions, in-bag mask)."""
-    rng = _tree_rng(cfg.seed, t)
-    rows = _bootstrap_rows(rng, y.size, cfg.bootstrap)
-    in_bag = np.zeros(y.size, dtype=bool)
-    in_bag[rows] = True
-    importances = np.zeros(x.shape[1])
-    root = _grow(x, y, rows, 0, rng, cfg, mtry, importances)
-    return root, importances, in_bag
-
-
 def _route(node: TreeNode, x: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
     if isinstance(node, Leaf):
         out[idx] = node.value
@@ -241,9 +229,8 @@ def fit_forest(
     x: FeatureMatrix | np.ndarray,
     y: TargetVector | Sequence[float] | np.ndarray,
     cfg: ForestConfig = ForestConfig(),
-    n_workers: int = 1,
 ) -> ForestModel:
-    """Fit the forest; bitwise identical for any n_workers >= 1.
+    """Fit the forest, growing trees 0..n_trees-1 in order.
 
     Parameters
     ----------
@@ -253,16 +240,13 @@ def fit_forest(
         n targets.
     cfg : ForestConfig
         Hyperparameters; cfg.mtry=None resolves to ceil(p / 3).
-    n_workers : int
-        Worker threads; trees are independent, results are assembled in
-        tree order regardless of scheduling.
 
     Raises
     ------
     TooFewRows
         n < 2.
     BadConfig
-        mtry exceeds the feature count or n_workers < 1.
+        mtry exceeds the feature count.
     """
     xv = _matrix_values(x)
     yv = _target_values(y)
@@ -271,28 +255,25 @@ def fit_forest(
         raise LengthMismatch(f"{n} feature rows vs {yv.size} targets")
     if n < 2:
         raise TooFewRows(f"forest needs n >= 2 rows, got {n}")
-    if n_workers < 1:
-        raise BadConfig(f"n_workers must be >= 1, got {n_workers}")
     mtry = cfg.mtry if cfg.mtry is not None else math.ceil(p / 3)
     if mtry > p:
         raise BadConfig(f"mtry {mtry} exceeds feature count {p}")
 
-    if n_workers == 1:
-        built = [_build_tree(xv, yv, cfg, mtry, t) for t in range(cfg.n_trees)]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            built = list(
-                pool.map(lambda t: _build_tree(xv, yv, cfg, mtry, t), range(cfg.n_trees))
-            )
-
-    trees = tuple(root for root, _, _ in built)
+    trees = []
     importances = np.zeros(p)
     oob_sum = np.zeros(n)
     oob_count = np.zeros(n, dtype=int)
-    for root, reductions, in_bag in built:
+    for t in range(cfg.n_trees):
+        rng = _tree_rng(cfg.seed, t)
+        rows = _bootstrap_rows(rng, n, cfg.bootstrap)
+        # summed per tree, then tree by tree: the order the importance bits need
+        reductions = np.zeros(p)
+        root = _grow(xv, yv, rows, 0, rng, cfg, mtry, reductions)
+        trees.append(root)
         importances += reductions
         if cfg.bootstrap:
-            oob = ~in_bag
+            oob = np.ones(n, dtype=bool)
+            oob[rows] = False
             if oob.any():
                 oob_sum[oob] += _tree_predict(root, xv[oob])
                 oob_count[oob] += 1
@@ -307,7 +288,7 @@ def fit_forest(
         oob_rmse = float(np.sqrt(np.mean((oob_pred - yv) ** 2)))
 
     return ForestModel(
-        trees=trees,
+        trees=tuple(trees),
         config=cfg,
         n_features=p,
         importances=importances,

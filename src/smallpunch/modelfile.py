@@ -5,6 +5,9 @@ saved model predicts bit-identically after reload.  Files declare
 format_version and loading refuses versions it does not know instead of
 guessing.  The family's own blocks, its settings under "pipeline" and its
 parameters under "model", are laid out by its kind class in pipeline.py.
+The grid, standardizer and PCA blocks are their records' fields in
+declaration order (pipeline.record_to_doc), so reordering such a field
+changes the file format and needs a format_version bump.
 """
 
 from __future__ import annotations
@@ -13,20 +16,18 @@ import json
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
 from .curves import GridSpec
 from .errors import ModelFileError, UnsupportedVersion
 from .features import Standardizer
 from .pca import PcaModel
-from .pipeline import KINDS, PipelineSpec, TrainedPipeline
+from .pipeline import KINDS, PipelineSpec, TrainedPipeline, record_from_doc, record_to_doc
 
 FORMAT_VERSION = 1
 
 
 def save_model(path: Path, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
     """Write a trained pipeline with its provenance block."""
-    kind = trained.spec.kind
+    kind, std, pca = trained.spec.kind, trained.standardizer, trained.pca
     doc = {
         "format_version": FORMAT_VERSION,
         "pipeline": {
@@ -34,27 +35,9 @@ def save_model(path: Path, trained: TrainedPipeline, provenance: dict[str, Any])
             "standardize": trained.spec.standardize,
             **kind.to_doc(),
         },
-        "grid": {
-            "start_mm": trained.grid.start_mm,
-            "spacing_mm": trained.grid.spacing_mm,
-            "n_points": trained.grid.n_points,
-        },
-        "standardizer": None
-        if trained.standardizer is None
-        else {
-            "means": trained.standardizer.means.tolist(),
-            "scales": trained.standardizer.scales.tolist(),
-        },
-        "pca": None
-        if trained.pca is None
-        else {
-            "mean": trained.pca.mean.tolist(),
-            "loadings": trained.pca.loadings.tolist(),
-            "eigenvalues": trained.pca.eigenvalues.tolist(),
-            "explained_ratio": trained.pca.explained_ratio.tolist(),
-            "threshold": trained.pca.threshold,
-            "total_variance": trained.pca.total_variance,
-        },
+        "grid": record_to_doc(trained.grid),
+        "standardizer": None if std is None else record_to_doc(std),
+        "pca": None if pca is None else record_to_doc(pca),
         "model": {"type": kind.model_type, **kind.model_to_doc(trained.model)},
         "provenance": dict(provenance),
     }
@@ -69,7 +52,8 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
     UnsupportedVersion
         format_version is not one this code writes.
     ModelFileError
-        The stored components do not match the declared pipeline family.
+        A block is missing or malformed, or the stored components do not
+        match the declared pipeline family.
     """
     try:
         doc = json.loads(path.read_text())
@@ -84,46 +68,29 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
         )
     try:
         spec_doc = doc["pipeline"]
-        family = spec_doc.get("family")
+        family = spec_doc["family"]
         if not isinstance(family, str) or family not in KINDS:
-            raise ModelFileError(f"{path}: unknown pipeline family: {family!r}")
+            raise ModelFileError(f"unknown pipeline family: {family!r}")
         kind = KINDS[family].from_doc(spec_doc)
         spec = PipelineSpec(kind=kind, standardize=bool(spec_doc.get("standardize", True)))
-        grid_doc = doc["grid"]
-        grid = GridSpec(
-            start_mm=float(grid_doc["start_mm"]),
-            spacing_mm=float(grid_doc["spacing_mm"]),
-            n_points=int(grid_doc["n_points"]),
-        )
-        std_doc = doc["standardizer"]
-        standardizer = None
-        if std_doc is not None:
-            standardizer = Standardizer(
-                means=np.asarray(std_doc["means"], dtype=float),
-                scales=np.asarray(std_doc["scales"], dtype=float),
-            )
-        pca_doc = doc["pca"]
-        pca = None
-        if pca_doc is not None:
-            pca = PcaModel(
-                mean=np.asarray(pca_doc["mean"], dtype=float),
-                loadings=np.asarray(pca_doc["loadings"], dtype=float),
-                eigenvalues=np.asarray(pca_doc["eigenvalues"], dtype=float),
-                explained_ratio=np.asarray(pca_doc["explained_ratio"], dtype=float),
-                threshold=float(pca_doc["threshold"]),
-                total_variance=float(pca_doc["total_variance"]),
-            )
+        grid = record_from_doc(GridSpec, doc["grid"])
+        std_doc, pca_doc = doc["standardizer"], doc["pca"]
+        standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)
+        pca = None if pca_doc is None else record_from_doc(PcaModel, pca_doc)
         model_doc = doc["model"]
-        actual = model_doc.get("type")
+        actual = model_doc["type"]
         if actual != kind.model_type:
             raise ModelFileError(
-                f"{path}: pipeline family {family!r} expects a {kind.model_type} model,"
-                f" got {actual!r}"
+                f"pipeline family {family!r} expects a {kind.model_type} model, got {actual!r}"
             )
         model = kind.model_from_doc(model_doc)
         provenance = doc.get("provenance", {})
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
+    # constructors reject malformed values with SmallPunchError (a
+    # ValueError); a value or block of the wrong JSON type raises TypeError
+    except (TypeError, ValueError) as exc:
+        raise ModelFileError(f"{path}: {exc}") from None
 
     if kind.uses_pca and pca is None:
         raise ModelFileError(f"{path}: {family} model file lacks the PCA block")

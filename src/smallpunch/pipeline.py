@@ -9,7 +9,9 @@ applied before it:
 
 Everything that depends on the family lives on its kind class here: the
 family name, fitting and predicting, and the family's part of the model
-file.  KINDS finds a kind class by family name.
+file.  KINDS finds a kind class by family name.  record_to_doc and
+record_from_doc write and read every model-file block that is a record's
+fields as they stand.
 
 fit_pipeline touches only the curves it is given, which is what makes the
 cross-validation in evaluation.py leakage-free: every fold refits the
@@ -18,7 +20,7 @@ standardizer, the PCA and the model on training rows alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Sequence, Union
 
 import numpy as np
@@ -58,12 +60,46 @@ FOREST_INPUT_SCORES = "scores"
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
+def record_to_doc(rec: Any) -> dict[str, Any]:
+    """A frozen dataclass's fields as a JSON-ready dict, ndarrays as lists.
+
+    Keys follow declaration order, which is the model file's layout: a
+    reordered, renamed or added field needs a format_version bump.
+    """
+    doc = {}
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return doc
+
+
+def record_from_doc(cls: type, doc: dict[str, Any]) -> Any:
+    """Rebuild cls from its fields' keys in doc; cls's constructor validates."""
+    return cls(**{f.name: doc[f.name] for f in fields(cls)})
+
+
+class _RecordBlocks:
+    """Model-file blocks that are the kind's and its model's own fields.
+
+    Subclasses set model_class, the record their fit returns.
+    """
+
+    model_class: ClassVar[type]
+    to_doc = record_to_doc
+    from_doc = classmethod(record_from_doc)
+    model_to_doc = staticmethod(record_to_doc)
+
+    def model_from_doc(self, doc: dict[str, Any]):
+        return record_from_doc(self.model_class, doc)
+
+
 @dataclass(frozen=True)
-class EmpiricalKind:
+class EmpiricalKind(_RecordBlocks):
     """Marker-based correlation family."""
 
     name: ClassVar[str] = "empirical"
     model_type: ClassVar[str] = "empirical"
+    model_class: ClassVar[type] = EmpiricalModel
     uses_features: ClassVar[bool] = False
     uses_pca: ClassVar[bool] = False
 
@@ -81,7 +117,7 @@ class EmpiricalKind:
         for c, vs in zip(curves, stars):
             yield c, extract_markers(c, self.marker_strategy, vs)
 
-    def fit(self, curves, matrix, targets, standardize, v_star, n_workers) -> Fitted:
+    def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
         feats = [
             empirical_feature(markers, c.meta.thickness_mm, self.mode)
             for c, markers in self._markers(curves, v_star)
@@ -94,22 +130,6 @@ class EmpiricalKind:
             predict_empirical(trained.model, markers, c.meta.thickness_mm)
             for c, markers in self._markers(curves, v_star)
         ])
-
-    def to_doc(self) -> dict[str, Any]:
-        return {"mode": self.mode, "marker_strategy": self.marker_strategy}
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> EmpiricalKind:
-        return cls(mode=doc["mode"], marker_strategy=doc["marker_strategy"])
-
-    @staticmethod
-    def model_to_doc(model: EmpiricalModel) -> dict[str, Any]:
-        return {"beta": model.beta, "mode": model.mode, "marker_strategy": model.marker_strategy}
-
-    def model_from_doc(self, doc: dict[str, Any]) -> EmpiricalModel:
-        return EmpiricalModel(
-            beta=float(doc["beta"]), mode=doc["mode"], marker_strategy=doc["marker_strategy"]
-        )
 
 
 class _FeatureKind:
@@ -128,12 +148,12 @@ class _FeatureKind:
                 f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
             )
 
-    def fit(self, curves, matrix, targets, standardize, v_star, n_workers) -> Fitted:
+    def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
         std = fit_standardizer(matrix) if standardize else None
         prepared = apply_standardizer(std, matrix) if std is not None else matrix
         pca = fit_pca(prepared, self.variance_threshold) if self.uses_pca else None
         design = transform(pca, prepared) if self.uses_pca else prepared.values
-        return std, pca, self._fit_model(design, targets, n_workers)
+        return std, pca, self._fit_model(design, targets)
 
     def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
         matrix, _ = assemble(curves)
@@ -144,39 +164,23 @@ class _FeatureKind:
 
 
 @dataclass(frozen=True)
-class PcaLmKind(_FeatureKind):
+class PcaLmKind(_RecordBlocks, _FeatureKind):
     """PCA scores into a linear model."""
 
     name: ClassVar[str] = "pca-lm"
     model_type: ClassVar[str] = "linear"
+    model_class: ClassVar[type] = LinearModel
     uses_pca: ClassVar[bool] = True
 
     variance_threshold: float = 0.99
 
     @staticmethod
-    def _fit_model(design, targets, n_workers) -> LinearModel:
+    def _fit_model(design, targets) -> LinearModel:
         return fit_ols(design, targets)
 
     @staticmethod
     def _predict_model(model: LinearModel, design) -> np.ndarray:
         return predict_linear(model, design)
-
-    def to_doc(self) -> dict[str, Any]:
-        return {"variance_threshold": self.variance_threshold}
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> PcaLmKind:
-        return cls(variance_threshold=float(doc["variance_threshold"]))
-
-    @staticmethod
-    def model_to_doc(model: LinearModel) -> dict[str, Any]:
-        return {"intercept": model.intercept, "coefficients": model.coefficients.tolist()}
-
-    def model_from_doc(self, doc: dict[str, Any]) -> LinearModel:
-        return LinearModel(
-            intercept=float(doc["intercept"]),
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-        )
 
 
 @dataclass(frozen=True)
@@ -199,42 +203,28 @@ class ForestKind(_FeatureKind):
     def uses_pca(self) -> bool:
         return self.input == FOREST_INPUT_SCORES
 
-    def _fit_model(self, design, targets, n_workers) -> ForestModel:
-        return fit_forest(design, targets, self.config, n_workers=n_workers)
+    def _fit_model(self, design, targets) -> ForestModel:
+        return fit_forest(design, targets, self.config)
 
     @staticmethod
     def _predict_model(model: ForestModel, design) -> np.ndarray:
         return predict_forest(model, design)
 
+    # The v1 layout puts the config last, under "forest", and the trees
+    # after the model's diagnostics, so these blocks are written by hand.
     def to_doc(self) -> dict[str, Any]:
-        c = self.config
         return {
             "input": self.input,
             "variance_threshold": self.variance_threshold,
-            "forest": {
-                "n_trees": c.n_trees,
-                "max_depth": c.max_depth,
-                "min_leaf": c.min_leaf,
-                "mtry": c.mtry,
-                "bootstrap": c.bootstrap,
-                "seed": c.seed,
-            },
+            "forest": record_to_doc(self.config),
         }
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
-        f = doc["forest"]
         return cls(
-            config=ForestConfig(
-                n_trees=int(f["n_trees"]),
-                max_depth=None if f["max_depth"] is None else int(f["max_depth"]),
-                min_leaf=int(f["min_leaf"]),
-                mtry=None if f["mtry"] is None else int(f["mtry"]),
-                bootstrap=bool(f["bootstrap"]),
-                seed=int(f["seed"]),
-            ),
+            config=record_from_doc(ForestConfig, doc["forest"]),
             input=doc["input"],
-            variance_threshold=float(doc["variance_threshold"]),
+            variance_threshold=doc["variance_threshold"],
         )
 
     @staticmethod
@@ -328,7 +318,6 @@ def fit_pipeline(
     curves: Sequence[UniformCurve],
     spec: PipelineSpec,
     v_star: float | Sequence[float] | None = None,
-    n_workers: int = 1,
 ) -> TrainedPipeline:
     """Fit one pipeline on labeled curves.
 
@@ -339,9 +328,7 @@ def fit_pipeline(
     matrix, targets = assemble(curve_list)
     if targets is None:
         raise EmptyTraining("training requires labeled curves (rm_MPa set)")
-    std, pca, model = spec.kind.fit(
-        curve_list, matrix, targets, spec.standardize, v_star, n_workers
-    )
+    std, pca, model = spec.kind.fit(curve_list, matrix, targets, spec.standardize, v_star)
     return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
 
 

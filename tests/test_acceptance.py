@@ -174,7 +174,7 @@ def test_acceptance_4_least_squares_exactness():
 
 
 def test_acceptance_5_forest_determinism(noisy_set, tmp_path):
-    """Forest splits are exact and independent of worker scheduling."""
+    """Forest splits are exact, a refit saves to identical bytes, predictions stay in range."""
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
     stump = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False,
@@ -200,20 +200,20 @@ def test_acceptance_5_forest_determinism(noisy_set, tmp_path):
     matrix, targets = assemble(curves)
     cfg = ForestConfig(n_trees=30, seed=4)
     spec = PipelineSpec(ForestKind(config=cfg))
-    serial = fit_pipeline(curves, spec, n_workers=1)
-    threaded = fit_pipeline(curves, spec, n_workers=4)
-    a, b = tmp_path / "serial.json", tmp_path / "threaded.json"
-    save_model(a, serial, {})
-    save_model(b, threaded, {})
-    workers_identical = a.read_bytes() == b.read_bytes()
+    first = fit_pipeline(curves, spec)
+    second = fit_pipeline(curves, spec)
+    a, b = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(a, first, {})
+    save_model(b, second, {})
+    refit_identical = a.read_bytes() == b.read_bytes()
 
-    preds = predict_pipeline(serial, curves)
+    preds = predict_pipeline(first, curves)
     bounded = bool(np.all(preds >= targets.values.min())
                    and np.all(preds <= targets.values.max()))
 
-    ok = split_exact and workers_identical and bounded
-    _report(5, "forest split exact, worker-count invariant, bounded", ok,
-            f"split {split_exact}, workers {workers_identical}, "
+    ok = split_exact and refit_identical and bounded
+    _report(5, "forest split exact, refit byte-identical, bounded", ok,
+            f"split {split_exact}, refit {refit_identical}, "
             f"bounded {bounded}")
 
 
@@ -228,7 +228,7 @@ def test_acceptance_6_pipeline_comparison(noisy_set):
         "rf": PipelineSpec(ForestKind(config=ForestConfig(n_trees=200, seed=0))),
     }
     for name, spec in specs.items():
-        report = cross_validate(curves, spec, k=10, seed=0, n_workers=4)
+        report = cross_validate(curves, spec, k=10, seed=0)
         means[name] = report.mean_rmse
     elapsed = time.perf_counter() - started
 

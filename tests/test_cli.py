@@ -145,6 +145,14 @@ def test_cv_rejects_k_below_two(tmp_path, capsys):
     assert code == 2 and "--k" in err
 
 
+@pytest.mark.parametrize("pipeline", ["pca-lm", "empirical"])
+@pytest.mark.parametrize("stratify", [(), ("--stratify-material",)])
+def test_cv_negative_seed_exits_2(tmp_path, capsys, small_manifest, pipeline, stratify):
+    code, _, err = run(capsys, "cv", str(small_manifest), "--pipeline", pipeline,
+                       "--k", "2", "--seed", "-1", *stratify, "--out", str(tmp_path / "cv"))
+    assert code == 2 and "seed must be >= 0" in err
+
+
 def test_cv_fixed_v_without_source_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
     code, _, err = run(capsys, "cv", str(data / "manifest.csv"),

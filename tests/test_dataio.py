@@ -90,6 +90,20 @@ def test_manifest_meta_errors_cite_row(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("read,table", [
+    (read_manifest, 'file,material_id,temperature_C,thickness_mm,rm_MPa\n'
+                    'a.csv,P91,20.0,0.5,500.0\n"b.csv",P91,20.0,0.5,500.0\n'),
+    (read_truth, 'file,rm_MPa,v_i_mm,f_i_N\na.csv,500.0,0.5,400.0\n'
+                 'b.csv,"500.0",0.5,400.0\n'),
+], ids=["manifest", "truth"])
+def test_quoted_cell_is_a_malformed_row(tmp_path, read, table):
+    path = tmp_path / "table.csv"
+    path.write_text(table)
+    with pytest.raises(MalformedRow, match="row 3: quoted cell") as err:
+        read(path)
+    assert str(path) in str(err.value)
+
+
 def test_manifest_rejects_wrong_header(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("file,material,temp\na.csv,P91,20\n")

@@ -5,6 +5,7 @@ import pytest
 
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import (
+    BadConfig,
     BadK,
     EmptyInput,
     InvalidModel,
@@ -118,6 +119,13 @@ def test_group_folds_balance_sizes():
 def test_group_folds_reject_more_folds_than_materials():
     with pytest.raises(BadK):
         group_kfold_split(["A", "A", "B"], 3, seed=0)
+
+
+def test_splitters_reject_negative_seed():
+    with pytest.raises(BadConfig, match="seed must be >= 0"):
+        kfold_split(10, 2, seed=-1)
+    with pytest.raises(BadConfig, match="seed must be >= 0"):
+        group_kfold_split(["A", "A", "B"], 2, seed=-1)
 
 
 # ---------------------------------------------------------------- CvReport

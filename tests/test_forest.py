@@ -136,19 +136,6 @@ def test_same_seed_same_model_different_seed_differs():
     assert not np.array_equal(a, c)
 
 
-def test_worker_count_does_not_change_the_model():
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(50, 6))
-    y = 30.0 * x[:, 2] + rng.normal(0.0, 2.0, 50)
-    queries = rng.normal(size=(20, 6))
-    serial = fit_forest(x, y, ForestConfig(n_trees=16, seed=12), n_workers=1)
-    threaded = fit_forest(x, y, ForestConfig(n_trees=16, seed=12), n_workers=4)
-    assert np.array_equal(predict_forest(serial, queries),
-                          predict_forest(threaded, queries))
-    assert np.array_equal(serial.importances, threaded.importances)
-    assert serial.oob_rmse == threaded.oob_rmse
-
-
 def test_importances_concentrate_on_the_informative_feature():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(100, 4))
@@ -203,8 +190,6 @@ def test_fit_validation():
     y = np.ones(4)
     with pytest.raises(BadConfig):
         fit_forest(x, y, ForestConfig(mtry=5))
-    with pytest.raises(BadConfig):
-        fit_forest(x, y, n_workers=0)
     with pytest.raises(TooFewRows):
         fit_forest(np.zeros((1, 3)), np.ones(1))
     with pytest.raises(LengthMismatch):

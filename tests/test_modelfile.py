@@ -143,6 +143,45 @@ def test_stripped_pca_block_is_refused(tmp_path, dataset):
             load_model(path)
 
 
+def _leftmost_leaf(node):
+    while "value" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.fixture(scope="module")
+def trained_by_family(dataset):
+    curves, _ = dataset
+    kinds = (EmpiricalKind(), PcaLmKind(), ForestKind(config=ForestConfig(n_trees=2, seed=1)))
+    return {k.name: fit_pipeline(curves, PipelineSpec(k)) for k in kinds}
+
+
+@pytest.mark.parametrize("family,block,key,value", [
+    ("empirical", lambda d: d["model"], "beta", "x"),
+    ("empirical", lambda d: d["pipeline"], "mode", "bogus"),
+    ("empirical", lambda d: d["model"], "mode", "bogus"),
+    ("pca-lm", lambda d: d["grid"], "n_points", "x"),
+    ("pca-lm", lambda d: d["standardizer"], "means", "x"),
+    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", "x"),
+    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", "x"),
+    ("empirical", lambda d: d, "pipeline", []),
+    ("empirical", lambda d: d, "model", "x"),
+], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
+        "forest-n_trees", "leaf-value", "pipeline-block", "model-block"])
+def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
+                                               family, block, key, value):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family[family], {})
+    doc = json.loads(path.read_text())
+    block(doc)[key] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFileError) as err:
+        load_model(path)
+    # exactly ModelFileError (exit 4), not a BadConfig (exit 2) or a bare ValueError
+    assert type(err.value) is ModelFileError
+    assert str(err.value).count(str(path)) == 1
+
+
 def test_forest_trees_survive_re_save(tmp_path, dataset):
     curves, _ = dataset
     spec = PipelineSpec(ForestKind(config=ForestConfig(n_trees=5, seed=7)))

