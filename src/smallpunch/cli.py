@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES, read_rows
+from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES
 from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion
 from .evaluation import cross_validate, rmse
 from .forest import ForestConfig
@@ -218,6 +218,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
     names, curves = dataio.load_curves(args.manifest, grid)
     spec = _spec_from_args(args)
+    # the forest checks its own seed; every family records it in the model file
+    if args.seed < 0:
+        raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
     v_star = _v_star_for(args, names, spec.kind.marker_strategy)
     trained = fit_pipeline(curves, spec, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
@@ -265,7 +268,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = read_rows(args.samples.read_text())
+    rows = dataio.read_table(args.samples)
     if not rows:
         raise SmallPunchError(f"{args.samples}: empty table")
     header = rows[0][1]

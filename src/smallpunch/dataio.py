@@ -36,12 +36,17 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _read_table(path: Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
-    """Data rows of a table with a fixed header, with 1-based line numbers."""
+def read_table(path: Path) -> list[tuple[int, list[str]]]:
+    """curves.read_rows of a file, naming the file in its errors."""
     try:
-        rows = read_rows(path.read_text())
+        return read_rows(path.read_text())
     except MalformedRow as exc:
         raise MalformedRow(f"{path}: {exc}") from exc
+
+
+def _read_table(path: Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
+    """Data rows of a table with a fixed header, with 1-based line numbers."""
+    rows = read_table(path)
     if not rows:
         raise MalformedRow(f"{path}: missing header '{','.join(header)}'")
     lineno, cells = rows[0]

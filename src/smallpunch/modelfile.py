@@ -88,8 +88,9 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
     # constructors reject malformed values with SmallPunchError (a
-    # ValueError); a value or block of the wrong JSON type raises TypeError
-    except (TypeError, ValueError) as exc:
+    # ValueError); a value or block of the wrong JSON type raises TypeError,
+    # and an integer too large for a float raises OverflowError
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None
 
     if kind.uses_pca and pca is None:

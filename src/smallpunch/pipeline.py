@@ -258,10 +258,11 @@ def _tree_to_doc(node: TreeNode) -> dict[str, Any]:
 
 
 def _tree_from_doc(doc: dict[str, Any]) -> TreeNode:
+    # ForestModel's routing table checks feature and count, ints as stored
     if "value" in doc:
-        return Leaf(value=float(doc["value"]), count=int(doc["count"]))
+        return Leaf(value=float(doc["value"]), count=doc["count"])
     return Split(
-        feature=int(doc["feature"]),
+        feature=doc["feature"],
         threshold=float(doc["threshold"]),
         left=_tree_from_doc(doc["left"]),
         right=_tree_from_doc(doc["right"]),

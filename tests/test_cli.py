@@ -86,6 +86,9 @@ def small_manifest(tmp_path_factory):
     (("synth", "--per-material", "0"), "--per-material"),
     (("synth", "--beta", "0"), "--beta"),
     (("synth", "--h0", "0"), "--h0"),
+    (("train", "--pipeline", "pca-lm", "--seed", "-1"), "--seed"),
+    (("train", "--pipeline", "empirical", "--seed", "-1"), "--seed"),
+    (("train", "--pipeline", "rf", "--seed", "-1"), "--seed"),
 ])
 def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, small_manifest,
                                             argv, flag):
@@ -278,6 +281,31 @@ def test_predict_unknown_model_version_exits_5(tmp_path, capsys):
     assert code == 5 and "format_version" in err
 
 
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["model"]["trees"][0].update(feature=999),
+    lambda doc: doc["model"]["trees"][0].update(feature=-1),
+    lambda doc: doc["pipeline"]["forest"].update(n_trees=3),
+    lambda doc: doc["pipeline"]["forest"].update(n_trees=2.5),
+    lambda doc: doc["pipeline"]["forest"].update(bootstrap="yes"),
+    lambda doc: doc["pipeline"]["forest"].update(min_leaf=True),
+], ids=["feature-999", "feature-negative", "n_trees-mismatch", "n_trees-float",
+        "bootstrap-string", "min_leaf-bool"])
+def test_predict_with_corrupt_forest_exits_4(tmp_path, capsys, edit):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    model_path = tmp_path / "model.json"
+    code, _, _ = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "rf",
+                     "--trees", "4", "--out", str(model_path))
+    assert code == 0
+    doc = json.loads(model_path.read_text())
+    assert "feature" in doc["model"]["trees"][0], "the first tree must split"
+    edit(doc)
+    model_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
+                       "--model", str(model_path), "--out", str(tmp_path / "p.csv"))
+    assert code == 4 and str(model_path) in err
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_fixed_v_without_source_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
     model_path = tmp_path / "model.json"
@@ -372,3 +400,11 @@ def test_report_rejects_garbage(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(samples),
                        "--out", str(tmp_path / "r.csv"))
     assert code == 4 and "row 2" in err
+
+
+def test_report_quoted_cell_names_the_file(tmp_path, capsys):
+    samples = tmp_path / "quoted.csv"
+    samples.write_text('row,true_MPa,pred_MPa\n0,"1.0",1.0\n')
+    code, _, err = run(capsys, "report", str(samples),
+                       "--out", str(tmp_path / "r.csv"))
+    assert code == 4 and str(samples) in err and "quoted cell" in err

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from smallpunch.errors import (
     BadConfig,
@@ -183,6 +185,11 @@ def test_config_validation():
         ForestConfig(mtry=0)
     with pytest.raises(BadConfig):
         ForestConfig(seed=-1)
+    for field, value in [("n_trees", 2.5), ("n_trees", True), ("min_leaf", True),
+                         ("max_depth", 3.0), ("mtry", "2"), ("seed", 1.0),
+                         ("bootstrap", "yes"), ("bootstrap", 1)]:
+        with pytest.raises(BadConfig, match=field):
+            ForestConfig(**{field: value})
 
 
 def test_fit_validation():
@@ -211,3 +218,48 @@ def test_max_depth_one_gives_a_stump():
     root = model.trees[0]
     assert isinstance(root, Split)
     assert isinstance(root.left, Leaf) and isinstance(root.right, Leaf)
+
+
+def _walk(node, row):
+    while isinstance(node, Split):
+        node = node.left if row[node.feature] <= node.threshold else node.right
+    return node.value
+
+
+# values on a coarse grid, so that ties and rows equal to a threshold occur
+_values = st.integers(-6, 6).map(lambda k: k / 4.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(2, 24).flatmap(
+        lambda n: st.integers(1, 4).flatmap(lambda p: arrays(float, (n, p), elements=_values))
+    ),
+    seed=st.integers(0, 2**16),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.none() | st.integers(1, 4),
+    data=st.data(),
+)
+def test_row_by_row_batch_and_permuted_predictions_agree(x, seed, min_leaf, max_depth, data):
+    n, p = x.shape
+    y = data.draw(arrays(float, n, elements=st.floats(100.0, 900.0)))
+    model = fit_forest(x, y, ForestConfig(n_trees=4, min_leaf=min_leaf,
+                                          max_depth=max_depth, seed=seed))
+    queries = np.vstack([x, data.draw(arrays(float, (5, p), elements=_values))])
+    batch = predict_forest(model, queries)
+
+    # reference: each row walks each tree alone, summed in tree order from 0
+    reference = []
+    for row in queries:
+        total = 0.0
+        for tree in model.trees:
+            total += _walk(tree, row)
+        reference.append(total / len(model.trees))
+    assert batch.tobytes() == np.array(reference).tobytes()
+
+    alone = np.concatenate([predict_forest(model, queries[i:i + 1])
+                            for i in range(len(queries))])
+    assert alone.tobytes() == batch.tobytes()
+
+    perm = np.random.default_rng(seed).permutation(len(queries))
+    assert predict_forest(model, queries[perm]).tobytes() == batch[perm].tobytes()

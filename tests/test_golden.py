@@ -3,14 +3,17 @@
 The script synthesizes a small dataset, then trains, predicts,
 cross-validates and reports with every pipeline family.  The sha256 of
 each file it writes and of each command's stdout was recorded once; a
-change that alters any output bit fails here.  Floating-point results
-may differ in the last bits under another numpy build, so the digests
-hold only for the numpy version they were recorded with, and the test
-skips elsewhere.
+change that alters any output bit fails here.  A second gate does the
+same for full-size forests: 200-tree rf and rf-scores models fitted on
+the 120-curve reference set, their model files, predictions and
+permutation importances.  Floating-point results may differ in the last
+bits under another numpy build, so the digests hold only for the numpy
+version they were recorded with, and the tests skip elsewhere.
 
 To record the digests again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output
-over GOLDEN_NUMPY and GOLDEN, giving the reason in CHANGES.md.
+over GOLDEN_NUMPY, GOLDEN and GOLDEN_FOREST, giving the reason in
+CHANGES.md.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ import numpy as np
 import pytest
 
 from smallpunch.cli import main
+from smallpunch.curves import GridSpec, resample
+from smallpunch.features import apply_standardizer, assemble
+from smallpunch.forest import ForestConfig, permutation_importances
+from smallpunch.modelfile import load_model, save_model
+from smallpunch.pca import transform
+from smallpunch.pipeline import ForestKind, PipelineSpec, fit_pipeline, predict_pipeline
+from smallpunch.synth import SynthConfig, generate
 
 EPOCH = "1700000000"
 
@@ -74,6 +84,27 @@ def run_script(root: Path) -> dict[str, str]:
     for path in sorted(root.rglob("*")):
         if path.is_file():
             digests[path.relative_to(root).as_posix()] = _sha(path.read_bytes())
+    return digests
+
+
+def forest_digests(root: Path) -> dict[str, str]:
+    """Digests of 200-tree forests on the reference set (seed 7, 5 N noise)."""
+    raw, _ = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
+    curves = [resample(c, GridSpec()) for c in raw]
+    matrix, targets = assemble(curves)
+    digests: dict[str, str] = {}
+    for name, rf_input in (("rf", "raw"), ("rf-scores", "scores")):
+        kind = ForestKind(config=ForestConfig(n_trees=200, seed=0), input=rf_input)
+        trained = fit_pipeline(curves, PipelineSpec(kind))
+        path = root / f"{name}.json"
+        save_model(path, trained, {"seed": 0})
+        loaded, _ = load_model(path)
+        prepared = apply_standardizer(trained.standardizer, matrix)
+        design = transform(trained.pca, prepared) if kind.uses_pca else prepared.values
+        importances = permutation_importances(loaded.model, design, targets.values, seed=0)
+        digests[f"model {name}"] = _sha(path.read_bytes())
+        digests[f"predict {name}"] = _sha(predict_pipeline(loaded, curves).tobytes())
+        digests[f"permutation {name}"] = _sha(importances.tobytes())
     return digests
 
 
@@ -153,19 +184,40 @@ GOLDEN: dict[str, str] = {
 }
 
 
-def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
+GOLDEN_FOREST: dict[str, str] = {
+    'model rf': 'ce4c774d20bfa237d1e9df838733f6cee9313e5e64f60b45c5c9c89f322b7a98',
+    'predict rf': '7c6a01804bf614850a1781f9c9e448d315a724810465692021f4f55036a548c9',
+    'permutation rf': '63c25428c7fd3703c3ebfa3cd4a35b176c9c54762c809664b8fa673f6948d3b5',
+    'model rf-scores': '8690122001d32bb4dca8927adb66c5299197b590b1445ac8166faba17d100b5d',
+    'predict rf-scores': 'e2c1d3beb75324fa3b31fe3cf30fc7edd858dfe86ae1cc911f7800df607f080e',
+    'permutation rf-scores': '068a5c8a4ac4df242a7d8fd17bbc1ffc704f32120ddb6c70432adb7d3d6b3b13',
+}
+
+
+def _skip_other_numpy() -> None:
     if np.__version__ != GOLDEN_NUMPY:
         pytest.skip(f"digests recorded with numpy {GOLDEN_NUMPY}, running {np.__version__}")
+
+
+def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
+    _skip_other_numpy()
     monkeypatch.setenv("SOURCE_DATE_EPOCH", EPOCH)
     assert run_script(tmp_path) == GOLDEN
+
+
+def test_reference_forests_match_golden_digests(tmp_path):
+    _skip_other_numpy()
+    assert forest_digests(tmp_path) == GOLDEN_FOREST
 
 
 if __name__ == "__main__":
     os.environ["SOURCE_DATE_EPOCH"] = EPOCH
     with tempfile.TemporaryDirectory() as tmp:
         got = run_script(Path(tmp))
+        got_forest = forest_digests(Path(tmp))
     print(f"GOLDEN_NUMPY = {np.__version__!r}")
-    print("GOLDEN = {")
-    for key, digest in got.items():
-        print(f"    {key!r}: {digest!r},")
-    print("}")
+    for title, table in (("GOLDEN", got), ("GOLDEN_FOREST", got_forest)):
+        print(f"{title} = {{")
+        for key, digest in table.items():
+            print(f"    {key!r}: {digest!r},")
+        print("}")

@@ -149,6 +149,12 @@ def _leftmost_leaf(node):
     return node
 
 
+def _root_split(doc):
+    root = doc["model"]["trees"][0]
+    assert "feature" in root, "the fixture's first tree must split"
+    return root
+
+
 @pytest.fixture(scope="module")
 def trained_by_family(dataset):
     curves, _ = dataset
@@ -166,8 +172,24 @@ def trained_by_family(dataset):
     ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", "x"),
     ("empirical", lambda d: d, "pipeline", []),
     ("empirical", lambda d: d, "model", "x"),
+    ("rf", _root_split, "feature", 999),
+    ("rf", _root_split, "feature", -1),
+    ("rf", _root_split, "feature", 1.5),
+    ("rf", _root_split, "threshold", float("inf")),
+    ("rf", _root_split, "threshold", 10**400),
+    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", float("nan")),
+    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "count", 0),
+    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 3),
+    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 2.5),
+    ("rf", lambda d: d["pipeline"]["forest"], "bootstrap", "yes"),
+    ("rf", lambda d: d["pipeline"]["forest"], "min_leaf", True),
+    ("rf", lambda d: d["pipeline"]["forest"], "max_depth", 4.0),
 ], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
-        "forest-n_trees", "leaf-value", "pipeline-block", "model-block"])
+        "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
+        "split-feature-999", "split-feature-negative", "split-feature-float",
+        "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0", "forest-n_trees-mismatch",
+        "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
+        "forest-max_depth-float"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"
