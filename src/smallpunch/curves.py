@@ -210,6 +210,18 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     are sorted by displacement and exact duplicate abscissae are averaged,
     so the result does not depend on the input row order.
 
+    A plain table, as write_curve_csv and recorders write it, is converted
+    as a whole instead of row by row: its first line is exactly the header,
+    it has at least two data lines, every line holds exactly one comma, and
+    it has no ``#``, no ``"``, no blank line and only finite cells.  Its cells go through the same ``float`` as the row walk, so the
+    values carry the same bits, and when the displacements are already
+    strictly increasing the sort and the averaging, which would leave them
+    as they are, are skipped (``+ 0.0`` stands in for the averaging's
+    ``0.0 + f``, which turns a -0.0 force into +0.0).  Every other table,
+    and every table that fails, goes through the row walk, which is the
+    one source of the errors below and the reference the whole-table
+    route must match bit for bit.
+
     Raises
     ------
     MalformedRow
@@ -219,7 +231,51 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     EmptyCurve
         Fewer than two rows remain after duplicate collapse.
     """
-    rows = read_rows(text if isinstance(text, str) else text.read())
+    text = text if isinstance(text, str) else text.read()
+    columns = _plain_columns(text)
+    if columns is None:
+        return _parse_rows(text, meta)
+    d_um, f_n = columns
+    if np.all(d_um[1:] > d_um[:-1]):
+        return RawCurve(d_um / 1000.0, f_n + 0.0, meta)
+    return _collapse_duplicates(d_um, f_n, meta)
+
+
+_PLAIN_HEADER = ",".join(CURVE_HEADER)
+# every byte but comma and newline; UTF-8 uses neither inside a character
+_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+
+
+def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Displacement and force columns of a plain table, else None.
+
+    None sends the table to the row walk, which parses it or names the
+    line at fault; see parse_curve_csv for what makes a table plain.
+    """
+    if "#" in text or '"' in text:
+        return None
+    lines = text.splitlines()
+    n = len(lines) - 1
+    if n < 2 or lines[0] != _PLAIN_HEADER:
+        return None
+    body = "\n".join(lines[1:])
+    # one comma on every line and no blank line: the separators alternate
+    # comma, newline, comma, ..., comma
+    separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
+    if separators != b",\n" * (n - 1) + b",":
+        return None
+    try:
+        cells = np.fromiter(map(float, body.replace("\n", ",").split(",")), float, 2 * n)
+    except ValueError:
+        return None
+    if not np.all(np.isfinite(cells)):
+        return None
+    return cells[0::2], cells[1::2]
+
+
+def _parse_rows(text: str, meta: SpecimenMeta) -> RawCurve:
+    """The row walk: read_rows, then each row checked and converted in turn."""
+    rows = read_rows(text)
     if rows and rows[0][1] != list(CURVE_HEADER):
         lineno, cells = rows[0]
         raise MalformedRow(
@@ -241,9 +297,11 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
         force.append(f)
     if len(disp_um) < 2:
         raise EmptyCurve(f"fewer than 2 data rows ({len(disp_um)})")
+    return _collapse_duplicates(np.asarray(disp_um), np.asarray(force), meta)
 
-    d_um = np.asarray(disp_um)
-    f_n = np.asarray(force)
+
+def _collapse_duplicates(d_um: np.ndarray, f_n: np.ndarray, meta: SpecimenMeta) -> RawCurve:
+    """Sort rows by displacement and average the forces of equal ones."""
     # lexsort on (force, displacement) makes duplicate averaging independent
     # of the original row order down to the bit
     order = np.lexsort((f_n, d_um))

@@ -209,6 +209,8 @@ class ForestModel:
             raise InvalidModel(
                 f"forest has {len(self.trees)} trees, its config says {self.config.n_trees}"
             )
+        if not _is_int(self.n_features):
+            raise InvalidModel(f"n_features must be an integer, got {self.n_features!r}")
         if imp.shape != (self.n_features,):
             raise InvalidModel("importances must have one entry per feature")
         if np.any(imp < 0.0) or not np.all(np.isfinite(imp)):

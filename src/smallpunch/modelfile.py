@@ -72,7 +72,7 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
         kind = KINDS[family].from_doc(spec_doc)
-        spec = PipelineSpec(kind=kind, standardize=bool(spec_doc.get("standardize", True)))
+        spec = PipelineSpec(kind=kind, standardize=spec_doc.get("standardize", True))
         grid = record_from_doc(GridSpec, doc["grid"])
         std_doc, pca_doc = doc["standardizer"], doc["pca"]
         standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)

@@ -33,7 +33,7 @@ from .curves import (
     UniformCurve,
     extract_markers,
 )
-from .errors import BadConfig, EmptyTraining, GridMismatch, LengthMismatch
+from .errors import BadConfig, EmptyTraining, GridMismatch, InvalidModel, LengthMismatch
 from .features import Standardizer, apply_standardizer, assemble, fit_standardizer
 from .forest import ForestConfig, ForestModel, Leaf, Split, TreeNode, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
@@ -240,9 +240,9 @@ class ForestKind(_FeatureKind):
         return ForestModel(
             trees=tuple(_tree_from_doc(t) for t in doc["trees"]),
             config=self.config,
-            n_features=int(doc["n_features"]),
+            n_features=doc["n_features"],
             importances=np.asarray(doc["importances"], dtype=float),
-            oob_rmse=None if doc["oob_rmse"] is None else float(doc["oob_rmse"]),
+            oob_rmse=None if doc["oob_rmse"] is None else _number(doc["oob_rmse"], "oob_rmse"),
         )
 
 
@@ -257,13 +257,20 @@ def _tree_to_doc(node: TreeNode) -> dict[str, Any]:
     }
 
 
+def _number(value: Any, what: str) -> float:
+    """A JSON number as a float; true/false and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidModel(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _tree_from_doc(doc: dict[str, Any]) -> TreeNode:
     # ForestModel's routing table checks feature and count, ints as stored
     if "value" in doc:
-        return Leaf(value=float(doc["value"]), count=doc["count"])
+        return Leaf(value=_number(doc["value"], "leaf value"), count=doc["count"])
     return Split(
         feature=doc["feature"],
-        threshold=float(doc["threshold"]),
+        threshold=_number(doc["threshold"], "split threshold"),
         left=_tree_from_doc(doc["left"]),
         right=_tree_from_doc(doc["right"]),
     )
@@ -280,6 +287,10 @@ class PipelineSpec:
 
     kind: PipelineKind
     standardize: bool = True
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.standardize, bool):
+            raise BadConfig(f"standardize must be true or false, got {self.standardize!r}")
 
     @property
     def name(self) -> str:

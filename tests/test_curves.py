@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallpunch.curves import (
     CurveMarkers,
@@ -10,10 +11,13 @@ from smallpunch.curves import (
     MARKER_MAX_SLOPE,
     RawCurve,
     UniformCurve,
+    _parse_rows,
+    _plain_columns,
     extract_markers,
     parse_curve_csv,
     resample,
 )
+from smallpunch.dataio import write_curve_csv
 from smallpunch.errors import (
     AllZero,
     BadConfig,
@@ -23,8 +27,10 @@ from smallpunch.errors import (
     InvalidSpecimen,
     MalformedRow,
     NonFiniteValue,
+    SmallPunchError,
     TooShort,
 )
+from smallpunch.synth import SynthConfig, generate
 
 from conftest import make_meta, make_uniform
 
@@ -156,6 +162,99 @@ def test_parse_then_resample_is_row_permutation_invariant():
         shuffled = [rows[i] for i in perm]
         again = resample(build(shuffled), grid)
         assert np.array_equal(base.force_N, again.force_N)
+
+
+# A grammar around the table dialect: the line breaks splitlines knows,
+# padding that str.strip removes (float refuses "\x1f"), spellings float
+# accepts or refuses, blank and comment lines, quotes, one or three cells,
+# and displacements that are sorted, unsorted or repeated.
+_BREAKS = st.sampled_from(["\n"] * 4 + ["\r\n", "\r", "\x0c", "\x1e", "\x0b", "\u2028"])
+_PADS = st.sampled_from([""] * 8 + [" ", "\t", "\x1f", "\xa0"])
+_ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "1_0", "\u0661", "-0.0",
+                              "0x1", "", "ten", '"1"', "1#", " "])
+_NUMBERS = (st.integers(-2, 40).map(str)
+            | st.floats(-1e3, 1e3).map(repr)
+            | st.sampled_from(["0", "-0.0", "0.0", "5", "12.5"]))
+_CELLS = st.tuples(_PADS, st.one_of(*[_NUMBERS] * 9, _ODD_CELLS), _PADS).map("".join)
+_HEADERS = st.sampled_from(["displacement_um,force_N"] * 6 + [
+    " displacement_um , force_N", "displacement_mm,force_N", '"displacement_um","force_N"',
+    "displacement_um,force_N,x", "",
+])
+_EXTRA_LINES = st.sampled_from(["", "   ", "# note", "  # note", ",", "1,2,3", "4"])
+
+
+@st.composite
+def _curve_tables(draw):
+    # half the tables are plain apart from padding, line breaks and values,
+    # so that the whole-table route is taken often
+    plain = draw(st.booleans())
+    n = draw(st.integers(0, 8))
+    if draw(st.booleans()):  # strictly increasing, as recorders write them
+        steps = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
+        displacements = [str(sum(steps[:i + 1])) for i in range(n)]
+    else:
+        displacements = [str(d) for d in draw(st.lists(st.integers(0, 6), min_size=n,
+                                                        max_size=n))]
+    lines = ["displacement_um,force_N" if plain else draw(_HEADERS)]
+    for d in displacements:
+        cells = [d, draw(_NUMBERS if plain else _CELLS)]
+        if not plain and draw(st.integers(0, 9)) == 0:
+            cells[0] = draw(_CELLS)
+        width = 2 if plain else draw(st.sampled_from([2] * 18 + [1, 3]))
+        lines.append(",".join((cells + [draw(_CELLS)])[:width]))
+    for _ in range(0 if plain else draw(st.sampled_from([0] * 6 + [1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_EXTRA_LINES))
+    breaks = [draw(_BREAKS) for _ in lines]
+    tail = draw(st.sampled_from(["", "", "\n", "\n\n"]))
+    return "".join(line + br for line, br in zip(lines, breaks)) + tail
+
+
+def _outcome(parse, text):
+    try:
+        curve = parse(text, make_meta())
+    except SmallPunchError as exc:
+        return type(exc), str(exc)
+    return curve.displacement_mm.tobytes(), curve.force_N.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=_curve_tables())
+def test_whole_table_route_matches_the_row_walk(text):
+    assert _outcome(parse_curve_csv, text) == _outcome(_parse_rows, text)
+
+
+def test_written_curves_take_the_whole_table_route(tmp_path):
+    raw, _ = generate(SynthConfig(n_materials=1, curves_per_material=3,
+                                  noise_sigma_N=5.0, seed=3))
+    for i, curve in enumerate(raw):
+        path = tmp_path / f"{i}.csv"
+        write_curve_csv(path, curve)
+        text = path.read_text()
+        assert _plain_columns(text) is not None
+        assert _outcome(parse_curve_csv, text) == _outcome(_parse_rows, text)
+
+
+@pytest.mark.parametrize("text", [
+    "displacement_um,force_N\n0,1,2\n3\n10,4\n",
+    "displacement_um,force_N\n0,1\n2\n3,10,4\n",
+    "displacement_um,force_N\n0\n1,2,3\n",
+])
+def test_rows_of_one_and_three_cells_are_not_re_paired(text):
+    # four cells on two lines would pair up if commas were only counted
+    with pytest.raises(MalformedRow) as err:
+        parse_curve_csv(text, make_meta())
+    assert (type(err.value), str(err.value)) == _outcome(_parse_rows, text)
+
+
+@pytest.mark.parametrize("text", [
+    "displacement_um,force_N\n0,-0.0\n10,-0.0\n20,5\n",  # sorted: whole-table route
+    "displacement_um,force_N\n10,-0.0\n0,-0.0\n20,5\n",  # unsorted
+    "displacement_um,force_N\n# note\n0,-0.0\n10,-0.0\n20,5\n",  # row walk
+])
+def test_negative_zero_force_reads_back_as_positive_zero(text):
+    curve = parse_curve_csv(text, make_meta())
+    assert np.array_equal(curve.force_N, [0.0, 0.0, 5.0])
+    assert not np.any(np.signbit(curve.force_N))
 
 
 # --------------------------------------------------------------- RawCurve

@@ -184,12 +184,23 @@ def trained_by_family(dataset):
     ("rf", lambda d: d["pipeline"]["forest"], "bootstrap", "yes"),
     ("rf", lambda d: d["pipeline"]["forest"], "min_leaf", True),
     ("rf", lambda d: d["pipeline"]["forest"], "max_depth", 4.0),
+    ("pca-lm", lambda d: d["pipeline"], "standardize", "no"),
+    ("pca-lm", lambda d: d["pipeline"], "standardize", 1),
+    ("rf", _root_split, "threshold", True),
+    ("rf", _root_split, "threshold", "1.5"),
+    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", True),
+    ("rf", lambda d: d["model"], "oob_rmse", True),
+    # the fixture's forests have 152 columns: int() would have read these as 152
+    ("rf", lambda d: d["model"], "n_features", 152.9),
+    ("rf", lambda d: d["model"], "n_features", "152"),
 ], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
         "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0", "forest-n_trees-mismatch",
         "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
-        "forest-max_depth-float"])
+        "forest-max_depth-float", "standardize-string", "standardize-int",
+        "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",
+        "n_features-float", "n_features-string"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"
