@@ -82,8 +82,9 @@ def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
-def read_manifest(path: Path) -> list[tuple[str, SpecimenMeta]]:
+def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
     """Manifest rows as (curve file name, metadata); rm_MPa may be blank."""
+    path = Path(path)
     entries: list[tuple[str, SpecimenMeta]] = []
     for lineno, cells in _read_table(path, MANIFEST_HEADER):
         filename, material_id, temp_s, thick_s, rm_s = cells
@@ -109,13 +110,14 @@ def read_manifest(path: Path) -> list[tuple[str, SpecimenMeta]]:
 
 
 def load_curves(
-    manifest_path: Path, grid: GridSpec
+    manifest_path: Path | str, grid: GridSpec
 ) -> tuple[list[str], list[UniformCurve]]:
     """Parse and resample every curve a manifest references.
 
     Curve file paths are resolved relative to the manifest's directory.
     Parse errors are re-raised naming the offending curve file.
     """
+    manifest_path = Path(manifest_path)
     base = manifest_path.parent
     names: list[str] = []
     curves: list[UniformCurve] = []

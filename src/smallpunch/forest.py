@@ -3,25 +3,33 @@
 Variance-reduction regression trees with bootstrap resampling, per-node
 feature subsampling and out-of-bag error.  Determinism is a hard contract:
 
-* tree t draws from its own RNG stream seeded by (seed, t), so its bag
-  can be rebuilt without growing the trees before it;
-* within a tree the traversal order is fixed (node, then left subtree,
-  then right subtree) and every RNG draw happens in that order;
+* tree t draws from its own RNG stream seeded by (seed, t); its bag is the
+  stream's first draw, so it can be rebuilt without growing any tree;
+* trees grow level by level (breadth first), all trees of a fit together.
+  At each depth a tree draws the feature subsets of all its nodes that
+  are searched at that depth in one call, nodes left to right: for each
+  node, the first mtry of an argsort of p uniform numbers, ascending;
 * split ties are broken toward the lower feature index, then the lower
   threshold; candidate thresholds are midpoints between consecutive
   distinct sorted values.
 
-The same bits in always produce the same model bits.  Trees are grown one
-after another in one thread: growth is mostly Python-level work on small
-arrays, so threads only contend for the interpreter lock and were slower.
+The same bits in always produce the same model bits.  Growth runs in one
+thread.
 
-Growth searches splits on presorted columns, as CART and SLIQ do: each
-column of a tree's bag is stable-sorted once, and every split partitions
-the sorted position lists of its node with a stable filter.  A stable
-filter of a stable sort is the stable sort of the subset, ties included,
-so each node sees the same values in the same order as a fresh stable
-argsort of its own rows would give, and the cumulative sums have the
-same bits.
+Growth works on whole levels, as SLIQ does, so numpy calls scale with the
+depth of the trees, not their node count.  The rows of every open node of
+a level sit in one array, node after node, each node's rows in bag order;
+a split reorders its rows stably, left rows first.  Leaf tests, feature
+draws and split searches run for all open nodes of a level at once.  The
+search takes blocks of (node, feature) candidates, padded to the longest
+node of the block, and sorts each candidate's values by dense rank and
+bag position, which orders them as a stable sort of the node's own values
+would.  Each candidate has its own cumulative sums, so where no draw can
+change a tree (mtry = p, no bootstrap) growth finds the splits a
+depth-first grower with a stable argsort per node finds.  Only sums over a
+whole node (leaf values and the error a split must beat) are added in
+another order, so a leaf value may differ from such a grower's in the last
+bits.
 
 Routing goes through a flat node table that ForestModel builds once, when
 it is made (by fit_forest or by loading a model file): every tree's nodes
@@ -30,7 +38,8 @@ moves every (tree, row) pair down one level with numpy indexing, until all
 pairs sit at leaves.  Each comparison is the same x <= threshold a
 recursive walk makes, and per-tree leaf values are summed in tree order
 from zeros, so predictions, out-of-bag error and permutation importances
-keep their bits.  The table is also where a model's trees are validated.
+have the bits a per-row walk of the trees gives.  The table is also where
+a model's trees are validated.
 """
 
 from __future__ import annotations
@@ -221,96 +230,233 @@ class ForestModel:
         object.__setattr__(self, "table", _NodeTable.build(self.trees, self.n_features))
 
 
-def _best_split(
-    xs: np.ndarray, ys: np.ndarray, y_node: np.ndarray, min_leaf: int
-) -> tuple[int, float, float] | None:
-    """Best (row of xs, threshold, variance reduction) of a node.
+# elements of one padded split-search block: big enough that numpy's work
+# outweighs its per-call cost, small enough to stay in cache
+_BLOCK = 8192
 
-    Row k of xs holds one candidate column's values at the node in stable
-    sorted order, and row k of ys the targets in that order.  Candidate
-    positions are those that leave min_leaf rows on each side.  The loss
-    matrix is laid out feature-major so that np.argmin's first-occurrence
-    rule implements the tie-break (lower feature, then lower threshold).
-    Returns None when no valid split strictly reduces the summed squared
-    error.
+
+def _dense_ranks(xt: np.ndarray) -> np.ndarray:
+    """Rank of every value among the distinct values of its row of xt."""
+    order = np.argsort(xt, axis=1)
+    ordered = np.take_along_axis(xt, order, axis=1)
+    steps = np.zeros(xt.shape, dtype=np.intp)
+    np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=steps[:, 1:])
+    rank = np.empty_like(steps)
+    np.put_along_axis(rank, order, steps, axis=1)
+    return rank
+
+
+def _search_rows(
+    xt: np.ndarray,
+    rank: np.ndarray,
+    rows: np.ndarray,
+    y: np.ndarray,
+    start: np.ndarray,
+    size: np.ndarray,
+    feature: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Best (loss, threshold) of each candidate: one node's rows by one feature.
+
+    Candidate r is the segment rows[start[r]:start[r] + size[r]] of a node,
+    in bag-position order, searched on column feature[r] of xt (p x n);
+    rank is _dense_ranks(xt), y holds the targets of rows, and size is
+    non-increasing.  Sorting the keys rank * 2**shift + position, which no
+    two rows of a segment share, orders a segment as a stable sort of its
+    values would: ties keep bag-position order, so each cumulative sum has
+    the bits of a node's own stable sort.  Shorter segments are padded to
+    the longest with keys that sort last.  Candidate positions leave
+    min_leaf rows on each side and fall between distinct values; the first
+    lowest loss wins, so the lower threshold wins a tie.  A candidate with
+    no valid position has loss inf.
     """
-    m = y_node.size
+    width = int(size[0])
+    padded = int(size[-1]) < width
+    shift = (width - 1).bit_length()
+    k = np.arange(width)
+    m = size[:, None]
+    key = rank[feature[:, None], rows[start[:, None] + k]]
+    key <<= shift
+    key |= k
+    if padded:
+        key = np.where(k < m, key, rank.shape[1] << shift)
+    key.sort(axis=1)
+    at = start[:, None] + (key & ((1 << shift) - 1))
+    key >>= shift
+    ys = y[at]
     cy = np.cumsum(ys, axis=1)
-    cy2 = np.cumsum(ys * ys, axis=1)
+    cy2 = np.cumsum(np.square(ys, out=ys), axis=1)
 
-    # position j splits after sorted row j: j + 1 rows go left
-    lo, hi = min_leaf - 1, m - min_leaf
+    # position j splits after sorted row j: j + 1 rows go left; the loss
+    # sum2_left - sum_left * sum_left / n_left + sum2_right - sum_right *
+    # sum_right / n_right is evaluated left to right, in place
+    r = np.arange(size.size)
+    lo, hi = min_leaf - 1, width - min_leaf
     n_left = np.arange(lo + 1, hi + 1, dtype=float)
     n_right = m - n_left
     sum_left = cy[:, lo:hi]
     sum2_left = cy2[:, lo:hi]
-    sum_right = cy[:, -1:] - sum_left
-    sum2_right = cy2[:, -1:] - sum2_left
-    loss = (
-        sum2_left - sum_left * sum_left / n_left
-        + sum2_right - sum_right * sum_right / n_right
-    )
-    valid = xs[:, lo + 1:hi + 1] != xs[:, lo:hi]
-    if not valid.any():
-        return None
+    sum_right = cy[r, size - 1][:, None] - sum_left
+    loss = np.square(sum_left)
+    loss /= n_left
+    np.subtract(sum2_left, loss, out=loss)
+    loss += cy2[r, size - 1][:, None] - sum2_left
+    valid = key[:, lo + 1:hi + 1] != key[:, lo:hi]
+    if padded:
+        valid &= np.arange(lo, hi) < m - min_leaf
+        # n_right >= min_leaf at every valid position; padding only needs no 0
+        np.maximum(n_right, 1.0, out=n_right)
+    np.square(sum_right, out=sum_right)
+    sum_right /= n_right
+    loss -= sum_right
     loss = np.where(valid, loss, np.inf)
-
-    flat = int(np.argmin(loss))
-    col, pos = divmod(flat, hi - lo)
-    best_loss = float(loss[col, pos])
-
-    sum_y = float(y_node.sum())
-    sum_y2 = float(np.dot(y_node, y_node))
-    parent_sse = sum_y2 - sum_y * sum_y / m
-    if not (best_loss < parent_sse):
-        return None
-    threshold = float((xs[col, lo + pos] + xs[col, lo + pos + 1]) / 2.0)
-    return col, threshold, parent_sse - best_loss
+    pos = np.argmin(loss, axis=1)
+    left = rows[at[r, pos + lo]]
+    right = rows[at[r, pos + lo + 1]]
+    return loss[r, pos], (xt[feature, left] + xt[feature, right]) / 2.0
 
 
-def _grow(
+def _best_splits(
     xt: np.ndarray,
-    yb: np.ndarray,
-    pos: np.ndarray,
-    order: np.ndarray,
-    depth: int,
-    rng: np.random.Generator,
+    rank: np.ndarray,
+    rows: np.ndarray,
+    y: np.ndarray,
+    start: np.ndarray,
+    size: np.ndarray,
+    feats: np.ndarray,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (loss, feature, threshold) of each node on its drawn features.
+
+    Row i of feats lists node i's candidate features in ascending order.
+    Nodes are searched largest first, whole nodes to a block of at most
+    _BLOCK padded elements (or one node), so a block pads little.  Each
+    node takes the first lowest loss over its features: the lower feature
+    wins a tie.
+    """
+    n_nodes, mtry = feats.shape
+    by_size = np.argsort(-size, kind="stable")
+    # a padded segment may reach past the last node's rows
+    rows = np.concatenate([rows, np.zeros(int(size.max()), dtype=rows.dtype)])
+    loss = np.empty(n_nodes)
+    feature = np.empty(n_nodes, dtype=np.intp)
+    threshold = np.empty(n_nodes)
+    lo = 0
+    while lo < n_nodes:
+        hi = min(n_nodes, lo + max(1, _BLOCK // (mtry * int(size[by_size[lo]]))))
+        nodes = by_size[lo:hi]
+        node_loss, node_threshold = (
+            a.reshape(-1, mtry)
+            for a in _search_rows(xt, rank, rows, y, np.repeat(start[nodes], mtry),
+                                  np.repeat(size[nodes], mtry), feats[nodes].ravel(), min_leaf)
+        )
+        best = np.argmin(node_loss, axis=1)
+        r = np.arange(nodes.size)
+        loss[nodes] = node_loss[r, best]
+        feature[nodes] = feats[nodes, best]
+        threshold[nodes] = node_threshold[r, best]
+        lo = hi
+    return loss, feature, threshold
+
+
+def _draw_features(
+    rngs: Sequence[np.random.Generator], tree: np.ndarray, p: int, mtry: int
+) -> np.ndarray:
+    """mtry features per node, ascending; each tree draws its level at once.
+
+    tree lists each node's tree, trees ascending and nodes left to right.
+    """
+    trees, counts = np.unique(tree, return_counts=True)
+    return np.concatenate([
+        np.sort(np.argsort(rngs[t].random((c, p)), axis=1)[:, :mtry], axis=1)
+        for t, c in zip(trees.tolist(), counts.tolist())
+    ])
+
+
+def _grow_forest(
+    xv: np.ndarray,
+    yv: np.ndarray,
+    bags: np.ndarray,
+    rngs: Sequence[np.random.Generator],
     cfg: ForestConfig,
     mtry: int,
-    importances: np.ndarray,
-) -> TreeNode:
-    """Grow the subtree of the bag rows at positions pos (ascending).
+) -> tuple[list[TreeNode], np.ndarray]:
+    """Grow every tree level by level; returns the trees and the reductions.
 
-    Row j of xt is column j of the bag (p x m0) and yb holds the bag's
-    targets; row j of order lists pos sorted stably by column j.
+    Row t of bags is tree t's bag.  The open nodes of a level, tree after
+    tree and left to right, hold their rows as consecutive segments of one
+    array, each in bag-position order.  A level first closes as leaves the
+    nodes with too few rows, at the depth limit or with equal targets, then
+    searches the rest at once; a node whose best split does not strictly
+    reduce the summed squared error becomes a leaf too.  Each split node's
+    segment is reordered stably, left rows first, into the next level.
     """
-    y_node = yb[pos]
-    m = pos.size
-    if (
-        m < 2 * cfg.min_leaf
-        or (cfg.max_depth is not None and depth >= cfg.max_depth)
-        or np.all(y_node == y_node[0])
-    ):
-        return Leaf(value=float(y_node.mean()), count=int(m))
+    n_trees, n = bags.shape
+    p = xv.shape[1]
+    xt = np.ascontiguousarray(xv.T)
+    rank = _dense_ranks(xt)
+    reductions = np.zeros(p)
+    rows = bags.ravel()
+    tree = np.arange(n_trees)
+    size = np.full(n_trees, n)
+    depth = 0
+    # per level and node: split feature (-1 on a leaf), threshold, leaf value,
+    # row count and the id of the left child (the right one follows it)
+    levels: list[tuple[np.ndarray, ...]] = []
+    n_made = n_trees
+    while tree.size:
+        start = np.cumsum(size) - size
+        y = yv[rows]
+        sum_y = np.add.reduceat(y, start)
+        closed = size < 2 * cfg.min_leaf
+        if cfg.max_depth is not None and depth >= cfg.max_depth:
+            closed[:] = True
+        closed |= np.minimum.reduceat(y, start) == np.maximum.reduceat(y, start)
 
-    feats = np.sort(rng.choice(xt.shape[0], size=mtry, replace=False))
-    sorted_pos = order[feats]
-    found = _best_split(xt[feats[:, None], sorted_pos], yb[sorted_pos], y_node, cfg.min_leaf)
-    if found is None:
-        return Leaf(value=float(y_node.mean()), count=int(m))
-    col, threshold, reduction = found
-    feature = int(feats[col])
-    importances[feature] += reduction
+        feature = np.full(tree.size, -1, dtype=np.intp)
+        threshold = np.zeros(tree.size)
+        open_ = np.flatnonzero(~closed)
+        if open_.size:
+            feats = _draw_features(rngs, tree[open_], p, mtry)
+            loss, feat, thr = _best_splits(
+                xt, rank, rows, y, start[open_], size[open_], feats, cfg.min_leaf
+            )
+            sum_open = sum_y[open_]
+            parent_sse = np.add.reduceat(y * y, start)[open_] - sum_open * sum_open / size[open_]
+            gain = loss < parent_sse
+            splits = open_[gain]
+            feature[splits] = feat[gain]
+            threshold[splits] = thr[gain]
+            np.add.at(reductions, feat[gain], parent_sse[gain] - loss[gain])
 
-    # a stable filter keeps every row of order sorted, ties in position order
-    goes_left = xt[feature] <= threshold
-    ordered_left = goes_left[order]
-    p = order.shape[0]
-    left = _grow(xt, yb, pos[goes_left[pos]], order[ordered_left].reshape(p, -1),
-                 depth + 1, rng, cfg, mtry, importances)
-    right = _grow(xt, yb, pos[~goes_left[pos]], order[~ordered_left].reshape(p, -1),
-                  depth + 1, rng, cfg, mtry, importances)
-    return Split(feature=feature, threshold=threshold, left=left, right=right)
+        is_split = feature >= 0
+        left = np.full(tree.size, -1, dtype=np.intp)
+        left[is_split] = n_made + 2 * np.arange(int(is_split.sum()))
+        value = np.where(is_split, 0.0, sum_y / size)
+        levels.append((feature, threshold, value, size, left))
+        n_made += 2 * int(is_split.sum())
+
+        node = np.repeat(np.arange(tree.size), size)
+        keep = is_split[node]
+        rows, node = rows[keep], node[keep]
+        goes_left = xt[feature[node], rows] <= threshold[node]
+        rows = rows[np.argsort(2 * node + ~goes_left, kind="stable")]
+        n_left = np.bincount(node[goes_left], minlength=tree.size)[is_split]
+        size = np.column_stack([n_left, size[is_split] - n_left]).ravel()
+        tree = np.repeat(tree[is_split], 2)
+        depth += 1
+
+    feature, threshold, value, count, left = (
+        np.concatenate(column).tolist() for column in zip(*levels)
+    )
+    built: list[TreeNode | None] = [None] * len(feature)
+    for i in reversed(range(len(feature))):
+        if feature[i] < 0:
+            built[i] = Leaf(value=value[i], count=count[i])
+        else:
+            built[i] = Split(feature=feature[i], threshold=threshold[i],
+                             left=built[left[i]], right=built[left[i] + 1])
+    return built[:n_trees], reductions
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -346,7 +492,7 @@ def fit_forest(
     y: TargetVector | Sequence[float] | np.ndarray,
     cfg: ForestConfig = ForestConfig(),
 ) -> ForestModel:
-    """Fit the forest, growing trees 0..n_trees-1 in order.
+    """Fit the forest, growing all n_trees trees together, level by level.
 
     Parameters
     ----------
@@ -375,19 +521,10 @@ def fit_forest(
     if mtry > p:
         raise BadConfig(f"mtry {mtry} exceeds feature count {p}")
 
-    trees = []
-    oob_masks = []
-    importances = np.zeros(p)
-    for t in range(cfg.n_trees):
-        rng = _tree_rng(cfg.seed, t)
-        rows = _bootstrap_rows(rng, n, cfg.bootstrap)
-        xt = np.ascontiguousarray(xv[rows].T)
-        order = np.argsort(xt, axis=1, kind="stable")
-        # summed per tree, then tree by tree: the order the importance bits need
-        reductions = np.zeros(p)
-        trees.append(_grow(xt, yv[rows], np.arange(n), order, 0, rng, cfg, mtry, reductions))
-        importances += reductions
-        oob_masks.append(_oob_mask(rows, n))
+    rngs = [_tree_rng(cfg.seed, t) for t in range(cfg.n_trees)]
+    bags = np.array([_bootstrap_rows(rng, n, cfg.bootstrap) for rng in rngs])
+    trees, importances = _grow_forest(xv, yv, bags, rngs, cfg, mtry)
+    oob_masks = [_oob_mask(rows, n) for rows in bags]
 
     total = float(importances.sum())
     if total > 0.0:

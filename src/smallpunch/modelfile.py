@@ -25,8 +25,9 @@ from .pipeline import KINDS, PipelineSpec, TrainedPipeline, record_from_doc, rec
 FORMAT_VERSION = 1
 
 
-def save_model(path: Path, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
+def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
     """Write a trained pipeline with its provenance block."""
+    path = Path(path)
     kind, std, pca = trained.spec.kind, trained.standardizer, trained.pca
     doc = {
         "format_version": FORMAT_VERSION,
@@ -44,7 +45,7 @@ def save_model(path: Path, trained: TrainedPipeline, provenance: dict[str, Any])
     path.write_text(json.dumps(doc, indent=2) + "\n")
 
 
-def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
+def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     """Read a model file back; refuses unknown format versions.
 
     Raises
@@ -55,6 +56,7 @@ def load_model(path: Path) -> tuple[TrainedPipeline, dict[str, Any]]:
         A block is missing or malformed, or the stored components do not
         match the declared pipeline family.
     """
+    path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

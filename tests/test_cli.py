@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, outputs, byte determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import smallpunch
 from smallpunch.cli import main
 from smallpunch.curves import GridSpec, resample
 from smallpunch.dataio import fmt, load_curves, sha256_of
@@ -204,6 +208,28 @@ def test_train_each_family(tmp_path, capsys, monkeypatch):
         assert provenance["seed"] == 0
         assert provenance["created"] == "2023-11-14T22:13:20Z"
         assert provenance["manifest_sha256"] == sha256_of(manifest)
+
+
+@pytest.mark.parametrize("module", ["smallpunch", "smallpunch.cli"])
+def test_python_dash_m_runs_the_command_line(tmp_path, capsys, monkeypatch, module):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    manifest = make_dataset(tmp_path, capsys) / "manifest.csv"
+    code, _, err = run(capsys, "train", str(manifest), "--pipeline", "pca-lm",
+                       "--out", str(tmp_path / "in_process.json"))
+    assert code == 0, err
+    src = str(Path(smallpunch.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    out = tmp_path / "via_m.json"
+    done = python_m("train", str(manifest), "--pipeline", "pca-lm", "--out", str(out))
+    assert done.returncode == 0, done.stderr
+    assert out.read_bytes() == (tmp_path / "in_process.json").read_bytes()
+    assert python_m("train", str(manifest), "--no-such-flag").returncode == 2
 
 
 def test_train_is_byte_deterministic_with_pinned_epoch(tmp_path, capsys,

@@ -137,6 +137,21 @@ def test_load_curves_resamples_and_names(tmp_path):
     assert uniform[0].meta == curves[0].meta
 
 
+def test_str_paths_read_like_paths(tmp_path):
+    curves, _ = generate(SynthConfig(n_materials=1, curves_per_material=2, seed=42))
+    names = [f"c{i}.csv" for i in range(len(curves))]
+    for name, curve in zip(names, curves):
+        write_curve_csv(tmp_path / name, curve)
+    manifest = tmp_path / "manifest.csv"
+    write_manifest(manifest, [(n, c.meta) for n, c in zip(names, curves)])
+    assert read_manifest(str(manifest)) == read_manifest(manifest)
+    (names_a, uniform_a), (names_b, uniform_b) = (
+        load_curves(path, GridSpec()) for path in (manifest, str(manifest))
+    )
+    assert names_a == names_b
+    assert all(np.array_equal(a.force_N, b.force_N) for a, b in zip(uniform_a, uniform_b))
+
+
 def test_load_curves_errors_cite_curve_file(tmp_path):
     (tmp_path / "bad.csv").write_text("displacement_um,force_N\n0,zero\n")
     write_manifest(tmp_path / "manifest.csv", [("bad.csv", make_meta())])

@@ -1,25 +1,32 @@
 """Regression forest: exact splits, determinism, importances."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from smallpunch.curves import GridSpec, resample
 from smallpunch.errors import (
     BadConfig,
     LengthMismatch,
     ShapeMismatch,
     TooFewRows,
 )
+from smallpunch.features import apply_standardizer, assemble, fit_standardizer
 from smallpunch.forest import (
     ForestConfig,
     Leaf,
     Split,
+    _tree_rng,
     feature_importances,
     fit_forest,
     permutation_importances,
     predict_forest,
 )
+from smallpunch.pca import fit_pca, transform
+from smallpunch.synth import SynthConfig, generate
 
 
 def _single_tree_cfg(**overrides):
@@ -80,6 +87,15 @@ def test_tied_splits_prefer_lower_feature_index():
     assert root.threshold == 0.5
 
 
+def test_tied_thresholds_prefer_the_lower_one():
+    # cutting off either end row loses the same, to the bit
+    x = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 10.0, 10.0, 0.0])
+    root = fit_forest(x, y, _single_tree_cfg(mtry=1, max_depth=1)).trees[0]
+    assert isinstance(root, Split)
+    assert root.threshold == 0.5
+
+
 def test_threshold_value_routes_left():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 10.0, 10.0])
@@ -96,6 +112,14 @@ def test_constant_targets_collapse_to_one_leaf():
     assert all(isinstance(t, Leaf) for t in model.trees)
     assert np.array_equal(predict_forest(model, x), np.full(10, 42.0))
     assert np.all(model.importances == 0.0)
+
+
+def test_equal_targets_whose_sums_round_stay_one_leaf():
+    # 0.7 has no exact binary value: the sums round, the targets are equal
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(10, 3))
+    model = fit_forest(x, np.full(10, 0.7), _single_tree_cfg(mtry=3))
+    assert isinstance(model.trees[0], Leaf)
 
 
 def test_single_tree_memorizes_training_data():
@@ -263,3 +287,163 @@ def test_row_by_row_batch_and_permuted_predictions_agree(x, seed, min_leaf, max_
 
     perm = np.random.default_rng(seed).permutation(len(queries))
     assert predict_forest(model, queries[perm]).tobytes() == batch[perm].tobytes()
+
+
+def _tree_size(node, depth=0):
+    """(node count, deepest leaf's depth) of a Split/Leaf tree."""
+    if isinstance(node, Leaf):
+        return 1, depth
+    left, right = _tree_size(node.left, depth + 1), _tree_size(node.right, depth + 1)
+    return 1 + left[0] + right[0], max(left[1], right[1])
+
+
+def test_nested_trees_and_node_table_agree():
+    rng = np.random.default_rng(21)
+    x = rng.normal(size=(70, 6))
+    y = 30.0 * x[:, 0] + 10.0 * np.abs(x[:, 2]) + rng.normal(0.0, 1.0, 70)
+    model = fit_forest(x, y, ForestConfig(n_trees=12, min_leaf=1, seed=22))
+    sizes = [_tree_size(tree) for tree in model.trees]
+    assert sum(count for count, _ in sizes) == model.table.feature.size
+    assert max(depth for _, depth in sizes) == model.table.depth
+    assert model.table.depth > 3
+
+
+# --------------------------------------------------------------------------
+# Reference grower: trees grown one node at a time, depth first, as fit_forest
+# did before it grew every tree of a forest level by level.  Where no draw can
+# change a tree (mtry = p, no bootstrap) both must grow the same trees.
+
+
+def _reference_best_split(xs, ys, y_node, min_leaf):
+    """Best (row of xs, threshold, variance reduction) of a node, or None."""
+    m = y_node.size
+    cy = np.cumsum(ys, axis=1)
+    cy2 = np.cumsum(ys * ys, axis=1)
+
+    # position j splits after sorted row j: j + 1 rows go left
+    lo, hi = min_leaf - 1, m - min_leaf
+    n_left = np.arange(lo + 1, hi + 1, dtype=float)
+    n_right = m - n_left
+    sum_left = cy[:, lo:hi]
+    sum2_left = cy2[:, lo:hi]
+    sum_right = cy[:, -1:] - sum_left
+    sum2_right = cy2[:, -1:] - sum2_left
+    loss = (
+        sum2_left - sum_left * sum_left / n_left
+        + sum2_right - sum_right * sum_right / n_right
+    )
+    valid = xs[:, lo + 1:hi + 1] != xs[:, lo:hi]
+    if not valid.any():
+        return None
+    loss = np.where(valid, loss, np.inf)
+
+    flat = int(np.argmin(loss))
+    col, pos = divmod(flat, hi - lo)
+    best_loss = float(loss[col, pos])
+
+    sum_y = float(y_node.sum())
+    sum_y2 = float(np.dot(y_node, y_node))
+    parent_sse = sum_y2 - sum_y * sum_y / m
+    if not (best_loss < parent_sse):
+        return None
+    threshold = float((xs[col, lo + pos] + xs[col, lo + pos + 1]) / 2.0)
+    return col, threshold, parent_sse - best_loss
+
+
+def _reference_grow(xt, yb, pos, order, depth, rng, cfg, mtry, importances):
+    """Subtree of the bag rows at positions pos; row j of order sorts pos by column j."""
+    y_node = yb[pos]
+    m = pos.size
+    if (
+        m < 2 * cfg.min_leaf
+        or (cfg.max_depth is not None and depth >= cfg.max_depth)
+        or np.all(y_node == y_node[0])
+    ):
+        return Leaf(value=float(y_node.mean()), count=int(m))
+
+    feats = np.sort(rng.choice(xt.shape[0], size=mtry, replace=False))
+    sorted_pos = order[feats]
+    found = _reference_best_split(xt[feats[:, None], sorted_pos], yb[sorted_pos], y_node,
+                                  cfg.min_leaf)
+    if found is None:
+        return Leaf(value=float(y_node.mean()), count=int(m))
+    col, threshold, reduction = found
+    feature = int(feats[col])
+    importances[feature] += reduction
+
+    # a stable filter keeps every row of order sorted, ties in position order
+    goes_left = xt[feature] <= threshold
+    ordered_left = goes_left[order]
+    p = order.shape[0]
+    left = _reference_grow(xt, yb, pos[goes_left[pos]], order[ordered_left].reshape(p, -1),
+                           depth + 1, rng, cfg, mtry, importances)
+    right = _reference_grow(xt, yb, pos[~goes_left[pos]], order[~ordered_left].reshape(p, -1),
+                            depth + 1, rng, cfg, mtry, importances)
+    return Split(feature=feature, threshold=threshold, left=left, right=right)
+
+
+def _reference_tree(x, y, cfg, t):
+    """Tree t of a forest fitted without bootstrap, grown by the reference."""
+    xt = np.ascontiguousarray(x.T)
+    order = np.argsort(xt, axis=1, kind="stable")
+    n, p = x.shape
+    mtry = cfg.mtry if cfg.mtry is not None else math.ceil(p / 3)
+    return _reference_grow(xt, y, np.arange(n), order, 0, _tree_rng(cfg.seed, t), cfg, mtry,
+                           np.zeros(p))
+
+
+def _assert_same_tree(got, want, path="root"):
+    assert type(got) is type(want), path
+    if isinstance(want, Leaf):
+        assert got.count == want.count, path
+        assert abs(got.value - want.value) <= 1e-12 * abs(want.value), path
+        return
+    assert (got.feature, got.threshold) == (want.feature, want.threshold), path
+    _assert_same_tree(got.left, want.left, path + ".left")
+    _assert_same_tree(got.right, want.right, path + ".right")
+
+
+def _assert_grows_like_the_reference(x, y, **overrides):
+    cfg = ForestConfig(**{"n_trees": 2, "mtry": x.shape[1], "bootstrap": False,
+                          "seed": 0, **overrides})
+    model = fit_forest(x, y, cfg)
+    for t, tree in enumerate(model.trees):
+        _assert_same_tree(tree, _reference_tree(x, y, cfg, t))
+
+
+@pytest.fixture(scope="module")
+def reference_design():
+    """Standardized 152 columns of the reference set, their PCA scores, targets."""
+    raw, _ = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
+    matrix, targets = assemble([resample(c, GridSpec()) for c in raw])
+    prepared = apply_standardizer(fit_standardizer(matrix), matrix)
+    return prepared.values, transform(fit_pca(prepared), prepared), targets.values
+
+
+@pytest.mark.parametrize("design", ["columns", "scores"])
+@pytest.mark.parametrize("min_leaf,max_depth", [(2, None), (1, None), (5, 4)])
+def test_level_wise_growth_matches_the_reference_on_the_reference_set(
+    reference_design, design, min_leaf, max_depth
+):
+    columns, scores, y = reference_design
+    x = columns if design == "columns" else scores
+    _assert_grows_like_the_reference(x, y, min_leaf=min_leaf, max_depth=max_depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    x=st.integers(2, 30).flatmap(
+        lambda n: st.integers(1, 4).flatmap(lambda p: arrays(float, (n, p), elements=_values))
+    ),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.none() | st.integers(1, 5),
+    data=st.data(),
+)
+def test_level_wise_growth_matches_the_reference_on_grid_data(x, min_leaf, max_depth, data):
+    # Targets on a grid too, so every sum of targets and squares is exact.
+    # With arbitrary floats a split whose gain is zero in exact arithmetic
+    # (6 rows of 196.53, 196.53, 100 x 4 cut 3 | 3) is taken or refused by
+    # the last bit of the parent's sum of squares, which the reference takes
+    # from np.dot and growth from a segmented sum.
+    y = data.draw(arrays(float, x.shape[0], elements=st.integers(400, 3600).map(lambda k: k / 4.0)))
+    _assert_grows_like_the_reference(x, y, min_leaf=min_leaf, max_depth=max_depth)

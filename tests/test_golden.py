@@ -6,7 +6,9 @@ each file it writes and of each command's stdout was recorded once; a
 change that alters any output bit fails here.  A second gate does the
 same for full-size forests: 200-tree rf and rf-scores models fitted on
 the 120-curve reference set, their model files, predictions and
-permutation importances.  Floating-point results may differ in the last
+permutation importances.  A third pins two rf model files written before
+forests grew level by level: they must load, predict their recorded bits
+and save back byte for byte.  Floating-point results may differ in the last
 bits under another numpy build, so the digests hold only for the numpy
 version they were recorded with, and the tests skip elsewhere.
 
@@ -123,14 +125,14 @@ GOLDEN: dict[str, str] = {
     'stdout predict pca-lm': 'e608c9358eb68d36565d5e76e1d996f1852eba2bf409c6ba3282d0be3a544444',
     'stdout cv pca-lm': '8b42e9860ad04a116aecad3778976dd838369220c03bbad6f55bf12f23e1905c',
     'stdout report pca-lm': '5413772139588eb6abd4e8c1057f1d0d791956ef9971321f26915e57d2b80f3d',
-    'stdout train rf': '9d7aaa74ed4f1024301959944abf2ad81f04691b5dddfea306e2eb1c0657d422',
+    'stdout train rf': 'ba833c68cf8027b0ddabe9d75f1755add1083fef3234cbadb70268aa2423bfd9',
     'stdout predict rf': '90376b2b0224b3a70e38f19bd50f4d4c5afea7e1110032e56ea783b89fa1ad43',
-    'stdout cv rf': '7faac6004561dea2290b6ceddbbce7b00b2ff46aae6e08dc2564bcddf386cbb6',
-    'stdout report rf': 'd49428a8a6729447a383ae6fd8e3b09271730a8bc1822c5725def031f60748e5',
-    'stdout train rf-scores': 'ffe69598814b9a5f7e3e782c3d87e51b86bc03acc159c7c1ef72fad9c18a40da',
+    'stdout cv rf': '4737f0c795df52312ff6cdcd31e975ffe68c3a7d220dbca0bab9276f90772947',
+    'stdout report rf': 'ada8937c3f0cbfa6337afe181026e6c87ef05c9a63ec829549bb60ffef0ec678',
+    'stdout train rf-scores': 'd0cdda85a1d69e50018f7998553aa0847acd379361e5007aacba6eb014244a83',
     'stdout predict rf-scores': 'a9d1f1b786ff5de5e5e84bf31430c964b9afc9cea425287f21d208f01fdc05bf',
-    'stdout cv rf-scores': 'c8051a78d2e8c04333c7a6b7539f4ad498f48fb8ae32b149e2be7637c73cb495',
-    'stdout report rf-scores': 'a17a2254882165c4fb0e85ff87d3864a53a4c70d3c46f04117cdbaf2f3cde278',
+    'stdout cv rf-scores': '27f00ffd14a145c3d25cdb1e52aa0cac787e5c63823d26f03e3efd78cfff88d8',
+    'stdout report rf-scores': '9c69c766fb5773dbceab211f2b3c7d071a2650932da5474ea728550a45b23f02',
     'cv_empirical/empirical_folds.csv': '34a8f439e9c53b9167d07c4181631f5904f0ccc1799695a07bc114f6ca2adffb',
     'cv_empirical/empirical_samples.csv': '4cba79d96cb17bb0e583361c0e0d92d701389f6907f8500a8cc49116d14f0f80',
     'cv_empirical/empirical_summary.csv': 'c0127461146f3ece8dd6a9332db2c7a7fd9c473402482bc7d02c7ae47a5159b2',
@@ -140,12 +142,12 @@ GOLDEN: dict[str, str] = {
     'cv_pca-lm/pca-lm_folds.csv': 'e15d33152721cd68ab7e14ef0bda2cb46040663b8654fc6156f76c85fb6dba0d',
     'cv_pca-lm/pca-lm_samples.csv': '9bebc9088df9acc33bbe4dfdf169d89998021e834f14dca54eb4e142d165e454',
     'cv_pca-lm/pca-lm_summary.csv': 'f6ad0264172ad584a9889c2ee6fa70a2df62eda79025f4838b1fdc88e09d6f51',
-    'cv_rf/rf_folds.csv': 'e35902e51307a7bfb6b1d74285c39c956a9cd50d84aedce4002064ece3e58078',
-    'cv_rf/rf_samples.csv': '6d7920082dfbc8ec7df0212038cb0ed09fe9322b70802b993dcbd9113f50412a',
-    'cv_rf/rf_summary.csv': '96c426f2bcda45e54d9d2bd49870815e3d8d37b1e36dd726f6abc1bc3a233494',
-    'cv_rf-scores/rf_folds.csv': '39712aecbae104b060b075bc4fb0f4151ae02e12906968211d2c8d835f592d62',
-    'cv_rf-scores/rf_samples.csv': '49e443d3d6e2a50cd077cca3a9750d6e55dc7db685d2373634eafce5e99288a5',
-    'cv_rf-scores/rf_summary.csv': 'acb62a45fe751cef1bb63f5731e8d3e9a95901fd2bc4a37c62fcb9c8721258f8',
+    'cv_rf/rf_folds.csv': 'ef6d374303d48627bd3d233fc36520204735c309cf546c112158518fe338eeab',
+    'cv_rf/rf_samples.csv': '9ff5ba470670ab4efd6edd45e3f2b8d2e2ddff8c7a1ab9ae82b6056b628d62f4',
+    'cv_rf/rf_summary.csv': 'e4ae6111da9539be07d94d137300c14093f8a37758047706926570478bb38627',
+    'cv_rf-scores/rf_folds.csv': '0fc0bbb79b9387b8624f8e96e6897021460463e5c67e9df74c42542c6b2a5695',
+    'cv_rf-scores/rf_samples.csv': 'bcd7dd2bf835891efa31436224f68b79d36ab29d86389ba4e711b037d856d23d',
+    'cv_rf-scores/rf_summary.csv': '25db7c93df6920d0f8b439819091be4b15f7de3fbdb58e6777babfae9a02b5df',
     'data/m00_c00.csv': '0ef8b9771de07d21d3a98bb6ba1460d3ab1e073aed2c00decc51565207c553d5',
     'data/m00_c01.csv': 'fafdde49d048133360bfffcdd99fcb7476a5bd437438e8b7d7a5bcb4fdbae469',
     'data/m00_c02.csv': '8556bfc6bbe66a84e361b747e7e04e13456a4eddbb42d5e9d4a7c53bccdb1ca6',
@@ -169,28 +171,39 @@ GOLDEN: dict[str, str] = {
     'model_empirical-fixed-v.json': '3b9011006e143fbfd6b91c554f48ff2bf4b9e1a9d7199910cf9c419e7c65e802',
     'model_empirical.json': 'bf3d844674f54bb0f57a6cf9986fe3ae73834866a85963287adbd59799130e27',
     'model_pca-lm.json': 'f2273d2d224978ae046e86b6fbb118f8ac1b8a7e738421463741e1845b0e2035',
-    'model_rf-scores.json': '9dd2acf710be15a99341fbbe9a0cf9c232e588b422dbb3898f5896592f3238e9',
-    'model_rf.json': '1349b9a3440d75f58a325c45b6e2dc54bf0af50ef2e4e64086b398f670e1eef1',
+    'model_rf-scores.json': '07d4a5ed1eb0ade27ea2310b1f88289e29a527b821811cd4d9e71410a7f97987',
+    'model_rf.json': '8a4f9ccf044ee840bdf834546ef9c5543aa86767667174790f8b779e80ba2a56',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
     'pred_pca-lm.csv': 'd41b150ddb92b01f2abe09783728edede98dd6a37f2b083aaee363ff38242305',
-    'pred_rf-scores.csv': 'a32cd4fcbfe5ee39a5ff253ce894ed414ccc33000214cf829d96b30d41f6a049',
-    'pred_rf.csv': '04ad6ece491b79933c57db3c7d2dc020f974eda7048d949fb43ea60a7f18d389',
+    'pred_rf-scores.csv': '509dd259238c379fc15b634adc10a03ff9b79d94182bdfd1c2ca68d97dc08955',
+    'pred_rf.csv': 'aa754c8773f5d0e09184867e532be1be2d7626778484528572cc1b4fd9247e75',
     'report_empirical-fixed-v.csv': 'cce6f61abd9101832ad489fa3b95fc77fd2fdbdddb43d52f58cc7928ea3add7c',
     'report_empirical.csv': '77c8b8be51be7553c5d6c35cc4d62a4d9d826b47333a2d70302da7ecad07028f',
     'report_pca-lm.csv': '70af1ae72132b7519d48a94669d0ceaf383cd8bfcdf916d9afb88e37ce1671c1',
-    'report_rf-scores.csv': '48360649914968ab79c325ee7d9e2f6b82bc76318555959cae1225a700eaf069',
-    'report_rf.csv': '48029756300d9b5e3a6029defb26957a08917a92b56a5e7e6a83717a0f14e895',
+    'report_rf-scores.csv': '0d94e76c0d53281b8c7f69abdc43cbb3362283a3e374f9b07b7bbd6870e25da5',
+    'report_rf.csv': 'cd9c80edf3b2bf59ef17e9286e903c7734e9cc3314f2ff966ba9235cb10c0a94',
 }
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': 'ce4c774d20bfa237d1e9df838733f6cee9313e5e64f60b45c5c9c89f322b7a98',
-    'predict rf': '7c6a01804bf614850a1781f9c9e448d315a724810465692021f4f55036a548c9',
-    'permutation rf': '63c25428c7fd3703c3ebfa3cd4a35b176c9c54762c809664b8fa673f6948d3b5',
-    'model rf-scores': '8690122001d32bb4dca8927adb66c5299197b590b1445ac8166faba17d100b5d',
-    'predict rf-scores': 'e2c1d3beb75324fa3b31fe3cf30fc7edd858dfe86ae1cc911f7800df607f080e',
-    'permutation rf-scores': '068a5c8a4ac4df242a7d8fd17bbc1ffc704f32120ddb6c70432adb7d3d6b3b13',
+    'model rf': '451a7557e97437b6809e9334f3acfa956d596d90ab3d5f8deebd4e307ff3bc13',
+    'predict rf': 'ea9c2d28621fe65d00525c6929cdf8f6612425d0d8d13d96d52be2f1d48bd877',
+    'permutation rf': '909348e1bdb9caf56893089fbb519d98a80ec5d08c39e7d1e35db8220fe5bd82',
+    'model rf-scores': 'ced73870f87e0955cdb76043d34a9fef1b42de68363772c38df175d4b5ba74f0',
+    'predict rf-scores': '42ce8722e608821014108ee02e1cdab0ae7177fd12fbb7af5cc56528ccdbdfa5',
+    'permutation rf-scores': '1b5f3e554e94bd3ee1491e9d6819c9175f5fa13511770a34592fa88c025411a2',
+}
+
+
+# rf and rf-scores model files that `train --trees 10` wrote on the synth set
+# above (3 x 6 curves, sigma 5 N, seed 7) before forests grew level by level,
+# with the digests of their predictions on that set generated in memory.
+# Training may change the trees; reading an old file may not change a bit.
+DATA = Path(__file__).parent / "data"
+PINNED: dict[str, str] = {
+    'rf_10_trees_v1.json': '8ec085c190e01329130cb1629b6c7734d923fb22e105f5947760e5f6323fe4c3',
+    'rf_scores_10_trees_v1.json': 'b7b5760c7f31ec1e31caa197cebaf26922eacd1055f9ac0280c1c297dcdaa0a9',
 }
 
 
@@ -208,6 +221,21 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
 def test_reference_forests_match_golden_digests(tmp_path):
     _skip_other_numpy()
     assert forest_digests(tmp_path) == GOLDEN_FOREST
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
+    path = DATA / name
+    trained, provenance = load_model(path)
+    again = tmp_path / name
+    save_model(again, trained, provenance)
+    assert again.read_bytes() == path.read_bytes()
+
+    _skip_other_numpy()
+    raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6,
+                                  noise_sigma_N=5.0, seed=7))
+    predictions = predict_pipeline(trained, [resample(c, trained.grid) for c in raw])
+    assert _sha(predictions.tobytes()) == PINNED[name]
 
 
 if __name__ == "__main__":

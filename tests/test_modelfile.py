@@ -81,6 +81,18 @@ def test_save_is_byte_deterministic(tmp_path, dataset):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_str_paths_save_and_load_like_paths(tmp_path, dataset):
+    curves, _ = dataset
+    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_model(a, trained, {"seed": 1})
+    save_model(str(b), trained, {"seed": 1})
+    assert a.read_bytes() == b.read_bytes()
+    loaded, provenance = load_model(str(b))
+    assert provenance == {"seed": 1}
+    assert np.array_equal(predict_pipeline(loaded, curves), predict_pipeline(trained, curves))
+
+
 def test_unknown_version_is_refused(tmp_path, dataset):
     curves, _ = dataset
     trained = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
