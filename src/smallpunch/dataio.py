@@ -5,16 +5,22 @@ seeded command reproduces files byte for byte and a written float reads
 back bit-identical.  The exception is a curve displacement within 1e-9 um
 of a whole micrometre: write_curve_csv stores it as that integer, and it
 can read back one ulp off (about 200 of the 1,501 displacements of a
-synthetic curve).  Every table is read with curves.read_rows.
+synthetic curve).  write_curve_csv writes a curve table a column at a
+time, with the same bytes as a row-by-row loop.  Every table is read with
+curves.read_rows.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .curves import (
+    CURVE_HEADER,
     GridSpec,
     RawCurve,
     SpecimenMeta,
@@ -61,13 +67,19 @@ def _read_table(path: Path, header: Sequence[str]) -> list[tuple[int, list[str]]
 
 
 def write_curve_csv(path: Path, curve: RawCurve) -> None:
-    """Write one curve with displacements converted back to micrometres."""
-    lines = [",".join(("displacement_um", "force_N"))]
-    for d_mm, f_n in zip(curve.displacement_mm, curve.force_N):
-        d_um = d_mm * 1000.0
-        rounded = round(d_um)
-        d_str = str(int(rounded)) if abs(d_um - rounded) < 1e-9 else fmt(d_um)
-        lines.append(f"{d_str},{fmt(f_n)}")
+    """Write one curve with displacements converted back to micrometres.
+
+    The table is built a column at a time and written once.  A displacement
+    within 1e-9 um of a whole micrometre is written as that integer and any
+    other cell as fmt writes it: the bytes of a row loop, since array
+    arithmetic gives the scalar IEEE results and a tie never passes the test.
+    """
+    d_um = curve.displacement_mm * 1000.0
+    rounded = np.round(d_um)
+    whole = np.abs(d_um - rounded) < 1e-9
+    cols = zip(d_um.tolist(), rounded.tolist(), whole.tolist(), curve.force_N.tolist())
+    lines = [",".join(CURVE_HEADER)]
+    lines += [f"{str(int(r)) if w else repr(d)},{f!r}" for d, r, w, f in cols]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -83,13 +95,25 @@ def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> N
 
 
 def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
-    """Manifest rows as (curve file name, metadata); rm_MPa may be blank."""
+    """Manifest rows as (curve file name, metadata); rm_MPa may be blank.
+
+    A curve file name is a path relative to the manifest's directory and may
+    name a subdirectory; an absolute path, or one whose '..' parts lead out
+    of that directory, is a MalformedRow.  The name alone is judged; links
+    are not followed.
+    """
     path = Path(path)
     entries: list[tuple[str, SpecimenMeta]] = []
     for lineno, cells in _read_table(path, MANIFEST_HEADER):
         filename, material_id, temp_s, thick_s, rm_s = cells
         if not filename:
             raise MalformedRow(f"{path}: row {lineno}: empty file name")
+        norm = os.path.normpath(filename)
+        if os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir:
+            raise MalformedRow(
+                f"{path}: row {lineno}: curve file '{filename}' lies outside "
+                "the manifest's directory"
+            )
         try:
             temperature = float(temp_s)
             thickness = float(thick_s)

@@ -25,7 +25,7 @@ so datasets differing only in sigma share the underlying noise sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -56,6 +56,11 @@ class SynthConfig:
     max_displacement_mm: float = 1.5
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise BadConfig(f"{f.name} must be finite, got {value}")
         if self.n_materials < 1 or self.curves_per_material < 1:
             raise BadConfig("material and per-material counts must be >= 1")
         if not (self.beta_true > 0.0):

@@ -70,6 +70,20 @@ def test_synth_rejects_negative_noise(tmp_path, capsys):
     assert "error:" in err and "--noise-sigma" in err
 
 
+@pytest.mark.parametrize("flags", [
+    ("--rm-range", "400", "inf"),
+    ("--noise-sigma", "nan"),
+    ("--noise-sigma", "inf"),
+    ("--temp-slope", "nan"),
+])
+def test_synth_rejects_non_finite_settings_before_writing(tmp_path, capsys, flags):
+    out = tmp_path / "x"
+    code, _, err = run(capsys, "synth", *flags, "--out", str(out))
+    assert code == 2
+    assert "error:" in err and "must be finite" in err and flags[0] in err
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def small_manifest(tmp_path_factory):
     out = tmp_path_factory.mktemp("small")
@@ -358,6 +372,40 @@ def test_predict_empty_manifest_writes_header_only(tmp_path, capsys):
     assert code == 0
     assert stdout.strip() == f"wrote 0 predictions to {pred_path}"
     assert pred_path.read_text() == "file,material_id,temperature_C,pred_rm_MPa\n"
+
+
+def _manifest_outside(tmp_path, data):
+    """A manifest in a sibling directory naming data's curves by '../'."""
+    lines = (data / "manifest.csv").read_text().splitlines()
+    other = tmp_path / "other"
+    other.mkdir()
+    manifest = other / "manifest.csv"
+    manifest.write_text("\n".join([lines[0]] + [f"../{data.name}/{ln}" for ln in lines[1:]])
+                        + "\n")
+    return manifest
+
+
+def test_cv_refuses_manifest_paths_outside_its_directory(tmp_path, capsys):
+    manifest = _manifest_outside(tmp_path, make_dataset(tmp_path, capsys))
+    code, _, err = run(capsys, "cv", str(manifest), "--pipeline", "pca-lm",
+                       "--k", "3", "--out", str(tmp_path / "cv"))
+    assert code == 4
+    assert f"{manifest}: row 2: curve file '../data/m00_c00.csv'" in err
+    assert not (tmp_path / "cv").exists()
+
+
+def test_predict_refuses_manifest_paths_outside_its_directory(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
+               "--out", str(model_path))[0] == 0
+    manifest = _manifest_outside(tmp_path, data)
+    pred_path = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", str(manifest), "--model", str(model_path),
+                       "--out", str(pred_path))
+    assert code == 4
+    assert f"{manifest}: row 2:" in err and "outside the manifest's directory" in err
+    assert not pred_path.exists()
 
 
 def test_missing_manifest_exits_3(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta
 from smallpunch.dataio import (
@@ -42,8 +43,8 @@ def test_curve_csv_round_trip(tmp_path):
 
 def test_curve_csv_integer_micrometres(tmp_path):
     curve = RawCurve(
-        displacement_mm=np.array([0.0, 0.001, 0.25]),
-        force_N=np.array([0.0, 1.5, 2.25]),
+        displacement_mm=np.array([0.0, 0.001, 0.0049999999999, 0.25]),
+        force_N=np.array([0.0, 1.5, 1.75, 2.25]),
         meta=make_meta(),
     )
     path = tmp_path / "curve.csv"
@@ -52,7 +53,72 @@ def test_curve_csv_integer_micrometres(tmp_path):
     assert lines[0] == "displacement_um,force_N"
     assert lines[1] == "0,0.0"
     assert lines[2] == "1,1.5"
-    assert lines[3] == "250,2.25"
+    assert lines[3] == "5,1.75"  # 1e-10 um below 5, so written as 5, not truncated to 4
+    assert lines[4] == "250,2.25"
+
+
+def _reference_write_curve_csv(path, curve):
+    """The row loop that write_curve_csv replaced, kept as its reference."""
+    lines = [",".join(("displacement_um", "force_N"))]
+    for d_mm, f_n in zip(curve.displacement_mm, curve.force_N):
+        d_um = d_mm * 1000.0
+        rounded = round(d_um)
+        d_str = str(int(rounded)) if abs(d_um - rounded) < 1e-9 else fmt(d_um)
+        lines.append(f"{d_str},{fmt(f_n)}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _mm_for_um(um):
+    """A displacement in mm that converts to exactly `um` micrometres, if any."""
+    mm = um / 1000.0
+    for cand in (mm, np.nextafter(mm, np.inf), np.nextafter(mm, -np.inf)):
+        if cand * 1000.0 == um:
+            return float(cand)
+    return mm
+
+
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+_DISPLACEMENTS_MM = st.one_of(
+    st.floats(min_value=0.0, max_value=1e305),
+    st.just(-0.0),
+    # within a few 1e-9 um of a whole micrometre, on either side
+    st.builds(lambda k, e: (k + e) / 1000.0, st.integers(1, 10**6), st.floats(-3e-9, 3e-9)),
+    st.builds(lambda k: _mm_for_um(k + 0.5), st.integers(0, 10**6)),
+    st.floats(min_value=2.0**53 / 1000.0, max_value=1e305),
+)
+_FORCES_N = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-_SMALLEST_NORMAL, max_value=_SMALLEST_NORMAL),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+)
+
+
+@st.composite
+def _raw_curves(draw):
+    # unique=True also keeps -0.0 and 0.0 from both being drawn
+    d = sorted(draw(st.lists(_DISPLACEMENTS_MM, min_size=2, max_size=20, unique=True)))
+    f = draw(st.lists(_FORCES_N, min_size=len(d), max_size=len(d)))
+    if f[0] < 0.0:
+        f[0] = -f[0]
+    return RawCurve(displacement_mm=np.array(d), force_N=np.array(f), meta=make_meta())
+
+
+@settings(max_examples=500, deadline=None)
+@given(curve=_raw_curves())
+def test_curve_writer_matches_the_row_loop(tmp_path_factory, curve):
+    out = tmp_path_factory.mktemp("curve")
+    write_curve_csv(out / "columns.csv", curve)
+    _reference_write_curve_csv(out / "rows.csv", curve)
+    assert (out / "columns.csv").read_bytes() == (out / "rows.csv").read_bytes()
+
+
+def test_curve_writer_matches_the_row_loop_on_a_synth_set(tmp_path):
+    curves, _ = generate(SynthConfig(n_materials=25, curves_per_material=24,
+                                     noise_sigma_N=5.0, seed=7))
+    for curve in curves:
+        write_curve_csv(tmp_path / "columns.csv", curve)
+        _reference_write_curve_csv(tmp_path / "rows.csv", curve)
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_manifest_round_trip(tmp_path):
@@ -150,6 +216,39 @@ def test_str_paths_read_like_paths(tmp_path):
     )
     assert names_a == names_b
     assert all(np.array_equal(a.force_N, b.force_N) for a, b in zip(uniform_a, uniform_b))
+
+
+def _write_set(directory, names):
+    curves, _ = generate(SynthConfig(n_materials=1, curves_per_material=len(names), seed=43))
+    for name, curve in zip(names, curves):
+        (directory / name).parent.mkdir(parents=True, exist_ok=True)
+        write_curve_csv(directory / name, curve)
+    return curves
+
+
+@pytest.mark.parametrize("name", [
+    "../data/c0.csv", "sub/../../data/c0.csv", "..", "ABSOLUTE",
+])
+def test_manifest_paths_may_not_leave_its_directory(tmp_path, name):
+    data = tmp_path / "data"
+    data.mkdir()
+    curves = _write_set(data, ["c0.csv"])
+    if name == "ABSOLUTE":
+        name = str(data / "c0.csv")
+    manifest = data / "manifest.csv" if name.startswith("/") else tmp_path / "m" / "manifest.csv"
+    manifest.parent.mkdir(exist_ok=True)
+    write_manifest(manifest, [("c0.csv", curves[0].meta), (name, curves[0].meta)])
+    with pytest.raises(MalformedRow, match="row 3: curve file .* outside") as err:
+        load_curves(manifest, GridSpec())
+    assert str(manifest) in str(err.value) and name in str(err.value)
+
+
+def test_manifest_paths_may_name_subdirectories(tmp_path):
+    names = ["sub/c0.csv", "sub/deeper/c1.csv", "sub/../c2.csv"]
+    curves = _write_set(tmp_path, names)
+    write_manifest(tmp_path / "manifest.csv", [(n, c.meta) for n, c in zip(names, curves)])
+    got_names, uniform = load_curves(tmp_path / "manifest.csv", GridSpec())
+    assert got_names == names and len(uniform) == 3
 
 
 def test_load_curves_errors_cite_curve_file(tmp_path):

@@ -163,6 +163,17 @@ def test_config_validation():
         SynthConfig(v_i_step_mm=0.5)
     with pytest.raises(BadConfig):
         SynthConfig(beta_true=0.0)
+    for field, value in [
+        ("rm_range_MPa", (400.0, float("inf"))),
+        ("noise_sigma_N", float("nan")),
+        ("noise_sigma_N", float("inf")),
+        ("temp_slope_MPa_per_C", float("nan")),
+        ("temp_range_C", (float("-inf"), 20.0)),
+        ("h0_mm", float("inf")),
+        ("max_displacement_mm", float("inf")),
+    ]:
+        with pytest.raises(BadConfig, match=f"{field} must be finite"):
+            SynthConfig(**{field: value})
 
 
 def test_slope_that_kills_strength_is_rejected():
