@@ -302,7 +302,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     for t, p in pairs:
         out_lines.append(f"{dataio.fmt(t)},{dataio.fmt(p)},{dataio.fmt(abs(p - t))}")
     out_lines.append(f"# rmse_MPa={dataio.fmt(err)}")
-    args.out.write_text("\n".join(out_lines) + "\n")
+    args.out.write_text("\n".join(out_lines) + "\n", encoding="utf-8")
     print(f"# rmse_MPa={dataio.fmt(err)}")
     return EXIT_OK
 

@@ -213,8 +213,9 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     A plain table, as write_curve_csv and recorders write it, is converted
     as a whole instead of row by row: its first line is exactly the header,
     it has at least two data lines, every line holds exactly one comma, and
-    it has no ``#``, no ``"``, no blank line and only finite cells.  Its cells go through the same ``float`` as the row walk, so the
-    values carry the same bits, and when the displacements are already
+    it has no ``#``, no ``"``, no blank line and only finite cells.  Its
+    cells go through the same ``float`` as the row walk, so the values
+    carry the same bits, and when the displacements are already
     strictly increasing the sort and the averaging, which would leave them
     as they are, are skipped (``+ 0.0`` stands in for the averaging's
     ``0.0 + f``, which turns a -0.0 force into +0.0).  Every other table,

@@ -7,7 +7,8 @@ of a whole micrometre: write_curve_csv stores it as that integer, and it
 can read back one ulp off (about 200 of the 1,501 displacements of a
 synthetic curve).  write_curve_csv writes a curve table a column at a
 time, with the same bytes as a row-by-row loop.  Every table is read with
-curves.read_rows.
+curves.read_rows.  Every file is read and written as UTF-8, whatever the
+locale.
 """
 
 from __future__ import annotations
@@ -42,10 +43,19 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_utf8(path: Path) -> str:
+    """A file's text, decoded as UTF-8; other bytes are a MalformedRow naming the file."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedRow(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_table(path: Path) -> list[tuple[int, list[str]]]:
     """curves.read_rows of a file, naming the file in its errors."""
+    text = _read_utf8(path)
     try:
-        return read_rows(path.read_text())
+        return read_rows(text)
     except MalformedRow as exc:
         raise MalformedRow(f"{path}: {exc}") from exc
 
@@ -80,7 +90,7 @@ def write_curve_csv(path: Path, curve: RawCurve) -> None:
     cols = zip(d_um.tolist(), rounded.tolist(), whole.tolist(), curve.force_N.tolist())
     lines = [",".join(CURVE_HEADER)]
     lines += [f"{str(int(r)) if w else repr(d)},{f!r}" for d, r, w, f in cols]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> None:
@@ -91,7 +101,7 @@ def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> N
             f"{filename},{meta.material_id},{fmt(meta.temperature_C)},"
             f"{fmt(meta.thickness_mm)},{rm}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
@@ -147,7 +157,7 @@ def load_curves(
     curves: list[UniformCurve] = []
     for filename, meta in read_manifest(manifest_path):
         curve_path = base / filename
-        text = curve_path.read_text()
+        text = _read_utf8(curve_path)
         try:
             raw = parse_curve_csv(text, meta)
         except SmallPunchError as exc:
@@ -161,7 +171,7 @@ def write_truth(path: Path, filenames: Sequence[str], truth: SynthTruth) -> None
     lines = [",".join(TRUTH_HEADER)]
     for filename, rec in zip(filenames, truth.records):
         lines.append(f"{filename},{fmt(rec.rm_MPa)},{fmt(rec.v_i_mm)},{fmt(rec.f_i_N)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def read_truth(path: Path) -> dict[str, tuple[float, float, float]]:
@@ -180,14 +190,14 @@ def write_fold_csv(path: Path, report: CvReport) -> None:
     lines = ["fold,rmse_MPa"]
     for i, r in enumerate(report.fold_rmse):
         lines.append(f"{i},{fmt(r)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_samples_csv(path: Path, report: CvReport) -> None:
     lines = ["row,true_MPa,pred_MPa"]
     for row, truth, pred in report.per_sample:
         lines.append(f"{row},{fmt(truth)},{fmt(pred)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_summary_csv(path: Path, pipeline_name: str, report: CvReport) -> None:
@@ -195,7 +205,7 @@ def write_summary_csv(path: Path, pipeline_name: str, report: CvReport) -> None:
         "pipeline,k,mean_rmse_MPa,std_rmse_MPa",
         f"{pipeline_name},{report.k},{fmt(report.mean_rmse)},{fmt(report.std_rmse)}",
     ]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_predictions(
@@ -204,7 +214,7 @@ def write_predictions(
     lines = ["file,material_id,temperature_C,pred_rm_MPa"]
     for filename, meta, pred in rows:
         lines.append(f"{filename},{meta.material_id},{fmt(meta.temperature_C)},{fmt(pred)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def sha256_of(path: Path) -> str:

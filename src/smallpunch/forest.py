@@ -31,21 +31,24 @@ whole node (leaf values and the error a split must beat) are added in
 another order, so a leaf value may differ from such a grower's in the last
 bits.
 
-Routing goes through a flat node table that ForestModel builds once, when
-it is made (by fit_forest or by loading a model file): every tree's nodes
-in preorder as parallel arrays, leaves pointing at themselves.  Each step
-moves every (tree, row) pair down one level with numpy indexing, until all
-pairs sit at leaves.  Each comparison is the same x <= threshold a
-recursive walk makes, and per-tree leaf values are summed in tree order
-from zeros, so predictions, out-of-bag error and permutation importances
-have the bits a per-row walk of the trees gives.  The table is also where
-a model's trees are validated.
+The fitted forest is a flat node table, which growth emits level by
+level: every node of every tree as parallel arrays, roots first, leaves
+pointing at themselves.  Nested Split/Leaf trees exist only where a
+reader asks for them (model.trees, built from the table on first access
+and cached) and where a v1 model file is loaded; _NodeTable.build
+flattens such trees and is where a loaded model's trees are validated.
+Routing moves every (tree, row) pair down one level per step with numpy
+indexing, until all pairs sit at leaves.  Each comparison is the same
+x <= threshold a recursive walk makes, and per-tree leaf values are
+summed in tree order from zeros, so predictions, out-of-bag error and
+permutation importances have the bits a per-row walk of the trees gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -124,13 +127,16 @@ TreeNode = Union[Split, Leaf]
 
 @dataclass(frozen=True)
 class _NodeTable:
-    """Every node of a forest in preorder, tree after tree, as flat arrays.
+    """Every node of a forest as flat arrays, each node before its children.
 
-    A leaf's left and right point at itself and its feature is 0, so a
-    (tree, row) pair that has reached its leaf stays there; value is the
-    leaf value (0.0 on splits).  roots holds each tree's first node and
-    depth the deepest leaf, the number of steps that brings every pair to
-    its leaf.
+    Growth numbers the nodes level by level: the roots are 0..n_trees-1 and
+    a split's children sit at left and left + 1.  A table built from
+    Split/Leaf trees holds each tree in preorder.  A leaf's left and right
+    point at itself and its feature is 0, so a (tree, row) pair that has
+    reached its leaf stays there; value is the leaf value and count its
+    training rows (0.0 and 0 on splits).  roots holds each tree's first
+    node and depth the deepest leaf, the number of steps that brings every
+    pair to its leaf.
     """
 
     feature: np.ndarray
@@ -138,13 +144,18 @@ class _NodeTable:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
+    count: np.ndarray
     roots: np.ndarray
     depth: int
 
     @classmethod
     def build(cls, trees: Sequence[TreeNode], n_features: int) -> _NodeTable:
         """Flatten the trees; raises InvalidModel on a node no fit can make."""
-        nodes: list[tuple] = []  # (feature, threshold, left, right, value)
+        if not trees:
+            raise InvalidModel("forest has no trees")
+        if not _is_int(n_features):
+            raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
+        nodes: list[tuple] = []  # (feature, threshold, left, right, value, count)
         depth = 0
 
         def add(node: TreeNode, d: int, t: int) -> int:
@@ -156,7 +167,7 @@ class _NodeTable:
                     raise InvalidModel(f"tree {t}: leaf value {node.value!r} is not finite")
                 if not (_is_int(node.count) and node.count >= 1):
                     raise InvalidModel(f"tree {t}: leaf count must be >= 1, got {node.count!r}")
-                nodes[i] = (0, 0.0, i, i, node.value)
+                nodes[i] = (0, 0.0, i, i, node.value, node.count)
                 depth = max(depth, d)
                 return i
             if not (_is_int(node.feature) and 0 <= node.feature < n_features):
@@ -167,20 +178,37 @@ class _NodeTable:
                 raise InvalidModel(f"tree {t}: threshold {node.threshold!r} is not finite")
             left = add(node.left, d + 1, t)
             right = add(node.right, d + 1, t)
-            nodes[i] = (node.feature, node.threshold, left, right, 0.0)
+            nodes[i] = (node.feature, node.threshold, left, right, 0.0, 0)
             return i
 
         roots = [add(tree, 0, t) for t, tree in enumerate(trees)]
-        feature, threshold, left, right, value = zip(*nodes)
+        feature, threshold, left, right, value, count = zip(*nodes)
         return cls(
             feature=np.array(feature, dtype=np.intp),
             threshold=np.array(threshold, dtype=float),
             left=np.array(left, dtype=np.intp),
             right=np.array(right, dtype=np.intp),
             value=np.array(value, dtype=float),
+            count=np.array(count, dtype=np.intp),
             roots=np.array(roots, dtype=np.intp),
             depth=depth,
         )
+
+    def to_trees(self) -> tuple[TreeNode, ...]:
+        """The forest as nested Split/Leaf trees, one per root."""
+        feature, threshold, left, right, value, count = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right,
+                                 self.value, self.count)
+        )
+        built: list[TreeNode | None] = [None] * len(feature)
+        # children follow their parent, so a backward pass meets them first
+        for i in reversed(range(len(feature))):
+            if left[i] == i:
+                built[i] = Leaf(value=value[i], count=count[i])
+            else:
+                built[i] = Split(feature=feature[i], threshold=threshold[i],
+                                 left=built[left[i]], right=built[right[i]])
+        return tuple(built[r] for r in self.roots.tolist())
 
     def tree_values(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of every tree (rows of the result) for every row of x."""
@@ -194,32 +222,30 @@ class _NodeTable:
 
 @dataclass(frozen=True)
 class ForestModel:
-    """Fitted trees plus the diagnostics frozen at fit time.
+    """A fitted forest's node table plus the diagnostics frozen at fit time.
 
+    table is the forest: growth emits it, and it routes every prediction.
+    trees is the same forest as nested Split/Leaf objects, built from the
+    table on first access and cached; the v1 model file stores them.
     importances are normalized variance reductions per feature (summing to
     one when any split happened); oob_rmse is None when bootstrap was off
-    or some row was never out of bag.  The routing table is built from the
-    trees, and checks them, when the model is made.
+    or some row was never out of bag.
     """
 
-    trees: tuple[TreeNode, ...]
+    table: _NodeTable = field(repr=False)
     config: ForestConfig
     n_features: int
     importances: np.ndarray
     oob_rmse: float | None
-    table: _NodeTable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         imp = np.asarray(self.importances, dtype=float)
         object.__setattr__(self, "importances", imp)
-        if not self.trees:
-            raise InvalidModel("forest has no trees")
-        if len(self.trees) != self.config.n_trees:
+        n_trees = self.table.roots.size
+        if n_trees != self.config.n_trees:
             raise InvalidModel(
-                f"forest has {len(self.trees)} trees, its config says {self.config.n_trees}"
+                f"forest has {n_trees} trees, its config says {self.config.n_trees}"
             )
-        if not _is_int(self.n_features):
-            raise InvalidModel(f"n_features must be an integer, got {self.n_features!r}")
         if imp.shape != (self.n_features,):
             raise InvalidModel("importances must have one entry per feature")
         if np.any(imp < 0.0) or not np.all(np.isfinite(imp)):
@@ -227,7 +253,23 @@ class ForestModel:
         total = float(imp.sum())
         if total != 0.0 and abs(total - 1.0) > 1e-8:
             raise InvalidModel(f"importances must sum to 1 or 0, got {total}")
-        object.__setattr__(self, "table", _NodeTable.build(self.trees, self.n_features))
+
+    @classmethod
+    def from_trees(
+        cls,
+        trees: Sequence[TreeNode],
+        config: ForestConfig,
+        n_features: int,
+        importances: np.ndarray,
+        oob_rmse: float | None,
+    ) -> ForestModel:
+        """The model of decoded trees; _NodeTable.build checks every node."""
+        return cls(_NodeTable.build(trees, n_features), config, n_features, importances,
+                   oob_rmse)
+
+    @cached_property
+    def trees(self) -> tuple[TreeNode, ...]:
+        return self.table.to_trees()
 
 
 # elements of one padded split-search block: big enough that numpy's work
@@ -380,8 +422,8 @@ def _grow_forest(
     rngs: Sequence[np.random.Generator],
     cfg: ForestConfig,
     mtry: int,
-) -> tuple[list[TreeNode], np.ndarray]:
-    """Grow every tree level by level; returns the trees and the reductions.
+) -> tuple[_NodeTable, np.ndarray]:
+    """Grow every tree level by level; returns the node table and the reductions.
 
     Row t of bags is tree t's bag.  The open nodes of a level, tree after
     tree and left to right, hold their rows as consecutive segments of one
@@ -390,6 +432,7 @@ def _grow_forest(
     searches the rest at once; a node whose best split does not strictly
     reduce the summed squared error becomes a leaf too.  Each split node's
     segment is reordered stably, left rows first, into the next level.
+    The table numbers the nodes in that order, level after level.
     """
     n_trees, n = bags.shape
     p = xv.shape[1]
@@ -400,10 +443,9 @@ def _grow_forest(
     tree = np.arange(n_trees)
     size = np.full(n_trees, n)
     depth = 0
-    # per level and node: split feature (-1 on a leaf), threshold, leaf value,
-    # row count and the id of the left child (the right one follows it)
+    # the node table's columns, one array per level
     levels: list[tuple[np.ndarray, ...]] = []
-    n_made = n_trees
+    first = 0  # id of the level's first node
     while tree.size:
         start = np.cumsum(size) - size
         y = yv[rows]
@@ -413,7 +455,8 @@ def _grow_forest(
             closed[:] = True
         closed |= np.minimum.reduceat(y, start) == np.maximum.reduceat(y, start)
 
-        feature = np.full(tree.size, -1, dtype=np.intp)
+        is_split = np.zeros(tree.size, dtype=bool)
+        feature = np.zeros(tree.size, dtype=np.intp)
         threshold = np.zeros(tree.size)
         open_ = np.flatnonzero(~closed)
         if open_.size:
@@ -425,16 +468,19 @@ def _grow_forest(
             parent_sse = np.add.reduceat(y * y, start)[open_] - sum_open * sum_open / size[open_]
             gain = loss < parent_sse
             splits = open_[gain]
+            is_split[splits] = True
             feature[splits] = feat[gain]
             threshold[splits] = thr[gain]
             np.add.at(reductions, feat[gain], parent_sse[gain] - loss[gain])
 
-        is_split = feature >= 0
-        left = np.full(tree.size, -1, dtype=np.intp)
-        left[is_split] = n_made + 2 * np.arange(int(is_split.sum()))
+        # a split's children are numbered after this level, in split order
+        left = first + np.arange(tree.size)
+        right = left.copy()
+        left[is_split] = first + tree.size + 2 * np.arange(int(is_split.sum()))
+        right[is_split] = left[is_split] + 1
         value = np.where(is_split, 0.0, sum_y / size)
-        levels.append((feature, threshold, value, size, left))
-        n_made += 2 * int(is_split.sum())
+        levels.append((feature, threshold, left, right, value, np.where(is_split, 0, size)))
+        first += tree.size
 
         node = np.repeat(np.arange(tree.size), size)
         keep = is_split[node]
@@ -446,17 +492,12 @@ def _grow_forest(
         tree = np.repeat(tree[is_split], 2)
         depth += 1
 
-    feature, threshold, value, count, left = (
-        np.concatenate(column).tolist() for column in zip(*levels)
+    feature, threshold, left, right, value, count = (
+        np.concatenate(column) for column in zip(*levels)
     )
-    built: list[TreeNode | None] = [None] * len(feature)
-    for i in reversed(range(len(feature))):
-        if feature[i] < 0:
-            built[i] = Leaf(value=value[i], count=count[i])
-        else:
-            built[i] = Split(feature=feature[i], threshold=threshold[i],
-                             left=built[left[i]], right=built[left[i] + 1])
-    return built[:n_trees], reductions
+    table = _NodeTable(feature=feature, threshold=threshold, left=left, right=right,
+                       value=value, count=count, roots=np.arange(n_trees), depth=depth - 1)
+    return table, reductions
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -523,30 +564,26 @@ def fit_forest(
 
     rngs = [_tree_rng(cfg.seed, t) for t in range(cfg.n_trees)]
     bags = np.array([_bootstrap_rows(rng, n, cfg.bootstrap) for rng in rngs])
-    trees, importances = _grow_forest(xv, yv, bags, rngs, cfg, mtry)
-    oob_masks = [_oob_mask(rows, n) for rows in bags]
+    table, importances = _grow_forest(xv, yv, bags, rngs, cfg, mtry)
+
+    oob_rmse = None
+    if cfg.bootstrap:
+        oob_sum, oob_count = _oob_totals(table, xv, [_oob_mask(rows, n) for rows in bags])
+        if np.all(oob_count > 0):
+            oob_pred = oob_sum / oob_count
+            oob_rmse = float(np.sqrt(np.mean((oob_pred - yv) ** 2)))
 
     total = float(importances.sum())
     if total > 0.0:
         importances = importances / total
 
-    model = ForestModel(
-        trees=tuple(trees),
+    return ForestModel(
+        table=table,
         config=cfg,
         n_features=p,
         importances=importances,
-        oob_rmse=None,
+        oob_rmse=oob_rmse,
     )
-    if cfg.bootstrap:
-        oob_sum, oob_count = _oob_totals(model.table, xv, oob_masks)
-        if np.all(oob_count > 0):
-            oob_pred = oob_sum / oob_count
-            # the out-of-bag error needs the routing table the model builds;
-            # it is set here, once, before the model is handed out
-            object.__setattr__(
-                model, "oob_rmse", float(np.sqrt(np.mean((oob_pred - yv) ** 2)))
-            )
-    return model
 
 
 def _check_width(model: ForestModel, xv: np.ndarray) -> None:
@@ -563,7 +600,7 @@ def predict_forest(model: ForestModel, x: FeatureMatrix | np.ndarray) -> np.ndar
     out = np.zeros(xv.shape[0])
     for values in model.table.tree_values(xv):
         out += values
-    return out / len(model.trees)
+    return out / model.table.roots.size
 
 
 def feature_importances(model: ForestModel) -> np.ndarray:

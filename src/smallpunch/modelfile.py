@@ -42,7 +42,7 @@ def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str,
         "model": {"type": kind.model_type, **kind.model_to_doc(trained.model)},
         "provenance": dict(provenance),
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
@@ -58,7 +58,9 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFileError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):

@@ -237,8 +237,8 @@ class ForestKind(_FeatureKind):
         }
 
     def model_from_doc(self, doc: dict[str, Any]) -> ForestModel:
-        return ForestModel(
-            trees=tuple(_tree_from_doc(t) for t in doc["trees"]),
+        return ForestModel.from_trees(
+            trees=[_tree_from_doc(t) for t in doc["trees"]],
             config=self.config,
             n_features=doc["n_features"],
             importances=np.asarray(doc["importances"], dtype=float),
@@ -265,7 +265,7 @@ def _number(value: Any, what: str) -> float:
 
 
 def _tree_from_doc(doc: dict[str, Any]) -> TreeNode:
-    # ForestModel's routing table checks feature and count, ints as stored
+    # _NodeTable.build checks feature and count, ints as stored
     if "value" in doc:
         return Leaf(value=_number(doc["value"], "leaf value"), count=doc["count"])
     return Split(

@@ -192,6 +192,17 @@ def test_cv_stratified_runs(tmp_path, capsys):
     assert np.isfinite(float(stdout.strip().split(",")[2]))
 
 
+@pytest.mark.parametrize("materials", [0, 1])
+def test_cv_stratified_needs_two_materials(tmp_path, capsys, materials):
+    manifest = make_dataset(tmp_path, capsys, materials=1, per_material=4) / "manifest.csv"
+    if materials == 0:
+        manifest.write_text(manifest.read_text().splitlines()[0] + "\n")
+    code, _, err = run(capsys, "cv", str(manifest), "--pipeline", "empirical",
+                       "--k", "2", "--stratify-material", "--out", str(tmp_path / "cv"))
+    assert code == 4 and f"materials={materials}" in err
+    assert not (tmp_path / "cv").exists()
+
+
 # ------------------------------------------------------------------- train
 
 def test_train_each_family(tmp_path, capsys, monkeypatch):
@@ -424,6 +435,70 @@ def test_malformed_curve_data_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "cv", str(manifest), "--pipeline", "empirical",
                        "--k", "2", "--out", str(tmp_path / "o"))
     assert code == 4 and "bad.csv" in err
+
+
+def _spoil(path, offset, byte):
+    """Overwrite one byte of a file with a byte that is not UTF-8 there."""
+    data = bytearray(path.read_bytes())
+    data[offset] = byte
+    path.write_bytes(bytes(data))
+
+
+def test_curve_file_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    _spoil(data / "m00_c01.csv", 30, 0xFF)
+    code, _, err = run(capsys, "cv", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--k", "2", "--out", str(tmp_path / "cv"))
+    assert code == 4 and f"{data / 'm00_c01.csv'}: not UTF-8 text" in err
+
+
+def test_manifest_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    manifest = data / "manifest.csv"
+    text = manifest.read_text()
+    manifest.write_bytes(text.replace(",M", ",\xe9M", 1).encode("latin-1"))
+    code, _, err = run(capsys, "cv", str(manifest), "--pipeline", "empirical",
+                       "--k", "2", "--out", str(tmp_path / "cv"))
+    assert code == 4 and f"{manifest}: not UTF-8 text" in err
+    assert not (tmp_path / "cv").exists()
+
+
+def test_model_file_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
+               "--out", str(model_path))[0] == 0
+    _spoil(model_path, 0, 0xFF)
+    code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
+                       "--model", str(model_path), "--out", str(tmp_path / "p.csv"))
+    assert code == 4 and f"{model_path}: not UTF-8 text" in err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_utf8_material_ids_do_not_depend_on_the_locale(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    manifest = data / "manifest.csv"
+    manifest.write_text(manifest.read_text().replace(",M", ",Stahl-\u00e4M"),
+                        encoding="utf-8")
+    src = str(Path(smallpunch.__file__).parents[1])
+    outputs = []
+    # ASCII text I/O unless a file names its encoding
+    for env in ({"PYTHONUTF8": "1"},
+                {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}):
+        out = tmp_path / f"run{len(outputs)}"
+        out.mkdir()
+        for argv in (("train", str(manifest), "--pipeline", "pca-lm",
+                      "--out", str(out / "model.json")),
+                     ("predict", str(manifest), "--model", str(out / "model.json"),
+                      "--out", str(out / "pred.csv"))):
+            done = subprocess.run(
+                [sys.executable, "-m", "smallpunch", *argv], capture_output=True,
+                timeout=120, env={**os.environ, **env, "PYTHONPATH": src})
+            assert done.returncode == 0, done.stderr
+        outputs.append([(out / name).read_bytes() for name in ("model.json", "pred.csv")])
+    assert outputs[0] == outputs[1]
+    assert "Stahl-\u00e4M".encode("utf-8") in outputs[0][1]
 
 
 # ------------------------------------------------------------------ report

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from smallpunch import forest, pipeline
 from smallpunch.curves import GridSpec, resample
 from smallpunch.errors import (
     BadConfig,
@@ -14,11 +15,13 @@ from smallpunch.errors import (
     ShapeMismatch,
     TooFewRows,
 )
+from smallpunch.evaluation import cross_validate
 from smallpunch.features import apply_standardizer, assemble, fit_standardizer
 from smallpunch.forest import (
     ForestConfig,
     Leaf,
     Split,
+    _NodeTable,
     _tree_rng,
     feature_importances,
     fit_forest,
@@ -306,6 +309,69 @@ def test_nested_trees_and_node_table_agree():
     assert sum(count for count, _ in sizes) == model.table.feature.size
     assert max(depth for _, depth in sizes) == model.table.depth
     assert model.table.depth > 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    x=st.integers(2, 30).flatmap(
+        lambda n: st.integers(1, 4).flatmap(lambda p: arrays(float, (n, p), elements=_values))
+    ),
+    seed=st.integers(0, 2**16),
+    min_leaf=st.integers(1, 3),
+    max_depth=st.none() | st.integers(1, 5),
+    all_features=st.booleans(),
+    bootstrap=st.booleans(),
+    data=st.data(),
+)
+def test_grown_table_matches_the_table_built_from_its_trees(
+    x, seed, min_leaf, max_depth, all_features, bootstrap, data
+):
+    n, p = x.shape
+    y = data.draw(arrays(float, n, elements=st.floats(100.0, 900.0)))
+    cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, max_depth=max_depth,
+                       mtry=p if all_features else None, bootstrap=bootstrap, seed=seed)
+    model = fit_forest(x, y, cfg)
+    grown, trees = model.table, model.trees
+    built = _NodeTable.build(trees, p)
+    queries = np.vstack([x, data.draw(arrays(float, (5, p), elements=_values))])
+    assert grown.tree_values(queries).tobytes() == built.tree_values(queries).tobytes()
+    assert grown.feature.size == built.feature.size
+    assert grown.depth == built.depth
+    # every bag row ends in exactly one leaf
+    assert int(grown.count.sum()) == int(built.count.sum()) == cfg.n_trees * n
+    assert built.to_trees() == trees
+
+
+def _refuse_trees(*args, **kwargs):
+    raise AssertionError("a Split/Leaf tree was built")
+
+
+def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, reference_design):
+    _, scores, y = reference_design
+    for module in (forest, pipeline):
+        monkeypatch.setattr(module, "Leaf", _refuse_trees)
+        monkeypatch.setattr(module, "Split", _refuse_trees)
+    model = fit_forest(scores, y, ForestConfig(n_trees=30, seed=3))
+    predict_forest(model, scores)
+    permutation_importances(model, scores, y)
+    assert model.oob_rmse is not None
+    assert "trees" not in vars(model)
+
+    raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6, seed=5))
+    curves = [resample(c, GridSpec()) for c in raw]
+    spec = pipeline.PipelineSpec(pipeline.ForestKind(config=ForestConfig(n_trees=4, seed=1)))
+    report = cross_validate(curves, spec, k=3, collect_models=True)
+    assert all("trees" not in vars(fold.model) for fold in report.fold_models)
+
+
+def test_trees_view_is_built_once_and_read_only():
+    x = np.arange(12.0).reshape(6, 2)
+    model = fit_forest(x, np.arange(6.0) + 1.0, ForestConfig(n_trees=3, seed=2))
+    assert "trees" not in vars(model)
+    trees = model.trees
+    assert len(trees) == 3 and model.trees is trees
+    with pytest.raises(AttributeError):
+        model.trees = ()
 
 
 # --------------------------------------------------------------------------

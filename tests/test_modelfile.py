@@ -191,6 +191,7 @@ def trained_by_family(dataset):
     ("rf", _root_split, "threshold", 10**400),
     ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", float("nan")),
     ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "count", 0),
+    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "count", 2**64),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 3),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 2.5),
     ("rf", lambda d: d["pipeline"]["forest"], "bootstrap", "yes"),
@@ -208,7 +209,8 @@ def trained_by_family(dataset):
 ], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
-        "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0", "forest-n_trees-mismatch",
+        "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0",
+        "leaf-count-overflow", "forest-n_trees-mismatch",
         "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
         "forest-max_depth-float", "standardize-string", "standardize-int",
         "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",

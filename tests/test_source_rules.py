@@ -1,0 +1,32 @@
+"""Rules every module of the package keeps, checked on its source."""
+
+import ast
+from pathlib import Path
+
+import smallpunch
+
+SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
+
+
+def _file_calls_without_encoding(path):
+    """(line, call) of every read_text, write_text or open call with no encoding=."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("read_text", "write_text", "open") and not any(
+            kw.arg == "encoding" for kw in node.keywords
+        ):
+            found.append((node.lineno, name))
+    return found
+
+
+def test_sources_are_found():
+    assert {p.name for p in SOURCES} >= {"cli.py", "dataio.py", "modelfile.py"}
+
+
+def test_every_text_file_is_read_and_written_as_utf8():
+    missing = {p.name: calls for p in SOURCES if (calls := _file_calls_without_encoding(p))}
+    assert missing == {}
