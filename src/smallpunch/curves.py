@@ -78,8 +78,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         if not (self.spacing_mm > 0.0):
             raise BadConfig(f"grid spacing must be > 0, got {self.spacing_mm}")
-        if int(self.n_points) != self.n_points or self.n_points < 1:
-            raise BadConfig(f"grid n_points must be a positive integer, got {self.n_points}")
+        n = self.n_points
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise BadConfig(f"grid n_points must be a positive integer, got {n!r}")
         if self.start_mm < 0.0:
             raise BadConfig(f"grid start must be >= 0, got {self.start_mm}")
 

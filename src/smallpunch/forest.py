@@ -32,14 +32,17 @@ another order, so a leaf value may differ from such a grower's in the last
 bits.
 
 The fitted forest is a flat node table, which growth emits level by
-level: every node of every tree as parallel arrays, roots first, leaves
-pointing at themselves.  Nested Split/Leaf trees exist only where a
-reader asks for them (model.trees, built from the table on first access
-and cached) and where a v1 model file is loaded; _NodeTable.build
-flattens such trees and is where a loaded model's trees are validated.
-Routing moves every (tree, row) pair down one level per step with numpy
-indexing, until all pairs sit at leaves.  Each comparison is the same
-x <= threshold a recursive walk makes, and per-tree leaf values are
+level: every node of every tree as parallel arrays, roots first, each
+split's two children side by side, leaves pointing at themselves.  A v1
+model file's nested trees are written from the table and read straight
+back into it in the same level order (pipeline.ForestKind), so a loaded
+forest's table is the fitted forest's table, array for array.  Nested
+Split/Leaf trees exist only where a reader asks for them: model.trees,
+built from the table on first access and cached.  Routing moves every
+(tree, row) pair down one level per step with numpy indexing, until all
+pairs sit at leaves.  A step takes a pair from a split to its left child
+when x <= threshold and to the next node, its right child, otherwise; a
+leaf's threshold is +inf, so it keeps its pairs.  Per-tree leaf values are
 summed in tree order from zeros, so predictions, out-of-bag error and
 permutation importances have the bits a per-row walk of the trees gives.
 """
@@ -49,7 +52,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Any, Callable, Sequence, Union
 
 import numpy as np
 
@@ -127,96 +130,51 @@ TreeNode = Union[Split, Leaf]
 
 @dataclass(frozen=True)
 class _NodeTable:
-    """Every node of a forest as flat arrays, each node before its children.
+    """Every node of a forest as flat arrays, in level order.
 
-    Growth numbers the nodes level by level: the roots are 0..n_trees-1 and
-    a split's children sit at left and left + 1.  A table built from
-    Split/Leaf trees holds each tree in preorder.  A leaf's left and right
-    point at itself and its feature is 0, so a (tree, row) pair that has
-    reached its leaf stays there; value is the leaf value and count its
-    training rows (0.0 and 0 on splits).  roots holds each tree's first
-    node and depth the deepest leaf, the number of steps that brings every
-    pair to its leaf.
+    The roots are 0..n_trees-1, then come the nodes of each deeper level,
+    tree after tree and left to right, so a split's children sit at left
+    and left + 1, after it.  Growth numbers the nodes so, and so does
+    reading a model file.  A leaf's left points at itself, its threshold
+    is +inf and its feature 0, so a (tree, row) pair that has reached its
+    leaf stays there; value is the leaf value and count its training rows
+    (0.0 and 0 on splits).  roots holds each tree's first node and depth
+    the deepest leaf, the number of steps that brings every pair to its
+    leaf.
     """
 
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
-    right: np.ndarray
     value: np.ndarray
     count: np.ndarray
     roots: np.ndarray
     depth: int
 
-    @classmethod
-    def build(cls, trees: Sequence[TreeNode], n_features: int) -> _NodeTable:
-        """Flatten the trees; raises InvalidModel on a node no fit can make."""
-        if not trees:
-            raise InvalidModel("forest has no trees")
-        if not _is_int(n_features):
-            raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
-        nodes: list[tuple] = []  # (feature, threshold, left, right, value, count)
-        depth = 0
+    def nest(self, leaf: Callable[[float, int], Any],
+             split: Callable[[int, float, Any, Any], Any]) -> list:
+        """Each tree, one per root, built from leaf and split calls.
 
-        def add(node: TreeNode, d: int, t: int) -> int:
-            nonlocal depth
-            i = len(nodes)
-            nodes.append(())
-            if isinstance(node, Leaf):
-                if not math.isfinite(node.value):
-                    raise InvalidModel(f"tree {t}: leaf value {node.value!r} is not finite")
-                if not (_is_int(node.count) and node.count >= 1):
-                    raise InvalidModel(f"tree {t}: leaf count must be >= 1, got {node.count!r}")
-                nodes[i] = (0, 0.0, i, i, node.value, node.count)
-                depth = max(depth, d)
-                return i
-            if not (_is_int(node.feature) and 0 <= node.feature < n_features):
-                raise InvalidModel(
-                    f"tree {t}: split feature {node.feature!r} outside [0, {n_features})"
-                )
-            if not math.isfinite(node.threshold):
-                raise InvalidModel(f"tree {t}: threshold {node.threshold!r} is not finite")
-            left = add(node.left, d + 1, t)
-            right = add(node.right, d + 1, t)
-            nodes[i] = (node.feature, node.threshold, left, right, 0.0, 0)
-            return i
-
-        roots = [add(tree, 0, t) for t, tree in enumerate(trees)]
-        feature, threshold, left, right, value, count = zip(*nodes)
-        return cls(
-            feature=np.array(feature, dtype=np.intp),
-            threshold=np.array(threshold, dtype=float),
-            left=np.array(left, dtype=np.intp),
-            right=np.array(right, dtype=np.intp),
-            value=np.array(value, dtype=float),
-            count=np.array(count, dtype=np.intp),
-            roots=np.array(roots, dtype=np.intp),
-            depth=depth,
+        A leaf becomes leaf(value, count) and a split becomes
+        split(feature, threshold, left, right) of its children's results.
+        """
+        feature, threshold, left, value, count = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.value, self.count)
         )
-
-    def to_trees(self) -> tuple[TreeNode, ...]:
-        """The forest as nested Split/Leaf trees, one per root."""
-        feature, threshold, left, right, value, count = (
-            a.tolist() for a in (self.feature, self.threshold, self.left, self.right,
-                                 self.value, self.count)
-        )
-        built: list[TreeNode | None] = [None] * len(feature)
+        built: list = [None] * len(feature)
         # children follow their parent, so a backward pass meets them first
         for i in reversed(range(len(feature))):
-            if left[i] == i:
-                built[i] = Leaf(value=value[i], count=count[i])
-            else:
-                built[i] = Split(feature=feature[i], threshold=threshold[i],
-                                 left=built[left[i]], right=built[right[i]])
-        return tuple(built[r] for r in self.roots.tolist())
+            j = left[i]
+            built[i] = (leaf(value[i], count[i]) if j == i
+                        else split(feature[i], threshold[i], built[j], built[j + 1]))
+        return [built[r] for r in self.roots.tolist()]
 
     def tree_values(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of every tree (rows of the result) for every row of x."""
         rows = np.arange(x.shape[0])
         node = np.repeat(self.roots[:, None], x.shape[0], axis=1)
         for _ in range(self.depth):
-            goes_left = x[rows, self.feature[node]] <= self.threshold[node]
-            node = np.where(goes_left, self.left[node], self.right[node])
+            node = self.left[node] + (x[rows, self.feature[node]] > self.threshold[node])
         return self.value[node]
 
 
@@ -224,9 +182,9 @@ class _NodeTable:
 class ForestModel:
     """A fitted forest's node table plus the diagnostics frozen at fit time.
 
-    table is the forest: growth emits it, and it routes every prediction.
-    trees is the same forest as nested Split/Leaf objects, built from the
-    table on first access and cached; the v1 model file stores them.
+    table is the forest: growth emits it, it routes every prediction and
+    the model file is written from it.  trees is the same forest as nested
+    Split/Leaf objects, built from the table on first access and cached.
     importances are normalized variance reductions per feature (summing to
     one when any split happened); oob_rmse is None when bootstrap was off
     or some row was never out of bag.
@@ -254,22 +212,9 @@ class ForestModel:
         if total != 0.0 and abs(total - 1.0) > 1e-8:
             raise InvalidModel(f"importances must sum to 1 or 0, got {total}")
 
-    @classmethod
-    def from_trees(
-        cls,
-        trees: Sequence[TreeNode],
-        config: ForestConfig,
-        n_features: int,
-        importances: np.ndarray,
-        oob_rmse: float | None,
-    ) -> ForestModel:
-        """The model of decoded trees; _NodeTable.build checks every node."""
-        return cls(_NodeTable.build(trees, n_features), config, n_features, importances,
-                   oob_rmse)
-
     @cached_property
     def trees(self) -> tuple[TreeNode, ...]:
-        return self.table.to_trees()
+        return tuple(self.table.nest(Leaf, Split))
 
 
 # elements of one padded split-search block: big enough that numpy's work
@@ -457,7 +402,7 @@ def _grow_forest(
 
         is_split = np.zeros(tree.size, dtype=bool)
         feature = np.zeros(tree.size, dtype=np.intp)
-        threshold = np.zeros(tree.size)
+        threshold = np.full(tree.size, np.inf)
         open_ = np.flatnonzero(~closed)
         if open_.size:
             feats = _draw_features(rngs, tree[open_], p, mtry)
@@ -475,11 +420,9 @@ def _grow_forest(
 
         # a split's children are numbered after this level, in split order
         left = first + np.arange(tree.size)
-        right = left.copy()
         left[is_split] = first + tree.size + 2 * np.arange(int(is_split.sum()))
-        right[is_split] = left[is_split] + 1
         value = np.where(is_split, 0.0, sum_y / size)
-        levels.append((feature, threshold, left, right, value, np.where(is_split, 0, size)))
+        levels.append((feature, threshold, left, value, np.where(is_split, 0, size)))
         first += tree.size
 
         node = np.repeat(np.arange(tree.size), size)
@@ -492,11 +435,9 @@ def _grow_forest(
         tree = np.repeat(tree[is_split], 2)
         depth += 1
 
-    feature, threshold, left, right, value, count = (
-        np.concatenate(column) for column in zip(*levels)
-    )
-    table = _NodeTable(feature=feature, threshold=threshold, left=left, right=right,
-                       value=value, count=count, roots=np.arange(n_trees), depth=depth - 1)
+    feature, threshold, left, value, count = (np.concatenate(column) for column in zip(*levels))
+    table = _NodeTable(feature=feature, threshold=threshold, left=left, value=value,
+                       count=count, roots=np.arange(n_trees), depth=depth - 1)
     return table, reductions
 
 

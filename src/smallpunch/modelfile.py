@@ -63,6 +63,8 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         raise ModelFileError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ModelFileError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ModelFileError(f"{path}: JSON nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ModelFileError(f"{path}: top level must be an object")
     version = doc.get("format_version")

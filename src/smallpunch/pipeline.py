@@ -20,6 +20,7 @@ standardizer, the PCA and the model on training rows alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Sequence, Union
 
@@ -35,7 +36,7 @@ from .curves import (
 )
 from .errors import BadConfig, EmptyTraining, GridMismatch, InvalidModel, LengthMismatch
 from .features import Standardizer, apply_standardizer, assemble, fit_standardizer
-from .forest import ForestConfig, ForestModel, Leaf, Split, TreeNode, fit_forest, predict_forest
+from .forest import ForestConfig, ForestModel, _is_int, _NodeTable, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
 from .regress import (
     EmpiricalModel,
@@ -74,8 +75,27 @@ def record_to_doc(rec: Any) -> dict[str, Any]:
 
 
 def record_from_doc(cls: type, doc: dict[str, Any]) -> Any:
-    """Rebuild cls from its fields' keys in doc; cls's constructor validates."""
-    return cls(**{f.name: doc[f.name] for f in fields(cls)})
+    """Rebuild cls from its fields' keys in doc; cls's constructor validates.
+
+    Only a field declared bool may hold true or false: numpy and
+    comparisons would read one in any other field, or array, as 1 or 0.
+    """
+    return cls(**{
+        f.name: doc[f.name] if f.type == "bool" else _no_bools(doc[f.name], f.name)
+        for f in fields(cls)
+    })
+
+
+def _no_bools(value: Any, what: str) -> Any:
+    """value, unless it is true or false or an array holding one."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, bool):
+            raise InvalidModel(f"{what} must not be true or false")
+        if isinstance(item, list):
+            stack.extend(item)
+    return value
 
 
 class _RecordBlocks:
@@ -221,11 +241,7 @@ class ForestKind(_FeatureKind):
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
-        return cls(
-            config=record_from_doc(ForestConfig, doc["forest"]),
-            input=doc["input"],
-            variance_threshold=doc["variance_threshold"],
-        )
+        return record_from_doc(cls, {**doc, "config": record_from_doc(ForestConfig, doc["forest"])})
 
     @staticmethod
     def model_to_doc(model: ForestModel) -> dict[str, Any]:
@@ -233,28 +249,25 @@ class ForestKind(_FeatureKind):
             "n_features": model.n_features,
             "importances": model.importances.tolist(),
             "oob_rmse": model.oob_rmse,
-            "trees": [_tree_to_doc(t) for t in model.trees],
+            "trees": model.table.nest(_leaf_doc, _split_doc),
         }
 
     def model_from_doc(self, doc: dict[str, Any]) -> ForestModel:
-        return ForestModel.from_trees(
-            trees=[_tree_from_doc(t) for t in doc["trees"]],
+        return ForestModel(
+            table=_table_from_docs(doc["trees"], doc["n_features"]),
             config=self.config,
             n_features=doc["n_features"],
-            importances=np.asarray(doc["importances"], dtype=float),
+            importances=np.asarray(_no_bools(doc["importances"], "importances"), dtype=float),
             oob_rmse=None if doc["oob_rmse"] is None else _number(doc["oob_rmse"], "oob_rmse"),
         )
 
 
-def _tree_to_doc(node: TreeNode) -> dict[str, Any]:
-    if isinstance(node, Leaf):
-        return {"value": node.value, "count": node.count}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _tree_to_doc(node.left),
-        "right": _tree_to_doc(node.right),
-    }
+def _leaf_doc(value: float, count: int) -> dict[str, Any]:
+    return {"value": value, "count": count}
+
+
+def _split_doc(feature: int, threshold: float, left: dict, right: dict) -> dict[str, Any]:
+    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 def _number(value: Any, what: str) -> float:
@@ -264,15 +277,46 @@ def _number(value: Any, what: str) -> float:
     return float(value)
 
 
-def _tree_from_doc(doc: dict[str, Any]) -> TreeNode:
-    # _NodeTable.build checks feature and count, ints as stored
-    if "value" in doc:
-        return Leaf(value=_number(doc["value"], "leaf value"), count=doc["count"])
-    return Split(
-        feature=doc["feature"],
-        threshold=_number(doc["threshold"], "split threshold"),
-        left=_tree_from_doc(doc["left"]),
-        right=_tree_from_doc(doc["right"]),
+def _table_from_docs(trees: list, n_features: int) -> _NodeTable:
+    """The node table of a model file's trees, numbered as growth numbers it.
+
+    One first-in-first-out pass, seeded with every root, appends each
+    split's left and then right child to the queue.  That is level order,
+    so the children land at left and left + 1 and a fitted forest reads
+    back as the table it was saved from.  Every node is checked here.
+    """
+    if not trees:
+        raise InvalidModel("forest has no trees")
+    if not _is_int(n_features):
+        raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
+    queue = [(doc, t, 0) for t, doc in enumerate(trees)]  # (node, tree, depth)
+    nodes = []  # (feature, threshold, left, value, count)
+    # the loop visits the children it appends, as a list iterator does
+    for i, (doc, t, d) in enumerate(queue):
+        if "value" in doc:
+            value, count = _number(doc["value"], "leaf value"), doc["count"]
+            if not math.isfinite(value):
+                raise InvalidModel(f"tree {t}: leaf value {value!r} is not finite")
+            if not (_is_int(count) and count >= 1):
+                raise InvalidModel(f"tree {t}: leaf count must be >= 1, got {count!r}")
+            nodes.append((0, math.inf, i, value, count))
+            continue
+        feature, threshold = doc["feature"], _number(doc["threshold"], "split threshold")
+        if not (_is_int(feature) and 0 <= feature < n_features):
+            raise InvalidModel(f"tree {t}: split feature {feature!r} outside [0, {n_features})")
+        if not math.isfinite(threshold):
+            raise InvalidModel(f"tree {t}: threshold {threshold!r} is not finite")
+        nodes.append((feature, threshold, len(queue), 0.0, 0))
+        queue += [(doc["left"], t, d + 1), (doc["right"], t, d + 1)]
+    feature, threshold, left, value, count = zip(*nodes)
+    return _NodeTable(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.intp),
+        value=np.array(value),
+        count=np.array(count, dtype=np.intp),
+        roots=np.arange(len(trees)),
+        depth=queue[-1][2],  # level order ends on a deepest leaf
     )
 
 

@@ -55,8 +55,9 @@ def test_grid_end_matches_start_plus_spacing():
 def test_grid_rejects_bad_values():
     with pytest.raises(BadConfig):
         GridSpec(spacing_mm=0.0)
-    with pytest.raises(BadConfig):
-        GridSpec(n_points=0)
+    for n_points in (0, 151.0, True):
+        with pytest.raises(BadConfig):
+            GridSpec(n_points=n_points)
     with pytest.raises(BadConfig):
         GridSpec(start_mm=-0.1)
 

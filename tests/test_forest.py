@@ -1,6 +1,9 @@
 """Regression forest: exact splits, determinism, importances."""
 
 import math
+import tempfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from smallpunch.forest import (
     permutation_importances,
     predict_forest,
 )
+from smallpunch.modelfile import load_model, save_model
 from smallpunch.pca import fit_pca, transform
 from smallpunch.synth import SynthConfig, generate
 
@@ -326,31 +330,43 @@ def test_nested_trees_and_node_table_agree():
 def test_grown_table_matches_the_table_built_from_its_trees(
     x, seed, min_leaf, max_depth, all_features, bootstrap, data
 ):
+    """The table a saved forest loads into is the table growth emitted."""
     n, p = x.shape
     y = data.draw(arrays(float, n, elements=st.floats(100.0, 900.0)))
     cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, max_depth=max_depth,
                        mtry=p if all_features else None, bootstrap=bootstrap, seed=seed)
     model = fit_forest(x, y, cfg)
-    grown, trees = model.table, model.trees
-    built = _NodeTable.build(trees, p)
+    spec = pipeline.PipelineSpec(pipeline.ForestKind(config=cfg), standardize=False)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(path, pipeline.TrainedPipeline(spec, GridSpec(), None, None, model), {})
+        loaded = load_model(path)[0].model
+    grown, built = model.table, loaded.table
+    for column in fields(_NodeTable):
+        want, got = getattr(grown, column.name), getattr(built, column.name)
+        assert type(got) is type(want), column.name
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.shape == want.shape, column.name
+            assert got.tobytes() == want.tobytes(), column.name
+        else:
+            assert got == want, column.name
     queries = np.vstack([x, data.draw(arrays(float, (5, p), elements=_values))])
     assert grown.tree_values(queries).tobytes() == built.tree_values(queries).tobytes()
     assert grown.feature.size == built.feature.size
     assert grown.depth == built.depth
     # every bag row ends in exactly one leaf
     assert int(grown.count.sum()) == int(built.count.sum()) == cfg.n_trees * n
-    assert built.to_trees() == trees
+    assert loaded.trees == model.trees
 
 
 def _refuse_trees(*args, **kwargs):
     raise AssertionError("a Split/Leaf tree was built")
 
 
-def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, reference_design):
+def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, tmp_path, reference_design):
     _, scores, y = reference_design
-    for module in (forest, pipeline):
-        monkeypatch.setattr(module, "Leaf", _refuse_trees)
-        monkeypatch.setattr(module, "Split", _refuse_trees)
+    monkeypatch.setattr(forest, "Leaf", _refuse_trees)
+    monkeypatch.setattr(forest, "Split", _refuse_trees)
     model = fit_forest(scores, y, ForestConfig(n_trees=30, seed=3))
     predict_forest(model, scores)
     permutation_importances(model, scores, y)
@@ -362,6 +378,13 @@ def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, reference_design)
     spec = pipeline.PipelineSpec(pipeline.ForestKind(config=ForestConfig(n_trees=4, seed=1)))
     report = cross_validate(curves, spec, k=3, collect_models=True)
     assert all("trees" not in vars(fold.model) for fold in report.fold_models)
+
+    trained = pipeline.fit_pipeline(curves, spec)
+    path = tmp_path / "model.json"
+    save_model(path, trained, {})
+    loaded, _ = load_model(path)
+    pipeline.predict_pipeline(loaded, curves)
+    assert "trees" not in vars(trained.model) and "trees" not in vars(loaded.model)
 
 
 def test_trees_view_is_built_once_and_read_only():

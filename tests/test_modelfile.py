@@ -113,6 +113,11 @@ def test_corrupt_json_is_refused(tmp_path):
     path.write_text("[1, 2, 3]")
     with pytest.raises(ModelFileError):
         load_model(path)
+    # nested as deeply as a 3,000-level tree: deeper than the parser recurses
+    path.write_text('{"trees": ' + '{"left": ' * 3000 + "1" + "}" * 3001)
+    with pytest.raises(ModelFileError, match="nested too deeply") as err:
+        load_model(path)
+    assert type(err.value) is ModelFileError and str(path) in str(err.value)
 
 
 def test_family_model_mismatch_is_refused(tmp_path, dataset):
@@ -206,6 +211,23 @@ def trained_by_family(dataset):
     # the fixture's forests have 152 columns: int() would have read these as 152
     ("rf", lambda d: d["model"], "n_features", 152.9),
     ("rf", lambda d: d["model"], "n_features", "152"),
+    # numpy and comparisons would read true as 1 and false as 0
+    ("pca-lm", lambda d: d["model"], "intercept", True),
+    ("pca-lm", lambda d: d["model"]["coefficients"], 0, False),
+    ("pca-lm", lambda d: d["standardizer"]["scales"], 0, True),
+    ("pca-lm", lambda d: d["pca"]["mean"], 0, True),
+    ("pca-lm", lambda d: d["pca"]["loadings"][0], 0, True),
+    ("pca-lm", lambda d: d["pca"], "threshold", True),
+    ("pca-lm", lambda d: d["pca"], "total_variance", True),
+    ("pca-lm", lambda d: d["pipeline"], "variance_threshold", True),
+    ("empirical", lambda d: d["model"], "beta", True),
+    ("pca-lm", lambda d: d["grid"], "start_mm", True),
+    ("pca-lm", lambda d: d["grid"], "spacing_mm", True),
+    ("pca-lm", lambda d: d["grid"], "n_points", True),
+    ("pca-lm", lambda d: d["grid"], "n_points", 151.0),
+    ("rf", lambda d: d["pipeline"], "variance_threshold", True),
+    # the fixture's forest never splits on column 0, the force at 0 mm
+    ("rf", lambda d: d["model"]["importances"], 0, False),
 ], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
@@ -214,7 +236,11 @@ def trained_by_family(dataset):
         "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
         "forest-max_depth-float", "standardize-string", "standardize-int",
         "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",
-        "n_features-float", "n_features-string"])
+        "n_features-float", "n_features-string", "intercept-bool", "coefficient-bool",
+        "standardizer-scale-bool", "pca-mean-bool", "pca-loading-bool", "pca-threshold-bool",
+        "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
+        "grid-spacing-bool", "grid-n_points-bool", "grid-n_points-float",
+        "rf-variance_threshold-bool", "importance-bool"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"

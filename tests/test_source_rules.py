@@ -23,6 +23,23 @@ def _file_calls_without_encoding(path):
     return found
 
 
+def _tree_class_names(path):
+    """(line, name) of every mention of the nested tree classes Split and Leaf."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name in ("Split", "Leaf"):
+            found.append((node.lineno, name))
+    return found
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"cli.py", "dataio.py", "modelfile.py"}
 
@@ -30,3 +47,11 @@ def test_sources_are_found():
 def test_every_text_file_is_read_and_written_as_utf8():
     missing = {p.name: calls for p in SOURCES if (calls := _file_calls_without_encoding(p))}
     assert missing == {}
+
+
+def test_only_the_forest_module_names_the_nested_tree_classes():
+    # the fitted forest is its node table: saving, loading and predicting
+    # never go through Split/Leaf trees
+    named = {p.name: lines for p in SOURCES
+             if p.name != "forest.py" and (lines := _tree_class_names(p))}
+    assert named == {}
