@@ -12,6 +12,7 @@ reproduced exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -146,8 +147,8 @@ def _v_star_for(args: argparse.Namespace, names: list[str], strategy: str | None
             stars.append(table[name][1])
         return stars
     if args.v_star is not None:
-        if args.v_star <= 0.0:
-            raise BadConfig("--v-star must be > 0")
+        if not (0.0 < args.v_star < math.inf):
+            raise BadConfig(f"--v-star must be finite and > 0, got {args.v_star}")
         return args.v_star
     raise BadConfig("the fixed-v marker needs --v-star or --truth")
 

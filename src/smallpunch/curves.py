@@ -4,14 +4,16 @@ A small punch test records punch force versus central displacement at a
 sampling distance of roughly one micrometre.  All modelling downstream works
 on a fixed uniform displacement grid, plus two physical markers per curve:
 the force maximum (F_m at v_m) and the force at the onset of plastic
-instability (F_i at v_i).
+instability (F_i at v_i).  Markers are extracted for a whole batch at once,
+from the matrix of grid forces with one row per curve, in a few numpy
+passes; a curve gets the same bits in any batch as alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TextIO
+from typing import Any, Callable, Sequence, TextIO
 
 import numpy as np
 
@@ -22,6 +24,7 @@ from .errors import (
     InvalidCurve,
     InvalidMarkers,
     InvalidSpecimen,
+    LengthMismatch,
     MalformedRow,
     NonFiniteValue,
     TooShort,
@@ -159,27 +162,53 @@ class UniformCurve:
 
 @dataclass(frozen=True)
 class CurveMarkers:
-    """Physical markers feeding the empirical correlations."""
+    """Physical markers of a batch of curves, feeding the empirical correlations.
 
-    f_max_N: float
-    v_at_fmax_mm: float
-    f_instability_N: float
-    v_instability_mm: float
+    Every field but strategy holds one value per curve, in the order of the
+    force matrix's rows.  Each row is checked in the order below, and the
+    first row that fails a check raises the first check it fails.
+    """
+
+    f_max_N: np.ndarray
+    v_at_fmax_mm: np.ndarray
+    f_instability_N: np.ndarray
+    v_instability_mm: np.ndarray
     strategy: str
 
     def __post_init__(self) -> None:
-        if not (self.f_instability_N > 0.0):
-            raise InvalidMarkers(f"instability force must be > 0, got {self.f_instability_N}")
-        if self.f_max_N < self.f_instability_N:
-            raise InvalidMarkers(
-                f"max force {self.f_max_N} below instability force {self.f_instability_N}"
-            )
-        if not (0.0 < self.v_instability_mm <= self.v_at_fmax_mm):
-            raise InvalidMarkers(
-                f"need 0 < v_i <= v_m, got v_i={self.v_instability_mm}, v_m={self.v_at_fmax_mm}"
-            )
-        if self.strategy not in MARKER_STRATEGIES:
-            raise InvalidMarkers(f"unknown marker strategy: {self.strategy!r}")
+        names = ("f_max_N", "v_at_fmax_mm", "f_instability_N", "v_instability_mm")
+        f_m, v_m, f_i, v_i = (_as_readonly_1d(getattr(self, name), name) for name in names)
+        for name, arr in zip(names, (f_m, v_m, f_i, v_i)):
+            object.__setattr__(self, name, arr)
+        if not (f_m.size == v_m.size == f_i.size == v_i.size):
+            raise InvalidMarkers("marker arrays must have equal lengths")
+        raise_first_failure(f_m.size, [
+            (~(f_m > 0.0), lambda r: AllZero("curve has no positive force")),
+            (~(f_i > 0.0),
+             lambda r: InvalidMarkers(f"instability force must be > 0, got {f_i[r]}")),
+            (f_m < f_i,
+             lambda r: InvalidMarkers(f"max force {f_m[r]} below instability force {f_i[r]}")),
+            (~((0.0 < v_i) & (v_i <= v_m)),
+             lambda r: InvalidMarkers(f"need 0 < v_i <= v_m, got v_i={v_i[r]}, v_m={v_m[r]}")),
+            (self.strategy not in MARKER_STRATEGIES,
+             lambda r: InvalidMarkers(f"unknown marker strategy: {self.strategy!r}")),
+        ])
+
+
+def raise_first_failure(
+    n_rows: int, checks: Sequence[tuple[Any, Callable[[int], Exception]]]
+) -> None:
+    """Raise the error of the first of n_rows rows that fails a check.
+
+    Each check is (bad, error): bad is a boolean per row, or one boolean
+    for every row, and error(r) builds row r's exception.  Checks are listed
+    in the order one row's are made, so the failing row raises its first.
+    """
+    bad = np.array([np.broadcast_to(b, (n_rows,)) for b, _ in checks], dtype=bool)
+    failing = np.flatnonzero(bad.any(axis=0))
+    if failing.size:
+        r = int(failing[0])
+        raise checks[int(np.argmax(bad[:, r]))][1](r)
 
 
 def read_rows(text: str) -> list[tuple[int, list[str]]]:
@@ -331,71 +360,111 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
 
 
 def _moving_average5(f: np.ndarray) -> np.ndarray:
-    """Centered moving average of window 5, truncated at the ends."""
-    n = f.size
+    """Centered moving average of window 5 along each row, truncated at the ends."""
+    n = f.shape[1]
     idx = np.arange(n)
     lo = np.maximum(idx - 2, 0)
     hi = np.minimum(idx + 2, n - 1)
-    csum = np.concatenate(([0.0], np.cumsum(f)))
-    return (csum[hi + 1] - csum[lo]) / (hi - lo + 1)
+    csum = np.zeros((f.shape[0], n + 1))
+    np.cumsum(f, axis=1, out=csum[:, 1:])
+    return (csum[:, hi + 1] - csum[:, lo]) / (hi - lo + 1)
+
+
+def _interp_rows(v: np.ndarray, gx: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """np.interp(v[r], gx, f[r]) for every row r, by np.interp's own arithmetic.
+
+    The segment gx[j] <= v < gx[j + 1] gives slope * (v - gx[j]) + f[j];
+    a v on a grid point gives that point's force, and a v at or beyond
+    either end gives the end force.
+    """
+    last = gx.size - 1
+    j = np.clip(np.searchsorted(gx, v, side="right") - 1, 0, last - 1)
+    rows = np.arange(f.shape[0])
+    f_j = f[rows, j]
+    inside = np.clip(v, gx[0], gx[last])  # keeps infinite v out of the arithmetic
+    f_v = (f[rows, j + 1] - f_j) / (gx[j + 1] - gx[j]) * (inside - gx[j]) + f_j
+    f_v = np.where(v == gx[j], f_j, f_v)
+    f_v = np.where(v <= gx[0], f[:, 0], f_v)
+    return np.where(v >= gx[last], f[:, last], f_v)
+
+
+def _v_star_rows(v_star, n_curves: int) -> np.ndarray:
+    """The fixed-v displacement of every curve: one shared value or one each."""
+    if v_star is None:
+        raise BadConfig("fixed-v marker strategy requires v_star")
+    values = np.asarray(v_star, dtype=float)
+    if values.ndim == 0:
+        return np.full(n_curves, float(values))
+    if values.shape != (n_curves,):
+        raise LengthMismatch(f"{values.size} v_star values for {n_curves} curves")
+    return values
 
 
 def extract_markers(
-    curve: UniformCurve,
+    forces: np.ndarray,
+    grid: GridSpec,
     strategy: str = MARKER_MAX_SLOPE,
-    v_star: float | None = None,
+    v_star: float | Sequence[float] | np.ndarray | None = None,
 ) -> CurveMarkers:
-    """Locate the force maximum and the instability-onset force.
+    """Locate the force maximum and the instability-onset force of every curve.
+
+    forces is the N x n_points matrix of N curves on grid, one row per
+    curve; a single curve is a batch of one.  A row's markers do not depend
+    on the other rows, down to the bit, and match the per-curve reference
+    kept in tests/test_markers_batch.py.  The first curve that fails raises
+    its error (see CurveMarkers).
 
     F_m is the grid force maximum and v_m its first displacement.  For the
     instability point two strategies exist:
 
     ``max-slope`` (default)
         Smooth the forces with a centered moving average of window 5, take
-        first differences, and pick the grid point of maximum difference
-        after the initial 3 points.  F_i is the unsmoothed force there.
-        This is a documented stand-in for a bending/membrane-transition
-        detector; swap strategies rather than silently changing this one.
+        first differences, and pick the first grid point of maximum
+        difference after the initial 3 points.  F_i is the unsmoothed force
+        there.  This is a documented stand-in for a bending/membrane-
+        transition detector; swap strategies rather than silently changing
+        this one.
     ``fixed-v``
-        v_i is the caller-supplied displacement ``v_star``; F_i is the
-        piecewise-linear interpolated force at v_star.
+        v_i is the caller-supplied displacement ``v_star``, one value shared
+        by every curve or one per curve; F_i is the piecewise-linear
+        interpolated force at v_i, with the bits of ``np.interp``.
 
     Raises
     ------
     TooShort
         Fewer than 5 grid points.
+    BadConfig
+        An unknown strategy, or fixed-v without v_star.
+    LengthMismatch
+        A v_star sequence whose length is not the number of curves.
     AllZero
-        The curve has no positive force.
+        A curve has no positive force.
     InvalidMarkers
         The located markers violate 0 < v_i <= v_m or 0 < F_i <= F_m.
     """
-    f = curve.force_N
-    n = f.size
+    f = np.asarray(forces, dtype=float)
+    n = grid.n_points
+    if f.ndim != 2 or f.shape[1] != n:
+        raise InvalidCurve(f"forces must be an N x {n} matrix, got shape {f.shape}")
     if n < 5:
         raise TooShort(f"need at least 5 grid points, got {n}")
-    f_max = float(np.max(f))
-    if f_max <= 0.0:
-        raise AllZero("curve has no positive force")
-    gx = curve.grid.displacements()
-    v_m = float(gx[int(np.argmax(f))])
+    gx = grid.displacements()
 
     if strategy == MARKER_MAX_SLOPE:
-        diffs = np.diff(_moving_average5(f))
-        # diffs[j-1] belongs to grid point j; restrict to j >= _SLOPE_SKIP
-        j = _SLOPE_SKIP + int(np.argmax(diffs[_SLOPE_SKIP - 1:]))
-        v_i = float(gx[j])
-        f_i = float(f[j])
+        diffs = np.diff(_moving_average5(f), axis=1)
+        # diffs[:, j-1] belongs to grid point j; restrict to j >= _SLOPE_SKIP
+        j = _SLOPE_SKIP + np.argmax(diffs[:, _SLOPE_SKIP - 1:], axis=1)
+        v_i = gx[j]
+        f_i = f[np.arange(f.shape[0]), j]
     elif strategy == MARKER_FIXED_V:
-        if v_star is None:
-            raise BadConfig("fixed-v marker strategy requires v_star")
-        v_i = float(v_star)
-        f_i = float(np.interp(v_i, gx, f))
+        v_i = _v_star_rows(v_star, f.shape[0])
+        f_i = _interp_rows(v_i, gx, f)
     else:
         raise BadConfig(f"unknown marker strategy: {strategy!r}")
 
     return CurveMarkers(
-        f_max_N=f_max,
-        v_at_fmax_mm=v_m,
+        f_max_N=np.max(f, axis=1),
+        v_at_fmax_mm=gx[np.argmax(f, axis=1)],
         f_instability_N=f_i,
         v_instability_mm=v_i,
         strategy=strategy,

@@ -14,6 +14,7 @@ locale.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -30,7 +31,7 @@ from .curves import (
     read_rows,
     resample,
 )
-from .errors import MalformedRow, SmallPunchError
+from .errors import MalformedRow, NonFiniteValue, SmallPunchError
 from .evaluation import CvReport
 from .synth import SynthTruth
 
@@ -180,9 +181,12 @@ def read_truth(path: Path) -> dict[str, tuple[float, float, float]]:
     for lineno, cells in _read_table(path, TRUTH_HEADER):
         filename, rm_s, vi_s, fi_s = cells
         try:
-            out[filename] = (float(rm_s), float(vi_s), float(fi_s))
+            values = (float(rm_s), float(vi_s), float(fi_s))
         except ValueError:
             raise MalformedRow(f"{path}: row {lineno}: non-numeric cell") from None
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteValue(f"{path}: row {lineno}: non-finite value")
+        out[filename] = values
     return out
 
 

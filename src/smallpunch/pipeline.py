@@ -28,13 +28,12 @@ import numpy as np
 
 from .curves import (
     GridSpec,
-    MARKER_FIXED_V,
     MARKER_MAX_SLOPE,
     MARKER_STRATEGIES,
     UniformCurve,
     extract_markers,
 )
-from .errors import BadConfig, EmptyTraining, GridMismatch, InvalidModel, LengthMismatch
+from .errors import BadConfig, EmptyTraining, GridMismatch, InvalidModel
 from .features import Standardizer, apply_standardizer, assemble, fit_standardizer
 from .forest import ForestConfig, ForestModel, _is_int, _NodeTable, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
@@ -132,24 +131,21 @@ class EmpiricalKind(_RecordBlocks):
         if self.marker_strategy not in MARKER_STRATEGIES:
             raise BadConfig(f"unknown marker strategy: {self.marker_strategy!r}")
 
-    def _markers(self, curves: list[UniformCurve], v_star):
-        stars = _broadcast_v_star(v_star, len(curves), self.marker_strategy)
-        for c, vs in zip(curves, stars):
-            yield c, extract_markers(c, self.marker_strategy, vs)
-
     def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
-        feats = [
-            empirical_feature(markers, c.meta.thickness_mm, self.mode)
-            for c, markers in self._markers(curves, v_star)
-        ]
+        forces = matrix.values[:, :-1]  # the matrix ends with the temperature
+        markers = extract_markers(forces, curves[0].grid, self.marker_strategy, v_star)
+        feats = empirical_feature(markers, _thicknesses(curves), self.mode)
         model = fit_beta(feats, targets, mode=self.mode, marker_strategy=self.marker_strategy)
         return None, None, model
 
     def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
-        return np.asarray([
-            predict_empirical(trained.model, markers, c.meta.thickness_mm)
-            for c, markers in self._markers(curves, v_star)
-        ])
+        forces = np.array([c.force_N for c in curves]).reshape(len(curves), trained.grid.n_points)
+        markers = extract_markers(forces, trained.grid, self.marker_strategy, v_star)
+        return predict_empirical(trained.model, markers, _thicknesses(curves))
+
+
+def _thicknesses(curves: list[UniformCurve]) -> np.ndarray:
+    return np.array([c.meta.thickness_mm for c in curves], dtype=float)
 
 
 class _FeatureKind:
@@ -350,24 +346,6 @@ class TrainedPipeline:
     standardizer: Standardizer | None
     pca: PcaModel | None
     model: EmpiricalModel | LinearModel | ForestModel
-
-
-def _broadcast_v_star(
-    v_star: float | Sequence[float] | None,
-    n: int,
-    strategy: str,
-) -> list[float | None]:
-    """Normalize the fixed-v displacement input to one value per curve."""
-    if strategy != MARKER_FIXED_V:
-        return [None] * n
-    if v_star is None:
-        raise BadConfig("fixed-v marker strategy requires v_star")
-    if isinstance(v_star, (int, float, np.floating, np.integer)):
-        return [float(v_star)] * n
-    values = [float(v) for v in v_star]
-    if len(values) != n:
-        raise LengthMismatch(f"{len(values)} v_star values for {n} curves")
-    return values
 
 
 def fit_pipeline(

@@ -8,7 +8,9 @@ single geometry/material factor beta:
 
 with F_m the force maximum, v_m its displacement, F(v_i) the force at the
 onset of plastic instability and h_0 the initial specimen thickness.  beta
-is fitted by least squares through the origin.
+is fitted by least squares through the origin.  The regressors of a batch
+of curves come from its markers in one pass, one value per curve; a
+curve's regressor has the same bits in any batch as alone.
 
 The linear model on PCA scores is fitted by QR with an explicit intercept
 column and a hard rank check; rank deficiency is an error here, never a
@@ -23,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .curves import MARKER_MAX_SLOPE, MARKER_STRATEGIES, CurveMarkers
+from .curves import MARKER_MAX_SLOPE, MARKER_STRATEGIES, CurveMarkers, raise_first_failure
 from .errors import (
     BadConfig,
     EmptyTraining,
@@ -90,20 +92,29 @@ class LinearModel:
             raise NonFiniteValue("linear model parameters must be finite")
 
 
-def empirical_feature(markers: CurveMarkers, h0_mm: float, mode: str) -> float:
-    """The correlation regressor x such that R_m = beta * x.
+def empirical_feature(
+    markers: CurveMarkers, h0_mm: float | Sequence[float] | np.ndarray, mode: str
+) -> np.ndarray:
+    """The correlation regressor x of every curve, such that R_m = beta * x.
 
     max-force uses F_m / (h_0 * v_m); instability-force uses F_i / h_0^2.
+    h0_mm holds each curve's thickness, in the markers' row order, or one
+    thickness for all.  The first curve whose denominator is zero raises.
     """
+    h0 = np.broadcast_to(np.asarray(h0_mm, dtype=float), markers.f_max_N.shape)
     if mode == MODE_MAX_FORCE:
-        denom = h0_mm * markers.v_at_fmax_mm
-        if denom == 0.0:
-            raise ZeroDenominator(f"h0 * v_m is zero (h0={h0_mm}, v_m={markers.v_at_fmax_mm})")
+        v_m = markers.v_at_fmax_mm
+        denom = h0 * v_m
+        raise_first_failure(denom.size, [(
+            denom == 0.0,
+            lambda r: ZeroDenominator(f"h0 * v_m is zero (h0={h0[r]}, v_m={v_m[r]})"),
+        )])
         return markers.f_max_N / denom
     if mode == MODE_INSTABILITY_FORCE:
-        denom = h0_mm * h0_mm
-        if denom == 0.0:
-            raise ZeroDenominator(f"h0^2 is zero (h0={h0_mm})")
+        denom = h0 * h0
+        raise_first_failure(denom.size, [(
+            denom == 0.0, lambda r: ZeroDenominator(f"h0^2 is zero (h0={h0[r]})"),
+        )])
         return markers.f_instability_N / denom
     raise BadConfig(f"unknown empirical mode: {mode!r}")
 
@@ -140,8 +151,10 @@ def fit_beta(
     return EmpiricalModel(beta=beta, mode=mode, marker_strategy=marker_strategy)
 
 
-def predict_empirical(model: EmpiricalModel, markers: CurveMarkers, h0_mm: float) -> float:
-    """Apply the fitted correlation to one curve's markers."""
+def predict_empirical(
+    model: EmpiricalModel, markers: CurveMarkers, h0_mm: float | Sequence[float] | np.ndarray
+) -> np.ndarray:
+    """Apply the fitted correlation to every curve's markers."""
     return model.beta * empirical_feature(markers, h0_mm, model.mode)
 
 

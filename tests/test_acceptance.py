@@ -95,12 +95,9 @@ def test_acceptance_1_zero_noise_round_trip():
 def test_acceptance_2_beta_recovery(noisy_set):
     """The correlation factor is re-estimated from noisy curves."""
     cfg, curves, truth, stars = noisy_set
-    feats = []
-    for curve, v_i in zip(curves, stars):
-        markers = extract_markers(curve, MARKER_FIXED_V, v_i)
-        feats.append(empirical_feature(markers, cfg.h0_mm,
-                                       MODE_INSTABILITY_FORCE))
-    feats = np.asarray(feats)
+    forces = np.array([curve.force_N for curve in curves])
+    markers = extract_markers(forces, curves[0].grid, MARKER_FIXED_V, stars)
+    feats = empirical_feature(markers, cfg.h0_mm, MODE_INSTABILITY_FORCE)
     targets = np.asarray([rec.rm_MPa for rec in truth.records])
     beta = fit_beta(feats, targets).beta
 
@@ -370,12 +367,12 @@ def test_acceptance_9_resampling_contracts():
     scaled = make_uniform(base * 4.0, grid=GRID)
     equivariant = True
     for strategy, v_star in ((MARKER_MAX_SLOPE, None), (MARKER_FIXED_V, 0.37)):
-        m1 = extract_markers(curve, strategy, v_star)
-        m4 = extract_markers(scaled, strategy, v_star)
-        equivariant = equivariant and (
-            m4.f_max_N == 4.0 * m1.f_max_N
-            and m4.f_instability_N == 4.0 * m1.f_instability_N
-            and m4.v_instability_mm == m1.v_instability_mm
+        m1 = extract_markers([curve.force_N], GRID, strategy, v_star)
+        m4 = extract_markers([scaled.force_N], GRID, strategy, v_star)
+        equivariant = equivariant and bool(
+            np.array_equal(m4.f_max_N, 4.0 * m1.f_max_N)
+            and np.array_equal(m4.f_instability_N, 4.0 * m1.f_instability_N)
+            and np.array_equal(m4.v_instability_mm, m1.v_instability_mm)
         )
 
     ok = affine_err <= 1e-12 and idempotent and equivariant

@@ -370,6 +370,43 @@ def test_predict_fixed_v_without_source_exits_2(tmp_path, capsys):
     assert code == 2 and "--v-star or --truth" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["cv", "train", "predict"])
+def test_non_finite_v_star_exits_2(tmp_path, capsys, command, value):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    manifest = str(data / "manifest.csv")
+    fixed_v = ("--pipeline", "empirical", "--marker", "fixed-v")
+    model_path = tmp_path / "model.json"
+    if command == "predict":
+        code, _, _ = run(capsys, "train", manifest, *fixed_v, "--v-star", "0.5",
+                         "--out", str(model_path))
+        assert code == 0
+        argv = ("predict", manifest, "--model", str(model_path))
+    elif command == "cv":
+        argv = ("cv", manifest, *fixed_v, "--k", "2")
+    else:
+        argv = ("train", manifest, *fixed_v)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *argv, "--v-star", value, "--out", str(out))
+    assert code == 2 and f"--v-star must be finite and > 0, got {value}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column", [1, 2, 3])
+def test_non_finite_truth_cell_exits_4_naming_file_and_row(tmp_path, capsys, column):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    truth = data / "truth.csv"
+    lines = truth.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[column] = "nan"
+    lines[2] = ",".join(cells)
+    truth.write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "cv", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--marker", "fixed-v", "--truth", str(truth), "--k", "2",
+                       "--out", str(tmp_path / "cv"))
+    assert code == 4 and f"{truth}: row 3: non-finite value" in err
+
+
 def test_predict_empty_manifest_writes_header_only(tmp_path, capsys):
     data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
     model_path = tmp_path / "model.json"

@@ -322,18 +322,18 @@ def test_resample_idempotent_bitwise():
 
 def test_markers_on_monotone_curve():
     uni = make_uniform(np.arange(151.0))
-    m = extract_markers(uni)
-    assert m.f_max_N == 150.0
-    assert m.v_at_fmax_mm == pytest.approx(1.5, abs=1e-12)
-    assert 0.0 < m.v_instability_mm <= m.v_at_fmax_mm
-    assert 0.0 < m.f_instability_N <= m.f_max_N
+    m = extract_markers([uni.force_N], uni.grid)
+    assert m.f_max_N.tolist() == [150.0]
+    assert m.v_at_fmax_mm[0] == pytest.approx(1.5, abs=1e-12)
+    assert 0.0 < m.v_instability_mm[0] <= m.v_at_fmax_mm[0]
+    assert 0.0 < m.f_instability_N[0] <= m.f_max_N[0]
 
 
 def test_markers_too_short_and_all_zero():
     with pytest.raises(TooShort):
-        extract_markers(make_uniform([0.0, 1.0, 2.0, 3.0]))
+        extract_markers([[0.0, 1.0, 2.0, 3.0]], GridSpec(n_points=4))
     with pytest.raises(AllZero):
-        extract_markers(make_uniform(np.zeros(20)))
+        extract_markers([np.zeros(20)], GridSpec(n_points=20))
 
 
 def _two_stage(knee_index: int, n: int = 151, peak: float = 500.0) -> np.ndarray:
@@ -359,35 +359,33 @@ def _brute_force_max_slope(forces: np.ndarray, skip: int = 3) -> int:
 def test_max_slope_recovers_planted_knee_within_two_steps():
     for knee in (30, 50, 70):
         forces = _two_stage(knee)
-        uni = make_uniform(forces)
-        m = extract_markers(uni, MARKER_MAX_SLOPE)
-        j_hat = int(round(m.v_instability_mm / uni.grid.spacing_mm))
+        m = extract_markers([forces], GridSpec(), MARKER_MAX_SLOPE)
+        j_hat = int(round(m.v_instability_mm[0] / GridSpec().spacing_mm))
         assert abs(j_hat - knee) <= 2, f"knee {knee}: detected {j_hat}"
         assert j_hat == _brute_force_max_slope(forces)
-        assert m.f_instability_N == forces[j_hat]  # unsmoothed force at the marker
+        assert m.f_instability_N[0] == forces[j_hat]  # unsmoothed force at the marker
 
 
 def test_fixed_v_interpolates_between_grid_points():
-    uni = make_uniform(np.arange(151.0) * 2.0)
-    m = extract_markers(uni, MARKER_FIXED_V, v_star=0.015)
-    assert m.v_instability_mm == 0.015
-    assert m.f_instability_N == pytest.approx(3.0, abs=1e-12)
+    m = extract_markers([np.arange(151.0) * 2.0], GridSpec(), MARKER_FIXED_V, v_star=0.015)
+    assert m.v_instability_mm.tolist() == [0.015]
+    assert m.f_instability_N[0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_fixed_v_requires_v_star():
     with pytest.raises(BadConfig):
-        extract_markers(make_uniform(np.arange(20.0)), MARKER_FIXED_V)
+        extract_markers([np.arange(20.0)], GridSpec(n_points=20), MARKER_FIXED_V)
 
 
 def test_unknown_strategy_rejected():
     with pytest.raises(BadConfig):
-        extract_markers(make_uniform(np.arange(20.0)), "slope-of-slopes")
+        extract_markers([np.arange(20.0)], GridSpec(n_points=20), "slope-of-slopes")
 
 
 def test_marker_scale_equivariance_exact_for_power_of_two():
     forces = _two_stage(40)
-    base = extract_markers(make_uniform(forces))
-    scaled = extract_markers(make_uniform(forces * 4.0))
+    base = extract_markers([forces], GridSpec())
+    scaled = extract_markers([forces * 4.0], GridSpec())
     assert scaled.f_max_N == base.f_max_N * 4.0
     assert scaled.f_instability_N == base.f_instability_N * 4.0
     assert scaled.v_at_fmax_mm == base.v_at_fmax_mm
@@ -397,8 +395,8 @@ def test_marker_scale_equivariance_exact_for_power_of_two():
 def test_marker_scale_equivariance_general_factor():
     forces = _two_stage(55)
     for strategy, kwargs in ((MARKER_MAX_SLOPE, {}), (MARKER_FIXED_V, {"v_star": 0.42})):
-        base = extract_markers(make_uniform(forces), strategy, **kwargs)
-        scaled = extract_markers(make_uniform(forces * 3.0), strategy, **kwargs)
+        base = extract_markers([forces], GridSpec(), strategy, **kwargs)
+        scaled = extract_markers([forces * 3.0], GridSpec(), strategy, **kwargs)
         assert scaled.f_max_N == pytest.approx(3.0 * base.f_max_N, rel=1e-12)
         assert scaled.f_instability_N == pytest.approx(3.0 * base.f_instability_N, rel=1e-12)
         assert scaled.v_at_fmax_mm == base.v_at_fmax_mm
@@ -407,14 +405,14 @@ def test_marker_scale_equivariance_general_factor():
 
 def test_marker_invariants_enforced():
     with pytest.raises(InvalidMarkers):
-        CurveMarkers(f_max_N=10.0, v_at_fmax_mm=1.0, f_instability_N=11.0,
-                     v_instability_mm=0.5, strategy=MARKER_MAX_SLOPE)
+        CurveMarkers(f_max_N=[10.0], v_at_fmax_mm=[1.0], f_instability_N=[11.0],
+                     v_instability_mm=[0.5], strategy=MARKER_MAX_SLOPE)
     with pytest.raises(InvalidMarkers):
-        CurveMarkers(f_max_N=10.0, v_at_fmax_mm=0.4, f_instability_N=5.0,
-                     v_instability_mm=0.5, strategy=MARKER_MAX_SLOPE)
+        CurveMarkers(f_max_N=[10.0], v_at_fmax_mm=[0.4], f_instability_N=[5.0],
+                     v_instability_mm=[0.5], strategy=MARKER_MAX_SLOPE)
     with pytest.raises(InvalidMarkers):
-        CurveMarkers(f_max_N=10.0, v_at_fmax_mm=1.0, f_instability_N=0.0,
-                     v_instability_mm=0.5, strategy=MARKER_MAX_SLOPE)
+        CurveMarkers(f_max_N=[10.0], v_at_fmax_mm=[1.0], f_instability_N=[0.0],
+                     v_instability_mm=[0.5], strategy=MARKER_MAX_SLOPE)
 
 
 def test_uniform_curve_length_must_match_grid():

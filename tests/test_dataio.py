@@ -15,7 +15,7 @@ from smallpunch.dataio import (
     write_manifest,
     write_truth,
 )
-from smallpunch.errors import InvalidSpecimen, MalformedRow
+from smallpunch.errors import InvalidSpecimen, MalformedRow, NonFiniteValue
 from smallpunch.synth import SynthConfig, SynthRecord, SynthTruth, generate
 
 from conftest import make_meta
@@ -268,6 +268,16 @@ def test_truth_round_trip(tmp_path):
     back = read_truth(path)
     assert back["a.csv"] == (512.3456789, 0.55, 426.9547)
     assert back["b.csv"] == (734.25, 0.31, 611.875)
+
+
+@pytest.mark.parametrize("row", ["a.csv,nan,0.5,400.0", "a.csv,500.0,inf,400.0",
+                                 "a.csv,500.0,0.5,-inf"])
+def test_truth_rejects_non_finite_cells(tmp_path, row):
+    path = tmp_path / "truth.csv"
+    path.write_text(f"file,rm_MPa,v_i_mm,f_i_N\nb.csv,500.0,0.5,400.0\n{row}\n")
+    with pytest.raises(NonFiniteValue, match="row 3: non-finite value") as err:
+        read_truth(path)
+    assert str(path) in str(err.value)
 
 
 def test_write_is_byte_stable(tmp_path):

@@ -8,14 +8,16 @@ same for full-size forests: 200-tree rf and rf-scores models fitted on
 the 120-curve reference set, their model files, predictions and
 permutation importances.  A third pins two rf model files written before
 forests grew level by level: they must load, predict their recorded bits
-and save back byte for byte.  Floating-point results may differ in the last
+and save back byte for byte.  A fourth holds the empirical family on the
+reference set: the per-sample bytes of its 10-fold CV and its fitted beta,
+for both modes and both markers.  Floating-point results may differ in the last
 bits under another numpy build, so the digests hold only for the numpy
 version they were recorded with, and the tests skip elsewhere.
 
 To record the digests again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output
-over GOLDEN_NUMPY, GOLDEN and GOLDEN_FOREST, giving the reason in
-CHANGES.md.
+over GOLDEN_NUMPY, GOLDEN, GOLDEN_FOREST and GOLDEN_EMPIRICAL, giving the
+reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -36,7 +38,14 @@ from smallpunch.features import apply_standardizer, assemble
 from smallpunch.forest import ForestConfig, permutation_importances
 from smallpunch.modelfile import load_model, save_model
 from smallpunch.pca import transform
-from smallpunch.pipeline import ForestKind, PipelineSpec, fit_pipeline, predict_pipeline
+from smallpunch.evaluation import cross_validate
+from smallpunch.pipeline import (
+    EmpiricalKind,
+    ForestKind,
+    PipelineSpec,
+    fit_pipeline,
+    predict_pipeline,
+)
 from smallpunch.synth import SynthConfig, generate
 
 EPOCH = "1700000000"
@@ -45,6 +54,7 @@ EPOCH = "1700000000"
 MODELS = {
     "empirical": ("--pipeline", "empirical"),
     "empirical-fixed-v": ("--pipeline", "empirical", "--marker", "fixed-v"),
+    "empirical-max-force": ("--pipeline", "empirical", "--mode", "max-force"),
     "pca-lm": ("--pipeline", "pca-lm"),
     "rf": ("--pipeline", "rf", "--trees", "10"),
     "rf-scores": ("--pipeline", "rf", "--trees", "10", "--rf-input", "scores"),
@@ -110,6 +120,27 @@ def forest_digests(root: Path) -> dict[str, str]:
     return digests
 
 
+def empirical_digests() -> dict[str, str]:
+    """10-fold CV and fitted beta of the empirical family on the reference set.
+
+    Both modes with the max-slope marker and with the fixed-v marker at the
+    planted v_i (seed 7, 5 N noise): the per-sample (row, truth, prediction)
+    bytes of each cross-validation and the exact beta of a fit on all curves.
+    """
+    raw, truth = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
+    curves = [resample(c, GridSpec()) for c in raw]
+    planted = [rec.v_i_mm for rec in truth.records]
+    digests: dict[str, str] = {}
+    for mode in ("max-force", "instability-force"):
+        for marker, v_star in (("max-slope", None), ("fixed-v", planted)):
+            spec = PipelineSpec(EmpiricalKind(mode=mode, marker_strategy=marker))
+            report = cross_validate(curves, spec, k=10, seed=0, v_star=v_star)
+            beta = fit_pipeline(curves, spec, v_star=v_star).model.beta
+            digests[f"cv {mode} {marker}"] = _sha(np.array(report.per_sample).tobytes())
+            digests[f"beta {mode} {marker}"] = repr(beta)
+    return digests
+
+
 GOLDEN_NUMPY = '2.4.6'
 GOLDEN: dict[str, str] = {
     'stdout synth': 'b91e9f9dc01a9ddc8c945ae4987a0c67c5be9203e5296aa9255c7810fb22e645',
@@ -121,6 +152,10 @@ GOLDEN: dict[str, str] = {
     'stdout predict empirical-fixed-v': '132c4d60303726c4fcb5eae94c2757dcba5953ae03fc49f8900b5f5fb3df3cca',
     'stdout cv empirical-fixed-v': '4d6c5f7d266e19cfe1a35482c4451d9651f0336896253bcc0dbf2341b27d638b',
     'stdout report empirical-fixed-v': '65361180e0381f5dc2912654e1be83f574f551ca67febd35b068cc98afff7b83',
+    'stdout train empirical-max-force': '5c3eb76fc05c7d3a99715cb4fbd2f161be1e330a7cbcf730fac91e764f5cb29e',
+    'stdout predict empirical-max-force': '1d6e97f7e7ee76d1373e9814885478b28af54ea02051d3bc50c0d7143833a9a0',
+    'stdout cv empirical-max-force': 'd70ecf72277a1e64193cafa0eb27b4e28667d2fe8b5684e6d43e8eec72620ed8',
+    'stdout report empirical-max-force': 'f6292d6fd43dda9d1aad4ef3801839eb94bcb260ae2a0b02acdd3aff547994b9',
     'stdout train pca-lm': 'c27986573e5728f7c45e2d137fed144ff31d804f2ba56d7270db3a51c69d7698',
     'stdout predict pca-lm': 'e608c9358eb68d36565d5e76e1d996f1852eba2bf409c6ba3282d0be3a544444',
     'stdout cv pca-lm': '8b42e9860ad04a116aecad3778976dd838369220c03bbad6f55bf12f23e1905c',
@@ -139,6 +174,9 @@ GOLDEN: dict[str, str] = {
     'cv_empirical-fixed-v/empirical_folds.csv': '3e177295dee8adcb0fcfa9e4a9f9f6fcd0f3794ab3834ba2db2909edafcdd6e6',
     'cv_empirical-fixed-v/empirical_samples.csv': 'a331fee12cce9de9458948abd7dc1afcb18cb5f0cc899745ebe6f9e74f826843',
     'cv_empirical-fixed-v/empirical_summary.csv': '7ce7716f8fc111b2889c10a4f2f2e92932119d6365f6d1c1498b24b9396eee75',
+    'cv_empirical-max-force/empirical_folds.csv': '2e9f952a785a067e4ec279c1d9b77c0ab4668b2608e8556896a9ab7dcde229d4',
+    'cv_empirical-max-force/empirical_samples.csv': 'd874c1f17014aa6e3f44414212026958d0b3b0d2835155dc940670c0ad962a5b',
+    'cv_empirical-max-force/empirical_summary.csv': 'd89a192e678791a1c40687a4e73bd82fe245506c72989f8c4c6c7819d3dfa99d',
     'cv_pca-lm/pca-lm_folds.csv': 'e15d33152721cd68ab7e14ef0bda2cb46040663b8654fc6156f76c85fb6dba0d',
     'cv_pca-lm/pca-lm_samples.csv': '9bebc9088df9acc33bbe4dfdf169d89998021e834f14dca54eb4e142d165e454',
     'cv_pca-lm/pca-lm_summary.csv': 'f6ad0264172ad584a9889c2ee6fa70a2df62eda79025f4838b1fdc88e09d6f51',
@@ -169,16 +207,19 @@ GOLDEN: dict[str, str] = {
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
     'model_empirical-fixed-v.json': '3b9011006e143fbfd6b91c554f48ff2bf4b9e1a9d7199910cf9c419e7c65e802',
+    'model_empirical-max-force.json': '69b14eb9f974d4b79b7a59883a150837ef1eb362f807938c12716fc21f348efd',
     'model_empirical.json': 'bf3d844674f54bb0f57a6cf9986fe3ae73834866a85963287adbd59799130e27',
     'model_pca-lm.json': 'f2273d2d224978ae046e86b6fbb118f8ac1b8a7e738421463741e1845b0e2035',
     'model_rf-scores.json': '07d4a5ed1eb0ade27ea2310b1f88289e29a527b821811cd4d9e71410a7f97987',
     'model_rf.json': '8a4f9ccf044ee840bdf834546ef9c5543aa86767667174790f8b779e80ba2a56',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
+    'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
     'pred_pca-lm.csv': 'd41b150ddb92b01f2abe09783728edede98dd6a37f2b083aaee363ff38242305',
     'pred_rf-scores.csv': '509dd259238c379fc15b634adc10a03ff9b79d94182bdfd1c2ca68d97dc08955',
     'pred_rf.csv': 'aa754c8773f5d0e09184867e532be1be2d7626778484528572cc1b4fd9247e75',
     'report_empirical-fixed-v.csv': 'cce6f61abd9101832ad489fa3b95fc77fd2fdbdddb43d52f58cc7928ea3add7c',
+    'report_empirical-max-force.csv': '8e4ff718581b27f195dcde5a64b155dd839973c4c72d448049375be35e4cbca4',
     'report_empirical.csv': '77c8b8be51be7553c5d6c35cc4d62a4d9d826b47333a2d70302da7ecad07028f',
     'report_pca-lm.csv': '70af1ae72132b7519d48a94669d0ceaf383cd8bfcdf916d9afb88e37ce1671c1',
     'report_rf-scores.csv': '0d94e76c0d53281b8c7f69abdc43cbb3362283a3e374f9b07b7bbd6870e25da5',
@@ -193,6 +234,19 @@ GOLDEN_FOREST: dict[str, str] = {
     'model rf-scores': 'ced73870f87e0955cdb76043d34a9fef1b42de68363772c38df175d4b5ba74f0',
     'predict rf-scores': '42ce8722e608821014108ee02e1cdab0ae7177fd12fbb7af5cc56528ccdbdfa5',
     'permutation rf-scores': '1b5f3e554e94bd3ee1491e9d6819c9175f5fa13511770a34592fa88c025411a2',
+}
+
+
+# The empirical family on the reference set; see empirical_digests.
+GOLDEN_EMPIRICAL: dict[str, str] = {
+    'cv max-force max-slope': '3ad70978ebf1329ea3fe9c31e125950918f4de4a6a66981f537847fd9ae1f819',
+    'beta max-force max-slope': '0.3823110079067408',
+    'cv max-force fixed-v': '3ad70978ebf1329ea3fe9c31e125950918f4de4a6a66981f537847fd9ae1f819',
+    'beta max-force fixed-v': '0.3823110079067408',
+    'cv instability-force max-slope': 'e2a0dcf01057dd4a3928c2906d81b4b09b2755a138cfb30e01c68ca276880f8c',
+    'beta instability-force max-slope': '1.4864458877869418',
+    'cv instability-force fixed-v': 'de35f6984a4b90ba58f70c92d1d0b63dfccfa899ff79bd78c87be7bf032d065c',
+    'beta instability-force fixed-v': '0.29992697514583755',
 }
 
 
@@ -223,6 +277,11 @@ def test_reference_forests_match_golden_digests(tmp_path):
     assert forest_digests(tmp_path) == GOLDEN_FOREST
 
 
+def test_reference_empirical_fits_match_golden_digests():
+    _skip_other_numpy()
+    assert empirical_digests() == GOLDEN_EMPIRICAL
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     path = DATA / name
@@ -243,8 +302,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         got = run_script(Path(tmp))
         got_forest = forest_digests(Path(tmp))
+    got_empirical = empirical_digests()
     print(f"GOLDEN_NUMPY = {np.__version__!r}")
-    for title, table in (("GOLDEN", got), ("GOLDEN_FOREST", got_forest)):
+    for title, table in (("GOLDEN", got), ("GOLDEN_FOREST", got_forest),
+                         ("GOLDEN_EMPIRICAL", got_empirical)):
         print(f"{title} = {{")
         for key, digest in table.items():
             print(f"    {key!r}: {digest!r},")

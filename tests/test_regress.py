@@ -29,10 +29,10 @@ from smallpunch.regress import (
 
 def _markers(f_max=900.0, v_max=1.2, f_i=889.0, v_i=0.55):
     return CurveMarkers(
-        f_max_N=f_max,
-        v_at_fmax_mm=v_max,
-        f_instability_N=f_i,
-        v_instability_mm=v_i,
+        f_max_N=[f_max],
+        v_at_fmax_mm=[v_max],
+        f_instability_N=[f_i],
+        v_instability_mm=[v_i],
         strategy=MARKER_MAX_SLOPE,
     )
 
@@ -40,19 +40,19 @@ def _markers(f_max=900.0, v_max=1.2, f_i=889.0, v_i=0.55):
 # ------------------------------------------------------ empirical features
 
 def test_instability_feature_is_force_over_thickness_squared():
-    x = empirical_feature(_markers(), h0_mm=0.5, mode=MODE_INSTABILITY_FORCE)
+    (x,) = empirical_feature(_markers(), h0_mm=0.5, mode=MODE_INSTABILITY_FORCE)
     assert x == pytest.approx(889.0 / 0.25, rel=1e-15)
 
 
 def test_max_force_feature_is_force_over_thickness_times_displacement():
-    x = empirical_feature(_markers(), h0_mm=0.5, mode=MODE_MAX_FORCE)
+    (x,) = empirical_feature(_markers(), h0_mm=0.5, mode=MODE_MAX_FORCE)
     assert x == pytest.approx(900.0 / (0.5 * 1.2), rel=1e-15)
 
 
 def test_prediction_is_beta_times_feature():
     model = EmpiricalModel(beta=0.3, mode=MODE_INSTABILITY_FORCE,
                            marker_strategy=MARKER_MAX_SLOPE)
-    pred = predict_empirical(model, _markers(), h0_mm=0.5)
+    (pred,) = predict_empirical(model, _markers(), h0_mm=0.5)
     assert pred == pytest.approx(0.3 * 889.0 / 0.25, rel=1e-15)
     assert pred == pytest.approx(1066.8, rel=1e-12)
 

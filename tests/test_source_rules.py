@@ -1,11 +1,13 @@
 """Rules every module of the package keeps, checked on its source."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import smallpunch
 
 SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def _file_calls_without_encoding(path):
@@ -55,3 +57,16 @@ def test_only_the_forest_module_names_the_nested_tree_classes():
     named = {p.name: lines for p in SOURCES
              if p.name != "forest.py" and (lines := _tree_class_names(p))}
     assert named == {}
+
+
+def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
+    # the benchmark's --trace 1 wraps each (module, attribute) by name; a
+    # renamed or unbound function would only fail there, at getattr
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    missing = [
+        (module.__name__, attr) for module, attr, _ in workloads.TRACE_POINTS
+        if not callable(getattr(module, attr, None))
+    ]
+    assert len(workloads.TRACE_POINTS) > 30
+    assert missing == []
