@@ -16,20 +16,32 @@ feature subsampling and out-of-bag error.  Determinism is a hard contract:
 The same bits in always produce the same model bits.  Growth runs in one
 thread.
 
+A tree grows on the distinct rows of its bag, each weighted by the number
+of times the bag holds it, as scikit-learn's forest passes a bootstrap on
+as per-row sample counts.  Every count a node is held to (the leaf test,
+min_leaf, a leaf's count) is a summed weight, the number of bag rows, and
+a leaf's value is its weighted mean target; in exact arithmetic the tree
+is the one grown on the bag with its duplicates.
+
 Growth works on whole levels, as SLIQ does, so numpy calls scale with the
 depth of the trees, not their node count.  The rows of every open node of
-a level sit in one array, node after node, each node's rows in bag order;
-a split reorders its rows stably, left rows first.  Leaf tests, feature
+a level sit in one array, node after node, each node's rows ascending; a
+split reorders its rows stably, left rows first.  Leaf tests, feature
 draws and split searches run for all open nodes of a level at once.  The
-search takes blocks of (node, feature) candidates, padded to the longest
-node of the block, and sorts each candidate's values by dense rank and
-bag position, which orders them as a stable sort of the node's own values
-would.  Each candidate has its own cumulative sums, so where no draw can
-change a tree (mtry = p, no bootstrap) growth finds the splits a
-depth-first grower with a stable argsort per node finds.  Only sums over a
-whole node (leaf values and the error a split must beat) are added in
-another order, so a leaf value may differ from such a grower's in the last
-bits.
+search takes blocks of nodes, padded to the longest node of the block, and
+sorts each (node, feature) candidate's values by dense rank and row, which
+orders them as a stable sort of the node's own values would.  It ranks a
+candidate's positions by the proxy sum_left**2 / n_left + sum_right**2 /
+n_right, as scikit-learn's proxy_impurity_improvement does: in exact
+arithmetic the position of least summed squared error scores highest.
+Only each node's winner gets its improvement, the drop in squared error,
+which the gain test and the importances use.  Each candidate has its own
+cumulative sums, so where no draw can change a tree (mtry = p) growth
+finds the splits of a depth-first grower that runs on the bag itself
+(tests/test_forest.py keeps one): for any targets without bootstrap, and
+with it where a weighted sum has the bits of the repeated one.  Only sums
+over a whole node (leaf values) are added in another order, so a leaf
+value may differ from such a grower's in the last bits.
 
 The fitted forest is a flat node table, which growth emits level by
 level: every node of every tree as parallel arrays, roots first, each
@@ -137,7 +149,7 @@ class _NodeTable:
     and left + 1, after it.  Growth numbers the nodes so, and so does
     reading a model file.  A leaf's left points at itself, its threshold
     is +inf and its feature 0, so a (tree, row) pair that has reached its
-    leaf stays there; value is the leaf value and count its training rows
+    leaf stays there; value is the leaf value and count its bag rows
     (0.0 and 0 on splits).  roots holds each tree's first node and depth
     the deepest leaf, the number of steps that brings every pair to its
     leaf.
@@ -222,14 +234,21 @@ class ForestModel:
 _BLOCK = 8192
 
 
-def _dense_ranks(xt: np.ndarray) -> np.ndarray:
-    """Rank of every value among the distinct values of its row of xt."""
+def _search_ranks(xt: np.ndarray) -> np.ndarray:
+    """Dense rank of every value among the distinct values of its row of xt.
+
+    A last column holds n, which ranks after every row of xt: the rank of
+    the padding row n that _search_rows gives short segments.  The ranks
+    are int32, which sorts faster, where every search key fits in it.
+    """
+    p, n = xt.shape
     order = np.argsort(xt, axis=1)
     ordered = np.take_along_axis(xt, order, axis=1)
     steps = np.zeros(xt.shape, dtype=np.intp)
     np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=steps[:, 1:])
-    rank = np.empty_like(steps)
-    np.put_along_axis(rank, order, steps, axis=1)
+    fits = (n + 1) << (n - 1).bit_length() <= 2**31
+    rank = np.full((p, n + 1), n, dtype=np.int32 if fits else np.int64)
+    np.put_along_axis(rank[:, :n], order, steps, axis=1)
     return rank
 
 
@@ -237,113 +256,119 @@ def _search_rows(
     xt: np.ndarray,
     rank: np.ndarray,
     rows: np.ndarray,
-    y: np.ndarray,
+    wy: np.ndarray,
     start: np.ndarray,
     size: np.ndarray,
-    feature: np.ndarray,
+    weight: np.ndarray,
+    feats: np.ndarray,
     min_leaf: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best (loss, threshold) of each candidate: one node's rows by one feature.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (improvement, feature, threshold) of each node of a block.
 
-    Candidate r is the segment rows[start[r]:start[r] + size[r]] of a node,
-    in bag-position order, searched on column feature[r] of xt (p x n);
-    rank is _dense_ranks(xt), y holds the targets of rows, and size is
-    non-increasing.  Sorting the keys rank * 2**shift + position, which no
-    two rows of a segment share, orders a segment as a stable sort of its
-    values would: ties keep bag-position order, so each cumulative sum has
-    the bits of a node's own stable sort.  Shorter segments are padded to
-    the longest with keys that sort last.  Candidate positions leave
-    min_leaf rows on each side and fall between distinct values; the first
-    lowest loss wins, so the lower threshold wins a tie.  A candidate with
-    no valid position has loss inf.
+    Node i holds the distinct rows rows[start[i]:start[i] + size[i]],
+    ascending, and is searched on the columns feats[i] of xt (p x n), in
+    ascending order; size is non-increasing.  rank is _search_ranks(xt).
+    wy holds each row's weight w and weighted target w * y as one complex
+    number, so one cumulative sum, exact per component, adds both; weight
+    is each node's summed weight.  rows and wy reach past the last node by
+    the longest segment.
+
+    Every (node, feature) candidate sorts the keys rank * 2**shift +
+    position, which no two rows of a segment share: ties keep row order,
+    as a stable sort of the node's own values would, so each cumulative sum
+    has that sort's bits.  A shorter segment is padded to the longest with
+    row n, whose rank sorts last.
+
+    Position j splits after sorted row j.  It is valid between distinct
+    values with a weight of at least min_leaf on each side, and it scores
+    sum_left**2 / n_left + sum_right**2 / n_right, where n sums the weights
+    and sum the weighted targets of a side.  Each node takes the first
+    highest score over its candidates, features before positions: the
+    lower feature, then the lower threshold, wins a tie.  Its improvement
+    is score - sum**2 / weight, with sum the winning candidate's last
+    cumulative sum: the drop in summed squared error the split gives, -inf
+    when no position is valid.
     """
+    nodes, mtry = feats.shape
     width = int(size[0])
-    padded = int(size[-1]) < width
+    n = rank.shape[1] - 1
     shift = (width - 1).bit_length()
     k = np.arange(width)
-    m = size[:, None]
-    key = rank[feature[:, None], rows[start[:, None] + k]]
+    seg = rows[start[:, None] + k]
+    if int(size[-1]) < width:
+        seg = np.where(k < size[:, None], seg, n)
+    key = rank.ravel().take(seg[:, None, :] + (n + 1) * feats[:, :, None])
     key <<= shift
     key |= k
-    if padded:
-        key = np.where(k < m, key, rank.shape[1] << shift)
-    key.sort(axis=1)
-    at = start[:, None] + (key & ((1 << shift) - 1))
+    key.sort(axis=2)
+    at = start[:, None, None] + (key & ((1 << shift) - 1))
     key >>= shift
-    ys = y[at]
-    cy = np.cumsum(ys, axis=1)
-    cy2 = np.cumsum(np.square(ys, out=ys), axis=1)
+    c = np.cumsum(wy.take(at), axis=2)
 
-    # position j splits after sorted row j: j + 1 rows go left; the loss
-    # sum2_left - sum_left * sum_left / n_left + sum2_right - sum_right *
-    # sum_right / n_right is evaluated left to right, in place
-    r = np.arange(size.size)
-    lo, hi = min_leaf - 1, width - min_leaf
-    n_left = np.arange(lo + 1, hi + 1, dtype=float)
-    n_right = m - n_left
-    sum_left = cy[:, lo:hi]
-    sum2_left = cy2[:, lo:hi]
-    sum_right = cy[r, size - 1][:, None] - sum_left
-    loss = np.square(sum_left)
-    loss /= n_left
-    np.subtract(sum2_left, loss, out=loss)
-    loss += cy2[r, size - 1][:, None] - sum2_left
-    valid = key[:, lo + 1:hi + 1] != key[:, lo:hi]
-    if padded:
-        valid &= np.arange(lo, hi) < m - min_leaf
-        # n_right >= min_leaf at every valid position; padding only needs no 0
-        np.maximum(n_right, 1.0, out=n_right)
-    np.square(sum_right, out=sum_right)
-    sum_right /= n_right
-    loss -= sum_right
-    loss = np.where(valid, loss, np.inf)
-    pos = np.argmin(loss, axis=1)
-    left = rows[at[r, pos + lo]]
-    right = rows[at[r, pos + lo + 1]]
-    return loss[r, pos], (xt[feature, left] + xt[feature, right]) / 2.0
+    # a padded candidate's positions from its last row on are never valid:
+    # past it the keys are equal, at it the right side has no weight
+    n_left = c.real[:, :, :-1]
+    sum_left = c.imag[:, :, :-1]
+    sum_all = c.imag[np.arange(nodes)[:, None], np.arange(mtry), (size - 1)[:, None]]
+    n_right = weight[:, None, None] - n_left
+    sum_right = sum_all[:, :, None] - sum_left
+    invalid = key[:, :, 1:] == key[:, :, :-1]
+    invalid |= n_left < min_leaf
+    invalid |= n_right < min_leaf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.square(sum_left)
+        score /= n_left
+        np.square(sum_right, out=sum_right)
+        sum_right /= n_right
+    score += sum_right
+    np.copyto(score, -np.inf, where=invalid)
+
+    best, pos = np.divmod(np.argmax(score.reshape(nodes, -1), axis=1), width - 1)
+    r = np.arange(nodes)
+    total = sum_all[r, best]
+    feature = feats[r, best]
+    left = rows[at[r, best, pos]]
+    right = rows[at[r, best, pos + 1]]
+    return (score[r, best, pos] - total * total / weight, feature,
+            (xt[feature, left] + xt[feature, right]) / 2.0)
 
 
 def _best_splits(
     xt: np.ndarray,
     rank: np.ndarray,
     rows: np.ndarray,
-    y: np.ndarray,
+    wy: np.ndarray,
     start: np.ndarray,
     size: np.ndarray,
+    weight: np.ndarray,
     feats: np.ndarray,
     min_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best (loss, feature, threshold) of each node on its drawn features.
+    """Best (improvement, feature, threshold) of each node on its drawn features.
 
     Row i of feats lists node i's candidate features in ascending order.
     Nodes are searched largest first, whole nodes to a block of at most
-    _BLOCK padded elements (or one node), so a block pads little.  Each
-    node takes the first lowest loss over its features: the lower feature
-    wins a tie.
+    _BLOCK padded elements (or one node), so a block pads little; see
+    _search_rows.
     """
     n_nodes, mtry = feats.shape
     by_size = np.argsort(-size, kind="stable")
     # a padded segment may reach past the last node's rows
-    rows = np.concatenate([rows, np.zeros(int(size.max()), dtype=rows.dtype)])
-    loss = np.empty(n_nodes)
+    pad = int(size.max())
+    rows = np.concatenate([rows, np.zeros(pad, dtype=rows.dtype)])
+    wy = np.concatenate([wy, np.zeros(pad, dtype=wy.dtype)])
+    improvement = np.empty(n_nodes)
     feature = np.empty(n_nodes, dtype=np.intp)
     threshold = np.empty(n_nodes)
     lo = 0
     while lo < n_nodes:
         hi = min(n_nodes, lo + max(1, _BLOCK // (mtry * int(size[by_size[lo]]))))
         nodes = by_size[lo:hi]
-        node_loss, node_threshold = (
-            a.reshape(-1, mtry)
-            for a in _search_rows(xt, rank, rows, y, np.repeat(start[nodes], mtry),
-                                  np.repeat(size[nodes], mtry), feats[nodes].ravel(), min_leaf)
+        improvement[nodes], feature[nodes], threshold[nodes] = _search_rows(
+            xt, rank, rows, wy, start[nodes], size[nodes], weight[nodes], feats[nodes], min_leaf
         )
-        best = np.argmin(node_loss, axis=1)
-        r = np.arange(nodes.size)
-        loss[nodes] = node_loss[r, best]
-        feature[nodes] = feats[nodes, best]
-        threshold[nodes] = node_threshold[r, best]
         lo = hi
-    return loss, feature, threshold
+    return improvement, feature, threshold
 
 
 def _draw_features(
@@ -370,23 +395,29 @@ def _grow_forest(
 ) -> tuple[_NodeTable, np.ndarray]:
     """Grow every tree level by level; returns the node table and the reductions.
 
-    Row t of bags is tree t's bag.  The open nodes of a level, tree after
-    tree and left to right, hold their rows as consecutive segments of one
-    array, each in bag-position order.  A level first closes as leaves the
-    nodes with too few rows, at the depth limit or with equal targets, then
-    searches the rest at once; a node whose best split does not strictly
-    reduce the summed squared error becomes a leaf too.  Each split node's
-    segment is reordered stably, left rows first, into the next level.
-    The table numbers the nodes in that order, level after level.
+    Row t of bags is tree t's bag.  A tree grows on the distinct rows of its
+    bag, ascending, each weighted by the number of times the bag holds it.
+    The open nodes of a level, tree after tree and left to right, hold their
+    rows and weights as consecutive segments of two arrays.  A level first
+    closes as leaves the nodes whose summed weight is below 2 * min_leaf,
+    those at the depth limit and those with equal targets, then searches
+    the rest at once; a node whose best split does not strictly reduce the
+    summed squared error becomes a leaf too.  A leaf's value is its weighted
+    mean target and its count its summed weight, its bag rows.  Each split
+    node's segment is reordered stably, left rows first, into the next
+    level.  The table numbers the nodes in that order, level after level.
     """
     n_trees, n = bags.shape
     p = xv.shape[1]
     xt = np.ascontiguousarray(xv.T)
-    rank = _dense_ranks(xt)
+    rank = _search_ranks(xt)
     reductions = np.zeros(p)
-    rows = bags.ravel()
+    counts = np.bincount((bags + n * np.arange(n_trees)[:, None]).ravel(),
+                         minlength=n_trees * n).reshape(n_trees, n)
+    tree, rows = np.nonzero(counts)
+    w = counts[tree, rows].astype(float)
+    size = np.bincount(tree, minlength=n_trees)
     tree = np.arange(n_trees)
-    size = np.full(n_trees, n)
     depth = 0
     # the node table's columns, one array per level
     levels: list[tuple[np.ndarray, ...]] = []
@@ -394,8 +425,11 @@ def _grow_forest(
     while tree.size:
         start = np.cumsum(size) - size
         y = yv[rows]
-        sum_y = np.add.reduceat(y, start)
-        closed = size < 2 * cfg.min_leaf
+        wy = np.empty(rows.size, dtype=complex)
+        wy.real, wy.imag = w, w * y
+        totals = np.add.reduceat(wy, start)
+        weight, sum_y = totals.real, totals.imag
+        closed = weight < 2 * cfg.min_leaf
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             closed[:] = True
         closed |= np.minimum.reduceat(y, start) == np.maximum.reduceat(y, start)
@@ -406,30 +440,30 @@ def _grow_forest(
         open_ = np.flatnonzero(~closed)
         if open_.size:
             feats = _draw_features(rngs, tree[open_], p, mtry)
-            loss, feat, thr = _best_splits(
-                xt, rank, rows, y, start[open_], size[open_], feats, cfg.min_leaf
+            improvement, feat, thr = _best_splits(
+                xt, rank, rows, wy, start[open_], size[open_], weight[open_], feats, cfg.min_leaf
             )
-            sum_open = sum_y[open_]
-            parent_sse = np.add.reduceat(y * y, start)[open_] - sum_open * sum_open / size[open_]
-            gain = loss < parent_sse
+            gain = improvement > 0.0
             splits = open_[gain]
             is_split[splits] = True
             feature[splits] = feat[gain]
             threshold[splits] = thr[gain]
-            np.add.at(reductions, feat[gain], parent_sse[gain] - loss[gain])
+            np.add.at(reductions, feat[gain], improvement[gain])
 
         # a split's children are numbered after this level, in split order
         left = first + np.arange(tree.size)
         left[is_split] = first + tree.size + 2 * np.arange(int(is_split.sum()))
-        value = np.where(is_split, 0.0, sum_y / size)
-        levels.append((feature, threshold, left, value, np.where(is_split, 0, size)))
+        value = np.where(is_split, 0.0, sum_y / weight)
+        count = np.where(is_split, 0.0, weight).astype(np.intp)
+        levels.append((feature, threshold, left, value, count))
         first += tree.size
 
         node = np.repeat(np.arange(tree.size), size)
         keep = is_split[node]
-        rows, node = rows[keep], node[keep]
+        rows, w, node = rows[keep], w[keep], node[keep]
         goes_left = xt[feature[node], rows] <= threshold[node]
-        rows = rows[np.argsort(2 * node + ~goes_left, kind="stable")]
+        order = np.argsort(2 * node + ~goes_left, kind="stable")
+        rows, w = rows[order], w[order]
         n_left = np.bincount(node[goes_left], minlength=tree.size)[is_split]
         size = np.column_stack([n_left, size[is_split] - n_left]).ravel()
         tree = np.repeat(tree[is_split], 2)

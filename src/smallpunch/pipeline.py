@@ -27,6 +27,7 @@ from typing import Any, ClassVar, Sequence, Union
 import numpy as np
 
 from .curves import (
+    CurveMarkers,
     GridSpec,
     MARKER_MAX_SLOPE,
     MARKER_STRATEGIES,
@@ -41,6 +42,7 @@ from .regress import (
     EmpiricalModel,
     LinearModel,
     MODE_INSTABILITY_FORCE,
+    MODE_MAX_FORCE,
     EMPIRICAL_MODES,
     empirical_feature,
     fit_beta,
@@ -114,7 +116,12 @@ class _RecordBlocks:
 
 @dataclass(frozen=True)
 class EmpiricalKind(_RecordBlocks):
-    """Marker-based correlation family."""
+    """Marker-based correlation family.
+
+    The max-force correlation reads F_m and v_m alone, so that mode ignores
+    the marker strategy: it records max-slope, the default, needs no v_star
+    and neither locates nor checks an instability point.
+    """
 
     name: ClassVar[str] = "empirical"
     model_type: ClassVar[str] = "empirical"
@@ -130,17 +137,29 @@ class EmpiricalKind(_RecordBlocks):
             raise BadConfig(f"unknown empirical mode: {self.mode!r}")
         if self.marker_strategy not in MARKER_STRATEGIES:
             raise BadConfig(f"unknown marker strategy: {self.marker_strategy!r}")
+        if self.mode == MODE_MAX_FORCE:
+            object.__setattr__(self, "marker_strategy", MARKER_MAX_SLOPE)
+
+    def _markers(self, forces: np.ndarray, grid: GridSpec, v_star) -> CurveMarkers:
+        if self.mode != MODE_MAX_FORCE:
+            return extract_markers(forces, grid, self.marker_strategy, v_star)
+        # the instability point sits at the maximum, where every check on it
+        # holds: only F_m > 0 and v_m > 0 are checked
+        f_m = np.max(forces, axis=1)
+        v_m = grid.displacements()[np.argmax(forces, axis=1)]
+        return CurveMarkers(f_max_N=f_m, v_at_fmax_mm=v_m, f_instability_N=f_m,
+                            v_instability_mm=v_m, strategy=self.marker_strategy)
 
     def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
         forces = matrix.values[:, :-1]  # the matrix ends with the temperature
-        markers = extract_markers(forces, curves[0].grid, self.marker_strategy, v_star)
+        markers = self._markers(forces, curves[0].grid, v_star)
         feats = empirical_feature(markers, _thicknesses(curves), self.mode)
         model = fit_beta(feats, targets, mode=self.mode, marker_strategy=self.marker_strategy)
         return None, None, model
 
     def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
         forces = np.array([c.force_N for c in curves]).reshape(len(curves), trained.grid.n_points)
-        markers = extract_markers(forces, trained.grid, self.marker_strategy, v_star)
+        markers = self._markers(forces, trained.grid, v_star)
         return predict_empirical(trained.model, markers, _thicknesses(curves))
 
 

@@ -182,6 +182,23 @@ def test_cv_fixed_v_without_source_exits_2(tmp_path, capsys):
     assert code == 2 and "--v-star or --truth" in err
 
 
+def test_max_force_ignores_the_marker(tmp_path, capsys, monkeypatch):
+    # max-force reads no v_i, so a v_star beyond the grid's end changes nothing
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    manifest = make_dataset(tmp_path, capsys, materials=2, per_material=3) / "manifest.csv"
+    runs = []
+    for name, marker in (("slope", ("--marker", "max-slope")),
+                         ("fixed", ("--marker", "fixed-v", "--v-star", "1.6"))):
+        flags = ("--pipeline", "empirical", "--mode", "max-force", *marker)
+        cv = run(capsys, "cv", str(manifest), *flags, "--k", "2", "--out", str(tmp_path / name))
+        model = tmp_path / f"{name}.json"
+        train = run(capsys, "train", str(manifest), *flags, "--out", str(model))
+        assert cv[0] == train[0] == 0, cv[2] + train[2]
+        files = [p.read_bytes() for p in sorted((tmp_path / name).iterdir())]
+        runs.append((cv[1], files, train[1].replace(str(model), "<model>"), model.read_bytes()))
+    assert runs[0] == runs[1]
+
+
 def test_cv_stratified_runs(tmp_path, capsys):
     data = make_dataset(tmp_path, capsys, materials=4, per_material=4)
     code, stdout, _ = run(capsys, "cv", str(data / "manifest.csv"),
@@ -233,6 +250,35 @@ def test_train_each_family(tmp_path, capsys, monkeypatch):
         assert provenance["seed"] == 0
         assert provenance["created"] == "2023-11-14T22:13:20Z"
         assert provenance["manifest_sha256"] == sha256_of(manifest)
+
+
+@pytest.mark.parametrize("rf_input", ["raw", "scores"])
+def test_train_rf_reports_oob_error_and_top_importances_on_stderr(tmp_path, capsys, rf_input):
+    manifest = make_dataset(tmp_path, capsys) / "manifest.csv"
+    model_path = tmp_path / "rf.json"
+    code, stdout, err = run(capsys, "train", str(manifest), "--pipeline", "rf", "--trees", "10",
+                            "--rf-input", rf_input, "--out", str(model_path))
+    assert code == 0, err
+    assert [line.split("=")[0] for line in stdout.splitlines()] == (
+        ["training_rmse_MPa", "saved " + str(model_path)] if rf_input == "raw"
+        else ["training_rmse_MPa", "pca_components", "saved " + str(model_path)])
+    model = load_model(model_path)[0].model
+    oob, top = err.splitlines()
+    assert oob == f"oob_rmse_MPa={fmt(model.oob_rmse)}"
+    assert top.startswith("top_importances=")
+    pairs = [item.rsplit(":", 1) for item in top.split("=", 1)[1].split(",")]
+    shares = [float(share) for _, share in pairs]
+    assert len(pairs) == min(5, model.n_features)
+    assert shares == sorted(model.importances, reverse=True)[:5]
+    labels = [label for label, _ in pairs]
+    if rf_input == "raw":
+        assert all(label.startswith("F@") or label == "temperature_C" for label in labels)
+    else:
+        assert all(label.startswith("pc") for label in labels)
+
+    code, _, err = run(capsys, "train", str(manifest), "--pipeline", "pca-lm",
+                       "--out", str(tmp_path / "lm.json"))
+    assert code == 0 and err == ""
 
 
 @pytest.mark.parametrize("module", ["smallpunch", "smallpunch.cli"])

@@ -70,10 +70,10 @@ def run_script(root: Path) -> dict[str, str]:
     digests: dict[str, str] = {}
 
     def cli(key: str, *argv: str) -> None:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main([str(a) for a in argv])
-        assert code == 0, f"{key} exited {code}"
+        assert code == 0, f"{key} exited {code}: {err.getvalue()}"
         digests[f"stdout {key}"] = _sha(out.getvalue().replace(str(root), "<root>").encode())
 
     data = root / "data"
@@ -160,14 +160,14 @@ GOLDEN: dict[str, str] = {
     'stdout predict pca-lm': 'e608c9358eb68d36565d5e76e1d996f1852eba2bf409c6ba3282d0be3a544444',
     'stdout cv pca-lm': '8b42e9860ad04a116aecad3778976dd838369220c03bbad6f55bf12f23e1905c',
     'stdout report pca-lm': '5413772139588eb6abd4e8c1057f1d0d791956ef9971321f26915e57d2b80f3d',
-    'stdout train rf': 'ba833c68cf8027b0ddabe9d75f1755add1083fef3234cbadb70268aa2423bfd9',
+    'stdout train rf': '6308a3c163b025dbd14ebc479946094ba518349f5416c3a7f9af99a0c9a1b4ab',
     'stdout predict rf': '90376b2b0224b3a70e38f19bd50f4d4c5afea7e1110032e56ea783b89fa1ad43',
-    'stdout cv rf': '4737f0c795df52312ff6cdcd31e975ffe68c3a7d220dbca0bab9276f90772947',
-    'stdout report rf': 'ada8937c3f0cbfa6337afe181026e6c87ef05c9a63ec829549bb60ffef0ec678',
-    'stdout train rf-scores': 'd0cdda85a1d69e50018f7998553aa0847acd379361e5007aacba6eb014244a83',
+    'stdout cv rf': '4a5a4923bfe332599360e6b12e3b52a457864f804732bb32b52ecbff08e525b2',
+    'stdout report rf': '3a68966db3d1db8ce568a43c8b70d342a519fc12007b0ba9af1dd1699b652e16',
+    'stdout train rf-scores': '74e7f15af181aa3fe6f6c1ff911eb5bdcf8137ac8078152258285880c9f2c7d3',
     'stdout predict rf-scores': 'a9d1f1b786ff5de5e5e84bf31430c964b9afc9cea425287f21d208f01fdc05bf',
-    'stdout cv rf-scores': '27f00ffd14a145c3d25cdb1e52aa0cac787e5c63823d26f03e3efd78cfff88d8',
-    'stdout report rf-scores': '9c69c766fb5773dbceab211f2b3c7d071a2650932da5474ea728550a45b23f02',
+    'stdout cv rf-scores': '06f7afdddb1b4661d94c70274c66cb9fcd6528aca47b9ede549b055ba96df278',
+    'stdout report rf-scores': '8a6bf92212f54341bfd0729fed732713ba694e857d6794971a9f054f8c1570d5',
     'cv_empirical/empirical_folds.csv': '34a8f439e9c53b9167d07c4181631f5904f0ccc1799695a07bc114f6ca2adffb',
     'cv_empirical/empirical_samples.csv': '4cba79d96cb17bb0e583361c0e0d92d701389f6907f8500a8cc49116d14f0f80',
     'cv_empirical/empirical_summary.csv': 'c0127461146f3ece8dd6a9332db2c7a7fd9c473402482bc7d02c7ae47a5159b2',
@@ -180,12 +180,12 @@ GOLDEN: dict[str, str] = {
     'cv_pca-lm/pca-lm_folds.csv': 'e15d33152721cd68ab7e14ef0bda2cb46040663b8654fc6156f76c85fb6dba0d',
     'cv_pca-lm/pca-lm_samples.csv': '9bebc9088df9acc33bbe4dfdf169d89998021e834f14dca54eb4e142d165e454',
     'cv_pca-lm/pca-lm_summary.csv': 'f6ad0264172ad584a9889c2ee6fa70a2df62eda79025f4838b1fdc88e09d6f51',
-    'cv_rf/rf_folds.csv': 'ef6d374303d48627bd3d233fc36520204735c309cf546c112158518fe338eeab',
-    'cv_rf/rf_samples.csv': '9ff5ba470670ab4efd6edd45e3f2b8d2e2ddff8c7a1ab9ae82b6056b628d62f4',
-    'cv_rf/rf_summary.csv': 'e4ae6111da9539be07d94d137300c14093f8a37758047706926570478bb38627',
-    'cv_rf-scores/rf_folds.csv': '0fc0bbb79b9387b8624f8e96e6897021460463e5c67e9df74c42542c6b2a5695',
-    'cv_rf-scores/rf_samples.csv': 'bcd7dd2bf835891efa31436224f68b79d36ab29d86389ba4e711b037d856d23d',
-    'cv_rf-scores/rf_summary.csv': '25db7c93df6920d0f8b439819091be4b15f7de3fbdb58e6777babfae9a02b5df',
+    'cv_rf/rf_folds.csv': '6f0d653785251bee7c685a260fc87fe310f458f1a0fe64cdaf4632a2e38a9309',
+    'cv_rf/rf_samples.csv': 'c99f7c4fa9a6b2a33fc3d513e10d4602ffa110f2c373a826f1f600e88593b70a',
+    'cv_rf/rf_summary.csv': '5afa3b15c453440ff1466e0f8c75b8be45377d83392b67112428ddc8f043e20f',
+    'cv_rf-scores/rf_folds.csv': '8f8212022b120e37353d061f1bc0ea1edc95230c2e7cc7a4e5364a0580d93cf8',
+    'cv_rf-scores/rf_samples.csv': '2bb34716a581cf335d794e1cbc78bc5662c21fd3d6136d45b693124cc35c2310',
+    'cv_rf-scores/rf_summary.csv': '4df0436d4f74b712a7d7bcf6402561fb6e7b1a05b6ebd93d920fa21df182e42c',
     'data/m00_c00.csv': '0ef8b9771de07d21d3a98bb6ba1460d3ab1e073aed2c00decc51565207c553d5',
     'data/m00_c01.csv': 'fafdde49d048133360bfffcdd99fcb7476a5bd437438e8b7d7a5bcb4fdbae469',
     'data/m00_c02.csv': '8556bfc6bbe66a84e361b747e7e04e13456a4eddbb42d5e9d4a7c53bccdb1ca6',
@@ -210,30 +210,30 @@ GOLDEN: dict[str, str] = {
     'model_empirical-max-force.json': '69b14eb9f974d4b79b7a59883a150837ef1eb362f807938c12716fc21f348efd',
     'model_empirical.json': 'bf3d844674f54bb0f57a6cf9986fe3ae73834866a85963287adbd59799130e27',
     'model_pca-lm.json': 'f2273d2d224978ae046e86b6fbb118f8ac1b8a7e738421463741e1845b0e2035',
-    'model_rf-scores.json': '07d4a5ed1eb0ade27ea2310b1f88289e29a527b821811cd4d9e71410a7f97987',
-    'model_rf.json': '8a4f9ccf044ee840bdf834546ef9c5543aa86767667174790f8b779e80ba2a56',
+    'model_rf-scores.json': '7ab601e2f902e940fa32e220b106c2489ebe725201c938947ccb271ce44677ec',
+    'model_rf.json': '9728af4ad3e551c1da0f51cf519e5ccc470732117961d8e02b2787385d4a155b',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
     'pred_pca-lm.csv': 'd41b150ddb92b01f2abe09783728edede98dd6a37f2b083aaee363ff38242305',
-    'pred_rf-scores.csv': '509dd259238c379fc15b634adc10a03ff9b79d94182bdfd1c2ca68d97dc08955',
-    'pred_rf.csv': 'aa754c8773f5d0e09184867e532be1be2d7626778484528572cc1b4fd9247e75',
+    'pred_rf-scores.csv': '6a0de50c4477a1394f4c3dac6a39674c2694f72e61d7eb9962bb428509fa4e7d',
+    'pred_rf.csv': '1efdd82d6a2d87b82628b266a3ca03abd20bb04470ec33315678d40e72717fc4',
     'report_empirical-fixed-v.csv': 'cce6f61abd9101832ad489fa3b95fc77fd2fdbdddb43d52f58cc7928ea3add7c',
     'report_empirical-max-force.csv': '8e4ff718581b27f195dcde5a64b155dd839973c4c72d448049375be35e4cbca4',
     'report_empirical.csv': '77c8b8be51be7553c5d6c35cc4d62a4d9d826b47333a2d70302da7ecad07028f',
     'report_pca-lm.csv': '70af1ae72132b7519d48a94669d0ceaf383cd8bfcdf916d9afb88e37ce1671c1',
-    'report_rf-scores.csv': '0d94e76c0d53281b8c7f69abdc43cbb3362283a3e374f9b07b7bbd6870e25da5',
-    'report_rf.csv': 'cd9c80edf3b2bf59ef17e9286e903c7734e9cc3314f2ff966ba9235cb10c0a94',
+    'report_rf-scores.csv': 'dd4f89f9dfceb0c9b3931dc991da67c541185ed168d59991706cb1002f5609ae',
+    'report_rf.csv': '39dc99419c307c941205f32a3e3eb37367d63a838254a19232cf8a550da47660',
 }
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': '451a7557e97437b6809e9334f3acfa956d596d90ab3d5f8deebd4e307ff3bc13',
-    'predict rf': 'ea9c2d28621fe65d00525c6929cdf8f6612425d0d8d13d96d52be2f1d48bd877',
-    'permutation rf': '909348e1bdb9caf56893089fbb519d98a80ec5d08c39e7d1e35db8220fe5bd82',
-    'model rf-scores': 'ced73870f87e0955cdb76043d34a9fef1b42de68363772c38df175d4b5ba74f0',
-    'predict rf-scores': '42ce8722e608821014108ee02e1cdab0ae7177fd12fbb7af5cc56528ccdbdfa5',
-    'permutation rf-scores': '1b5f3e554e94bd3ee1491e9d6819c9175f5fa13511770a34592fa88c025411a2',
+    'model rf': '125656c170e9ecbff8d865b62e0c8af5c9f3428b9ff92b52b5118bf961673aa9',
+    'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
+    'permutation rf': '1fae006416836539463380deff2cee5d38d5ffae914ba1b724812604ca901f45',
+    'model rf-scores': 'c4a1921dea5f1812049f283c0971834209dc358cc2dc59dc8ceb1adbd0368db0',
+    'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
+    'permutation rf-scores': 'bbdbed792e686bd24c971c2e07df35fb4aa54e7026ca6b5819497e4b87f481ed',
 }
 
 

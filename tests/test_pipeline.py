@@ -8,6 +8,7 @@ from smallpunch.errors import (
     BadConfig,
     EmptyTraining,
     GridMismatch,
+    InvalidMarkers,
     LengthMismatch,
 )
 from smallpunch.forest import ForestConfig, ForestModel
@@ -103,6 +104,24 @@ def test_fixed_v_scalar_broadcasts_and_sequence_must_match(dataset):
         fit_pipeline(curves, spec, v_star=stars[:-1])
     with pytest.raises(BadConfig):
         fit_pipeline(curves, spec)
+
+
+def test_max_force_reads_no_instability_point():
+    # the steepest rise comes after the force maximum, so max-slope's v_i
+    # exceeds v_m; max-force reads F_m and v_m alone and fits anyway
+    grid = GridSpec(n_points=60)
+    shape = np.concatenate([np.linspace(0.0, 100.0, 21), np.linspace(90.0, 10.0, 9),
+                            np.linspace(20.0, 95.0, 6), np.full(24, 95.0)])
+    curves = [make_uniform(scale * shape, grid, make_meta(rm=rm))
+              for scale, rm in ((1.0, 500.0), (1.2, 610.0), (0.9, 440.0))]
+    kind = EmpiricalKind(mode="max-force", marker_strategy=MARKER_FIXED_V)
+    assert kind.marker_strategy == "max-slope"
+    trained = fit_pipeline(curves, PipelineSpec(kind))
+    f_m = np.array([100.0, 120.0, 90.0])
+    want = trained.model.beta * f_m / (0.5 * 0.2)
+    assert np.allclose(predict_pipeline(trained, curves), want, rtol=1e-12, atol=0.0)
+    with pytest.raises(InvalidMarkers, match="v_i <= v_m"):
+        fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
 
 
 def test_unlabeled_training_set_is_rejected():
