@@ -21,12 +21,12 @@ from .curves import (
 from .errors import SmallPunchError
 from .evaluation import CvReport, cross_validate, group_kfold_split, kfold_split, rmse
 from .features import (
-    FeatureMatrix,
     Standardizer,
-    TargetVector,
     apply_standardizer,
     assemble,
+    column_labels,
     fit_standardizer,
+    strengths,
 )
 from .forest import (
     ForestConfig,
@@ -67,7 +67,6 @@ __all__ = [
     "CvReport",
     "EmpiricalKind",
     "EmpiricalModel",
-    "FeatureMatrix",
     "ForestConfig",
     "ForestKind",
     "ForestModel",
@@ -87,11 +86,11 @@ __all__ = [
     "SynthConfig",
     "SynthRecord",
     "SynthTruth",
-    "TargetVector",
     "TrainedPipeline",
     "UniformCurve",
     "apply_standardizer",
     "assemble",
+    "column_labels",
     "cross_validate",
     "empirical_feature",
     "extract_markers",
@@ -116,5 +115,6 @@ __all__ = [
     "resample",
     "rmse",
     "save_model",
+    "strengths",
     "transform",
 ]

@@ -24,7 +24,7 @@ from . import dataio
 from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES
 from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion
 from .evaluation import cross_validate, rmse
-from .features import assemble
+from .features import column_labels
 from .forest import ForestConfig, ForestModel
 from .modelfile import load_model, save_model
 from .pipeline import (
@@ -246,16 +246,16 @@ def cmd_train(args: argparse.Namespace) -> int:
         )
     print(f"saved {args.out}")
     if isinstance(trained.model, ForestModel):
-        _print_forest_diagnostics(trained, curves)
+        _print_forest_diagnostics(trained)
     return EXIT_OK
 
 
-def _print_forest_diagnostics(trained: TrainedPipeline, curves: list) -> None:
+def _print_forest_diagnostics(trained: TrainedPipeline) -> None:
     """A forest's out-of-bag RMSE and its five largest importances, on stderr."""
     model = trained.model
     oob = "none" if model.oob_rmse is None else dataio.fmt(model.oob_rmse)
     labels = ([f"pc{j + 1}" for j in range(model.n_features)] if trained.pca is not None
-              else assemble(curves[:1])[0].column_labels)
+              else column_labels(trained.grid))
     top = np.argsort(-model.importances, kind="stable")[:5]
     shares = ",".join(f"{labels[j]}:{dataio.fmt(model.importances[j])}" for j in top)
     print(f"oob_rmse_MPa={oob}", file=sys.stderr)

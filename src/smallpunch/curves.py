@@ -61,10 +61,10 @@ class SpecimenMeta:
             raise InvalidSpecimen(
                 f"temperature_C out of range [-273.15, 2000): {self.temperature_C}"
             )
-        if not (self.thickness_mm > 0.0):
-            raise InvalidSpecimen(f"thickness_mm must be > 0, got {self.thickness_mm}")
-        if self.rm_MPa is not None and not (self.rm_MPa > 0.0):
-            raise InvalidSpecimen(f"rm_MPa must be > 0 when present, got {self.rm_MPa}")
+        if not (0.0 < self.thickness_mm < math.inf):
+            raise InvalidSpecimen(f"thickness_mm must be finite and > 0, got {self.thickness_mm}")
+        if self.rm_MPa is not None and not (0.0 < self.rm_MPa < math.inf):
+            raise InvalidSpecimen(f"rm_MPa must be finite and > 0 when present, got {self.rm_MPa}")
 
 
 @dataclass(frozen=True)
@@ -79,13 +79,17 @@ class GridSpec:
     n_points: int = 151
 
     def __post_init__(self) -> None:
-        if not (self.spacing_mm > 0.0):
-            raise BadConfig(f"grid spacing must be > 0, got {self.spacing_mm}")
+        if not (0.0 < self.spacing_mm < math.inf):
+            raise BadConfig(f"grid spacing must be finite and > 0, got {self.spacing_mm}")
         n = self.n_points
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadConfig(f"grid n_points must be a positive integer, got {n!r}")
-        if self.start_mm < 0.0:
-            raise BadConfig(f"grid start must be >= 0, got {self.start_mm}")
+        if not (0.0 <= self.start_mm < math.inf):
+            raise BadConfig(f"grid start must be finite and >= 0, got {self.start_mm}")
+        if self.end_mm == math.inf:
+            raise BadConfig(
+                f"grid end overflows: start {self.start_mm}, spacing {self.spacing_mm}"
+            )
 
     @property
     def end_mm(self) -> float:

@@ -77,10 +77,6 @@ class NonPositiveFeature(SmallPunchError):
     """The empirical correlation needs strictly positive features."""
 
 
-class NonPositiveTarget(SmallPunchError):
-    """Strength targets must be strictly positive."""
-
-
 class RankDeficient(SmallPunchError):
     """The regression design matrix is numerically rank deficient."""
 

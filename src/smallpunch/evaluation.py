@@ -13,15 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .curves import UniformCurve
-from .errors import (
-    BadConfig,
-    BadK,
-    EmptyInput,
-    InvalidModel,
-    LengthMismatch,
-    PartialTargets,
-    SmallPunchError,
-)
+from .errors import BadConfig, BadK, EmptyInput, InvalidModel, LengthMismatch, SmallPunchError
+from .features import strengths
 from .pipeline import PipelineSpec, TrainedPipeline, fit_pipeline, predict_pipeline
 
 
@@ -132,15 +125,11 @@ def cross_validate(
     """
     curve_list = list(curves)
     n = len(curve_list)
-    truths = [c.meta.rm_MPa for c in curve_list]
-    if any(t is None for t in truths):
-        raise PartialTargets("cross-validation requires labeled curves")
-    truth_arr = np.asarray(truths, dtype=float)
-
     if stratify_material:
         folds = group_kfold_split([c.meta.material_id for c in curve_list], k, seed)
     else:
         folds = kfold_split(n, k, seed)
+    truth_arr = strengths(curve_list)
 
     stars: np.ndarray | None = None
     if v_star is not None and not isinstance(v_star, (int, float, np.floating, np.integer)):

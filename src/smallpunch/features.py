@@ -1,24 +1,29 @@
 """Feature matrix assembly and column standardization.
 
-Each uniform curve becomes one row: the grid forces in displacement order
-followed by the test temperature.  Standardization is column-wise z-scoring
-with the sample standard deviation; constant columns keep scale 1 so they
-map to exactly zero instead of dividing by zero.
+Stages pass plain float arrays.  Each uniform curve becomes one row of the
+design matrix: the grid forces in displacement order followed by the test
+temperature.  The targets are the curves' measured strengths, one per row.
+_matrix_values and _target_values are the one entry check for a design
+matrix and a target vector: every function that takes one checks it there.
+
+Standardization is column-wise z-scoring with the sample standard
+deviation; constant columns keep scale 1 so they map to exactly zero
+instead of dividing by zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
-from .curves import SpecimenMeta, UniformCurve
+from .curves import GridSpec, UniformCurve
 from .errors import (
     EmptyInput,
+    EmptyTraining,
     MixedGrids,
     NonFiniteValue,
-    NonPositiveTarget,
     PartialTargets,
     ShapeMismatch,
     TooFewRows,
@@ -27,55 +32,24 @@ from .errors import (
 TEMPERATURE_LABEL = "temperature_C"
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """n x p matrix of finite values with column labels and per-row metadata."""
-
-    values: np.ndarray
-    column_labels: tuple[str, ...]
-    row_meta: tuple[SpecimenMeta, ...]
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 2:
-            raise ShapeMismatch("feature matrix must be two-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteValue("feature matrix contains non-finite values")
-        if len(self.column_labels) != v.shape[1]:
-            raise ShapeMismatch(
-                f"{len(self.column_labels)} labels for {v.shape[1]} columns"
-            )
-        if len(self.row_meta) != v.shape[0]:
-            raise ShapeMismatch(f"{len(self.row_meta)} metadata entries for {v.shape[0]} rows")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_cols(self) -> int:
-        return self.values.shape[1]
+def _matrix_values(x: np.ndarray) -> np.ndarray:
+    """x as floats, checked to be a finite two-dimensional matrix."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeMismatch("expected a two-dimensional matrix")
+    if not np.all(np.isfinite(x)):
+        raise NonFiniteValue("matrix contains non-finite values")
+    return x
 
 
-@dataclass(frozen=True)
-class TargetVector:
-    """Measured tensile strengths, strictly positive and finite."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1:
-            raise ShapeMismatch("target vector must be one-dimensional")
-        if not np.all(np.isfinite(v)):
-            raise NonFiniteValue("target vector contains non-finite values")
-        if v.size and not np.all(v > 0.0):
-            raise NonPositiveTarget("targets must be strictly positive")
-
-    def __len__(self) -> int:
-        return int(self.values.size)
+def _target_values(y: np.ndarray) -> np.ndarray:
+    """y as floats, checked to be a finite one-dimensional vector."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ShapeMismatch("targets must be one-dimensional")
+    if not np.all(np.isfinite(y)):
+        raise NonFiniteValue("targets contain non-finite values")
+    return y
 
 
 @dataclass(frozen=True)
@@ -98,48 +72,56 @@ class Standardizer:
             raise NonFiniteValue("standardizer scales must be > 0")
 
 
-def assemble(curves: Iterable[UniformCurve]) -> tuple[FeatureMatrix, TargetVector | None]:
-    """Stack uniform curves into a feature matrix (forces + temperature).
+def assemble(curves: Sequence[UniformCurve]) -> np.ndarray:
+    """Stack uniform curves into the n x (n_points + 1) feature matrix.
 
-    All curves must share one grid, and either all or none may carry a
-    strength label.  Column labels are ``F@<displacement>mm`` per grid point
-    plus ``temperature_C``.
-
-    Returns the matrix and, when the curves are labeled, the target vector.
+    Row i holds curve i's grid forces followed by its test temperature.
+    All curves must share one grid.
     """
-    curve_list = list(curves)
-    if not curve_list:
+    if not curves:
         raise EmptyInput("no curves to assemble")
-    grid = curve_list[0].grid
-    for i, c in enumerate(curve_list):
+    grid = curves[0].grid
+    for i, c in enumerate(curves):
         if c.grid != grid:
             raise MixedGrids(f"curve {i} grid {c.grid} differs from {grid}")
-    labeled = [c.meta.rm_MPa is not None for c in curve_list]
-    if any(labeled) != all(labeled):
-        raise PartialTargets("either all curves or none must carry rm_MPa")
-
-    n = len(curve_list)
-    p = grid.n_points + 1
-    values = np.empty((n, p))
-    for i, c in enumerate(curve_list):
+    values = np.empty((len(curves), grid.n_points + 1))
+    for i, c in enumerate(curves):
         values[i, :-1] = c.force_N
         values[i, -1] = c.meta.temperature_C
-    labels = tuple(f"F@{d:.3f}mm" for d in grid.displacements()) + (TEMPERATURE_LABEL,)
-    matrix = FeatureMatrix(values, labels, tuple(c.meta for c in curve_list))
-
-    targets = None
-    if all(labeled):
-        targets = TargetVector(np.array([c.meta.rm_MPa for c in curve_list], dtype=float))
-    return matrix, targets
+    return values
 
 
-def fit_standardizer(matrix: FeatureMatrix) -> Standardizer:
+def column_labels(grid: GridSpec) -> tuple[str, ...]:
+    """The assembled matrix's column names: ``F@<displacement>mm``, then temperature."""
+    return tuple(f"F@{d:.3f}mm" for d in grid.displacements()) + (TEMPERATURE_LABEL,)
+
+
+def strengths(curves: Sequence[UniformCurve]) -> np.ndarray:
+    """The curves' rm_MPa, in order: the check that a training set is labelled.
+
+    Raises
+    ------
+    EmptyTraining
+        No curve carries rm_MPa.
+    PartialTargets
+        Some curves carry rm_MPa and some do not.
+    """
+    rm = [c.meta.rm_MPa for c in curves]
+    labelled = sum(r is not None for r in rm)
+    if labelled == 0:
+        raise EmptyTraining("training requires labeled curves (rm_MPa set)")
+    if labelled < len(rm):
+        raise PartialTargets("either all curves or none must carry rm_MPa")
+    return np.array(rm, dtype=float)
+
+
+def fit_standardizer(x: np.ndarray) -> Standardizer:
     """Column means and sample standard deviations (ddof=1).
 
     Columns with zero deviation get scale 1, so constant features are
     centered to zero rather than producing NaN.
     """
-    x = matrix.values
+    x = _matrix_values(x)
     if x.shape[0] < 2:
         raise TooFewRows(f"standardizer needs n >= 2 rows, got {x.shape[0]}")
     means = x.mean(axis=0)
@@ -148,13 +130,11 @@ def fit_standardizer(matrix: FeatureMatrix) -> Standardizer:
     return Standardizer(means=means, scales=scales)
 
 
-def apply_standardizer(std: Standardizer, matrix: FeatureMatrix) -> FeatureMatrix:
-    """Return (x - means) / scales with labels and metadata preserved."""
-    x = matrix.values
+def apply_standardizer(std: Standardizer, x: np.ndarray) -> np.ndarray:
+    """Return (x - means) / scales."""
+    x = _matrix_values(x)
     if x.shape[1] != std.means.size:
         raise ShapeMismatch(
             f"matrix has {x.shape[1]} columns, standardizer expects {std.means.size}"
         )
-    return FeatureMatrix(
-        (x - std.means) / std.scales, matrix.column_labels, matrix.row_meta
-    )
+    return (x - std.means) / std.scales

@@ -14,7 +14,9 @@ feature subsampling and out-of-bag error.  Determinism is a hard contract:
   distinct sorted values.
 
 The same bits in always produce the same model bits.  Growth runs in one
-thread.
+thread.  fit_forest, predict_forest and permutation_importances take
+plain float arrays, n x p features and n targets, and check them on entry
+with features._matrix_values and features._target_values.
 
 A tree grows on the distinct rows of its bag, each weighted by the number
 of times the bag holds it, as scikit-learn's forest passes a bootstrap on
@@ -75,9 +77,7 @@ from .errors import (
     ShapeMismatch,
     TooFewRows,
 )
-from .features import FeatureMatrix, TargetVector
-from .pca import _matrix_values
-from .regress import _target_values
+from .features import _matrix_values, _target_values
 
 
 def _is_int(value) -> bool:
@@ -503,19 +503,15 @@ def _oob_totals(
     return pred_sum, count
 
 
-def fit_forest(
-    x: FeatureMatrix | np.ndarray,
-    y: TargetVector | Sequence[float] | np.ndarray,
-    cfg: ForestConfig = ForestConfig(),
-) -> ForestModel:
+def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     """Fit the forest, growing all n_trees trees together, level by level.
 
     Parameters
     ----------
-    x : FeatureMatrix or ndarray
-        n x p training features.
-    y : TargetVector or sequence
-        n targets.
+    x : ndarray
+        n x p finite training features.
+    y : ndarray
+        n finite targets.
     cfg : ForestConfig
         Hyperparameters; cfg.mtry=None resolves to ceil(p / 3).
 
@@ -568,7 +564,7 @@ def _check_width(model: ForestModel, xv: np.ndarray) -> None:
         )
 
 
-def predict_forest(model: ForestModel, x: FeatureMatrix | np.ndarray) -> np.ndarray:
+def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Mean of the per-tree predictions, summed in fixed tree order."""
     xv = _matrix_values(x)
     _check_width(model, xv)
@@ -584,10 +580,7 @@ def feature_importances(model: ForestModel) -> np.ndarray:
 
 
 def permutation_importances(
-    model: ForestModel,
-    x: FeatureMatrix | np.ndarray,
-    y: TargetVector | Sequence[float] | np.ndarray,
-    seed: int = 0,
+    model: ForestModel, x: np.ndarray, y: np.ndarray, seed: int = 0
 ) -> np.ndarray:
     """Out-of-bag RMSE increase per feature when that column is shuffled.
 

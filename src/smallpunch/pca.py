@@ -5,6 +5,8 @@ sample covariance are the squared singular values over (n - 1), and the
 retained loadings are the leading right singular vectors.  The component
 count is the smallest k whose cumulative explained-variance ratio reaches
 the configured threshold (0.99 by default), so k is data dependent.
+fit_pca and transform take a plain n x p float array and check it on
+entry with features._matrix_values.
 
 Sign convention: each loading column is flipped, if needed, so its
 largest-magnitude entry is positive.  This removes the sign ambiguity of
@@ -18,26 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BadConfig,
-    DegenerateData,
-    InvalidModel,
-    NonFiniteValue,
-    ShapeMismatch,
-    TooFewRows,
-)
-from .features import FeatureMatrix
+from .errors import BadConfig, DegenerateData, InvalidModel, ShapeMismatch, TooFewRows
+from .features import _matrix_values
 
 _ORTHO_TOL = 1e-10
-
-
-def _matrix_values(m: FeatureMatrix | np.ndarray) -> np.ndarray:
-    x = m.values if isinstance(m, FeatureMatrix) else np.asarray(m, dtype=float)
-    if x.ndim != 2:
-        raise ShapeMismatch("expected a two-dimensional matrix")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteValue("matrix contains non-finite values")
-    return x
 
 
 @dataclass(frozen=True)
@@ -91,13 +77,13 @@ class PcaModel:
         return int(self.loadings.shape[0])
 
 
-def fit_pca(m: FeatureMatrix | np.ndarray, threshold: float = 0.99) -> PcaModel:
+def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
     """Fit a PCA keeping the fewest components that explain ``threshold``.
 
     Parameters
     ----------
-    m : FeatureMatrix or ndarray
-        n x p data, n >= 2.
+    x : ndarray
+        n x p finite data, n >= 2.
     threshold : float
         Cumulative explained-variance target in (0, 1].
 
@@ -110,7 +96,7 @@ def fit_pca(m: FeatureMatrix | np.ndarray, threshold: float = 0.99) -> PcaModel:
     """
     if not (0.0 < threshold <= 1.0):
         raise BadConfig(f"variance threshold must be in (0, 1], got {threshold}")
-    x = _matrix_values(m)
+    x = _matrix_values(x)
     n = x.shape[0]
     if n < 2:
         raise TooFewRows(f"PCA needs n >= 2 rows, got {n}")
@@ -144,9 +130,9 @@ def fit_pca(m: FeatureMatrix | np.ndarray, threshold: float = 0.99) -> PcaModel:
     )
 
 
-def transform(model: PcaModel, m: FeatureMatrix | np.ndarray) -> np.ndarray:
+def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project rows onto the retained components: (x - mean) @ loadings."""
-    x = _matrix_values(m)
+    x = _matrix_values(x)
     if x.shape[1] != model.n_features:
         raise ShapeMismatch(
             f"matrix has {x.shape[1]} columns, model expects {model.n_features}"

@@ -34,8 +34,8 @@ from .curves import (
     UniformCurve,
     extract_markers,
 )
-from .errors import BadConfig, EmptyTraining, GridMismatch, InvalidModel
-from .features import Standardizer, apply_standardizer, assemble, fit_standardizer
+from .errors import BadConfig, GridMismatch, InvalidModel
+from .features import Standardizer, apply_standardizer, assemble, fit_standardizer, strengths
 from .forest import ForestConfig, ForestModel, _is_int, _NodeTable, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
 from .regress import (
@@ -57,8 +57,9 @@ FOREST_INPUT_SCORES = "scores"
 # Every kind class provides: name (the family) and model_type (the model
 # file's "type"); marker_strategy, None for families without markers;
 # uses_features and uses_pca, which preprocessing the family fits;
-# fit -> Fitted and predict; to_doc/from_doc for its "pipeline" settings
-# and model_to_doc/model_from_doc for its "model" parameters.
+# fit -> Fitted and predict, both given the curves and their assembled
+# matrix; to_doc/from_doc for its "pipeline" settings and
+# model_to_doc/model_from_doc for its "model" parameters.
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
@@ -150,16 +151,15 @@ class EmpiricalKind(_RecordBlocks):
         return CurveMarkers(f_max_N=f_m, v_at_fmax_mm=v_m, f_instability_N=f_m,
                             v_instability_mm=v_m, strategy=self.marker_strategy)
 
+    # the matrix's last column is the temperature; the rest are the forces
     def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
-        forces = matrix.values[:, :-1]  # the matrix ends with the temperature
-        markers = self._markers(forces, curves[0].grid, v_star)
+        markers = self._markers(matrix[:, :-1], curves[0].grid, v_star)
         feats = empirical_feature(markers, _thicknesses(curves), self.mode)
         model = fit_beta(feats, targets, mode=self.mode, marker_strategy=self.marker_strategy)
         return None, None, model
 
-    def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
-        forces = np.array([c.force_N for c in curves]).reshape(len(curves), trained.grid.n_points)
-        markers = self._markers(forces, trained.grid, v_star)
+    def predict(self, trained: TrainedPipeline, curves, matrix, v_star) -> np.ndarray:
+        markers = self._markers(matrix[:, :-1], trained.grid, v_star)
         return predict_empirical(trained.model, markers, _thicknesses(curves))
 
 
@@ -185,17 +185,26 @@ class _FeatureKind:
 
     def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
         std = fit_standardizer(matrix) if standardize else None
-        prepared = apply_standardizer(std, matrix) if std is not None else matrix
-        pca = fit_pca(prepared, self.variance_threshold) if self.uses_pca else None
-        design = transform(pca, prepared) if self.uses_pca else prepared.values
+        pca, design = self._design(matrix, std, None)
         return std, pca, self._fit_model(design, targets)
 
-    def predict(self, trained: TrainedPipeline, curves, v_star) -> np.ndarray:
-        matrix, _ = assemble(curves)
-        std = trained.standardizer
-        prepared = apply_standardizer(std, matrix) if std is not None else matrix
-        design = transform(trained.pca, prepared) if self.uses_pca else prepared.values
+    def predict(self, trained: TrainedPipeline, curves, matrix, v_star) -> np.ndarray:
+        _, design = self._design(matrix, trained.standardizer, trained.pca)
         return self._predict_model(trained.model, design)
+
+    def _design(self, matrix, std, pca) -> tuple[PcaModel | None, np.ndarray]:
+        """Standardize, then project onto the PCA scores if the family uses them.
+
+        std None skips standardizing; pca None, in a family that uses PCA,
+        fits it here on the standardized rows.  Returns the PCA and the
+        design matrix the model sees.
+        """
+        prepared = matrix if std is None else apply_standardizer(std, matrix)
+        if not self.uses_pca:
+            return None, prepared
+        if pca is None:
+            pca = fit_pca(prepared, self.variance_threshold)
+        return pca, transform(pca, prepared)
 
 
 @dataclass(frozen=True)
@@ -378,9 +387,8 @@ def fit_pipeline(
     curve, a sequence is matched to the curves one-to-one.
     """
     curve_list = list(curves)
-    matrix, targets = assemble(curve_list)
-    if targets is None:
-        raise EmptyTraining("training requires labeled curves (rm_MPa set)")
+    matrix = assemble(curve_list)
+    targets = strengths(curve_list)
     std, pca, model = spec.kind.fit(curve_list, matrix, targets, spec.standardize, v_star)
     return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
 
@@ -395,4 +403,4 @@ def predict_pipeline(
     for i, c in enumerate(curve_list):
         if c.grid != trained.grid:
             raise GridMismatch(f"curve {i} grid {c.grid} differs from model grid {trained.grid}")
-    return trained.spec.kind.predict(trained, curve_list, v_star)
+    return trained.spec.kind.predict(trained, curve_list, assemble(curve_list), v_star)

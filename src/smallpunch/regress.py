@@ -38,7 +38,7 @@ from .errors import (
     TooFewRows,
     ZeroDenominator,
 )
-from .features import TargetVector
+from .features import _matrix_values, _target_values
 
 MODE_MAX_FORCE = "max-force"
 MODE_INSTABILITY_FORCE = "instability-force"
@@ -46,17 +46,6 @@ EMPIRICAL_MODES = (MODE_MAX_FORCE, MODE_INSTABILITY_FORCE)
 
 # relative tolerance on the triangular-factor diagonal for rank detection
 _RANK_TOL = 1e-10
-
-
-def _target_values(targets: TargetVector | Sequence[float] | np.ndarray) -> np.ndarray:
-    if isinstance(targets, TargetVector):
-        return targets.values
-    arr = np.asarray(targets, dtype=float)
-    if arr.ndim != 1:
-        raise ShapeMismatch("targets must be one-dimensional")
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue("targets contain non-finite values")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -120,8 +109,8 @@ def empirical_feature(
 
 
 def fit_beta(
-    features: Sequence[float] | np.ndarray,
-    targets: TargetVector | Sequence[float] | np.ndarray,
+    features: np.ndarray,
+    targets: np.ndarray,
     mode: str = MODE_INSTABILITY_FORCE,
     marker_strategy: str = MARKER_MAX_SLOPE,
 ) -> EmpiricalModel:
@@ -158,10 +147,7 @@ def predict_empirical(
     return model.beta * empirical_feature(markers, h0_mm, model.mode)
 
 
-def fit_ols(
-    design: np.ndarray,
-    targets: TargetVector | Sequence[float] | np.ndarray,
-) -> LinearModel:
+def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Ordinary least squares with intercept via QR factorization.
 
     The design matrix is augmented with a leading column of ones and
@@ -177,11 +163,7 @@ def fit_ols(
     RankDeficient
         min |R_ii| < 1e-10 * max |R_ii|.
     """
-    x = np.asarray(design, dtype=float)
-    if x.ndim != 2:
-        raise ShapeMismatch("design must be a two-dimensional matrix")
-    if not np.all(np.isfinite(x)):
-        raise NonFiniteValue("design contains non-finite values")
+    x = _matrix_values(design)
     y = _target_values(targets)
     n, m = x.shape
     if y.size != n:

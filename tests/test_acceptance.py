@@ -24,7 +24,7 @@ from smallpunch.curves import (
 from smallpunch.cli import main as cli_main
 from smallpunch.dataio import load_curves
 from smallpunch.evaluation import cross_validate
-from smallpunch.features import apply_standardizer, assemble, fit_standardizer
+from smallpunch.features import apply_standardizer, assemble, fit_standardizer, strengths
 from smallpunch.forest import ForestConfig, Leaf, Split, fit_forest, predict_forest
 from smallpunch.modelfile import load_model, save_model
 from smallpunch.pca import fit_pca, transform
@@ -114,7 +114,7 @@ def test_acceptance_2_beta_recovery(noisy_set):
 def test_acceptance_3_pca_invariants(noisy_set):
     """The decomposition is orthonormal, conserving and decorrelating."""
     _, curves, _, _ = noisy_set
-    matrix, _ = assemble(curves)
+    matrix = assemble(curves)
     standardized = apply_standardizer(fit_standardizer(matrix), matrix)
     model = fit_pca(standardized, threshold=0.99)
     assert model.n_components > 1
@@ -122,7 +122,7 @@ def test_acceptance_3_pca_invariants(noisy_set):
     gram = model.loadings.T @ model.loadings
     orthonormal = float(np.max(np.abs(gram - np.eye(model.n_components))))
 
-    per_column = float(np.var(standardized.values, axis=0, ddof=1).sum())
+    per_column = float(np.var(standardized, axis=0, ddof=1).sum())
     conservation = abs(model.total_variance - per_column) / per_column
 
     scores = transform(model, standardized)
@@ -194,7 +194,7 @@ def test_acceptance_5_forest_determinism(noisy_set, tmp_path):
                    and root.right.value == 10.0)
 
     _, curves, _, _ = noisy_set
-    matrix, targets = assemble(curves)
+    targets = strengths(curves)
     cfg = ForestConfig(n_trees=30, seed=4)
     spec = PipelineSpec(ForestKind(config=cfg))
     first = fit_pipeline(curves, spec)
@@ -205,8 +205,7 @@ def test_acceptance_5_forest_determinism(noisy_set, tmp_path):
     refit_identical = a.read_bytes() == b.read_bytes()
 
     preds = predict_pipeline(first, curves)
-    bounded = bool(np.all(preds >= targets.values.min())
-                   and np.all(preds <= targets.values.max()))
+    bounded = bool(np.all(preds >= targets.min()) and np.all(preds <= targets.max()))
 
     ok = split_exact and refit_identical and bounded
     _report(5, "forest split exact, refit byte-identical, bounded", ok,

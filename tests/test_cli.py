@@ -107,6 +107,10 @@ def small_manifest(tmp_path_factory):
     (("train", "--pipeline", "pca-lm", "--seed", "-1"), "--seed"),
     (("train", "--pipeline", "empirical", "--seed", "-1"), "--seed"),
     (("train", "--pipeline", "rf", "--seed", "-1"), "--seed"),
+    (("train", "--pipeline", "pca-lm", "--grid-start", "inf"), "--grid-start"),
+    (("train", "--pipeline", "pca-lm", "--grid-start", "nan"), "--grid-start"),
+    (("train", "--pipeline", "pca-lm", "--grid-spacing", "inf"), "--grid-spacing"),
+    (("train", "--pipeline", "pca-lm", "--grid-spacing", "nan"), "--grid-spacing"),
 ])
 def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, small_manifest,
                                             argv, flag):
@@ -451,6 +455,27 @@ def test_non_finite_truth_cell_exits_4_naming_file_and_row(tmp_path, capsys, col
                        "--marker", "fixed-v", "--truth", str(truth), "--k", "2",
                        "--out", str(tmp_path / "cv"))
     assert code == 4 and f"{truth}: row 3: non-finite value" in err
+
+
+@pytest.mark.parametrize("family", ["empirical", "pca-lm", "rf"])
+def test_predict_ignores_which_rows_carry_rm(tmp_path, capsys, family):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    model_path = tmp_path / "model.json"
+    assert run(capsys, "train", str(data / "manifest.csv"), "--pipeline", family,
+               "--out", str(model_path))[0] == 0
+    header, *rows = (data / "manifest.csv").read_text().splitlines()
+    blank = [row.rsplit(",", 1)[0] + "," for row in rows]
+    outputs = []
+    for name, kept in (("mixed", rows[::2]), ("blank", [])):
+        manifest = data / f"{name}.csv"
+        lines = [row if row in kept else b for row, b in zip(rows, blank)]
+        manifest.write_text("\n".join([header, *lines]) + "\n")
+        pred_path = tmp_path / f"{name}_pred.csv"
+        code, _, err = run(capsys, "predict", str(manifest), "--model", str(model_path),
+                           "--out", str(pred_path))
+        assert code == 0, err
+        outputs.append(pred_path.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_predict_empty_manifest_writes_header_only(tmp_path, capsys):

@@ -60,6 +60,13 @@ def test_grid_rejects_bad_values():
             GridSpec(n_points=n_points)
     with pytest.raises(BadConfig):
         GridSpec(start_mm=-0.1)
+    for value in (np.inf, -np.inf, np.nan):
+        with pytest.raises(BadConfig):
+            GridSpec(start_mm=value)
+        with pytest.raises(BadConfig):
+            GridSpec(spacing_mm=value)
+    with pytest.raises(BadConfig):
+        GridSpec(spacing_mm=1e307)  # the end overflows to inf
 
 
 # ------------------------------------------------------------- SpecimenMeta
@@ -73,6 +80,11 @@ def test_meta_validation():
         make_meta(rm=-5.0)
     with pytest.raises(InvalidSpecimen):
         make_meta(material="")
+    for value in (np.inf, np.nan):
+        with pytest.raises(InvalidSpecimen):
+            make_meta(thickness=value)
+        with pytest.raises(InvalidSpecimen):
+            make_meta(rm=value)
 
 
 # ----------------------------------------------------------------- parsing

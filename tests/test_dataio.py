@@ -156,6 +156,17 @@ def test_manifest_meta_errors_cite_row(tmp_path):
         read_manifest(path)
 
 
+@pytest.mark.parametrize("row", ["a.csv,P91,20.0,inf,500.0", "a.csv,P91,20.0,0.5,inf"],
+                         ids=["thickness", "rm"])
+def test_manifest_non_finite_meta_cites_file_and_row(tmp_path, row):
+    path = tmp_path / "manifest.csv"
+    path.write_text("file,material_id,temperature_C,thickness_mm,rm_MPa\n"
+                    "b.csv,P91,20.0,0.5,500.0\n" + row + "\n")
+    with pytest.raises(InvalidSpecimen) as err:
+        read_manifest(path)
+    assert f"{path}: row 3:" in str(err.value) and "finite" in str(err.value)
+
+
 @pytest.mark.parametrize("read,table", [
     (read_manifest, 'file,material_id,temperature_C,thickness_mm,rm_MPa\n'
                     'a.csv,P91,20.0,0.5,500.0\n"b.csv",P91,20.0,0.5,500.0\n'),

@@ -5,29 +5,27 @@ import pytest
 
 from smallpunch.errors import (
     EmptyInput,
+    EmptyTraining,
     MixedGrids,
-    NonPositiveTarget,
+    NonFiniteValue,
     PartialTargets,
     ShapeMismatch,
     TooFewRows,
 )
 from smallpunch.curves import GridSpec
 from smallpunch.features import (
-    FeatureMatrix,
-    TargetVector,
     apply_standardizer,
     assemble,
+    column_labels,
     fit_standardizer,
+    strengths,
 )
 
 from conftest import make_meta, make_uniform
 
 
-def _matrix(values, labels=None):
-    values = np.asarray(values, dtype=float)
-    labels = labels or tuple(f"c{i}" for i in range(values.shape[1]))
-    meta = tuple(make_meta() for _ in range(values.shape[0]))
-    return FeatureMatrix(values, tuple(labels), meta)
+def _matrix(values):
+    return np.asarray(values, dtype=float)
 
 
 # ---------------------------------------------------------------- assemble
@@ -39,13 +37,13 @@ def test_assemble_shape_and_labels(default_grid):
                      meta=make_meta(temperature=float(t)))
         for t in (20.0, 150.0)
     ]
-    matrix, targets = assemble(curves)
-    assert matrix.values.shape == (2, 152)
-    assert matrix.column_labels[0] == "F@0.000mm"
-    assert matrix.column_labels[150] == "F@1.500mm"
-    assert matrix.column_labels[-1] == "temperature_C"
-    assert np.array_equal(matrix.values[:, -1], [20.0, 150.0])
-    assert targets is None
+    matrix = assemble(curves)
+    labels = column_labels(default_grid)
+    assert matrix.shape == (2, 152) and len(labels) == 152
+    assert labels[0] == "F@0.000mm"
+    assert labels[150] == "F@1.500mm"
+    assert labels[-1] == "temperature_C"
+    assert np.array_equal(matrix[:, -1], [20.0, 150.0])
 
 
 def test_assemble_temperature_span_matches_test_campaign(default_grid):
@@ -57,30 +55,38 @@ def test_assemble_temperature_span_matches_test_campaign(default_grid):
                      meta=make_meta(material="P91", temperature=float(t)))
         for t in temps
     ]
-    matrix, _ = assemble(curves)
-    col = matrix.values[:, -1]
-    assert matrix.values.shape == (23, 152)
+    matrix = assemble(curves)
+    col = matrix[:, -1]
+    assert matrix.shape == (23, 152)
     assert col.min() == -177.0
     assert col.max() == 331.0
 
 
-def test_assemble_returns_targets_when_all_labeled(default_grid):
+def test_strengths_reads_every_label_in_order(default_grid):
     curves = [
         make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta(rm=500.0 + i))
         for i in range(3)
     ]
-    _, targets = assemble(curves)
-    assert isinstance(targets, TargetVector)
-    assert np.array_equal(targets.values, [500.0, 501.0, 502.0])
+    assert np.array_equal(strengths(curves), [500.0, 501.0, 502.0])
 
 
-def test_assemble_rejects_partial_targets(default_grid):
+def test_strengths_rejects_partial_targets(default_grid):
     curves = [
         make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta(rm=500.0)),
         make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta()),
     ]
     with pytest.raises(PartialTargets):
-        assemble(curves)
+        strengths(curves)
+    # assembling the matrix reads no labels
+    assert assemble(curves).shape == (2, 152)
+
+
+def test_strengths_rejects_unlabelled_curves(default_grid):
+    curves = [make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta())]
+    with pytest.raises(EmptyTraining):
+        strengths(curves)
+    with pytest.raises(EmptyTraining):
+        strengths([])
 
 
 def test_assemble_rejects_mixed_grids():
@@ -99,9 +105,9 @@ def test_assemble_preserves_row_order(default_grid):
     rng = np.random.default_rng(2)
     forces = [rng.uniform(0, 10, 151) for _ in range(4)]
     curves = [make_uniform(f, grid=default_grid) for f in forces]
-    matrix, _ = assemble(curves)
+    matrix = assemble(curves)
     for i, f in enumerate(forces):
-        assert np.array_equal(matrix.values[i, :151], f)
+        assert np.array_equal(matrix[i, :151], f)
 
 
 # ----------------------------------------------------------- standardizer
@@ -118,14 +124,14 @@ def test_standardized_columns_have_zero_mean_unit_std():
     rng = np.random.default_rng(5)
     m = _matrix(rng.normal(50.0, 7.0, size=(40, 6)))
     z = apply_standardizer(fit_standardizer(m), m)
-    assert np.allclose(z.values.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(z.values.std(axis=0, ddof=1), 1.0, atol=1e-12)
+    assert np.allclose(z.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(z.std(axis=0, ddof=1), 1.0, atol=1e-12)
 
 
 def test_constant_column_maps_to_zero():
     m = _matrix([[1.0, 9.0], [2.0, 9.0], [4.0, 9.0]])
     z = apply_standardizer(fit_standardizer(m), m)
-    assert np.all(z.values[:, 1] == 0.0)
+    assert np.all(z[:, 1] == 0.0)
 
 
 def test_standardizer_round_trip():
@@ -133,8 +139,8 @@ def test_standardizer_round_trip():
     m = _matrix(rng.normal(0.0, 120.0, size=(10, 4)))
     std = fit_standardizer(m)
     z = apply_standardizer(std, m)
-    back = z.values * std.scales + std.means
-    assert np.allclose(back, m.values, atol=1e-12 * np.abs(m.values).max())
+    back = z * std.scales + std.means
+    assert np.allclose(back, m, atol=1e-12 * np.abs(m).max())
 
 
 def test_standardizer_needs_two_rows():
@@ -148,27 +154,11 @@ def test_apply_rejects_width_mismatch():
         apply_standardizer(std, _matrix([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
 
 
-def test_apply_preserves_labels_and_meta(default_grid):
-    curves = [
-        make_uniform(np.arange(151.0) * (i + 1), grid=default_grid,
-                     meta=make_meta(material=f"M{i}"))
-        for i in range(3)
-    ]
-    matrix, _ = assemble(curves)
-    z = apply_standardizer(fit_standardizer(matrix), matrix)
-    assert z.column_labels == matrix.column_labels
-    assert z.row_meta == matrix.row_meta
-
-
-# ---------------------------------------------------------------- vectors
-
-def test_target_vector_must_be_positive():
-    with pytest.raises(NonPositiveTarget):
-        TargetVector(np.array([500.0, 0.0]))
-    with pytest.raises(NonPositiveTarget):
-        TargetVector(np.array([500.0, -1.0]))
-
-
 def test_feature_matrix_rejects_non_finite():
-    with pytest.raises(Exception):
-        _matrix([[1.0, np.inf]])
+    with pytest.raises(NonFiniteValue):
+        fit_standardizer(_matrix([[1.0, np.inf], [2.0, 3.0]]))
+    std = fit_standardizer(_matrix([[1.0, 2.0], [3.0, 4.0]]))
+    with pytest.raises(NonFiniteValue):
+        apply_standardizer(std, _matrix([[1.0, np.nan]]))
+    with pytest.raises(ShapeMismatch):
+        apply_standardizer(std, np.array([1.0, 2.0]))

@@ -19,7 +19,7 @@ from smallpunch.errors import (
     TooFewRows,
 )
 from smallpunch.evaluation import cross_validate
-from smallpunch.features import apply_standardizer, assemble, fit_standardizer
+from smallpunch.features import apply_standardizer, assemble, fit_standardizer, strengths
 from smallpunch.forest import (
     ForestConfig,
     Leaf,
@@ -524,9 +524,10 @@ def _assert_grows_like_the_reference(x, y, **overrides):
 def reference_design():
     """Standardized 152 columns of the reference set, their PCA scores, targets."""
     raw, _ = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
-    matrix, targets = assemble([resample(c, GridSpec()) for c in raw])
+    curves = [resample(c, GridSpec()) for c in raw]
+    matrix = assemble(curves)
     prepared = apply_standardizer(fit_standardizer(matrix), matrix)
-    return prepared.values, transform(fit_pca(prepared), prepared), targets.values
+    return prepared, transform(fit_pca(prepared), prepared), strengths(curves)
 
 
 @pytest.mark.parametrize("design", ["columns", "scores"])

@@ -34,7 +34,7 @@ import pytest
 
 from smallpunch.cli import main
 from smallpunch.curves import GridSpec, resample
-from smallpunch.features import apply_standardizer, assemble
+from smallpunch.features import apply_standardizer, assemble, strengths
 from smallpunch.forest import ForestConfig, permutation_importances
 from smallpunch.modelfile import load_model, save_model
 from smallpunch.pca import transform
@@ -103,7 +103,7 @@ def forest_digests(root: Path) -> dict[str, str]:
     """Digests of 200-tree forests on the reference set (seed 7, 5 N noise)."""
     raw, _ = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
     curves = [resample(c, GridSpec()) for c in raw]
-    matrix, targets = assemble(curves)
+    matrix, targets = assemble(curves), strengths(curves)
     digests: dict[str, str] = {}
     for name, rf_input in (("rf", "raw"), ("rf-scores", "scores")):
         kind = ForestKind(config=ForestConfig(n_trees=200, seed=0), input=rf_input)
@@ -112,8 +112,8 @@ def forest_digests(root: Path) -> dict[str, str]:
         save_model(path, trained, {"seed": 0})
         loaded, _ = load_model(path)
         prepared = apply_standardizer(trained.standardizer, matrix)
-        design = transform(trained.pca, prepared) if kind.uses_pca else prepared.values
-        importances = permutation_importances(loaded.model, design, targets.values, seed=0)
+        design = transform(trained.pca, prepared) if kind.uses_pca else prepared
+        importances = permutation_importances(loaded.model, design, targets, seed=0)
         digests[f"model {name}"] = _sha(path.read_bytes())
         digests[f"predict {name}"] = _sha(predict_pipeline(loaded, curves).tobytes())
         digests[f"permutation {name}"] = _sha(importances.tobytes())

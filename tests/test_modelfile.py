@@ -228,6 +228,9 @@ def trained_by_family(dataset):
     ("rf", lambda d: d["pipeline"], "variance_threshold", True),
     # the fixture's forest never splits on column 0, the force at 0 mm
     ("rf", lambda d: d["model"]["importances"], 0, False),
+    # json reads and writes NaN and Infinity
+    ("pca-lm", lambda d: d["grid"], "start_mm", float("inf")),
+    ("pca-lm", lambda d: d["grid"], "spacing_mm", float("nan")),
 ], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
@@ -240,7 +243,8 @@ def trained_by_family(dataset):
         "standardizer-scale-bool", "pca-mean-bool", "pca-loading-bool", "pca-threshold-bool",
         "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
         "grid-spacing-bool", "grid-n_points-bool", "grid-n_points-float",
-        "rf-variance_threshold-bool", "importance-bool"])
+        "rf-variance_threshold-bool", "importance-bool", "grid-start-inf",
+        "grid-spacing-nan"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"

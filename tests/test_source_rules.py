@@ -70,3 +70,9 @@ def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
     ]
     assert len(workloads.TRACE_POINTS) > 30
     assert missing == []
+
+
+def test_every_exported_name_is_bound_once():
+    names = smallpunch.__all__
+    assert [n for n in names if not hasattr(smallpunch, n)] == []
+    assert len(names) == len(set(names))
