@@ -142,12 +142,10 @@ def _v_star_for(args: argparse.Namespace, names: list[str], strategy: str | None
         return None
     if args.truth is not None:
         table = dataio.read_truth(args.truth)
-        stars = []
-        for name in names:
-            if name not in table:
-                raise BadConfig(f"--truth: {args.truth} has no row for curve file '{name}'")
-            stars.append(table[name][1])
-        return stars
+        missing = [name for name in names if name not in table]
+        if missing:
+            raise BadConfig(f"--truth: {args.truth} has no row for curve file '{missing[0]}'")
+        return [table[name][1] for name in names]
     if args.v_star is not None:
         if not (0.0 < args.v_star < math.inf):
             raise BadConfig(f"--v-star must be finite and > 0, got {args.v_star}")
@@ -178,16 +176,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     names: list[str] = []
     per_material_count: dict[str, int] = {}
-    entries = []
     for curve in curves:
         mid = curve.meta.material_id
-        idx = per_material_count.get(mid, 0)
-        per_material_count[mid] = idx + 1
-        name = f"{mid.lower()}_c{idx:02d}.csv"
-        dataio.write_curve_csv(outdir / name, curve)
-        names.append(name)
-        entries.append((name, curve.meta))
-    dataio.write_manifest(outdir / "manifest.csv", entries)
+        idx = per_material_count.get(mid, -1) + 1
+        per_material_count[mid] = idx
+        names.append(f"{mid.lower()}_c{idx:02d}.csv")
+        dataio.write_curve_csv(outdir / names[-1], curve)
+    dataio.write_manifest(outdir / "manifest.csv", [(n, c.meta) for n, c in zip(names, curves)])
     dataio.write_truth(outdir / "truth.csv", names, truth)
     print(f"wrote {len(curves)} curves to {outdir} (seed {cfg.seed})")
     return EXIT_OK
@@ -270,56 +265,21 @@ def cmd_predict(args: argparse.Namespace) -> int:
             raise GridMismatch(
                 f"requested grid {requested} does not match model grid {trained.grid}"
             )
-    entries = dataio.read_manifest(args.manifest)
-    if not entries:
-        dataio.write_predictions(args.out, [])
-        print(f"wrote 0 predictions to {args.out}")
-        return EXIT_OK
     names, curves = dataio.load_curves(args.manifest, trained.grid)
-    v_star = _v_star_for(args, names, trained.spec.kind.marker_strategy)
-    preds = predict_pipeline(trained, curves, v_star=v_star)
-    rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
+    rows = []
+    if curves:  # an empty manifest needs no v_star and gets a header-only table
+        v_star = _v_star_for(args, names, trained.spec.kind.marker_strategy)
+        preds = predict_pipeline(trained, curves, v_star=v_star)
+        rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = dataio.read_table(args.samples)
-    if not rows:
-        raise SmallPunchError(f"{args.samples}: empty table")
-    header = rows[0][1]
-
-    def col(candidates: tuple[str, ...]) -> int:
-        for name in candidates:
-            if name in header:
-                return header.index(name)
-        raise SmallPunchError(
-            f"{args.samples}: need one of columns {candidates}, got {header}"
-        )
-
-    true_col = col(("true_MPa", "rm_MPa"))
-    pred_col = col(("pred_MPa", "pred_rm_MPa"))
-    pairs: list[tuple[float, float]] = []
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(header):
-            raise SmallPunchError(
-                f"{args.samples}: row {lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-        try:
-            pairs.append((float(cells[true_col]), float(cells[pred_col])))
-        except ValueError:
-            raise SmallPunchError(f"{args.samples}: row {lineno}: non-numeric cell") from None
-    if not pairs:
-        raise SmallPunchError(f"{args.samples}: no data rows")
-
-    pairs.sort(key=lambda tp: tp[0])
+    pairs = sorted(dataio.read_samples(args.samples), key=lambda tp: tp[0])
     err = rmse([p for _, p in pairs], [t for t, _ in pairs])
-    out_lines = ["true_MPa,pred_MPa,abs_err_MPa"]
-    for t, p in pairs:
-        out_lines.append(f"{dataio.fmt(t)},{dataio.fmt(p)},{dataio.fmt(abs(p - t))}")
-    out_lines.append(f"# rmse_MPa={dataio.fmt(err)}")
-    args.out.write_text("\n".join(out_lines) + "\n", encoding="utf-8")
+    dataio.write_report(args.out, pairs, err)
     print(f"# rmse_MPa={dataio.fmt(err)}")
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from .errors import (
     AllZero,
     BadConfig,
     EmptyCurve,
+    GridOutsideCurve,
     InvalidCurve,
     InvalidMarkers,
     InvalidSpecimen,
@@ -215,14 +216,16 @@ def raise_first_failure(
         raise checks[int(np.argmax(bad[:, r]))][1](r)
 
 
-def read_rows(text: str) -> list[tuple[int, list[str]]]:
-    """Cells of every row of a comma-separated table, with 1-based line numbers.
+def read_table(
+    text: str, header: Sequence[str] | None = None
+) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header and data rows, with 1-based line numbers, of any table read.
 
-    This is the one dialect of every table the package reads: blank lines
-    and lines starting with ``#`` are skipped, each other line is split on
-    commas and its cells are stripped.  There is no quoting: a cell that
-    starts with a double quote raises MalformedRow naming its line.
-    Callers check their own header, the first row returned.
+    The one dialect: blank lines and lines starting with ``#`` are skipped,
+    other lines are split on commas and their cells stripped, and no cell
+    may start with a double quote, as there is no quoting.  The header is
+    ``header`` exactly when given, else any names, each named once; every
+    data row has as many cells.  Faults raise MalformedRow naming the row.
     """
     rows = [
         (lineno, [c.strip() for c in line.split(",")])
@@ -233,14 +236,38 @@ def read_rows(text: str) -> list[tuple[int, list[str]]]:
         for lineno, cells in rows:
             if any(c.startswith('"') for c in cells):
                 raise MalformedRow(f"row {lineno}: quoted cell; tables take no quoting")
-    return rows
+    if not rows:
+        raise MalformedRow("missing header" if header is None
+                           else f"missing header '{','.join(header)}'")
+    lineno, names = rows[0]
+    if header is not None and names != list(header):
+        raise MalformedRow(f"row {lineno}: expected header '{','.join(header)}', "
+                           f"got '{','.join(names)}'")
+    twice = [name for i, name in enumerate(names) if name in names[:i]]
+    if twice:
+        raise MalformedRow(f"row {lineno}: header names column '{twice[0]}' twice")
+    for lineno, cells in rows[1:]:
+        if len(cells) != len(names):
+            raise MalformedRow(f"row {lineno}: expected {len(names)} columns, got {len(cells)}")
+    return names, rows[1:]
+
+
+def finite_cells(lineno: int, cells: Sequence[str]) -> list[float]:
+    """Row lineno's cells as finite floats, else MalformedRow or NonFiniteValue."""
+    try:
+        values = [float(c) for c in cells]
+    except ValueError:
+        raise MalformedRow(f"row {lineno}: non-numeric cell") from None
+    if not all(map(math.isfinite, values)):
+        raise NonFiniteValue(f"row {lineno}: non-finite value")
+    return values
 
 
 def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     """Parse a displacement/force table into a RawCurve.
 
     The table is two columns with header ``displacement_um,force_N`` in the
-    dialect of read_rows; displacements are converted from um to mm.  Rows
+    dialect of read_table; displacements are converted from um to mm.  Rows
     are sorted by displacement and exact duplicate abscissae are averaged,
     so the result does not depend on the input row order.
 
@@ -260,7 +287,8 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     Raises
     ------
     MalformedRow
-        Wrong header, wrong column count or a non-numeric (or quoted) cell.
+        Missing or wrong header, wrong column count or a non-numeric (or
+        quoted) cell.
     NonFiniteValue
         A cell parses to NaN or infinity.
     EmptyCurve
@@ -309,30 +337,13 @@ def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def _parse_rows(text: str, meta: SpecimenMeta) -> RawCurve:
-    """The row walk: read_rows, then each row checked and converted in turn."""
-    rows = read_rows(text)
-    if rows and rows[0][1] != list(CURVE_HEADER):
-        lineno, cells = rows[0]
-        raise MalformedRow(
-            f"row {lineno}: expected header '{','.join(CURVE_HEADER)}', got '{','.join(cells)}'"
-        )
-    disp_um: list[float] = []
-    force: list[float] = []
-    for lineno, cells in rows[1:]:
-        if len(cells) != 2:
-            raise MalformedRow(f"row {lineno}: expected 2 columns, got {len(cells)}")
-        try:
-            d = float(cells[0])
-            f = float(cells[1])
-        except ValueError:
-            raise MalformedRow(f"row {lineno}: non-numeric cell") from None
-        if not (math.isfinite(d) and math.isfinite(f)):
-            raise NonFiniteValue(f"row {lineno}: non-finite value")
-        disp_um.append(d)
-        force.append(f)
-    if len(disp_um) < 2:
-        raise EmptyCurve(f"fewer than 2 data rows ({len(disp_um)})")
-    return _collapse_duplicates(np.asarray(disp_um), np.asarray(force), meta)
+    """The row walk: read_table, then each row converted in turn."""
+    _, rows = read_table(text, CURVE_HEADER)
+    values = [finite_cells(lineno, cells) for lineno, cells in rows]
+    if len(values) < 2:
+        raise EmptyCurve(f"fewer than 2 data rows ({len(values)})")
+    d_um, f_n = np.array(values).T
+    return _collapse_duplicates(d_um, f_n, meta)
 
 
 def _collapse_duplicates(d_um: np.ndarray, f_n: np.ndarray, meta: SpecimenMeta) -> RawCurve:
@@ -355,11 +366,17 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
 
     Grid points outside the raw displacement span are filled with the
     nearest end force (constant extrapolation); the count of points past
-    the last raw displacement is flagged as n_extrapolated.
+    the last raw displacement is flagged as n_extrapolated.  A grid with
+    no point inside that span raises GridOutsideCurve: every force would
+    be an end force.
     """
     gx = grid.displacements()
-    f = np.interp(gx, curve.displacement_mm, curve.force_N)
-    n_extra = int(np.count_nonzero(gx > curve.displacement_mm[-1]))
+    d = curve.displacement_mm
+    if not np.any((gx >= d[0]) & (gx <= d[-1])):
+        raise GridOutsideCurve(f"no grid point lies within the recorded displacements "
+                               f"[{d[0]}, {d[-1]}] mm (grid {grid.start_mm} to {grid.end_mm} mm)")
+    f = np.interp(gx, d, curve.force_N)
+    n_extra = int(np.count_nonzero(gx > d[-1]))
     return UniformCurve(grid=grid, force_N=f, meta=curve.meta, n_extrapolated=n_extra)
 
 

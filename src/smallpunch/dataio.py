@@ -1,23 +1,26 @@
-"""CSV file formats: curve tables, dataset manifests, truth tables, reports.
+"""CSV file formats: curve tables, manifests, truth, CV and report tables.
 
-All writers emit LF line endings and repr-formatted floats, so rerunning a
-seeded command reproduces files byte for byte and a written float reads
-back bit-identical.  The exception is a curve displacement within 1e-9 um
-of a whole micrometre: write_curve_csv stores it as that integer, and it
-can read back one ulp off (about 200 of the 1,501 displacements of a
-synthetic curve).  write_curve_csv writes a curve table a column at a
-time, with the same bytes as a row-by-row loop.  Every table is read with
-curves.read_rows.  Every file is read and written as UTF-8, whatever the
-locale.
+One reader and one writer serve every table.  curves.read_table reads
+each in the one dialect, and curves.finite_cells converts its numbers (the
+manifest converts its own: rm_MPa may be blank, and SpecimenMeta checks
+them).  _write_table writes every table but a curve file, and refuses a
+cell the reader would not return unchanged.  _named puts the file's name
+in every error.  Files are UTF-8 with LF line ends, whatever the locale,
+and floats are written by repr, so a seeded rerun writes the same bytes
+and a float reads back bit-identical.  The exception is a curve
+displacement within 1e-9 um of a whole micrometre: write_curve_csv, which
+writes a column at a time with the bytes of a row loop, stores it as that
+integer, and it can read back one ulp off (about 200 of the 1,501
+displacements of a synthetic curve).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
-import math
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,16 +30,19 @@ from .curves import (
     RawCurve,
     SpecimenMeta,
     UniformCurve,
+    finite_cells,
     parse_curve_csv,
-    read_rows,
+    read_table,
     resample,
 )
-from .errors import MalformedRow, NonFiniteValue, SmallPunchError
+from .errors import MalformedRow, SmallPunchError
 from .evaluation import CvReport
 from .synth import SynthTruth
 
 MANIFEST_HEADER = ("file", "material_id", "temperature_C", "thickness_mm", "rm_MPa")
 TRUTH_HEADER = ("file", "rm_MPa", "v_i_mm", "f_i_N")
+# report reads a samples table or any table with a true and a predicted strength
+_TRUE_COLUMNS, _PRED_COLUMNS = ("true_MPa", "rm_MPa"), ("pred_MPa", "pred_rm_MPa")
 
 
 def fmt(x: float) -> str:
@@ -44,37 +50,48 @@ def fmt(x: float) -> str:
     return repr(float(x))
 
 
+@contextlib.contextmanager
+def _named(label: Any) -> Iterator[None]:
+    """Prefix '{label}: ', a file or a row, to any SmallPunchError raised inside."""
+    try:
+        yield
+    except SmallPunchError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
+
+
 def _read_utf8(path: Path) -> str:
-    """A file's text, decoded as UTF-8; other bytes are a MalformedRow naming the file."""
+    """A file's text, decoded as UTF-8; other bytes are a MalformedRow."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedRow(f"{path}: not UTF-8 text: {exc}") from None
+        raise MalformedRow(f"not UTF-8 text: {exc}") from None
 
 
-def read_table(path: Path) -> list[tuple[int, list[str]]]:
-    """curves.read_rows of a file, naming the file in its errors."""
-    text = _read_utf8(path)
-    try:
-        return read_rows(text)
-    except MalformedRow as exc:
-        raise MalformedRow(f"{path}: {exc}") from exc
+def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]],
+                 comment: str | None = None) -> None:
+    """Write a table in the dialect of curves.read_table, as UTF-8 with LF line ends.
 
-
-def _read_table(path: Path, header: Sequence[str]) -> list[tuple[int, list[str]]]:
-    """Data rows of a table with a fixed header, with 1-based line numbers."""
-    rows = read_table(path)
-    if not rows:
-        raise MalformedRow(f"{path}: missing header '{','.join(header)}'")
-    lineno, cells = rows[0]
-    if cells != list(header):
-        raise MalformedRow(f"{path}: row {lineno}: expected header '{','.join(header)}'")
-    for lineno, cells in rows[1:]:
-        if len(cells) != len(header):
-            raise MalformedRow(
-                f"{path}: row {lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-    return rows[1:]
+    A float cell is written by fmt, None as an empty cell and anything else
+    by str.  A cell the reader would not return unchanged raises
+    MalformedRow naming it: one with a comma or a line break, surrounding
+    spaces or a leading double quote, and a first cell that makes the line
+    blank or a comment.  A comment ends the table as a '# ' line.
+    """
+    lines = [",".join(header)]
+    with _named(path):
+        for row in rows:
+            cells = ["" if c is None else fmt(c) if isinstance(c, float) else str(c) for c in row]
+            for cell in cells:
+                if ("," in cell or cell != cell.strip() or cell.startswith('"')
+                        or len(cell.splitlines()) > 1):
+                    raise MalformedRow(f"cell {cell!r} would not read back unchanged")
+            line = ",".join(cells)
+            if not line or line.startswith("#"):
+                raise MalformedRow(f"first cell {cells[0]!r} makes a blank or comment line")
+            lines.append(line)
+    if comment is not None:
+        lines.append(f"# {comment}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_curve_csv(path: Path, curve: RawCurve) -> None:
@@ -95,14 +112,11 @@ def write_curve_csv(path: Path, curve: RawCurve) -> None:
 
 
 def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> None:
-    lines = [",".join(MANIFEST_HEADER)]
-    for filename, meta in entries:
-        rm = fmt(meta.rm_MPa) if meta.rm_MPa is not None else ""
-        lines.append(
-            f"{filename},{meta.material_id},{fmt(meta.temperature_C)},"
-            f"{fmt(meta.thickness_mm)},{rm}"
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, MANIFEST_HEADER, [
+        (filename, meta.material_id, float(meta.temperature_C), float(meta.thickness_mm),
+         None if meta.rm_MPa is None else float(meta.rm_MPa))
+        for filename, meta in entries
+    ])
 
 
 def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
@@ -115,42 +129,30 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
     """
     path = Path(path)
     entries: list[tuple[str, SpecimenMeta]] = []
-    for lineno, cells in _read_table(path, MANIFEST_HEADER):
-        filename, material_id, temp_s, thick_s, rm_s = cells
-        if not filename:
-            raise MalformedRow(f"{path}: row {lineno}: empty file name")
-        norm = os.path.normpath(filename)
-        if os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir:
-            raise MalformedRow(
-                f"{path}: row {lineno}: curve file '{filename}' lies outside "
-                "the manifest's directory"
-            )
-        try:
-            temperature = float(temp_s)
-            thickness = float(thick_s)
-            rm = float(rm_s) if rm_s else None
-        except ValueError:
-            raise MalformedRow(f"{path}: row {lineno}: non-numeric cell") from None
-        try:
-            meta = SpecimenMeta(
-                material_id=material_id,
-                temperature_C=temperature,
-                thickness_mm=thickness,
-                rm_MPa=rm,
-            )
-        except SmallPunchError as exc:
-            raise type(exc)(f"{path}: row {lineno}: {exc}") from exc
-        entries.append((filename, meta))
+    with _named(path):
+        _, rows = read_table(_read_utf8(path), MANIFEST_HEADER)
+        for lineno, (filename, material_id, temp_s, thick_s, rm_s) in rows:
+            if not filename:
+                raise MalformedRow(f"row {lineno}: empty file name")
+            norm = os.path.normpath(filename)
+            if os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir:
+                raise MalformedRow(f"row {lineno}: curve file '{filename}' lies outside "
+                                   "the manifest's directory")
+            try:
+                temperature, thickness = float(temp_s), float(thick_s)
+                rm = float(rm_s) if rm_s else None
+            except ValueError:
+                raise MalformedRow(f"row {lineno}: non-numeric cell") from None
+            with _named(f"row {lineno}"):
+                entries.append((filename, SpecimenMeta(material_id, temperature, thickness, rm)))
     return entries
 
 
-def load_curves(
-    manifest_path: Path | str, grid: GridSpec
-) -> tuple[list[str], list[UniformCurve]]:
+def load_curves(manifest_path: Path | str, grid: GridSpec) -> tuple[list[str], list[UniformCurve]]:
     """Parse and resample every curve a manifest references.
 
     Curve file paths are resolved relative to the manifest's directory.
-    Parse errors are re-raised naming the offending curve file.
+    Parse and resampling errors name the offending curve file.
     """
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
@@ -158,67 +160,74 @@ def load_curves(
     curves: list[UniformCurve] = []
     for filename, meta in read_manifest(manifest_path):
         curve_path = base / filename
-        text = _read_utf8(curve_path)
-        try:
-            raw = parse_curve_csv(text, meta)
-        except SmallPunchError as exc:
-            raise type(exc)(f"{curve_path}: {exc}") from exc
+        with _named(curve_path):
+            curves.append(resample(parse_curve_csv(_read_utf8(curve_path), meta), grid))
         names.append(filename)
-        curves.append(resample(raw, grid))
     return names, curves
 
 
 def write_truth(path: Path, filenames: Sequence[str], truth: SynthTruth) -> None:
-    lines = [",".join(TRUTH_HEADER)]
-    for filename, rec in zip(filenames, truth.records):
-        lines.append(f"{filename},{fmt(rec.rm_MPa)},{fmt(rec.v_i_mm)},{fmt(rec.f_i_N)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, TRUTH_HEADER, [
+        (filename, float(rec.rm_MPa), float(rec.v_i_mm), float(rec.f_i_N))
+        for filename, rec in zip(filenames, truth.records)
+    ])
 
 
-def read_truth(path: Path) -> dict[str, tuple[float, float, float]]:
+def read_truth(path: Path) -> dict[str, tuple[float, ...]]:
     """Truth rows keyed by file name: (rm_MPa, v_i_mm, f_i_N)."""
-    out: dict[str, tuple[float, float, float]] = {}
-    for lineno, cells in _read_table(path, TRUTH_HEADER):
-        filename, rm_s, vi_s, fi_s = cells
-        try:
-            values = (float(rm_s), float(vi_s), float(fi_s))
-        except ValueError:
-            raise MalformedRow(f"{path}: row {lineno}: non-numeric cell") from None
-        if not all(map(math.isfinite, values)):
-            raise NonFiniteValue(f"{path}: row {lineno}: non-finite value")
-        out[filename] = values
-    return out
+    with _named(path):
+        _, rows = read_table(_read_utf8(path), TRUTH_HEADER)
+        return {cells[0]: tuple(finite_cells(lineno, cells[1:])) for lineno, cells in rows}
 
 
 def write_fold_csv(path: Path, report: CvReport) -> None:
-    lines = ["fold,rmse_MPa"]
-    for i, r in enumerate(report.fold_rmse):
-        lines.append(f"{i},{fmt(r)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(i, float(r)) for i, r in enumerate(report.fold_rmse)]
+    _write_table(path, ("fold", "rmse_MPa"), rows)
 
 
 def write_samples_csv(path: Path, report: CvReport) -> None:
-    lines = ["row,true_MPa,pred_MPa"]
-    for row, truth, pred in report.per_sample:
-        lines.append(f"{row},{fmt(truth)},{fmt(pred)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, ("row", "true_MPa", "pred_MPa"), [
+        (row, float(truth), float(pred)) for row, truth, pred in report.per_sample
+    ])
 
 
 def write_summary_csv(path: Path, pipeline_name: str, report: CvReport) -> None:
-    lines = [
-        "pipeline,k,mean_rmse_MPa,std_rmse_MPa",
-        f"{pipeline_name},{report.k},{fmt(report.mean_rmse)},{fmt(report.std_rmse)}",
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, ("pipeline", "k", "mean_rmse_MPa", "std_rmse_MPa"),
+                 [(pipeline_name, report.k, float(report.mean_rmse), float(report.std_rmse))])
 
 
-def write_predictions(
-    path: Path, rows: Iterable[tuple[str, SpecimenMeta, float]]
-) -> None:
-    lines = ["file,material_id,temperature_C,pred_rm_MPa"]
-    for filename, meta, pred in rows:
-        lines.append(f"{filename},{meta.material_id},{fmt(meta.temperature_C)},{fmt(pred)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+def write_predictions(path: Path, rows: Iterable[tuple[str, SpecimenMeta, float]]) -> None:
+    _write_table(path, ("file", "material_id", "temperature_C", "pred_rm_MPa"), [
+        (filename, meta.material_id, float(meta.temperature_C), float(pred))
+        for filename, meta, pred in rows
+    ])
+
+
+def read_samples(path: Path) -> list[tuple[float, ...]]:
+    """(true, predicted) strength of every row of a samples table, in file order.
+
+    Each is read from the first of its candidate columns the header names:
+    true_MPa or rm_MPa, and pred_MPa or pred_rm_MPa.
+    """
+    with _named(path):
+        header, rows = read_table(_read_utf8(path))
+        cols = []
+        for candidates in (_TRUE_COLUMNS, _PRED_COLUMNS):
+            found = [header.index(name) for name in candidates if name in header]
+            if not found:
+                raise MalformedRow(f"need one of columns {candidates}, got {header}")
+            cols.append(found[0])
+        pairs = [tuple(finite_cells(lineno, [cells[c] for c in cols])) for lineno, cells in rows]
+        if not pairs:
+            raise MalformedRow("no data rows")
+    return pairs
+
+
+def write_report(path: Path, pairs: Sequence[tuple[float, float]], rmse_MPa: float) -> None:
+    """report's table: each (true, predicted) pair and its absolute error, then the RMSE."""
+    rows = [(t, p, abs(p - t)) for t, p in pairs]
+    _write_table(path, ("true_MPa", "pred_MPa", "abs_err_MPa"), rows,
+                 comment=f"rmse_MPa={fmt(rmse_MPa)}")
 
 
 def sha256_of(path: Path) -> str:

@@ -105,5 +105,9 @@ class UnsupportedVersion(SmallPunchError):
     """A model file declares a format version this code does not know."""
 
 
+class GridOutsideCurve(SmallPunchError):
+    """No point of the displacement grid lies within a curve's recorded span."""
+
+
 class GridMismatch(SmallPunchError):
     """Curves and a fitted model disagree about the displacement grid."""

@@ -141,6 +141,13 @@ class EmpiricalKind(_RecordBlocks):
         if self.mode == MODE_MAX_FORCE:
             object.__setattr__(self, "marker_strategy", MARKER_MAX_SLOPE)
 
+    def model_from_doc(self, doc: dict[str, Any]) -> EmpiricalModel:
+        # the kind picks the markers and the model its correlation: both must agree
+        model = record_from_doc(EmpiricalModel, doc)
+        if model.mode != self.mode:
+            raise InvalidModel(f"model mode {model.mode!r} contradicts pipeline {self.mode!r}")
+        return model
+
     def _markers(self, forces: np.ndarray, grid: GridSpec, v_star) -> CurveMarkers:
         if self.mode != MODE_MAX_FORCE:
             return extract_markers(forces, grid, self.marker_strategy, v_star)

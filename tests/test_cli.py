@@ -493,6 +493,15 @@ def test_predict_empty_manifest_writes_header_only(tmp_path, capsys):
     assert pred_path.read_text() == "file,material_id,temperature_C,pred_rm_MPa\n"
 
 
+def test_cv_refuses_a_grid_with_no_point_inside_a_curve(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    code, _, err = run(capsys, "cv", str(data / "manifest.csv"), "--pipeline", "pca-lm",
+                       "--k", "2", "--grid-start", "1e5", "--out", str(tmp_path / "cv"))
+    assert code == 4
+    assert f"{data / 'm00_c00.csv'}: no grid point lies within the recorded displacements" in err
+    assert not (tmp_path / "cv").exists()
+
+
 def _manifest_outside(tmp_path, data):
     """A manifest in a sibling directory naming data's curves by '../'."""
     lines = (data / "manifest.csv").read_text().splitlines()
@@ -665,3 +674,24 @@ def test_report_quoted_cell_names_the_file(tmp_path, capsys):
     code, _, err = run(capsys, "report", str(samples),
                        "--out", str(tmp_path / "r.csv"))
     assert code == 4 and str(samples) in err and "quoted cell" in err
+
+
+@pytest.mark.parametrize("table,message", [
+    ("row,true_MPa,pred_MPa\n0,700.0,690.0\n1,nan,510.0\n", "row 3: non-finite value"),
+    ("row,true_MPa,pred_MPa\n0,700.0,690.0\n1,500.0,inf\n", "row 3: non-finite value"),
+    ("row,true_MPa,pred_MPa\n0,-inf,690.0\n", "row 2: non-finite value"),
+    ("file,rm_MPa,pred_rm_MPa\na.csv,500.0,nan\n", "row 2: non-finite value"),
+    ("row,true_MPa,pred_MPa,true_MPa\n0,700.0,690.0,1.0\n",
+     "row 1: header names column 'true_MPa' twice"),
+    ("row,true_MPa,pred_MPa\n0,700.0\n", "row 2: expected 3 columns, got 2"),
+    ("# no table here\n", "missing header"),
+    ("row,true_MPa,pred_MPa\n", "no data rows"),
+], ids=["nan-true", "inf-pred", "minus-inf-true", "nan-alternate-names", "named-twice",
+        "short-row", "empty", "header-only"])
+def test_report_refuses_non_finite_and_ambiguous_tables(tmp_path, capsys, table, message):
+    samples = tmp_path / "samples.csv"
+    samples.write_text(table)
+    out = tmp_path / "r.csv"
+    code, stdout, err = run(capsys, "report", str(samples), "--out", str(out))
+    assert code == 4 and f"{samples}: {message}" in err
+    assert stdout == "" and not out.exists()

@@ -14,7 +14,9 @@ from smallpunch.curves import (
     _parse_rows,
     _plain_columns,
     extract_markers,
+    finite_cells,
     parse_curve_csv,
+    read_table,
     resample,
 )
 from smallpunch.dataio import write_curve_csv
@@ -22,6 +24,7 @@ from smallpunch.errors import (
     AllZero,
     BadConfig,
     EmptyCurve,
+    GridOutsideCurve,
     InvalidCurve,
     InvalidMarkers,
     InvalidSpecimen,
@@ -125,6 +128,45 @@ def test_parse_rejects_non_numeric_cell():
     with pytest.raises(MalformedRow) as err:
         parse_curve_csv("displacement_um,force_N\n0,0\nten,1\n", make_meta())
     assert "row 3" in str(err.value)
+
+
+def test_parse_names_an_empty_file_a_missing_header():
+    with pytest.raises(MalformedRow, match="missing header 'displacement_um,force_N'"):
+        parse_curve_csv("# only a note\n\n", make_meta())
+
+
+@pytest.mark.parametrize("text,error,message", [
+    ("", MalformedRow, "missing header"),
+    ("a,b,a\n1,2,3\n", MalformedRow, "row 1: header names column 'a' twice"),
+    ("a,b\n1,2\n3\n", MalformedRow, "row 3: expected 2 columns, got 1"),
+    ("a,b\n1,2\n\n3,4,5\n", MalformedRow, "row 4: expected 2 columns, got 3"),
+], ids=["empty", "named-twice", "short-row", "long-row"])
+def test_read_table_faults_name_the_row(text, error, message):
+    with pytest.raises(error) as err:
+        read_table(text)
+    assert str(err.value) == message
+
+
+def test_read_table_checks_an_exact_header():
+    assert read_table("x,y\n1,2\n", ("x", "y")) == (["x", "y"], [(2, ["1", "2"])])
+    with pytest.raises(MalformedRow, match="row 1: expected header 'x,y', got 'x,z'"):
+        read_table("x,z\n1,2\n", ("x", "y"))
+
+
+@pytest.mark.parametrize("cells,error,message", [
+    (["1.5", "x"], MalformedRow, "row 7: non-numeric cell"),
+    (["1.5", ""], MalformedRow, "row 7: non-numeric cell"),
+    (["nan", "1"], NonFiniteValue, "row 7: non-finite value"),
+    (["1", "-inf"], NonFiniteValue, "row 7: non-finite value"),
+])
+def test_finite_cells_faults_name_the_row(cells, error, message):
+    with pytest.raises(error) as err:
+        finite_cells(7, cells)
+    assert str(err.value) == message
+
+
+def test_finite_cells_converts_with_float():
+    assert finite_cells(2, ["1e3", "-0.5", "7"]) == [1000.0, -0.5, 7.0]
 
 
 def test_parse_skips_comment_lines():
@@ -317,6 +359,24 @@ def test_resample_fills_before_first_sample_with_first_force():
     uni = resample(raw, GridSpec())
     assert np.all(uni.force_N[:5] == 5.0)
     assert uni.n_extrapolated == 0
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec(start_mm=100.0),  # wholly past the curve
+    GridSpec(start_mm=0.0, spacing_mm=0.01, n_points=3),  # wholly before it
+    GridSpec(start_mm=0.0, spacing_mm=2.0, n_points=2),  # straddles it, no point inside
+], ids=["after", "before", "straddling"])
+def test_resample_refuses_a_grid_with_no_point_inside_the_curve(grid):
+    raw = RawCurve(np.array([0.5, 1.5]), np.array([5.0, 150.0]), make_meta())
+    with pytest.raises(GridOutsideCurve, match="no grid point lies within"):
+        resample(raw, grid)
+
+
+def test_resample_keeps_a_grid_with_one_point_inside_the_curve():
+    raw = RawCurve(np.array([0.5, 1.5]), np.array([5.0, 150.0]), make_meta())
+    uni = resample(raw, GridSpec(start_mm=1.5, spacing_mm=0.5, n_points=3))
+    assert np.array_equal(uni.force_N, [150.0, 150.0, 150.0])
+    assert uni.n_extrapolated == 2
 
 
 def test_resample_idempotent_bitwise():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta
+from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta, read_table
 from smallpunch.dataio import (
+    _write_table,
     fmt,
     load_curves,
     read_manifest,
+    read_samples,
     read_truth,
     sha256_of,
     write_curve_csv,
@@ -312,3 +314,99 @@ def test_files_end_with_single_newline(tmp_path):
     text = (tmp_path / "m.csv").read_text()
     assert text.endswith("\n") and not text.endswith("\n\n")
     assert "\r" not in text
+
+
+@pytest.mark.parametrize("entry,cell", [
+    (("a.csv", "A,B"), "'A,B'"),
+    (("a.csv", " M1 "), "' M1 '"),
+    (("#a.csv", "M1"), "'#a.csv'"),
+    (("a.csv", '"M1"'), "'\"M1\"'"),
+    (("a\nb.csv", "M1"), "'a\\nb.csv'"),
+], ids=["comma", "spaces", "comment", "quote", "line-break"])
+def test_writer_refuses_a_cell_that_would_not_read_back(tmp_path, entry, cell):
+    path = tmp_path / "manifest.csv"
+    name, material = entry
+    with pytest.raises(MalformedRow) as err:
+        write_manifest(path, [("ok.csv", make_meta()), (name, make_meta(material=material))])
+    assert str(err.value).startswith(f"{path}: ") and cell in str(err.value)
+    assert not path.exists()
+
+
+_HEADER = ("a", "b", "c")
+_CELLS = st.one_of(
+    st.text(st.sampled_from("x\u00e4 ,#\"\t\n\r\x85\u2028"), max_size=4),
+    st.text(max_size=3), st.floats(allow_nan=False), st.integers(), st.none(),
+)
+
+
+def _unchecked_cell(value):
+    return "" if value is None else fmt(value) if isinstance(value, float) else str(value)
+
+
+def _unchecked_text(rows):
+    """The table a writer with no cell checks would write."""
+    return "".join(",".join(map(_unchecked_cell, row)) + "\n" for row in [_HEADER, *rows])
+
+
+def _reads_back(value, cell):
+    if value is None or isinstance(value, str):
+        return cell == ("" if value is None else value)
+    return type(value)(cell) == value
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.lists(st.lists(_CELLS, min_size=3, max_size=3), max_size=4))
+def test_every_table_the_writer_accepts_reads_back_equal(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "round_trip_table.csv"
+    try:
+        _write_table(path, _HEADER, rows)
+    except MalformedRow:
+        # refused only where the reader would not give the row back
+        try:
+            _, back = read_table(_unchecked_text(rows), _HEADER)
+        except MalformedRow:
+            return
+        assert not (len(back) == len(rows) and all(
+            all(map(_reads_back, row, cells)) for row, (_, cells) in zip(rows, back)))
+        return
+    _, back = read_table(path.read_text(encoding="utf-8"), _HEADER)
+    assert len(back) == len(rows)
+    assert all(all(map(_reads_back, row, cells)) for row, (_, cells) in zip(rows, back))
+
+
+_NAMES = st.text(st.sampled_from("ab\u00e4_ ,#\"\n"), min_size=1, max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(entries=st.lists(st.tuples(_NAMES, _NAMES, st.floats(-273.15, 1999.0),
+                                  st.floats(1e-3, 10.0),
+                                  st.none() | st.floats(1.0, 2000.0)), max_size=4))
+def test_every_manifest_the_writer_accepts_reads_back_equal(tmp_path_factory, entries):
+    path = tmp_path_factory.getbasetemp() / "round_trip_manifest.csv"
+    written = [(name, SpecimenMeta(material, temp, thick, rm))
+               for name, material, temp, thick, rm in entries]
+    try:
+        write_manifest(path, written)
+    except MalformedRow:
+        return
+    assert read_manifest(path) == written
+
+
+@pytest.mark.parametrize("table,error", [
+    ("row,true_MPa,pred_MPa\n0,nan,1.0\n", NonFiniteValue),
+    ("row,true_MPa,pred_MPa\n0,abc,1.0\n", MalformedRow),
+    ("row,true_MPa,pred_MPa,pred_MPa\n0,1.0,1.0,1.0\n", MalformedRow),
+    ("file,pred_rm_MPa\na.csv,505.0\n", MalformedRow),
+], ids=["non-finite", "non-numeric", "named-twice", "no-true-column"])
+def test_samples_table_faults_keep_their_class(tmp_path, table, error):
+    path = tmp_path / "samples.csv"
+    path.write_text(table)
+    with pytest.raises(error) as err:
+        read_samples(path)
+    assert type(err.value) is error and str(err.value).startswith(f"{path}: ")
+
+
+def test_samples_table_reads_either_column_names(tmp_path):
+    path = tmp_path / "joined.csv"
+    path.write_text("file,pred_rm_MPa,rm_MPa\na.csv,505.0,500.0\nb.csv,790.0,800.0\n")
+    assert read_samples(path) == [(500.0, 505.0), (800.0, 790.0)]

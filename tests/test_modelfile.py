@@ -183,6 +183,8 @@ def trained_by_family(dataset):
     ("empirical", lambda d: d["model"], "beta", "x"),
     ("empirical", lambda d: d["pipeline"], "mode", "bogus"),
     ("empirical", lambda d: d["model"], "mode", "bogus"),
+    # the pipeline block says instability-force: the blocks contradict each other
+    ("empirical", lambda d: d["model"], "mode", "max-force"),
     ("pca-lm", lambda d: d["grid"], "n_points", "x"),
     ("pca-lm", lambda d: d["standardizer"], "means", "x"),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", "x"),
@@ -231,7 +233,7 @@ def trained_by_family(dataset):
     # json reads and writes NaN and Infinity
     ("pca-lm", lambda d: d["grid"], "start_mm", float("inf")),
     ("pca-lm", lambda d: d["grid"], "spacing_mm", float("nan")),
-], ids=["beta", "pipeline-mode", "model-mode", "grid-n_points", "standardizer-means",
+], ids=["beta", "pipeline-mode", "model-mode", "model-mode-contradicts-pipeline", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
         "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0",

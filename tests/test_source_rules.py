@@ -10,19 +10,22 @@ SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _file_calls_without_encoding(path):
-    """(line, call) of every read_text, write_text or open call with no encoding=."""
+def _calls(path, names):
+    """(line, name, node) of every call of a function or method named in names."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-        if name in ("read_text", "write_text", "open") and not any(
-            kw.arg == "encoding" for kw in node.keywords
-        ):
-            found.append((node.lineno, name))
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in names:
+                found.append((node.lineno, name, node))
     return found
+
+
+def _file_calls_without_encoding(path):
+    """(line, call) of every read_text, write_text or open call with no encoding=."""
+    return [(line, name) for line, name, node in _calls(path, {"read_text", "write_text", "open"})
+            if not any(kw.arg == "encoding" for kw in node.keywords)]
 
 
 def _tree_class_names(path):
@@ -57,6 +60,21 @@ def test_only_the_forest_module_names_the_nested_tree_classes():
     named = {p.name: lines for p in SOURCES
              if p.name != "forest.py" and (lines := _tree_class_names(p))}
     assert named == {}
+
+
+def test_only_the_curve_module_splits_on_commas():
+    # one reader, curves.read_table, knows the table dialect
+    splits = {p.name: lines for p in SOURCES if p.name != "curves.py" and (lines := [
+        line for line, _, node in _calls(p, {"split"})
+        if node.args and isinstance(node.args[0], ast.Constant) and node.args[0].value == ","
+    ])}
+    assert splits == {}
+
+
+def test_the_command_line_reads_and_writes_no_file_itself():
+    # every table goes through dataio, every model file through modelfile
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    assert [(line, name) for line, name, _ in _calls(cli, {"read_text", "write_text", "open"})] == []
 
 
 def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
