@@ -94,6 +94,20 @@ def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _refuse_repeats(path: Path, rows: Iterable[tuple[int, str]]) -> None:
+    """MalformedRow at the first (row, file name) naming a file an earlier row named.
+
+    Names are compared by os.path.normpath, so 'a.csv' and './a.csv' are
+    one file.
+    """
+    first: dict[str, int] = {}
+    with _named(path):
+        for lineno, name in rows:
+            row = first.setdefault(os.path.normpath(name), lineno)
+            if row != lineno:
+                raise MalformedRow(f"row {lineno}: file '{name}' repeats row {row}")
+
+
 def write_curve_csv(path: Path, curve: RawCurve) -> None:
     """Write one curve with displacements converted back to micrometres.
 
@@ -112,11 +126,14 @@ def write_curve_csv(path: Path, curve: RawCurve) -> None:
 
 
 def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> None:
-    _write_table(path, MANIFEST_HEADER, [
+    """Write a manifest; a file named twice is a MalformedRow, as read_manifest says."""
+    rows = [
         (filename, meta.material_id, float(meta.temperature_C), float(meta.thickness_mm),
          None if meta.rm_MPa is None else float(meta.rm_MPa))
         for filename, meta in entries
-    ])
+    ]
+    _refuse_repeats(path, enumerate((row[0] for row in rows), start=2))  # row 1 is the header
+    _write_table(path, MANIFEST_HEADER, rows)
 
 
 def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
@@ -124,8 +141,10 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
 
     A curve file name is a path relative to the manifest's directory and may
     name a subdirectory; an absolute path, or one whose '..' parts lead out
-    of that directory, is a MalformedRow.  The name alone is judged; links
-    are not followed.
+    of that directory, is a MalformedRow, and so is a name that another row
+    gives too (compared by os.path.normpath): a curve listed twice could sit
+    in a fold's training rows and its held-out rows at once.  The name alone
+    is judged; links are not followed.
     """
     path = Path(path)
     entries: list[tuple[str, SpecimenMeta]] = []
@@ -145,6 +164,7 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
                 raise MalformedRow(f"row {lineno}: non-numeric cell") from None
             with _named(f"row {lineno}"):
                 entries.append((filename, SpecimenMeta(material_id, temperature, thickness, rm)))
+    _refuse_repeats(path, ((lineno, cells[0]) for lineno, cells in rows))
     return entries
 
 
@@ -167,6 +187,8 @@ def load_curves(manifest_path: Path | str, grid: GridSpec) -> tuple[list[str], l
 
 
 def write_truth(path: Path, filenames: Sequence[str], truth: SynthTruth) -> None:
+    """Write a truth table; a file named twice is a MalformedRow, as read_truth says."""
+    _refuse_repeats(path, enumerate(filenames, start=2))  # row 1 is the header
     _write_table(path, TRUTH_HEADER, [
         (filename, float(rec.rm_MPa), float(rec.v_i_mm), float(rec.f_i_N))
         for filename, rec in zip(filenames, truth.records)
@@ -174,10 +196,16 @@ def write_truth(path: Path, filenames: Sequence[str], truth: SynthTruth) -> None
 
 
 def read_truth(path: Path) -> dict[str, tuple[float, ...]]:
-    """Truth rows keyed by file name: (rm_MPa, v_i_mm, f_i_N)."""
+    """Truth rows keyed by file name: (rm_MPa, v_i_mm, f_i_N).
+
+    A file named by two rows (compared by os.path.normpath) is a
+    MalformedRow, not a later row silently winning.
+    """
     with _named(path):
         _, rows = read_table(_read_utf8(path), TRUTH_HEADER)
-        return {cells[0]: tuple(finite_cells(lineno, cells[1:])) for lineno, cells in rows}
+        truth = {cells[0]: tuple(finite_cells(lineno, cells[1:])) for lineno, cells in rows}
+    _refuse_repeats(path, ((lineno, cells[0]) for lineno, cells in rows))
+    return truth
 
 
 def write_fold_csv(path: Path, report: CvReport) -> None:

@@ -8,7 +8,9 @@ feature subsampling and out-of-bag error.  Determinism is a hard contract:
 * trees grow level by level (breadth first), all trees of a fit together.
   At each depth a tree draws the feature subsets of all its nodes that
   are searched at that depth in one call, nodes left to right: for each
-  node, the first mtry of an argsort of p uniform numbers, ascending;
+  node, the first mtry of an argsort of p uniform numbers, ascending.
+  The subsets of every tree's nodes are then picked together, with the
+  bits that per-tree argsort gives;
 * split ties are broken toward the lower feature index, then the lower
   threshold; candidate thresholds are midpoints between consecutive
   distinct sorted values.
@@ -47,18 +49,19 @@ value may differ from such a grower's in the last bits.
 
 The fitted forest is a flat node table, which growth emits level by
 level: every node of every tree as parallel arrays, roots first, each
-split's two children side by side, leaves pointing at themselves.  A v1
-model file's nested trees are written from the table and read straight
-back into it in the same level order (pipeline.ForestKind), so a loaded
-forest's table is the fitted forest's table, array for array.  Nested
-Split/Leaf trees exist only where a reader asks for them: model.trees,
-built from the table on first access and cached.  Routing moves every
-(tree, row) pair down one level per step with numpy indexing, until all
-pairs sit at leaves.  A step takes a pair from a split to its left child
-when x <= threshold and to the next node, its right child, otherwise; a
-leaf's threshold is +inf, so it keeps its pairs.  Per-tree leaf values are
-summed in tree order from zeros, so predictions, out-of-bag error and
-permutation importances have the bits a per-row walk of the trees gives.
+split's two children side by side, leaves pointing at themselves.  The
+model file stores the table as flat arrays in that level order, and an
+older file's nested trees are read into it in the same order
+(pipeline.ForestKind), so a loaded forest's table is the fitted forest's
+table, array for array.  Nested Split/Leaf trees exist only where a
+reader asks for them: model.trees, built from the table on first access
+and cached.  Routing moves every (tree, row) pair down one level per step
+with numpy indexing, until all pairs sit at leaves.  A step takes a pair
+from a split to its left child when x <= threshold and to the next node,
+its right child, otherwise; a leaf's threshold is +inf, so it keeps its
+pairs.  Per-tree leaf values are summed in tree order from zeros, so
+predictions, out-of-bag error and permutation importances have the bits a
+per-row walk of the trees gives.
 """
 
 from __future__ import annotations
@@ -377,12 +380,19 @@ def _draw_features(
     """mtry features per node, ascending; each tree draws its level at once.
 
     tree lists each node's tree, trees ascending and nodes left to right.
+    Node i takes the columns of the mtry smallest of its p uniform numbers:
+    those at most the mtry-th smallest, found for all nodes by one sort.
+    A node with a tie at that value takes the first mtry of its argsort,
+    so every node gets the columns the argsort alone would give.
     """
     trees, counts = np.unique(tree, return_counts=True)
-    return np.concatenate([
-        np.sort(np.argsort(rngs[t].random((c, p)), axis=1)[:, :mtry], axis=1)
-        for t, c in zip(trees.tolist(), counts.tolist())
-    ])
+    u = np.concatenate([rngs[t].random((c, p)) for t, c in zip(trees.tolist(), counts.tolist())])
+    chosen = u <= np.sort(u, axis=1)[:, mtry - 1, None]
+    for i in np.flatnonzero(chosen.sum(axis=1) != mtry).tolist():
+        chosen[i] = False
+        chosen[i, np.argsort(u[i])[:mtry]] = True
+    # each row holds mtry chosen columns; flat positions, less the row's start
+    return np.flatnonzero(chosen).reshape(-1, mtry) - p * np.arange(len(u))[:, None]
 
 
 def _grow_forest(

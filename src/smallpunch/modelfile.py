@@ -8,6 +8,11 @@ parameters under "model", are laid out by its kind class in pipeline.py.
 The grid, standardizer and PCA blocks are their records' fields in
 declaration order (pipeline.record_to_doc), so reordering such a field
 changes the file format and needs a format_version bump.
+
+Format 2 is written.  It differs from format 1 only in a forest's model
+block: format 1 nests each tree as split and leaf objects, format 2 stores
+the forest's node table as flat arrays in level order.  Both are read,
+each by the reader its format_version names.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from .features import Standardizer
 from .pca import PcaModel
 from .pipeline import KINDS, PipelineSpec, TrainedPipeline, record_from_doc, record_to_doc
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+READ_VERSIONS = (1, 2)
 
 
 def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
@@ -51,7 +57,7 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     Raises
     ------
     UnsupportedVersion
-        format_version is not one this code writes.
+        format_version is not one this code reads.
     ModelFileError
         A block is missing or malformed, or the stored components do not
         match the declared pipeline family.
@@ -68,9 +74,11 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     if not isinstance(doc, dict):
         raise ModelFileError(f"{path}: top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    # true would compare equal to 1 and 2.0 to 2
+    if type(version) is not int or version not in READ_VERSIONS:
         raise UnsupportedVersion(
-            f"{path}: unknown model format_version {version!r} (this build reads {FORMAT_VERSION})"
+            f"{path}: unknown model format_version {version!r} "
+            f"(this build reads {' and '.join(map(str, READ_VERSIONS))})"
         )
     try:
         spec_doc = doc["pipeline"]
@@ -89,7 +97,7 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
             raise ModelFileError(
                 f"pipeline family {family!r} expects a {kind.model_type} model, got {actual!r}"
             )
-        model = kind.model_from_doc(model_doc)
+        model = kind.model_from_doc(model_doc, version)
         provenance = doc.get("provenance", {})
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None

@@ -59,7 +59,9 @@ FOREST_INPUT_SCORES = "scores"
 # uses_features and uses_pca, which preprocessing the family fits;
 # fit -> Fitted and predict, both given the curves and their assembled
 # matrix; to_doc/from_doc for its "pipeline" settings and
-# model_to_doc/model_from_doc for its "model" parameters.
+# model_to_doc/model_from_doc for its "model" parameters.  model_from_doc
+# is given the file's format_version; only the forest's block differs
+# between format 1 and format 2.
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
@@ -111,7 +113,7 @@ class _RecordBlocks:
     from_doc = classmethod(record_from_doc)
     model_to_doc = staticmethod(record_to_doc)
 
-    def model_from_doc(self, doc: dict[str, Any]):
+    def model_from_doc(self, doc: dict[str, Any], version: int):
         return record_from_doc(self.model_class, doc)
 
 
@@ -141,7 +143,7 @@ class EmpiricalKind(_RecordBlocks):
         if self.mode == MODE_MAX_FORCE:
             object.__setattr__(self, "marker_strategy", MARKER_MAX_SLOPE)
 
-    def model_from_doc(self, doc: dict[str, Any]) -> EmpiricalModel:
+    def model_from_doc(self, doc: dict[str, Any], version: int) -> EmpiricalModel:
         # the kind picks the markers and the model its correlation: both must agree
         model = record_from_doc(EmpiricalModel, doc)
         if model.mode != self.mode:
@@ -261,8 +263,8 @@ class ForestKind(_FeatureKind):
     def _predict_model(model: ForestModel, design) -> np.ndarray:
         return predict_forest(model, design)
 
-    # The v1 layout puts the config last, under "forest", and the trees
-    # after the model's diagnostics, so these blocks are written by hand.
+    # The model file puts the config last, under "forest", and the node
+    # table after the model's diagnostics, so these blocks are written by hand.
     def to_doc(self) -> dict[str, Any]:
         return {
             "input": self.input,
@@ -274,31 +276,38 @@ class ForestKind(_FeatureKind):
     def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
         return record_from_doc(cls, {**doc, "config": record_from_doc(ForestConfig, doc["forest"])})
 
+    # A forest's model block is its node table in level order (format 2):
+    # count per node, 0 marking a split, feature and threshold per split and
+    # value per leaf, each in node order.
     @staticmethod
     def model_to_doc(model: ForestModel) -> dict[str, Any]:
+        table = model.table
+        split = table.count == 0
         return {
             "n_features": model.n_features,
             "importances": model.importances.tolist(),
             "oob_rmse": model.oob_rmse,
-            "trees": model.table.nest(_leaf_doc, _split_doc),
+            "count": table.count.tolist(),
+            "feature": table.feature[split].tolist(),
+            "threshold": table.threshold[split].tolist(),
+            "value": table.value[~split].tolist(),
         }
 
-    def model_from_doc(self, doc: dict[str, Any]) -> ForestModel:
+    def model_from_doc(self, doc: dict[str, Any], version: int) -> ForestModel:
+        n_features = doc["n_features"]
+        if not _is_int(n_features):
+            raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
+        if version == 1:
+            table = _table_from_docs(doc["trees"], n_features)
+        else:
+            table = _table_from_arrays(doc, self.config.n_trees, n_features)
         return ForestModel(
-            table=_table_from_docs(doc["trees"], doc["n_features"]),
+            table=table,
             config=self.config,
-            n_features=doc["n_features"],
+            n_features=n_features,
             importances=np.asarray(_no_bools(doc["importances"], "importances"), dtype=float),
             oob_rmse=None if doc["oob_rmse"] is None else _number(doc["oob_rmse"], "oob_rmse"),
         )
-
-
-def _leaf_doc(value: float, count: int) -> dict[str, Any]:
-    return {"value": value, "count": count}
-
-
-def _split_doc(feature: int, threshold: float, left: dict, right: dict) -> dict[str, Any]:
-    return {"feature": feature, "threshold": threshold, "left": left, "right": right}
 
 
 def _number(value: Any, what: str) -> float:
@@ -309,7 +318,7 @@ def _number(value: Any, what: str) -> float:
 
 
 def _table_from_docs(trees: list, n_features: int) -> _NodeTable:
-    """The node table of a model file's trees, numbered as growth numbers it.
+    """The node table of a format 1 file's nested trees, numbered as growth numbers it.
 
     One first-in-first-out pass, seeded with every root, appends each
     split's left and then right child to the queue.  That is level order,
@@ -318,8 +327,6 @@ def _table_from_docs(trees: list, n_features: int) -> _NodeTable:
     """
     if not trees:
         raise InvalidModel("forest has no trees")
-    if not _is_int(n_features):
-        raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
     queue = [(doc, t, 0) for t, doc in enumerate(trees)]  # (node, tree, depth)
     nodes = []  # (feature, threshold, left, value, count)
     # the loop visits the children it appends, as a list iterator does
@@ -349,6 +356,83 @@ def _table_from_docs(trees: list, n_features: int) -> _NodeTable:
         roots=np.arange(len(trees)),
         depth=queue[-1][2],  # level order ends on a deepest leaf
     )
+
+
+def _json_array(values: Any, what: str, dtype: type) -> np.ndarray:
+    """A JSON list of numbers as a 1-d array of dtype, integers only for np.intp.
+
+    true and false are refused, as everywhere in a model file; an integer
+    too large for dtype raises OverflowError.
+    """
+    allowed = {int} if dtype is np.intp else {int, float}
+    if not isinstance(values, list):
+        raise InvalidModel(f"{what} must be a list, got {values!r}")
+    if not set(map(type, values)) <= allowed:
+        bad = next(v for v in values if type(v) not in allowed)
+        kind = "an integer" if dtype is np.intp else "a number"
+        raise InvalidModel(f"{what} must be {kind}, got {bad!r}")
+    return np.array(values, dtype=dtype)
+
+
+def _refuse_any(bad: np.ndarray, nodes: np.ndarray, values: np.ndarray, what: str) -> None:
+    """InvalidModel naming the first node where bad holds, and its value."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidModel(f"node {nodes[i]}: {what}, got {values[i].item()!r}")
+
+
+def _table_from_arrays(doc: dict[str, Any], n_trees: int, n_features: int) -> _NodeTable:
+    """The node table of a format 2 model block, checked as whole arrays.
+
+    Level order fixes what the block does not store: nodes 0..n_trees-1
+    are the roots, and the k-th split's children are nodes n_trees + 2k
+    and n_trees + 2k + 1, which must come after it.  A leaf points at
+    itself and has threshold +inf and feature 0; a split has value 0.0.
+    Each node gets the checks _table_from_docs makes, and the arrays must
+    have the lengths the counts imply.
+    """
+    count = _json_array(doc["count"], "count", np.intp)
+    feature = _json_array(doc["feature"], "split feature", np.intp)
+    threshold = _json_array(doc["threshold"], "split threshold", float)
+    value = _json_array(doc["value"], "leaf value", float)
+    n_nodes = count.size
+    is_split = count == 0
+    splits, leaves = np.flatnonzero(is_split), np.flatnonzero(~is_split)
+    if n_nodes != n_trees + 2 * splits.size:
+        raise InvalidModel(f"{n_nodes} nodes with {splits.size} splits "
+                           f"do not make {n_trees} trees")
+    if not feature.size == threshold.size == splits.size or value.size != leaves.size:
+        raise InvalidModel(
+            f"{splits.size} splits and {leaves.size} leaves, but {feature.size} features, "
+            f"{threshold.size} thresholds and {value.size} values"
+        )
+    children = n_trees + 2 * np.arange(splits.size)
+    late = children <= splits
+    if late.any():
+        k = int(np.argmax(late))
+        raise InvalidModel(f"node {splits[k]}: split comes after its children, which level "
+                           f"order puts at nodes {children[k]} and {children[k] + 1}")
+    _refuse_any(count[leaves] < 0, leaves, count[leaves], "leaf count must be >= 1")
+    _refuse_any((feature < 0) | (feature >= n_features), splits, feature,
+                f"split feature outside [0, {n_features})")
+    _refuse_any(~np.isfinite(threshold), splits, threshold, "threshold is not finite")
+    _refuse_any(~np.isfinite(value), leaves, value, "leaf value is not finite")
+
+    left = np.arange(n_nodes, dtype=np.intp)
+    left[splits] = children
+    table_feature = np.zeros(n_nodes, dtype=np.intp)
+    table_feature[splits] = feature
+    table_threshold = np.full(n_nodes, np.inf)
+    table_threshold[splits] = threshold
+    table_value = np.zeros(n_nodes)
+    table_value[leaves] = value
+    # level order ends on a deepest leaf: climb from it to its root
+    depth, node = 0, n_nodes - 1
+    while node >= n_trees:
+        node = int(splits[(node - n_trees) // 2])
+        depth += 1
+    return _NodeTable(feature=table_feature, threshold=table_threshold, left=left,
+                      value=table_value, count=count, roots=np.arange(n_trees), depth=depth)
 
 
 PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]

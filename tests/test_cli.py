@@ -383,8 +383,8 @@ def test_predict_unknown_model_version_exits_5(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc["model"]["trees"][0].update(feature=999),
-    lambda doc: doc["model"]["trees"][0].update(feature=-1),
+    lambda doc: doc["model"]["feature"].__setitem__(0, 999),
+    lambda doc: doc["model"]["feature"].__setitem__(0, -1),
     lambda doc: doc["pipeline"]["forest"].update(n_trees=3),
     lambda doc: doc["pipeline"]["forest"].update(n_trees=2.5),
     lambda doc: doc["pipeline"]["forest"].update(bootstrap="yes"),
@@ -398,7 +398,7 @@ def test_predict_with_corrupt_forest_exits_4(tmp_path, capsys, edit):
                      "--trees", "4", "--out", str(model_path))
     assert code == 0
     doc = json.loads(model_path.read_text())
-    assert "feature" in doc["model"]["trees"][0], "the first tree must split"
+    assert doc["model"]["feature"], "the forest must split"
     edit(doc)
     model_path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
@@ -455,6 +455,21 @@ def test_non_finite_truth_cell_exits_4_naming_file_and_row(tmp_path, capsys, col
                        "--marker", "fixed-v", "--truth", str(truth), "--k", "2",
                        "--out", str(tmp_path / "cv"))
     assert code == 4 and f"{truth}: row 3: non-finite value" in err
+
+
+def test_manifest_listing_a_curve_twice_exits_4(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    manifest = data / "manifest.csv"
+    lines = manifest.read_text().splitlines()
+    # the six curves again, one as ./m00_c00.csv: a curve could otherwise
+    # sit in a fold's training rows and its held-out rows at once
+    repeat = [lines[1].replace("m00_c00.csv", "./m00_c00.csv")] + lines[2:]
+    manifest.write_text("\n".join(lines + repeat) + "\n")
+    code, _, err = run(capsys, "cv", str(manifest), "--pipeline", "pca-lm",
+                       "--k", "2", "--out", str(tmp_path / "cv"))
+    assert code == 4
+    assert f"{manifest}: row 8: file './m00_c00.csv' repeats row 2" in err
+    assert not (tmp_path / "cv").exists()
 
 
 @pytest.mark.parametrize("family", ["empirical", "pca-lm", "rf"])

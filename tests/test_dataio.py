@@ -183,6 +183,32 @@ def test_quoted_cell_is_a_malformed_row(tmp_path, read, table):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("read,header,cells", [
+    (read_manifest, "file,material_id,temperature_C,thickness_mm,rm_MPa", "P91,20.0,0.5,500.0"),
+    (read_truth, "file,rm_MPa,v_i_mm,f_i_N", "500.0,0.5,400.0"),
+], ids=["manifest", "truth"])
+@pytest.mark.parametrize("again", ["a.csv", "./a.csv", "sub/../a.csv"])
+def test_a_file_named_twice_is_a_malformed_row(tmp_path, read, header, cells, again):
+    path = tmp_path / "table.csv"
+    path.write_text(f"{header}\na.csv,{cells}\n# note\nb.csv,{cells}\n{again},{cells}\n")
+    with pytest.raises(MalformedRow) as err:
+        read(path)
+    assert str(err.value) == f"{path}: row 5: file '{again}' repeats row 2"
+
+
+def test_writers_refuse_a_file_named_twice(tmp_path):
+    meta = make_meta()
+    with pytest.raises(MalformedRow, match="row 4: file './a.csv' repeats row 2"):
+        write_manifest(tmp_path / "manifest.csv",
+                       [("a.csv", meta), ("b.csv", meta), ("./a.csv", meta)])
+    record = SynthRecord("M00", 25.0, 512.0, 0.55, 426.0)
+    with pytest.raises(MalformedRow, match="row 3: file 'a.csv' repeats row 2") as err:
+        write_truth(tmp_path / "truth.csv", ["a.csv", "a.csv"],
+                    SynthTruth(records=(record, record)))
+    assert str(err.value).startswith(f"{tmp_path / 'truth.csv'}: ")
+    assert not (tmp_path / "manifest.csv").exists() and not (tmp_path / "truth.csv").exists()
+
+
 def test_manifest_rejects_wrong_header(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text("file,material,temp\na.csv,P91,20\n")

@@ -385,13 +385,15 @@ def test_grown_table_matches_the_table_built_from_its_trees(
 
 
 def _refuse_trees(*args, **kwargs):
-    raise AssertionError("a Split/Leaf tree was built")
+    raise AssertionError("nested trees were built")
 
 
 def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, tmp_path, reference_design):
     _, scores, y = reference_design
     monkeypatch.setattr(forest, "Leaf", _refuse_trees)
     monkeypatch.setattr(forest, "Split", _refuse_trees)
+    # nor does saving or loading a model nest the table
+    monkeypatch.setattr(_NodeTable, "nest", _refuse_trees)
     model = fit_forest(scores, y, ForestConfig(n_trees=30, seed=3))
     predict_forest(model, scores)
     permutation_importances(model, scores, y)
@@ -420,6 +422,57 @@ def test_trees_view_is_built_once_and_read_only():
     assert len(trees) == 3 and model.trees is trees
     with pytest.raises(AttributeError):
         model.trees = ()
+
+
+def _draw_features_per_tree(rngs, tree, p, mtry):
+    """Reference draws: each tree's level argsorted alone, its first mtry ascending."""
+    trees, counts = np.unique(tree, return_counts=True)
+    return np.concatenate([
+        np.sort(np.argsort(rngs[t].random((c, p)), axis=1)[:, :mtry], axis=1)
+        for t, c in zip(trees.tolist(), counts.tolist())
+    ])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=st.sampled_from([4, 152]),
+    share=st.sampled_from(["one", "third", "all"]),
+    nodes=st.lists(st.integers(0, 40), min_size=1, max_size=12).filter(any),
+    seed=st.integers(0, 2**16),
+)
+def test_batched_feature_draws_match_per_tree_argsorts(p, share, nodes, seed):
+    mtry = {"one": 1, "third": math.ceil(p / 3), "all": p}[share]
+    tree = np.repeat(np.arange(len(nodes)), nodes)  # nodes[t] open nodes of tree t
+
+    def draw(draw_features):
+        return draw_features([_tree_rng(seed, t) for t in range(len(nodes))], tree, p, mtry)
+
+    got, want = draw(forest._draw_features), draw(_draw_features_per_tree)
+    assert got.dtype == want.dtype and got.shape == want.shape == (tree.size, mtry)
+    assert np.array_equal(got, want)
+
+
+class _FixedDraws:
+    """Stands in for a tree's generator: every random call returns u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, shape):
+        assert shape == self.u.shape
+        return self.u.copy()
+
+
+def test_feature_draws_with_a_tie_at_the_mtry_th_value_follow_the_argsort():
+    u = {4: np.array([[0.5, 0.25, 0.25, 0.75], [0.1, 0.2, 0.3, 0.4]]),
+         152: np.array([np.tile([0.3, 0.1, 0.2, 0.1], 38), np.linspace(1.0, 0.0, 152)])}
+    # the first row ties at its mtry-th smallest value for mtry 1 and 51;
+    # for 4 columns, mtry 2 and 3 take the tied pair whole
+    for p, mtry in ((4, 1), (4, 2), (4, 3), (152, 51), (152, 1)):
+        tree = np.array([0, 0])
+        got = forest._draw_features([_FixedDraws(u[p])], tree, p, mtry)
+        assert np.array_equal(got, _draw_features_per_tree([_FixedDraws(u[p])], tree, p, mtry))
+    assert np.count_nonzero(u[152][0] <= 0.1) == 76  # ties 51 draws over 76 columns
 
 
 # --------------------------------------------------------------------------

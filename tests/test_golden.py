@@ -6,9 +6,10 @@ each file it writes and of each command's stdout was recorded once; a
 change that alters any output bit fails here.  A second gate does the
 same for full-size forests: 200-tree rf and rf-scores models fitted on
 the 120-curve reference set, their model files, predictions and
-permutation importances.  A third pins two rf model files written before
-forests grew level by level: they must load, predict their recorded bits
-and save back byte for byte.  A fourth holds the empirical family on the
+permutation importances.  A third pins two format 1 rf model files written
+before forests grew level by level: they must load and predict their
+recorded bits, and saved again as format 2 they must load to the same node
+table and save back byte for byte.  A fourth holds the empirical family on the
 reference set: the per-sample bytes of its 10-fold CV and its fitted beta,
 for both modes and both markers.  Floating-point results may differ in the last
 bits under another numpy build, so the digests hold only for the numpy
@@ -25,8 +26,10 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +38,8 @@ import pytest
 from smallpunch.cli import main
 from smallpunch.curves import GridSpec, resample
 from smallpunch.features import apply_standardizer, assemble, strengths
-from smallpunch.forest import ForestConfig, permutation_importances
-from smallpunch.modelfile import load_model, save_model
+from smallpunch.forest import ForestConfig, _NodeTable, permutation_importances
+from smallpunch.modelfile import FORMAT_VERSION, load_model, save_model
 from smallpunch.pca import transform
 from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import (
@@ -206,12 +209,12 @@ GOLDEN: dict[str, str] = {
     'data/m02_c05.csv': 'b1f301a9d34f519312eebd2602f34041e30080d9a3cb00876b7dad11b6856741',
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
-    'model_empirical-fixed-v.json': '3b9011006e143fbfd6b91c554f48ff2bf4b9e1a9d7199910cf9c419e7c65e802',
-    'model_empirical-max-force.json': '69b14eb9f974d4b79b7a59883a150837ef1eb362f807938c12716fc21f348efd',
-    'model_empirical.json': 'bf3d844674f54bb0f57a6cf9986fe3ae73834866a85963287adbd59799130e27',
-    'model_pca-lm.json': 'f2273d2d224978ae046e86b6fbb118f8ac1b8a7e738421463741e1845b0e2035',
-    'model_rf-scores.json': '7ab601e2f902e940fa32e220b106c2489ebe725201c938947ccb271ce44677ec',
-    'model_rf.json': '9728af4ad3e551c1da0f51cf519e5ccc470732117961d8e02b2787385d4a155b',
+    'model_empirical-fixed-v.json': 'd3cc7009a4116a131e8f4591c2965b99f1e93e42ecb8167b6ba603fe82dd07e5',
+    'model_empirical-max-force.json': 'b808f68fa2401ab2fc688ae9b73278c5c456ba63f5ac1432e22b617e13ebe58f',
+    'model_empirical.json': '31a55e2c048f721321060e15c99d537564e7af71b3c5862a84d76386ac1cf888',
+    'model_pca-lm.json': '48f70bcfddb8f15a14c93df2ddfbda93b6f36c272641a8a376ff58a74eb44d55',
+    'model_rf-scores.json': '2a952cb5b6dcf0282f569b9f05c7d62f6cbf01bda27cdf99cb2f26e044ddcc56',
+    'model_rf.json': 'b654a8d535ccbec995c411cf759b3559f4f85b7cd9394b760eb1f5d71086ef62',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
@@ -228,10 +231,10 @@ GOLDEN: dict[str, str] = {
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': '125656c170e9ecbff8d865b62e0c8af5c9f3428b9ff92b52b5118bf961673aa9',
+    'model rf': 'dd2e0aaf86b6b5c85a7b5423db4103591f6fa5ed970823bb6c481a9bf883339f',
     'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
     'permutation rf': '1fae006416836539463380deff2cee5d38d5ffae914ba1b724812604ca901f45',
-    'model rf-scores': 'c4a1921dea5f1812049f283c0971834209dc358cc2dc59dc8ceb1adbd0368db0',
+    'model rf-scores': '6f495817b4f0ce3d76eed0540bb6dbc7396964344b38d8acd41ff6d36630df4d',
     'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
     'permutation rf-scores': 'bbdbed792e686bd24c971c2e07df35fb4aa54e7026ca6b5819497e4b87f481ed',
 }
@@ -254,6 +257,7 @@ GOLDEN_EMPIRICAL: dict[str, str] = {
 # above (3 x 6 curves, sigma 5 N, seed 7) before forests grew level by level,
 # with the digests of their predictions on that set generated in memory.
 # Training may change the trees; reading an old file may not change a bit.
+# They are format 1 files, each tree nested as split and leaf objects.
 DATA = Path(__file__).parent / "data"
 PINNED: dict[str, str] = {
     'rf_10_trees_v1.json': '8ec085c190e01329130cb1629b6c7734d923fb22e105f5947760e5f6323fe4c3',
@@ -284,17 +288,30 @@ def test_reference_empirical_fits_match_golden_digests():
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
-    path = DATA / name
-    trained, provenance = load_model(path)
-    again = tmp_path / name
-    save_model(again, trained, provenance)
-    assert again.read_bytes() == path.read_bytes()
+    trained, provenance = load_model(DATA / name)
+    v2, again = tmp_path / "v2.json", tmp_path / "again.json"
+    save_model(v2, trained, provenance)
+    assert json.loads(v2.read_text())["format_version"] == FORMAT_VERSION
+    reloaded, _ = load_model(v2)
+    for column in fields(_NodeTable):
+        want = getattr(trained.model.table, column.name)
+        got = getattr(reloaded.model.table, column.name)
+        if isinstance(want, np.ndarray):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), column.name
+            assert got.tobytes() == want.tobytes(), column.name
+        else:
+            assert got == want, column.name
+    assert reloaded.model.importances.tobytes() == trained.model.importances.tobytes()
+    assert reloaded.model.oob_rmse == trained.model.oob_rmse
+    save_model(again, reloaded, provenance)
+    assert again.read_bytes() == v2.read_bytes()
 
     _skip_other_numpy()
     raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6,
                                   noise_sigma_N=5.0, seed=7))
-    predictions = predict_pipeline(trained, [resample(c, trained.grid) for c in raw])
-    assert _sha(predictions.tobytes()) == PINNED[name]
+    for model in (trained, reloaded):
+        predictions = predict_pipeline(model, [resample(c, model.grid) for c in raw])
+        assert _sha(predictions.tobytes()) == PINNED[name]
 
 
 if __name__ == "__main__":

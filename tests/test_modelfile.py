@@ -1,6 +1,7 @@
 """Model persistence: exact round trips and version/shape rejection."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,10 +100,12 @@ def test_unknown_version_is_refused(tmp_path, dataset):
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
-    doc["format_version"] = 99
-    path.write_text(json.dumps(doc))
-    with pytest.raises(UnsupportedVersion, match="99"):
-        load_model(path)
+    # true and 2.0 compare equal to the versions 1 and 2 it reads
+    for version in (99, True, 2.0, "2", None):
+        doc["format_version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UnsupportedVersion, match=f"format_version {version!r}"):
+            load_model(path)
 
 
 def test_corrupt_json_is_refused(tmp_path):
@@ -160,16 +163,13 @@ def test_stripped_pca_block_is_refused(tmp_path, dataset):
             load_model(path)
 
 
-def _leftmost_leaf(node):
-    while "value" not in node:
-        node = node["left"]
-    return node
-
-
-def _root_split(doc):
-    root = doc["model"]["trees"][0]
-    assert "feature" in root, "the fixture's first tree must split"
-    return root
+def _model_array(name):
+    """The block holding a format 2 forest's per-node or per-split array."""
+    def block(doc):
+        array = doc["model"][name]
+        assert array, f"the fixture's forest must have a {name} entry"
+        return array
+    return block
 
 
 @pytest.fixture(scope="module")
@@ -188,17 +188,18 @@ def trained_by_family(dataset):
     ("pca-lm", lambda d: d["grid"], "n_points", "x"),
     ("pca-lm", lambda d: d["standardizer"], "means", "x"),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", "x"),
-    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", "x"),
+    ("rf", _model_array("value"), 0, "x"),
     ("empirical", lambda d: d, "pipeline", []),
     ("empirical", lambda d: d, "model", "x"),
-    ("rf", _root_split, "feature", 999),
-    ("rf", _root_split, "feature", -1),
-    ("rf", _root_split, "feature", 1.5),
-    ("rf", _root_split, "threshold", float("inf")),
-    ("rf", _root_split, "threshold", 10**400),
-    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", float("nan")),
-    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "count", 0),
-    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "count", 2**64),
+    ("rf", _model_array("feature"), 0, 999),
+    ("rf", _model_array("feature"), 0, -1),
+    ("rf", _model_array("feature"), 0, 1.5),
+    ("rf", _model_array("threshold"), 0, float("inf")),
+    ("rf", _model_array("threshold"), 0, 10**400),
+    ("rf", _model_array("value"), 0, float("nan")),
+    # level order ends on a leaf; a count of 0 makes it a split, one too many
+    ("rf", _model_array("count"), -1, 0),
+    ("rf", _model_array("count"), -1, 2**64),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 3),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 2.5),
     ("rf", lambda d: d["pipeline"]["forest"], "bootstrap", "yes"),
@@ -206,13 +207,15 @@ def trained_by_family(dataset):
     ("rf", lambda d: d["pipeline"]["forest"], "max_depth", 4.0),
     ("pca-lm", lambda d: d["pipeline"], "standardize", "no"),
     ("pca-lm", lambda d: d["pipeline"], "standardize", 1),
-    ("rf", _root_split, "threshold", True),
-    ("rf", _root_split, "threshold", "1.5"),
-    ("rf", lambda d: _leftmost_leaf(d["model"]["trees"][0]), "value", True),
+    ("rf", _model_array("threshold"), 0, True),
+    ("rf", _model_array("threshold"), 0, "1.5"),
+    ("rf", _model_array("value"), 0, True),
     ("rf", lambda d: d["model"], "oob_rmse", True),
     # the fixture's forests have 152 columns: int() would have read these as 152
     ("rf", lambda d: d["model"], "n_features", 152.9),
     ("rf", lambda d: d["model"], "n_features", "152"),
+    ("rf", lambda d: d["model"], "n_features", 151),
+    ("rf", lambda d: d["model"], "importances", [1.0]),
     # numpy and comparisons would read true as 1 and false as 0
     ("pca-lm", lambda d: d["model"], "intercept", True),
     ("pca-lm", lambda d: d["model"]["coefficients"], 0, False),
@@ -241,7 +244,8 @@ def trained_by_family(dataset):
         "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
         "forest-max_depth-float", "standardize-string", "standardize-int",
         "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",
-        "n_features-float", "n_features-string", "intercept-bool", "coefficient-bool",
+        "n_features-float", "n_features-string", "n_features-mismatch", "importances-length",
+        "intercept-bool", "coefficient-bool",
         "standardizer-scale-bool", "pca-mean-bool", "pca-loading-bool", "pca-threshold-bool",
         "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
         "grid-spacing-bool", "grid-n_points-bool", "grid-n_points-float",
@@ -253,12 +257,100 @@ def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
     save_model(path, trained_by_family[family], {})
     doc = json.loads(path.read_text())
     block(doc)[key] = value
+    _assert_refused(path, doc)
+
+
+def _assert_refused(path, doc, match=None):
     path.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError) as err:
+    with pytest.raises(ModelFileError, match=match) as err:
         load_model(path)
     # exactly ModelFileError (exit 4), not a BadConfig (exit 2) or a bare ValueError
     assert type(err.value) is ModelFileError
     assert str(err.value).count(str(path)) == 1
+
+
+# A format 1 forest nests its trees; its reader keeps its own checks.
+V1_FILE = Path(__file__).parent / "data" / "rf_10_trees_v1.json"
+
+
+def _v1_root(doc):
+    return doc["model"]["trees"][0]
+
+
+def _v1_leaf(doc):
+    node = _v1_root(doc)
+    while "value" not in node:
+        node = node["left"]
+    return node
+
+
+@pytest.mark.parametrize("block,key,value", [
+    (_v1_root, "feature", 999),
+    (_v1_root, "feature", -1),
+    (_v1_root, "feature", 1.5),
+    (_v1_root, "feature", True),
+    (_v1_root, "threshold", float("inf")),
+    (_v1_root, "threshold", 10**400),
+    (_v1_root, "threshold", True),
+    (_v1_root, "threshold", "1.5"),
+    (_v1_leaf, "value", float("nan")),
+    (_v1_leaf, "value", True),
+    (_v1_leaf, "value", "x"),
+    (_v1_leaf, "count", 0),
+    (_v1_leaf, "count", 2**64),
+    (lambda d: d["model"], "n_features", 152.9),
+    (lambda d: d["model"], "importances", [1.0]),
+    (lambda d: d["model"], "trees", []),
+    (lambda d: d["pipeline"]["forest"], "n_trees", 11),
+], ids=["split-feature-999", "split-feature-negative", "split-feature-float",
+        "split-feature-bool", "split-threshold-inf", "split-threshold-overflow",
+        "split-threshold-bool", "split-threshold-string", "leaf-value-nan", "leaf-value-bool",
+        "leaf-value-string", "leaf-count-0", "leaf-count-overflow", "n_features-float",
+        "importances-length", "no-trees", "n_trees-mismatch"])
+def test_malformed_v1_forest_is_a_model_file_error(tmp_path, block, key, value):
+    doc = json.loads(V1_FILE.read_text())
+    block(doc)[key] = value
+    _assert_refused(tmp_path / "model.json", doc)
+
+
+def _split_after_children(model):
+    """Swap the last split with the last node, a leaf: counts stay consistent."""
+    count = model["count"]
+    last = max(i for i, c in enumerate(count) if c == 0)
+    count[last], count[-1] = count[-1], 0
+
+
+@pytest.mark.parametrize("change,match", [
+    (lambda m: m["threshold"].append(1.0), "thresholds"),
+    (lambda m: m["feature"].pop(), "features"),
+    (lambda m: m["value"].append(500.0), "values"),
+    # one leaf more: n_trees + 2 * splits nodes no longer
+    (lambda m: (m["count"].append(1), m["value"].append(500.0)), "do not make 2 trees"),
+    (_split_after_children, "after its children"),
+    (lambda m: m["count"].__setitem__(-1, -1), "leaf count"),
+    (lambda m: m.__setitem__("count", 5), "count must be a list, got 5"),
+    (lambda m: m["feature"].__setitem__(0, True), "split feature must be an integer, got True"),
+    (lambda m: m["value"].__setitem__(0, None), "leaf value must be a number, got None"),
+], ids=["threshold-longer", "feature-shorter", "value-longer", "node-count",
+        "split-after-children", "count-negative", "count-not-a-list", "feature-bool",
+        "value-null"])
+def test_malformed_v2_forest_is_a_model_file_error(tmp_path, trained_by_family, change, match):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family["rf"], {})
+    doc = json.loads(path.read_text())
+    change(doc["model"])
+    _assert_refused(path, doc, match)
+
+
+def test_forest_block_is_read_by_its_files_version(tmp_path, trained_by_family):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family["rf"], {})
+    doc = json.loads(path.read_text())
+    doc["format_version"] = 1
+    _assert_refused(path, doc, "trees")
+    doc = json.loads(V1_FILE.read_text())
+    doc["format_version"] = FORMAT_VERSION
+    _assert_refused(path, doc, "count")
 
 
 def test_forest_trees_survive_re_save(tmp_path, dataset):
