@@ -118,8 +118,11 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
+    """The pipeline the flags of cv and train name; every family records the seed."""
     if args.workers < 1:
         raise BadConfig("--workers must be >= 1")
+    if args.seed < 0:
+        raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
     if args.pipeline == EmpiricalKind.name:
         kind = EmpiricalKind(mode=args.mode, marker_strategy=args.marker)
     elif args.pipeline == PcaLmKind.name:
@@ -136,21 +139,28 @@ def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
     return PipelineSpec(kind=kind, standardize=not args.no_standardize)
 
 
-def _v_star_for(args: argparse.Namespace, names: list[str], strategy: str | None):
-    """Resolve the fixed-v displacement source for the marker strategy in use."""
+def _v_star_source(args: argparse.Namespace, strategy: str | None) -> Path | float | None:
+    """--truth's path, else --v-star's checked value; None where no v_i is read."""
     if strategy != MARKER_FIXED_V:
         return None
     if args.truth is not None:
-        table = dataio.read_truth(args.truth)
-        missing = [name for name in names if name not in table]
-        if missing:
-            raise BadConfig(f"--truth: {args.truth} has no row for curve file '{missing[0]}'")
-        return [table[name][1] for name in names]
-    if args.v_star is not None:
-        if not (0.0 < args.v_star < math.inf):
-            raise BadConfig(f"--v-star must be finite and > 0, got {args.v_star}")
-        return args.v_star
-    raise BadConfig("the fixed-v marker needs --v-star or --truth")
+        return args.truth
+    if args.v_star is None:
+        raise BadConfig("the fixed-v marker needs --v-star or --truth")
+    if not (0.0 < args.v_star < math.inf):
+        raise BadConfig(f"--v-star must be finite and > 0, got {args.v_star}")
+    return args.v_star
+
+
+def _v_star_for(source: Path | float | None, names: list[str]):
+    """v_star for the named curve files: each file's v_i from a truth file, else source."""
+    if not isinstance(source, Path):
+        return source
+    table = dataio.read_truth(source)
+    missing = [name for name in names if name not in table]
+    if missing:
+        raise BadConfig(f"--truth: {source} has no row for curve file '{missing[0]}'")
+    return [table[name][1] for name in names]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -192,15 +202,15 @@ def cmd_cv(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise BadConfig("--k must be >= 2")
     grid = _grid_from_args(args)
-    names, curves = dataio.load_curves(args.manifest, grid)
     spec = _spec_from_args(args)
-    v_star = _v_star_for(args, names, spec.kind.marker_strategy)
+    source = _v_star_source(args, spec.kind.marker_strategy)
+    names, curves = dataio.load_curves(args.manifest, grid)
     report = cross_validate(
         curves,
         spec,
         k=args.k,
         seed=args.seed,
-        v_star=v_star,
+        v_star=_v_star_for(source, names),
         stratify_material=args.stratify_material,
     )
     args.out.mkdir(parents=True, exist_ok=True)
@@ -214,12 +224,10 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     grid = _grid_from_args(args)
-    names, curves = dataio.load_curves(args.manifest, grid)
     spec = _spec_from_args(args)
-    # the forest checks its own seed; every family records it in the model file
-    if args.seed < 0:
-        raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
-    v_star = _v_star_for(args, names, spec.kind.marker_strategy)
+    source = _v_star_source(args, spec.kind.marker_strategy)
+    names, curves = dataio.load_curves(args.manifest, grid)
+    v_star = _v_star_for(source, names)
     trained = fit_pipeline(curves, spec, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
     truths = np.array([c.meta.rm_MPa for c in curves], dtype=float)
@@ -268,7 +276,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     names, curves = dataio.load_curves(args.manifest, trained.grid)
     rows = []
     if curves:  # an empty manifest needs no v_star and gets a header-only table
-        v_star = _v_star_for(args, names, trained.spec.kind.marker_strategy)
+        v_star = _v_star_for(_v_star_source(args, trained.spec.kind.marker_strategy), names)
         preds = predict_pipeline(trained, curves, v_star=v_star)
         rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)

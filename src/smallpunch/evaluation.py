@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import UniformCurve
-from .errors import BadConfig, BadK, EmptyInput, InvalidModel, LengthMismatch, SmallPunchError
+from .errors import BadConfig, BadK, EmptyInput, LengthMismatch, SmallPunchError
 from .features import strengths
 from .pipeline import PipelineSpec, TrainedPipeline, fit_pipeline, predict_pipeline
 
@@ -87,25 +87,32 @@ def group_kfold_split(material_ids: Sequence[str], k: int, seed: int) -> list[np
 class CvReport:
     """Cross-validation outcome.
 
-    mean_rmse is the arithmetic mean of fold_rmse; std_rmse is their sample
-    standard deviation (ddof=1).  per_sample holds one (row, truth,
-    prediction) triple for every held-out row, in fold order.  fold_models
-    is populated only when requested.
+    k, mean_rmse and std_rmse (ddof=1) are the count, mean and standard
+    deviation of fold_rmse.  per_sample holds one (row, truth, prediction)
+    triple for every held-out row, in fold order.  fold_models is
+    populated only when requested.
     """
 
     fold_rmse: tuple[float, ...]
-    mean_rmse: float
-    std_rmse: float
-    k: int
     seed: int
     per_sample: tuple[tuple[int, float, float], ...]
     fold_models: tuple[TrainedPipeline, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.k < 2 or len(self.fold_rmse) != self.k:
-            raise BadK(f"report needs k >= 2 folds, got {len(self.fold_rmse)} for k={self.k}")
-        if self.mean_rmse != float(np.mean(np.asarray(self.fold_rmse))):
-            raise InvalidModel("mean_rmse must be the arithmetic mean of fold_rmse")
+        if self.k < 2:
+            raise BadK(f"report needs k >= 2 folds, got {self.k}")
+
+    @property
+    def k(self) -> int:
+        return len(self.fold_rmse)
+
+    @property
+    def mean_rmse(self) -> float:
+        return float(np.mean(self.fold_rmse))
+
+    @property
+    def std_rmse(self) -> float:
+        return float(np.std(self.fold_rmse, ddof=1))
 
 
 def cross_validate(
@@ -167,12 +174,8 @@ def cross_validate(
         if collect_models:
             models.append(trained)
 
-    arr = np.asarray(fold_rmse)
     return CvReport(
         fold_rmse=tuple(fold_rmse),
-        mean_rmse=float(np.mean(arr)),
-        std_rmse=float(np.std(arr, ddof=1)),
-        k=k,
         seed=seed,
         per_sample=tuple(per_sample),
         fold_models=tuple(models) if collect_models else None,

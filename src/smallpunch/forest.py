@@ -47,12 +47,15 @@ with it where a weighted sum has the bits of the repeated one.  Only sums
 over a whole node (leaf values) are added in another order, so a leaf
 value may differ from such a grower's in the last bits.
 
-The fitted forest is a flat node table, which growth emits level by
-level: every node of every tree as parallel arrays, roots first, each
-split's two children side by side, leaves pointing at themselves.  The
-model file stores the table as flat arrays in that level order, and an
-older file's nested trees are read into it in the same order
-(pipeline.ForestKind), so a loaded forest's table is the fitted forest's
+The fitted forest is a flat node table: every node of every tree as
+parallel arrays in level order, roots first, each split's two children
+side by side, leaves pointing at themselves.  One builder,
+_NodeTable.from_level_order, makes every table from four level-order
+arrays: count per node, feature and threshold per split and value per
+leaf.  Growth hands it the columns it collects level by level, and the
+model file stores exactly those arrays (format 2); a format 1 file's
+nested trees are flattened into them and pass the same checks
+(pipeline.ForestKind).  So a loaded forest's table is the fitted forest's
 table, array for array.  Nested Split/Leaf trees exist only where a
 reader asks for them: model.trees, built from the table on first access
 and cached.  Routing moves every (tree, row) pair down one level per step
@@ -149,13 +152,12 @@ class _NodeTable:
 
     The roots are 0..n_trees-1, then come the nodes of each deeper level,
     tree after tree and left to right, so a split's children sit at left
-    and left + 1, after it.  Growth numbers the nodes so, and so does
-    reading a model file.  A leaf's left points at itself, its threshold
+    and left + 1, after it.  A leaf's left points at itself, its threshold
     is +inf and its feature 0, so a (tree, row) pair that has reached its
     leaf stays there; value is the leaf value and count its bag rows
-    (0.0 and 0 on splits).  roots holds each tree's first node and depth
-    the deepest leaf, the number of steps that brings every pair to its
-    leaf.
+    (0.0 and 0 on splits).  depth is the deepest leaf's, the number of
+    steps that brings every pair to its leaf.  from_level_order builds
+    every table, grown or read from a model file.
     """
 
     feature: np.ndarray
@@ -163,8 +165,35 @@ class _NodeTable:
     left: np.ndarray
     value: np.ndarray
     count: np.ndarray
-    roots: np.ndarray
+    n_trees: int
     depth: int
+
+    @classmethod
+    def from_level_order(cls, n_trees: int, count: np.ndarray, feature: np.ndarray,
+                         threshold: np.ndarray, value: np.ndarray) -> _NodeTable:
+        """The table of a forest given as model file format 2 stores it.
+
+        count holds every node's bag rows, 0 marking a split; feature and
+        threshold hold every split's and value every leaf's, in node order.
+        Level order fixes the rest: the k-th split's children are nodes
+        n_trees + 2k and n_trees + 2k + 1.  The arrays must agree, as growth
+        makes them and pipeline._table_from_arrays checks a model file's.
+        """
+        split = count == 0
+        splits = np.flatnonzero(split)
+        left = np.arange(count.size, dtype=np.intp)
+        left[splits] = n_trees + 2 * np.arange(splits.size)
+        full_feature = np.zeros(count.size, dtype=np.intp)
+        full_threshold = np.full(count.size, np.inf)
+        full_value = np.zeros(count.size)
+        full_feature[split], full_threshold[split], full_value[~split] = feature, threshold, value
+        # level order ends on a deepest leaf: climb from it to its root
+        depth, node = 0, count.size - 1
+        while node >= n_trees:
+            node = int(splits[(node - n_trees) // 2])
+            depth += 1
+        return cls(feature=full_feature, threshold=full_threshold, left=left,
+                   value=full_value, count=count, n_trees=n_trees, depth=depth)
 
     def nest(self, leaf: Callable[[float, int], Any],
              split: Callable[[int, float, Any, Any], Any]) -> list:
@@ -182,12 +211,12 @@ class _NodeTable:
             j = left[i]
             built[i] = (leaf(value[i], count[i]) if j == i
                         else split(feature[i], threshold[i], built[j], built[j + 1]))
-        return [built[r] for r in self.roots.tolist()]
+        return built[:self.n_trees]
 
     def tree_values(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of every tree (rows of the result) for every row of x."""
         rows = np.arange(x.shape[0])
-        node = np.repeat(self.roots[:, None], x.shape[0], axis=1)
+        node = np.repeat(np.arange(self.n_trees)[:, None], x.shape[0], axis=1)
         for _ in range(self.depth):
             node = self.left[node] + (x[rows, self.feature[node]] > self.threshold[node])
         return self.value[node]
@@ -214,11 +243,6 @@ class ForestModel:
     def __post_init__(self) -> None:
         imp = np.asarray(self.importances, dtype=float)
         object.__setattr__(self, "importances", imp)
-        n_trees = self.table.roots.size
-        if n_trees != self.config.n_trees:
-            raise InvalidModel(
-                f"forest has {n_trees} trees, its config says {self.config.n_trees}"
-            )
         if imp.shape != (self.n_features,):
             raise InvalidModel("importances must have one entry per feature")
         if np.any(imp < 0.0) or not np.all(np.isfinite(imp)):
@@ -415,7 +439,8 @@ def _grow_forest(
     summed squared error becomes a leaf too.  A leaf's value is its weighted
     mean target and its count its summed weight, its bag rows.  Each split
     node's segment is reordered stably, left rows first, into the next
-    level.  The table numbers the nodes in that order, level after level.
+    level.  Level after level, the nodes go into the four level-order
+    columns that _NodeTable.from_level_order builds the table from.
     """
     n_trees, n = bags.shape
     p = xv.shape[1]
@@ -429,9 +454,8 @@ def _grow_forest(
     size = np.bincount(tree, minlength=n_trees)
     tree = np.arange(n_trees)
     depth = 0
-    # the node table's columns, one array per level
+    # the level-order columns count, feature, threshold and value, per level
     levels: list[tuple[np.ndarray, ...]] = []
-    first = 0  # id of the level's first node
     while tree.size:
         start = np.cumsum(size) - size
         y = yv[rows]
@@ -460,13 +484,9 @@ def _grow_forest(
             threshold[splits] = thr[gain]
             np.add.at(reductions, feat[gain], improvement[gain])
 
-        # a split's children are numbered after this level, in split order
-        left = first + np.arange(tree.size)
-        left[is_split] = first + tree.size + 2 * np.arange(int(is_split.sum()))
-        value = np.where(is_split, 0.0, sum_y / weight)
+        leaf = ~is_split
         count = np.where(is_split, 0.0, weight).astype(np.intp)
-        levels.append((feature, threshold, left, value, count))
-        first += tree.size
+        levels.append((count, feature[is_split], threshold[is_split], sum_y[leaf] / weight[leaf]))
 
         node = np.repeat(np.arange(tree.size), size)
         keep = is_split[node]
@@ -479,10 +499,8 @@ def _grow_forest(
         tree = np.repeat(tree[is_split], 2)
         depth += 1
 
-    feature, threshold, left, value, count = (np.concatenate(column) for column in zip(*levels))
-    table = _NodeTable(feature=feature, threshold=threshold, left=left, value=value,
-                       count=count, roots=np.arange(n_trees), depth=depth - 1)
-    return table, reductions
+    columns = (np.concatenate(column) for column in zip(*levels))
+    return _NodeTable.from_level_order(n_trees, *columns), reductions
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -581,7 +599,7 @@ def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     out = np.zeros(xv.shape[0])
     for values in model.table.tree_values(xv):
         out += values
-    return out / model.table.roots.size
+    return out / model.table.n_trees
 
 
 def feature_importances(model: ForestModel) -> np.ndarray:

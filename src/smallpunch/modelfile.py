@@ -11,8 +11,9 @@ changes the file format and needs a format_version bump.
 
 Format 2 is written.  It differs from format 1 only in a forest's model
 block: format 1 nests each tree as split and leaf objects, format 2 stores
-the forest's node table as flat arrays in level order.  Both are read,
-each by the reader its format_version names.
+the forest's node table as flat arrays in level order.  Both are read: a
+format 1 forest is flattened into format 2's arrays, which one set of
+checks and one builder then serve (pipeline._table_from_arrays).
 """
 
 from __future__ import annotations

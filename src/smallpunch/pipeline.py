@@ -20,7 +20,6 @@ standardizer, the PCA and the model on training rows alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Sequence, Union
 
@@ -297,12 +296,10 @@ class ForestKind(_FeatureKind):
         n_features = doc["n_features"]
         if not _is_int(n_features):
             raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
-        if version == 1:
-            table = _table_from_docs(doc["trees"], n_features)
-        else:
-            table = _table_from_arrays(doc, self.config.n_trees, n_features)
+        columns = (_level_order_of(doc["trees"]) if version == 1
+                   else (doc["count"], doc["feature"], doc["threshold"], doc["value"]))
         return ForestModel(
-            table=table,
+            table=_table_from_arrays(self.config.n_trees, n_features, *columns),
             config=self.config,
             n_features=n_features,
             importances=np.asarray(_no_bools(doc["importances"], "importances"), dtype=float),
@@ -317,45 +314,31 @@ def _number(value: Any, what: str) -> float:
     return float(value)
 
 
-def _table_from_docs(trees: list, n_features: int) -> _NodeTable:
-    """The node table of a format 1 file's nested trees, numbered as growth numbers it.
+def _level_order_of(trees: Any) -> tuple[list, list, list, list]:
+    """A format 1 file's nested trees as format 2's count, feature, threshold and value.
 
-    One first-in-first-out pass, seeded with every root, appends each
-    split's left and then right child to the queue.  That is level order,
-    so the children land at left and left + 1 and a fitted forest reads
-    back as the table it was saved from.  Every node is checked here.
+    One first-in-first-out walk, seeded with every root, appends each
+    split's left and then right child to the queue: level order, as growth
+    numbers the nodes.  A node holding "value" is a leaf; the values are
+    left for _table_from_arrays to check, as a format 2 file's are.
     """
-    if not trees:
-        raise InvalidModel("forest has no trees")
-    queue = [(doc, t, 0) for t, doc in enumerate(trees)]  # (node, tree, depth)
-    nodes = []  # (feature, threshold, left, value, count)
+    if not isinstance(trees, list):
+        raise InvalidModel(f"trees must be a list, got {type(trees).__name__}")
+    count, feature, threshold, value = [], [], [], []
+    queue = list(trees)
     # the loop visits the children it appends, as a list iterator does
-    for i, (doc, t, d) in enumerate(queue):
-        if "value" in doc:
-            value, count = _number(doc["value"], "leaf value"), doc["count"]
-            if not math.isfinite(value):
-                raise InvalidModel(f"tree {t}: leaf value {value!r} is not finite")
-            if not (_is_int(count) and count >= 1):
-                raise InvalidModel(f"tree {t}: leaf count must be >= 1, got {count!r}")
-            nodes.append((0, math.inf, i, value, count))
-            continue
-        feature, threshold = doc["feature"], _number(doc["threshold"], "split threshold")
-        if not (_is_int(feature) and 0 <= feature < n_features):
-            raise InvalidModel(f"tree {t}: split feature {feature!r} outside [0, {n_features})")
-        if not math.isfinite(threshold):
-            raise InvalidModel(f"tree {t}: threshold {threshold!r} is not finite")
-        nodes.append((feature, threshold, len(queue), 0.0, 0))
-        queue += [(doc["left"], t, d + 1), (doc["right"], t, d + 1)]
-    feature, threshold, left, value, count = zip(*nodes)
-    return _NodeTable(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.intp),
-        value=np.array(value),
-        count=np.array(count, dtype=np.intp),
-        roots=np.arange(len(trees)),
-        depth=queue[-1][2],  # level order ends on a deepest leaf
-    )
+    for node in queue:
+        if not isinstance(node, dict):
+            raise InvalidModel(f"tree node must be an object, got {node!r}")
+        if "value" in node:
+            count.append(node["count"])
+            value.append(node["value"])
+        else:
+            count.append(0)
+            feature.append(node["feature"])
+            threshold.append(node["threshold"])
+            queue += (node["left"], node["right"])
+    return count, feature, threshold, value
 
 
 def _json_array(values: Any, what: str, dtype: type) -> np.ndarray:
@@ -381,20 +364,20 @@ def _refuse_any(bad: np.ndarray, nodes: np.ndarray, values: np.ndarray, what: st
         raise InvalidModel(f"node {nodes[i]}: {what}, got {values[i].item()!r}")
 
 
-def _table_from_arrays(doc: dict[str, Any], n_trees: int, n_features: int) -> _NodeTable:
-    """The node table of a format 2 model block, checked as whole arrays.
+def _table_from_arrays(n_trees: int, n_features: int, count: Any, feature: Any,
+                       threshold: Any, value: Any) -> _NodeTable:
+    """The node table of a model file's level-order arrays, checked as whole arrays.
 
-    Level order fixes what the block does not store: nodes 0..n_trees-1
-    are the roots, and the k-th split's children are nodes n_trees + 2k
-    and n_trees + 2k + 1, which must come after it.  A leaf points at
-    itself and has threshold +inf and feature 0; a split has value 0.0.
-    Each node gets the checks _table_from_docs makes, and the arrays must
-    have the lengths the counts imply.
+    Both formats come here, format 1 flattened by _level_order_of.  The
+    arrays must have the lengths the counts imply, and the k-th split must
+    come before its children, nodes n_trees + 2k and n_trees + 2k + 1.
+    Every leaf count is at least 1, every split feature lies in
+    [0, n_features) and thresholds and leaf values are finite.
     """
-    count = _json_array(doc["count"], "count", np.intp)
-    feature = _json_array(doc["feature"], "split feature", np.intp)
-    threshold = _json_array(doc["threshold"], "split threshold", float)
-    value = _json_array(doc["value"], "leaf value", float)
+    count = _json_array(count, "count", np.intp)
+    feature = _json_array(feature, "split feature", np.intp)
+    threshold = _json_array(threshold, "split threshold", float)
+    value = _json_array(value, "leaf value", float)
     n_nodes = count.size
     is_split = count == 0
     splits, leaves = np.flatnonzero(is_split), np.flatnonzero(~is_split)
@@ -417,22 +400,7 @@ def _table_from_arrays(doc: dict[str, Any], n_trees: int, n_features: int) -> _N
                 f"split feature outside [0, {n_features})")
     _refuse_any(~np.isfinite(threshold), splits, threshold, "threshold is not finite")
     _refuse_any(~np.isfinite(value), leaves, value, "leaf value is not finite")
-
-    left = np.arange(n_nodes, dtype=np.intp)
-    left[splits] = children
-    table_feature = np.zeros(n_nodes, dtype=np.intp)
-    table_feature[splits] = feature
-    table_threshold = np.full(n_nodes, np.inf)
-    table_threshold[splits] = threshold
-    table_value = np.zeros(n_nodes)
-    table_value[leaves] = value
-    # level order ends on a deepest leaf: climb from it to its root
-    depth, node = 0, n_nodes - 1
-    while node >= n_trees:
-        node = int(splits[(node - n_trees) // 2])
-        depth += 1
-    return _NodeTable(feature=table_feature, threshold=table_threshold, left=left,
-                      value=table_value, count=count, roots=np.arange(n_trees), depth=depth)
+    return _NodeTable.from_level_order(n_trees, count, feature, threshold, value)
 
 
 PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]

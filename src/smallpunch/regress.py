@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .curves import MARKER_MAX_SLOPE, MARKER_STRATEGIES, CurveMarkers, raise_first_failure
 from .errors import (
@@ -151,9 +150,8 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
     """Ordinary least squares with intercept via QR factorization.
 
     The design matrix is augmented with a leading column of ones and
-    factored A = QR; coefficients come from back substitution on R.  The
-    numerical rank is checked on the diagonal of R with a relative
-    tolerance of 1e-10.
+    factored A = QR; coefficients come from back substitution on R, last
+    row first.  The rank is checked on R's diagonal, relative tolerance 1e-10.
 
     Raises
     ------
@@ -182,7 +180,10 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
         raise RankDeficient(
             f"design is numerically rank deficient (diag ratio {diag.min():.3e}/{diag.max():.3e})"
         )
-    coef = solve_triangular(r, q.T @ y)
+    qty = q.T @ y
+    coef = np.empty(m + 1)
+    for i in range(m, -1, -1):
+        coef[i] = (qty[i] - r[i, i + 1:] @ coef[i + 1:]) / r[i, i]
     return LinearModel(intercept=float(coef[0]), coefficients=coef[1:].copy())
 
 

@@ -122,6 +122,29 @@ def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, small_manifest,
     assert "error:" in err and flag in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("cv", "--pipeline", "rf", "--trees", "0"), "--trees"),
+    (("cv", "--pipeline", "rf", "--mtry", "0"), "--mtry"),
+    (("cv", "--pipeline", "rf", "--variance-threshold", "2"), "--variance-threshold"),
+    (("cv", "--pipeline", "pca-lm", "--seed", "-1"), "--seed"),
+    (("cv", "--pipeline", "empirical", "--marker", "fixed-v", "--v-star", "-1"), "--v-star"),
+    (("cv", "--pipeline", "empirical", "--marker", "fixed-v"), "--v-star or --truth"),
+    (("train", "--pipeline", "rf", "--seed", "-1"), "--seed"),
+    (("train", "--pipeline", "empirical", "--seed", "-1"), "--seed"),
+    (("train", "--pipeline", "empirical", "--marker", "fixed-v", "--v-star", "nan"),
+     "--v-star"),
+], ids=["cv-trees", "cv-mtry", "cv-variance-threshold", "cv-seed", "cv-v-star-negative",
+        "cv-fixed-v-without-source", "train-rf-seed", "train-empirical-seed", "train-v-star-nan"])
+def test_bad_flag_exits_2_before_any_curve_is_read(tmp_path, capsys, argv, flag):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    (data / "m01_c02.csv").write_text("displacement_um,force_N\n0,zero\n")
+    command, *flags = argv
+    code, _, err = run(capsys, command, str(data / "manifest.csv"), *flags,
+                       "--out", str(tmp_path / "out"))
+    assert code == 2 and flag in err
+    assert "m01_c02.csv" not in err
+
+
 def test_unknown_flag_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, "synth", "--does-not-exist", "1",
                      "--out", str(tmp_path / "x"))

@@ -8,7 +8,6 @@ from smallpunch.errors import (
     BadConfig,
     BadK,
     EmptyInput,
-    InvalidModel,
     LengthMismatch,
     PartialTargets,
     SmallPunchError,
@@ -130,19 +129,11 @@ def test_splitters_reject_negative_seed():
 
 # ---------------------------------------------------------------- CvReport
 
-def test_report_enforces_mean_identity():
-    with pytest.raises(InvalidModel):
-        CvReport(
-            fold_rmse=(1.0, 2.0),
-            mean_rmse=1.7,
-            std_rmse=0.5,
-            k=2,
-            seed=0,
-            per_sample=(),
-        )
+def test_report_needs_two_folds():
     with pytest.raises(BadK):
-        CvReport(fold_rmse=(1.0,), mean_rmse=1.0, std_rmse=0.0, k=1,
-                 seed=0, per_sample=())
+        CvReport(fold_rmse=(1.0,), seed=0, per_sample=())
+    report = CvReport(fold_rmse=(1.0, 2.0), seed=0, per_sample=())
+    assert (report.k, report.mean_rmse, report.std_rmse) == (2, 1.5, float(np.sqrt(0.5)))
 
 
 # ----------------------------------------------------------- cross_validate

@@ -269,7 +269,8 @@ def _assert_refused(path, doc, match=None):
     assert str(err.value).count(str(path)) == 1
 
 
-# A format 1 forest nests its trees; its reader keeps its own checks.
+# A format 1 forest nests its trees.  Its reader only flattens them into
+# format 2's level-order arrays, which the format 2 checks then refuse.
 V1_FILE = Path(__file__).parent / "data" / "rf_10_trees_v1.json"
 
 
@@ -282,6 +283,13 @@ def _v1_leaf(doc):
     while "value" not in node:
         node = node["left"]
     return node
+
+
+def _v1_trees(doc):
+    return doc["model"]["trees"]
+
+
+DELETE = object()  # a value that removes its key instead
 
 
 @pytest.mark.parametrize("block,key,value", [
@@ -302,14 +310,23 @@ def _v1_leaf(doc):
     (lambda d: d["model"], "importances", [1.0]),
     (lambda d: d["model"], "trees", []),
     (lambda d: d["pipeline"]["forest"], "n_trees", 11),
+    # a leaf without a count, a split without a right child
+    (_v1_leaf, "count", DELETE),
+    (_v1_root, "right", DELETE),
+    (_v1_trees, 0, 7),
+    (lambda d: d["model"], "trees", {"value": 500.0, "count": 3}),
 ], ids=["split-feature-999", "split-feature-negative", "split-feature-float",
         "split-feature-bool", "split-threshold-inf", "split-threshold-overflow",
         "split-threshold-bool", "split-threshold-string", "leaf-value-nan", "leaf-value-bool",
         "leaf-value-string", "leaf-count-0", "leaf-count-overflow", "n_features-float",
-        "importances-length", "no-trees", "n_trees-mismatch"])
+        "importances-length", "no-trees", "n_trees-mismatch", "leaf-without-count",
+        "split-without-right", "node-number", "trees-not-a-list"])
 def test_malformed_v1_forest_is_a_model_file_error(tmp_path, block, key, value):
     doc = json.loads(V1_FILE.read_text())
-    block(doc)[key] = value
+    if value is DELETE:
+        del block(doc)[key]
+    else:
+        block(doc)[key] = value
     _assert_refused(tmp_path / "model.json", doc)
 
 

@@ -161,6 +161,18 @@ def test_ols_residuals_orthogonal_to_design():
     assert np.max(np.abs(augmented.T @ residual)) <= 1e-8 * np.abs(y).max()
 
 
+def test_ols_with_a_hundred_columns_matches_lstsq():
+    # back substitution sums each row's dot product in numpy's order
+    rng = np.random.default_rng(27)
+    design = rng.normal(size=(160, 100))
+    y = 3.0 + design @ rng.normal(size=100) + rng.normal(0.0, 0.5, 160)
+    model = fit_ols(design, y)
+    augmented = np.hstack([np.ones((160, 1)), design])
+    want = np.linalg.lstsq(augmented, y, rcond=None)[0]
+    assert model.intercept == pytest.approx(want[0], rel=1e-10, abs=1e-10)
+    assert np.allclose(model.coefficients, want[1:], rtol=1e-10, atol=1e-10)
+
+
 def test_ols_with_no_columns_fits_the_mean():
     y = np.array([3.0, 5.0, 10.0, 2.0, 11.5])
     model = fit_ols(np.zeros((5, 0)), y)

@@ -2,6 +2,8 @@
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import smallpunch
@@ -45,6 +47,17 @@ def _tree_class_names(path):
     return found
 
 
+def _imported_packages(path):
+    """(line, top-level name) of every absolute import of a module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module.split(".")[0]))
+    return found
+
+
 def test_sources_are_found():
     assert {p.name for p in SOURCES} >= {"cli.py", "dataio.py", "modelfile.py"}
 
@@ -52,6 +65,21 @@ def test_sources_are_found():
 def test_every_text_file_is_read_and_written_as_utf8():
     missing = {p.name: calls for p in SOURCES if (calls := _file_calls_without_encoding(p))}
     assert missing == {}
+
+
+def test_the_package_needs_numpy_and_the_standard_library_alone():
+    allowed = {"smallpunch", "numpy"} | set(sys.stdlib_module_names)
+    foreign = {p.name: names for p in SOURCES
+               if (names := [(line, name) for line, name in _imported_packages(p)
+                             if name not in allowed])}
+    assert foreign == {}
+
+
+def test_the_command_line_imports_no_scipy():
+    probe = "import sys, smallpunch.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                            cwd=Path(smallpunch.__file__).parent.parent, check=True)
+    assert result.stdout.strip() == "False"
 
 
 def test_only_the_forest_module_names_the_nested_tree_classes():
