@@ -7,6 +7,9 @@ mismatch).  Every seeded subcommand writes byte-identical outputs when
 rerun with the same inputs and seed; `train` additionally honors
 SOURCE_DATE_EPOCH for the provenance timestamp so saved model files can be
 reproduced exactly.
+
+No family is named here: the kind --pipeline names, found in KINDS, builds
+itself from the flags and gives the diagnostics train prints.
 """
 
 from __future__ import annotations
@@ -22,20 +25,14 @@ import numpy as np
 
 from . import dataio
 from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES
-from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion
+from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion, prefixed
 from .evaluation import cross_validate, rmse
-from .features import column_labels
-from .forest import ForestConfig, ForestModel
 from .modelfile import load_model, save_model
 from .pipeline import (
-    EmpiricalKind,
-    ForestKind,
     FOREST_INPUT_RAW,
     FOREST_INPUT_SCORES,
     KINDS,
-    PcaLmKind,
     PipelineSpec,
-    TrainedPipeline,
     fit_pipeline,
     predict_pipeline,
 )
@@ -59,14 +56,6 @@ def _timestamp() -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _flagged(flags: str, make, **kwargs):
-    """make(**kwargs), naming the flags behind any BadConfig it raises."""
-    try:
-        return make(**kwargs)
-    except BadConfig as exc:
-        raise BadConfig(f"{flags}: {exc}") from exc
-
-
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-start", type=float, default=None,
                         help="grid start displacement in mm (default 0.0)")
@@ -80,12 +69,8 @@ def _grid_from_args(args: argparse.Namespace, default: GridSpec = GridSpec()) ->
     start = default.start_mm if args.grid_start is None else args.grid_start
     spacing = default.spacing_mm if args.grid_spacing is None else args.grid_spacing
     points = default.n_points if args.grid_points is None else args.grid_points
-    return _flagged("--grid-start/--grid-spacing/--grid-points", GridSpec,
-                    start_mm=start, spacing_mm=spacing, n_points=points)
-
-
-def _grid_flags_given(args: argparse.Namespace) -> bool:
-    return any(v is not None for v in (args.grid_start, args.grid_spacing, args.grid_points))
+    with prefixed("--grid-start/--grid-spacing/--grid-points"):
+        return GridSpec(start_mm=start, spacing_mm=spacing, n_points=points)
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -123,20 +108,8 @@ def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
         raise BadConfig("--workers must be >= 1")
     if args.seed < 0:
         raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
-    if args.pipeline == EmpiricalKind.name:
-        kind = EmpiricalKind(mode=args.mode, marker_strategy=args.marker)
-    elif args.pipeline == PcaLmKind.name:
-        kind = _flagged("--variance-threshold", PcaLmKind,
-                        variance_threshold=args.variance_threshold)
-    else:
-        config = _flagged(
-            "--trees/--max-depth/--min-leaf/--mtry/--seed", ForestConfig,
-            n_trees=args.trees, max_depth=args.max_depth, min_leaf=args.min_leaf,
-            mtry=args.mtry, bootstrap=True, seed=args.seed,
-        )
-        kind = _flagged("--rf-input/--variance-threshold", ForestKind, config=config,
-                        input=args.rf_input, variance_threshold=args.variance_threshold)
-    return PipelineSpec(kind=kind, standardize=not args.no_standardize)
+    return PipelineSpec(kind=KINDS[args.pipeline].from_flags(args),
+                        standardize=not args.no_standardize)
 
 
 def _v_star_source(args: argparse.Namespace, strategy: str | None) -> Path | float | None:
@@ -164,22 +137,21 @@ def _v_star_for(source: Path | float | None, names: list[str]):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = _flagged(
-        "--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
-        "--vi-range/--vi-step/--temp-range/--temp-slope/--seed",
-        SynthConfig,
-        n_materials=args.materials,
-        curves_per_material=args.per_material,
-        beta_true=args.beta,
-        h0_mm=args.h0,
-        rm_range_MPa=tuple(args.rm_range),
-        v_i_range_mm=tuple(args.vi_range),
-        noise_sigma_N=args.noise_sigma,
-        temp_range_C=tuple(args.temp_range),
-        temp_slope_MPa_per_C=args.temp_slope,
-        seed=args.seed,
-        v_i_step_mm=args.vi_step,
-    )
+    with prefixed("--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
+                  "--vi-range/--vi-step/--temp-range/--temp-slope/--seed"):
+        cfg = SynthConfig(
+            n_materials=args.materials,
+            curves_per_material=args.per_material,
+            beta_true=args.beta,
+            h0_mm=args.h0,
+            rm_range_MPa=tuple(args.rm_range),
+            v_i_range_mm=tuple(args.vi_range),
+            noise_sigma_N=args.noise_sigma,
+            temp_range_C=tuple(args.temp_range),
+            temp_slope_MPa_per_C=args.temp_slope,
+            seed=args.seed,
+            v_i_step_mm=args.vi_step,
+        )
     curves, truth = generate(cfg)
 
     outdir = args.out
@@ -248,26 +220,16 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"cumulative_explained_variance={dataio.fmt(cum)}"
         )
     print(f"saved {args.out}")
-    if isinstance(trained.model, ForestModel):
-        _print_forest_diagnostics(trained)
+    for line in spec.kind.diagnostics(trained):
+        print(line, file=sys.stderr)
     return EXIT_OK
-
-
-def _print_forest_diagnostics(trained: TrainedPipeline) -> None:
-    """A forest's out-of-bag RMSE and its five largest importances, on stderr."""
-    model = trained.model
-    oob = "none" if model.oob_rmse is None else dataio.fmt(model.oob_rmse)
-    labels = ([f"pc{j + 1}" for j in range(model.n_features)] if trained.pca is not None
-              else column_labels(trained.grid))
-    top = np.argsort(-model.importances, kind="stable")[:5]
-    shares = ",".join(f"{labels[j]}:{dataio.fmt(model.importances[j])}" for j in top)
-    print(f"oob_rmse_MPa={oob}", file=sys.stderr)
-    print(f"top_importances={shares}", file=sys.stderr)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
-    if _grid_flags_given(args):
+    if args.v_star is not None:  # a given --v-star is checked before any curve is read
+        _v_star_source(args, trained.spec.kind.marker_strategy)
+    if any(v is not None for v in (args.grid_start, args.grid_spacing, args.grid_points)):
         requested = _grid_from_args(args, default=trained.grid)
         if requested != trained.grid:
             raise GridMismatch(

@@ -216,6 +216,11 @@ def raise_first_failure(
         raise checks[int(np.argmax(bad[:, r]))][1](r)
 
 
+def fmt(x: float) -> str:
+    """Shortest decimal string that round-trips the double exactly."""
+    return repr(float(x))
+
+
 def read_table(
     text: str, header: Sequence[str] | None = None
 ) -> tuple[list[str], list[tuple[int, list[str]]]]:

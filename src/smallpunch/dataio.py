@@ -4,10 +4,10 @@ One reader and one writer serve every table.  curves.read_table reads
 each in the one dialect, and curves.finite_cells converts its numbers (the
 manifest converts its own: rm_MPa may be blank, and SpecimenMeta checks
 them).  _write_table writes every table but a curve file, and refuses a
-cell the reader would not return unchanged.  _named puts the file's name
-in every error.  Files are UTF-8 with LF line ends, whatever the locale,
-and floats are written by repr, so a seeded rerun writes the same bytes
-and a float reads back bit-identical.  The exception is a curve
+cell the reader would not return unchanged.  errors.prefixed puts the
+file's name in every error.  Files are UTF-8 with LF line ends, whatever
+the locale, and floats are written by curves.fmt, their repr, so a seeded
+rerun writes the same bytes and a float reads back bit-identical.  The exception is a curve
 displacement within 1e-9 um of a whole micrometre: write_curve_csv, which
 writes a column at a time with the bytes of a row loop, stores it as that
 integer, and it can read back one ulp off (about 200 of the 1,501
@@ -16,11 +16,10 @@ displacements of a synthetic curve).
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -31,11 +30,12 @@ from .curves import (
     SpecimenMeta,
     UniformCurve,
     finite_cells,
+    fmt,
     parse_curve_csv,
     read_table,
     resample,
 )
-from .errors import MalformedRow, SmallPunchError
+from .errors import MalformedRow, prefixed
 from .evaluation import CvReport
 from .synth import SynthTruth
 
@@ -43,20 +43,6 @@ MANIFEST_HEADER = ("file", "material_id", "temperature_C", "thickness_mm", "rm_M
 TRUTH_HEADER = ("file", "rm_MPa", "v_i_mm", "f_i_N")
 # report reads a samples table or any table with a true and a predicted strength
 _TRUE_COLUMNS, _PRED_COLUMNS = ("true_MPa", "rm_MPa"), ("pred_MPa", "pred_rm_MPa")
-
-
-def fmt(x: float) -> str:
-    """Shortest decimal string that round-trips the double exactly."""
-    return repr(float(x))
-
-
-@contextlib.contextmanager
-def _named(label: Any) -> Iterator[None]:
-    """Prefix '{label}: ', a file or a row, to any SmallPunchError raised inside."""
-    try:
-        yield
-    except SmallPunchError as exc:
-        raise type(exc)(f"{label}: {exc}") from exc
 
 
 def _read_utf8(path: Path) -> str:
@@ -78,7 +64,7 @@ def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]
     blank or a comment.  A comment ends the table as a '# ' line.
     """
     lines = [",".join(header)]
-    with _named(path):
+    with prefixed(path):
         for row in rows:
             cells = ["" if c is None else fmt(c) if isinstance(c, float) else str(c) for c in row]
             for cell in cells:
@@ -101,7 +87,7 @@ def _refuse_repeats(path: Path, rows: Iterable[tuple[int, str]]) -> None:
     one file.
     """
     first: dict[str, int] = {}
-    with _named(path):
+    with prefixed(path):
         for lineno, name in rows:
             row = first.setdefault(os.path.normpath(name), lineno)
             if row != lineno:
@@ -148,7 +134,7 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
     """
     path = Path(path)
     entries: list[tuple[str, SpecimenMeta]] = []
-    with _named(path):
+    with prefixed(path):
         _, rows = read_table(_read_utf8(path), MANIFEST_HEADER)
         for lineno, (filename, material_id, temp_s, thick_s, rm_s) in rows:
             if not filename:
@@ -162,7 +148,7 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
                 rm = float(rm_s) if rm_s else None
             except ValueError:
                 raise MalformedRow(f"row {lineno}: non-numeric cell") from None
-            with _named(f"row {lineno}"):
+            with prefixed(f"row {lineno}"):
                 entries.append((filename, SpecimenMeta(material_id, temperature, thickness, rm)))
     _refuse_repeats(path, ((lineno, cells[0]) for lineno, cells in rows))
     return entries
@@ -180,7 +166,7 @@ def load_curves(manifest_path: Path | str, grid: GridSpec) -> tuple[list[str], l
     curves: list[UniformCurve] = []
     for filename, meta in read_manifest(manifest_path):
         curve_path = base / filename
-        with _named(curve_path):
+        with prefixed(curve_path):
             curves.append(resample(parse_curve_csv(_read_utf8(curve_path), meta), grid))
         names.append(filename)
     return names, curves
@@ -201,7 +187,7 @@ def read_truth(path: Path) -> dict[str, tuple[float, ...]]:
     A file named by two rows (compared by os.path.normpath) is a
     MalformedRow, not a later row silently winning.
     """
-    with _named(path):
+    with prefixed(path):
         _, rows = read_table(_read_utf8(path), TRUTH_HEADER)
         truth = {cells[0]: tuple(finite_cells(lineno, cells[1:])) for lineno, cells in rows}
     _refuse_repeats(path, ((lineno, cells[0]) for lineno, cells in rows))
@@ -237,7 +223,7 @@ def read_samples(path: Path) -> list[tuple[float, ...]]:
     Each is read from the first of its candidate columns the header names:
     true_MPa or rm_MPa, and pred_MPa or pred_rm_MPa.
     """
-    with _named(path):
+    with prefixed(path):
         header, rows = read_table(_read_utf8(path))
         cols = []
         for candidates in (_TRUE_COLUMNS, _PRED_COLUMNS):

@@ -1,12 +1,25 @@
-"""Exception types raised by the package.
+"""Exception types raised by the package, and where an error arose.
 
 Everything derives from SmallPunchError (a ValueError) so callers can catch
 one base class; the CLI maps subclasses onto its exit-code taxonomy.
+prefixed names the file, row, fold or flags behind an error, keeping its class.
 """
+
+import contextlib
+from typing import Any, Iterator
 
 
 class SmallPunchError(ValueError):
     """Base class for all validation, parsing and fitting errors."""
+
+
+@contextlib.contextmanager
+def prefixed(label: Any) -> Iterator[None]:
+    """Prefix '{label}: ' to any SmallPunchError raised inside; same class, chained from it."""
+    try:
+        yield
+    except SmallPunchError as exc:
+        raise type(exc)(f"{label}: {exc}") from exc
 
 
 class MalformedRow(SmallPunchError):

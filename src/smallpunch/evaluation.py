@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .curves import UniformCurve
-from .errors import BadConfig, BadK, EmptyInput, LengthMismatch, SmallPunchError
+from .errors import BadConfig, BadK, EmptyInput, LengthMismatch, prefixed
 from .features import strengths
 from .pipeline import PipelineSpec, TrainedPipeline, fit_pipeline, predict_pipeline
 
@@ -155,7 +155,7 @@ def cross_validate(
     models: list[TrainedPipeline] = []
     for fi, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_rows, test_idx)
-        try:
+        with prefixed(f"fold {fi}"):
             trained = fit_pipeline(
                 [curve_list[i] for i in train_idx],
                 spec,
@@ -164,8 +164,6 @@ def cross_validate(
             preds = predict_pipeline(
                 trained, [curve_list[i] for i in test_idx], v_star=star_subset(test_idx)
             )
-        except SmallPunchError as exc:
-            raise type(exc)(f"fold {fi}: {exc}") from exc
         fold_truth = truth_arr[test_idx]
         fold_rmse.append(rmse(preds, fold_truth))
         per_sample.extend(

@@ -8,10 +8,11 @@ applied before it:
 * rf: standardized features (raw columns or PCA scores) -> forest.
 
 Everything that depends on the family lives on its kind class here: the
-family name, fitting and predicting, and the family's part of the model
-file.  KINDS finds a kind class by family name.  record_to_doc and
-record_from_doc write and read every model-file block that is a record's
-fields as they stand.
+family name, building the kind from the command line's flags, fitting and
+predicting, train's diagnostics and the family's part of the model file.
+KINDS finds a kind class by family name, so the command line names none.
+record_to_doc and record_from_doc write and read every model-file block
+that is a record's fields as they stand.
 
 fit_pipeline touches only the curves it is given, which is what makes the
 cross-validation in evaluation.py leakage-free: every fold refits the
@@ -32,9 +33,11 @@ from .curves import (
     MARKER_STRATEGIES,
     UniformCurve,
     extract_markers,
+    fmt,
 )
-from .errors import BadConfig, GridMismatch, InvalidModel
-from .features import Standardizer, apply_standardizer, assemble, fit_standardizer, strengths
+from .errors import BadConfig, GridMismatch, InvalidModel, prefixed
+from .features import (Standardizer, apply_standardizer, assemble, column_labels,
+                       fit_standardizer, strengths)
 from .forest import ForestConfig, ForestModel, _is_int, _NodeTable, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
 from .regress import (
@@ -56,11 +59,12 @@ FOREST_INPUT_SCORES = "scores"
 # Every kind class provides: name (the family) and model_type (the model
 # file's "type"); marker_strategy, None for families without markers;
 # uses_features and uses_pca, which preprocessing the family fits;
-# fit -> Fitted and predict, both given the curves and their assembled
-# matrix; to_doc/from_doc for its "pipeline" settings and
-# model_to_doc/model_from_doc for its "model" parameters.  model_from_doc
-# is given the file's format_version; only the forest's block differs
-# between format 1 and format 2.
+# from_flags, the kind that cv's and train's flags name; fit -> Fitted and
+# predict, both given the curves and their assembled matrix; diagnostics,
+# the lines train prints to stderr; to_doc/from_doc for its "pipeline"
+# settings and model_to_doc/model_from_doc for its "model" parameters.
+# model_from_doc is given the file's format_version; only the forest's
+# block differs between format 1 and format 2.
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
@@ -104,7 +108,7 @@ def _no_bools(value: Any, what: str) -> Any:
 class _RecordBlocks:
     """Model-file blocks that are the kind's and its model's own fields.
 
-    Subclasses set model_class, the record their fit returns.
+    Subclasses set model_class, the record their fit returns, and report no diagnostics.
     """
 
     model_class: ClassVar[type]
@@ -114,6 +118,9 @@ class _RecordBlocks:
 
     def model_from_doc(self, doc: dict[str, Any], version: int):
         return record_from_doc(self.model_class, doc)
+
+    def diagnostics(self, trained: TrainedPipeline) -> list[str]:
+        return []
 
 
 @dataclass(frozen=True)
@@ -141,6 +148,10 @@ class EmpiricalKind(_RecordBlocks):
             raise BadConfig(f"unknown marker strategy: {self.marker_strategy!r}")
         if self.mode == MODE_MAX_FORCE:
             object.__setattr__(self, "marker_strategy", MARKER_MAX_SLOPE)
+
+    @classmethod
+    def from_flags(cls, args: Any) -> EmpiricalKind:
+        return cls(mode=args.mode, marker_strategy=args.marker)
 
     def model_from_doc(self, doc: dict[str, Any], version: int) -> EmpiricalModel:
         # the kind picks the markers and the model its correlation: both must agree
@@ -226,6 +237,11 @@ class PcaLmKind(_RecordBlocks, _FeatureKind):
 
     variance_threshold: float = 0.99
 
+    @classmethod
+    def from_flags(cls, args: Any) -> PcaLmKind:
+        with prefixed("--variance-threshold"):
+            return cls(variance_threshold=args.variance_threshold)
+
     @staticmethod
     def _fit_model(design, targets) -> LinearModel:
         return fit_ols(design, targets)
@@ -251,6 +267,15 @@ class ForestKind(_FeatureKind):
             raise BadConfig(f"forest input must be 'raw' or 'scores', got {self.input!r}")
         super().__post_init__()
 
+    @classmethod
+    def from_flags(cls, args: Any) -> ForestKind:
+        with prefixed("--trees/--max-depth/--min-leaf/--mtry/--seed"):
+            config = ForestConfig(n_trees=args.trees, max_depth=args.max_depth,
+                                  min_leaf=args.min_leaf, mtry=args.mtry, seed=args.seed)
+        with prefixed("--rf-input/--variance-threshold"):
+            return cls(config=config, input=args.rf_input,
+                       variance_threshold=args.variance_threshold)
+
     @property
     def uses_pca(self) -> bool:
         return self.input == FOREST_INPUT_SCORES
@@ -261,6 +286,17 @@ class ForestKind(_FeatureKind):
     @staticmethod
     def _predict_model(model: ForestModel, design) -> np.ndarray:
         return predict_forest(model, design)
+
+    @staticmethod
+    def diagnostics(trained: TrainedPipeline) -> list[str]:
+        """The out-of-bag RMSE and the five largest importances, with their labels."""
+        model = trained.model
+        oob = "none" if model.oob_rmse is None else fmt(model.oob_rmse)
+        labels = ([f"pc{j + 1}" for j in range(model.n_features)] if trained.pca is not None
+                  else column_labels(trained.grid))
+        top = np.argsort(-model.importances, kind="stable")[:5]
+        shares = ",".join(f"{labels[j]}:{fmt(model.importances[j])}" for j in top)
+        return [f"oob_rmse_MPa={oob}", f"top_importances={shares}"]
 
     # The model file puts the config last, under "forest", and the node
     # table after the model's diagnostics, so these blocks are written by hand.

@@ -303,9 +303,13 @@ def test_train_rf_reports_oob_error_and_top_importances_on_stderr(tmp_path, caps
     else:
         assert all(label.startswith("pc") for label in labels)
 
-    code, _, err = run(capsys, "train", str(manifest), "--pipeline", "pca-lm",
-                       "--out", str(tmp_path / "lm.json"))
-    assert code == 0 and err == ""
+
+@pytest.mark.parametrize("family", ["pca-lm", "empirical"])
+def test_train_of_the_other_families_writes_nothing_to_stderr(tmp_path, capsys, family):
+    manifest = make_dataset(tmp_path, capsys) / "manifest.csv"
+    code, stdout, err = run(capsys, "train", str(manifest), "--pipeline", family,
+                            "--out", str(tmp_path / "m.json"))
+    assert code == 0 and stdout and err == ""
 
 
 @pytest.mark.parametrize("module", ["smallpunch", "smallpunch.cli"])
@@ -441,6 +445,23 @@ def test_predict_fixed_v_without_source_exits_2(tmp_path, capsys):
                        "--model", str(model_path),
                        "--out", str(tmp_path / "p.csv"))
     assert code == 2 and "--v-star or --truth" in err
+
+
+def test_predict_checks_a_given_v_star_before_any_curve_is_read(tmp_path, capsys):
+    # an empty manifest still needs no v_i source; a given --v-star is
+    # checked as soon as the model says it is used
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    model_path = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--marker", "fixed-v", "--v-star", "0.5", "--out", str(model_path))
+    assert code == 0, err
+    (data / "m01_c02.csv").write_text("displacement_um,force_N\n0,zero\n")
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", str(data / "manifest.csv"), "--model", str(model_path),
+                       "--v-star", "-1", "--out", str(out))
+    assert code == 2 and "--v-star must be finite and > 0, got -1.0" in err
+    assert "m01_c02.csv" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

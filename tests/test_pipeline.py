@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from smallpunch.cli import build_parser
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import (
     BadConfig,
@@ -13,6 +14,7 @@ from smallpunch.errors import (
 )
 from smallpunch.forest import ForestConfig, ForestModel
 from smallpunch.pipeline import (
+    KINDS,
     EmpiricalKind,
     ForestKind,
     PcaLmKind,
@@ -40,6 +42,28 @@ def test_spec_names():
     assert PipelineSpec(EmpiricalKind()).name == "empirical"
     assert PipelineSpec(PcaLmKind()).name == "pca-lm"
     assert PipelineSpec(ForestKind()).name == "rf"
+
+
+@pytest.mark.parametrize("flags,kind", [
+    (("--pipeline", "empirical", "--marker", "fixed-v"),
+     EmpiricalKind(mode="instability-force", marker_strategy=MARKER_FIXED_V)),
+    (("--pipeline", "empirical", "--mode", "max-force", "--marker", "fixed-v"),
+     EmpiricalKind(mode="max-force")),
+    (("--pipeline", "pca-lm", "--variance-threshold", "0.9"), PcaLmKind(variance_threshold=0.9)),
+    (("--pipeline", "rf", "--trees", "7", "--max-depth", "4", "--min-leaf", "3", "--mtry", "5",
+      "--seed", "2", "--rf-input", "scores", "--variance-threshold", "0.9"),
+     ForestKind(config=ForestConfig(n_trees=7, max_depth=4, min_leaf=3, mtry=5, seed=2),
+                input="scores", variance_threshold=0.9)),
+], ids=["empirical-fixed-v", "empirical-max-force", "pca-lm", "rf"])
+def test_each_kind_builds_itself_from_the_flags(flags, kind):
+    args = build_parser().parse_args(["train", "m.csv", *flags, "--out", "m.json"])
+    assert KINDS[args.pipeline].from_flags(args) == kind
+
+
+@pytest.mark.parametrize("kind", [EmpiricalKind(), PcaLmKind()])
+def test_only_the_forest_reports_diagnostics(dataset, kind):
+    curves, _ = dataset
+    assert kind.diagnostics(fit_pipeline(curves, PipelineSpec(kind))) == []
 
 
 def test_empirical_pipeline_trains_and_predicts(dataset):

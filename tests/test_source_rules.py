@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import smallpunch
+from smallpunch.pipeline import KINDS
 
 SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -103,6 +104,34 @@ def test_the_command_line_reads_and_writes_no_file_itself():
     # every table goes through dataio, every model file through modelfile
     cli = next(p for p in SOURCES if p.name == "cli.py")
     assert [(line, name) for line, name, _ in _calls(cli, {"read_text", "write_text", "open"})] == []
+
+
+def test_the_command_line_imports_no_family():
+    # each kind builds itself from the flags and gives its own diagnostics
+    family = {kind.__name__ for kind in KINDS.values()} | {
+        "ForestConfig", "ForestModel", "column_labels"}
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    imported = [(node.lineno, alias.name)
+                for node in ast.walk(ast.parse(cli.read_text(encoding="utf-8")))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [(line, name) for line, name in imported if name in family] == []
+
+
+def test_the_command_line_asks_no_model_or_kind_its_class():
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    asked = [(line, ast.unparse(node)) for line, _, node in _calls(cli, {"isinstance"})]
+    assert [(line, call) for line, call in asked
+            if "model" in call.lower() or "Kind" in call] == []
+
+
+def test_only_the_errors_module_raises_an_error_of_the_class_it_caught():
+    # errors.prefixed is the one way to name where an error arose
+    rebuilt = {p.name: lines for p in SOURCES if p.name != "errors.py" and (lines := [
+        node.lineno for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Call)
+        and getattr(node.func.func, "id", None) == "type"
+    ])}
+    assert rebuilt == {}
 
 
 def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
