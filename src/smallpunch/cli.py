@@ -113,9 +113,11 @@ def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
 
 
 def _v_star_source(args: argparse.Namespace, strategy: str | None) -> Path | float | None:
-    """--truth's path, else --v-star's checked value; None where no v_i is read."""
+    """--truth's path or --v-star's checked value; None where no v_i is read."""
     if strategy != MARKER_FIXED_V:
         return None
+    if args.truth is not None and args.v_star is not None:
+        raise BadConfig("the fixed-v marker takes --v-star or --truth, not both")
     if args.truth is not None:
         return args.truth
     if args.v_star is None:

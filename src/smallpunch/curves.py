@@ -7,6 +7,14 @@ the force maximum (F_m at v_m) and the force at the onset of plastic
 instability (F_i at v_i).  Markers are extracted for a whole batch at once,
 from the matrix of grid forces with one row per curve, in a few numpy
 passes; a curve gets the same bits in any batch as alone.
+
+Curve arrays are shared, not copied, and are to be treated as immutable.
+One rule, in _as_readonly_1d, decides what a record keeps: a read-only
+one-dimensional float64 ndarray that owns its data is kept as given, and
+anything else is copied and the copy made read-only.  Code that makes a
+curve array freezes it where it makes it, so no record copies it again.
+The freeze is an agreement, not a guarantee: numpy lets an array's owner
+make it writable again.
 """
 
 from __future__ import annotations
@@ -41,6 +49,11 @@ MARKER_STRATEGIES = (MARKER_MAX_SLOPE, MARKER_FIXED_V)
 # settling of the punch contact produces spurious steep differences there
 _SLOPE_SKIP = 3
 
+# a grid has at most this many points: a recorded curve holds a few
+# thousand samples, and a count beyond reach of memory is a bad flag or
+# model file, refused before any grid array is made
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass(frozen=True)
 class SpecimenMeta:
@@ -72,7 +85,8 @@ class SpecimenMeta:
 class GridSpec:
     """Uniform displacement grid.
 
-    The default covers [0, 1.5] mm with 151 points, i.e. 10 um spacing.
+    The default covers [0, 1.5] mm with 151 points, i.e. 10 um spacing;
+    n_points may be at most MAX_GRID_POINTS.
     """
 
     start_mm: float = 0.0
@@ -85,6 +99,8 @@ class GridSpec:
         n = self.n_points
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise BadConfig(f"grid n_points must be a positive integer, got {n!r}")
+        if n > MAX_GRID_POINTS:
+            raise BadConfig(f"grid n_points must be at most {MAX_GRID_POINTS}, got {n}")
         if not (0.0 <= self.start_mm < math.inf):
             raise BadConfig(f"grid start must be finite and >= 0, got {self.start_mm}")
         if self.end_mm == math.inf:
@@ -101,13 +117,28 @@ class GridSpec:
         return self.start_mm + self.spacing_mm * np.arange(self.n_points)
 
 
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only, for an array its maker has just made and hands on."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_readonly_1d(values, name: str) -> np.ndarray:
+    """The array a curve record keeps for values: the one rule of ownership.
+
+    A read-only one-dimensional float64 ndarray that owns its data is kept
+    as given, so one array frozen where it is made is shared by every
+    record handed it.  Anything else is copied and the copy frozen: a
+    writable array, a view of another buffer, a list, another dtype, or an
+    object converted through ``__array__``, which may hand back a buffer
+    of its own that must never be frozen in place.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidCurve(f"{name} must be one-dimensional")
-    arr = arr.copy()
-    arr.setflags(write=False)
-    return arr
+    if arr is values and arr.base is None and not arr.flags.writeable:
+        return arr
+    return frozen(arr.copy())
 
 
 @dataclass(frozen=True)
@@ -305,7 +336,7 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
         return _parse_rows(text, meta)
     d_um, f_n = columns
     if np.all(d_um[1:] > d_um[:-1]):
-        return RawCurve(d_um / 1000.0, f_n + 0.0, meta)
+        return RawCurve(frozen(d_um / 1000.0), frozen(f_n + 0.0), meta)
     return _collapse_duplicates(d_um, f_n, meta)
 
 
@@ -363,7 +394,7 @@ def _collapse_duplicates(d_um: np.ndarray, f_n: np.ndarray, meta: SpecimenMeta) 
     np.add.at(sums, inverse, f_n)
     if uniq.size < 2:
         raise EmptyCurve("fewer than 2 distinct displacements")
-    return RawCurve(uniq / 1000.0, sums / counts, meta)
+    return RawCurve(frozen(uniq / 1000.0), frozen(sums / counts), meta)
 
 
 def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
@@ -382,7 +413,7 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
                                f"[{d[0]}, {d[-1]}] mm (grid {grid.start_mm} to {grid.end_mm} mm)")
     f = np.interp(gx, d, curve.force_N)
     n_extra = int(np.count_nonzero(gx > d[-1]))
-    return UniformCurve(grid=grid, force_N=f, meta=curve.meta, n_extrapolated=n_extra)
+    return UniformCurve(grid=grid, force_N=frozen(f), meta=curve.meta, n_extrapolated=n_extra)
 
 
 def _moving_average5(f: np.ndarray) -> np.ndarray:
@@ -415,10 +446,14 @@ def _interp_rows(v: np.ndarray, gx: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _v_star_rows(v_star, n_curves: int) -> np.ndarray:
-    """The fixed-v displacement of every curve: one shared value or one each."""
+    """The fixed-v displacement of every curve: one shared value or one each.
+
+    The result is always a new array, never the caller's, as the markers
+    freeze it.
+    """
     if v_star is None:
         raise BadConfig("fixed-v marker strategy requires v_star")
-    values = np.asarray(v_star, dtype=float)
+    values = np.array(v_star, dtype=float)
     if values.ndim == 0:
         return np.full(n_curves, float(values))
     if values.shape != (n_curves,):
@@ -489,9 +524,9 @@ def extract_markers(
         raise BadConfig(f"unknown marker strategy: {strategy!r}")
 
     return CurveMarkers(
-        f_max_N=np.max(f, axis=1),
-        v_at_fmax_mm=gx[np.argmax(f, axis=1)],
-        f_instability_N=f_i,
-        v_instability_mm=v_i,
+        f_max_N=frozen(np.max(f, axis=1)),
+        v_at_fmax_mm=frozen(gx[np.argmax(f, axis=1)]),
+        f_instability_N=frozen(f_i),
+        v_instability_mm=frozen(v_i),
         strategy=strategy,
     )

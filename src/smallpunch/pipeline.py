@@ -34,6 +34,7 @@ from .curves import (
     UniformCurve,
     extract_markers,
     fmt,
+    frozen,
 )
 from .errors import BadConfig, GridMismatch, InvalidModel, prefixed
 from .features import (Standardizer, apply_standardizer, assemble, column_labels,
@@ -165,8 +166,8 @@ class EmpiricalKind(_RecordBlocks):
             return extract_markers(forces, grid, self.marker_strategy, v_star)
         # the instability point sits at the maximum, where every check on it
         # holds: only F_m > 0 and v_m > 0 are checked
-        f_m = np.max(forces, axis=1)
-        v_m = grid.displacements()[np.argmax(forces, axis=1)]
+        f_m = frozen(np.max(forces, axis=1))
+        v_m = frozen(grid.displacements()[np.argmax(forces, axis=1)])
         return CurveMarkers(f_max_N=f_m, v_at_fmax_mm=v_m, f_instability_N=f_m,
                             v_instability_mm=v_m, strategy=self.marker_strategy)
 

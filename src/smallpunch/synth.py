@@ -29,7 +29,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .curves import RawCurve, SpecimenMeta
+from .curves import RawCurve, SpecimenMeta, frozen
 from .errors import BadConfig
 
 _MATERIAL_STREAM = 1
@@ -152,7 +152,8 @@ def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], SynthTru
         )
 
     n_steps = round(cfg.max_displacement_mm / cfg.raw_step_mm)
-    disp = np.arange(n_steps + 1) * cfg.raw_step_mm
+    # one grid, frozen here, is shared by every curve
+    disp = frozen(np.arange(n_steps + 1) * cfg.raw_step_mm)
     h0sq = cfg.h0_mm * cfg.h0_mm
 
     curves: list[RawCurve] = []
@@ -171,7 +172,7 @@ def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], SynthTru
             rm = base_rm + cfg.temp_slope_MPa_per_C * (temp - t_mid)
             f_i = rm * h0sq / cfg.beta_true
             force = f_i * template(disp / v_i)
-            force = np.maximum(force + noise * cfg.noise_sigma_N, 0.0)
+            force = frozen(np.maximum(force + noise * cfg.noise_sigma_N, 0.0))
 
             meta = SpecimenMeta(
                 material_id=material_id,

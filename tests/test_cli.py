@@ -464,6 +464,29 @@ def test_predict_checks_a_given_v_star_before_any_curve_is_read(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("train", ("--pipeline", "empirical", "--marker", "fixed-v", "--v-star", "-1")),
+    ("cv", ("--pipeline", "empirical", "--marker", "fixed-v", "--k", "2", "--v-star", "-1")),
+    ("predict", ("--v-star", "nan")),
+], ids=["train", "cv", "predict"])
+def test_v_star_with_truth_exits_2_before_any_curve_is_read(tmp_path, capsys, command, flags):
+    # two sources of v_i: neither may silently win, even a bad --v-star
+    data = make_dataset(tmp_path, capsys, materials=3, per_material=4)
+    truth = str(data / "truth.csv")
+    model_path = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--marker", "fixed-v", "--truth", truth, "--out", str(model_path))
+    assert code == 0, err
+    (data / "m01_c02.csv").write_text("displacement_um,force_N\n0,zero\n")
+    model = ("--model", str(model_path)) if command == "predict" else ()
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(data / "manifest.csv"), *model, *flags,
+                       "--truth", truth, "--out", str(out))
+    assert code == 2 and "--v-star or --truth, not both" in err
+    assert "m01_c02.csv" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["cv", "train", "predict"])
 def test_non_finite_v_star_exits_2(tmp_path, capsys, command, value):
@@ -558,6 +581,22 @@ def test_cv_refuses_a_grid_with_no_point_inside_a_curve(tmp_path, capsys):
                        "--k", "2", "--grid-start", "1e5", "--out", str(tmp_path / "cv"))
     assert code == 4
     assert f"{data / 'm00_c00.csv'}: no grid point lies within the recorded displacements" in err
+    assert not (tmp_path / "cv").exists()
+
+
+def test_an_impossible_grid_exits_2_before_any_grid_array_is_made(tmp_path, capsys,
+                                                                  monkeypatch):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+
+    def no_array(grid):
+        raise AssertionError(f"a {grid.n_points}-point grid array was made")
+
+    monkeypatch.setattr(GridSpec, "displacements", no_array)
+    code, _, err = run(capsys, "cv", str(data / "manifest.csv"), "--pipeline", "pca-lm",
+                       "--k", "2", "--grid-points", "1000000000000",
+                       "--out", str(tmp_path / "cv"))
+    assert code == 2
+    assert "--grid-points" in err and "at most 1000000, got 1000000000000" in err
     assert not (tmp_path / "cv").exists()
 
 

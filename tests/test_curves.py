@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smallpunch import curves as curves_module
 from smallpunch.curves import (
     CurveMarkers,
     GridSpec,
     MARKER_FIXED_V,
     MARKER_MAX_SLOPE,
+    MAX_GRID_POINTS,
     RawCurve,
     UniformCurve,
     _parse_rows,
@@ -33,6 +35,8 @@ from smallpunch.errors import (
     SmallPunchError,
     TooShort,
 )
+from smallpunch.pipeline import EmpiricalKind
+from smallpunch.regress import MODE_MAX_FORCE
 from smallpunch.synth import SynthConfig, generate
 
 from conftest import make_meta, make_uniform
@@ -58,9 +62,10 @@ def test_grid_end_matches_start_plus_spacing():
 def test_grid_rejects_bad_values():
     with pytest.raises(BadConfig):
         GridSpec(spacing_mm=0.0)
-    for n_points in (0, 151.0, True):
+    for n_points in (0, 151.0, True, MAX_GRID_POINTS + 1):
         with pytest.raises(BadConfig):
             GridSpec(n_points=n_points)
+    assert GridSpec(n_points=MAX_GRID_POINTS).n_points == MAX_GRID_POINTS
     with pytest.raises(BadConfig):
         GridSpec(start_mm=-0.1)
     for value in (np.inf, -np.inf, np.nan):
@@ -328,6 +333,111 @@ def test_raw_curve_validation():
         RawCurve(np.array([0.0, 0.1]), np.array([0.0, np.nan]), meta)
     # negative interior forces are allowed, only the first sample is pinned
     RawCurve(np.array([0.0, 0.1, 0.2]), np.array([0.0, -1.0, 2.0]), meta)
+
+
+# ---------------------------------------------------------------- ownership
+
+def _frozen(values, dtype=float):
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
+
+
+class _Provider:
+    """Hands numpy its own frozen, owned buffer through __array__."""
+
+    def __init__(self, values):
+        self.buffer = _frozen(values)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.buffer
+
+
+def _record_arrays(record):
+    return [v for v in vars(record).values() if isinstance(v, np.ndarray)]
+
+
+def test_records_keep_a_given_frozen_owned_float64_array():
+    d, f = _frozen([0.0, 0.1, 0.2]), _frozen([0.0, 2.0, 1.0])
+    raw = RawCurve(d, f, make_meta())
+    assert raw.displacement_mm is d and raw.force_N is f
+    uni = UniformCurve(grid=GridSpec(n_points=3), force_N=f, meta=make_meta())
+    assert uni.force_N is f
+    given_markers = [_frozen([2.0]), _frozen([0.1]), _frozen([1.0]), _frozen([0.05])]
+    markers = CurveMarkers(*given_markers, strategy=MARKER_MAX_SLOPE)
+    assert all(kept is given for kept, given in zip(_record_arrays(markers), given_markers))
+
+
+def _writable(values):
+    return np.array(values, dtype=float)
+
+
+def _read_only_view(values):
+    view = np.array(values, dtype=float)[:]
+    view.setflags(write=False)
+    return view
+
+
+@pytest.mark.parametrize("make", [
+    _writable, _read_only_view, list, _Provider,
+    lambda values: _frozen(values, np.float32),
+], ids=["writable", "read-only-view", "list", "__array__", "float32"])
+def test_records_copy_every_array_they_do_not_own(make):
+    d_values, f_values = [0.0, 0.5, 1.0], [1.0, 3.0, 2.0]
+    d, f = make(d_values), make(f_values)
+    records = [
+        RawCurve(d, f, make_meta()),
+        UniformCurve(grid=GridSpec(spacing_mm=0.5, n_points=3), force_N=f, meta=make_meta()),
+        CurveMarkers(f, f, f, f, strategy=MARKER_MAX_SLOPE),
+    ]
+    given = [np.asarray(a) for a in (d, f)]
+    for record in records:
+        for kept in _record_arrays(record):
+            assert kept.dtype == np.float64 and kept.base is None
+            assert not kept.flags.writeable
+            assert not any(np.shares_memory(kept, a) for a in given)
+    if make is _writable:
+        d[:] = 7.0
+        f[:] = 7.0
+    assert records[0].displacement_mm.tolist() == d_values
+    assert records[0].force_N.tolist() == f_values
+    assert records[1].force_N.tolist() == f_values
+    assert records[2].v_instability_mm.tolist() == f_values
+
+
+def test_ingest_hands_records_arrays_they_keep(monkeypatch):
+    """Parse, resample and markers freeze what they make: no record copies it."""
+    copied = []
+    rule = curves_module._as_readonly_1d
+
+    def spy(values, name):
+        kept = rule(values, name)
+        if kept is not values:
+            copied.append(name)
+        return kept
+
+    monkeypatch.setattr(curves_module, "_as_readonly_1d", spy)
+    meta = make_meta()
+    grid = GridSpec(n_points=20)
+    parsed = [
+        parse_curve_csv("displacement_um,force_N\n0,0\n100,5\n200,9\n", meta),
+        parse_curve_csv("displacement_um,force_N\n200,9\n0,0\n100,5\n100,7\n", meta),
+        parse_curve_csv("# row walk\ndisplacement_um,force_N\n0,0\n100,5\n200,9\n", meta),
+    ]
+    forces = np.array([resample(raw, grid).force_N for raw in parsed])
+    extract_markers(forces, grid)
+    extract_markers(forces, grid, MARKER_FIXED_V, v_star=0.05)
+    extract_markers(forces, grid, MARKER_FIXED_V, v_star=[0.05, 0.1, 0.15])
+    EmpiricalKind(mode=MODE_MAX_FORCE)._markers(forces, grid, None)
+    assert copied == []
+
+
+def test_fixed_v_markers_never_freeze_the_callers_v_star():
+    v_star = np.array([0.05, 0.1])
+    markers = extract_markers(np.tile(np.arange(20.0), (2, 1)), GridSpec(n_points=20),
+                              MARKER_FIXED_V, v_star=v_star)
+    assert v_star.flags.writeable
+    assert not np.shares_memory(markers.v_instability_mm, v_star)
 
 
 # --------------------------------------------------------------- resample

@@ -236,6 +236,7 @@ def trained_by_family(dataset):
     # json reads and writes NaN and Infinity
     ("pca-lm", lambda d: d["grid"], "start_mm", float("inf")),
     ("pca-lm", lambda d: d["grid"], "spacing_mm", float("nan")),
+    ("pca-lm", lambda d: d["grid"], "n_points", 10**12),
 ], ids=["beta", "pipeline-mode", "model-mode", "model-mode-contradicts-pipeline", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
@@ -250,7 +251,7 @@ def trained_by_family(dataset):
         "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
         "grid-spacing-bool", "grid-n_points-bool", "grid-n_points-float",
         "rf-variance_threshold-bool", "importance-bool", "grid-start-inf",
-        "grid-spacing-nan"])
+        "grid-spacing-nan", "grid-n_points-huge"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"

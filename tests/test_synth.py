@@ -1,9 +1,13 @@
 """Synthetic generator: planted identities, determinism, noise behavior."""
 
+import gc
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
+from smallpunch.curves import GridSpec, MARKER_FIXED_V, RawCurve, resample
 from smallpunch.errors import BadConfig
 from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import EmpiricalKind, PipelineSpec
@@ -72,6 +76,24 @@ def test_generation_is_bitwise_deterministic():
     for a, b in zip(curves_a, curves_b):
         assert np.array_equal(a.displacement_mm, b.displacement_mm)
         assert np.array_equal(a.force_N, b.force_N)
+
+
+# sha256 of every displacement and force array, in order, that
+# generate(_small_cfg(noise_sigma_N=3.0)) returns under numpy 2.4.6
+GENERATED_SHA256 = "255000bfa96ad1c8ba58f6086718edb080ba6102a7b08a58ea86126f51aed064"
+
+
+def test_curves_share_one_frozen_displacement_grid():
+    curves, _ = generate(_small_cfg(noise_sigma_N=3.0))
+    grid = curves[0].displacement_mm
+    assert all(c.displacement_mm is grid for c in curves)
+    assert all(not a.flags.writeable for c in curves for a in (c.displacement_mm, c.force_N))
+    if np.__version__ == "2.4.6":
+        digest = hashlib.sha256()
+        for c in curves:
+            digest.update(c.displacement_mm.tobytes())
+            digest.update(c.force_N.tobytes())
+        assert digest.hexdigest() == GENERATED_SHA256
 
 
 def test_different_seeds_differ():
@@ -179,3 +201,39 @@ def test_config_validation():
 def test_slope_that_kills_strength_is_rejected():
     with pytest.raises(BadConfig):
         generate(SynthConfig(temp_slope_MPa_per_C=-2.0))
+
+
+# ------------------------------------------------------------------ memory
+
+def _held_bytes(make):
+    """What make() returns, and the bytes it allocated that are still held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = make()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, held
+
+
+def test_generate_holds_each_force_and_one_grid():
+    generate(_small_cfg(n_materials=1, curves_per_material=1))  # first-call set-up
+    (curves, _), held = _held_bytes(lambda: generate(SynthConfig()))
+    force_bytes = sum(c.force_N.nbytes for c in curves)
+    # 120 curves hold 1.44 MB of forces; a copy of the grid each would add 1.44 MB
+    assert held <= 1.1 * (force_bytes + curves[0].displacement_mm.nbytes)
+
+
+def test_rebuilding_and_resampling_curves_holds_only_the_new_forces():
+    curves, _ = generate(SynthConfig())
+    grid = GridSpec()
+    resample(curves[0], grid)  # first-call set-up
+
+    def rebuild_and_resample():
+        rebuilt = [RawCurve(c.displacement_mm, c.force_N, c.meta) for c in curves]
+        return rebuilt, [resample(c, grid) for c in rebuilt]
+
+    (_, uniform), held = _held_bytes(rebuild_and_resample)
+    # the 151-point forces plus the records that hold them, not 2.9 MB of raw copies
+    assert held <= 2 * sum(u.force_N.nbytes for u in uniform)
