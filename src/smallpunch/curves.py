@@ -20,6 +20,7 @@ make it writable again.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TextIO
 
@@ -308,17 +309,19 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     so the result does not depend on the input row order.
 
     A plain table, as write_curve_csv and recorders write it, is converted
-    as a whole instead of row by row: its first line is exactly the header,
-    it has at least two data lines, every line holds exactly one comma, and
-    it has no ``#``, no ``"``, no blank line and only finite cells.  Its
-    cells go through the same ``float`` as the row walk, so the values
-    carry the same bits, and when the displacements are already
-    strictly increasing the sort and the averaging, which would leave them
-    as they are, are skipped (``+ 0.0`` stands in for the averaging's
-    ``0.0 + f``, which turns a -0.0 force into +0.0).  Every other table,
-    and every table that fails, goes through the row walk, which is the
-    one source of the errors below and the reference the whole-table
-    route must match bit for bit.
+    as a whole instead of row by row: it is ASCII, its first line is
+    exactly the header, it has at least two data lines, every line holds
+    exactly one comma, its breaks are ``\\n`` or CRLF, and it has no space
+    or tab, no ``#``, no ``"``, no blank line and only finite cells.
+    numpy's text reader (np.fromstring with ``sep=","``) converts its
+    cells in one call with PyOS_string_to_double, the routine ``float``
+    uses in the row walk, so the values carry the same bits.  When the
+    displacements are already strictly increasing the sort and the
+    averaging, which would leave them as they are, are skipped (``+ 0.0``
+    stands in for the averaging's ``0.0 + f``, which turns a -0.0 force
+    into +0.0).  Every other table, and every table that fails, goes
+    through the row walk, which is the one source of the errors below and
+    the reference the whole-table route must match bit for bit.
 
     Raises
     ------
@@ -340,34 +343,46 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     return _collapse_duplicates(d_um, f_n, meta)
 
 
-_PLAIN_HEADER = ",".join(CURVE_HEADER)
-# every byte but comma and newline; UTF-8 uses neither inside a character
-_NOT_SEPARATOR = bytes(b for b in range(256) if b not in b",\n")
+_PLAIN_HEADER = ",".join(CURVE_HEADER) + "\n"
+# the bytes a decimal number is spelled with; a plain body holds only
+# these, commas and newlines
+_NUMBER_BYTES = b"0123456789+-.eE"
 
 
 def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     """Displacement and force columns of a plain table, else None.
 
+    parse_curve_csv tells what makes a table plain.  Scans of the whole
+    text check it, with no Python object made per line or per cell: the
+    body may hold only the bytes of decimal numbers (digits, signs, points,
+    exponent marks), commas and ``\\n`` breaks, CRLF breaks being read as
+    ``\\n``, so no space, tab, ``#``, ``"`` or other break that splitlines
+    knows gets through.  One np.fromstring call converts the cells, and the
+    result is kept only if exactly two finite cells per line came back.
+
     None sends the table to the row walk, which parses it or names the
-    line at fault; see parse_curve_csv for what makes a table plain.
+    line at fault.
     """
-    if "#" in text or '"' in text:
+    text = text.replace("\r\n", "\n")
+    if not (text.isascii() and text.startswith(_PLAIN_HEADER)):
         return None
-    lines = text.splitlines()
-    n = len(lines) - 1
-    if n < 2 or lines[0] != _PLAIN_HEADER:
-        return None
-    body = "\n".join(lines[1:])
-    # one comma on every line and no blank line: the separators alternate
-    # comma, newline, comma, ..., comma
-    separators = body.encode("utf-8", "surrogatepass").translate(None, _NOT_SEPARATOR)
-    if separators != b",\n" * (n - 1) + b",":
+    body = text[len(_PLAIN_HEADER):].removesuffix("\n")
+    # deleting the number bytes leaves the separators: one comma on every
+    # line and no blank line make them alternate comma, newline, ..., comma;
+    # any other byte is left behind and breaks the alternation
+    separators = body.encode("ascii").translate(None, _NUMBER_BYTES)
+    n = (len(separators) + 1) // 2
+    if n < 2 or separators != b",\n" * (n - 1) + b",":
         return None
     try:
-        cells = np.fromiter(map(float, body.replace("\n", ",").split(",")), float, 2 * n)
-    except ValueError:
+        with warnings.catch_warnings():
+            # numpy 1.x returns the cells read so far with this warning
+            # where numpy 2.x raises ValueError
+            warnings.simplefilter("error", DeprecationWarning)
+            cells = np.fromstring(body.replace("\n", ","), dtype=float, sep=",")
+    except (ValueError, DeprecationWarning):
         return None
-    if not np.all(np.isfinite(cells)):
+    if cells.size != 2 * n or not np.all(np.isfinite(cells)):
         return None
     return cells[0::2], cells[1::2]
 

@@ -1,5 +1,7 @@
 """Curve parsing, resampling and marker extraction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,11 +229,19 @@ def test_parse_then_resample_is_row_permutation_invariant():
 # A grammar around the table dialect: the line breaks splitlines knows,
 # padding that str.strip removes (float refuses "\x1f"), spellings float
 # accepts or refuses, blank and comment lines, quotes, one or three cells,
-# and displacements that are sorted, unsorted or repeated.
+# and displacements that are sorted, unsorted or repeated.  Two tables in
+# three are plain apart from line breaks and values, most of them with
+# every break "\n" or every break CRLF, so that the numpy route is taken
+# often; in one plain table in four one cell is one that numpy reads
+# otherwise than float.
 _BREAKS = st.sampled_from(["\n"] * 4 + ["\r\n", "\r", "\x0c", "\x1e", "\x0b", "\u2028"])
 _PADS = st.sampled_from([""] * 8 + [" ", "\t", "\x1f", "\xa0"])
 _ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "1_0", "\u0661", "-0.0",
                               "0x1", "", "ten", '"1"', "1#", " "])
+# numpy reads a blank cell as -1.0 and skips padding; "1_0" is 10 to float
+# alone, "nan(1)" nan to numpy alone; numpy reads "5-1" and "1e" in part
+_NUMPY_ODD_CELLS = st.sampled_from([" ", "\t", " 5", "5 ", "\x0b5", "1_0", "nan(1)", "",
+                                    "5-1", "1e", "-", "1e400"])
 _NUMBERS = (st.integers(-2, 40).map(str)
             | st.floats(-1e3, 1e3).map(repr)
             | st.sampled_from(["0", "-0.0", "0.0", "5", "12.5"]))
@@ -245,10 +255,8 @@ _EXTRA_LINES = st.sampled_from(["", "   ", "# note", "  # note", ",", "1,2,3", "
 
 @st.composite
 def _curve_tables(draw):
-    # half the tables are plain apart from padding, line breaks and values,
-    # so that the whole-table route is taken often
-    plain = draw(st.booleans())
-    n = draw(st.integers(0, 8))
+    plain = draw(st.sampled_from([True, True, False]))
+    n = draw(st.integers(2, 8) if plain else st.integers(0, 8))
     if draw(st.booleans()):  # strictly increasing, as recorders write them
         steps = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
         displacements = [str(sum(steps[:i + 1])) for i in range(n)]
@@ -262,11 +270,19 @@ def _curve_tables(draw):
             cells[0] = draw(_CELLS)
         width = 2 if plain else draw(st.sampled_from([2] * 18 + [1, 3]))
         lines.append(",".join((cells + [draw(_CELLS)])[:width]))
+    if plain and draw(st.sampled_from([False, False, False, True])):
+        row = draw(st.integers(1, n))
+        cells = lines[row].split(",")
+        cells[draw(st.integers(0, 1))] = draw(_NUMPY_ODD_CELLS)
+        lines[row] = ",".join(cells)
     for _ in range(0 if plain else draw(st.sampled_from([0] * 6 + [1, 2]))):
         lines.insert(draw(st.integers(0, len(lines))), draw(_EXTRA_LINES))
-    breaks = [draw(_BREAKS) for _ in lines]
-    tail = draw(st.sampled_from(["", "", "\n", "\n\n"]))
-    return "".join(line + br for line, br in zip(lines, breaks)) + tail
+    # plain tables mostly break every line alike; None draws each break
+    same = draw(st.sampled_from(["\n", "\n", "\r\n", None])) if plain else None
+    breaks = [same or draw(_BREAKS) for _ in lines]
+    tail = draw(st.sampled_from(["", "no break"] + ([] if plain else ["", "\n", "\n\n"])))
+    text = "".join(line + br for line, br in zip(lines, breaks))
+    return text.removesuffix(breaks[-1]) if tail == "no break" else text + tail
 
 
 def _outcome(parse, text):
@@ -283,6 +299,59 @@ def test_whole_table_route_matches_the_row_walk(text):
     assert _outcome(parse_curve_csv, text) == _outcome(_parse_rows, text)
 
 
+def test_the_grammar_takes_the_numpy_route_in_a_third_of_its_tables(monkeypatch):
+    reached = []
+    read = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: reached.append(1) or read(*a, **k))
+    drawn = []
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=_curve_tables())
+    def draw(text):
+        drawn.append(text)
+        _plain_columns(text)
+
+    draw()
+    assert len(reached) >= len(drawn) / 3
+
+
+@pytest.mark.parametrize("text", [
+    "displacement_um,force_N\n0,0\n0, \n",  # numpy reads the blank cell as -1.0
+    "displacement_um,force_N\n0,0\n10,1_0\n",
+    "displacement_um,force_N\n0,0\n10,nan(1)\n",
+    "displacement_um,force_N\n0,0\n10,\n",
+    "displacement_um,force_N\n0,0\n10,5-1\n",
+    "displacement_um,force_N\r\n0,0\r\n10,1\r\r\n",
+])
+def test_cells_numpy_reads_otherwise_take_the_row_walk(text):
+    assert _plain_columns(text) is None
+    assert _outcome(parse_curve_csv, text) == _outcome(_parse_rows, text)
+
+
+def test_a_blank_cell_is_a_malformed_row():
+    with pytest.raises(MalformedRow, match="row 3: non-numeric cell"):
+        parse_curve_csv("displacement_um,force_N\n0,0\n0, \n", make_meta())
+
+
+def test_a_partial_read_with_numpy_1x_warning_takes_the_row_walk(monkeypatch):
+    # numpy 1.x returns the cells read before "5-1" and warns, where
+    # numpy 2.x raises ValueError; the warning must not leak a partial read
+    text = "displacement_um,force_N\n0,0\n1,5-1\n"
+
+    def read_in_part(string, dtype, sep):
+        warnings.warn("string or file could not be read to its end due to unmatched data",
+                      DeprecationWarning, stacklevel=2)
+        return np.array([0.0, 0.0, 1.0, 5.0])
+
+    monkeypatch.setattr(np, "fromstring", read_in_part)
+    for action in ("ignore", "default", "error"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            assert _plain_columns(text) is None
+            assert _outcome(parse_curve_csv, text) == _outcome(_parse_rows, text)
+    assert _outcome(_parse_rows, text) == (MalformedRow, "row 3: non-numeric cell")
+
+
 def test_written_curves_take_the_whole_table_route(tmp_path):
     raw, _ = generate(SynthConfig(n_materials=1, curves_per_material=3,
                                   noise_sigma_N=5.0, seed=3))
@@ -290,8 +359,9 @@ def test_written_curves_take_the_whole_table_route(tmp_path):
         path = tmp_path / f"{i}.csv"
         write_curve_csv(path, curve)
         text = path.read_text()
-        assert _plain_columns(text) is not None
-        assert _outcome(parse_curve_csv, text) == _outcome(_parse_rows, text)
+        for copy in (text, text.replace("\n", "\r\n")):  # as written, and from Windows
+            assert _plain_columns(copy) is not None
+            assert _outcome(parse_curve_csv, copy) == _outcome(_parse_rows, text)
 
 
 @pytest.mark.parametrize("text", [

@@ -100,6 +100,14 @@ def test_only_the_curve_module_splits_on_commas():
     assert splits == {}
 
 
+def test_only_the_curve_module_reads_text_with_numpy_and_always_with_a_separator():
+    # np.fromstring without sep= reinterprets raw bytes, a deprecated mode
+    reads = {p.name: [(line, any(kw.arg == "sep" for kw in node.keywords))
+                      for line, _, node in _calls(p, {"fromstring"})] for p in SOURCES}
+    assert {name: lines for name, lines in reads.items() if lines and name != "curves.py"} == {}
+    assert reads["curves.py"] and all(has_sep for _, has_sep in reads["curves.py"])
+
+
 def test_the_command_line_reads_and_writes_no_file_itself():
     # every table goes through dataio, every model file through modelfile
     cli = next(p for p in SOURCES if p.name == "cli.py")
