@@ -138,6 +138,15 @@ def _v_star_for(source: Path | float | None, names: list[str]):
     return [table[name][1] for name in names]
 
 
+def _labelled_inputs(args: argparse.Namespace):
+    """cv's and train's spec, curves and v_star; every flag is checked before a file is read."""
+    grid = _grid_from_args(args)
+    spec = _spec_from_args(args)
+    source = _v_star_source(args, spec.kind.marker_strategy)
+    names, curves = dataio.load_curves(args.manifest, grid)
+    return spec, curves, _v_star_for(source, names)
+
+
 def cmd_synth(args: argparse.Namespace) -> int:
     with prefixed("--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
                   "--vi-range/--vi-step/--temp-range/--temp-slope/--seed"):
@@ -175,18 +184,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise BadConfig("--k must be >= 2")
-    grid = _grid_from_args(args)
-    spec = _spec_from_args(args)
-    source = _v_star_source(args, spec.kind.marker_strategy)
-    names, curves = dataio.load_curves(args.manifest, grid)
-    report = cross_validate(
-        curves,
-        spec,
-        k=args.k,
-        seed=args.seed,
-        v_star=_v_star_for(source, names),
-        stratify_material=args.stratify_material,
-    )
+    spec, curves, v_star = _labelled_inputs(args)
+    report = cross_validate(curves, spec, k=args.k, seed=args.seed, v_star=v_star,
+                            stratify_material=args.stratify_material)
     args.out.mkdir(parents=True, exist_ok=True)
     prefix = args.pipeline
     dataio.write_fold_csv(args.out / f"{prefix}_folds.csv", report)
@@ -197,11 +197,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    grid = _grid_from_args(args)
-    spec = _spec_from_args(args)
-    source = _v_star_source(args, spec.kind.marker_strategy)
-    names, curves = dataio.load_curves(args.manifest, grid)
-    v_star = _v_star_for(source, names)
+    spec, curves, v_star = _labelled_inputs(args)
     trained = fit_pipeline(curves, spec, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
     truths = np.array([c.meta.rm_MPa for c in curves], dtype=float)

@@ -461,17 +461,22 @@ def _interp_rows(v: np.ndarray, gx: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 
 def _v_star_rows(v_star, n_curves: int) -> np.ndarray:
-    """The fixed-v displacement of every curve: one shared value or one each.
+    """The fixed-v displacement of every curve: one shared value or one per curve.
 
-    The result is always a new array, never the caller's, as the markers
-    freeze it.
+    Any other shape, or a value that is not numbers, is refused.  The result
+    is always a new array, never the caller's, as the markers freeze it.
     """
     if v_star is None:
         raise BadConfig("fixed-v marker strategy requires v_star")
-    values = np.array(v_star, dtype=float)
+    try:
+        values = np.array(v_star, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise BadConfig(f"v_star must be numbers: {exc}") from None
     if values.ndim == 0:
         return np.full(n_curves, float(values))
-    if values.shape != (n_curves,):
+    if values.ndim != 1:
+        raise LengthMismatch(f"v_star of shape {values.shape} for {n_curves} curves")
+    if values.size != n_curves:
         raise LengthMismatch(f"{values.size} v_star values for {n_curves} curves")
     return values
 
@@ -502,17 +507,18 @@ def extract_markers(
         this one.
     ``fixed-v``
         v_i is the caller-supplied displacement ``v_star``, one value shared
-        by every curve or one per curve; F_i is the piecewise-linear
-        interpolated force at v_i, with the bits of ``np.interp``.
+        by every curve or a 1-D sequence of one per curve, nothing else;
+        F_i is the piecewise-linear interpolated force at v_i, with the
+        bits of ``np.interp``.
 
     Raises
     ------
     TooShort
         Fewer than 5 grid points.
     BadConfig
-        An unknown strategy, or fixed-v without v_star.
+        An unknown strategy, or fixed-v without a numeric v_star.
     LengthMismatch
-        A v_star sequence whose length is not the number of curves.
+        A v_star that is neither one value nor one per curve, in 1-D.
     AllZero
         A curve has no positive force.
     InvalidMarkers

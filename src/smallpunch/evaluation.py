@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import UniformCurve
+from .curves import UniformCurve, _v_star_rows
 from .errors import BadConfig, BadK, EmptyInput, LengthMismatch, prefixed
 from .features import strengths
 from .pipeline import PipelineSpec, TrainedPipeline, fit_pipeline, predict_pipeline
@@ -78,8 +78,6 @@ def group_kfold_split(material_ids: Sequence[str], k: int, seed: int) -> list[np
     folds = [[] for _ in range(k)]
     for row, mid in enumerate(ids):
         folds[fold_of[mid]].append(row)
-    if any(not f for f in folds):
-        raise BadK(f"k={k} leaves an empty fold for {len(unique)} materials")
     return [np.asarray(f, dtype=int) for f in folds]
 
 
@@ -126,9 +124,10 @@ def cross_validate(
 ) -> CvReport:
     """Seeded k-fold cross-validation of one pipeline spec.
 
-    Per-curve v_star sequences are subset per fold alongside the curves.
-    Errors raised while fitting or scoring a fold are re-raised with the
-    fold index prepended.
+    v_star, one value or one per curve, is shaped once into one value per
+    curve (curves._v_star_rows, which refuses any other value before a fold
+    is fitted), and each fold's rows take their own.  Errors raised while
+    fitting or scoring a fold are re-raised with the fold index prepended.
     """
     curve_list = list(curves)
     n = len(curve_list)
@@ -138,16 +137,7 @@ def cross_validate(
         folds = kfold_split(n, k, seed)
     truth_arr = strengths(curve_list)
 
-    stars: np.ndarray | None = None
-    if v_star is not None and not isinstance(v_star, (int, float, np.floating, np.integer)):
-        stars = np.asarray(v_star, dtype=float)
-        if stars.shape != (n,):
-            raise LengthMismatch(f"{stars.size} v_star values for {n} curves")
-
-    def star_subset(idx: np.ndarray):
-        if stars is not None:
-            return stars[idx]
-        return v_star
+    stars = None if v_star is None else _v_star_rows(v_star, n)
 
     all_rows = np.arange(n)
     fold_rmse: list[float] = []
@@ -155,14 +145,13 @@ def cross_validate(
     models: list[TrainedPipeline] = []
     for fi, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_rows, test_idx)
+        train_stars, test_stars = (
+            (None, None) if stars is None else (stars[train_idx], stars[test_idx])
+        )
         with prefixed(f"fold {fi}"):
-            trained = fit_pipeline(
-                [curve_list[i] for i in train_idx],
-                spec,
-                v_star=star_subset(train_idx),
-            )
+            trained = fit_pipeline([curve_list[i] for i in train_idx], spec, v_star=train_stars)
             preds = predict_pipeline(
-                trained, [curve_list[i] for i in test_idx], v_star=star_subset(test_idx)
+                trained, [curve_list[i] for i in test_idx], v_star=test_stars
             )
         fold_truth = truth_arr[test_idx]
         fold_rmse.append(rmse(preds, fold_truth))

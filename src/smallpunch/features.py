@@ -4,7 +4,8 @@ Stages pass plain float arrays.  Each uniform curve becomes one row of the
 design matrix: the grid forces in displacement order followed by the test
 temperature.  The targets are the curves' measured strengths, one per row.
 _matrix_values and _target_values are the one entry check for a design
-matrix and a target vector: every function that takes one checks it there.
+matrix, its width included, and a target vector: every function that takes
+one checks it there.
 
 Standardization is column-wise z-scoring with the sample standard
 deviation; constant columns keep scale 1 so they map to exactly zero
@@ -32,13 +33,15 @@ from .errors import (
 TEMPERATURE_LABEL = "temperature_C"
 
 
-def _matrix_values(x: np.ndarray) -> np.ndarray:
-    """x as floats, checked to be a finite two-dimensional matrix."""
+def _matrix_values(x: np.ndarray, columns: int | None = None) -> np.ndarray:
+    """x as floats, checked to be 2-D, then finite, then columns wide (if not None)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ShapeMismatch("expected a two-dimensional matrix")
     if not np.all(np.isfinite(x)):
         raise NonFiniteValue("matrix contains non-finite values")
+    if columns is not None and x.shape[1] != columns:
+        raise ShapeMismatch(f"matrix has {x.shape[1]} columns, expected {columns}")
     return x
 
 
@@ -132,9 +135,4 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
 
 def apply_standardizer(std: Standardizer, x: np.ndarray) -> np.ndarray:
     """Return (x - means) / scales."""
-    x = _matrix_values(x)
-    if x.shape[1] != std.means.size:
-        raise ShapeMismatch(
-            f"matrix has {x.shape[1]} columns, standardizer expects {std.means.size}"
-        )
-    return (x - std.means) / std.scales
+    return (_matrix_values(x, std.means.size) - std.means) / std.scales

@@ -4,7 +4,8 @@ Variance-reduction regression trees with bootstrap resampling, per-node
 feature subsampling and out-of-bag error.  Determinism is a hard contract:
 
 * tree t draws from its own RNG stream seeded by (seed, t); its bag is the
-  stream's first draw, so it can be rebuilt without growing any tree;
+  stream's first draw, so it can be rebuilt without growing any tree
+  (_bags gives both, to growth and to permutation_importances);
 * trees grow level by level (breadth first), all trees of a fit together.
   At each depth a tree draws the feature subsets of all its nodes that
   are searched at that depth in one call, nodes left to right: for each
@@ -57,8 +58,9 @@ model file stores exactly those arrays (format 2); a format 1 file's
 nested trees are flattened into them and pass the same checks
 (pipeline.ForestKind).  So a loaded forest's table is the fitted forest's
 table, array for array.  Nested Split/Leaf trees exist only where a
-reader asks for them: model.trees, built from the table on first access
-and cached.  Routing moves every (tree, row) pair down one level per step
+reader asks for them: model.trees builds them straight from the table on
+first access and caches them; fitting, predicting and the model file
+never do.  Routing moves every (tree, row) pair down one level per step
 with numpy indexing, until all pairs sit at leaves.  A step takes a pair
 from a split to its left child when x <= threshold and to the next node,
 its right child, otherwise; a leaf's threshold is +inf, so it keeps its
@@ -72,7 +74,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -80,7 +82,6 @@ from .errors import (
     BadConfig,
     InvalidModel,
     LengthMismatch,
-    ShapeMismatch,
     TooFewRows,
 )
 from .features import _matrix_values, _target_values
@@ -195,24 +196,6 @@ class _NodeTable:
         return cls(feature=full_feature, threshold=full_threshold, left=left,
                    value=full_value, count=count, n_trees=n_trees, depth=depth)
 
-    def nest(self, leaf: Callable[[float, int], Any],
-             split: Callable[[int, float, Any, Any], Any]) -> list:
-        """Each tree, one per root, built from leaf and split calls.
-
-        A leaf becomes leaf(value, count) and a split becomes
-        split(feature, threshold, left, right) of its children's results.
-        """
-        feature, threshold, left, value, count = (
-            a.tolist() for a in (self.feature, self.threshold, self.left, self.value, self.count)
-        )
-        built: list = [None] * len(feature)
-        # children follow their parent, so a backward pass meets them first
-        for i in reversed(range(len(feature))):
-            j = left[i]
-            built[i] = (leaf(value[i], count[i]) if j == i
-                        else split(feature[i], threshold[i], built[j], built[j + 1]))
-        return built[:self.n_trees]
-
     def tree_values(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of every tree (rows of the result) for every row of x."""
         rows = np.arange(x.shape[0])
@@ -253,7 +236,17 @@ class ForestModel:
 
     @cached_property
     def trees(self) -> tuple[TreeNode, ...]:
-        return tuple(self.table.nest(Leaf, Split))
+        t = self.table
+        feature, threshold, left, value, count = (
+            a.tolist() for a in (t.feature, t.threshold, t.left, t.value, t.count)
+        )
+        built: list = [None] * len(feature)
+        # children follow their parent, so a backward pass meets them first
+        for i in reversed(range(len(feature))):
+            j = left[i]
+            built[i] = (Leaf(value[i], count[i]) if j == i
+                        else Split(feature[i], threshold[i], built[j], built[j + 1]))
+        return tuple(built[:t.n_trees])
 
 
 # elements of one padded split-search block: big enough that numpy's work
@@ -513,6 +506,12 @@ def _bootstrap_rows(rng: np.random.Generator, n: int, bootstrap: bool) -> np.nda
     return np.arange(n)
 
 
+def _bags(cfg: ForestConfig, n: int) -> tuple[list[np.random.Generator], np.ndarray]:
+    """Each tree's RNG stream, and its bag of n rows (row t) drawn first from it."""
+    rngs = [_tree_rng(cfg.seed, t) for t in range(cfg.n_trees)]
+    return rngs, np.array([_bootstrap_rows(rng, n, cfg.bootstrap) for rng in rngs])
+
+
 def _oob_mask(rows: np.ndarray, n: int) -> np.ndarray:
     oob = np.ones(n, dtype=bool)
     oob[rows] = False
@@ -561,8 +560,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     if mtry > p:
         raise BadConfig(f"mtry {mtry} exceeds feature count {p}")
 
-    rngs = [_tree_rng(cfg.seed, t) for t in range(cfg.n_trees)]
-    bags = np.array([_bootstrap_rows(rng, n, cfg.bootstrap) for rng in rngs])
+    rngs, bags = _bags(cfg, n)
     table, importances = _grow_forest(xv, yv, bags, rngs, cfg, mtry)
 
     oob_rmse = None
@@ -585,17 +583,9 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     )
 
 
-def _check_width(model: ForestModel, xv: np.ndarray) -> None:
-    if xv.shape[1] != model.n_features:
-        raise ShapeMismatch(
-            f"matrix has {xv.shape[1]} columns, model expects {model.n_features}"
-        )
-
-
 def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Mean of the per-tree predictions, summed in fixed tree order."""
-    xv = _matrix_values(x)
-    _check_width(model, xv)
+    xv = _matrix_values(x, model.n_features)
     out = np.zeros(xv.shape[0])
     for values in model.table.tree_values(xv):
         out += values
@@ -622,17 +612,13 @@ def permutation_importances(
     """
     if not model.config.bootstrap:
         raise BadConfig("permutation importances need a bootstrap-fitted forest")
-    xv = _matrix_values(x)
+    xv = _matrix_values(x, model.n_features)
     yv = _target_values(y)
     n = xv.shape[0]
-    _check_width(model, xv)
     if yv.size != n:
         raise LengthMismatch(f"{n} feature rows vs {yv.size} targets")
 
-    oob_masks = [
-        _oob_mask(_bootstrap_rows(_tree_rng(model.config.seed, t), n, True), n)
-        for t in range(model.config.n_trees)
-    ]
+    oob_masks = [_oob_mask(rows, n) for rows in _bags(model.config, n)[1]]
 
     def oob_rmse_for(matrix: np.ndarray) -> float:
         pred_sum, count = _oob_totals(model.table, matrix, oob_masks)

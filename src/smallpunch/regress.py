@@ -189,9 +189,4 @@ def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:
 
 def predict_linear(model: LinearModel, design: np.ndarray) -> np.ndarray:
     """Evaluate intercept + design @ coefficients row-wise."""
-    x = np.asarray(design, dtype=float)
-    if x.ndim != 2 or x.shape[1] != model.coefficients.size:
-        raise ShapeMismatch(
-            f"design must be n x {model.coefficients.size}, got {x.shape}"
-        )
-    return model.intercept + x @ model.coefficients
+    return model.intercept + _matrix_values(design, model.coefficients.size) @ model.coefficients

@@ -111,6 +111,7 @@ def small_manifest(tmp_path_factory):
     (("train", "--pipeline", "pca-lm", "--grid-start", "nan"), "--grid-start"),
     (("train", "--pipeline", "pca-lm", "--grid-spacing", "inf"), "--grid-spacing"),
     (("train", "--pipeline", "pca-lm", "--grid-spacing", "nan"), "--grid-spacing"),
+    (("train", "--pipeline", "rf", "--workers", "0"), "--workers"),
 ])
 def test_out_of_range_flag_exits_2_naming_it(tmp_path, capsys, small_manifest,
                                             argv, flag):
@@ -522,6 +523,35 @@ def test_non_finite_truth_cell_exits_4_naming_file_and_row(tmp_path, capsys, col
                        "--marker", "fixed-v", "--truth", str(truth), "--k", "2",
                        "--out", str(tmp_path / "cv"))
     assert code == 4 and f"{truth}: row 3: non-finite value" in err
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+def test_truth_without_a_row_for_a_curve_exits_2_naming_both(tmp_path, capsys, command):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    truth = data / "truth.csv"
+    lines = truth.read_text().splitlines()
+    truth.write_text("\n".join(lines[:2] + lines[3:]) + "\n")
+    missing = lines[2].split(",")[0]
+    k = ("--k", "2") if command == "cv" else ()
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--marker", "fixed-v", "--truth", str(truth), *k, "--out", str(out))
+    assert code == 2
+    assert f"--truth: {truth} has no row for curve file '{missing}'" in err
+    assert not out.exists()
+
+
+def test_manifest_row_with_an_empty_file_name_exits_4(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    manifest = data / "manifest.csv"
+    header, first, *rest = manifest.read_text().splitlines()
+    manifest.write_text("\n".join([header, "," + first.split(",", 1)[1], *rest]) + "\n")
+    out = tmp_path / "cv"
+    code, _, err = run(capsys, "cv", str(manifest), "--pipeline", "pca-lm",
+                       "--k", "2", "--out", str(out))
+    assert code == 4
+    assert f"{manifest}: row 2: empty file name" in err
+    assert not out.exists()
 
 
 def test_manifest_listing_a_curve_twice_exits_4(tmp_path, capsys):

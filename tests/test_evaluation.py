@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import (
@@ -115,6 +116,24 @@ def test_group_folds_balance_sizes():
     assert sorted(len(f) for f in folds) == [6, 6, 6, 6]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ids=st.lists(st.sampled_from("ABCDEFGHIJ"), min_size=2, max_size=40).filter(
+        lambda ids: len(set(ids)) >= 2),
+    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_group_folds_are_non_empty_disjoint_covering_and_keep_materials_whole(ids, data, seed):
+    k = data.draw(st.integers(2, len(set(ids))))
+    folds = group_kfold_split(ids, k, seed)
+    assert len(folds) == k and all(f.size for f in folds)
+    assert sorted(np.concatenate(folds).tolist()) == list(range(len(ids)))
+    fold_of = {}
+    for fi, fold in enumerate(folds):
+        for row in fold.tolist():
+            assert fold_of.setdefault(ids[row], fi) == fi
+
+
 def test_group_folds_reject_more_folds_than_materials():
     with pytest.raises(BadK):
         group_kfold_split(["A", "A", "B"], 3, seed=0)
@@ -226,3 +245,28 @@ def test_v_star_sequence_must_match_length():
     spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
     with pytest.raises(LengthMismatch):
         cross_validate(curves, spec, k=2, seed=0, v_star=[0.5, 0.5])
+
+
+def test_a_0d_v_star_is_one_shared_value():
+    cfg = SynthConfig(n_materials=2, curves_per_material=4, seed=5)
+    curves, _ = _synth_uniform(cfg)
+    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
+    shared = cross_validate(curves, spec, k=2, seed=0, v_star=0.5)
+    assert cross_validate(curves, spec, k=2, seed=0, v_star=np.array(0.5)) == shared
+    assert cross_validate(curves, spec, k=2, seed=0, v_star=[0.5] * len(curves)) == shared
+
+
+@pytest.mark.parametrize("v_star, error, message", [
+    (np.full((1, 8), 0.5), LengthMismatch, "v_star of shape (1, 8) for 8 curves"),
+    ([[0.5] * 8], LengthMismatch, "v_star of shape (1, 8) for 8 curves"),
+    ("half", BadConfig, "v_star must be numbers"),
+    ([0.5] * 7 + ["half"], BadConfig, "v_star must be numbers"),
+    (object(), BadConfig, "v_star must be numbers"),
+])
+def test_a_v_star_that_is_not_one_value_or_one_per_curve_is_refused(v_star, error, message):
+    cfg = SynthConfig(n_materials=2, curves_per_material=4, seed=5)
+    curves, _ = _synth_uniform(cfg)
+    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
+    with pytest.raises(error) as err:
+        cross_validate(curves, spec, k=2, seed=0, v_star=v_star)
+    assert type(err.value) is error and str(err.value).startswith(message)

@@ -392,8 +392,6 @@ def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, tmp_path, referen
     _, scores, y = reference_design
     monkeypatch.setattr(forest, "Leaf", _refuse_trees)
     monkeypatch.setattr(forest, "Split", _refuse_trees)
-    # nor does saving or loading a model nest the table
-    monkeypatch.setattr(_NodeTable, "nest", _refuse_trees)
     model = fit_forest(scores, y, ForestConfig(n_trees=30, seed=3))
     predict_forest(model, scores)
     permutation_importances(model, scores, y)

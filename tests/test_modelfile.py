@@ -237,6 +237,23 @@ def trained_by_family(dataset):
     ("pca-lm", lambda d: d["grid"], "start_mm", float("inf")),
     ("pca-lm", lambda d: d["grid"], "spacing_mm", float("nan")),
     ("pca-lm", lambda d: d["grid"], "n_points", 10**12),
+    # each constructor check of a stored record; a slice key drops the last entry
+    ("pca-lm", lambda d: d["standardizer"]["scales"], 0, 0.0),
+    ("pca-lm", lambda d: d["standardizer"]["means"], 0, float("inf")),
+    ("pca-lm", lambda d: d["standardizer"]["means"], slice(-1, None), []),
+    # the fixture's PCA keeps three components
+    ("pca-lm", lambda d: d["pca"], "eigenvalues", [1.0, 2.0, 3.0]),
+    ("pca-lm", lambda d: d["pca"]["explained_ratio"], 0, 0.99),
+    ("pca-lm", lambda d: d["pca"], "threshold", 0.0),
+    ("pca-lm", lambda d: d["pca"], "total_variance", 0.0),
+    ("pca-lm", lambda d: d["pca"]["loadings"], slice(-1, None), []),
+    ("pca-lm", lambda d: d["pca"]["eigenvalues"], slice(-1, None), []),
+    ("pca-lm", lambda d: d["model"], "intercept", float("inf")),
+    ("pca-lm", lambda d: d["model"], "coefficients", [[3.0, -40.0, 1.0]]),
+    ("rf", lambda d: d["model"], "importances", [0.5 / 152] * 152),
+    ("rf", lambda d: d["model"]["importances"], 0, -0.5),
+    ("pca-lm", lambda d: d["pipeline"], "family", "bogus"),
+    ("pca-lm", lambda d: d, "standardizer", None),
 ], ids=["beta", "pipeline-mode", "model-mode", "model-mode-contradicts-pipeline", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
@@ -251,7 +268,12 @@ def trained_by_family(dataset):
         "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
         "grid-spacing-bool", "grid-n_points-bool", "grid-n_points-float",
         "rf-variance_threshold-bool", "importance-bool", "grid-start-inf",
-        "grid-spacing-nan", "grid-n_points-huge"])
+        "grid-spacing-nan", "grid-n_points-huge", "standardizer-scale-zero",
+        "standardizer-mean-inf", "standardizer-means-short", "pca-eigenvalues-increasing",
+        "pca-explained_ratio-above-1", "pca-threshold-zero", "pca-total_variance-zero",
+        "pca-loadings-short", "pca-eigenvalues-short", "intercept-inf", "coefficients-nested",
+        "importances-sum-half", "importance-negative", "pipeline-family-bogus",
+        "standardizer-missing"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"

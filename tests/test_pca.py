@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from smallpunch.errors import BadConfig, DegenerateData, ShapeMismatch, TooFewRows
+from smallpunch.errors import (
+    BadConfig,
+    DegenerateData,
+    NonFiniteValue,
+    ShapeMismatch,
+    TooFewRows,
+)
 from smallpunch.pca import PcaModel, fit_pca, inverse_transform, transform
 
 
@@ -166,6 +172,14 @@ def test_transform_rejects_width_mismatch():
         transform(model, np.zeros((3, 5)))
     with pytest.raises(ShapeMismatch):
         inverse_transform(model, np.zeros((3, 7)))
+
+
+def test_inverse_transform_rejects_non_finite_scores():
+    model = fit_pca(_two_axis_data(), threshold=1.0)
+    scores = np.zeros((2, model.n_components))
+    scores[1, 0] = np.inf
+    with pytest.raises(NonFiniteValue):
+        inverse_transform(model, scores)
 
 
 def test_model_invariants_enforced():

@@ -9,6 +9,7 @@ from smallpunch.errors import (
     EmptyTraining,
     InvalidModel,
     LengthMismatch,
+    NonFiniteValue,
     NonPositiveFeature,
     RankDeficient,
     TooFewRows,
@@ -216,3 +217,9 @@ def test_predict_linear_checks_width():
     assert np.allclose(predict_linear(model, np.array([[1.0, 1.0]])), [6.0])
     with pytest.raises(Exception):
         predict_linear(model, np.array([[1.0, 1.0, 1.0]]))
+
+
+def test_predict_linear_rejects_a_non_finite_design():
+    model = LinearModel(intercept=1.0, coefficients=np.array([2.0, 3.0]))
+    with pytest.raises(NonFiniteValue):
+        predict_linear(model, np.array([[1.0, 1.0], [np.nan, 1.0]]))

@@ -15,14 +15,31 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def _calls(path, names):
     """(line, name, node) of every call of a function or method named in names."""
+    return _calls_in(ast.parse(path.read_text(encoding="utf-8"), str(path)), names)
+
+
+def _calls_in(tree, names):
+    """_calls of one parsed module or one node of it."""
     found = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
             if name in names:
                 found.append((node.lineno, name, node))
     return found
+
+
+def _callers(path, names):
+    """(line, innermost enclosing function or None) of every call named in names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    caller = {}
+    # ast.walk meets an outer function before the functions inside it
+    for func in ast.walk(tree):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for line, _, _ in _calls_in(func, names):
+                caller[line] = func.name
+    return [(line, caller.get(line)) for line, _, _ in _calls_in(tree, names)]
 
 
 def _file_calls_without_encoding(path):
@@ -106,6 +123,22 @@ def test_only_the_curve_module_reads_text_with_numpy_and_always_with_a_separator
                       for line, _, node in _calls(p, {"fromstring"})] for p in SOURCES}
     assert {name: lines for name, lines in reads.items() if lines and name != "curves.py"} == {}
     assert reads["curves.py"] and all(has_sep for _, has_sep in reads["curves.py"])
+
+
+def test_only_the_forest_bags_draw_from_a_tree_stream():
+    # growth and permutation importances get each tree's stream and bag
+    # from forest._bags, so the two cannot disagree on a bag
+    callers = {(p.name, caller) for p in SOURCES for _, caller in _callers(p, {"_tree_rng"})}
+    assert callers == {("forest.py", "_bags")}
+
+
+def test_only_the_curve_module_shapes_v_star():
+    # curves._v_star_rows is the one rule for one value or one per curve
+    shaped = {p.name: lines for p in SOURCES if p.name != "curves.py" and (lines := [
+        line for line, _, node in _calls(p, {"array", "asarray"})
+        if node.args and isinstance(node.args[0], ast.Name) and node.args[0].id == "v_star"
+    ])}
+    assert shaped == {}
 
 
 def test_the_command_line_reads_and_writes_no_file_itself():
