@@ -31,7 +31,6 @@ from .features import (
 from .forest import (
     ForestConfig,
     ForestModel,
-    feature_importances,
     fit_forest,
     permutation_importances,
     predict_forest,
@@ -94,7 +93,6 @@ __all__ = [
     "cross_validate",
     "empirical_feature",
     "extract_markers",
-    "feature_importances",
     "fit_beta",
     "fit_forest",
     "fit_ols",

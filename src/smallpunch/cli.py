@@ -27,6 +27,7 @@ from . import dataio
 from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES
 from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion, prefixed
 from .evaluation import cross_validate, rmse
+from .features import strengths
 from .modelfile import load_model, save_model
 from .pipeline import (
     FOREST_INPUT_RAW,
@@ -200,8 +201,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     spec, curves, v_star = _labelled_inputs(args)
     trained = fit_pipeline(curves, spec, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
-    truths = np.array([c.meta.rm_MPa for c in curves], dtype=float)
-    train_rmse = rmse(preds, truths)
+    train_rmse = rmse(preds, strengths(curves))
 
     provenance = {
         "seed": args.seed,

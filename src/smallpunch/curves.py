@@ -6,7 +6,8 @@ on a fixed uniform displacement grid, plus two physical markers per curve:
 the force maximum (F_m at v_m) and the force at the onset of plastic
 instability (F_i at v_i).  Markers are extracted for a whole batch at once,
 from the matrix of grid forces with one row per curve, in a few numpy
-passes; a curve gets the same bits in any batch as alone.
+passes (the fixed-v force is interpolated row by row); a curve gets the
+same bits in any batch as alone.
 
 Curve arrays are shared, not copied, and are to be treated as immutable.
 One rule, in _as_readonly_1d, decides what a record keeps: a read-only
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence, TextIO
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -300,7 +301,7 @@ def finite_cells(lineno: int, cells: Sequence[str]) -> list[float]:
     return values
 
 
-def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
+def parse_curve_csv(text: str, meta: SpecimenMeta) -> RawCurve:
     """Parse a displacement/force table into a RawCurve.
 
     The table is two columns with header ``displacement_um,force_N`` in the
@@ -333,7 +334,6 @@ def parse_curve_csv(text: str | TextIO, meta: SpecimenMeta) -> RawCurve:
     EmptyCurve
         Fewer than two rows remain after duplicate collapse.
     """
-    text = text if isinstance(text, str) else text.read()
     columns = _plain_columns(text)
     if columns is None:
         return _parse_rows(text, meta)
@@ -442,24 +442,6 @@ def _moving_average5(f: np.ndarray) -> np.ndarray:
     return (csum[:, hi + 1] - csum[:, lo]) / (hi - lo + 1)
 
 
-def _interp_rows(v: np.ndarray, gx: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """np.interp(v[r], gx, f[r]) for every row r, by np.interp's own arithmetic.
-
-    The segment gx[j] <= v < gx[j + 1] gives slope * (v - gx[j]) + f[j];
-    a v on a grid point gives that point's force, and a v at or beyond
-    either end gives the end force.
-    """
-    last = gx.size - 1
-    j = np.clip(np.searchsorted(gx, v, side="right") - 1, 0, last - 1)
-    rows = np.arange(f.shape[0])
-    f_j = f[rows, j]
-    inside = np.clip(v, gx[0], gx[last])  # keeps infinite v out of the arithmetic
-    f_v = (f[rows, j + 1] - f_j) / (gx[j + 1] - gx[j]) * (inside - gx[j]) + f_j
-    f_v = np.where(v == gx[j], f_j, f_v)
-    f_v = np.where(v <= gx[0], f[:, 0], f_v)
-    return np.where(v >= gx[last], f[:, last], f_v)
-
-
 def _v_star_rows(v_star, n_curves: int) -> np.ndarray:
     """The fixed-v displacement of every curve: one shared value or one per curve.
 
@@ -508,8 +490,8 @@ def extract_markers(
     ``fixed-v``
         v_i is the caller-supplied displacement ``v_star``, one value shared
         by every curve or a 1-D sequence of one per curve, nothing else;
-        F_i is the piecewise-linear interpolated force at v_i, with the
-        bits of ``np.interp``.
+        F_i is the piecewise-linear interpolated force at v_i, by
+        ``np.interp`` on each row.
 
     Raises
     ------
@@ -540,7 +522,7 @@ def extract_markers(
         f_i = f[np.arange(f.shape[0]), j]
     elif strategy == MARKER_FIXED_V:
         v_i = _v_star_rows(v_star, f.shape[0])
-        f_i = _interp_rows(v_i, gx, f)
+        f_i = np.array([np.interp(v, gx, row) for v, row in zip(v_i, f)])
     else:
         raise BadConfig(f"unknown marker strategy: {strategy!r}")
 

@@ -592,11 +592,6 @@ def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     return out / model.table.n_trees
 
 
-def feature_importances(model: ForestModel) -> np.ndarray:
-    """Normalized variance-reduction importances recorded at fit time."""
-    return model.importances.copy()
-
-
 def permutation_importances(
     model: ForestModel, x: np.ndarray, y: np.ndarray, seed: int = 0
 ) -> np.ndarray:

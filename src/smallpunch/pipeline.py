@@ -12,7 +12,8 @@ family name, building the kind from the command line's flags, fitting and
 predicting, train's diagnostics and the family's part of the model file.
 KINDS finds a kind class by family name, so the command line names none.
 record_to_doc and record_from_doc write and read every model-file block
-that is a record's fields as they stand.
+that is a record's fields as they stand; json_value is the one check that
+a model-file value has the JSON type its field declares.
 
 fit_pipeline touches only the curves it is given, which is what makes the
 cross-validation in evaluation.py leakage-free: every fold refits the
@@ -39,7 +40,7 @@ from .curves import (
 from .errors import BadConfig, GridMismatch, InvalidModel, prefixed
 from .features import (Standardizer, apply_standardizer, assemble, column_labels,
                        fit_standardizer, strengths)
-from .forest import ForestConfig, ForestModel, _is_int, _NodeTable, fit_forest, predict_forest
+from .forest import ForestConfig, ForestModel, _NodeTable, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
 from .regress import (
     EmpiricalModel,
@@ -82,28 +83,55 @@ def record_to_doc(rec: Any) -> dict[str, Any]:
     return doc
 
 
-def record_from_doc(cls: type, doc: dict[str, Any]) -> Any:
+def record_from_doc(cls: type, doc: dict[str, Any], **built: Any) -> Any:
     """Rebuild cls from its fields' keys in doc; cls's constructor validates.
 
-    Only a field declared bool may hold true or false: numpy and
-    comparisons would read one in any other field, or array, as 1 or 0.
+    Each value must first have the JSON type its field declares (json_value).
+    built holds the fields the caller has already made, records of their own.
     """
-    return cls(**{
-        f.name: doc[f.name] if f.type == "bool" else _no_bools(doc[f.name], f.name)
-        for f in fields(cls)
-    })
+    return cls(**built, **{f.name: json_value(doc[f.name], f.type, f.name)
+                           for f in fields(cls) if f.name not in built})
 
 
-def _no_bools(value: Any, what: str) -> Any:
-    """value, unless it is true or false or an array holding one."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, bool):
-            raise InvalidModel(f"{what} must not be true or false")
-        if isinstance(item, list):
-            stack.extend(item)
-    return value
+# The JSON types a scalar field may hold, by its declared type, and their
+# name in an error; a float field also takes an integer such as 1.
+_SCALARS = {
+    "float": ({int, float}, "a number"),
+    "int": ({int}, "an integer"),
+    "bool": ({bool}, "true or false"),
+    "str": ({str}, "a string"),
+}
+# An array's entry type and dtype; only an np.ndarray may be a list of lists.
+_ARRAYS = {"np.ndarray": ("float", float), "list[float]": ("float", float),
+           "list[int]": ("int", np.intp)}
+
+
+def json_value(value: Any, declared: str, what: str) -> Any:
+    """value if it has the JSON type declared names, arrays read as ndarrays.
+
+    declared is a field's annotation as written: a key of _SCALARS or
+    _ARRAYS, "| None" allowing null.  type(), not isinstance, is compared,
+    so true and false are never numbers.  An integer too large for an
+    array's dtype raises OverflowError.
+    """
+    if value is None and declared.endswith(" | None"):
+        return None
+    declared = declared.removesuffix(" | None")
+    if declared in _SCALARS:
+        allowed, noun = _SCALARS[declared]
+        if type(value) not in allowed:
+            raise InvalidModel(f"{what} must be {noun}, got {value!r}")
+        return value
+    if type(value) is not list:
+        raise InvalidModel(f"{what} must be a list, got {value!r}")
+    entry, dtype = _ARRAYS[declared]
+    if declared == "np.ndarray" and value and type(value[0]) is list:
+        for row in value:
+            json_value(row, "list[float]", what)
+    elif not set(map(type, value)) <= _SCALARS[entry][0]:
+        for item in value:  # raises at the first entry of the wrong type
+            json_value(item, entry, what)
+    return np.array(value, dtype=dtype)
 
 
 class _RecordBlocks:
@@ -310,7 +338,7 @@ class ForestKind(_FeatureKind):
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
-        return record_from_doc(cls, {**doc, "config": record_from_doc(ForestConfig, doc["forest"])})
+        return record_from_doc(cls, doc, config=record_from_doc(ForestConfig, doc["forest"]))
 
     # A forest's model block is its node table in level order (format 2):
     # count per node, 0 marking a split, feature and threshold per split and
@@ -330,25 +358,16 @@ class ForestKind(_FeatureKind):
         }
 
     def model_from_doc(self, doc: dict[str, Any], version: int) -> ForestModel:
-        n_features = doc["n_features"]
-        if not _is_int(n_features):
-            raise InvalidModel(f"n_features must be an integer, got {n_features!r}")
+        n_features = json_value(doc["n_features"], "int", "n_features")
         columns = (_level_order_of(doc["trees"]) if version == 1
                    else (doc["count"], doc["feature"], doc["threshold"], doc["value"]))
         return ForestModel(
             table=_table_from_arrays(self.config.n_trees, n_features, *columns),
             config=self.config,
             n_features=n_features,
-            importances=np.asarray(_no_bools(doc["importances"], "importances"), dtype=float),
-            oob_rmse=None if doc["oob_rmse"] is None else _number(doc["oob_rmse"], "oob_rmse"),
+            importances=json_value(doc["importances"], "np.ndarray", "importances"),
+            oob_rmse=json_value(doc["oob_rmse"], "float | None", "oob_rmse"),
         )
-
-
-def _number(value: Any, what: str) -> float:
-    """A JSON number as a float; true/false and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidModel(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 def _level_order_of(trees: Any) -> tuple[list, list, list, list]:
@@ -378,22 +397,6 @@ def _level_order_of(trees: Any) -> tuple[list, list, list, list]:
     return count, feature, threshold, value
 
 
-def _json_array(values: Any, what: str, dtype: type) -> np.ndarray:
-    """A JSON list of numbers as a 1-d array of dtype, integers only for np.intp.
-
-    true and false are refused, as everywhere in a model file; an integer
-    too large for dtype raises OverflowError.
-    """
-    allowed = {int} if dtype is np.intp else {int, float}
-    if not isinstance(values, list):
-        raise InvalidModel(f"{what} must be a list, got {values!r}")
-    if not set(map(type, values)) <= allowed:
-        bad = next(v for v in values if type(v) not in allowed)
-        kind = "an integer" if dtype is np.intp else "a number"
-        raise InvalidModel(f"{what} must be {kind}, got {bad!r}")
-    return np.array(values, dtype=dtype)
-
-
 def _refuse_any(bad: np.ndarray, nodes: np.ndarray, values: np.ndarray, what: str) -> None:
     """InvalidModel naming the first node where bad holds, and its value."""
     if bad.any():
@@ -411,10 +414,10 @@ def _table_from_arrays(n_trees: int, n_features: int, count: Any, feature: Any,
     Every leaf count is at least 1, every split feature lies in
     [0, n_features) and thresholds and leaf values are finite.
     """
-    count = _json_array(count, "count", np.intp)
-    feature = _json_array(feature, "split feature", np.intp)
-    threshold = _json_array(threshold, "split threshold", float)
-    value = _json_array(value, "leaf value", float)
+    count = json_value(count, "list[int]", "count")
+    feature = json_value(feature, "list[int]", "split feature")
+    threshold = json_value(threshold, "list[float]", "split threshold")
+    value = json_value(value, "list[float]", "leaf value")
     n_nodes = count.size
     is_split = count == 0
     splits, leaves = np.flatnonzero(is_split), np.flatnonzero(~is_split)

@@ -27,7 +27,6 @@ from smallpunch.forest import (
     _NodeTable,
     _bootstrap_rows,
     _tree_rng,
-    feature_importances,
     fit_forest,
     permutation_importances,
     predict_forest,
@@ -199,7 +198,7 @@ def test_importances_concentrate_on_the_informative_feature():
     x = rng.normal(size=(100, 4))
     y = 100.0 * x[:, 0] + rng.normal(0.0, 1.0, 100)
     model = fit_forest(x, y, ForestConfig(n_trees=40, mtry=4, seed=14))
-    imp = feature_importances(model)
+    imp = model.importances
     assert imp.sum() == pytest.approx(1.0, abs=1e-8)
     assert imp[0] > 0.9
 

@@ -22,7 +22,6 @@ from smallpunch.curves import (
     _SLOPE_SKIP,
     GridSpec,
     UniformCurve,
-    _interp_rows,
     extract_markers,
 )
 from smallpunch.errors import (
@@ -295,31 +294,6 @@ def test_batch_of_one_and_grid_checks():
     _, got = _outcome(lambda: extract_markers(np.ones((2, 20)), GridSpec(n_points=20),
                                               MARKER_FIXED_V))
     assert got == (BadConfig, "fixed-v marker strategy requires v_star")
-
-
-def test_interpolation_has_the_bits_of_np_interp():
-    rng = np.random.default_rng(5)
-    cases = 0
-    for grid in (GridSpec(), GridSpec(start_mm=0.1, spacing_mm=1.0 / 3.0, n_points=7),
-                 GridSpec(spacing_mm=0.003, n_points=5), GridSpec(spacing_mm=0.1, n_points=40)):
-        gx = grid.displacements()
-        n_rows = 5000
-        forces = rng.uniform(-100.0, 1000.0, (n_rows, gx.size))
-        forces[::7] = np.round(forces[::7])  # equal neighbours: zero slopes
-        k = rng.integers(0, gx.size - 1, n_rows)
-        v = gx[k] + rng.uniform(0.0, 1.0, n_rows) * (gx[k + 1] - gx[k])
-        v[::5] = gx[k[::5]]  # on grid points, some of them holding -0.0
-        forces[np.arange(0, n_rows, 10), k[::10]] = -0.0
-        v[1::11] = gx[0]
-        v[2::11] = gx[-1]
-        v[3::11] = gx[0] - rng.uniform(0.0, 1.0, v[3::11].size)
-        v[4::11] = gx[-1] + rng.uniform(0.0, 1.0, v[4::11].size)
-        v[5::97] = np.inf
-        v[6::97] = -np.inf
-        want = np.array([np.interp(x, gx, row) for x, row in zip(v, forces)])
-        assert _interp_rows(v, gx, forces).tobytes() == want.tobytes()
-        cases += n_rows
-    assert cases == 20000
 
 
 def test_zero_denominator_names_the_first_failing_curve():

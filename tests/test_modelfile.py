@@ -1,6 +1,7 @@
 """Model persistence: exact round trips and version/shape rejection."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,9 @@ def test_stripped_pca_block_is_refused(tmp_path, dataset):
             load_model(path)
 
 
+QUOTED = object()  # a value that replaces the stored number with its decimal string
+
+
 def _model_array(name):
     """The block holding a format 2 forest's per-node or per-split array."""
     def block(doc):
@@ -254,6 +258,19 @@ def trained_by_family(dataset):
     ("rf", lambda d: d["model"]["importances"], 0, -0.5),
     ("pca-lm", lambda d: d["pipeline"], "family", "bogus"),
     ("pca-lm", lambda d: d, "standardizer", None),
+    # a quoted number is a string: numpy would read one in an array as its number
+    ("pca-lm", lambda d: d["standardizer"]["means"], 0, QUOTED),
+    ("pca-lm", lambda d: d["standardizer"]["scales"], 0, QUOTED),
+    ("pca-lm", lambda d: d["pca"]["mean"], 0, QUOTED),
+    ("pca-lm", lambda d: d["pca"]["loadings"][0], 0, QUOTED),
+    ("pca-lm", lambda d: d["model"]["coefficients"], 0, QUOTED),
+    ("rf", lambda d: d["model"]["importances"], 0, QUOTED),
+    ("pca-lm", lambda d: d["pca"], "threshold", QUOTED),
+    ("pca-lm", lambda d: d["pca"], "total_variance", QUOTED),
+    ("pca-lm", lambda d: d["model"], "intercept", QUOTED),
+    ("empirical", lambda d: d["model"], "beta", QUOTED),
+    ("pca-lm", lambda d: d["grid"], "start_mm", QUOTED),
+    ("rf", lambda d: d["model"], "oob_rmse", QUOTED),
 ], ids=["beta", "pipeline-mode", "model-mode", "model-mode-contradicts-pipeline", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
@@ -273,14 +290,31 @@ def trained_by_family(dataset):
         "pca-explained_ratio-above-1", "pca-threshold-zero", "pca-total_variance-zero",
         "pca-loadings-short", "pca-eigenvalues-short", "intercept-inf", "coefficients-nested",
         "importances-sum-half", "importance-negative", "pipeline-family-bogus",
-        "standardizer-missing"])
+        "standardizer-missing", "standardizer-mean-quoted", "standardizer-scale-quoted",
+        "pca-mean-quoted", "pca-loading-quoted", "coefficient-quoted", "importance-quoted",
+        "pca-threshold-quoted", "pca-total_variance-quoted", "intercept-quoted",
+        "beta-quoted", "grid-start-quoted", "oob_rmse-quoted"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"
     save_model(path, trained_by_family[family], {})
     doc = json.loads(path.read_text())
-    block(doc)[key] = value
+    block(doc)[key] = str(block(doc)[key]) if value is QUOTED else value
     _assert_refused(path, doc)
+
+
+@pytest.mark.parametrize("field,block,key", [
+    ("intercept", lambda d: d["model"], "intercept"),
+    ("means", lambda d: d["standardizer"]["means"], 0),
+], ids=["scalar", "array-entry"])
+def test_quoted_number_error_names_the_field_and_the_value(tmp_path, trained_by_family,
+                                                            field, block, key):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family["pca-lm"], {})
+    doc = json.loads(path.read_text())
+    quoted = str(block(doc)[key])
+    block(doc)[key] = quoted
+    _assert_refused(path, doc, re.escape(f"{field} must be a number, got {quoted!r}"))
 
 
 def _assert_refused(path, doc, match=None):

@@ -4,10 +4,16 @@ import ast
 import importlib
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import smallpunch
-from smallpunch.pipeline import KINDS
+from smallpunch.curves import GridSpec
+from smallpunch.features import Standardizer
+from smallpunch.forest import ForestConfig
+from smallpunch.pca import PcaModel
+from smallpunch.pipeline import _ARRAYS, _SCALARS, KINDS
+from smallpunch.regress import EmpiricalModel, LinearModel
 
 SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -173,6 +179,20 @@ def test_only_the_errors_module_raises_an_error_of_the_class_it_caught():
         and getattr(node.func.func, "id", None) == "type"
     ])}
     assert rebuilt == {}
+
+
+def test_every_model_file_field_has_a_type_the_json_check_knows():
+    # pipeline.json_value checks a stored value by its field's declared
+    # type; a field of a type it does not know would reach its constructor
+    # unchecked.  A field holding a record is built by its owner's from_doc.
+    records = [GridSpec, Standardizer, PcaModel, LinearModel, EmpiricalModel, ForestConfig,
+               *KINDS.values()]
+    names = {r.__name__ for r in records}
+    unchecked = [(r.__name__, f.name, f.type) for r in records for f in fields(r)
+                 if f.type.removesuffix(" | None") not in {*_SCALARS, *_ARRAYS}
+                 and not (f.type in names and "from_doc" in vars(r))]
+    assert len(records) == 9
+    assert unchecked == []
 
 
 def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
