@@ -28,15 +28,9 @@ from .features import (
     fit_standardizer,
     strengths,
 )
-from .forest import (
-    ForestConfig,
-    ForestModel,
-    fit_forest,
-    permutation_importances,
-    predict_forest,
-)
+from .forest import ForestConfig, ForestModel, fit_forest, predict_forest
 from .modelfile import load_model, save_model
-from .pca import PcaModel, fit_pca, inverse_transform, transform
+from .pca import PcaModel, fit_pca, transform
 from .pipeline import (
     EmpiricalKind,
     ForestKind,
@@ -101,11 +95,9 @@ __all__ = [
     "fit_standardizer",
     "generate",
     "group_kfold_split",
-    "inverse_transform",
     "kfold_split",
     "load_model",
     "parse_curve_csv",
-    "permutation_importances",
     "predict_empirical",
     "predict_forest",
     "predict_linear",

@@ -4,8 +4,7 @@ Variance-reduction regression trees with bootstrap resampling, per-node
 feature subsampling and out-of-bag error.  Determinism is a hard contract:
 
 * tree t draws from its own RNG stream seeded by (seed, t); its bag is the
-  stream's first draw, so it can be rebuilt without growing any tree
-  (_bags gives both, to growth and to permutation_importances);
+  stream's first draw (_bags gives both);
 * trees grow level by level (breadth first), all trees of a fit together.
   At each depth a tree draws the feature subsets of all its nodes that
   are searched at that depth in one call, nodes left to right: for each
@@ -17,9 +16,9 @@ feature subsampling and out-of-bag error.  Determinism is a hard contract:
   distinct sorted values.
 
 The same bits in always produce the same model bits.  Growth runs in one
-thread.  fit_forest, predict_forest and permutation_importances take
-plain float arrays, n x p features and n targets, and check them on entry
-with features._matrix_values and features._target_values.
+thread.  fit_forest and predict_forest take plain float arrays, n x p
+features and n targets, and check them on entry with
+features._matrix_values and features._target_values.
 
 A tree grows on the distinct rows of its bag, each weighted by the number
 of times the bag holds it, as scikit-learn's forest passes a bootstrap on
@@ -65,8 +64,8 @@ with numpy indexing, until all pairs sit at leaves.  A step takes a pair
 from a split to its left child when x <= threshold and to the next node,
 its right child, otherwise; a leaf's threshold is +inf, so it keeps its
 pairs.  Per-tree leaf values are summed in tree order from zeros, so
-predictions, out-of-bag error and permutation importances have the bits a
-per-row walk of the trees gives.
+predictions and the out-of-bag error have the bits a per-row walk of the
+trees gives.
 """
 
 from __future__ import annotations
@@ -512,24 +511,6 @@ def _bags(cfg: ForestConfig, n: int) -> tuple[list[np.random.Generator], np.ndar
     return rngs, np.array([_bootstrap_rows(rng, n, cfg.bootstrap) for rng in rngs])
 
 
-def _oob_mask(rows: np.ndarray, n: int) -> np.ndarray:
-    oob = np.ones(n, dtype=bool)
-    oob[rows] = False
-    return oob
-
-
-def _oob_totals(
-    table: _NodeTable, x: np.ndarray, oob_masks: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row sum, in tree order, and count of out-of-bag tree predictions."""
-    pred_sum = np.zeros(x.shape[0])
-    count = np.zeros(x.shape[0], dtype=int)
-    for values, oob in zip(table.tree_values(x), oob_masks):
-        pred_sum[oob] += values[oob]
-        count[oob] += 1
-    return pred_sum, count
-
-
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     """Fit the forest, growing all n_trees trees together, level by level.
 
@@ -565,7 +546,14 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
 
     oob_rmse = None
     if cfg.bootstrap:
-        oob_sum, oob_count = _oob_totals(table, xv, [_oob_mask(rows, n) for rows in bags])
+        # each row's out-of-bag tree predictions, summed in tree order
+        oob_sum = np.zeros(n)
+        oob_count = np.zeros(n, dtype=int)
+        for values, rows in zip(table.tree_values(xv), bags):
+            oob = np.ones(n, dtype=bool)
+            oob[rows] = False
+            oob_sum[oob] += values[oob]
+            oob_count[oob] += 1
         if np.all(oob_count > 0):
             oob_pred = oob_sum / oob_count
             oob_rmse = float(np.sqrt(np.mean((oob_pred - yv) ** 2)))
@@ -590,44 +578,3 @@ def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     for values in model.table.tree_values(xv):
         out += values
     return out / model.table.n_trees
-
-
-def permutation_importances(
-    model: ForestModel, x: np.ndarray, y: np.ndarray, seed: int = 0
-) -> np.ndarray:
-    """Out-of-bag RMSE increase per feature when that column is shuffled.
-
-    A diagnostic cross-check on the impurity importances: shuffling a
-    feature the forest never relies on leaves the out-of-bag error nearly
-    unchanged.  x and y must be the original training data; the per-tree
-    bag memberships are reconstructed from the config seed.
-
-    Raises BadConfig when the model was fitted without bootstrap (there is
-    no out-of-bag sample to score).
-    """
-    if not model.config.bootstrap:
-        raise BadConfig("permutation importances need a bootstrap-fitted forest")
-    xv = _matrix_values(x, model.n_features)
-    yv = _target_values(y)
-    n = xv.shape[0]
-    if yv.size != n:
-        raise LengthMismatch(f"{n} feature rows vs {yv.size} targets")
-
-    oob_masks = [_oob_mask(rows, n) for rows in _bags(model.config, n)[1]]
-
-    def oob_rmse_for(matrix: np.ndarray) -> float:
-        pred_sum, count = _oob_totals(model.table, matrix, oob_masks)
-        covered = count > 0
-        if not covered.any():
-            raise BadConfig("no row is ever out of bag; cannot score permutations")
-        pred = pred_sum[covered] / count[covered]
-        return float(np.sqrt(np.mean((pred - yv[covered]) ** 2)))
-
-    base = oob_rmse_for(xv)
-    increases = np.empty(model.n_features)
-    for j in range(model.n_features):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, j]))
-        shuffled = xv.copy()
-        shuffled[:, j] = xv[rng.permutation(n), j]
-        increases[j] = oob_rmse_for(shuffled) - base
-    return increases

@@ -26,7 +26,8 @@ from .curves import GridSpec
 from .errors import ModelFileError, UnsupportedVersion
 from .features import Standardizer
 from .pca import PcaModel
-from .pipeline import KINDS, PipelineSpec, TrainedPipeline, record_from_doc, record_to_doc
+from .pipeline import (KINDS, PipelineSpec, TrainedPipeline, json_value, record_from_doc,
+                       record_to_doc)
 
 FORMAT_VERSION = 2
 READ_VERSIONS = (1, 2)
@@ -82,17 +83,18 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
             f"(this build reads {' and '.join(map(str, READ_VERSIONS))})"
         )
     try:
-        spec_doc = doc["pipeline"]
+        spec_doc, grid_doc, model_doc = (json_value(doc[key], "dict", key)
+                                         for key in ("pipeline", "grid", "model"))
+        std_doc, pca_doc = (json_value(doc[key], "dict | None", key)
+                            for key in ("standardizer", "pca"))
         family = spec_doc["family"]
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
         kind = KINDS[family].from_doc(spec_doc)
         spec = PipelineSpec(kind=kind, standardize=spec_doc.get("standardize", True))
-        grid = record_from_doc(GridSpec, doc["grid"])
-        std_doc, pca_doc = doc["standardizer"], doc["pca"]
+        grid = record_from_doc(GridSpec, grid_doc)
         standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)
         pca = None if pca_doc is None else record_from_doc(PcaModel, pca_doc)
-        model_doc = doc["model"]
         actual = model_doc["type"]
         if actual != kind.model_type:
             raise ModelFileError(
@@ -102,9 +104,10 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         provenance = doc.get("provenance", {})
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
-    # constructors reject malformed values with SmallPunchError (a
-    # ValueError); a value or block of the wrong JSON type raises TypeError,
-    # and an integer too large for a float raises OverflowError
+    # json_value and the constructors reject malformed values and blocks
+    # with SmallPunchError (a ValueError); TypeError catches a wrong JSON
+    # type no check names, and an integer too large for a float raises
+    # OverflowError
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None
 

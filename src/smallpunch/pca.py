@@ -5,9 +5,9 @@ sample covariance are the squared singular values over (n - 1), and the
 retained loadings are the leading right singular vectors.  The component
 count is the smallest k whose cumulative explained-variance ratio reaches
 the configured threshold (0.99 by default), so k is data dependent.
-fit_pca, transform and inverse_transform take a plain float array and
-check it on entry with features._matrix_values, the latter two also for
-the width the model needs.
+fit_pca and transform take a plain float array and check it on entry
+with features._matrix_values, transform also for the width the model
+needs.
 
 Sign convention: each loading column is flipped, if needed, so its
 largest-magnitude entry is positive.  This removes the sign ambiguity of
@@ -134,8 +134,3 @@ def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
 def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     """Project rows onto the retained components: (x - mean) @ loadings."""
     return (_matrix_values(x, model.n_features) - model.mean) @ model.loadings
-
-
-def inverse_transform(model: PcaModel, scores: np.ndarray) -> np.ndarray:
-    """Reconstruct from scores: scores @ loadings^T + mean."""
-    return _matrix_values(scores, model.n_components) @ model.loadings.T + model.mean

@@ -93,13 +93,15 @@ def record_from_doc(cls: type, doc: dict[str, Any], **built: Any) -> Any:
                            for f in fields(cls) if f.name not in built})
 
 
-# The JSON types a scalar field may hold, by its declared type, and their
-# name in an error; a float field also takes an integer such as 1.
+# The JSON types a value other than an array may hold, by its declared
+# type, and their name in an error; a float field also takes an integer
+# such as 1, and a dict is a model-file block.
 _SCALARS = {
     "float": ({int, float}, "a number"),
     "int": ({int}, "an integer"),
     "bool": ({bool}, "true or false"),
     "str": ({str}, "a string"),
+    "dict": ({dict}, "an object"),
 }
 # An array's entry type and dtype; only an np.ndarray may be a list of lists.
 _ARRAYS = {"np.ndarray": ("float", float), "list[float]": ("float", float),
@@ -109,10 +111,11 @@ _ARRAYS = {"np.ndarray": ("float", float), "list[float]": ("float", float),
 def json_value(value: Any, declared: str, what: str) -> Any:
     """value if it has the JSON type declared names, arrays read as ndarrays.
 
-    declared is a field's annotation as written: a key of _SCALARS or
-    _ARRAYS, "| None" allowing null.  type(), not isinstance, is compared,
-    so true and false are never numbers.  An integer too large for an
-    array's dtype raises OverflowError.
+    declared is a field's annotation as written, or "dict" for a block: a
+    key of _SCALARS or _ARRAYS, "| None" allowing null.  type(), not isinstance, is compared,
+    so true and false are never numbers.  A list of lists must have rows
+    of one length.  An integer too large for an array's dtype raises
+    OverflowError.
     """
     if value is None and declared.endswith(" | None"):
         return None
@@ -128,6 +131,9 @@ def json_value(value: Any, declared: str, what: str) -> Any:
     if declared == "np.ndarray" and value and type(value[0]) is list:
         for row in value:
             json_value(row, "list[float]", what)
+            if len(row) != len(value[0]):
+                raise InvalidModel(f"{what} must have rows of one length, "
+                                   f"got {len(value[0])} and {len(row)}")
     elif not set(map(type, value)) <= _SCALARS[entry][0]:
         for item in value:  # raises at the first entry of the wrong type
             json_value(item, entry, what)
@@ -338,7 +344,8 @@ class ForestKind(_FeatureKind):
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
-        return record_from_doc(cls, doc, config=record_from_doc(ForestConfig, doc["forest"]))
+        forest = json_value(doc["forest"], "dict", "forest")
+        return record_from_doc(cls, doc, config=record_from_doc(ForestConfig, forest))
 
     # A forest's model block is its node table in level order (format 2):
     # count per node, 0 marking a split, feature and threshold per split and

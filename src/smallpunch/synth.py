@@ -35,11 +35,17 @@ from .errors import BadConfig
 _MATERIAL_STREAM = 1
 _CURVE_STREAM = 2
 _TANH2 = math.tanh(2.0)
+RAW_STEP_MM = 0.001
+MAX_DISPLACEMENT_MM = 1.5
 
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; defaults produce the 120-curve reference set."""
+    """Generator knobs; defaults produce the 120-curve reference set.
+
+    The displacement grid is not a knob: every curve is sampled every
+    RAW_STEP_MM from 0 to MAX_DISPLACEMENT_MM.
+    """
 
     n_materials: int = 5
     curves_per_material: int = 24
@@ -52,8 +58,6 @@ class SynthConfig:
     temp_slope_MPa_per_C: float = -0.4
     seed: int = 0
     v_i_step_mm: float = 0.010
-    raw_step_mm: float = 0.001
-    max_displacement_mm: float = 1.5
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -87,8 +91,6 @@ class SynthConfig:
             )
         if not (0.0 < self.v_i_step_mm <= vlo):
             raise BadConfig(f"v_i_step_mm must be in (0, v_i lower bound], got {self.v_i_step_mm}")
-        if not (0.0 < self.raw_step_mm <= self.max_displacement_mm):
-            raise BadConfig("raw_step_mm must be positive and below max_displacement_mm")
         if self.seed < 0:
             raise BadConfig(f"seed must be >= 0, got {self.seed}")
 
@@ -135,7 +137,7 @@ def _snap_v_i(draw: float, cfg: SynthConfig) -> float:
 
 
 def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], SynthTruth]:
-    """Generate raw curves sampled at raw_step_mm with planted truth.
+    """Generate raw curves sampled every RAW_STEP_MM with planted truth.
 
     Each curve's strength is its material base strength plus a linear
     temperature effect centered on the temperature range midpoint; the
@@ -151,9 +153,9 @@ def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], SynthTru
             f"(worst case {worst_rm:.1f} MPa); weaken the slope or raise rm_range_MPa"
         )
 
-    n_steps = round(cfg.max_displacement_mm / cfg.raw_step_mm)
+    n_steps = round(MAX_DISPLACEMENT_MM / RAW_STEP_MM)
     # one grid, frozen here, is shared by every curve
-    disp = frozen(np.arange(n_steps + 1) * cfg.raw_step_mm)
+    disp = frozen(np.arange(n_steps + 1) * RAW_STEP_MM)
     h0sq = cfg.h0_mm * cfg.h0_mm
 
     curves: list[RawCurve] = []

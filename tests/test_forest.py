@@ -28,7 +28,6 @@ from smallpunch.forest import (
     _bootstrap_rows,
     _tree_rng,
     fit_forest,
-    permutation_importances,
     predict_forest,
 )
 from smallpunch.modelfile import load_model, save_model
@@ -203,20 +202,6 @@ def test_importances_concentrate_on_the_informative_feature():
     assert imp[0] > 0.9
 
 
-def test_permutation_importances_agree_with_impurity():
-    rng = np.random.default_rng(15)
-    x = rng.normal(size=(100, 3))
-    y = 80.0 * x[:, 1] + rng.normal(0.0, 1.0, 100)
-    model = fit_forest(x, y, ForestConfig(n_trees=40, mtry=3, seed=16))
-    increases = permutation_importances(model, x, y, seed=17)
-    base = model.oob_rmse
-    assert base is not None
-    # breaking the informative feature hurts a lot; the noise features do not
-    assert increases[1] > 10.0 * max(abs(increases[0]), abs(increases[2]), 1e-9)
-    assert abs(increases[0]) < 0.05 * base + increases[1] * 0.05
-    assert abs(increases[2]) < 0.05 * base + increases[1] * 0.05
-
-
 def test_oob_rmse_present_with_bootstrap_absent_without():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(60, 3))
@@ -225,8 +210,6 @@ def test_oob_rmse_present_with_bootstrap_absent_without():
     assert with_bootstrap.oob_rmse is not None and with_bootstrap.oob_rmse > 0.0
     without = fit_forest(x, y, ForestConfig(n_trees=5, bootstrap=False, seed=19))
     assert without.oob_rmse is None
-    with pytest.raises(BadConfig):
-        permutation_importances(without, x, y)
 
 
 def test_config_validation():
@@ -393,7 +376,6 @@ def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, tmp_path, referen
     monkeypatch.setattr(forest, "Split", _refuse_trees)
     model = fit_forest(scores, y, ForestConfig(n_trees=30, seed=3))
     predict_forest(model, scores)
-    permutation_importances(model, scores, y)
     assert model.oob_rmse is not None
     assert "trees" not in vars(model)
 

@@ -5,11 +5,11 @@ cross-validates and reports with every pipeline family.  The sha256 of
 each file it writes and of each command's stdout was recorded once; a
 change that alters any output bit fails here.  A second gate does the
 same for full-size forests: 200-tree rf and rf-scores models fitted on
-the 120-curve reference set, their model files, predictions and
-permutation importances.  A third pins two format 1 rf model files written
-before forests grew level by level: they must load and predict their
-recorded bits, and saved again as format 2 they must load to the same node
-table and save back byte for byte.  A fourth holds the empirical family on the
+the 120-curve reference set, their model files and predictions.  A third
+pins two format 1 rf model files written before forests grew level by
+level: they must load and predict their recorded bits, and saved again as
+format 2 they must load to the same node table and save back byte for
+byte.  A fourth holds the empirical family on the
 reference set: the per-sample bytes of its 10-fold CV and its fitted beta,
 for both modes and both markers.  Floating-point results may differ in the last
 bits under another numpy build, so the digests hold only for the numpy
@@ -37,10 +37,8 @@ import pytest
 
 from smallpunch.cli import main
 from smallpunch.curves import GridSpec, resample
-from smallpunch.features import apply_standardizer, assemble, strengths
-from smallpunch.forest import ForestConfig, _NodeTable, permutation_importances
+from smallpunch.forest import ForestConfig, _NodeTable
 from smallpunch.modelfile import FORMAT_VERSION, load_model, save_model
-from smallpunch.pca import transform
 from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import (
     EmpiricalKind,
@@ -106,7 +104,6 @@ def forest_digests(root: Path) -> dict[str, str]:
     """Digests of 200-tree forests on the reference set (seed 7, 5 N noise)."""
     raw, _ = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
     curves = [resample(c, GridSpec()) for c in raw]
-    matrix, targets = assemble(curves), strengths(curves)
     digests: dict[str, str] = {}
     for name, rf_input in (("rf", "raw"), ("rf-scores", "scores")):
         kind = ForestKind(config=ForestConfig(n_trees=200, seed=0), input=rf_input)
@@ -114,12 +111,8 @@ def forest_digests(root: Path) -> dict[str, str]:
         path = root / f"{name}.json"
         save_model(path, trained, {"seed": 0})
         loaded, _ = load_model(path)
-        prepared = apply_standardizer(trained.standardizer, matrix)
-        design = transform(trained.pca, prepared) if kind.uses_pca else prepared
-        importances = permutation_importances(loaded.model, design, targets, seed=0)
         digests[f"model {name}"] = _sha(path.read_bytes())
         digests[f"predict {name}"] = _sha(predict_pipeline(loaded, curves).tobytes())
-        digests[f"permutation {name}"] = _sha(importances.tobytes())
     return digests
 
 
@@ -233,10 +226,8 @@ GOLDEN: dict[str, str] = {
 GOLDEN_FOREST: dict[str, str] = {
     'model rf': 'dd2e0aaf86b6b5c85a7b5423db4103591f6fa5ed970823bb6c481a9bf883339f',
     'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
-    'permutation rf': '1fae006416836539463380deff2cee5d38d5ffae914ba1b724812604ca901f45',
     'model rf-scores': '6f495817b4f0ce3d76eed0540bb6dbc7396964344b38d8acd41ff6d36630df4d',
     'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
-    'permutation rf-scores': 'bbdbed792e686bd24c971c2e07df35fb4aa54e7026ca6b5819497e4b87f481ed',
 }
 
 

@@ -271,6 +271,16 @@ def trained_by_family(dataset):
     ("empirical", lambda d: d["model"], "beta", QUOTED),
     ("pca-lm", lambda d: d["grid"], "start_mm", QUOTED),
     ("rf", lambda d: d["model"], "oob_rmse", QUOTED),
+    # a block of the wrong JSON type is refused before anything indexes it
+    ("pca-lm", lambda d: d, "grid", []),
+    ("pca-lm", lambda d: d, "model", [1]),
+    ("pca-lm", lambda d: d, "pca", "x"),
+    ("pca-lm", lambda d: d, "pipeline", 3),
+    ("pca-lm", lambda d: d, "standardizer", [1.0]),
+    ("rf", lambda d: d["pipeline"], "forest", []),
+    # a list of lists with rows of different lengths; a slice key drops an entry
+    ("pca-lm", lambda d: d["pca"]["loadings"][0], slice(-1, None), []),
+    ("pca-lm", lambda d: d["standardizer"], "means", [[1.0], [2.0, 3.0]]),
 ], ids=["beta", "pipeline-mode", "model-mode", "model-mode-contradicts-pipeline", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
@@ -293,7 +303,9 @@ def trained_by_family(dataset):
         "standardizer-missing", "standardizer-mean-quoted", "standardizer-scale-quoted",
         "pca-mean-quoted", "pca-loading-quoted", "coefficient-quoted", "importance-quoted",
         "pca-threshold-quoted", "pca-total_variance-quoted", "intercept-quoted",
-        "beta-quoted", "grid-start-quoted", "oob_rmse-quoted"])
+        "beta-quoted", "grid-start-quoted", "oob_rmse-quoted", "grid-block-list",
+        "model-block-list", "pca-block-string", "pipeline-block-int", "standardizer-block-list",
+        "forest-block-list", "pca-loadings-ragged", "standardizer-means-ragged"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"
@@ -315,6 +327,28 @@ def test_quoted_number_error_names_the_field_and_the_value(tmp_path, trained_by_
     quoted = str(block(doc)[key])
     block(doc)[key] = quoted
     _assert_refused(path, doc, re.escape(f"{field} must be a number, got {quoted!r}"))
+
+
+@pytest.mark.parametrize("family,block,key,value,message", [
+    ("pca-lm", lambda d: d, "grid", [], "grid must be an object, got []"),
+    ("pca-lm", lambda d: d, "pipeline", 3, "pipeline must be an object, got 3"),
+    ("pca-lm", lambda d: d, "pca", "x", "pca must be an object, got 'x'"),
+    ("rf", lambda d: d["pipeline"], "forest", [], "forest must be an object, got []"),
+    # the fixture's PCA keeps three components
+    ("pca-lm", lambda d: d["pca"]["loadings"][0], slice(-1, None), [],
+     "loadings must have rows of one length, got 2 and 3"),
+    ("pca-lm", lambda d: d["standardizer"], "means", [[1.0], [2.0, 3.0]],
+     "means must have rows of one length, got 1 and 2"),
+], ids=["grid-block", "pipeline-block", "pca-block", "forest-block", "loadings-ragged",
+        "means-ragged"])
+def test_wrong_block_type_or_ragged_array_error_names_it(tmp_path, trained_by_family,
+                                                         family, block, key, value, message):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family[family], {})
+    doc = json.loads(path.read_text())
+    block(doc)[key] = value
+    # the message is the whole error: no text of Python's or numpy's follows
+    _assert_refused(path, doc, re.escape(f"{path}: {message}") + "$")
 
 
 def _assert_refused(path, doc, match=None):

@@ -6,11 +6,10 @@ import pytest
 from smallpunch.errors import (
     BadConfig,
     DegenerateData,
-    NonFiniteValue,
     ShapeMismatch,
     TooFewRows,
 )
-from smallpunch.pca import PcaModel, fit_pca, inverse_transform, transform
+from smallpunch.pca import PcaModel, fit_pca, transform
 
 
 def _rank1_data():
@@ -132,7 +131,7 @@ def test_full_rank_reconstruction_round_trip():
     rng = np.random.default_rng(49)
     data = rng.normal(size=(12, 4))
     model = fit_pca(data, threshold=1.0)
-    back = inverse_transform(model, transform(model, data))
+    back = transform(model, data) @ model.loadings.T + model.mean
     assert np.allclose(back, data, atol=1e-10)
 
 
@@ -142,7 +141,7 @@ def test_reconstruction_error_drops_as_k_grows():
     errors = []
     for threshold in (0.5, 0.9, 1.0):
         model = fit_pca(data, threshold=threshold)
-        back = inverse_transform(model, transform(model, data))
+        back = transform(model, data) @ model.loadings.T + model.mean
         errors.append(float(np.sum((back - data) ** 2)))
     assert errors[0] >= errors[1] >= errors[2]
     assert errors[2] == pytest.approx(0.0, abs=1e-18)
@@ -170,16 +169,6 @@ def test_transform_rejects_width_mismatch():
     model = fit_pca(_two_axis_data(), threshold=1.0)
     with pytest.raises(ShapeMismatch):
         transform(model, np.zeros((3, 5)))
-    with pytest.raises(ShapeMismatch):
-        inverse_transform(model, np.zeros((3, 7)))
-
-
-def test_inverse_transform_rejects_non_finite_scores():
-    model = fit_pca(_two_axis_data(), threshold=1.0)
-    scores = np.zeros((2, model.n_components))
-    scores[1, 0] = np.inf
-    with pytest.raises(NonFiniteValue):
-        inverse_transform(model, scores)
 
 
 def test_model_invariants_enforced():

@@ -54,21 +54,22 @@ def _file_calls_without_encoding(path):
             if not any(kw.arg == "encoding" for kw in node.keywords)]
 
 
-def _tree_class_names(path):
-    """(line, name) of every mention of the nested tree classes Split and Leaf."""
+def _names(path):
+    """(line, name) of every name, attribute and imported name the module mentions."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
         if isinstance(node, ast.Name):
-            name = node.id
+            found.append((node.lineno, node.id))
         elif isinstance(node, ast.Attribute):
-            name = node.attr
+            found.append((node.lineno, node.attr))
         elif isinstance(node, ast.alias):
-            name = node.name
-        else:
-            continue
-        if name in ("Split", "Leaf"):
-            found.append((node.lineno, name))
+            found.append((node.lineno, node.name))
     return found
+
+
+def _tree_class_names(path):
+    """(line, name) of every mention of the nested tree classes Split and Leaf."""
+    return [(line, name) for line, name in _names(path) if name in ("Split", "Leaf")]
 
 
 def _imported_packages(path):
@@ -132,8 +133,8 @@ def test_only_the_curve_module_reads_text_with_numpy_and_always_with_a_separator
 
 
 def test_only_the_forest_bags_draw_from_a_tree_stream():
-    # growth and permutation importances get each tree's stream and bag
-    # from forest._bags, so the two cannot disagree on a bag
+    # forest._bags makes every tree stream and draws the tree's bag first
+    # from it, so growth and the out-of-bag error share one draw order
     callers = {(p.name, caller) for p in SOURCES for _, caller in _callers(p, {"_tree_rng"})}
     assert callers == {("forest.py", "_bags")}
 
@@ -206,6 +207,13 @@ def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
     ]
     assert len(workloads.TRACE_POINTS) > 30
     assert missing == []
+
+
+def test_every_exported_name_is_used_by_the_package_itself():
+    # a name that only the export list and the tests reach is library code
+    # no command runs; a definition alone is no use of it
+    used = {name for p in SOURCES if p.name != "__init__.py" for _, name in _names(p)}
+    assert [n for n in smallpunch.__all__ if n not in used] == []
 
 
 def test_every_exported_name_is_bound_once():

@@ -11,7 +11,7 @@ from smallpunch.curves import GridSpec, MARKER_FIXED_V, RawCurve, resample
 from smallpunch.errors import BadConfig
 from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import EmpiricalKind, PipelineSpec
-from smallpunch.synth import SynthConfig, generate, template
+from smallpunch.synth import RAW_STEP_MM, SynthConfig, generate, template
 
 
 def _small_cfg(**overrides):
@@ -51,7 +51,7 @@ def test_noiseless_force_hits_f_i_at_the_knee():
     cfg = _small_cfg(noise_sigma_N=0.0)
     curves, truth = generate(cfg)
     for curve, rec in zip(curves, truth.records):
-        idx = int(round(rec.v_i_mm / cfg.raw_step_mm))
+        idx = int(round(rec.v_i_mm / RAW_STEP_MM))
         assert curve.displacement_mm[idx] == pytest.approx(rec.v_i_mm, abs=1e-12)
         assert curve.force_N[idx] == pytest.approx(rec.f_i_N, rel=1e-12)
 
@@ -192,7 +192,6 @@ def test_config_validation():
         ("temp_slope_MPa_per_C", float("nan")),
         ("temp_range_C", (float("-inf"), 20.0)),
         ("h0_mm", float("inf")),
-        ("max_displacement_mm", float("inf")),
     ]:
         with pytest.raises(BadConfig, match=f"{field} must be finite"):
             SynthConfig(**{field: value})
