@@ -313,16 +313,25 @@ def parse_curve_csv(text: str, meta: SpecimenMeta) -> RawCurve:
     as a whole instead of row by row: it is ASCII, its first line is
     exactly the header, it has at least two data lines, every line holds
     exactly one comma, its breaks are ``\\n`` or CRLF, and it has no space
-    or tab, no ``#``, no ``"``, no blank line and only finite cells.
-    numpy's text reader (np.fromstring with ``sep=","``) converts its
-    cells in one call with PyOS_string_to_double, the routine ``float``
-    uses in the row walk, so the values carry the same bits.  When the
-    displacements are already strictly increasing the sort and the
-    averaging, which would leave them as they are, are skipped (``+ 0.0``
-    stands in for the averaging's ``0.0 + f``, which turns a -0.0 force
-    into +0.0).  Every other table, and every table that fails, goes
-    through the row walk, which is the one source of the errors below and
-    the reference the whole-table route must match bit for bit.
+    or tab, no ``#``, no ``"``, no blank line and only finite cells.  Two
+    converters read a plain table, each to the bits ``float`` gives in the
+    row walk.  A table whose cells are digits with at most a leading ``-``
+    and one point, as write_curve_csv and synth write them, is read from
+    its integer digits by _decimal_cells: one np.fromstring call reads the
+    digits of every cell as a 64-bit integer, and one division by a power
+    of ten in x87 long double, rounded to float64, gives float's double in
+    every case but an exact tie it detects and hands to ``float``.  Any
+    other plain table (an exponent, a ``+``, a cell of 19 significant
+    digits or of more than 27 after its point, or a platform without x87
+    long double) is read by numpy's float text reader (np.fromstring with
+    ``sep=","``), which converts each cell with PyOS_string_to_double, the
+    routine ``float`` uses.  When the displacements are already strictly
+    increasing the sort and the averaging, which would leave them as they
+    are, are skipped (``+ 0.0`` stands in for the averaging's ``0.0 + f``,
+    which turns a -0.0 force into +0.0).  Every other table, and every
+    table that fails, goes through the row walk, which is the one source of
+    the errors below and the reference the whole-table route must match
+    bit for bit.
 
     Raises
     ------
@@ -347,6 +356,38 @@ _PLAIN_HEADER = ",".join(CURVE_HEADER) + "\n"
 # the bytes a decimal number is spelled with; a plain body holds only
 # these, commas and newlines
 _NUMBER_BYTES = b"0123456789+-.eE"
+# the bytes of the cells the integer route reads: digits, a leading minus
+# and a point
+_DECIMAL_BYTES = b"0123456789-."
+_BREAK_TO_COMMA = bytes.maketrans(b"\n", b",")
+# the integer route reads cells of at most 18 digits once leading zeros
+# are dropped, and at most 27 of them after the point: an integer below
+# 10**18 < 2**63 and every power of ten to 10**27 = 2**27 * 5**27, with
+# 5**27 < 2**64, are exact in a 64-bit mantissa
+_MAX_DIGITS_VALUE = 10 ** 18
+_MAX_FRACTION_DIGITS = 27
+
+
+def _long_double_divides_exactly() -> bool:
+    """Whether np.longdouble is x87 extended precision, rounding to 64 bits.
+
+    The integer route reads a quotient's 64-bit mantissa from the low word
+    of each 16-byte value, and relies on divisions rounded to that width:
+    1.5 and 1/3 must come out with the x87 layout, mantissa and exponent,
+    and 1/3 rounded to 64 bits rather than to a double's 53.
+    """
+    if np.finfo(np.longdouble).nmant < 63 or np.dtype(np.longdouble).itemsize != 16:
+        return False
+    quotients = np.array([1.5, 1.0], dtype=np.longdouble) / np.array([1, 3], dtype=np.longdouble)
+    words = quotients.view(np.uint64)
+    mantissas = words[0::2].tolist()
+    exponents = (words[1::2] & 0xFFFF).tolist()  # the other six bytes are padding
+    return mantissas == [0xC000000000000000, 0xAAAAAAAAAAAAAAAB] and exponents == [0x3FFF, 0x3FFD]
+
+
+_EXACT_LONG_DOUBLE = _long_double_divides_exactly()
+# 10**k for k = 0 ... 27, each by one exact multiplication by ten
+_POW10 = np.cumprod(np.array([1] + [10] * _MAX_FRACTION_DIGITS, dtype=np.longdouble))
 
 
 def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -357,34 +398,107 @@ def _plain_columns(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     body may hold only the bytes of decimal numbers (digits, signs, points,
     exponent marks), commas and ``\\n`` breaks, CRLF breaks being read as
     ``\\n``, so no space, tab, ``#``, ``"`` or other break that splitlines
-    knows gets through.  One np.fromstring call converts the cells, and the
-    result is kept only if exactly two finite cells per line came back.
+    knows gets through.  Deleting the number bytes must leave one comma
+    per line and the breaks between them.
 
-    None sends the table to the row walk, which parses it or names the
-    line at fault.
+    Cells of digits, a leading minus and at most one point, as synth and
+    write_curve_csv write them, are read by _decimal_cells where
+    np.longdouble is x87 extended precision.  Any other plain table (an
+    exponent, a ``+``, a cell _decimal_cells refuses, or another platform)
+    is read by _float_cells.  The result is kept only if exactly two cells
+    per line came back.  None sends the table to the row walk, which
+    parses it or names the line at fault.
     """
-    text = text.replace("\r\n", "\n")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     if not (text.isascii() and text.startswith(_PLAIN_HEADER)):
         return None
-    body = text[len(_PLAIN_HEADER):].removesuffix("\n")
-    # deleting the number bytes leaves the separators: one comma on every
-    # line and no blank line make them alternate comma, newline, ..., comma;
-    # any other byte is left behind and breaks the alternation
-    separators = body.encode("ascii").translate(None, _NUMBER_BYTES)
-    n = (len(separators) + 1) // 2
-    if n < 2 or separators != b",\n" * (n - 1) + b",":
+    body = text[len(_PLAIN_HEADER):].removesuffix("\n").encode("ascii")
+    n = _line_count(body.translate(None, _DECIMAL_BYTES))
+    cells = _decimal_cells(body) if n and _EXACT_LONG_DOUBLE else None
+    if cells is None:
+        n = _line_count(body.translate(None, _NUMBER_BYTES))
+        cells = _float_cells(body) if n else None
+    if cells is None or cells.size != 2 * n:
         return None
+    return cells[0::2], cells[1::2]
+
+
+def _line_count(separators: bytes) -> int:
+    """Lines of a body whose number bytes are deleted, if they make a table, else 0.
+
+    One comma on every line and no blank line make the separators
+    alternate comma, newline, ..., comma over at least two lines; any other
+    byte is left behind and breaks the alternation.
+    """
+    n = (len(separators) + 1) // 2
+    return n if n >= 2 and separators == b",\n" * (n - 1) + b"," else 0
+
+
+def _read_cells(body: bytes, dtype) -> np.ndarray | None:
+    """np.fromstring of the comma-separated cells, or None where it fails."""
     try:
         with warnings.catch_warnings():
             # numpy 1.x returns the cells read so far with this warning
             # where numpy 2.x raises ValueError
             warnings.simplefilter("error", DeprecationWarning)
-            cells = np.fromstring(body.replace("\n", ","), dtype=float, sep=",")
+            return np.fromstring(body, dtype=dtype, sep=",")
     except (ValueError, DeprecationWarning):
         return None
-    if cells.size != 2 * n or not np.all(np.isfinite(cells)):
+
+
+def _float_cells(body: bytes) -> np.ndarray | None:
+    """Every cell of a plain body by numpy's float reader, if all are finite.
+
+    np.fromstring converts each cell with PyOS_string_to_double, the
+    routine ``float`` uses, so the values carry float's bits.
+    """
+    cells = _read_cells(body.translate(_BREAK_TO_COMMA), float)
+    return cells if cells is not None and np.all(np.isfinite(cells)) else None
+
+
+def _decimal_cells(body: bytes) -> np.ndarray | None:
+    """Every cell of a body of digits, ``-``, ``.``, ``,`` and ``\\n``, with float's bits.
+
+    Each cell must hold at least one digit, a ``-`` only as its first
+    byte, at most one point, at most 27 digits after it, and digits whose
+    value M, with point and sign deleted, is below 10**18; else None.  One
+    np.fromstring call reads every M as an integer (strtoll saturates at
+    2**63 - 1, which the bound refuses).  A cell with k digits after its
+    point is M / 10**k: M and 10**k are exact in np.longdouble, so the one
+    division rounds the exact quotient to 64 bits, and rounding that to
+    53 bits gives the correctly rounded double, as float does, unless the
+    64-bit quotient lies exactly halfway between two doubles (its low 11
+    bits are 10000000000); such a cell is read by ``float``.  A cell with
+    no point is M converted to float64, correctly rounded.  Cells that
+    begin with ``-`` are negated last, so ``-0`` reads as -0.0.
+    """
+    raw = np.frombuffer(body, dtype=np.uint8)
+    marks = np.flatnonzero(raw < 48)  # every ",", "\n", "-" and "."
+    kind = raw[marks]
+    ends = np.append(marks[kind <= 44], raw.size)  # "\n" is 10, "," 44
+    starts = np.append(0, ends[:-1] + 1)
+    minus = marks[kind == 45]
+    points = marks[kind == 46]
+    minus_cell = np.searchsorted(ends, minus)
+    point_cell = np.searchsorted(ends, points)
+    if np.any(starts[minus_cell] != minus) or np.any(np.diff(point_cell) < 1):
         return None
-    return cells[0::2], cells[1::2]
+    k = ends[point_cell] - points - 1
+    if k.max(initial=0) > _MAX_FRACTION_DIGITS:
+        return None
+    # a cell left with no digit stops the read short of one value per cell
+    m = _read_cells(body.translate(_BREAK_TO_COMMA, b"-."), np.int64)
+    if m is None or m.size != ends.size or m.max() >= _MAX_DIGITS_VALUE:
+        return None
+    quotient = m[point_cell].astype(np.longdouble) / _POW10[k]
+    halfway = (quotient.view(np.uint64)[0::2] & 0x7FF) == 0x400
+    cells = m.astype(float)
+    cells[point_cell] = quotient.astype(float)
+    cells[minus_cell] = -cells[minus_cell]
+    for c in point_cell[halfway]:
+        cells[c] = float(body[starts[c]:ends[c]])
+    return cells
 
 
 def _parse_rows(text: str, meta: SpecimenMeta) -> RawCurve:

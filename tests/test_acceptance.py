@@ -6,8 +6,6 @@ nine verdict lines.  Tolerances are part of the contract and are asserted
 exactly as stated here.
 """
 
-import json
-import sys
 import time
 from dataclasses import replace
 
@@ -25,7 +23,7 @@ from smallpunch.cli import main as cli_main
 from smallpunch.dataio import load_curves
 from smallpunch.evaluation import cross_validate
 from smallpunch.features import apply_standardizer, assemble, fit_standardizer, strengths
-from smallpunch.forest import ForestConfig, Leaf, Split, fit_forest, predict_forest
+from smallpunch.forest import ForestConfig, Leaf, Split, fit_forest
 from smallpunch.modelfile import load_model, save_model
 from smallpunch.pca import fit_pca, transform
 from smallpunch.pipeline import (

@@ -11,12 +11,11 @@ import pytest
 
 import smallpunch
 from smallpunch.cli import main
-from smallpunch.curves import GridSpec, resample
+from smallpunch.curves import GridSpec
 from smallpunch.dataio import fmt, load_curves, sha256_of
 from smallpunch.evaluation import cross_validate
 from smallpunch.modelfile import load_model
 from smallpunch.pipeline import PcaLmKind, PipelineSpec, predict_pipeline
-from smallpunch.synth import SynthConfig, generate
 
 
 def run(capsys, *argv):

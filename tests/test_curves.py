@@ -1,5 +1,7 @@
 """Curve parsing, resampling and marker extraction."""
 
+import platform
+import sys
 import warnings
 
 import numpy as np
@@ -242,9 +244,25 @@ _ODD_CELLS = st.sampled_from(["nan", "inf", "-inf", "1e400", "1_0", "\u0661", "-
 # alone, "nan(1)" nan to numpy alone; numpy reads "5-1" and "1e" in part
 _NUMPY_ODD_CELLS = st.sampled_from([" ", "\t", " 5", "5 ", "\x0b5", "1_0", "nan(1)", "",
                                     "5-1", "1e", "-", "1e400"])
+
+
+def _with_point(digits: str, k: int) -> str:
+    """digits with a point before its last k (a leading point if k is all of them)."""
+    return digits[:len(digits) - k] + "." + digits[len(digits) - k:]
+
+
+# the integer route's edges: 16- to 18-digit decimals, integers of 18
+# and 19 digits and past 2**64, and up to 30 digits after the point
+_EDGE_NUMBERS = (
+    st.builds(_with_point, st.integers(10**15, 10**18 - 1).map(str), st.integers(0, 16))
+    | st.integers(10**17, 2**64 + 10**3).map(str)
+    | st.builds(lambda m, zeros: "0." + "0" * zeros + str(m),
+                st.integers(1, 10**17), st.integers(1, 12))
+)
 _NUMBERS = (st.integers(-2, 40).map(str)
             | st.floats(-1e3, 1e3).map(repr)
-            | st.sampled_from(["0", "-0.0", "0.0", "5", "12.5"]))
+            | st.sampled_from(["0", "-0.0", "0.0", "5", "12.5", ".5", "1.", "-.5", "-0"])
+            | st.tuples(st.sampled_from(["", "-"]), _EDGE_NUMBERS).map("".join))
 _CELLS = st.tuples(_PADS, st.one_of(*[_NUMBERS] * 9, _ODD_CELLS), _PADS).map("".join)
 _HEADERS = st.sampled_from(["displacement_um,force_N"] * 6 + [
     " displacement_um , force_N", "displacement_mm,force_N", '"displacement_um","force_N"',
@@ -300,9 +318,10 @@ def test_whole_table_route_matches_the_row_walk(text):
 
 
 def test_the_grammar_takes_the_numpy_route_in_a_third_of_its_tables(monkeypatch):
-    reached = []
+    # a table may call np.fromstring twice, once per converter; it counts once
+    reached = set()
     read = np.fromstring
-    monkeypatch.setattr(np, "fromstring", lambda *a, **k: reached.append(1) or read(*a, **k))
+    monkeypatch.setattr(np, "fromstring", lambda *a, **k: reached.add(len(drawn)) or read(*a, **k))
     drawn = []
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
@@ -322,6 +341,8 @@ def test_the_grammar_takes_the_numpy_route_in_a_third_of_its_tables(monkeypatch)
     "displacement_um,force_N\n0,0\n10,\n",
     "displacement_um,force_N\n0,0\n10,5-1\n",
     "displacement_um,force_N\r\n0,0\r\n10,1\r\r\n",
+    *(f"displacement_um,force_N\n0,0\n10,{cell}\n"
+      for cell in ["1.2.3", "--5", "5-", "-", ".", "-.", "1.-5"]),
 ])
 def test_cells_numpy_reads_otherwise_take_the_row_walk(text):
     assert _plain_columns(text) is None
@@ -352,16 +373,89 @@ def test_a_partial_read_with_numpy_1x_warning_takes_the_row_walk(monkeypatch):
     assert _outcome(_parse_rows, text) == (MalformedRow, "row 3: non-numeric cell")
 
 
-def test_written_curves_take_the_whole_table_route(tmp_path):
+def _written_curves(tmp_path):
     raw, _ = generate(SynthConfig(n_materials=1, curves_per_material=3,
                                   noise_sigma_N=5.0, seed=3))
     for i, curve in enumerate(raw):
         path = tmp_path / f"{i}.csv"
         write_curve_csv(path, curve)
-        text = path.read_text()
+        yield path.read_text()
+
+
+def test_written_curves_take_the_whole_table_route(tmp_path):
+    for text in _written_curves(tmp_path):
         for copy in (text, text.replace("\n", "\r\n")):  # as written, and from Windows
             assert _plain_columns(copy) is not None
             assert _outcome(parse_curve_csv, copy) == _outcome(_parse_rows, text)
+
+
+def _no_row_walk(text, meta):
+    raise AssertionError("a plain table took the row walk")
+
+
+def _no_float_cells(body):
+    raise AssertionError("a table of decimal cells took numpy's float reader")
+
+
+integer_route = pytest.mark.skipif(not curves_module._EXACT_LONG_DOUBLE,
+                                   reason="np.longdouble is not x87 extended precision")
+
+
+@integer_route
+@pytest.mark.parametrize("cell", ["595.737078062178", "128.4103428755745", "1179.846138361925",
+                                  "589.4191386201", "691.819506475531"])
+def test_cells_halfway_in_long_double_read_to_floats_bits(cell, monkeypatch):
+    # M / 10**k rounded to 64 bits lies halfway between two doubles, and
+    # rounding that again to 53 bits misses float's double by one ulp
+    digits, fraction = cell.split(".")
+    quotient = np.longdouble(int(digits + fraction)) / curves_module._POW10[len(fraction)]
+    assert float(quotient) != float(cell)
+    text = f"displacement_um,force_N\n0,0\n1,{cell}\n2,-{cell}\n"
+    monkeypatch.setattr(curves_module, "_parse_rows", _no_row_walk)
+    monkeypatch.setattr(curves_module, "_float_cells", _no_float_cells)
+    assert _plain_columns(text) is not None
+    curve = parse_curve_csv(text, make_meta())
+    assert curve.force_N.tobytes() == np.array([0.0, float(cell), -float(cell)]).tobytes()
+
+
+@pytest.mark.parametrize("cell", [
+    f"{1234.5678:e}", "1.5E2", "+12.5", "1234567890123456789",
+    "18446744073709551617",  # 2**64 + 1, which would wrap to 1
+    "0." + "0" * 27 + "5",  # 28 digits after the point
+])
+def test_plain_cells_the_integer_route_refuses_skip_the_row_walk(cell, monkeypatch):
+    text = f"displacement_um,force_N\n0,0\n1,{cell}\n"
+    body = text.split("\n", 1)[1].removesuffix("\n").encode()
+    assert curves_module._decimal_cells(body) is None
+    expected = _outcome(_parse_rows, text)
+    monkeypatch.setattr(curves_module, "_parse_rows", _no_row_walk)
+    assert _outcome(parse_curve_csv, text) == expected
+
+
+@integer_route
+def test_written_curves_take_the_integer_route(tmp_path, monkeypatch):
+    texts = list(_written_curves(tmp_path))
+    expected = [_outcome(_parse_rows, text) for text in texts]
+    monkeypatch.setattr(curves_module, "_parse_rows", _no_row_walk)
+    monkeypatch.setattr(curves_module, "_float_cells", _no_float_cells)
+    assert [_outcome(parse_curve_csv, text) for text in texts] == expected
+
+
+def test_written_curves_read_back_with_the_integer_route_off(tmp_path, monkeypatch):
+    texts = list(_written_curves(tmp_path))
+    expected = [_outcome(_parse_rows, text) for text in texts]
+    monkeypatch.setattr(curves_module, "_EXACT_LONG_DOUBLE", False)
+    monkeypatch.setattr(curves_module, "_decimal_cells", None)  # not to be called
+    monkeypatch.setattr(curves_module, "_parse_rows", _no_row_walk)
+    assert [_outcome(parse_curve_csv, text) for text in texts] == expected
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and platform.machine() == "x86_64"),
+                    reason="the x87 long double is known to be there on x86-64 Linux")
+def test_the_integer_route_is_on_for_x86_64_linux():
+    # the suite must not pass by bypassing the route it means to test
+    assert curves_module._long_double_divides_exactly()
+    assert curves_module._EXACT_LONG_DOUBLE
 
 
 @pytest.mark.parametrize("text", [
