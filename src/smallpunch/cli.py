@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -50,10 +51,11 @@ EXIT_COMPAT = 5
 def _timestamp() -> str:
     """UTC creation stamp; SOURCE_DATE_EPOCH pins it for reproducible builds."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch:
-        dt = datetime.fromtimestamp(int(epoch), tz=timezone.utc)
-    else:
-        dt = datetime.now(tz=timezone.utc)
+    try:
+        dt = datetime.fromtimestamp(int(epoch) if epoch else time.time(), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise BadConfig(f"SOURCE_DATE_EPOCH must be whole seconds since 1970 that a date "
+                        f"can hold, got {epoch!r}") from None
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
@@ -198,6 +200,7 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    created = _timestamp()  # a malformed SOURCE_DATE_EPOCH is refused before any file is read
     spec, curves, v_star = _labelled_inputs(args)
     trained = fit_pipeline(curves, spec, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
@@ -205,7 +208,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     provenance = {
         "seed": args.seed,
-        "created": _timestamp(),
+        "created": created,
         "manifest_sha256": dataio.sha256_of(args.manifest),
     }
     save_model(args.out, trained, provenance)

@@ -46,9 +46,9 @@ _TRUE_COLUMNS, _PRED_COLUMNS = ("true_MPa", "rm_MPa"), ("pred_MPa", "pred_rm_MPa
 
 
 def _read_utf8(path: Path) -> str:
-    """A file's text, decoded as UTF-8; other bytes are a MalformedRow."""
+    """A file's text as UTF-8, less a leading byte-order mark; other bytes are a MalformedRow."""
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedRow(f"not UTF-8 text: {exc}") from None
 

@@ -13,7 +13,8 @@ feature subsampling and out-of-bag error.  Determinism is a hard contract:
   bits that per-tree argsort gives;
 * split ties are broken toward the lower feature index, then the lower
   threshold; candidate thresholds are midpoints between consecutive
-  distinct sorted values.
+  distinct sorted values, or the lower value where the midpoint rounds
+  onto the upper one or overflows, as scikit-learn's splitter does.
 
 The same bits in always produce the same model bits.  Growth runs in one
 thread.  fit_forest and predict_forest take plain float arrays, n x p
@@ -49,23 +50,23 @@ value may differ from such a grower's in the last bits.
 
 The fitted forest is a flat node table: every node of every tree as
 parallel arrays in level order, roots first, each split's two children
-side by side, leaves pointing at themselves.  One builder,
-_NodeTable.from_level_order, makes every table from four level-order
-arrays: count per node, feature and threshold per split and value per
-leaf.  Growth hands it the columns it collects level by level, and the
-model file stores exactly those arrays (format 2); a format 1 file's
-nested trees are flattened into them and pass the same checks
-(pipeline.ForestKind).  So a loaded forest's table is the fitted forest's
-table, array for array.  Nested Split/Leaf trees exist only where a
-reader asks for them: model.trees builds them straight from the table on
-first access and caches them; fitting, predicting and the model file
-never do.  Routing moves every (tree, row) pair down one level per step
-with numpy indexing, until all pairs sit at leaves.  A step takes a pair
-from a split to its left child when x <= threshold and to the next node,
-its right child, otherwise; a leaf's threshold is +inf, so it keeps its
-pairs.  Per-tree leaf values are summed in tree order from zeros, so
-predictions and the out-of-bag error have the bits a per-row walk of the
-trees gives.
+side by side, leaves pointing at themselves; this module alone knows
+that layout.  One builder, _NodeTable.from_level_order, makes and checks
+every table from four level-order arrays: count per node, feature and
+threshold per split and value per leaf.  Growth hands it the columns it
+collects level by level; the model file stores the arrays level_order
+gives back (format 2), a format 1 file's nested trees flattened into
+them (pipeline.ForestKind).  So a loaded forest's table is the fitted
+forest's table, array for array.  Nested Split/Leaf trees exist only
+where a reader asks for them: model.trees builds them straight from the
+table on first access and caches them; fitting, predicting and the model
+file never do.  Routing moves every (tree, row) pair down one level per
+step with numpy indexing, until all pairs sit at leaves.  A step takes a
+pair from a split to its left child when x <= threshold and to the next
+node, its right child, otherwise; a leaf's threshold is +inf, so it
+keeps its pairs.  Per-tree leaf values are summed in tree order from
+zeros, so predictions and the out-of-bag error have the bits a per-row
+walk of the trees gives.
 """
 
 from __future__ import annotations
@@ -146,6 +147,13 @@ class Split:
 TreeNode = Union[Split, Leaf]
 
 
+def _refuse_any(bad: np.ndarray, nodes: np.ndarray, values: np.ndarray, what: str) -> None:
+    """InvalidModel naming the first node where bad holds, and its value."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise InvalidModel(f"node {nodes[i]}: {what}, got {values[i].item()!r}")
+
+
 @dataclass(frozen=True)
 class _NodeTable:
     """Every node of a forest as flat arrays, in level order.
@@ -157,7 +165,7 @@ class _NodeTable:
     leaf stays there; value is the leaf value and count its bag rows
     (0.0 and 0 on splits).  depth is the deepest leaf's, the number of
     steps that brings every pair to its leaf.  from_level_order builds
-    every table, grown or read from a model file.
+    and checks every table; level_order returns the arrays it took.
     """
 
     feature: np.ndarray
@@ -169,20 +177,39 @@ class _NodeTable:
     depth: int
 
     @classmethod
-    def from_level_order(cls, n_trees: int, count: np.ndarray, feature: np.ndarray,
-                         threshold: np.ndarray, value: np.ndarray) -> _NodeTable:
-        """The table of a forest given as model file format 2 stores it.
+    def from_level_order(cls, n_trees: int, n_features: int, count: np.ndarray,
+                         feature: np.ndarray, threshold: np.ndarray,
+                         value: np.ndarray) -> _NodeTable:
+        """The table of a forest given as four level-order arrays, checked whole.
 
         count holds every node's bag rows, 0 marking a split; feature and
         threshold hold every split's and value every leaf's, in node order.
         Level order fixes the rest: the k-th split's children are nodes
-        n_trees + 2k and n_trees + 2k + 1.  The arrays must agree, as growth
-        makes them and pipeline._table_from_arrays checks a model file's.
+        n_trees + 2k and n_trees + 2k + 1, after it.  Leaf counts are >= 1,
+        split features in [0, n_features), thresholds and values finite.
         """
         split = count == 0
-        splits = np.flatnonzero(split)
+        splits, leaves = np.flatnonzero(split), np.flatnonzero(~split)
+        if count.size != n_trees + 2 * splits.size:
+            raise InvalidModel(f"{count.size} nodes with {splits.size} splits "
+                               f"do not make {n_trees} trees")
+        if not feature.size == threshold.size == splits.size or value.size != leaves.size:
+            raise InvalidModel(
+                f"{splits.size} splits and {leaves.size} leaves, but {feature.size} features, "
+                f"{threshold.size} thresholds and {value.size} values"
+            )
         left = np.arange(count.size, dtype=np.intp)
         left[splits] = n_trees + 2 * np.arange(splits.size)
+        late = left[splits] <= splits
+        if late.any():
+            node = splits[np.argmax(late)]
+            raise InvalidModel(f"node {node}: split comes after its children, which level "
+                               f"order puts at nodes {left[node]} and {left[node] + 1}")
+        _refuse_any(count[leaves] < 0, leaves, count[leaves], "leaf count must be >= 1")
+        _refuse_any((feature < 0) | (feature >= n_features), splits, feature,
+                    f"split feature outside [0, {n_features})")
+        _refuse_any(~np.isfinite(threshold), splits, threshold, "threshold is not finite")
+        _refuse_any(~np.isfinite(value), leaves, value, "leaf value is not finite")
         full_feature = np.zeros(count.size, dtype=np.intp)
         full_threshold = np.full(count.size, np.inf)
         full_value = np.zeros(count.size)
@@ -194,6 +221,11 @@ class _NodeTable:
             depth += 1
         return cls(feature=full_feature, threshold=full_threshold, left=left,
                    value=full_value, count=count, n_trees=n_trees, depth=depth)
+
+    def level_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """from_level_order's arrays: count, feature and threshold per split, value per leaf."""
+        split = self.count == 0
+        return self.count, self.feature[split], self.threshold[split], self.value[~split]
 
     def tree_values(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of every tree (rows of the result) for every row of x."""
@@ -346,10 +378,12 @@ def _search_rows(
     r = np.arange(nodes)
     total = sum_all[r, best]
     feature = feats[r, best]
-    left = rows[at[r, best, pos]]
-    right = rows[at[r, best, pos + 1]]
-    return (score[r, best, pos] - total * total / weight, feature,
-            (xt[feature, left] + xt[feature, right]) / 2.0)
+    lo, hi = xt[feature, rows[at[r, best, pos]]], xt[feature, rows[at[r, best, pos + 1]]]
+    # a midpoint that rounds onto hi or overflows would send both sides left
+    with np.errstate(over="ignore"):
+        mid = (lo + hi) / 2.0
+    threshold = np.where(np.isfinite(mid) & (mid < hi), mid, lo)
+    return score[r, best, pos] - total * total / weight, feature, threshold
 
 
 def _best_splits(
@@ -492,7 +526,7 @@ def _grow_forest(
         depth += 1
 
     columns = (np.concatenate(column) for column in zip(*levels))
-    return _NodeTable.from_level_order(n_trees, *columns), reductions
+    return _NodeTable.from_level_order(n_trees, p, *columns), reductions
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:

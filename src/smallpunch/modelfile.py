@@ -12,8 +12,8 @@ changes the file format and needs a format_version bump.
 Format 2 is written.  It differs from format 1 only in a forest's model
 block: format 1 nests each tree as split and leaf objects, format 2 stores
 the forest's node table as flat arrays in level order.  Both are read: a
-format 1 forest is flattened into format 2's arrays, which one set of
-checks and one builder then serve (pipeline._table_from_arrays).
+format 1 forest is flattened into format 2's arrays, which one builder
+checks and builds the node table from (forest._NodeTable.from_level_order).
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
         kind = KINDS[family].from_doc(spec_doc)
-        spec = PipelineSpec(kind=kind, standardize=spec_doc.get("standardize", True))
+        spec = PipelineSpec(kind=kind, standardize=spec_doc["standardize"])
         grid = record_from_doc(GridSpec, grid_doc)
         standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)
         pca = None if pca_doc is None else record_from_doc(PcaModel, pca_doc)
@@ -111,12 +111,15 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None
 
-    if kind.uses_pca and pca is None:
-        raise ModelFileError(f"{path}: {family} model file lacks the PCA block")
-    # the empirical family works on raw markers and never fits a standardizer,
-    # whatever the flag says
-    if spec.standardize and standardizer is None and kind.uses_features:
-        raise ModelFileError(f"{path}: standardize=true but no standardizer stored")
+    # each block is stored exactly when the family uses it; the empirical
+    # family never fits a standardizer, whatever the flag says
+    blocks = (("PCA", pca, kind.uses_pca),
+              ("standardizer", standardizer, spec.standardize and kind.uses_features))
+    for block, stored, used in blocks:
+        if (stored is not None) != used:
+            state = "lacks the" if stored is None else "holds a stray"
+            raise ModelFileError(f"{path}: {family} model file with standardize="
+                                 f"{json.dumps(spec.standardize)} {state} {block} block")
 
     trained = TrainedPipeline(
         spec=spec, grid=grid, standardizer=standardizer, pca=pca, model=model

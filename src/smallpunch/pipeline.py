@@ -66,7 +66,7 @@ FOREST_INPUT_SCORES = "scores"
 # the lines train prints to stderr; to_doc/from_doc for its "pipeline"
 # settings and model_to_doc/model_from_doc for its "model" parameters.
 # model_from_doc is given the file's format_version; only the forest's
-# block differs between format 1 and format 2.
+# block differs between format 1 and format 2, and forest.py checks it.
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
@@ -348,28 +348,32 @@ class ForestKind(_FeatureKind):
         return record_from_doc(cls, doc, config=record_from_doc(ForestConfig, forest))
 
     # A forest's model block is its node table in level order (format 2):
-    # count per node, 0 marking a split, feature and threshold per split and
-    # value per leaf, each in node order.
+    # the four arrays of forest._NodeTable.level_order, from which the forest
+    # module builds and checks the table again.
     @staticmethod
     def model_to_doc(model: ForestModel) -> dict[str, Any]:
-        table = model.table
-        split = table.count == 0
+        count, feature, threshold, value = model.table.level_order()
         return {
             "n_features": model.n_features,
             "importances": model.importances.tolist(),
             "oob_rmse": model.oob_rmse,
-            "count": table.count.tolist(),
-            "feature": table.feature[split].tolist(),
-            "threshold": table.threshold[split].tolist(),
-            "value": table.value[~split].tolist(),
+            "count": count.tolist(),
+            "feature": feature.tolist(),
+            "threshold": threshold.tolist(),
+            "value": value.tolist(),
         }
 
     def model_from_doc(self, doc: dict[str, Any], version: int) -> ForestModel:
         n_features = json_value(doc["n_features"], "int", "n_features")
-        columns = (_level_order_of(doc["trees"]) if version == 1
-                   else (doc["count"], doc["feature"], doc["threshold"], doc["value"]))
+        count, feature, threshold, value = (
+            _level_order_of(doc["trees"]) if version == 1
+            else (doc["count"], doc["feature"], doc["threshold"], doc["value"]))
         return ForestModel(
-            table=_table_from_arrays(self.config.n_trees, n_features, *columns),
+            table=_NodeTable.from_level_order(
+                self.config.n_trees, n_features, json_value(count, "list[int]", "count"),
+                json_value(feature, "list[int]", "split feature"),
+                json_value(threshold, "list[float]", "split threshold"),
+                json_value(value, "list[float]", "leaf value")),
             config=self.config,
             n_features=n_features,
             importances=json_value(doc["importances"], "np.ndarray", "importances"),
@@ -383,7 +387,7 @@ def _level_order_of(trees: Any) -> tuple[list, list, list, list]:
     One first-in-first-out walk, seeded with every root, appends each
     split's left and then right child to the queue: level order, as growth
     numbers the nodes.  A node holding "value" is a leaf; the values are
-    left for _table_from_arrays to check, as a format 2 file's are.
+    left for model_from_doc to check, as a format 2 file's are.
     """
     if not isinstance(trees, list):
         raise InvalidModel(f"trees must be a list, got {type(trees).__name__}")
@@ -402,52 +406,6 @@ def _level_order_of(trees: Any) -> tuple[list, list, list, list]:
             threshold.append(node["threshold"])
             queue += (node["left"], node["right"])
     return count, feature, threshold, value
-
-
-def _refuse_any(bad: np.ndarray, nodes: np.ndarray, values: np.ndarray, what: str) -> None:
-    """InvalidModel naming the first node where bad holds, and its value."""
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidModel(f"node {nodes[i]}: {what}, got {values[i].item()!r}")
-
-
-def _table_from_arrays(n_trees: int, n_features: int, count: Any, feature: Any,
-                       threshold: Any, value: Any) -> _NodeTable:
-    """The node table of a model file's level-order arrays, checked as whole arrays.
-
-    Both formats come here, format 1 flattened by _level_order_of.  The
-    arrays must have the lengths the counts imply, and the k-th split must
-    come before its children, nodes n_trees + 2k and n_trees + 2k + 1.
-    Every leaf count is at least 1, every split feature lies in
-    [0, n_features) and thresholds and leaf values are finite.
-    """
-    count = json_value(count, "list[int]", "count")
-    feature = json_value(feature, "list[int]", "split feature")
-    threshold = json_value(threshold, "list[float]", "split threshold")
-    value = json_value(value, "list[float]", "leaf value")
-    n_nodes = count.size
-    is_split = count == 0
-    splits, leaves = np.flatnonzero(is_split), np.flatnonzero(~is_split)
-    if n_nodes != n_trees + 2 * splits.size:
-        raise InvalidModel(f"{n_nodes} nodes with {splits.size} splits "
-                           f"do not make {n_trees} trees")
-    if not feature.size == threshold.size == splits.size or value.size != leaves.size:
-        raise InvalidModel(
-            f"{splits.size} splits and {leaves.size} leaves, but {feature.size} features, "
-            f"{threshold.size} thresholds and {value.size} values"
-        )
-    children = n_trees + 2 * np.arange(splits.size)
-    late = children <= splits
-    if late.any():
-        k = int(np.argmax(late))
-        raise InvalidModel(f"node {splits[k]}: split comes after its children, which level "
-                           f"order puts at nodes {children[k]} and {children[k] + 1}")
-    _refuse_any(count[leaves] < 0, leaves, count[leaves], "leaf count must be >= 1")
-    _refuse_any((feature < 0) | (feature >= n_features), splits, feature,
-                f"split feature outside [0, {n_features})")
-    _refuse_any(~np.isfinite(threshold), splits, threshold, "threshold is not finite")
-    _refuse_any(~np.isfinite(value), leaves, value, "leaf value is not finite")
-    return _NodeTable.from_level_order(n_trees, count, feature, threshold, value)
 
 
 PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]
@@ -506,7 +464,8 @@ def predict_pipeline(
 ) -> np.ndarray:
     """Predict strengths for curves resampled on the pipeline's grid."""
     curve_list = list(curves)
-    for i, c in enumerate(curve_list):
-        if c.grid != trained.grid:
-            raise GridMismatch(f"curve {i} grid {c.grid} differs from model grid {trained.grid}")
-    return trained.spec.kind.predict(trained, curve_list, assemble(curve_list), v_star)
+    matrix = assemble(curve_list)  # every curve on the first one's grid
+    if curve_list[0].grid != trained.grid:
+        raise GridMismatch(f"curve 0 grid {curve_list[0].grid} differs from model grid "
+                           f"{trained.grid}")
+    return trained.spec.kind.predict(trained, curve_list, matrix, v_star)

@@ -11,9 +11,10 @@ import pytest
 
 import smallpunch
 from smallpunch.cli import main
-from smallpunch.curves import GridSpec
-from smallpunch.dataio import fmt, load_curves, sha256_of
+from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta
+from smallpunch.dataio import fmt, load_curves, sha256_of, write_curve_csv, write_manifest
 from smallpunch.evaluation import cross_validate
+from smallpunch.forest import Split
 from smallpunch.modelfile import load_model
 from smallpunch.pipeline import PcaLmKind, PipelineSpec, predict_pipeline
 
@@ -348,6 +349,43 @@ def test_train_is_byte_deterministic_with_pinned_epoch(tmp_path, capsys,
         assert code == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999"])
+def test_a_malformed_source_date_epoch_exits_2_before_any_file_is_read(tmp_path, capsys,
+                                                                       monkeypatch, epoch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", str(tmp_path / "missing.csv"), "--pipeline", "rf",
+                       "--out", str(model_path))
+    assert code == 2
+    assert f"SOURCE_DATE_EPOCH must be whole seconds since 1970 that a date can hold, " \
+           f"got {epoch!r}" in err
+    assert not model_path.exists()
+
+
+# adjacent doubles whose midpoint rounds onto the upper one, and doubles whose
+# sum overflows: growth once crashed at the next level, both sides sent left
+@pytest.mark.parametrize("lo,hi", [(1.0000000000000002, 1.0000000000000004),
+                                   (1.7e308, 1.75e308)], ids=["rounds-up", "overflows"])
+def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_path, capsys,
+                                                                            lo, hi):
+    grid = GridSpec()
+    entries = []
+    for i in range(6):
+        force = np.ones(grid.n_points)
+        force[75] = (lo, hi)[i % 2]
+        meta = SpecimenMeta("M0", 20.0, 0.5, (500.0, 600.0)[i % 2])
+        write_curve_csv(tmp_path / f"c{i}.csv", RawCurve(grid.displacements(), force, meta))
+        entries.append((f"c{i}.csv", meta))
+    write_manifest(tmp_path / "manifest.csv", entries)
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", str(tmp_path / "manifest.csv"), "--pipeline", "rf",
+                       "--no-standardize", "--trees", "5", "--out", str(model_path))
+    assert code == 0, err
+    roots = load_model(model_path)[0].model.trees
+    assert any(isinstance(root, Split) and (root.feature, root.threshold) == (75, lo)
+               for root in roots)
 
 
 def test_train_rejects_bad_threshold(tmp_path, capsys):
@@ -705,6 +743,22 @@ def test_manifest_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys):
                        "--k", "2", "--out", str(tmp_path / "cv"))
     assert code == 4 and f"{manifest}: not UTF-8 text" in err
     assert not (tmp_path / "cv").exists()
+
+
+def test_tables_led_by_a_byte_order_mark_give_the_same_cv(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    marked = tmp_path / "marked"
+    marked.mkdir()
+    for path in data.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    outputs = []
+    for directory in (data, marked):
+        out = tmp_path / f"cv_{directory.name}"
+        code, stdout, err = run(capsys, "cv", str(directory / "manifest.csv"),
+                                "--pipeline", "pca-lm", "--k", "2", "--out", str(out))
+        assert code == 0, err
+        outputs.append((stdout, sorted((p.name, p.read_bytes()) for p in out.iterdir())))
+    assert outputs[0] == outputs[1]
 
 
 def test_model_file_that_is_not_utf8_exits_4_naming_it(tmp_path, capsys):

@@ -257,6 +257,28 @@ def test_str_paths_read_like_paths(tmp_path):
     assert all(np.array_equal(a.force_N, b.force_N) for a, b in zip(uniform_a, uniform_b))
 
 
+def test_tables_led_by_a_byte_order_mark_read_as_without_it(tmp_path):
+    # Excel's "CSV UTF-8" starts every file with the UTF-8 byte-order mark
+    curves, truth = generate(SynthConfig(n_materials=1, curves_per_material=2, seed=43))
+    names = [f"c{i}.csv" for i in range(len(curves))]
+    plain, marked = tmp_path / "plain", tmp_path / "marked"
+    plain.mkdir()
+    for name, curve in zip(names, curves):
+        write_curve_csv(plain / name, curve)
+    write_manifest(plain / "manifest.csv", [(n, c.meta) for n, c in zip(names, curves)])
+    write_truth(plain / "truth.csv", names, truth)
+    marked.mkdir()
+    for path in plain.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    (names_a, uniform_a), (names_b, uniform_b) = (
+        load_curves(directory / "manifest.csv", GridSpec()) for directory in (plain, marked)
+    )
+    assert names_a == names_b == names
+    for a, b in zip(uniform_a, uniform_b):
+        assert a.meta == b.meta and a.force_N.tobytes() == b.force_N.tobytes()
+    assert read_truth(marked / "truth.csv") == read_truth(plain / "truth.csv")
+
+
 def _write_set(directory, names):
     curves, _ = generate(SynthConfig(n_materials=1, curves_per_material=len(names), seed=43))
     for name, curve in zip(names, curves):

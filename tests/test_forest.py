@@ -1,6 +1,7 @@
 """Regression forest: exact splits, determinism, importances."""
 
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +15,7 @@ from smallpunch import forest, pipeline
 from smallpunch.curves import GridSpec, resample
 from smallpunch.errors import (
     BadConfig,
+    InvalidModel,
     LengthMismatch,
     ShapeMismatch,
     TooFewRows,
@@ -100,6 +102,25 @@ def test_tied_thresholds_prefer_the_lower_one():
     root = fit_forest(x, y, _single_tree_cfg(mtry=1, max_depth=1)).trees[0]
     assert isinstance(root, Split)
     assert root.threshold == 0.5
+
+
+# adjacent doubles whose midpoint rounds (ties to even) onto the upper one,
+# and doubles whose sum overflows: either midpoint would send every row left
+ROUNDING_PAIRS = [(1.0000000000000002, 1.0000000000000004), (1.7e308, 1.75e308),
+                  (-1.75e308, -1.7e308)]
+
+
+@pytest.mark.parametrize("lo,hi", ROUNDING_PAIRS, ids=["rounds-up", "overflows", "overflows-down"])
+def test_a_midpoint_not_below_the_upper_value_splits_at_the_lower(lo, hi):
+    x = np.ones((6, 2))
+    x[:, 1] = [lo, hi] * 3
+    y = np.array([500.0, 600.0] * 3)
+    model = fit_forest(x, y, _single_tree_cfg(mtry=2))
+    assert model.trees[0] == Split(1, lo, Leaf(500.0, 3), Leaf(600.0, 3))
+    assert np.array_equal(predict_forest(model, x), y)
+    _assert_grows_like_the_reference(x, y, min_leaf=1)
+    mid = (lo + hi) / 2.0  # the case the rule is for
+    assert not (math.isfinite(mid) and mid < hi)
 
 
 def test_search_keys_widen_to_int64_where_int32_would_overflow():
@@ -366,6 +387,85 @@ def test_grown_table_matches_the_table_built_from_its_trees(
     assert loaded.trees == model.trees
 
 
+def _grown_arrays():
+    """A small forest's width and the level-order arrays of its grown table."""
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(30, 4)).round(1)
+    y = x[:, 0] * 40.0 + rng.normal(0.0, 1.0, 30)
+    model = fit_forest(x, y, ForestConfig(n_trees=2, seed=5))
+    return model.n_features, model.table.level_order()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    x=st.integers(2, 30).flatmap(
+        lambda n: st.integers(1, 4).flatmap(lambda p: arrays(float, (n, p), elements=_values))
+    ),
+    n_trees=st.integers(1, 4),
+    max_depth=st.none() | st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_the_builder_rebuilds_a_grown_table_from_its_level_order(x, n_trees, max_depth, seed):
+    y = np.arange(x.shape[0], dtype=float) * 7.0 + x.sum(axis=1)
+    cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=1, seed=seed)
+    grown = fit_forest(x, y, cfg).table
+    built = _NodeTable.from_level_order(n_trees, x.shape[1], *grown.level_order())
+    for column in fields(_NodeTable):
+        want, got = getattr(grown, column.name), getattr(built, column.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column.name
+        else:
+            assert got == want, column.name
+
+
+def _swap_last_split_and_node(arrays):
+    count = arrays[0]
+    last = int(np.flatnonzero(count == 0)[-1])
+    count[last], count[-1] = count[-1], 0
+
+
+def _set(index, position, value):
+    def change(arrays):
+        arrays[index][position] = value
+    return change
+
+
+def _append(*pairs):
+    def change(arrays):
+        for index, value in pairs:
+            arrays[index] = np.append(arrays[index], value).astype(arrays[index].dtype)
+    return change
+
+
+@pytest.mark.parametrize("change,match", [
+    (_append((2, 1.0)), lambda s, n: f"{s} splits and {n} leaves, but {s} features, "
+                                     f"{s + 1} thresholds and {n} values"),
+    (lambda a: a.__setitem__(1, a[1][:-1]), lambda s, n: f"but {s - 1} features, {s} thr"),
+    (_append((3, 500.0)), lambda s, n: f"{s} thresholds and {n + 1} values"),
+    (_append((0, 1), (3, 500.0)), lambda s, n: f"{2 + 2 * s + 1} nodes with {s} splits "
+                                               "do not make 2 trees"),
+    (_swap_last_split_and_node, "split comes after its children, which level order puts"),
+    (_set(0, -1, -1), "leaf count must be >= 1, got -1"),
+    (_set(1, 0, 4), r"split feature outside \[0, 4\), got 4"),
+    (_set(1, 0, -1), r"split feature outside \[0, 4\), got -1"),
+    (_set(2, 0, np.inf), "threshold is not finite, got inf"),
+    (_set(2, 0, np.nan), "threshold is not finite, got nan"),
+    (_set(3, 0, -np.inf), "leaf value is not finite, got -inf"),
+], ids=["threshold-longer", "feature-shorter", "value-longer", "node-count",
+        "split-after-children", "count-negative", "feature-too-large", "feature-negative",
+        "threshold-inf", "threshold-nan", "value-inf"])
+def test_the_builder_refuses_arrays_that_disagree(change, match):
+    p, arrays = _grown_arrays()
+    arrays = [a.copy() for a in arrays]
+    splits, leaves = arrays[1].size, arrays[3].size
+    assert splits >= 1
+    change(arrays)
+    if callable(match):
+        match = re.escape(match(splits, leaves))
+    with pytest.raises(InvalidModel, match=match):
+        _NodeTable.from_level_order(2, p, *arrays)
+
+
 def _refuse_trees(*args, **kwargs):
     raise AssertionError("nested trees were built")
 
@@ -487,7 +587,13 @@ def _reference_best_split(xs, ys, min_leaf):
     improvement = float(score[col, pos] - total * total / m)
     if not improvement > 0.0:
         return None
-    threshold = float((xs[col, lo + pos] + xs[col, lo + pos + 1]) / 2.0)
+    below, above = xs[col, lo + pos], xs[col, lo + pos + 1]
+    # scikit-learn's splitter rule: the lower value where the midpoint
+    # rounds onto the upper one or overflows
+    with np.errstate(over="ignore"):
+        threshold = float((below + above) / 2.0)
+    if not (math.isfinite(threshold) and threshold < above):
+        threshold = float(below)
     return col, threshold, improvement
 
 

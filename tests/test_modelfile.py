@@ -315,6 +315,43 @@ def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
     _assert_refused(path, doc)
 
 
+def _stray(block, family):
+    """Give the file the block that a fixture of another family stores."""
+    def change(doc, saved):
+        doc[block] = saved[family][block]
+    return change
+
+
+# A file's blocks must agree with each other: a PCA block is stored exactly
+# when the family projects on PCA scores, and a standardizer exactly when
+# the flag is on and the family models the feature matrix.
+@pytest.mark.parametrize("family,change,match", [
+    ("pca-lm", lambda doc, saved: doc["pipeline"].__setitem__("standardize", False),
+     "pca-lm model file with standardize=false holds a stray standardizer block"),
+    ("rf", _stray("pca", "pca-lm"),
+     "rf model file with standardize=true holds a stray PCA block"),
+    ("empirical", _stray("standardizer", "pca-lm"),
+     "empirical model file with standardize=true holds a stray standardizer block"),
+    ("empirical", _stray("pca", "pca-lm"),
+     "empirical model file with standardize=true holds a stray PCA block"),
+    ("pca-lm", lambda doc, saved: doc["pipeline"].pop("standardize"),
+     "missing field 'standardize'"),
+    ("rf", lambda doc, saved: doc["pipeline"].pop("standardize"),
+     "missing field 'standardize'"),
+], ids=["pca-lm-standardize-false-with-standardizer", "rf-raw-with-pca",
+        "empirical-with-standardizer", "empirical-with-pca", "pca-lm-standardize-missing",
+        "rf-standardize-missing"])
+def test_contradictory_or_incomplete_file_is_a_model_file_error(tmp_path, trained_by_family,
+                                                                family, change, match):
+    saved = {}
+    for name, trained in trained_by_family.items():
+        save_model(tmp_path / "model.json", trained, {})
+        saved[name] = json.loads((tmp_path / "model.json").read_text())
+    doc = saved[family]
+    change(doc, saved)
+    _assert_refused(tmp_path / "model.json", doc, re.escape(match))
+
+
 @pytest.mark.parametrize("field,block,key", [
     ("intercept", lambda d: d["model"], "intercept"),
     ("means", lambda d: d["standardizer"]["means"], 0),

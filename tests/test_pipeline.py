@@ -11,6 +11,7 @@ from smallpunch.errors import (
     GridMismatch,
     InvalidMarkers,
     LengthMismatch,
+    MixedGrids,
 )
 from smallpunch.forest import ForestConfig, ForestModel
 from smallpunch.pipeline import (
@@ -164,6 +165,15 @@ def test_predicting_on_a_different_grid_is_refused(dataset):
                          meta=make_meta(rm=500.0))
     with pytest.raises(GridMismatch, match="curve 0"):
         predict_pipeline(trained, [other])
+
+
+def test_predicting_on_mixed_grids_is_refused_before_the_model_grid_is_compared(dataset):
+    curves, _ = dataset
+    trained = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+    other = make_uniform(np.arange(100.0), grid=GridSpec(n_points=100),
+                         meta=make_meta(rm=500.0))
+    with pytest.raises(MixedGrids, match="curve 1"):
+        predict_pipeline(trained, [curves[0], other])
 
 
 def test_kind_validation():

@@ -16,6 +16,7 @@ from smallpunch.pipeline import _ARRAYS, _SCALARS, KINDS
 from smallpunch.regress import EmpiricalModel, LinearModel
 
 SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -81,6 +82,24 @@ def _imported_packages(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             found.append((node.lineno, node.module.split(".")[0]))
     return found
+
+
+def _unused_imports(path):
+    """(line, name) of every name an import binds that the module never reads.
+
+    A name listed in the module's __all__ is read: exporting it is its use.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= {item.value for item in node.value.elts}
+    return [(node.lineno, bound) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            if (bound := alias.asname or alias.name.split(".")[0]) not in read]
 
 
 def test_sources_are_found():
@@ -207,6 +226,13 @@ def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
     ]
     assert len(workloads.TRACE_POINTS) > 30
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert {p.name for p in TESTS} >= {"conftest.py", "test_source_rules.py"}
+    unused = {f"{p.parent.name}/{p.name}": names for p in SOURCES + TESTS
+              if (names := _unused_imports(p))}
+    assert unused == {}
 
 
 def test_every_exported_name_is_used_by_the_package_itself():
