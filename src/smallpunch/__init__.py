@@ -51,7 +51,7 @@ from .regress import (
     predict_empirical,
     predict_linear,
 )
-from .synth import SynthConfig, SynthRecord, SynthTruth, generate
+from .synth import SynthConfig, SynthRecord, generate
 
 __version__ = "0.1.0"
 
@@ -78,7 +78,6 @@ __all__ = [
     "Standardizer",
     "SynthConfig",
     "SynthRecord",
-    "SynthTruth",
     "TrainedPipeline",
     "UniformCurve",
     "apply_standardizer",

@@ -17,8 +17,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
+from dataclasses import fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -52,6 +54,10 @@ def _timestamp() -> str:
     """UTC creation stamp; SOURCE_DATE_EPOCH pins it for reproducible builds."""
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
     try:
+        # ASCII digits as `date +%s` prints them; int() also takes spaces,
+        # a plus sign, underscores and other scripts' digits
+        if epoch and not re.fullmatch(r"-?[0-9]+", epoch):
+            raise ValueError(epoch)
         dt = datetime.fromtimestamp(int(epoch) if epoch else time.time(), tz=timezone.utc)
     except (ValueError, OverflowError, OSError):
         raise BadConfig(f"SOURCE_DATE_EPOCH must be whole seconds since 1970 that a date "
@@ -151,35 +157,22 @@ def _labelled_inputs(args: argparse.Namespace):
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    # the parser suppresses the flags not given, so SynthConfig's defaults fill them
+    given = {f.name: getattr(args, f.name) for f in fields(SynthConfig) if hasattr(args, f.name)}
     with prefixed("--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
                   "--vi-range/--vi-step/--temp-range/--temp-slope/--seed"):
-        cfg = SynthConfig(
-            n_materials=args.materials,
-            curves_per_material=args.per_material,
-            beta_true=args.beta,
-            h0_mm=args.h0,
-            rm_range_MPa=tuple(args.rm_range),
-            v_i_range_mm=tuple(args.vi_range),
-            noise_sigma_N=args.noise_sigma,
-            temp_range_C=tuple(args.temp_range),
-            temp_slope_MPa_per_C=args.temp_slope,
-            seed=args.seed,
-            v_i_step_mm=args.vi_step,
-        )
-    curves, truth = generate(cfg)
+        cfg = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
+    curves, records = generate(cfg)
 
     outdir = args.out
     outdir.mkdir(parents=True, exist_ok=True)
-    names: list[str] = []
-    per_material_count: dict[str, int] = {}
-    for curve in curves:
-        mid = curve.meta.material_id
-        idx = per_material_count.get(mid, -1) + 1
-        per_material_count[mid] = idx
-        names.append(f"{mid.lower()}_c{idx:02d}.csv")
-        dataio.write_curve_csv(outdir / names[-1], curve)
+    # generate lists each material's curves together
+    names = [f"{c.meta.material_id.lower()}_c{i % cfg.curves_per_material:02d}.csv"
+             for i, c in enumerate(curves)]
+    for name, curve in zip(names, curves):
+        dataio.write_curve_csv(outdir / name, curve)
     dataio.write_manifest(outdir / "manifest.csv", [(n, c.meta) for n, c in zip(names, curves)])
-    dataio.write_truth(outdir / "truth.csv", names, truth)
+    dataio.write_truth(outdir / "truth.csv", names, records)
     print(f"wrote {len(curves)} curves to {outdir} (seed {cfg.seed})")
     return EXIT_OK
 
@@ -262,24 +255,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_synth = sub.add_parser("synth", help="generate a synthetic dataset with planted truth")
-    p_synth.add_argument("--materials", type=int, default=5)
-    p_synth.add_argument("--per-material", type=int, default=24)
-    p_synth.add_argument("--beta", type=float, default=0.3)
-    p_synth.add_argument("--h0", type=float, default=0.5)
-    p_synth.add_argument("--noise-sigma", type=float, default=0.0,
+    p_synth = sub.add_parser("synth", help="generate a synthetic dataset with planted truth",
+                             argument_default=argparse.SUPPRESS)
+    p_synth.add_argument("--materials", type=int, dest="n_materials")
+    p_synth.add_argument("--per-material", type=int, dest="curves_per_material")
+    p_synth.add_argument("--beta", type=float, dest="beta_true")
+    p_synth.add_argument("--h0", type=float, dest="h0_mm")
+    p_synth.add_argument("--noise-sigma", type=float, dest="noise_sigma_N",
                          help="force noise standard deviation in N")
-    p_synth.add_argument("--rm-range", type=float, nargs=2, default=(400.0, 1100.0),
+    p_synth.add_argument("--rm-range", type=float, nargs=2, dest="rm_range_MPa",
                          metavar=("LO", "HI"))
-    p_synth.add_argument("--vi-range", type=float, nargs=2, default=(0.3, 0.7),
+    p_synth.add_argument("--vi-range", type=float, nargs=2, dest="v_i_range_mm",
                          metavar=("LO", "HI"))
-    p_synth.add_argument("--vi-step", type=float, default=0.010,
+    p_synth.add_argument("--vi-step", type=float, dest="v_i_step_mm",
                          help="planted v_i snaps to this step so it lies on the grid")
-    p_synth.add_argument("--temp-range", type=float, nargs=2, default=(-150.0, 330.0),
+    p_synth.add_argument("--temp-range", type=float, nargs=2, dest="temp_range_C",
                          metavar=("LO", "HI"))
-    p_synth.add_argument("--temp-slope", type=float, default=-0.4,
+    p_synth.add_argument("--temp-slope", type=float, dest="temp_slope_MPa_per_C",
                          help="strength change per degree C (<= 0)")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int)
     p_synth.add_argument("--out", type=Path, required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 

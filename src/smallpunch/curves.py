@@ -202,16 +202,16 @@ class UniformCurve:
 class CurveMarkers:
     """Physical markers of a batch of curves, feeding the empirical correlations.
 
-    Every field but strategy holds one value per curve, in the order of the
-    force matrix's rows.  Each row is checked in the order below, and the
-    first row that fails a check raises the first check it fails.
+    Every field holds one value per curve, in the order of the force
+    matrix's rows; the strategy that located them is the caller's.  Each
+    row is checked in the order below, and the first row that fails a
+    check raises the first check it fails.
     """
 
     f_max_N: np.ndarray
     v_at_fmax_mm: np.ndarray
     f_instability_N: np.ndarray
     v_instability_mm: np.ndarray
-    strategy: str
 
     def __post_init__(self) -> None:
         names = ("f_max_N", "v_at_fmax_mm", "f_instability_N", "v_instability_mm")
@@ -228,8 +228,6 @@ class CurveMarkers:
              lambda r: InvalidMarkers(f"max force {f_m[r]} below instability force {f_i[r]}")),
             (~((0.0 < v_i) & (v_i <= v_m)),
              lambda r: InvalidMarkers(f"need 0 < v_i <= v_m, got v_i={v_i[r]}, v_m={v_m[r]}")),
-            (self.strategy not in MARKER_STRATEGIES,
-             lambda r: InvalidMarkers(f"unknown marker strategy: {self.strategy!r}")),
         ])
 
 
@@ -325,13 +323,10 @@ def parse_curve_csv(text: str, meta: SpecimenMeta) -> RawCurve:
     digits or of more than 27 after its point, or a platform without x87
     long double) is read by numpy's float text reader (np.fromstring with
     ``sep=","``), which converts each cell with PyOS_string_to_double, the
-    routine ``float`` uses.  When the displacements are already strictly
-    increasing the sort and the averaging, which would leave them as they
-    are, are skipped (``+ 0.0`` stands in for the averaging's ``0.0 + f``,
-    which turns a -0.0 force into +0.0).  Every other table, and every
-    table that fails, goes through the row walk, which is the one source of
-    the errors below and the reference the whole-table route must match
-    bit for bit.
+    routine ``float`` uses.  Every other table, and every table that
+    fails, goes through the row walk, which is the one source of the errors
+    below and the reference the whole-table route must match bit for bit.
+    Either route's columns become the curve in _collapse_duplicates.
 
     Raises
     ------
@@ -344,12 +339,7 @@ def parse_curve_csv(text: str, meta: SpecimenMeta) -> RawCurve:
         Fewer than two rows remain after duplicate collapse.
     """
     columns = _plain_columns(text)
-    if columns is None:
-        return _parse_rows(text, meta)
-    d_um, f_n = columns
-    if np.all(d_um[1:] > d_um[:-1]):
-        return RawCurve(frozen(d_um / 1000.0), frozen(f_n + 0.0), meta)
-    return _collapse_duplicates(d_um, f_n, meta)
+    return _parse_rows(text, meta) if columns is None else _collapse_duplicates(*columns, meta)
 
 
 _PLAIN_HEADER = ",".join(CURVE_HEADER) + "\n"
@@ -512,7 +502,14 @@ def _parse_rows(text: str, meta: SpecimenMeta) -> RawCurve:
 
 
 def _collapse_duplicates(d_um: np.ndarray, f_n: np.ndarray, meta: SpecimenMeta) -> RawCurve:
-    """Sort rows by displacement and average the forces of equal ones."""
+    """The curve of parsed columns: rows sorted by displacement, equal ones' forces averaged.
+
+    Displacements already strictly increasing skip the sort and the
+    averaging, which would leave them as they are; ``+ 0.0`` stands in for
+    the averaging's ``0.0 + f``, which turns a -0.0 force into +0.0.
+    """
+    if np.all(d_um[1:] > d_um[:-1]):
+        return RawCurve(frozen(d_um / 1000.0), frozen(f_n + 0.0), meta)
     # lexsort on (force, displacement) makes duplicate averaging independent
     # of the original row order down to the bit
     order = np.lexsort((f_n, d_um))
@@ -645,5 +642,4 @@ def extract_markers(
         v_at_fmax_mm=frozen(gx[np.argmax(f, axis=1)]),
         f_instability_N=frozen(f_i),
         v_instability_mm=frozen(v_i),
-        strategy=strategy,
     )

@@ -37,7 +37,7 @@ from .curves import (
 )
 from .errors import MalformedRow, prefixed
 from .evaluation import CvReport
-from .synth import SynthTruth
+from .synth import SynthRecord
 
 MANIFEST_HEADER = ("file", "material_id", "temperature_C", "thickness_mm", "rm_MPa")
 TRUTH_HEADER = ("file", "rm_MPa", "v_i_mm", "f_i_N")
@@ -172,12 +172,12 @@ def load_curves(manifest_path: Path | str, grid: GridSpec) -> tuple[list[str], l
     return names, curves
 
 
-def write_truth(path: Path, filenames: Sequence[str], truth: SynthTruth) -> None:
+def write_truth(path: Path, filenames: Sequence[str], records: Sequence[SynthRecord]) -> None:
     """Write a truth table; a file named twice is a MalformedRow, as read_truth says."""
     _refuse_repeats(path, enumerate(filenames, start=2))  # row 1 is the header
     _write_table(path, TRUTH_HEADER, [
         (filename, float(rec.rm_MPa), float(rec.v_i_mm), float(rec.f_i_N))
-        for filename, rec in zip(filenames, truth.records)
+        for filename, rec in zip(filenames, records)
     ])
 
 

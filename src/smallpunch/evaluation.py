@@ -88,11 +88,11 @@ class CvReport:
     k, mean_rmse and std_rmse (ddof=1) are the count, mean and standard
     deviation of fold_rmse.  per_sample holds one (row, truth, prediction)
     triple for every held-out row, in fold order.  fold_models is
-    populated only when requested.
+    populated only when requested.  The seed that drew the folds is the
+    caller's argument to cross_validate.
     """
 
     fold_rmse: tuple[float, ...]
-    seed: int
     per_sample: tuple[tuple[int, float, float], ...]
     fold_models: tuple[TrainedPipeline, ...] | None = None
 
@@ -163,7 +163,6 @@ def cross_validate(
 
     return CvReport(
         fold_rmse=tuple(fold_rmse),
-        seed=seed,
         per_sample=tuple(per_sample),
         fold_models=tuple(models) if collect_models else None,
     )

@@ -4,8 +4,8 @@ Stages pass plain float arrays.  Each uniform curve becomes one row of the
 design matrix: the grid forces in displacement order followed by the test
 temperature.  The targets are the curves' measured strengths, one per row.
 _matrix_values and _target_values are the one entry check for a design
-matrix, its width included, and a target vector: every function that takes
-one checks it there.
+matrix, its width included, and a target vector, its size bound included:
+every function that takes one checks it there.
 
 Standardization is column-wise z-scoring with the sample standard
 deviation; constant columns keep scale 1 so they map to exactly zero
@@ -32,6 +32,15 @@ from .errors import (
 
 TEMPERATURE_LABEL = "temperature_C"
 
+# The largest n * max|y| that n targets y may reach, so that no fit
+# overflows.  A forest side's weighted target sum is at most n * max|y|
+# (its weights add up to at most n), so the squares its split search takes
+# stay at most 1e300, below the largest double (1.8e308), and so does a
+# tree's summed squared error, at most n * max|y|**2.  rmse's sum of n
+# squared residuals, each at most (2 * max|y|)**2 for predictions within
+# the targets' range, is at most 4 * (n * max|y|)**2 / n <= 2e300 for n >= 2.
+_MAX_TARGET_MASS = 1e150
+
 
 def _matrix_values(x: np.ndarray, columns: int | None = None) -> np.ndarray:
     """x as floats, checked to be 2-D, then finite, then columns wide (if not None)."""
@@ -46,12 +55,17 @@ def _matrix_values(x: np.ndarray, columns: int | None = None) -> np.ndarray:
 
 
 def _target_values(y: np.ndarray) -> np.ndarray:
-    """y as floats, checked to be a finite one-dimensional vector."""
+    """y as floats, checked to be a finite one-dimensional vector small enough to fit."""
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ShapeMismatch("targets must be one-dimensional")
     if not np.all(np.isfinite(y)):
         raise NonFiniteValue("targets contain non-finite values")
+    largest = float(np.max(np.abs(y), initial=0.0))
+    if y.size * largest > _MAX_TARGET_MASS:
+        raise NonFiniteValue(f"targets too large to fit without overflow: {y.size} targets "
+                             f"up to {largest!r} in magnitude, where n * max|y| may be at "
+                             f"most {_MAX_TARGET_MASS!r}")
     return y
 
 

@@ -245,11 +245,11 @@ class ForestModel:
     Split/Leaf objects, built from the table on first access and cached.
     importances are normalized variance reductions per feature (summing to
     one when any split happened); oob_rmse is None when bootstrap was off
-    or some row was never out of bag.
+    or some row was never out of bag.  The settings it grew with are its
+    caller's: pipeline.ForestKind.config holds them.
     """
 
     table: _NodeTable = field(repr=False)
-    config: ForestConfig
     n_features: int
     importances: np.ndarray
     oob_rmse: float | None
@@ -598,7 +598,6 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
 
     return ForestModel(
         table=table,
-        config=cfg,
         n_features=p,
         importances=importances,
         oob_rmse=oob_rmse,

@@ -120,6 +120,9 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
             state = "lacks the" if stored is None else "holds a stray"
             raise ModelFileError(f"{path}: {family} model file with standardize="
                                  f"{json.dumps(spec.standardize)} {state} {block} block")
+    if pca is not None and pca.threshold != kind.variance_threshold:
+        raise ModelFileError(f"{path}: pca threshold {pca.threshold!r} contradicts pipeline "
+                             f"variance_threshold {kind.variance_threshold!r}")
 
     trained = TrainedPipeline(
         spec=spec, grid=grid, standardizer=standardizer, pca=pca, model=model

@@ -191,8 +191,10 @@ class EmpiricalKind(_RecordBlocks):
     def model_from_doc(self, doc: dict[str, Any], version: int) -> EmpiricalModel:
         # the kind picks the markers and the model its correlation: both must agree
         model = record_from_doc(EmpiricalModel, doc)
-        if model.mode != self.mode:
-            raise InvalidModel(f"model mode {model.mode!r} contradicts pipeline {self.mode!r}")
+        for name in ("mode", "marker_strategy"):
+            stored, picked = getattr(model, name), getattr(self, name)
+            if stored != picked:
+                raise InvalidModel(f"model {name} {stored!r} contradicts pipeline {picked!r}")
         return model
 
     def _markers(self, forces: np.ndarray, grid: GridSpec, v_star) -> CurveMarkers:
@@ -203,7 +205,7 @@ class EmpiricalKind(_RecordBlocks):
         f_m = frozen(np.max(forces, axis=1))
         v_m = frozen(grid.displacements()[np.argmax(forces, axis=1)])
         return CurveMarkers(f_max_N=f_m, v_at_fmax_mm=v_m, f_instability_N=f_m,
-                            v_instability_mm=v_m, strategy=self.marker_strategy)
+                            v_instability_mm=v_m)
 
     # the matrix's last column is the temperature; the rest are the forces
     def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
@@ -374,7 +376,6 @@ class ForestKind(_FeatureKind):
                 json_value(feature, "list[int]", "split feature"),
                 json_value(threshold, "list[float]", "split threshold"),
                 json_value(value, "list[float]", "leaf value")),
-            config=self.config,
             n_features=n_features,
             importances=json_value(doc["importances"], "np.ndarray", "importances"),
             oob_rmse=json_value(doc["oob_rmse"], "float | None", "oob_rmse"),

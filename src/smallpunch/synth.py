@@ -97,23 +97,11 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class SynthRecord:
-    """Planted truth for one generated curve."""
+    """Planted truth for one generated curve, a truth.csv row; its meta holds the rest."""
 
-    material_id: str
-    temperature_C: float
     rm_MPa: float
     v_i_mm: float
     f_i_N: float
-
-
-@dataclass(frozen=True)
-class SynthTruth:
-    """Per-curve planted records, aligned with the generated curve list."""
-
-    records: tuple[SynthRecord, ...]
-
-    def __len__(self) -> int:
-        return len(self.records)
 
 
 def template(u: np.ndarray) -> np.ndarray:
@@ -136,8 +124,8 @@ def _snap_v_i(draw: float, cfg: SynthConfig) -> float:
     return k * step
 
 
-def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], SynthTruth]:
-    """Generate raw curves sampled every RAW_STEP_MM with planted truth.
+def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], tuple[SynthRecord, ...]]:
+    """Raw curves sampled every RAW_STEP_MM, material after material, and their truth.
 
     Each curve's strength is its material base strength plus a linear
     temperature effect centered on the temperature range midpoint; the
@@ -183,13 +171,5 @@ def generate(cfg: SynthConfig = SynthConfig()) -> tuple[list[RawCurve], SynthTru
                 rm_MPa=float(rm),
             )
             curves.append(RawCurve(displacement_mm=disp, force_N=force, meta=meta))
-            records.append(
-                SynthRecord(
-                    material_id=material_id,
-                    temperature_C=float(temp),
-                    rm_MPa=float(rm),
-                    v_i_mm=float(v_i),
-                    f_i_N=float(f_i),
-                )
-            )
-    return curves, SynthTruth(records=tuple(records))
+            records.append(SynthRecord(rm_MPa=float(rm), v_i_mm=float(v_i), f_i_N=float(f_i)))
+    return curves, tuple(records)

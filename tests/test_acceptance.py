@@ -68,7 +68,7 @@ def _reference_set(noise_sigma):
                       noise_sigma_N=noise_sigma, seed=7)
     raw, truth = generate(cfg)
     curves = [resample(c, GRID) for c in raw]
-    stars = [rec.v_i_mm for rec in truth.records]
+    stars = [rec.v_i_mm for rec in truth]
     return cfg, curves, truth, stars
 
 
@@ -96,7 +96,7 @@ def test_acceptance_2_beta_recovery(noisy_set):
     forces = np.array([curve.force_N for curve in curves])
     markers = extract_markers(forces, curves[0].grid, MARKER_FIXED_V, stars)
     feats = empirical_feature(markers, cfg.h0_mm, MODE_INSTABILITY_FORCE)
-    targets = np.asarray([rec.rm_MPa for rec in truth.records])
+    targets = np.asarray([rec.rm_MPa for rec in truth])
     beta = fit_beta(feats, targets).beta
 
     grid_beta = np.arange(0.27, 0.33 + 1e-12, 1e-4)

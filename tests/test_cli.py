@@ -4,15 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import smallpunch
+from smallpunch import cli
 from smallpunch.cli import main
 from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta
-from smallpunch.dataio import fmt, load_curves, sha256_of, write_curve_csv, write_manifest
+from smallpunch.dataio import (fmt, load_curves, read_manifest, sha256_of, write_curve_csv,
+                               write_manifest)
 from smallpunch.evaluation import cross_validate
 from smallpunch.forest import Split
 from smallpunch.modelfile import load_model
@@ -351,7 +355,10 @@ def test_train_is_byte_deterministic_with_pinned_epoch(tmp_path, capsys,
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999"])
+# int() also takes spaces, a plus sign, underscores and other scripts'
+# digits, spellings `date +%s` never prints
+@pytest.mark.parametrize("epoch", ["abc", "1.5", "99999999999999999",
+                                   " 17", "17 ", "+17", "1_7", "\u0661\u0667", "17\n"])
 def test_a_malformed_source_date_epoch_exits_2_before_any_file_is_read(tmp_path, capsys,
                                                                        monkeypatch, epoch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
@@ -361,6 +368,41 @@ def test_a_malformed_source_date_epoch_exits_2_before_any_file_is_read(tmp_path,
     assert code == 2
     assert f"SOURCE_DATE_EPOCH must be whole seconds since 1970 that a date can hold, " \
            f"got {epoch!r}" in err
+    assert not model_path.exists()
+
+
+# an empty value means unset, and the clock gives the stamp
+@pytest.mark.parametrize("epoch,created", [
+    ("0", "1970-01-01T00:00:00Z"), ("1577836800", "2020-01-01T00:00:00Z"),
+    ("-17", "1969-12-31T23:59:43Z"), ("", "1970-01-01T00:00:42Z")])
+def test_a_source_date_epoch_of_ascii_digits_pins_the_stamp(tmp_path, capsys, monkeypatch,
+                                                            epoch, created):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+    monkeypatch.setattr(cli, "time", SimpleNamespace(time=lambda: 42.0))
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=4)
+    model_path = tmp_path / "model.json"
+    code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "pca-lm",
+                       "--out", str(model_path))
+    assert code == 0, err
+    assert load_model(model_path)[1]["created"] == created
+
+
+@pytest.mark.parametrize("flags", [("rf", "--trees", "5"), ("pca-lm",), ("empirical",)],
+                         ids=["rf", "pca-lm", "empirical"])
+def test_train_refuses_targets_too_large_to_fit(tmp_path, capsys, flags):
+    # finite strengths SpecimenMeta accepts, whose sums and squares overflow
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=4, sigma=5.0, seed=3)
+    manifest = data / "manifest.csv"
+    entries = read_manifest(manifest)
+    huge = np.linspace(1e200, 1.7e200, len(entries)).tolist()
+    write_manifest(manifest, [(name, replace(meta, rm_MPa=rm))
+                              for (name, meta), rm in zip(entries, huge)])
+    model_path = tmp_path / "model.json"
+    code, out, err = run(capsys, "train", str(manifest), "--pipeline", *flags,
+                         "--out", str(model_path))
+    assert (code, out) == (4, "")
+    assert err == ("error: targets too large to fit without overflow: 8 targets up to "
+                   "1.7e+200 in magnitude, where n * max|y| may be at most 1e+150\n")
     assert not model_path.exists()
 
 

@@ -528,7 +528,7 @@ def test_records_keep_a_given_frozen_owned_float64_array():
     uni = UniformCurve(grid=GridSpec(n_points=3), force_N=f, meta=make_meta())
     assert uni.force_N is f
     given_markers = [_frozen([2.0]), _frozen([0.1]), _frozen([1.0]), _frozen([0.05])]
-    markers = CurveMarkers(*given_markers, strategy=MARKER_MAX_SLOPE)
+    markers = CurveMarkers(*given_markers)
     assert all(kept is given for kept, given in zip(_record_arrays(markers), given_markers))
 
 
@@ -552,7 +552,7 @@ def test_records_copy_every_array_they_do_not_own(make):
     records = [
         RawCurve(d, f, make_meta()),
         UniformCurve(grid=GridSpec(spacing_mm=0.5, n_points=3), force_N=f, meta=make_meta()),
-        CurveMarkers(f, f, f, f, strategy=MARKER_MAX_SLOPE),
+        CurveMarkers(f, f, f, f),
     ]
     given = [np.asarray(a) for a in (d, f)]
     for record in records:
@@ -752,13 +752,13 @@ def test_marker_scale_equivariance_general_factor():
 def test_marker_invariants_enforced():
     with pytest.raises(InvalidMarkers):
         CurveMarkers(f_max_N=[10.0], v_at_fmax_mm=[1.0], f_instability_N=[11.0],
-                     v_instability_mm=[0.5], strategy=MARKER_MAX_SLOPE)
+                     v_instability_mm=[0.5])
     with pytest.raises(InvalidMarkers):
         CurveMarkers(f_max_N=[10.0], v_at_fmax_mm=[0.4], f_instability_N=[5.0],
-                     v_instability_mm=[0.5], strategy=MARKER_MAX_SLOPE)
+                     v_instability_mm=[0.5])
     with pytest.raises(InvalidMarkers):
         CurveMarkers(f_max_N=[10.0], v_at_fmax_mm=[1.0], f_instability_N=[0.0],
-                     v_instability_mm=[0.5], strategy=MARKER_MAX_SLOPE)
+                     v_instability_mm=[0.5])
 
 
 def test_uniform_curve_length_must_match_grid():

@@ -18,7 +18,7 @@ from smallpunch.dataio import (
     write_truth,
 )
 from smallpunch.errors import InvalidSpecimen, MalformedRow, NonFiniteValue
-from smallpunch.synth import SynthConfig, SynthRecord, SynthTruth, generate
+from smallpunch.synth import SynthConfig, SynthRecord, generate
 
 from conftest import make_meta
 
@@ -201,10 +201,9 @@ def test_writers_refuse_a_file_named_twice(tmp_path):
     with pytest.raises(MalformedRow, match="row 4: file './a.csv' repeats row 2"):
         write_manifest(tmp_path / "manifest.csv",
                        [("a.csv", meta), ("b.csv", meta), ("./a.csv", meta)])
-    record = SynthRecord("M00", 25.0, 512.0, 0.55, 426.0)
+    record = SynthRecord(512.0, 0.55, 426.0)
     with pytest.raises(MalformedRow, match="row 3: file 'a.csv' repeats row 2") as err:
-        write_truth(tmp_path / "truth.csv", ["a.csv", "a.csv"],
-                    SynthTruth(records=(record, record)))
+        write_truth(tmp_path / "truth.csv", ["a.csv", "a.csv"], (record, record))
     assert str(err.value).startswith(f"{tmp_path / 'truth.csv'}: ")
     assert not (tmp_path / "manifest.csv").exists() and not (tmp_path / "truth.csv").exists()
 
@@ -320,10 +319,10 @@ def test_load_curves_errors_cite_curve_file(tmp_path):
 
 
 def test_truth_round_trip(tmp_path):
-    truth = SynthTruth(records=(
-        SynthRecord("M00", 25.0, 512.3456789, 0.55, 426.9547),
-        SynthRecord("M01", -100.0, 734.25, 0.31, 611.875),
-    ))
+    truth = (
+        SynthRecord(512.3456789, 0.55, 426.9547),
+        SynthRecord(734.25, 0.31, 611.875),
+    )
     path = tmp_path / "truth.csv"
     write_truth(path, ["a.csv", "b.csv"], truth)
     back = read_truth(path)

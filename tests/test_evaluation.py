@@ -150,8 +150,8 @@ def test_splitters_reject_negative_seed():
 
 def test_report_needs_two_folds():
     with pytest.raises(BadK):
-        CvReport(fold_rmse=(1.0,), seed=0, per_sample=())
-    report = CvReport(fold_rmse=(1.0, 2.0), seed=0, per_sample=())
+        CvReport(fold_rmse=(1.0,), per_sample=())
+    report = CvReport(fold_rmse=(1.0, 2.0), per_sample=())
     assert (report.k, report.mean_rmse, report.std_rmse) == (2, 1.5, float(np.sqrt(0.5)))
 
 
@@ -161,7 +161,7 @@ def test_noiseless_curves_give_vanishing_empirical_error():
     cfg = SynthConfig(n_materials=2, curves_per_material=6, noise_sigma_N=0.0,
                       seed=3)
     curves, truth = _synth_uniform(cfg)
-    stars = [rec.v_i_mm for rec in truth.records]
+    stars = [rec.v_i_mm for rec in truth]
     spec = PipelineSpec(EmpiricalKind(mode=MODE_INSTABILITY_FORCE,
                                       marker_strategy=MARKER_FIXED_V))
     report = cross_validate(curves, spec, k=3, seed=0, v_star=stars)
@@ -180,7 +180,7 @@ def test_report_statistics_recompute():
     arr = np.asarray(report.fold_rmse)
     assert report.mean_rmse == float(np.mean(arr))
     assert report.std_rmse == pytest.approx(float(np.std(arr, ddof=1)), rel=1e-15)
-    assert report.k == 3 and report.seed == 2
+    assert report.k == 3
 
 
 def test_per_sample_covers_every_row_once():

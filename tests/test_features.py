@@ -13,13 +13,17 @@ from smallpunch.errors import (
     TooFewRows,
 )
 from smallpunch.curves import GridSpec
+from smallpunch.evaluation import rmse
 from smallpunch.features import (
+    _MAX_TARGET_MASS,
     apply_standardizer,
     assemble,
     column_labels,
     fit_standardizer,
     strengths,
 )
+from smallpunch.forest import ForestConfig, fit_forest, predict_forest
+from smallpunch.regress import fit_beta, fit_ols, predict_linear
 
 from conftest import make_meta, make_uniform
 
@@ -162,3 +166,32 @@ def test_feature_matrix_rejects_non_finite():
         apply_standardizer(std, _matrix([[1.0, np.nan]]))
     with pytest.raises(ShapeMismatch):
         apply_standardizer(std, np.array([1.0, 2.0]))
+
+
+# ------------------------------------------------------------ target size
+
+# every fit that takes targets, with the prediction of its training rows;
+# the design is one positive column, the row number plus one
+_FITS = {
+    "ols": lambda x, y: predict_linear(fit_ols(x, y), x),
+    "beta": lambda x, y: fit_beta(x[:, 0], y).beta * x[:, 0],
+    "forest": lambda x, y: predict_forest(fit_forest(x, y, ForestConfig(min_leaf=1)), x),
+}
+
+
+@pytest.mark.parametrize("fit", _FITS.values(), ids=_FITS.keys())
+def test_fits_refuse_targets_whose_sums_would_overflow(fit):
+    y = np.linspace(1e200, 1.7e200, 8)
+    with pytest.raises(NonFiniteValue, match=r"^targets too large to fit without overflow: "
+                       r"8 targets up to 1\.7e\+200 in magnitude, where n \* max\|y\| may be "
+                       r"at most 1e\+150$"):
+        fit(np.arange(1.0, 9.0)[:, None], y)
+
+
+@pytest.mark.parametrize("fit", _FITS.values(), ids=_FITS.keys())
+def test_fits_take_targets_at_the_bound_without_overflow(fit):
+    # n * max|y| is the bound exactly; an overflow warning fails the suite
+    y = np.linspace(0.2, 1.0, 8) * (_MAX_TARGET_MASS / 8)
+    assert y.size * np.max(y) == _MAX_TARGET_MASS
+    predictions = fit(np.arange(1.0, 9.0)[:, None], y)
+    assert np.all(np.isfinite(predictions)) and np.isfinite(rmse(predictions, y))

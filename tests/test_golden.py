@@ -125,7 +125,7 @@ def empirical_digests() -> dict[str, str]:
     """
     raw, truth = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
     curves = [resample(c, GridSpec()) for c in raw]
-    planted = [rec.v_i_mm for rec in truth.records]
+    planted = [rec.v_i_mm for rec in truth]
     digests: dict[str, str] = {}
     for mode in ("max-force", "instability-force"):
         for marker, v_star in (("max-slope", None), ("fixed-v", planted)):

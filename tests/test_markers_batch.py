@@ -54,7 +54,6 @@ class _ReferenceMarkers:
     v_at_fmax_mm: float
     f_instability_N: float
     v_instability_mm: float
-    strategy: str
 
     def __post_init__(self) -> None:
         if not (self.f_instability_N > 0.0):
@@ -67,8 +66,6 @@ class _ReferenceMarkers:
             raise InvalidMarkers(
                 f"need 0 < v_i <= v_m, got v_i={self.v_instability_mm}, v_m={self.v_at_fmax_mm}"
             )
-        if self.strategy not in MARKER_STRATEGIES:
-            raise InvalidMarkers(f"unknown marker strategy: {self.strategy!r}")
 
 
 def _reference_moving_average5(f: np.ndarray) -> np.ndarray:
@@ -139,7 +136,6 @@ def _reference_extract_markers(
         v_at_fmax_mm=v_m,
         f_instability_N=f_i,
         v_instability_mm=v_i,
-        strategy=strategy,
     )
 
 
@@ -248,7 +244,6 @@ def test_batch_markers_and_features_match_the_per_curve_reference(batch, strateg
     assert got_error == want_error
     if want_error is not None:
         return
-    assert got.strategy == strategy
     for name in MARKER_FIELDS:
         assert getattr(got, name).tobytes() == np.array(
             [getattr(m, name) for m in want]).tobytes(), name

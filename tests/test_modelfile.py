@@ -28,7 +28,7 @@ def dataset():
                                       noise_sigma_N=4.0, seed=50))
     grid = GridSpec()
     curves = [resample(c, grid) for c in raw]
-    stars = [r.v_i_mm for r in truth.records]
+    stars = [r.v_i_mm for r in truth]
     return curves, stars
 
 
@@ -338,9 +338,21 @@ def _stray(block, family):
      "missing field 'standardize'"),
     ("rf", lambda doc, saved: doc["pipeline"].pop("standardize"),
      "missing field 'standardize'"),
+    # a fact both blocks state must have one value: the markers the kind
+    # picks are the ones the model's beta was fitted on
+    ("empirical", lambda doc, saved: doc["pipeline"].__setitem__("marker_strategy", "fixed-v"),
+     "model marker_strategy 'max-slope' contradicts pipeline 'fixed-v'"),
+    ("empirical", lambda doc, saved: doc["model"].__setitem__("marker_strategy", "fixed-v"),
+     "model marker_strategy 'fixed-v' contradicts pipeline 'max-slope'"),
+    ("pca-lm", lambda doc, saved: doc["pca"].__setitem__("threshold", 0.5),
+     "pca threshold 0.5 contradicts pipeline variance_threshold 0.99"),
+    ("pca-lm", lambda doc, saved: doc["pipeline"].__setitem__("variance_threshold", 0.5),
+     "pca threshold 0.99 contradicts pipeline variance_threshold 0.5"),
 ], ids=["pca-lm-standardize-false-with-standardizer", "rf-raw-with-pca",
         "empirical-with-standardizer", "empirical-with-pca", "pca-lm-standardize-missing",
-        "rf-standardize-missing"])
+        "rf-standardize-missing", "empirical-pipeline-marker-fixed-v",
+        "empirical-model-marker-fixed-v", "pca-threshold-contradicts-pipeline",
+        "pipeline-variance_threshold-contradicts-pca"])
 def test_contradictory_or_incomplete_file_is_a_model_file_error(tmp_path, trained_by_family,
                                                                 family, change, match):
     saved = {}

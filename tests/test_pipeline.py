@@ -35,7 +35,7 @@ def dataset():
                                       noise_sigma_N=4.0, seed=60))
     grid = GridSpec()
     curves = [resample(c, grid) for c in raw]
-    stars = [r.v_i_mm for r in truth.records]
+    stars = [r.v_i_mm for r in truth]
     return curves, stars
 
 

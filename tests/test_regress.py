@@ -34,7 +34,6 @@ def _markers(f_max=900.0, v_max=1.2, f_i=889.0, v_i=0.55):
         v_at_fmax_mm=[v_max],
         f_instability_N=[f_i],
         v_instability_mm=[v_i],
-        strategy=MARKER_MAX_SLOPE,
     )
 
 

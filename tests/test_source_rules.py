@@ -8,12 +8,15 @@ from dataclasses import fields
 from pathlib import Path
 
 import smallpunch
-from smallpunch.curves import GridSpec
-from smallpunch.features import Standardizer
-from smallpunch.forest import ForestConfig
-from smallpunch.pca import PcaModel
-from smallpunch.pipeline import _ARRAYS, _SCALARS, KINDS
+from smallpunch import dataio
+from smallpunch.curves import GridSpec, parse_curve_csv
+from smallpunch.features import Standardizer, assemble, strengths
+from smallpunch.forest import ForestConfig, fit_forest, predict_forest
+from smallpunch.modelfile import save_model
+from smallpunch.pca import PcaModel, fit_pca
+from smallpunch.pipeline import _ARRAYS, _SCALARS, KINDS, PcaLmKind, PipelineSpec, fit_pipeline
 from smallpunch.regress import EmpiricalModel, LinearModel
+from smallpunch.synth import SynthConfig, generate
 
 SOURCES = sorted(Path(smallpunch.__file__).parent.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
@@ -226,6 +229,50 @@ def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
     ]
     assert len(workloads.TRACE_POINTS) > 30
     assert missing == []
+
+
+def test_every_observer_of_the_benchmark_reads_what_its_function_returns(tmp_path,
+                                                                       monkeypatch):
+    # under --trace 1 each observer reads the real result of the function it
+    # wraps (a forest's trees and Leaf nodes, a parsed curve, a model file),
+    # which a deletion in the package could break where no trace-point name
+    # changes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("benchlib").Tracer(enabled=True)
+    raw, _ = generate(SynthConfig(n_materials=2, curves_per_material=3, noise_sigma_N=2.0,
+                                  seed=5))
+    names = [f"c{i}.csv" for i in range(len(raw))]
+    for name, curve in zip(names, raw):
+        dataio.write_curve_csv(tmp_path / name, curve)
+    manifest, model_path = tmp_path / "manifest.csv", tmp_path / "model.json"
+    dataio.write_manifest(manifest, [(n, c.meta) for n, c in zip(names, raw)])
+    loaded = dataio.load_curves(manifest, GridSpec())
+    x, y = assemble(loaded[1]), strengths(loaded[1])
+    forest = fit_forest(x, y, ForestConfig(n_trees=3, seed=1))
+    pca = fit_pca(x)
+    text = (tmp_path / names[0]).read_text(encoding="utf-8")
+    trained = fit_pipeline(loaded[1], PipelineSpec(PcaLmKind()))
+    calls = {
+        "forest.fit": ((x, y), forest),
+        "forest.predict": ((forest, x), predict_forest(forest, x)),
+        "pca.fit": ((x,), pca),
+        "curves.parse": ((text, raw[0].meta), parse_curve_csv(text, raw[0].meta)),
+        "dataio.load_curves": ((manifest, GridSpec()), loaded),
+        "modelfile.save": ((model_path, trained, {}), save_model(model_path, trained, {})),
+    }
+    observers = workloads._observers(tracer)
+    assert observers.keys() == calls.keys()
+    for name, (args, result) in calls.items():
+        observers[name](args, {}, result)
+    read = manifest.stat().st_size + sum((tmp_path / n).stat().st_size for n in names)
+    assert tracer.counters == {
+        "forest.trees": 3, "forest.nodes": forest.table.count.size,
+        "forest.rows_x_trees": 3 * len(raw), "curves.parse_rows": raw[0].force_N.size,
+        "dataio.bytes_read": read}
+    assert max(tracer.samples.pop("forest.depth")) == forest.table.depth
+    assert tracer.samples == {"pca.components": [pca.n_components],
+                              "modelfile.bytes": [model_path.stat().st_size]}
 
 
 def test_no_module_imports_a_name_it_never_uses():

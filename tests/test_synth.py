@@ -43,14 +43,14 @@ def test_instability_force_identity_is_exact():
     cfg = _small_cfg()
     _, truth = generate(cfg)
     h0sq = cfg.h0_mm * cfg.h0_mm
-    for rec in truth.records:
+    for rec in truth:
         assert rec.f_i_N == rec.rm_MPa * h0sq / cfg.beta_true
 
 
 def test_noiseless_force_hits_f_i_at_the_knee():
     cfg = _small_cfg(noise_sigma_N=0.0)
     curves, truth = generate(cfg)
-    for curve, rec in zip(curves, truth.records):
+    for curve, rec in zip(curves, truth):
         idx = int(round(rec.v_i_mm / RAW_STEP_MM))
         assert curve.displacement_mm[idx] == pytest.approx(rec.v_i_mm, abs=1e-12)
         assert curve.force_N[idx] == pytest.approx(rec.f_i_N, rel=1e-12)
@@ -59,9 +59,9 @@ def test_noiseless_force_hits_f_i_at_the_knee():
 def test_default_set_size_and_alignment():
     curves, truth = generate(SynthConfig())
     assert len(curves) == 120 and len(truth) == 120
-    for curve, rec in zip(curves, truth.records):
-        assert curve.meta.material_id == rec.material_id
-        assert curve.meta.temperature_C == rec.temperature_C
+    # each material's curves come together, in material order
+    assert [c.meta.material_id for c in curves] == [f"M{i // 24:02d}" for i in range(120)]
+    for curve, rec in zip(curves, truth):
         assert curve.meta.rm_MPa == rec.rm_MPa
         assert curve.meta.thickness_mm == 0.5
 
@@ -120,7 +120,7 @@ def test_error_grows_with_noise():
         raw, truth = generate(_small_cfg(curves_per_material=6,
                                          noise_sigma_N=sigma, seed=21))
         curves = [resample(c, grid) for c in raw]
-        stars = [r.v_i_mm for r in truth.records]
+        stars = [r.v_i_mm for r in truth]
         report = cross_validate(curves, spec, k=3, seed=0, v_star=stars)
         means.append(report.mean_rmse)
     assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
@@ -131,14 +131,14 @@ def test_error_grows_with_noise():
 
 def test_planted_values_respect_configured_ranges():
     cfg = SynthConfig(n_materials=3, curves_per_material=10, seed=31)
-    _, truth = generate(cfg)
+    curves, truth = generate(cfg)
     t_lo, t_hi = cfg.temp_range_C
     v_lo, v_hi = cfg.v_i_range_mm
     half_span = (t_hi - t_lo) / 2.0
     rm_lo = cfg.rm_range_MPa[0] - abs(cfg.temp_slope_MPa_per_C) * half_span
     rm_hi = cfg.rm_range_MPa[1] + abs(cfg.temp_slope_MPa_per_C) * half_span
-    for rec in truth.records:
-        assert t_lo <= rec.temperature_C <= t_hi
+    for curve, rec in zip(curves, truth):
+        assert t_lo <= curve.meta.temperature_C <= t_hi
         assert v_lo - 1e-12 <= rec.v_i_mm <= v_hi + 1e-12
         steps = rec.v_i_mm / cfg.v_i_step_mm
         assert abs(steps - round(steps)) < 1e-9
@@ -148,12 +148,12 @@ def test_planted_values_respect_configured_ranges():
 
 def test_material_base_strength_is_consistent():
     cfg = SynthConfig(n_materials=3, curves_per_material=8, seed=32)
-    _, truth = generate(cfg)
+    curves, truth = generate(cfg)
     t_mid = sum(cfg.temp_range_C) / 2.0
     bases = {}
-    for rec in truth.records:
-        base = rec.rm_MPa - cfg.temp_slope_MPa_per_C * (rec.temperature_C - t_mid)
-        bases.setdefault(rec.material_id, []).append(base)
+    for curve, rec in zip(curves, truth):
+        base = rec.rm_MPa - cfg.temp_slope_MPa_per_C * (curve.meta.temperature_C - t_mid)
+        bases.setdefault(curve.meta.material_id, []).append(base)
     assert len(bases) == 3
     for values in bases.values():
         assert np.allclose(values, values[0], rtol=1e-12)
