@@ -36,6 +36,7 @@ from .pipeline import (
     FOREST_INPUT_RAW,
     FOREST_INPUT_SCORES,
     KINDS,
+    PipelineKind,
     PipelineSpec,
     fit_pipeline,
     predict_pipeline,
@@ -121,9 +122,20 @@ def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
                         standardize=not args.no_standardize)
 
 
-def _v_star_source(args: argparse.Namespace, strategy: str | None) -> Path | float | None:
-    """--truth's path or --v-star's checked value; None where no v_i is read."""
-    if strategy != MARKER_FIXED_V:
+def _v_star_source(args: argparse.Namespace, kind: PipelineKind) -> Path | float | None:
+    """--truth's path or --v-star's checked value; None where no v_i is read.
+
+    A family without markers refuses both flags; the empirical family
+    ignores them under a marker other than fixed-v.
+    """
+    if kind.marker_strategy is None:
+        given = [flag for flag, value in (("--truth", args.truth), ("--v-star", args.v_star))
+                 if value is not None]
+        if given:
+            raise BadConfig(f"{' and '.join(given)}: the {kind.name} family has no marker "
+                            "and reads no v_i")
+        return None
+    if kind.marker_strategy != MARKER_FIXED_V:
         return None
     if args.truth is not None and args.v_star is not None:
         raise BadConfig("the fixed-v marker takes --v-star or --truth, not both")
@@ -151,7 +163,7 @@ def _labelled_inputs(args: argparse.Namespace):
     """cv's and train's spec, curves and v_star; every flag is checked before a file is read."""
     grid = _grid_from_args(args)
     spec = _spec_from_args(args)
-    source = _v_star_source(args, spec.kind.marker_strategy)
+    source = _v_star_source(args, spec.kind)
     names, curves = dataio.load_curves(args.manifest, grid)
     return spec, curves, _v_star_for(source, names)
 
@@ -221,8 +233,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
-    if args.v_star is not None:  # a given --v-star is checked before any curve is read
-        _v_star_source(args, trained.spec.kind.marker_strategy)
+    if args.v_star is not None or args.truth is not None:  # checked before any curve is read
+        _v_star_source(args, trained.spec.kind)
     if any(v is not None for v in (args.grid_start, args.grid_spacing, args.grid_points)):
         requested = _grid_from_args(args, default=trained.grid)
         if requested != trained.grid:
@@ -232,7 +244,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     names, curves = dataio.load_curves(args.manifest, trained.grid)
     rows = []
     if curves:  # an empty manifest needs no v_star and gets a header-only table
-        v_star = _v_star_for(_v_star_source(args, trained.spec.kind.marker_strategy), names)
+        v_star = _v_star_for(_v_star_source(args, trained.spec.kind), names)
         preds = predict_pipeline(trained, curves, v_star=v_star)
         rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)

@@ -9,14 +9,17 @@ file's name in every error.  Files are UTF-8 with LF line ends, whatever
 the locale, and floats are written by curves.fmt, their repr, so a seeded
 rerun writes the same bytes and a float reads back bit-identical.  The exception is a curve
 displacement within 1e-9 um of a whole micrometre: write_curve_csv, which
-writes a column at a time with the bytes of a row loop, stores it as that
-integer, and it can read back one ulp off (about 200 of the 1,501
-displacements of a synthetic curve).
+writes the bytes of a row loop, stores it as that integer, and it can read
+back one ulp off (about 200 of the 1,501 displacements of a synthetic
+curve).  It formats a displacement column once for a run of curves on one
+grid, such as every set synth writes.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import operator
 import os
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -35,7 +38,7 @@ from .curves import (
     read_table,
     resample,
 )
-from .errors import MalformedRow, prefixed
+from .errors import MalformedRow, NonFiniteValue, prefixed
 from .evaluation import CvReport
 from .synth import SynthRecord
 
@@ -94,21 +97,44 @@ def _refuse_repeats(path: Path, rows: Iterable[tuple[int, str]]) -> None:
                 raise MalformedRow(f"row {lineno}: file '{name}' repeats row {row}")
 
 
+@functools.lru_cache(maxsize=1)
+def _micrometre_cells(displacement_mm: bytes) -> tuple[str, ...]:
+    """Each displacement's micrometre cell and its comma, from the column's float64 bytes.
+
+    A displacement within 1e-9 um of a whole micrometre is written as that
+    integer and any other by fmt: the bytes of a row loop, since array
+    arithmetic gives the scalar IEEE results and a tie never passes the
+    test.  A micrometre value beyond the largest double is a NonFiniteValue
+    naming its row, not an 'inf' cell that no reader takes.  Keyed on the bytes,
+    a cell depends on the column's bits alone, and the one cached column
+    serves each next curve on the same grid.
+    """
+    d_mm = np.frombuffer(displacement_mm)
+    with np.errstate(over="ignore"):
+        d_um = d_mm * 1000.0
+    overflow = np.flatnonzero(np.isinf(d_um))
+    if overflow.size:
+        i = overflow[0]  # row 1 is the header
+        raise NonFiniteValue(f"row {i + 2}: displacement {fmt(d_mm[i])} mm "
+                             "overflows in micrometres")
+    rounded = np.round(d_um)
+    whole = np.abs(d_um - rounded) < 1e-9
+    return tuple(f"{int(r) if w else repr(d)}," for d, r, w in
+                 zip(d_um.tolist(), rounded.tolist(), whole.tolist()))
+
+
 def write_curve_csv(path: Path, curve: RawCurve) -> None:
     """Write one curve with displacements converted back to micrometres.
 
-    The table is built a column at a time and written once.  A displacement
-    within 1e-9 um of a whole micrometre is written as that integer and any
-    other cell as fmt writes it: the bytes of a row loop, since array
-    arithmetic gives the scalar IEEE results and a tie never passes the test.
+    The displacement cells come from _micrometre_cells, which formats a
+    column once per grid, so consecutive curves on one grid pay for it
+    once; each force is written by repr, and the table is joined and
+    written once.
     """
-    d_um = curve.displacement_mm * 1000.0
-    rounded = np.round(d_um)
-    whole = np.abs(d_um - rounded) < 1e-9
-    cols = zip(d_um.tolist(), rounded.tolist(), whole.tolist(), curve.force_N.tolist())
-    lines = [",".join(CURVE_HEADER)]
-    lines += [f"{str(int(r)) if w else repr(d)},{f!r}" for d, r, w, f in cols]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with prefixed(path):
+        cells = _micrometre_cells(curve.displacement_mm.tobytes())
+    rows = map(operator.add, cells, map(repr, curve.force_N.tolist()))
+    path.write_text("\n".join((",".join(CURVE_HEADER), *rows, "")), encoding="utf-8")
 
 
 def write_manifest(path: Path, entries: Iterable[tuple[str, SpecimenMeta]]) -> None:

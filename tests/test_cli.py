@@ -567,6 +567,32 @@ def test_v_star_with_truth_exits_2_before_any_curve_is_read(tmp_path, capsys, co
     assert not out.exists()
 
 
+@pytest.mark.parametrize("pipeline", ["pca-lm", "rf"])
+@pytest.mark.parametrize("command", ["cv", "train", "predict"])
+@pytest.mark.parametrize("flags,named", [
+    (("--truth", "/nonexistent.csv"), "--truth"),
+    (("--v-star", "-3"), "--v-star"),
+    (("--truth", "/nonexistent.csv", "--v-star", "-3"), "--truth and --v-star"),
+], ids=["truth", "v-star", "both"])
+def test_families_without_markers_refuse_v_i_flags_before_any_file_is_read(
+        tmp_path, capsys, pipeline, command, flags, named):
+    # the manifest does not exist: reading it would exit 3, not 2
+    family = ("--pipeline", pipeline, "--trees", "5")
+    model = ()
+    if command == "predict":
+        data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+        model_path = tmp_path / "m.json"
+        code, _, err = run(capsys, "train", str(data / "manifest.csv"), *family,
+                           "--out", str(model_path))
+        assert code == 0, err
+        family, model = (), ("--model", str(model_path))
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"), *family,
+                       *model, *flags, "--out", str(out))
+    assert code == 2 and f"{named}: the {pipeline} family has no marker" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["cv", "train", "predict"])
 def test_non_finite_v_star_exits_2(tmp_path, capsys, command, value):
