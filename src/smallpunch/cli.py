@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataio
-from .curves import GridSpec, MARKER_FIXED_V, MARKER_MAX_SLOPE, MARKER_STRATEGIES
+from .curves import GridSpec, MARKER_FIXED_V, MARKER_STRATEGIES
 from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion, prefixed
 from .evaluation import cross_validate, rmse
 from .features import strengths
@@ -41,7 +41,7 @@ from .pipeline import (
     fit_pipeline,
     predict_pipeline,
 )
-from .regress import EMPIRICAL_MODES, MODE_INSTABILITY_FORCE
+from .regress import EMPIRICAL_MODES
 from .synth import SynthConfig, generate
 
 EXIT_OK = 0
@@ -84,68 +84,91 @@ def _grid_from_args(args: argparse.Namespace, default: GridSpec = GridSpec()) ->
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    """--pipeline, the family flags and --workers, each flag left out of args unless given.
+
+    The parser's argument_default is SUPPRESS: a family flag's dest is the
+    field it fills, whose dataclass alone states its default.
+    """
     parser.add_argument("--pipeline", choices=tuple(KINDS), required=True,
                         help="model family to fit")
-    parser.add_argument("--mode", choices=EMPIRICAL_MODES, default=MODE_INSTABILITY_FORCE,
-                        help="empirical correlation variant")
-    parser.add_argument("--marker", choices=MARKER_STRATEGIES, default=MARKER_MAX_SLOPE,
-                        help="instability marker strategy for the empirical pipeline")
-    parser.add_argument("--v-star", type=float, default=None,
-                        help="shared displacement in mm for the fixed-v marker strategy")
-    parser.add_argument("--truth", type=Path, default=None,
-                        help="truth CSV supplying per-file v_i for the fixed-v strategy")
-    parser.add_argument("--variance-threshold", type=float, default=0.99,
-                        help="PCA cumulative explained-variance target")
-    parser.add_argument("--no-standardize", action="store_true",
-                        help="skip column standardization before PCA/forest")
-    parser.add_argument("--trees", type=int, default=200, help="forest size")
-    parser.add_argument("--max-depth", type=int, default=None,
-                        help="forest depth cap (default unlimited)")
-    parser.add_argument("--min-leaf", type=int, default=2,
-                        help="minimum samples per forest leaf")
-    parser.add_argument("--mtry", type=int, default=None,
-                        help="features tried per split (default ceil(p/3))")
-    parser.add_argument("--rf-input", choices=(FOREST_INPUT_RAW, FOREST_INPUT_SCORES),
-                        default=FOREST_INPUT_RAW,
-                        help="feed the forest raw standardized columns or PCA scores")
-    parser.add_argument("--workers", type=int, default=1,
+    empirical = parser.add_argument_group("empirical family")
+    features = parser.add_argument_group("pca-lm and rf families")
+    forest = parser.add_argument_group("rf family")
+    _family_flags(parser, [
+        empirical.add_argument("--mode", choices=EMPIRICAL_MODES,
+                               help="empirical correlation variant"),
+        empirical.add_argument("--marker", dest="marker_strategy", choices=MARKER_STRATEGIES,
+                               help="instability marker strategy"),
+        empirical.add_argument("--v-star", type=float,
+                               help="shared displacement in mm for the fixed-v marker"),
+        empirical.add_argument("--truth", type=Path,
+                               help="truth CSV supplying per-file v_i for the fixed-v marker"),
+        features.add_argument("--variance-threshold", type=float,
+                              help="PCA cumulative explained-variance target"),
+        features.add_argument("--no-standardize", dest="standardize", action="store_false",
+                              help="skip column standardization before PCA/forest"),
+        forest.add_argument("--trees", dest="n_trees", type=int, help="forest size"),
+        forest.add_argument("--max-depth", type=int,
+                            help="forest depth cap (default unlimited)"),
+        forest.add_argument("--min-leaf", type=int, help="minimum samples per forest leaf"),
+        forest.add_argument("--mtry", type=int,
+                            help="features tried per split (default ceil(p/3))"),
+        forest.add_argument("--rf-input", dest="input",
+                            choices=(FOREST_INPUT_RAW, FOREST_INPUT_SCORES),
+                            help="feed the forest raw standardized columns or PCA scores"),
+    ])
+    parser.add_argument("--workers", type=int,
                         help="has no effect; forests are grown in one thread")
 
 
+def _family_flags(parser: argparse.ArgumentParser, actions: list[argparse.Action]) -> None:
+    """Give args the option of each family flag by its dest, for _refuse_unread."""
+    parser.set_defaults(family_flags={a.dest: a.option_strings[0] for a in actions})
+
+
+def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type, fixed_v: bool) -> None:
+    """Exit 2 naming each family flag given that kind's family does not read.
+
+    The empirical family reads --v-star and --truth only with the fixed-v marker.
+    """
+    given = {dest: option for dest, option in args.family_flags.items() if dest in args}
+    for unread, why in (
+        ([o for d, o in given.items() if d not in kind.flags], "reads no such flag"),
+        ([o for d, o in given.items() if d in ("truth", "v_star") and not fixed_v],
+         f"reads v_i only with --marker {MARKER_FIXED_V}"),
+    ):
+        if unread:
+            raise BadConfig(f"{' and '.join(sorted(unread))}: the {kind.name} family {why}")
+
+
 def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
-    """The pipeline the flags of cv and train name; every family records the seed."""
-    if args.workers < 1:
+    """The pipeline the flags of cv and train name, after every flag its family leaves unread."""
+    if "workers" in args and args.workers < 1:
         raise BadConfig("--workers must be >= 1")
     if args.seed < 0:
         raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
-    return PipelineSpec(kind=KINDS[args.pipeline].from_flags(args),
-                        standardize=not args.no_standardize)
+    _refuse_unread(args, KINDS[args.pipeline],
+                   fixed_v=getattr(args, "marker_strategy", None) == MARKER_FIXED_V)
+    return PipelineSpec.from_flags(args)
 
 
 def _v_star_source(args: argparse.Namespace, kind: PipelineKind) -> Path | float | None:
-    """--truth's path or --v-star's checked value; None where no v_i is read.
+    """--truth's path or --v-star's checked value for a fixed-v kind, else None.
 
-    A family without markers refuses both flags; the empirical family
-    ignores them under a marker other than fixed-v.
+    A max-force kind records the max-slope marker and so reads neither.
     """
-    if kind.marker_strategy is None:
-        given = [flag for flag, value in (("--truth", args.truth), ("--v-star", args.v_star))
-                 if value is not None]
-        if given:
-            raise BadConfig(f"{' and '.join(given)}: the {kind.name} family has no marker "
-                            "and reads no v_i")
-        return None
     if kind.marker_strategy != MARKER_FIXED_V:
         return None
-    if args.truth is not None and args.v_star is not None:
+    truth, v_star = getattr(args, "truth", None), getattr(args, "v_star", None)
+    if truth is not None and v_star is not None:
         raise BadConfig("the fixed-v marker takes --v-star or --truth, not both")
-    if args.truth is not None:
-        return args.truth
-    if args.v_star is None:
+    if truth is not None:
+        return truth
+    if v_star is None:
         raise BadConfig("the fixed-v marker needs --v-star or --truth")
-    if not (0.0 < args.v_star < math.inf):
-        raise BadConfig(f"--v-star must be finite and > 0, got {args.v_star}")
-    return args.v_star
+    if not (0.0 < v_star < math.inf):
+        raise BadConfig(f"--v-star must be finite and > 0, got {v_star}")
+    return v_star
 
 
 def _v_star_for(source: Path | float | None, names: list[str]):
@@ -233,8 +256,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
-    if args.v_star is not None or args.truth is not None:  # checked before any curve is read
-        _v_star_source(args, trained.spec.kind)
+    kind = trained.spec.kind
+    # a given v_i flag is checked before any curve is read
+    _refuse_unread(args, kind, fixed_v=kind.marker_strategy == MARKER_FIXED_V)
+    if "truth" in args or "v_star" in args:
+        _v_star_source(args, kind)
     if any(v is not None for v in (args.grid_start, args.grid_spacing, args.grid_points)):
         requested = _grid_from_args(args, default=trained.grid)
         if requested != trained.grid:
@@ -244,7 +270,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     names, curves = dataio.load_curves(args.manifest, trained.grid)
     rows = []
     if curves:  # an empty manifest needs no v_star and gets a header-only table
-        v_star = _v_star_for(_v_star_source(args, trained.spec.kind), names)
+        v_star = _v_star_for(_v_star_source(args, kind), names)
         preds = predict_pipeline(trained, curves, v_star=v_star)
         rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)
@@ -289,18 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--out", type=Path, required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 
-    p_cv = sub.add_parser("cv", help="cross-validate one pipeline on a labeled dataset")
+    p_cv = sub.add_parser("cv", help="cross-validate one pipeline on a labeled dataset",
+                          argument_default=argparse.SUPPRESS)
     p_cv.add_argument("manifest", type=Path)
     _add_pipeline_flags(p_cv)
     _add_grid_flags(p_cv)
     p_cv.add_argument("--k", type=int, default=10)
     p_cv.add_argument("--seed", type=int, default=0)
-    p_cv.add_argument("--stratify-material", action="store_true",
+    p_cv.add_argument("--stratify-material", action="store_true", default=False,
                       help="keep each material's curves inside one fold")
     p_cv.add_argument("--out", type=Path, required=True, help="output directory")
     p_cv.set_defaults(func=cmd_cv)
 
-    p_train = sub.add_parser("train", help="fit one pipeline and save a model file")
+    p_train = sub.add_parser("train", help="fit one pipeline and save a model file",
+                             argument_default=argparse.SUPPRESS)
     p_train.add_argument("manifest", type=Path)
     _add_pipeline_flags(p_train)
     _add_grid_flags(p_train)
@@ -312,10 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("manifest", type=Path)
     p_pred.add_argument("--model", type=Path, required=True)
     _add_grid_flags(p_pred)
-    p_pred.add_argument("--v-star", type=float, default=None,
-                        help="shared v_i for fixed-v empirical models")
-    p_pred.add_argument("--truth", type=Path, default=None,
-                        help="truth CSV supplying per-file v_i for fixed-v empirical models")
+    _family_flags(p_pred, [
+        p_pred.add_argument("--v-star", type=float, default=argparse.SUPPRESS,
+                            help="shared v_i for fixed-v empirical models"),
+        p_pred.add_argument("--truth", type=Path, default=argparse.SUPPRESS,
+                            help="truth CSV supplying per-file v_i for fixed-v empirical models"),
+    ])
     p_pred.add_argument("--out", type=Path, required=True, help="predictions CSV path")
     p_pred.set_defaults(func=cmd_predict)
 

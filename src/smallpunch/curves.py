@@ -288,10 +288,21 @@ def read_table(
     return names, rows[1:]
 
 
+def decimal_cell(cell: str) -> float:
+    """float(cell) for a stripped cell of ASCII without '_', else ValueError.
+
+    float also reads digits with underscores (1_0) and other scripts'
+    digits (\u0661\u0662, \uff11\uff10); a table's numbers are ASCII decimals.
+    """
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return float(cell)
+
+
 def finite_cells(lineno: int, cells: Sequence[str]) -> list[float]:
     """Row lineno's cells as finite floats, else MalformedRow or NonFiniteValue."""
     try:
-        values = [float(c) for c in cells]
+        values = [decimal_cell(c) for c in cells]
     except ValueError:
         raise MalformedRow(f"row {lineno}: non-numeric cell") from None
     if not all(map(math.isfinite, values)):

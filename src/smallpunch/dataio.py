@@ -2,9 +2,9 @@
 
 One reader and one writer serve every table.  curves.read_table reads
 each in the one dialect, and curves.finite_cells converts its numbers (the
-manifest converts its own: rm_MPa may be blank, and SpecimenMeta checks
-them).  _write_table writes every table but a curve file, and refuses a
-cell the reader would not return unchanged.  errors.prefixed puts the
+manifest converts its own with curves.decimal_cell: rm_MPa may be blank,
+and SpecimenMeta checks them).  _write_table writes every table but a
+curve file, and refuses a cell the reader would not return unchanged.  errors.prefixed puts the
 file's name in every error.  Files are UTF-8 with LF line ends, whatever
 the locale, and floats are written by curves.fmt, their repr, so a seeded
 rerun writes the same bytes and a float reads back bit-identical.  The exception is a curve
@@ -32,6 +32,7 @@ from .curves import (
     RawCurve,
     SpecimenMeta,
     UniformCurve,
+    decimal_cell,
     finite_cells,
     fmt,
     parse_curve_csv,
@@ -170,8 +171,8 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
                 raise MalformedRow(f"row {lineno}: curve file '{filename}' lies outside "
                                    "the manifest's directory")
             try:
-                temperature, thickness = float(temp_s), float(thick_s)
-                rm = float(rm_s) if rm_s else None
+                temperature, thickness = decimal_cell(temp_s), decimal_cell(thick_s)
+                rm = decimal_cell(rm_s) if rm_s else None
             except ValueError:
                 raise MalformedRow(f"row {lineno}: non-numeric cell") from None
             with prefixed(f"row {lineno}"):

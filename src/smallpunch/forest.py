@@ -580,15 +580,13 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
 
     oob_rmse = None
     if cfg.bootstrap:
-        # each row's out-of-bag tree predictions, summed in tree order
-        oob_sum = np.zeros(n)
-        oob_count = np.zeros(n, dtype=int)
-        for values, rows in zip(table.tree_values(xv), bags):
-            oob = np.ones(n, dtype=bool)
-            oob[rows] = False
-            oob_sum[oob] += values[oob]
-            oob_count[oob] += 1
+        # each row's out-of-bag tree predictions, summed in tree order; an
+        # in-bag tree adds 0.0, which leaves a sum begun at +0.0 unchanged
+        oob = np.ones((cfg.n_trees, n), dtype=bool)
+        oob[np.arange(cfg.n_trees)[:, None], bags] = False
+        oob_count = oob.sum(axis=0)
         if np.all(oob_count > 0):
+            oob_sum = _tree_order_sum(np.where(oob, table.tree_values(xv), 0.0))
             oob_pred = oob_sum / oob_count
             oob_rmse = float(np.sqrt(np.mean((oob_pred - yv) ** 2)))
 
@@ -604,10 +602,18 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     )
 
 
+def _tree_order_sum(values: np.ndarray) -> np.ndarray:
+    """Each column's sum of the rows of values, added in row order from +0.0.
+
+    One cumulative sum down a leading zero row: the additions, and so the
+    bits, of a loop that adds each tree's row to zeros in turn.
+    """
+    stacked = np.zeros((values.shape[0] + 1, values.shape[1]))
+    stacked[1:] = values
+    return np.cumsum(stacked, axis=0)[-1]
+
+
 def predict_forest(model: ForestModel, x: np.ndarray) -> np.ndarray:
     """Mean of the per-tree predictions, summed in fixed tree order."""
     xv = _matrix_values(x, model.n_features)
-    out = np.zeros(xv.shape[0])
-    for values in model.table.tree_values(xv):
-        out += values
-    return out / model.table.n_trees
+    return _tree_order_sum(model.table.tree_values(xv)) / model.table.n_trees

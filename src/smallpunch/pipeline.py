@@ -61,7 +61,9 @@ FOREST_INPUT_SCORES = "scores"
 # Every kind class provides: name (the family) and model_type (the model
 # file's "type"); marker_strategy, None for families without markers;
 # uses_features and uses_pca, which preprocessing the family fits;
-# from_flags, the kind that cv's and train's flags name; fit -> Fitted and
+# flags, the dests of the command line's family flags the family reads,
+# each the name of the field it fills; from_flags, the kind those flags
+# name, every flag not given left at its field's default; fit -> Fitted and
 # predict, both given the curves and their assembled matrix; diagnostics,
 # the lines train prints to stderr; to_doc/from_doc for its "pipeline"
 # settings and model_to_doc/model_from_doc for its "model" parameters.
@@ -140,6 +142,15 @@ def json_value(value: Any, declared: str, what: str) -> Any:
     return np.array(value, dtype=dtype)
 
 
+def _fields_given(cls: type, args: Any) -> dict[str, Any]:
+    """The flags given in args, an argparse namespace, that fill a field of cls.
+
+    A flag not given is absent from args, so its field keeps the default
+    cls states.
+    """
+    return {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
+
+
 class _RecordBlocks:
     """Model-file blocks that are the kind's and its model's own fields.
 
@@ -173,6 +184,9 @@ class EmpiricalKind(_RecordBlocks):
     uses_features: ClassVar[bool] = False
     uses_pca: ClassVar[bool] = False
 
+    # --v-star and --truth give the fixed-v marker's v_i, not a field
+    flags: ClassVar[tuple[str, ...]] = ("mode", "marker_strategy", "truth", "v_star")
+
     mode: str = MODE_INSTABILITY_FORCE
     marker_strategy: str = MARKER_MAX_SLOPE
 
@@ -186,7 +200,7 @@ class EmpiricalKind(_RecordBlocks):
 
     @classmethod
     def from_flags(cls, args: Any) -> EmpiricalKind:
-        return cls(mode=args.mode, marker_strategy=args.marker)
+        return cls(**_fields_given(cls, args))
 
     def model_from_doc(self, doc: dict[str, Any], version: int) -> EmpiricalModel:
         # the kind picks the markers and the model its correlation: both must agree
@@ -271,13 +285,14 @@ class PcaLmKind(_RecordBlocks, _FeatureKind):
     model_type: ClassVar[str] = "linear"
     model_class: ClassVar[type] = LinearModel
     uses_pca: ClassVar[bool] = True
+    flags: ClassVar[tuple[str, ...]] = ("variance_threshold", "standardize")
 
     variance_threshold: float = 0.99
 
     @classmethod
     def from_flags(cls, args: Any) -> PcaLmKind:
         with prefixed("--variance-threshold"):
-            return cls(variance_threshold=args.variance_threshold)
+            return cls(**_fields_given(cls, args))
 
     @staticmethod
     def _fit_model(design, targets) -> LinearModel:
@@ -294,6 +309,8 @@ class ForestKind(_FeatureKind):
 
     name: ClassVar[str] = "rf"
     model_type: ClassVar[str] = "forest"
+    flags: ClassVar[tuple[str, ...]] = ("n_trees", "max_depth", "min_leaf", "mtry", "input",
+                                        "variance_threshold", "standardize")
 
     config: ForestConfig = ForestConfig()
     input: str = FOREST_INPUT_RAW
@@ -306,12 +323,11 @@ class ForestKind(_FeatureKind):
 
     @classmethod
     def from_flags(cls, args: Any) -> ForestKind:
+        # the command's --seed seeds the forest
         with prefixed("--trees/--max-depth/--min-leaf/--mtry/--seed"):
-            config = ForestConfig(n_trees=args.trees, max_depth=args.max_depth,
-                                  min_leaf=args.min_leaf, mtry=args.mtry, seed=args.seed)
+            config = ForestConfig(**_fields_given(ForestConfig, args))
         with prefixed("--rf-input/--variance-threshold"):
-            return cls(config=config, input=args.rf_input,
-                       variance_threshold=args.variance_threshold)
+            return cls(config=config, **_fields_given(cls, args))
 
     @property
     def uses_pca(self) -> bool:
@@ -424,6 +440,11 @@ class PipelineSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.standardize, bool):
             raise BadConfig(f"standardize must be true or false, got {self.standardize!r}")
+
+    @classmethod
+    def from_flags(cls, args: Any) -> PipelineSpec:
+        """The pipeline cv's and train's flags name: --pipeline's kind, then --no-standardize."""
+        return cls(kind=KINDS[args.pipeline].from_flags(args), **_fields_given(cls, args))
 
     @property
     def name(self) -> str:

@@ -577,7 +577,7 @@ def test_v_star_with_truth_exits_2_before_any_curve_is_read(tmp_path, capsys, co
 def test_families_without_markers_refuse_v_i_flags_before_any_file_is_read(
         tmp_path, capsys, pipeline, command, flags, named):
     # the manifest does not exist: reading it would exit 3, not 2
-    family = ("--pipeline", pipeline, "--trees", "5")
+    family = ("--pipeline", pipeline, *(("--trees", "5") if pipeline == "rf" else ()))
     model = ()
     if command == "predict":
         data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
@@ -589,7 +589,70 @@ def test_families_without_markers_refuse_v_i_flags_before_any_file_is_read(
     out = tmp_path / "out"
     code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"), *family,
                        *model, *flags, "--out", str(out))
-    assert code == 2 and f"{named}: the {pipeline} family has no marker" in err, err
+    assert code == 2 and f"{named}: the {pipeline} family reads no such flag" in err, err
+    assert not out.exists()
+
+
+# every family flag with a value it takes, and the flags each family reads
+FAMILY_FLAGS = {"--mode": ("max-force",), "--marker": ("max-slope",), "--v-star": ("0.5",),
+                "--truth": ("truth.csv",), "--variance-threshold": ("0.9",),
+                "--no-standardize": (), "--trees": ("5",), "--max-depth": ("3",),
+                "--min-leaf": ("1",), "--mtry": ("2",), "--rf-input": ("scores",)}
+FOREST_FLAGS = {"--trees", "--max-depth", "--min-leaf", "--mtry", "--rf-input"}
+READS = {"empirical": {"--mode", "--marker", "--v-star", "--truth"},
+         "pca-lm": {"--variance-threshold", "--no-standardize"},
+         "rf": {"--variance-threshold", "--no-standardize", *FOREST_FLAGS}}
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("family,flag", [(family, flag) for family in READS
+                                         for flag in FAMILY_FLAGS])
+def test_each_family_refuses_the_flags_it_does_not_read_before_any_file_is_read(
+        tmp_path, capsys, command, family, flag):
+    # the manifest does not exist: reading it would exit 3, not 2
+    # the empirical family reads --v-star and --truth with the fixed-v marker alone
+    fixed_v = family == "empirical" and flag in ("--v-star", "--truth")
+    marker = ("--marker", "fixed-v") if fixed_v else ()
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
+                       "--pipeline", family, *marker, flag, *FAMILY_FLAGS[flag],
+                       "--workers", "1", "--seed", "3", "--out", str(out))
+    if flag in READS[family]:
+        assert code == 3, err
+    else:
+        assert (code, err) == (2, f"error: {flag}: the {family} family reads no such flag\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("marker", [(), ("--marker", "max-slope")], ids=["none", "max-slope"])
+@pytest.mark.parametrize("flags,named", [
+    (("--v-star", "0.5"), "--v-star"),
+    (("--truth", "truth.csv"), "--truth"),
+    (("--v-star", "0.5", "--truth", "truth.csv"), "--truth and --v-star"),
+], ids=["v-star", "truth", "both"])
+def test_the_empirical_family_reads_v_i_flags_only_with_the_fixed_v_marker(
+        tmp_path, capsys, command, marker, flags, named):
+    code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
+                       "--pipeline", "empirical", *marker, *flags, "--out", str(tmp_path / "out"))
+    assert (code, err) == (2, f"error: {named}: the empirical family reads v_i only with "
+                              "--marker fixed-v\n")
+
+
+@pytest.mark.parametrize("flags", [("--v-star", "0.5"), ("--truth", "truth.csv")],
+                         ids=["v-star", "truth"])
+@pytest.mark.parametrize("mode", ["instability-force", "max-force"])
+def test_predict_refuses_v_i_flags_for_an_empirical_model_without_the_fixed_v_marker(
+        tmp_path, capsys, small_manifest, flags, mode):
+    model_path = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(small_manifest), "--pipeline", "empirical",
+                       "--mode", mode, "--out", str(model_path))
+    assert code == 0, err
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", str(tmp_path / "missing.csv"), "--model",
+                       str(model_path), *flags, "--out", str(out))
+    assert (code, err) == (2, f"error: {flags[0]}: the empirical family reads v_i only with "
+                              "--marker fixed-v\n")
     assert not out.exists()
 
 

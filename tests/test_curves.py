@@ -167,6 +167,10 @@ def test_read_table_checks_an_exact_header():
     (["1.5", ""], MalformedRow, "row 7: non-numeric cell"),
     (["nan", "1"], NonFiniteValue, "row 7: non-finite value"),
     (["1", "-inf"], NonFiniteValue, "row 7: non-finite value"),
+    # float reads these as 10, 12 and 10; a table's numbers are ASCII decimals
+    (["1_0", "1"], MalformedRow, "row 7: non-numeric cell"),
+    (["1", "\u0661\u0662"], MalformedRow, "row 7: non-numeric cell"),
+    (["\uff11\uff10", "1"], MalformedRow, "row 7: non-numeric cell"),
 ])
 def test_finite_cells_faults_name_the_row(cells, error, message):
     with pytest.raises(error) as err:
@@ -176,6 +180,7 @@ def test_finite_cells_faults_name_the_row(cells, error, message):
 
 def test_finite_cells_converts_with_float():
     assert finite_cells(2, ["1e3", "-0.5", "7"]) == [1000.0, -0.5, 7.0]
+    assert finite_cells(2, ["+10", "1e1", ".5", "5."]) == [10.0, 10.0, 0.5, 5.0]
 
 
 def test_parse_skips_comment_lines():

@@ -191,6 +191,18 @@ def test_manifest_errors_cite_file_and_row(tmp_path):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("cells", ["2_0,0.5,500.0", "20.0,\uff10.5,500.0",
+                                   "20.0,0.5,5\u0660\u0660"],
+                         ids=["underscore", "fullwidth", "arabic-indic"])
+def test_manifest_number_that_is_not_an_ascii_decimal_is_a_malformed_row(tmp_path, cells):
+    path = tmp_path / "manifest.csv"
+    path.write_text("file,material_id,temperature_C,thickness_mm,rm_MPa\n"
+                    f"a.csv,P91,20.0,0.5,500.0\nb.csv,P91,{cells}\n", encoding="utf-8")
+    with pytest.raises(MalformedRow) as err:
+        read_manifest(path)
+    assert str(err.value) == f"{path}: row 3: non-numeric cell"
+
+
 def test_manifest_meta_errors_cite_row(tmp_path):
     path = tmp_path / "manifest.csv"
     path.write_text(

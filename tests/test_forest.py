@@ -324,6 +324,54 @@ def test_row_by_row_batch_and_permuted_predictions_agree(x, seed, min_leaf, max_
     assert predict_forest(model, queries[perm]).tobytes() == batch[perm].tobytes()
 
 
+# leaf values with both zeros and magnitudes whose sums round
+_leaf_values = st.sampled_from([0.0, -0.0, 1e16, -1e16, 0.1, -3.5]) | st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.integers(1, 6).flatmap(lambda t: st.integers(0, 5).flatmap(
+    lambda n: arrays(float, (t, n), elements=_leaf_values))), data=st.data())
+def test_tree_order_sums_match_the_loops_over_trees(values, data):
+    out_of_bag = data.draw(arrays(bool, values.shape))
+    total = np.zeros(values.shape[1])  # predict_forest's sum, tree by tree
+    oob_sum = np.zeros(values.shape[1])  # the out-of-bag sum, tree by tree
+    for row, oob in zip(values, out_of_bag):
+        total += row
+        oob_sum[oob] += row[oob]
+    assert forest._tree_order_sum(values).tobytes() == total.tobytes()
+    masked = np.where(out_of_bag, values, 0.0)
+    assert forest._tree_order_sum(masked).tobytes() == oob_sum.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    x=st.integers(2, 16).flatmap(
+        lambda n: st.integers(1, 3).flatmap(lambda p: arrays(float, (n, p), elements=_values))
+    ),
+    seed=st.integers(0, 2**16),
+    n_trees=st.integers(1, 12),
+    data=st.data(),
+)
+def test_oob_error_and_predictions_keep_the_bits_of_the_loops_over_trees(x, seed, n_trees,
+                                                                        data):
+    n = x.shape[0]
+    y = data.draw(arrays(float, n, elements=st.sampled_from([0.0, -0.0, 2.5]) | _values))
+    cfg = ForestConfig(n_trees=n_trees, min_leaf=1, seed=seed)
+    model = fit_forest(x, y, cfg)
+    values = model.table.tree_values(x)
+    total, oob_sum, oob_count = np.zeros(n), np.zeros(n), np.zeros(n, dtype=int)
+    for row, bag in zip(values, forest._bags(cfg, n)[1]):
+        total += row
+        oob = np.ones(n, dtype=bool)
+        oob[bag] = False
+        oob_sum[oob] += row[oob]
+        oob_count[oob] += 1
+    assert predict_forest(model, x).tobytes() == (total / n_trees).tobytes()
+    expected = (float(np.sqrt(np.mean((oob_sum / oob_count - y) ** 2)))
+                if np.all(oob_count > 0) else None)
+    assert model.oob_rmse == expected
+
+
 def _tree_size(node, depth=0):
     """(node count, deepest leaf's depth) of a Split/Leaf tree."""
     if isinstance(node, Leaf):

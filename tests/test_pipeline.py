@@ -61,6 +61,13 @@ def test_each_kind_builds_itself_from_the_flags(flags, kind):
     assert KINDS[args.pipeline].from_flags(args) == kind
 
 
+@pytest.mark.parametrize("kind", [EmpiricalKind(), PcaLmKind(), ForestKind()],
+                         ids=lambda kind: kind.name)
+def test_with_no_family_flag_each_kind_takes_its_dataclass_defaults(kind):
+    args = build_parser().parse_args(["cv", "m.csv", "--pipeline", kind.name, "--out", "o"])
+    assert PipelineSpec.from_flags(args) == PipelineSpec(kind)
+
+
 @pytest.mark.parametrize("kind", [EmpiricalKind(), PcaLmKind()])
 def test_only_the_forest_reports_diagnostics(dataset, kind):
     curves, _ = dataset

@@ -187,6 +187,19 @@ def test_the_command_line_imports_no_family():
     assert [(line, name) for line, name in imported if name in family] == []
 
 
+def test_the_pipeline_flags_state_no_default():
+    # a flag left out is absent from args, so each kind's dataclass alone
+    # states the default of every field a flag fills
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(cli.read_text(encoding="utf-8"))
+    add_flags = next(node for node in ast.walk(tree)
+                     if isinstance(node, ast.FunctionDef) and node.name == "_add_pipeline_flags")
+    calls = _calls_in(add_flags, {"add_argument"})
+    assert len(calls) > 10
+    assert [line for line, _, node in calls
+            if any(kw.arg == "default" for kw in node.keywords)] == []
+
+
 def test_the_command_line_asks_no_model_or_kind_its_class():
     cli = next(p for p in SOURCES if p.name == "cli.py")
     asked = [(line, ast.unparse(node)) for line, _, node in _calls(cli, {"isinstance"})]
