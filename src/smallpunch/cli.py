@@ -20,7 +20,7 @@ import os
 import re
 import sys
 import time
-from dataclasses import fields
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from .pipeline import (
     KINDS,
     PipelineKind,
     PipelineSpec,
+    fields_given,
     fit_pipeline,
     predict_pipeline,
 )
@@ -67,20 +68,20 @@ def _timestamp() -> str:
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--grid-start", type=float, default=None,
-                        help="grid start displacement in mm (default 0.0)")
-    parser.add_argument("--grid-spacing", type=float, default=None,
-                        help="grid spacing in mm (default 0.010)")
-    parser.add_argument("--grid-points", type=int, default=None,
-                        help="number of grid points (default 151)")
+    """The grid flags; the parser's argument_default is SUPPRESS, as for the family flags.
+
+    Each dest is the GridSpec field it fills, whose default GridSpec alone states.
+    """
+    parser.add_argument("--grid-start", dest="start_mm", type=float,
+                        help="grid start displacement in mm")
+    parser.add_argument("--grid-spacing", dest="spacing_mm", type=float, help="grid spacing in mm")
+    parser.add_argument("--grid-points", dest="n_points", type=int, help="number of grid points")
 
 
 def _grid_from_args(args: argparse.Namespace, default: GridSpec = GridSpec()) -> GridSpec:
-    start = default.start_mm if args.grid_start is None else args.grid_start
-    spacing = default.spacing_mm if args.grid_spacing is None else args.grid_spacing
-    points = default.n_points if args.grid_points is None else args.grid_points
+    """default with each grid flag given in place of its field."""
     with prefixed("--grid-start/--grid-spacing/--grid-points"):
-        return GridSpec(start_mm=start, spacing_mm=spacing, n_points=points)
+        return replace(default, **fields_given(GridSpec, args))
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -193,7 +194,7 @@ def _labelled_inputs(args: argparse.Namespace):
 
 def cmd_synth(args: argparse.Namespace) -> int:
     # the parser suppresses the flags not given, so SynthConfig's defaults fill them
-    given = {f.name: getattr(args, f.name) for f in fields(SynthConfig) if hasattr(args, f.name)}
+    given = fields_given(SynthConfig, args)
     with prefixed("--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
                   "--vi-range/--vi-step/--temp-range/--temp-slope/--seed"):
         cfg = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
@@ -261,12 +262,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     _refuse_unread(args, kind, fixed_v=kind.marker_strategy == MARKER_FIXED_V)
     if "truth" in args or "v_star" in args:
         _v_star_source(args, kind)
-    if any(v is not None for v in (args.grid_start, args.grid_spacing, args.grid_points)):
-        requested = _grid_from_args(args, default=trained.grid)
-        if requested != trained.grid:
-            raise GridMismatch(
-                f"requested grid {requested} does not match model grid {trained.grid}"
-            )
+    # with no grid flag given, the requested grid is the model's
+    requested = _grid_from_args(args, default=trained.grid)
+    if requested != trained.grid:
+        raise GridMismatch(f"requested grid {requested} does not match model grid {trained.grid}")
     names, curves = dataio.load_curves(args.manifest, trained.grid)
     rows = []
     if curves:  # an empty manifest needs no v_star and gets a header-only table
@@ -336,14 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", type=Path, required=True, help="model file path")
     p_train.set_defaults(func=cmd_train)
 
-    p_pred = sub.add_parser("predict", help="predict strengths with a saved model")
+    p_pred = sub.add_parser("predict", help="predict strengths with a saved model",
+                            argument_default=argparse.SUPPRESS)
     p_pred.add_argument("manifest", type=Path)
     p_pred.add_argument("--model", type=Path, required=True)
     _add_grid_flags(p_pred)
     _family_flags(p_pred, [
-        p_pred.add_argument("--v-star", type=float, default=argparse.SUPPRESS,
+        p_pred.add_argument("--v-star", type=float,
                             help="shared v_i for fixed-v empirical models"),
-        p_pred.add_argument("--truth", type=Path, default=argparse.SUPPRESS,
+        p_pred.add_argument("--truth", type=Path,
                             help="truth CSV supplying per-file v_i for fixed-v empirical models"),
     ])
     p_pred.add_argument("--out", type=Path, required=True, help="predictions CSV path")

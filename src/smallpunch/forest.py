@@ -55,8 +55,8 @@ that layout.  One builder, _NodeTable.from_level_order, makes and checks
 every table from four level-order arrays: count per node, feature and
 threshold per split and value per leaf.  Growth hands it the columns it
 collects level by level; the model file stores the arrays level_order
-gives back (format 2), a format 1 file's nested trees flattened into
-them (pipeline.ForestKind).  So a loaded forest's table is the fitted
+gives back, and a format 1 file's nested trees are flattened into them
+(modelfile.UPGRADES).  So a loaded forest's table is the fitted
 forest's table, array for array.  Nested Split/Leaf trees exist only
 where a reader asks for them: model.trees builds them straight from the
 table on first access and caches them; fitting, predicting and the model

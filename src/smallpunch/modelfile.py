@@ -4,16 +4,12 @@ JSON keeps the file human-inspectable; floats are serialized by repr so a
 saved model predicts bit-identically after reload.  Files declare
 format_version and loading refuses versions it does not know instead of
 guessing.  The family's own blocks, its settings under "pipeline" and its
-parameters under "model", are laid out by its kind class in pipeline.py.
-The grid, standardizer and PCA blocks are their records' fields in
-declaration order (pipeline.record_to_doc), so reordering such a field
-changes the file format and needs a format_version bump.
+parameters under "model", are laid out by its kind class in pipeline.py;
+the grid, standardizer and PCA blocks by pipeline.record_to_doc.
 
-Format 2 is written.  It differs from format 1 only in a forest's model
-block: format 1 nests each tree as split and leaf objects, format 2 stores
-the forest's node table as flat arrays in level order.  Both are read: a
-format 1 forest is flattened into format 2's arrays, which one builder
-checks and builds the node table from (forest._NodeTable.from_level_order).
+Format 3 is written; it stores each fact once.  An older file's document
+is upgraded one version at a time by the pure steps of UPGRADES, so the
+kinds and records read format 3's layout alone.
 """
 
 from __future__ import annotations
@@ -23,14 +19,77 @@ from pathlib import Path
 from typing import Any
 
 from .curves import GridSpec
-from .errors import ModelFileError, UnsupportedVersion
+from .errors import InvalidModel, ModelFileError, UnsupportedVersion
 from .features import Standardizer
 from .pca import PcaModel
 from .pipeline import (KINDS, PipelineSpec, TrainedPipeline, json_value, record_from_doc,
                        record_to_doc)
 
-FORMAT_VERSION = 2
-READ_VERSIONS = (1, 2)
+FORMAT_VERSION = 3
+
+
+def _forest_level_order(doc: dict[str, Any]) -> dict[str, Any]:
+    """Format 1 to 2: a forest's nested trees become count, feature, threshold and value.
+
+    One first-in-first-out walk, seeded with every root, appends each
+    split's left and then right child to the queue: level order, as growth
+    numbers the nodes.  A node holding "value" is a leaf; the values are
+    left for the forest's reader to check, as a format 2 file's are.
+    """
+    model = json_value(doc["model"], "dict", "model")
+    if model.get("type") != "forest":
+        return doc
+    trees = model["trees"]
+    if not isinstance(trees, list):
+        raise InvalidModel(f"trees must be a list, got {type(trees).__name__}")
+    count, feature, threshold, value = [], [], [], []
+    queue = list(trees)
+    # the loop visits the children it appends, as a list iterator does
+    for node in queue:
+        if not isinstance(node, dict):
+            raise InvalidModel(f"tree node must be an object, got {node!r}")
+        if "value" in node:
+            count.append(node["count"])
+            value.append(node["value"])
+        else:
+            count.append(0)
+            feature.append(node["feature"])
+            threshold.append(node["threshold"])
+            queue += (node["left"], node["right"])
+    rest = {key: v for key, v in model.items() if key != "trees"}
+    return {**doc, "model": {**rest, "count": count, "feature": feature,
+                             "threshold": threshold, "value": value}}
+
+
+def _facts_once(doc: dict[str, Any]) -> dict[str, Any]:
+    """Format 2 to 3: drop each fact's second copy, refusing a copy that disagrees.
+
+    A PCA block repeated the pipeline's variance_threshold and stored
+    explained_ratio, which PcaModel derives (dropped unread); an empirical
+    model block repeated the pipeline's mode and marker_strategy.
+    """
+    pipeline, model = (json_value(doc[key], "dict", key) for key in ("pipeline", "model"))
+    pca = json_value(doc["pca"], "dict | None", "pca")
+    if pca is not None:
+        threshold = json_value(pca["threshold"], "float", "threshold")
+        # an empirical pipeline has none; its PCA block is refused as stray
+        setting = pipeline.get("variance_threshold", threshold)
+        if threshold != setting:
+            raise InvalidModel(f"pca threshold {threshold!r} contradicts pipeline "
+                               f"variance_threshold {setting!r}")
+        pca = {k: v for k, v in pca.items() if k not in ("threshold", "explained_ratio")}
+    if pipeline.get("family") == model.get("type") == "empirical":
+        for name in ("mode", "marker_strategy"):
+            if model[name] != pipeline[name]:
+                raise InvalidModel(f"model {name} {model[name]!r} contradicts pipeline "
+                                   f"{pipeline[name]!r}")
+        model = {k: v for k, v in model.items() if k not in ("mode", "marker_strategy")}
+    return {**doc, "pca": pca, "model": model}
+
+
+# UPGRADES[n] turns a format n document into a format n + 1 document
+UPGRADES = {1: _forest_level_order, 2: _facts_once}
+READ_VERSIONS = (*UPGRADES, FORMAT_VERSION)
 
 
 def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
@@ -62,7 +121,7 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         format_version is not one this code reads.
     ModelFileError
         A block is missing or malformed, or the stored components do not
-        match the declared pipeline family.
+        match the declared pipeline family or each other.
     """
     path = Path(path)
     try:
@@ -78,11 +137,14 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     version = doc.get("format_version")
     # true would compare equal to 1 and 2.0 to 2
     if type(version) is not int or version not in READ_VERSIONS:
+        *earlier, last = READ_VERSIONS
         raise UnsupportedVersion(
             f"{path}: unknown model format_version {version!r} "
-            f"(this build reads {' and '.join(map(str, READ_VERSIONS))})"
+            f"(this build reads {', '.join(map(str, earlier))} and {last})"
         )
     try:
+        for step in range(version, FORMAT_VERSION):
+            doc = UPGRADES[step](doc)
         spec_doc, grid_doc, model_doc = (json_value(doc[key], "dict", key)
                                          for key in ("pipeline", "grid", "model"))
         std_doc, pca_doc = (json_value(doc[key], "dict | None", key)
@@ -100,7 +162,7 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
             raise ModelFileError(
                 f"pipeline family {family!r} expects a {kind.model_type} model, got {actual!r}"
             )
-        model = kind.model_from_doc(model_doc, version)
+        model = kind.model_from_doc(model_doc)
         provenance = doc.get("provenance", {})
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
@@ -120,9 +182,6 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
             state = "lacks the" if stored is None else "holds a stray"
             raise ModelFileError(f"{path}: {family} model file with standardize="
                                  f"{json.dumps(spec.standardize)} {state} {block} block")
-    if pca is not None and pca.threshold != kind.variance_threshold:
-        raise ModelFileError(f"{path}: pca threshold {pca.threshold!r} contradicts pipeline "
-                             f"variance_threshold {kind.variance_threshold!r}")
 
     trained = TrainedPipeline(
         spec=spec, grid=grid, standardizer=standardizer, pca=pca, model=model

@@ -32,42 +32,39 @@ class PcaModel:
     """Centering mean, orthonormal loadings and the variance they explain.
 
     loadings is p x k with orthonormal columns; eigenvalues are the model
-    covariance eigenvalues in non-increasing order; explained_ratio are the
-    per-component fractions of total_variance (the sum over all p sample
-    column variances), so the retained ratios sum to at most 1.
+    covariance eigenvalues in non-increasing order; total_variance is the
+    sum over all p sample column variances, so the retained eigenvalues sum
+    to at most total_variance.
     """
 
     mean: np.ndarray
     loadings: np.ndarray
     eigenvalues: np.ndarray
-    explained_ratio: np.ndarray
-    threshold: float
     total_variance: float
 
     def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        load = np.asarray(self.loadings, dtype=float)
-        eig = np.asarray(self.eigenvalues, dtype=float)
-        ratio = np.asarray(self.explained_ratio, dtype=float)
-        for name, val in (("mean", mean), ("loadings", load), ("eigenvalues", eig),
-                          ("explained_ratio", ratio)):
-            object.__setattr__(self, name, val)
+        for name in ("mean", "loadings", "eigenvalues"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        mean, load, eig = self.mean, self.loadings, self.eigenvalues
         if load.ndim != 2 or load.shape[0] != mean.size:
             raise ShapeMismatch("loadings must be p x k with p matching the mean")
         k = load.shape[1]
-        if k < 1 or eig.shape != (k,) or ratio.shape != (k,):
-            raise ShapeMismatch("eigenvalues and ratios must have one entry per component")
+        if k < 1 or eig.shape != (k,):
+            raise ShapeMismatch("eigenvalues must have one entry per component")
         gram = load.T @ load
         if np.max(np.abs(gram - np.eye(k))) > _ORTHO_TOL:
             raise InvalidModel("loading columns are not orthonormal")
         if np.any(np.diff(eig) > 0.0) or np.any(eig < 0.0):
             raise InvalidModel("eigenvalues must be non-negative and non-increasing")
-        if float(ratio.sum()) > 1.0 + 1e-10:
-            raise InvalidModel("explained ratios exceed 1")
-        if not (0.0 < self.threshold <= 1.0):
-            raise BadConfig(f"threshold must be in (0, 1], got {self.threshold}")
         if not (self.total_variance > 0.0):
             raise DegenerateData("total variance must be positive")
+        if float(self.explained_ratio.sum()) > 1.0 + 1e-10:
+            raise InvalidModel("explained ratios exceed 1")
+
+    @property
+    def explained_ratio(self) -> np.ndarray:
+        """Each component's fraction of total_variance, the division fit_pca makes."""
+        return self.eigenvalues / self.total_variance
 
     @property
     def n_components(self) -> int:
@@ -108,8 +105,7 @@ def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
     total = float(eig.sum())
     if total == 0.0:
         raise DegenerateData("all rows identical: nothing to decompose")
-    ratios = eig / total
-    cum = np.cumsum(ratios)
+    cum = np.cumsum(eig / total)
     # smallest k with cum[k-1] >= threshold; the epsilon forgives the last
     # cumulative entry rounding to just below 1.0
     k = int(np.searchsorted(cum, threshold - 1e-12)) + 1
@@ -121,14 +117,8 @@ def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             loadings[:, j] = -col
 
-    return PcaModel(
-        mean=mean,
-        loadings=loadings,
-        eigenvalues=eig[:k].copy(),
-        explained_ratio=ratios[:k].copy(),
-        threshold=float(threshold),
-        total_variance=total,
-    )
+    return PcaModel(mean=mean, loadings=loadings, eigenvalues=eig[:k].copy(),
+                    total_variance=total)
 
 
 def transform(model: PcaModel, x: np.ndarray) -> np.ndarray:

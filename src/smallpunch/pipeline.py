@@ -67,8 +67,8 @@ FOREST_INPUT_SCORES = "scores"
 # predict, both given the curves and their assembled matrix; diagnostics,
 # the lines train prints to stderr; to_doc/from_doc for its "pipeline"
 # settings and model_to_doc/model_from_doc for its "model" parameters.
-# model_from_doc is given the file's format_version; only the forest's
-# block differs between format 1 and format 2, and forest.py checks it.
+# A kind reads only the current format's layout: modelfile.py upgrades an
+# older file's document before any kind sees it.
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
@@ -76,7 +76,8 @@ def record_to_doc(rec: Any) -> dict[str, Any]:
     """A frozen dataclass's fields as a JSON-ready dict, ndarrays as lists.
 
     Keys follow declaration order, which is the model file's layout: a
-    reordered, renamed or added field needs a format_version bump.
+    reordered, renamed or added field needs a new format and its upgrade
+    step in modelfile.py.
     """
     doc = {}
     for f in fields(rec):
@@ -142,7 +143,7 @@ def json_value(value: Any, declared: str, what: str) -> Any:
     return np.array(value, dtype=dtype)
 
 
-def _fields_given(cls: type, args: Any) -> dict[str, Any]:
+def fields_given(cls: type, args: Any) -> dict[str, Any]:
     """The flags given in args, an argparse namespace, that fill a field of cls.
 
     A flag not given is absent from args, so its field keeps the default
@@ -162,7 +163,7 @@ class _RecordBlocks:
     from_doc = classmethod(record_from_doc)
     model_to_doc = staticmethod(record_to_doc)
 
-    def model_from_doc(self, doc: dict[str, Any], version: int):
+    def model_from_doc(self, doc: dict[str, Any]):
         return record_from_doc(self.model_class, doc)
 
     def diagnostics(self, trained: TrainedPipeline) -> list[str]:
@@ -200,16 +201,7 @@ class EmpiricalKind(_RecordBlocks):
 
     @classmethod
     def from_flags(cls, args: Any) -> EmpiricalKind:
-        return cls(**_fields_given(cls, args))
-
-    def model_from_doc(self, doc: dict[str, Any], version: int) -> EmpiricalModel:
-        # the kind picks the markers and the model its correlation: both must agree
-        model = record_from_doc(EmpiricalModel, doc)
-        for name in ("mode", "marker_strategy"):
-            stored, picked = getattr(model, name), getattr(self, name)
-            if stored != picked:
-                raise InvalidModel(f"model {name} {stored!r} contradicts pipeline {picked!r}")
-        return model
+        return cls(**fields_given(cls, args))
 
     def _markers(self, forces: np.ndarray, grid: GridSpec, v_star) -> CurveMarkers:
         if self.mode != MODE_MAX_FORCE:
@@ -225,12 +217,11 @@ class EmpiricalKind(_RecordBlocks):
     def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
         markers = self._markers(matrix[:, :-1], curves[0].grid, v_star)
         feats = empirical_feature(markers, _thicknesses(curves), self.mode)
-        model = fit_beta(feats, targets, mode=self.mode, marker_strategy=self.marker_strategy)
-        return None, None, model
+        return None, None, fit_beta(feats, targets)
 
     def predict(self, trained: TrainedPipeline, curves, matrix, v_star) -> np.ndarray:
         markers = self._markers(matrix[:, :-1], trained.grid, v_star)
-        return predict_empirical(trained.model, markers, _thicknesses(curves))
+        return predict_empirical(trained.model, markers, _thicknesses(curves), self.mode)
 
 
 def _thicknesses(curves: list[UniformCurve]) -> np.ndarray:
@@ -292,7 +283,7 @@ class PcaLmKind(_RecordBlocks, _FeatureKind):
     @classmethod
     def from_flags(cls, args: Any) -> PcaLmKind:
         with prefixed("--variance-threshold"):
-            return cls(**_fields_given(cls, args))
+            return cls(**fields_given(cls, args))
 
     @staticmethod
     def _fit_model(design, targets) -> LinearModel:
@@ -325,9 +316,9 @@ class ForestKind(_FeatureKind):
     def from_flags(cls, args: Any) -> ForestKind:
         # the command's --seed seeds the forest
         with prefixed("--trees/--max-depth/--min-leaf/--mtry/--seed"):
-            config = ForestConfig(**_fields_given(ForestConfig, args))
+            config = ForestConfig(**fields_given(ForestConfig, args))
         with prefixed("--rf-input/--variance-threshold"):
-            return cls(config=config, **_fields_given(cls, args))
+            return cls(config=config, **fields_given(cls, args))
 
     @property
     def uses_pca(self) -> bool:
@@ -365,9 +356,9 @@ class ForestKind(_FeatureKind):
         forest = json_value(doc["forest"], "dict", "forest")
         return record_from_doc(cls, doc, config=record_from_doc(ForestConfig, forest))
 
-    # A forest's model block is its node table in level order (format 2):
-    # the four arrays of forest._NodeTable.level_order, from which the forest
-    # module builds and checks the table again.
+    # A forest's model block is its node table in level order: the four
+    # arrays of forest._NodeTable.level_order, from which the forest module
+    # builds and checks the table again.
     @staticmethod
     def model_to_doc(model: ForestModel) -> dict[str, Any]:
         count, feature, threshold, value = model.table.level_order()
@@ -381,48 +372,18 @@ class ForestKind(_FeatureKind):
             "value": value.tolist(),
         }
 
-    def model_from_doc(self, doc: dict[str, Any], version: int) -> ForestModel:
+    def model_from_doc(self, doc: dict[str, Any]) -> ForestModel:
         n_features = json_value(doc["n_features"], "int", "n_features")
-        count, feature, threshold, value = (
-            _level_order_of(doc["trees"]) if version == 1
-            else (doc["count"], doc["feature"], doc["threshold"], doc["value"]))
         return ForestModel(
             table=_NodeTable.from_level_order(
-                self.config.n_trees, n_features, json_value(count, "list[int]", "count"),
-                json_value(feature, "list[int]", "split feature"),
-                json_value(threshold, "list[float]", "split threshold"),
-                json_value(value, "list[float]", "leaf value")),
+                self.config.n_trees, n_features, json_value(doc["count"], "list[int]", "count"),
+                json_value(doc["feature"], "list[int]", "split feature"),
+                json_value(doc["threshold"], "list[float]", "split threshold"),
+                json_value(doc["value"], "list[float]", "leaf value")),
             n_features=n_features,
             importances=json_value(doc["importances"], "np.ndarray", "importances"),
             oob_rmse=json_value(doc["oob_rmse"], "float | None", "oob_rmse"),
         )
-
-
-def _level_order_of(trees: Any) -> tuple[list, list, list, list]:
-    """A format 1 file's nested trees as format 2's count, feature, threshold and value.
-
-    One first-in-first-out walk, seeded with every root, appends each
-    split's left and then right child to the queue: level order, as growth
-    numbers the nodes.  A node holding "value" is a leaf; the values are
-    left for model_from_doc to check, as a format 2 file's are.
-    """
-    if not isinstance(trees, list):
-        raise InvalidModel(f"trees must be a list, got {type(trees).__name__}")
-    count, feature, threshold, value = [], [], [], []
-    queue = list(trees)
-    # the loop visits the children it appends, as a list iterator does
-    for node in queue:
-        if not isinstance(node, dict):
-            raise InvalidModel(f"tree node must be an object, got {node!r}")
-        if "value" in node:
-            count.append(node["count"])
-            value.append(node["value"])
-        else:
-            count.append(0)
-            feature.append(node["feature"])
-            threshold.append(node["threshold"])
-            queue += (node["left"], node["right"])
-    return count, feature, threshold, value
 
 
 PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]
@@ -444,7 +405,7 @@ class PipelineSpec:
     @classmethod
     def from_flags(cls, args: Any) -> PipelineSpec:
         """The pipeline cv's and train's flags name: --pipeline's kind, then --no-standardize."""
-        return cls(kind=KINDS[args.pipeline].from_flags(args), **_fields_given(cls, args))
+        return cls(kind=KINDS[args.pipeline].from_flags(args), **fields_given(cls, args))
 
     @property
     def name(self) -> str:

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import MARKER_MAX_SLOPE, MARKER_STRATEGIES, CurveMarkers, raise_first_failure
+from .curves import CurveMarkers, raise_first_failure
 from .errors import (
     BadConfig,
     EmptyTraining,
@@ -49,19 +49,13 @@ _RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EmpiricalModel:
-    """Single-factor correlation with its marker provenance."""
+    """The fitted factor of a correlation; the pipeline's kind names the correlation."""
 
     beta: float
-    mode: str
-    marker_strategy: str
 
     def __post_init__(self) -> None:
         if not (self.beta > 0.0 and np.isfinite(self.beta)):
             raise InvalidModel(f"beta must be finite and > 0, got {self.beta}")
-        if self.mode not in EMPIRICAL_MODES:
-            raise BadConfig(f"unknown empirical mode: {self.mode!r}")
-        if self.marker_strategy not in MARKER_STRATEGIES:
-            raise BadConfig(f"unknown marker strategy: {self.marker_strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -107,12 +101,7 @@ def empirical_feature(
     raise BadConfig(f"unknown empirical mode: {mode!r}")
 
 
-def fit_beta(
-    features: np.ndarray,
-    targets: np.ndarray,
-    mode: str = MODE_INSTABILITY_FORCE,
-    marker_strategy: str = MARKER_MAX_SLOPE,
-) -> EmpiricalModel:
+def fit_beta(features: np.ndarray, targets: np.ndarray) -> EmpiricalModel:
     """Least-squares through the origin: beta = sum(x*y) / sum(x^2).
 
     Raises
@@ -136,14 +125,13 @@ def fit_beta(
     if np.any(x <= 0.0):
         raise NonPositiveFeature("empirical features must be strictly positive")
     beta = float(np.dot(x, y) / np.dot(x, x))
-    return EmpiricalModel(beta=beta, mode=mode, marker_strategy=marker_strategy)
+    return EmpiricalModel(beta=beta)
 
 
-def predict_empirical(
-    model: EmpiricalModel, markers: CurveMarkers, h0_mm: float | Sequence[float] | np.ndarray
-) -> np.ndarray:
-    """Apply the fitted correlation to every curve's markers."""
-    return model.beta * empirical_feature(markers, h0_mm, model.mode)
+def predict_empirical(model: EmpiricalModel, markers: CurveMarkers,
+                      h0_mm: float | Sequence[float] | np.ndarray, mode: str) -> np.ndarray:
+    """Apply the correlation mode names, with the fitted beta, to every curve's markers."""
+    return model.beta * empirical_feature(markers, h0_mm, mode)
 
 
 def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:

@@ -6,10 +6,11 @@ each file it writes and of each command's stdout was recorded once; a
 change that alters any output bit fails here.  A second gate does the
 same for full-size forests: 200-tree rf and rf-scores models fitted on
 the 120-curve reference set, their model files and predictions.  A third
-pins two format 1 rf model files written before forests grew level by
-level: they must load and predict their recorded bits, and saved again as
-format 2 they must load to the same node table and save back byte for
-byte.  A fourth holds the empirical family on the
+pins model files of older formats: two format 1 rf files written before
+forests grew level by level, and the six format 2 files the script wrote
+before format 3 stored each fact once.  Each must load and predict its
+recorded bits, and saved again as format 3 it must load to the same model
+and save back byte for byte.  A fourth holds the empirical family on the
 reference set: the per-sample bytes of its 10-fold CV and its fitted beta,
 for both modes and both markers.  Floating-point results may differ in the last
 bits under another numpy build, so the digests hold only for the numpy
@@ -36,7 +37,7 @@ import numpy as np
 import pytest
 
 from smallpunch.cli import main
-from smallpunch.curves import GridSpec, resample
+from smallpunch.curves import MARKER_FIXED_V, GridSpec, resample
 from smallpunch.forest import ForestConfig, _NodeTable
 from smallpunch.modelfile import FORMAT_VERSION, load_model, save_model
 from smallpunch.evaluation import cross_validate
@@ -202,12 +203,12 @@ GOLDEN: dict[str, str] = {
     'data/m02_c05.csv': 'b1f301a9d34f519312eebd2602f34041e30080d9a3cb00876b7dad11b6856741',
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
-    'model_empirical-fixed-v.json': 'd3cc7009a4116a131e8f4591c2965b99f1e93e42ecb8167b6ba603fe82dd07e5',
-    'model_empirical-max-force.json': 'b808f68fa2401ab2fc688ae9b73278c5c456ba63f5ac1432e22b617e13ebe58f',
-    'model_empirical.json': '31a55e2c048f721321060e15c99d537564e7af71b3c5862a84d76386ac1cf888',
-    'model_pca-lm.json': '48f70bcfddb8f15a14c93df2ddfbda93b6f36c272641a8a376ff58a74eb44d55',
-    'model_rf-scores.json': '2a952cb5b6dcf0282f569b9f05c7d62f6cbf01bda27cdf99cb2f26e044ddcc56',
-    'model_rf.json': 'b654a8d535ccbec995c411cf759b3559f4f85b7cd9394b760eb1f5d71086ef62',
+    'model_empirical-fixed-v.json': 'b1b76d8b96491713b58d7cccf44dc9f12d7f98161030fc4535739d519d077e8a',
+    'model_empirical-max-force.json': 'e5ef3c17e43422f2b0628f62922447c9e5998409a7fa6f7db6ec5371b85dfe5f',
+    'model_empirical.json': '610a7f455a38565fbd9527624752b88f6c24d16b0a6223899986f861540f84fe',
+    'model_pca-lm.json': '2894d370c3f9aeefdcba5fe2a4429159e5fd13ab59df504267281a87521ef9d7',
+    'model_rf-scores.json': '9270b2cf6559f496fa1ac3c7526877556cbc53023de48693b7559f5bc0739524',
+    'model_rf.json': '38b812549c77562d1476b898f9f40fef36a21321100e7a634b4548e831d4491d',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
@@ -224,9 +225,9 @@ GOLDEN: dict[str, str] = {
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': 'dd2e0aaf86b6b5c85a7b5423db4103591f6fa5ed970823bb6c481a9bf883339f',
+    'model rf': 'a1dfe76469e0806d8d26661c6d0d21eb4c7a50a99eb1189ffab53fa4ff765b8d',
     'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
-    'model rf-scores': '6f495817b4f0ce3d76eed0540bb6dbc7396964344b38d8acd41ff6d36630df4d',
+    'model rf-scores': '84b9ffdd96b5987afdcbae18e2ca05c1584d0900aa04d454c0884d849abee21a',
     'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
 }
 
@@ -277,32 +278,55 @@ def test_reference_empirical_fits_match_golden_digests():
     assert empirical_digests() == GOLDEN_EMPIRICAL
 
 
-@pytest.mark.parametrize("name", sorted(PINNED))
+# The six model files the script above wrote, keyed by MODELS, as format 2:
+# before format 3 stored each fact once.  Each file's sha256 is the GOLDEN
+# digest its model had then.  Their digests are of predictions on the same
+# set, the fixed-v model's at the planted v_i.
+PINNED_V2: dict[str, str] = {
+    'empirical-fixed-v_v2.json': '32e16aff1d13f8ac9246ab834dff9c8cb31135ccd9a89b889c6956d2a289df1e',
+    'empirical-max-force_v2.json': '4e9d2f48af3b3a8ee39f609c7c0cdafa3ade04a5b3a235936af0cfc9e56a44ba',
+    'empirical_v2.json': '58516587939d659eedcf2b92582a151553a821d75fa1a2c74ea6854fd941f030',
+    'pca-lm_v2.json': '721d02ede5c53dbaec37b4eeb1151f649e28ebcaa6cbb163b95d9ba69d4783c2',
+    'rf-scores_v2.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
+    'rf_v2.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED) + sorted(PINNED_V2))
 def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
+    stored = json.loads((DATA / name).read_text(encoding="utf-8"))
     trained, provenance = load_model(DATA / name)
-    v2, again = tmp_path / "v2.json", tmp_path / "again.json"
-    save_model(v2, trained, provenance)
-    assert json.loads(v2.read_text())["format_version"] == FORMAT_VERSION
-    reloaded, _ = load_model(v2)
-    for column in fields(_NodeTable):
-        want = getattr(trained.model.table, column.name)
-        got = getattr(reloaded.model.table, column.name)
-        if isinstance(want, np.ndarray):
-            assert (got.dtype, got.shape) == (want.dtype, want.shape), column.name
-            assert got.tobytes() == want.tobytes(), column.name
-        else:
-            assert got == want, column.name
-    assert reloaded.model.importances.tobytes() == trained.model.importances.tobytes()
-    assert reloaded.model.oob_rmse == trained.model.oob_rmse
+    v3, again = tmp_path / "v3.json", tmp_path / "again.json"
+    save_model(v3, trained, provenance)
+    assert json.loads(v3.read_text())["format_version"] == FORMAT_VERSION
+    reloaded, _ = load_model(v3)
+    if stored["model"]["type"] == "forest":
+        for column in fields(_NodeTable):
+            want = getattr(trained.model.table, column.name)
+            got = getattr(reloaded.model.table, column.name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), column.name
+                assert got.tobytes() == want.tobytes(), column.name
+            else:
+                assert got == want, column.name
+        assert reloaded.model.importances.tobytes() == trained.model.importances.tobytes()
+        assert reloaded.model.oob_rmse == trained.model.oob_rmse
+    if stored["pca"] is not None:
+        # the ratios the older formats stored are the ones format 3 derives
+        ratios = np.array(stored["pca"]["explained_ratio"])
+        assert reloaded.pca.explained_ratio.tobytes() == ratios.tobytes()
     save_model(again, reloaded, provenance)
-    assert again.read_bytes() == v2.read_bytes()
+    assert again.read_bytes() == v3.read_bytes()
 
     _skip_other_numpy()
-    raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6,
-                                  noise_sigma_N=5.0, seed=7))
+    raw, truth = generate(SynthConfig(n_materials=3, curves_per_material=6,
+                                      noise_sigma_N=5.0, seed=7))
+    fixed_v = trained.spec.kind.marker_strategy == MARKER_FIXED_V
+    v_star = [rec.v_i_mm for rec in truth] if fixed_v else None
     for model in (trained, reloaded):
-        predictions = predict_pipeline(model, [resample(c, model.grid) for c in raw])
-        assert _sha(predictions.tobytes()) == PINNED[name]
+        curves = [resample(c, model.grid) for c in raw]
+        predictions = predict_pipeline(model, curves, v_star=v_star)
+        assert _sha(predictions.tobytes()) == {**PINNED, **PINNED_V2}[name]
 
 
 if __name__ == "__main__":

@@ -255,8 +255,8 @@ def test_batch_markers_and_features_match_the_per_curve_reference(batch, strateg
         assert got_error == want_error
         if want_error is None:
             assert got_x.tobytes() == want_x.tobytes()
-            model = EmpiricalModel(beta=0.3, mode=mode, marker_strategy=strategy)
-            assert predict_empirical(model, got, h0).tobytes() == (0.3 * want_x).tobytes()
+            model = EmpiricalModel(beta=0.3)
+            assert predict_empirical(model, got, h0, mode).tobytes() == (0.3 * want_x).tobytes()
 
 
 def test_the_first_failing_row_raises_even_after_passing_rows():

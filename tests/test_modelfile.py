@@ -1,5 +1,6 @@
 """Model persistence: exact round trips and version/shape rejection."""
 
+import copy
 import json
 import re
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import ModelFileError, UnsupportedVersion
 from smallpunch.forest import ForestConfig
-from smallpunch.modelfile import FORMAT_VERSION, load_model, save_model
+from smallpunch.modelfile import FORMAT_VERSION, UPGRADES, load_model, save_model
 from smallpunch.pipeline import (
     EmpiricalKind,
     ForestKind,
@@ -101,11 +102,12 @@ def test_unknown_version_is_refused(tmp_path, dataset):
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
-    # true and 2.0 compare equal to the versions 1 and 2 it reads
-    for version in (99, True, 2.0, "2", None):
+    # true, 2.0 and 3.0 compare equal to versions it reads
+    for version in (99, True, 2.0, 3.0, "2", None):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        with pytest.raises(UnsupportedVersion, match=f"format_version {version!r}"):
+        message = f"format_version {version!r} (this build reads 1, 2 and 3)"
+        with pytest.raises(UnsupportedVersion, match=re.escape(message)):
             load_model(path)
 
 
@@ -165,6 +167,7 @@ def test_stripped_pca_block_is_refused(tmp_path, dataset):
 
 
 QUOTED = object()  # a value that replaces the stored number with its decimal string
+DELETE = object()  # a value that removes its key instead
 
 
 def _model_array(name):
@@ -186,9 +189,6 @@ def trained_by_family(dataset):
 @pytest.mark.parametrize("family,block,key,value", [
     ("empirical", lambda d: d["model"], "beta", "x"),
     ("empirical", lambda d: d["pipeline"], "mode", "bogus"),
-    ("empirical", lambda d: d["model"], "mode", "bogus"),
-    # the pipeline block says instability-force: the blocks contradict each other
-    ("empirical", lambda d: d["model"], "mode", "max-force"),
     ("pca-lm", lambda d: d["grid"], "n_points", "x"),
     ("pca-lm", lambda d: d["standardizer"], "means", "x"),
     ("rf", lambda d: d["pipeline"]["forest"], "n_trees", "x"),
@@ -226,7 +226,6 @@ def trained_by_family(dataset):
     ("pca-lm", lambda d: d["standardizer"]["scales"], 0, True),
     ("pca-lm", lambda d: d["pca"]["mean"], 0, True),
     ("pca-lm", lambda d: d["pca"]["loadings"][0], 0, True),
-    ("pca-lm", lambda d: d["pca"], "threshold", True),
     ("pca-lm", lambda d: d["pca"], "total_variance", True),
     ("pca-lm", lambda d: d["pipeline"], "variance_threshold", True),
     ("empirical", lambda d: d["model"], "beta", True),
@@ -247,8 +246,6 @@ def trained_by_family(dataset):
     ("pca-lm", lambda d: d["standardizer"]["means"], slice(-1, None), []),
     # the fixture's PCA keeps three components
     ("pca-lm", lambda d: d["pca"], "eigenvalues", [1.0, 2.0, 3.0]),
-    ("pca-lm", lambda d: d["pca"]["explained_ratio"], 0, 0.99),
-    ("pca-lm", lambda d: d["pca"], "threshold", 0.0),
     ("pca-lm", lambda d: d["pca"], "total_variance", 0.0),
     ("pca-lm", lambda d: d["pca"]["loadings"], slice(-1, None), []),
     ("pca-lm", lambda d: d["pca"]["eigenvalues"], slice(-1, None), []),
@@ -265,7 +262,6 @@ def trained_by_family(dataset):
     ("pca-lm", lambda d: d["pca"]["loadings"][0], 0, QUOTED),
     ("pca-lm", lambda d: d["model"]["coefficients"], 0, QUOTED),
     ("rf", lambda d: d["model"]["importances"], 0, QUOTED),
-    ("pca-lm", lambda d: d["pca"], "threshold", QUOTED),
     ("pca-lm", lambda d: d["pca"], "total_variance", QUOTED),
     ("pca-lm", lambda d: d["model"], "intercept", QUOTED),
     ("empirical", lambda d: d["model"], "beta", QUOTED),
@@ -281,7 +277,7 @@ def trained_by_family(dataset):
     # a list of lists with rows of different lengths; a slice key drops an entry
     ("pca-lm", lambda d: d["pca"]["loadings"][0], slice(-1, None), []),
     ("pca-lm", lambda d: d["standardizer"], "means", [[1.0], [2.0, 3.0]]),
-], ids=["beta", "pipeline-mode", "model-mode", "model-mode-contradicts-pipeline", "grid-n_points", "standardizer-means",
+], ids=["beta", "pipeline-mode", "grid-n_points", "standardizer-means",
         "forest-n_trees", "leaf-value", "pipeline-block", "model-block",
         "split-feature-999", "split-feature-negative", "split-feature-float",
         "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0",
@@ -291,18 +287,18 @@ def trained_by_family(dataset):
         "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",
         "n_features-float", "n_features-string", "n_features-mismatch", "importances-length",
         "intercept-bool", "coefficient-bool",
-        "standardizer-scale-bool", "pca-mean-bool", "pca-loading-bool", "pca-threshold-bool",
+        "standardizer-scale-bool", "pca-mean-bool", "pca-loading-bool",
         "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
         "grid-spacing-bool", "grid-n_points-bool", "grid-n_points-float",
         "rf-variance_threshold-bool", "importance-bool", "grid-start-inf",
         "grid-spacing-nan", "grid-n_points-huge", "standardizer-scale-zero",
         "standardizer-mean-inf", "standardizer-means-short", "pca-eigenvalues-increasing",
-        "pca-explained_ratio-above-1", "pca-threshold-zero", "pca-total_variance-zero",
+        "pca-total_variance-zero",
         "pca-loadings-short", "pca-eigenvalues-short", "intercept-inf", "coefficients-nested",
         "importances-sum-half", "importance-negative", "pipeline-family-bogus",
         "standardizer-missing", "standardizer-mean-quoted", "standardizer-scale-quoted",
         "pca-mean-quoted", "pca-loading-quoted", "coefficient-quoted", "importance-quoted",
-        "pca-threshold-quoted", "pca-total_variance-quoted", "intercept-quoted",
+        "pca-total_variance-quoted", "intercept-quoted",
         "beta-quoted", "grid-start-quoted", "oob_rmse-quoted", "grid-block-list",
         "model-block-list", "pca-block-string", "pipeline-block-int", "standardizer-block-list",
         "forest-block-list", "pca-loadings-ragged", "standardizer-means-ragged"])
@@ -338,21 +334,12 @@ def _stray(block, family):
      "missing field 'standardize'"),
     ("rf", lambda doc, saved: doc["pipeline"].pop("standardize"),
      "missing field 'standardize'"),
-    # a fact both blocks state must have one value: the markers the kind
-    # picks are the ones the model's beta was fitted on
-    ("empirical", lambda doc, saved: doc["pipeline"].__setitem__("marker_strategy", "fixed-v"),
-     "model marker_strategy 'max-slope' contradicts pipeline 'fixed-v'"),
-    ("empirical", lambda doc, saved: doc["model"].__setitem__("marker_strategy", "fixed-v"),
-     "model marker_strategy 'fixed-v' contradicts pipeline 'max-slope'"),
-    ("pca-lm", lambda doc, saved: doc["pca"].__setitem__("threshold", 0.5),
-     "pca threshold 0.5 contradicts pipeline variance_threshold 0.99"),
-    ("pca-lm", lambda doc, saved: doc["pipeline"].__setitem__("variance_threshold", 0.5),
-     "pca threshold 0.99 contradicts pipeline variance_threshold 0.5"),
+    # the explained ratios, eigenvalues / total_variance, may not sum above 1
+    ("pca-lm", lambda doc, saved: doc["pca"].__setitem__(
+        "total_variance", sum(doc["pca"]["eigenvalues"]) / 2), "explained ratios exceed 1"),
 ], ids=["pca-lm-standardize-false-with-standardizer", "rf-raw-with-pca",
         "empirical-with-standardizer", "empirical-with-pca", "pca-lm-standardize-missing",
-        "rf-standardize-missing", "empirical-pipeline-marker-fixed-v",
-        "empirical-model-marker-fixed-v", "pca-threshold-contradicts-pipeline",
-        "pipeline-variance_threshold-contradicts-pca"])
+        "rf-standardize-missing", "pca-eigenvalues-above-total_variance"])
 def test_contradictory_or_incomplete_file_is_a_model_file_error(tmp_path, trained_by_family,
                                                                 family, change, match):
     saved = {}
@@ -400,6 +387,48 @@ def test_wrong_block_type_or_ragged_array_error_names_it(tmp_path, trained_by_fa
     _assert_refused(path, doc, re.escape(f"{path}: {message}") + "$")
 
 
+DATA = Path(__file__).parent / "data"
+
+
+# Format 2 stored four facts twice: the PCA block's threshold and
+# explained_ratio, and an empirical model's mode and marker_strategy.  Its
+# upgrade to format 3 refuses a file whose two copies of a fact disagree
+# before it drops the copies; the pinned format 2 files are the documents.
+@pytest.mark.parametrize("name,block,key,value,message", [
+    ("empirical", lambda d: d["model"], "mode", "bogus",
+     "model mode 'bogus' contradicts pipeline 'instability-force'"),
+    ("empirical", lambda d: d["model"], "mode", "max-force",
+     "model mode 'max-force' contradicts pipeline 'instability-force'"),
+    # the markers the kind picks are the ones the model's beta was fitted on
+    ("empirical", lambda d: d["pipeline"], "marker_strategy", "fixed-v",
+     "model marker_strategy 'max-slope' contradicts pipeline 'fixed-v'"),
+    ("empirical", lambda d: d["model"], "marker_strategy", "fixed-v",
+     "model marker_strategy 'fixed-v' contradicts pipeline 'max-slope'"),
+    ("empirical", lambda d: d["model"], "mode", DELETE, "missing field 'mode'"),
+    ("pca-lm", lambda d: d["pca"], "threshold", 0.5,
+     "pca threshold 0.5 contradicts pipeline variance_threshold 0.99"),
+    ("pca-lm", lambda d: d["pipeline"], "variance_threshold", 0.5,
+     "pca threshold 0.99 contradicts pipeline variance_threshold 0.5"),
+    ("pca-lm", lambda d: d["pca"], "threshold", 0.0,
+     "pca threshold 0.0 contradicts pipeline variance_threshold 0.99"),
+    # true would compare equal to a variance_threshold of 1.0
+    ("pca-lm", lambda d: d["pca"], "threshold", True, "threshold must be a number, got True"),
+    ("pca-lm", lambda d: d["pca"], "threshold", QUOTED, "threshold must be a number, got '0.99'"),
+    ("pca-lm", lambda d: d["pca"], "threshold", DELETE, "missing field 'threshold'"),
+], ids=["model-mode", "model-mode-contradicts-pipeline", "empirical-pipeline-marker-fixed-v",
+        "empirical-model-marker-fixed-v", "model-mode-missing",
+        "pca-threshold-contradicts-pipeline", "pipeline-variance_threshold-contradicts-pca",
+        "pca-threshold-zero", "pca-threshold-bool", "pca-threshold-quoted",
+        "pca-threshold-missing"])
+def test_format_2_copies_that_disagree_are_refused(tmp_path, name, block, key, value, message):
+    doc = json.loads((DATA / f"{name}_v2.json").read_text(encoding="utf-8"))
+    if value is DELETE:
+        del block(doc)[key]
+    else:
+        block(doc)[key] = str(block(doc)[key]) if value is QUOTED else value
+    _assert_refused(tmp_path / "model.json", doc, re.escape(message))
+
+
 def _assert_refused(path, doc, match=None):
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFileError, match=match) as err:
@@ -409,9 +438,9 @@ def _assert_refused(path, doc, match=None):
     assert str(err.value).count(str(path)) == 1
 
 
-# A format 1 forest nests its trees.  Its reader only flattens them into
-# format 2's level-order arrays, which the format 2 checks then refuse.
-V1_FILE = Path(__file__).parent / "data" / "rf_10_trees_v1.json"
+# A format 1 forest nests its trees.  Its upgrade only flattens them into
+# the level-order arrays of format 2 and 3, whose checks then refuse them.
+V1_FILE = DATA / "rf_10_trees_v1.json"
 
 
 def _v1_root(doc):
@@ -427,9 +456,6 @@ def _v1_leaf(doc):
 
 def _v1_trees(doc):
     return doc["model"]["trees"]
-
-
-DELETE = object()  # a value that removes its key instead
 
 
 @pytest.mark.parametrize("block,key,value", [
@@ -508,6 +534,20 @@ def test_forest_block_is_read_by_its_files_version(tmp_path, trained_by_family):
     doc = json.loads(V1_FILE.read_text())
     doc["format_version"] = FORMAT_VERSION
     _assert_refused(path, doc, "count")
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[12].json")), ids=lambda p: p.name)
+def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    before = copy.deepcopy(doc)
+    upgraded = doc
+    for version in range(doc["format_version"], FORMAT_VERSION):
+        upgraded = UPGRADES[version](upgraded)
+    assert doc == before  # each step is pure
+    trained, provenance = load_model(path)
+    save_model(tmp_path / "model.json", trained, provenance)
+    saved = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
+    assert {**upgraded, "format_version": FORMAT_VERSION} == saved
 
 
 def test_forest_trees_survive_re_save(tmp_path, dataset):

@@ -65,6 +65,18 @@ def test_two_axis_eigenvalues_and_loadings():
     assert model.loadings[0, 0] > 0.0 and model.loadings[1, 1] > 0.0
 
 
+@pytest.mark.parametrize("threshold,k", [(0.9, 2), (1.0, 4)])
+def test_explained_ratio_has_the_bits_the_component_count_was_chosen_by(threshold, k):
+    # the record derives the ratios from what it stores; they must be the
+    # very fractions fit_pca compared with the threshold
+    data = np.random.default_rng(42).normal(size=(10, 4)) * np.array([3.0, 1.0, 0.5, 0.2])
+    model = fit_pca(data, threshold=threshold)
+    _, singular, _ = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+    eig = singular * singular / 9
+    assert model.n_components == k
+    assert model.explained_ratio.tobytes() == (eig / eig.sum())[:k].tobytes()
+
+
 def test_eigenvalues_match_covariance_oracle():
     rng = np.random.default_rng(42)
     data = rng.normal(size=(10, 4)) * np.array([3.0, 1.0, 0.5, 0.2])
@@ -178,7 +190,5 @@ def test_model_invariants_enforced():
             mean=model.mean,
             loadings=model.loadings * 2.0,  # not orthonormal
             eigenvalues=model.eigenvalues,
-            explained_ratio=model.explained_ratio,
-            threshold=1.0,
             total_variance=model.total_variance,
         )

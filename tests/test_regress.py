@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from smallpunch.curves import MARKER_MAX_SLOPE, CurveMarkers
+from smallpunch.curves import CurveMarkers
 from smallpunch.errors import (
     BadConfig,
     EmptyTraining,
@@ -50,9 +50,8 @@ def test_max_force_feature_is_force_over_thickness_times_displacement():
 
 
 def test_prediction_is_beta_times_feature():
-    model = EmpiricalModel(beta=0.3, mode=MODE_INSTABILITY_FORCE,
-                           marker_strategy=MARKER_MAX_SLOPE)
-    (pred,) = predict_empirical(model, _markers(), h0_mm=0.5)
+    model = EmpiricalModel(beta=0.3)
+    (pred,) = predict_empirical(model, _markers(), h0_mm=0.5, mode=MODE_INSTABILITY_FORCE)
     assert pred == pytest.approx(0.3 * 889.0 / 0.25, rel=1e-15)
     assert pred == pytest.approx(1066.8, rel=1e-12)
 
@@ -75,8 +74,6 @@ def test_fit_beta_exact_on_proportional_data():
     x = np.array([1000.0, 2000.0, 3000.0, 3500.0])
     model = fit_beta(x, 0.3 * x)
     assert model.beta == pytest.approx(0.3, rel=1e-15)
-    assert model.mode == MODE_INSTABILITY_FORCE
-    assert model.marker_strategy == MARKER_MAX_SLOPE
 
 
 def test_fit_beta_matches_closed_form():
@@ -130,13 +127,12 @@ def test_fit_beta_rejects_empty_and_non_positive():
 
 
 def test_empirical_model_validation():
-    with pytest.raises(InvalidModel):
-        EmpiricalModel(beta=-0.1, mode=MODE_MAX_FORCE,
-                       marker_strategy=MARKER_MAX_SLOPE)
+    for beta in (-0.1, 0.0, float("inf"), float("nan")):
+        with pytest.raises(InvalidModel):
+            EmpiricalModel(beta=beta)
+    # the correlation is the kind's, given at prediction
     with pytest.raises(BadConfig):
-        EmpiricalModel(beta=0.3, mode="bogus", marker_strategy=MARKER_MAX_SLOPE)
-    with pytest.raises(BadConfig):
-        EmpiricalModel(beta=0.3, mode=MODE_MAX_FORCE, marker_strategy="bogus")
+        predict_empirical(EmpiricalModel(beta=0.3), _markers(), h0_mm=0.5, mode="bogus")
 
 
 # ----------------------------------------------------------------- fit_ols

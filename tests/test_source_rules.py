@@ -188,16 +188,28 @@ def test_the_command_line_imports_no_family():
 
 
 def test_the_pipeline_flags_state_no_default():
-    # a flag left out is absent from args, so each kind's dataclass alone
-    # states the default of every field a flag fills
+    # a flag left out is absent from args, so each kind's dataclass and
+    # GridSpec alone state the default of every field a flag fills
     cli = next(p for p in SOURCES if p.name == "cli.py")
     tree = ast.parse(cli.read_text(encoding="utf-8"))
-    add_flags = next(node for node in ast.walk(tree)
-                     if isinstance(node, ast.FunctionDef) and node.name == "_add_pipeline_flags")
-    calls = _calls_in(add_flags, {"add_argument"})
-    assert len(calls) > 10
-    assert [line for line, _, node in calls
-            if any(kw.arg == "default" for kw in node.keywords)] == []
+    for name, least in (("_add_pipeline_flags", 11), ("_add_grid_flags", 3)):
+        add_flags = next(node for node in ast.walk(tree)
+                         if isinstance(node, ast.FunctionDef) and node.name == name)
+        calls = _calls_in(add_flags, {"add_argument"})
+        assert len(calls) >= least, name
+        assert [line for line, _, node in calls
+                if any(kw.arg == "default" for kw in node.keywords)] == [], name
+
+
+def test_only_the_model_file_module_knows_the_format_version():
+    # modelfile.py upgrades an older file's document before any kind or
+    # record reads it, so nothing else branches on the version
+    knows = {p.name: lines for p in SOURCES if p.name != "modelfile.py" and (lines := [
+        node.lineno for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.arg) and node.arg == "version"
+    ] + [n for n, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1)
+         if "format_version" in line])}
+    assert knows == {}
 
 
 def test_the_command_line_asks_no_model_or_kind_its_class():
