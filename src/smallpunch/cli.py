@@ -177,10 +177,10 @@ def _v_star_for(source: Path | float | None, names: list[str]):
     if not isinstance(source, Path):
         return source
     table = dataio.read_truth(source)
-    missing = [name for name in names if name not in table]
-    if missing:
-        raise BadConfig(f"--truth: {source} has no row for curve file '{missing[0]}'")
-    return [table[name][1] for name in names]
+    rows = [table.get(dataio.file_identity(name)) for name in names]
+    if None in rows:
+        raise BadConfig(f"--truth: {source} has no row for curve file '{names[rows.index(None)]}'")
+    return [row[1] for row in rows]
 
 
 def _labelled_inputs(args: argparse.Namespace):
@@ -271,7 +271,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if curves:  # an empty manifest needs no v_star and gets a header-only table
         v_star = _v_star_for(_v_star_source(args, kind), names)
         preds = predict_pipeline(trained, curves, v_star=v_star)
-        rows = [(name, curve.meta, float(p)) for name, curve, p in zip(names, curves, preds)]
+        rows = [(dataio.file_identity(name), curve.meta, float(p))
+                for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)
     print(f"wrote {len(rows)} predictions to {args.out}")
     return EXIT_OK

@@ -84,16 +84,21 @@ def _write_table(path: Path, header: Sequence[str], rows: Iterable[Sequence[Any]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _refuse_repeats(path: Path, rows: Iterable[tuple[int, str]]) -> None:
-    """MalformedRow at the first (row, file name) naming a file an earlier row named.
+def file_identity(name: str) -> str:
+    """The file a manifest or truth-table name stands for: its os.path.normpath.
 
-    Names are compared by os.path.normpath, so 'a.csv' and './a.csv' are
-    one file.
+    So 'a.csv' and './a.csv' are one file.  The name alone is judged; links
+    are not followed.
     """
+    return os.path.normpath(name)
+
+
+def _refuse_repeats(path: Path, rows: Iterable[tuple[int, str]]) -> None:
+    """MalformedRow at the first (row, file name) naming a file an earlier row named."""
     first: dict[str, int] = {}
     with prefixed(path):
         for lineno, name in rows:
-            row = first.setdefault(os.path.normpath(name), lineno)
+            row = first.setdefault(file_identity(name), lineno)
             if row != lineno:
                 raise MalformedRow(f"row {lineno}: file '{name}' repeats row {row}")
 
@@ -155,9 +160,8 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
     A curve file name is a path relative to the manifest's directory and may
     name a subdirectory; an absolute path, or one whose '..' parts lead out
     of that directory, is a MalformedRow, and so is a name that another row
-    gives too (compared by os.path.normpath): a curve listed twice could sit
-    in a fold's training rows and its held-out rows at once.  The name alone
-    is judged; links are not followed.
+    gives too (compared by file_identity): a curve listed twice could sit
+    in a fold's training rows and its held-out rows at once.
     """
     path = Path(path)
     entries: list[tuple[str, SpecimenMeta]] = []
@@ -166,7 +170,7 @@ def read_manifest(path: Path | str) -> list[tuple[str, SpecimenMeta]]:
         for lineno, (filename, material_id, temp_s, thick_s, rm_s) in rows:
             if not filename:
                 raise MalformedRow(f"row {lineno}: empty file name")
-            norm = os.path.normpath(filename)
+            norm = file_identity(filename)
             if os.path.isabs(norm) or norm.split(os.sep)[0] == os.pardir:
                 raise MalformedRow(f"row {lineno}: curve file '{filename}' lies outside "
                                    "the manifest's directory")
@@ -209,14 +213,15 @@ def write_truth(path: Path, filenames: Sequence[str], records: Sequence[SynthRec
 
 
 def read_truth(path: Path) -> dict[str, tuple[float, ...]]:
-    """Truth rows keyed by file name: (rm_MPa, v_i_mm, f_i_N).
+    """Truth rows keyed by file_identity of the file name: (rm_MPa, v_i_mm, f_i_N).
 
-    A file named by two rows (compared by os.path.normpath) is a
-    MalformedRow, not a later row silently winning.
+    A file named by two rows is a MalformedRow, not a later row silently
+    winning.
     """
     with prefixed(path):
         _, rows = read_table(_read_utf8(path), TRUTH_HEADER)
-        truth = {cells[0]: tuple(finite_cells(lineno, cells[1:])) for lineno, cells in rows}
+        truth = {file_identity(cells[0]): tuple(finite_cells(lineno, cells[1:]))
+                 for lineno, cells in rows}
     _refuse_repeats(path, ((lineno, cells[0]) for lineno, cells in rows))
     return truth
 

@@ -7,6 +7,7 @@ parameter.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,53 +33,41 @@ def rmse(predictions: Sequence[float] | np.ndarray, truths: Sequence[float] | np
 def kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Disjoint index folds covering range(n), sizes differing by at most 1.
 
-    A seeded shuffle assigns rows; the first n % k folds take the extra row.
-    Each fold is returned sorted ascending.
+    A seeded permutation of range(n) is split into k contiguous parts, the
+    first n % k of them one row larger; each fold is returned sorted.
     """
     if not (2 <= k <= n):
         raise BadK(f"need 2 <= k <= n, got k={k}, n={n}")
     if seed < 0:
         raise BadConfig(f"seed must be >= 0, got {seed}")
     perm = np.random.default_rng(seed).permutation(n)
-    sizes = np.full(k, n // k, dtype=int)
-    sizes[: n % k] += 1
-    bounds = np.cumsum(sizes)[:-1]
-    return [np.sort(fold) for fold in np.split(perm, bounds)]
+    return [np.sort(fold) for fold in np.array_split(perm, k)]
 
 
 def group_kfold_split(material_ids: Sequence[str], k: int, seed: int) -> list[np.ndarray]:
     """Folds that keep all curves of one material together.
 
-    Materials are shuffled with the seed and assigned greedily to the
-    currently smallest fold, so fold sizes stay balanced.  Repeated tests
-    of one material never straddle train and test, which removes the
-    optimism that plain shuffling allows.
+    Materials, taken in order of first appearance, are visited in a seeded
+    order, and each goes with all its curves to the fold that holds fewest
+    curves so far, ties to the lowest index.  Each fold lists its rows in
+    ascending order.  Repeated tests of one material never straddle train
+    and test, which removes the optimism that plain shuffling allows.
     """
     ids = list(material_ids)
-    n = len(ids)
-    unique: list[str] = []
-    seen: set[str] = set()
-    for mid in ids:
-        if mid not in seen:
-            seen.add(mid)
-            unique.append(mid)
-    if not (2 <= k <= len(unique)):
-        raise BadK(f"need 2 <= k <= number of materials, got k={k}, materials={len(unique)}")
+    counts = Counter(ids)  # materials in order of first appearance, with their curve counts
+    if not (2 <= k <= len(counts)):
+        raise BadK(f"need 2 <= k <= number of materials, got k={k}, materials={len(counts)}")
     if seed < 0:
         raise BadConfig(f"seed must be >= 0, got {seed}")
-    order = np.random.default_rng(seed).permutation(len(unique))
+    materials = list(counts)
+    sizes = [0] * k
     fold_of: dict[str, int] = {}
-    fold_sizes = [0] * k
-    counts = {mid: ids.count(mid) for mid in unique}
-    for pos in order:
-        mid = unique[int(pos)]
-        target = min(range(k), key=lambda f: fold_sizes[f])
-        fold_of[mid] = target
-        fold_sizes[target] += counts[mid]
-    folds = [[] for _ in range(k)]
-    for row, mid in enumerate(ids):
-        folds[fold_of[mid]].append(row)
-    return [np.asarray(f, dtype=int) for f in folds]
+    for pos in np.random.default_rng(seed).permutation(len(materials)):
+        mid = materials[pos]
+        fold_of[mid] = sizes.index(min(sizes))
+        sizes[fold_of[mid]] += counts[mid]
+    row_fold = np.array([fold_of[mid] for mid in ids])
+    return [np.flatnonzero(row_fold == f) for f in range(k)]
 
 
 @dataclass(frozen=True)

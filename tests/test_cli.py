@@ -709,6 +709,30 @@ def test_truth_without_a_row_for_a_curve_exits_2_naming_both(tmp_path, capsys, c
     assert not out.exists()
 
 
+def test_dot_prefixed_manifest_rows_give_the_bytes_of_plain_ones(tmp_path, capsys, monkeypatch):
+    # './m00_c00.csv' is the file truth.csv lists as 'm00_c00.csv'
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    header, *rows = (data / "manifest.csv").read_text().splitlines()
+    (data / "dotted.csv").write_text("\n".join([header, *("./" + row for row in rows)]) + "\n")
+    fixed_v = ("--pipeline", "empirical", "--marker", "fixed-v", "--truth", str(data / "truth.csv"))
+    outputs = []
+    for name in ("manifest", "dotted"):
+        manifest, out = data / f"{name}.csv", tmp_path / name
+        runs = [run(capsys, "cv", str(manifest), *fixed_v, "--k", "2", "--out", str(out / "cv")),
+                run(capsys, "train", str(manifest), *fixed_v, "--out", str(out / "model.json")),
+                run(capsys, "predict", str(manifest), "--model", str(out / "model.json"),
+                    "--truth", str(data / "truth.csv"), "--out", str(out / "pred.csv"))]
+        assert [code for code, _, _ in runs] == [0, 0, 0], runs
+        model = json.loads((out / "model.json").read_text())
+        # the model records the hash of the manifest it read, and nothing else differs
+        assert model["provenance"].pop("manifest_sha256") == sha256_of(manifest)
+        stdout = [text.replace(str(out), "OUT") for _, text, _ in runs]
+        outputs.append((stdout, model, (out / "pred.csv").read_bytes(),
+                        sorted((p.name, p.read_bytes()) for p in (out / "cv").iterdir())))
+    assert outputs[0] == outputs[1]
+
+
 def test_manifest_row_with_an_empty_file_name_exits_4(tmp_path, capsys):
     data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
     manifest = data / "manifest.csv"

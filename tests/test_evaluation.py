@@ -1,5 +1,7 @@
 """Metrics, fold construction and leakage-free cross-validation."""
 
+from typing import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,76 @@ def test_splitters_reject_negative_seed():
         kfold_split(10, 2, seed=-1)
     with pytest.raises(BadConfig, match="seed must be >= 0"):
         group_kfold_split(["A", "A", "B"], 2, seed=-1)
+
+
+# The two splitters as they stood before np.array_split and the one-pass
+# group draw, kept verbatim as the reference the current ones must match.
+
+def _reference_kfold_split(n: int, k: int, seed: int) -> list[np.ndarray]:
+    if not (2 <= k <= n):
+        raise BadK(f"need 2 <= k <= n, got k={k}, n={n}")
+    if seed < 0:
+        raise BadConfig(f"seed must be >= 0, got {seed}")
+    perm = np.random.default_rng(seed).permutation(n)
+    sizes = np.full(k, n // k, dtype=int)
+    sizes[: n % k] += 1
+    bounds = np.cumsum(sizes)[:-1]
+    return [np.sort(fold) for fold in np.split(perm, bounds)]
+
+
+def _reference_group_kfold_split(material_ids: Sequence[str], k: int, seed: int) -> list[np.ndarray]:
+    ids = list(material_ids)
+    n = len(ids)
+    unique: list[str] = []
+    seen: set[str] = set()
+    for mid in ids:
+        if mid not in seen:
+            seen.add(mid)
+            unique.append(mid)
+    if not (2 <= k <= len(unique)):
+        raise BadK(f"need 2 <= k <= number of materials, got k={k}, materials={len(unique)}")
+    if seed < 0:
+        raise BadConfig(f"seed must be >= 0, got {seed}")
+    order = np.random.default_rng(seed).permutation(len(unique))
+    fold_of: dict[str, int] = {}
+    fold_sizes = [0] * k
+    counts = {mid: ids.count(mid) for mid in unique}
+    for pos in order:
+        mid = unique[int(pos)]
+        target = min(range(k), key=lambda f: fold_sizes[f])
+        fold_of[mid] = target
+        fold_sizes[target] += counts[mid]
+    folds = [[] for _ in range(k)]
+    for row, mid in enumerate(ids):
+        folds[fold_of[mid]].append(row)
+    return [np.asarray(f, dtype=int) for f in folds]
+
+
+def _draw(split, *args):
+    """The folds a splitter draws, as integer lists, or the class and text of its error."""
+    try:
+        folds = split(*args)
+    except SmallPunchError as err:
+        return type(err), str(err)
+    assert all(fold.dtype.kind == "i" for fold in folds)
+    return [fold.tolist() for fold in folds]
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 300), k=st.integers(-1, 41), seed=st.integers(-3, 2**64))
+def test_kfold_split_draws_the_reference_folds(n, k, seed):
+    assert _draw(kfold_split, n, k, seed) == _draw(_reference_kfold_split, n, k, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    ids=st.integers(1, 30).flatmap(
+        lambda m: st.lists(st.integers(0, m - 1).map("M{}".format), max_size=300)),
+    k=st.integers(-1, 41),
+    seed=st.integers(-3, 2**64),
+)
+def test_group_kfold_split_draws_the_reference_folds(ids, k, seed):
+    assert _draw(group_kfold_split, ids, k, seed) == _draw(_reference_group_kfold_split, ids, k, seed)
 
 
 # ---------------------------------------------------------------- CvReport
