@@ -106,8 +106,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                                help="truth CSV supplying per-file v_i for the fixed-v marker"),
         features.add_argument("--variance-threshold", type=float,
                               help="PCA cumulative explained-variance target"),
-        features.add_argument("--no-standardize", dest="standardize", action="store_false",
-                              help="skip column standardization before PCA/forest"),
         forest.add_argument("--trees", dest="n_trees", type=int, help="forest size"),
         forest.add_argument("--max-depth", type=int,
                             help="forest depth cap (default unlimited)"),
@@ -127,16 +125,22 @@ def _family_flags(parser: argparse.ArgumentParser, actions: list[argparse.Action
     parser.set_defaults(family_flags={a.dest: a.option_strings[0] for a in actions})
 
 
-def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type, fixed_v: bool) -> None:
+def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type) -> None:
     """Exit 2 naming each family flag given that kind's family does not read.
 
-    The empirical family reads --v-star and --truth only with the fixed-v marker.
+    The empirical family reads --v-star and --truth only with the fixed-v
+    marker, and the family that takes --rf-input reads --variance-threshold
+    only with PCA scores.  Each setting is the flag's if given, else the kind's.
     """
     given = {dest: option for dest, option in args.family_flags.items() if dest in args}
+    fixed_v = getattr(args, "marker_strategy", kind.marker_strategy) == MARKER_FIXED_V
+    scores = getattr(args, "input", getattr(kind, "input", None)) == FOREST_INPUT_SCORES
     for unread, why in (
         ([o for d, o in given.items() if d not in kind.flags], "reads no such flag"),
         ([o for d, o in given.items() if d in ("truth", "v_star") and not fixed_v],
          f"reads v_i only with --marker {MARKER_FIXED_V}"),
+        ([o for d, o in given.items() if d == "variance_threshold" and "input" in kind.flags
+          and not scores], f"reads it only with --rf-input {FOREST_INPUT_SCORES}"),
     ):
         if unread:
             raise BadConfig(f"{' and '.join(sorted(unread))}: the {kind.name} family {why}")
@@ -148,8 +152,7 @@ def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
         raise BadConfig("--workers must be >= 1")
     if args.seed < 0:
         raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
-    _refuse_unread(args, KINDS[args.pipeline],
-                   fixed_v=getattr(args, "marker_strategy", None) == MARKER_FIXED_V)
+    _refuse_unread(args, KINDS[args.pipeline])
     return PipelineSpec.from_flags(args)
 
 
@@ -259,7 +262,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
     kind = trained.spec.kind
     # a given v_i flag is checked before any curve is read
-    _refuse_unread(args, kind, fixed_v=kind.marker_strategy == MARKER_FIXED_V)
+    _refuse_unread(args, kind)
     if "truth" in args or "v_star" in args:
         _v_star_source(args, kind)
     # with no grid flag given, the requested grid is the model's

@@ -136,13 +136,20 @@ def fit_standardizer(x: np.ndarray) -> Standardizer:
     """Column means and sample standard deviations (ddof=1).
 
     Columns with zero deviation get scale 1, so constant features are
-    centered to zero rather than producing NaN.
+    centered to zero rather than producing NaN.  Finite values whose sums
+    overflow are refused, naming the first such column.
     """
     x = _matrix_values(x)
     if x.shape[0] < 2:
         raise TooFewRows(f"standardizer needs n >= 2 rows, got {x.shape[0]}")
-    means = x.mean(axis=0)
-    scales = x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = x.mean(axis=0)
+        scales = x.std(axis=0, ddof=1)
+    bad = ~(np.isfinite(means) & np.isfinite(scales))
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise NonFiniteValue(f"column {j} too large to standardize without overflow: mean "
+                             f"{float(means[j])!r}, scale {float(scales[j])!r}")
     scales = np.where(scales == 0.0, 1.0, scales)
     return Standardizer(means=means, scales=scales)
 

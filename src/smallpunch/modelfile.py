@@ -7,9 +7,9 @@ guessing.  The family's own blocks, its settings under "pipeline" and its
 parameters under "model", are laid out by its kind class in pipeline.py;
 the grid, standardizer and PCA blocks by pipeline.record_to_doc.
 
-Format 3 is written; it stores each fact once.  An older file's document
+Format 4 is written; it stores each fact once.  An older file's document
 is upgraded one version at a time by the pure steps of UPGRADES, so the
-kinds and records read format 3's layout alone.
+kinds and records read format 4's layout alone.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .pca import PcaModel
 from .pipeline import (KINDS, PipelineSpec, TrainedPipeline, json_value, record_from_doc,
                        record_to_doc)
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 def _forest_level_order(doc: dict[str, Any]) -> dict[str, Any]:
@@ -87,8 +87,23 @@ def _facts_once(doc: dict[str, Any]) -> dict[str, Any]:
     return {**doc, "pca": pca, "model": model}
 
 
+def _always_standardized(doc: dict[str, Any]) -> dict[str, Any]:
+    """Format 3 to 4: drop pipeline.standardize; false gives a feature family
+    the identity standardizer, whose (x - 0.0) / 1.0 is x bit for bit."""
+    pipeline = json_value(doc["pipeline"], "dict", "pipeline")
+    family, standardize = pipeline.get("family"), pipeline["standardize"]
+    doc = {**doc, "pipeline": {k: v for k, v in pipeline.items() if k != "standardize"}}
+    if json_value(standardize, "bool", "standardize") or family not in ("pca-lm", "rf"):
+        return doc
+    if doc["standardizer"] is not None:
+        raise InvalidModel(f"{family} model file with standardize=false holds a stray "
+                           "standardizer block")
+    width = record_from_doc(GridSpec, json_value(doc["grid"], "dict", "grid")).n_points + 1
+    return {**doc, "standardizer": {"means": [0.0] * width, "scales": [1.0] * width}}
+
+
 # UPGRADES[n] turns a format n document into a format n + 1 document
-UPGRADES = {1: _forest_level_order, 2: _facts_once}
+UPGRADES = {1: _forest_level_order, 2: _facts_once, 3: _always_standardized}
 READ_VERSIONS = (*UPGRADES, FORMAT_VERSION)
 
 
@@ -100,7 +115,6 @@ def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str,
         "format_version": FORMAT_VERSION,
         "pipeline": {
             "family": kind.name,
-            "standardize": trained.spec.standardize,
             **kind.to_doc(),
         },
         "grid": record_to_doc(trained.grid),
@@ -153,7 +167,6 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
         kind = KINDS[family].from_doc(spec_doc)
-        spec = PipelineSpec(kind=kind, standardize=spec_doc["standardize"])
         grid = record_from_doc(GridSpec, grid_doc)
         standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)
         pca = None if pca_doc is None else record_from_doc(PcaModel, pca_doc)
@@ -173,17 +186,10 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None
 
-    # each block is stored exactly when the family uses it; the empirical
-    # family never fits a standardizer, whatever the flag says
-    blocks = (("PCA", pca, kind.uses_pca),
-              ("standardizer", standardizer, spec.standardize and kind.uses_features))
-    for block, stored, used in blocks:
+    # each block is stored exactly when the family uses it
+    for block, stored, used in (("PCA", pca, kind.uses_pca),
+                                ("standardizer", standardizer, kind.uses_features)):
         if (stored is not None) != used:
             state = "lacks the" if stored is None else "holds a stray"
-            raise ModelFileError(f"{path}: {family} model file with standardize="
-                                 f"{json.dumps(spec.standardize)} {state} {block} block")
-
-    trained = TrainedPipeline(
-        spec=spec, grid=grid, standardizer=standardizer, pca=pca, model=model
-    )
-    return trained, provenance
+            raise ModelFileError(f"{path}: {family} model file {state} {block} block")
+    return TrainedPipeline(PipelineSpec(kind), grid, standardizer, pca, model), provenance

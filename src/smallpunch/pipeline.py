@@ -214,7 +214,7 @@ class EmpiricalKind(_RecordBlocks):
                             v_instability_mm=v_m)
 
     # the matrix's last column is the temperature; the rest are the forces
-    def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
+    def fit(self, curves, matrix, targets, v_star) -> Fitted:
         markers = self._markers(matrix[:, :-1], curves[0].grid, v_star)
         feats = empirical_feature(markers, _thicknesses(curves), self.mode)
         return None, None, fit_beta(feats, targets)
@@ -244,8 +244,8 @@ class _FeatureKind:
                 f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
             )
 
-    def fit(self, curves, matrix, targets, standardize, v_star) -> Fitted:
-        std = fit_standardizer(matrix) if standardize else None
+    def fit(self, curves, matrix, targets, v_star) -> Fitted:
+        std = fit_standardizer(matrix)
         pca, design = self._design(matrix, std, None)
         return std, pca, self._fit_model(design, targets)
 
@@ -254,13 +254,9 @@ class _FeatureKind:
         return self._predict_model(trained.model, design)
 
     def _design(self, matrix, std, pca) -> tuple[PcaModel | None, np.ndarray]:
-        """Standardize, then project onto the PCA scores if the family uses them.
-
-        std None skips standardizing; pca None, in a family that uses PCA,
-        fits it here on the standardized rows.  Returns the PCA and the
-        design matrix the model sees.
-        """
-        prepared = matrix if std is None else apply_standardizer(std, matrix)
+        """The PCA, fitted here if pca is None, and the design the model sees:
+        the standardized rows, or their PCA scores if the family uses PCA."""
+        prepared = apply_standardizer(std, matrix)
         if not self.uses_pca:
             return None, prepared
         if pca is None:
@@ -276,7 +272,7 @@ class PcaLmKind(_RecordBlocks, _FeatureKind):
     model_type: ClassVar[str] = "linear"
     model_class: ClassVar[type] = LinearModel
     uses_pca: ClassVar[bool] = True
-    flags: ClassVar[tuple[str, ...]] = ("variance_threshold", "standardize")
+    flags: ClassVar[tuple[str, ...]] = ("variance_threshold",)
 
     variance_threshold: float = 0.99
 
@@ -301,7 +297,7 @@ class ForestKind(_FeatureKind):
     name: ClassVar[str] = "rf"
     model_type: ClassVar[str] = "forest"
     flags: ClassVar[tuple[str, ...]] = ("n_trees", "max_depth", "min_leaf", "mtry", "input",
-                                        "variance_threshold", "standardize")
+                                        "variance_threshold")
 
     config: ForestConfig = ForestConfig()
     input: str = FOREST_INPUT_RAW
@@ -393,19 +389,14 @@ KINDS: dict[str, type] = {k.name: k for k in (EmpiricalKind, PcaLmKind, ForestKi
 
 @dataclass(frozen=True)
 class PipelineSpec:
-    """Model family plus the standardize-before-modelling switch."""
+    """A model family: its kind, which holds the family's settings."""
 
     kind: PipelineKind
-    standardize: bool = True
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.standardize, bool):
-            raise BadConfig(f"standardize must be true or false, got {self.standardize!r}")
 
     @classmethod
     def from_flags(cls, args: Any) -> PipelineSpec:
-        """The pipeline cv's and train's flags name: --pipeline's kind, then --no-standardize."""
-        return cls(kind=KINDS[args.pipeline].from_flags(args), **fields_given(cls, args))
+        """The pipeline cv's and train's flags name: --pipeline's kind built from them."""
+        return cls(KINDS[args.pipeline].from_flags(args))
 
     @property
     def name(self) -> str:
@@ -436,7 +427,7 @@ def fit_pipeline(
     curve_list = list(curves)
     matrix = assemble(curve_list)
     targets = strengths(curve_list)
-    std, pca, model = spec.kind.fit(curve_list, matrix, targets, spec.standardize, v_star)
+    std, pca, model = spec.kind.fit(curve_list, matrix, targets, v_star)
     return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
 
 

@@ -406,12 +406,8 @@ def test_train_refuses_targets_too_large_to_fit(tmp_path, capsys, flags):
     assert not model_path.exists()
 
 
-# adjacent doubles whose midpoint rounds onto the upper one, and doubles whose
-# sum overflows: growth once crashed at the next level, both sides sent left
-@pytest.mark.parametrize("lo,hi", [(1.0000000000000002, 1.0000000000000004),
-                                   (1.7e308, 1.75e308)], ids=["rounds-up", "overflows"])
-def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_path, capsys,
-                                                                            lo, hi):
+def _column_75_alternating(tmp_path, lo, hi):
+    """Six curves of unit force but for column 75, which alternates lo and hi."""
     grid = GridSpec()
     entries = []
     for i in range(6):
@@ -421,13 +417,48 @@ def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_p
         write_curve_csv(tmp_path / f"c{i}.csv", RawCurve(grid.displacements(), force, meta))
         entries.append((f"c{i}.csv", meta))
     write_manifest(tmp_path / "manifest.csv", entries)
+    return tmp_path / "manifest.csv"
+
+
+# adjacent doubles whose midpoint rounds onto the upper one: growth once
+# crashed at the next level, both sides sent left.  The forest sees them
+# standardized, 0.0 and 1.29, so a split lies between; tests/test_forest.py
+# holds the midpoint rule on adjacent doubles.
+@pytest.mark.parametrize("lo,hi", [(1.0000000000000002, 1.0000000000000004)],
+                         ids=["rounds-up"])
+def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_path, capsys,
+                                                                            lo, hi):
+    manifest = _column_75_alternating(tmp_path, lo, hi)
     model_path = tmp_path / "model.json"
-    code, _, err = run(capsys, "train", str(tmp_path / "manifest.csv"), "--pipeline", "rf",
-                       "--no-standardize", "--trees", "5", "--out", str(model_path))
+    code, _, err = run(capsys, "train", str(manifest), "--pipeline", "rf",
+                       "--trees", "5", "--out", str(model_path))
     assert code == 0, err
-    roots = load_model(model_path)[0].model.trees
-    assert any(isinstance(root, Split) and (root.feature, root.threshold) == (75, lo)
-               for root in roots)
+    trained = load_model(model_path)[0]
+    std = trained.standardizer
+    low, high = (np.array([lo, hi]) - std.means[75]) / std.scales[75]
+    assert any(isinstance(root, Split) and root.feature == 75 and low <= root.threshold < high
+               for root in trained.model.trees)
+
+
+# finite doubles whose sum overflows: the refusal names the column, and no
+# numpy warning reaches stderr
+@pytest.mark.parametrize("argv", [("train", "--pipeline", "rf", "--trees", "5"),
+                                  ("train", "--pipeline", "pca-lm"),
+                                  ("cv", "--pipeline", "pca-lm", "--k", "2")],
+                         ids=["train-rf", "train-pca-lm", "cv-pca-lm"])
+def test_standardizing_a_column_whose_sum_overflows_is_refused_naming_it(tmp_path, argv):
+    manifest = _column_75_alternating(tmp_path, 1.7e308, 1.75e308)
+    src = str(Path(smallpunch.__file__).parents[1])
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "smallpunch", argv[0], str(manifest),
+                           *argv[1:], "--out", str(out)],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    fold = "fold 0: " if argv[0] == "cv" else ""
+    assert (done.returncode, done.stdout, done.stderr) == (
+        4, "", f"error: {fold}column 75 too large to standardize without overflow: "
+               "mean inf, scale inf\n")
+    assert not out.exists()
 
 
 def test_train_rejects_bad_threshold(tmp_path, capsys):
@@ -593,15 +624,21 @@ def test_families_without_markers_refuse_v_i_flags_before_any_file_is_read(
     assert not out.exists()
 
 
-# every family flag with a value it takes, and the flags each family reads
+# every family flag with a value it takes, the flags each family reads, and
+# the setting a family needs to read a flag: the empirical family reads v_i
+# only with the fixed-v marker, the rf family its variance threshold only
+# with PCA scores
 FAMILY_FLAGS = {"--mode": ("max-force",), "--marker": ("max-slope",), "--v-star": ("0.5",),
                 "--truth": ("truth.csv",), "--variance-threshold": ("0.9",),
-                "--no-standardize": (), "--trees": ("5",), "--max-depth": ("3",),
+                "--trees": ("5",), "--max-depth": ("3",),
                 "--min-leaf": ("1",), "--mtry": ("2",), "--rf-input": ("scores",)}
 FOREST_FLAGS = {"--trees", "--max-depth", "--min-leaf", "--mtry", "--rf-input"}
 READS = {"empirical": {"--mode", "--marker", "--v-star", "--truth"},
-         "pca-lm": {"--variance-threshold", "--no-standardize"},
-         "rf": {"--variance-threshold", "--no-standardize", *FOREST_FLAGS}}
+         "pca-lm": {"--variance-threshold"},
+         "rf": {"--variance-threshold", *FOREST_FLAGS}}
+READS_ONLY_WITH = {("empirical", "--v-star"): ("--marker", "fixed-v"),
+                   ("empirical", "--truth"): ("--marker", "fixed-v"),
+                   ("rf", "--variance-threshold"): ("--rf-input", "scores")}
 
 
 @pytest.mark.parametrize("command", ["cv", "train"])
@@ -610,12 +647,10 @@ READS = {"empirical": {"--mode", "--marker", "--v-star", "--truth"},
 def test_each_family_refuses_the_flags_it_does_not_read_before_any_file_is_read(
         tmp_path, capsys, command, family, flag):
     # the manifest does not exist: reading it would exit 3, not 2
-    # the empirical family reads --v-star and --truth with the fixed-v marker alone
-    fixed_v = family == "empirical" and flag in ("--v-star", "--truth")
-    marker = ("--marker", "fixed-v") if fixed_v else ()
+    needs = READS_ONLY_WITH.get((family, flag), ())
     out = tmp_path / "out"
     code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
-                       "--pipeline", family, *marker, flag, *FAMILY_FLAGS[flag],
+                       "--pipeline", family, *needs, flag, *FAMILY_FLAGS[flag],
                        "--workers", "1", "--seed", "3", "--out", str(out))
     if flag in READS[family]:
         assert code == 3, err
@@ -637,6 +672,30 @@ def test_the_empirical_family_reads_v_i_flags_only_with_the_fixed_v_marker(
                        "--pipeline", "empirical", *marker, *flags, "--out", str(tmp_path / "out"))
     assert (code, err) == (2, f"error: {named}: the empirical family reads v_i only with "
                               "--marker fixed-v\n")
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("rf_input", [(), ("--rf-input", "raw")], ids=["none", "raw"])
+def test_the_rf_family_reads_the_variance_threshold_only_with_pca_scores(
+        tmp_path, capsys, command, rf_input):
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
+                       "--pipeline", "rf", *rf_input, "--variance-threshold", "0.5",
+                       "--out", str(out))
+    assert (code, err) == (2, "error: --variance-threshold: the rf family reads it only with "
+                              "--rf-input scores\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("pipeline", ["pca-lm", "rf"])
+def test_standardizing_cannot_be_switched_off(tmp_path, capsys, command, pipeline):
+    # every feature family standardizes; the flag that skipped it is gone
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
+                       "--pipeline", pipeline, "--no-standardize", "--out", str(out))
+    assert code == 2 and "unrecognized arguments: --no-standardize" in err, err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [("--v-star", "0.5"), ("--truth", "truth.csv")],

@@ -168,6 +168,22 @@ def test_feature_matrix_rejects_non_finite():
         apply_standardizer(std, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("column,message", [
+    # the sum overflows: the mean is inf, and so is the deviation from it
+    ([1.7e308, 1.75e308] * 3, "mean inf, scale inf"),
+    # the mean is finite, the squared deviations overflow
+    ([1e300, -1e300] * 3, "mean 0.0, scale inf"),
+], ids=["sum", "squares"])
+def test_standardizer_refuses_finite_columns_that_overflow_naming_the_first(column, message):
+    # an overflow warning fails the suite, so none may be raised
+    m = np.ones((6, 4))
+    m[:, 2] = column
+    m[:, 3] = column
+    with pytest.raises(NonFiniteValue, match=r"^column 2 too large to standardize without "
+                       f"overflow: {message}$"):
+        fit_standardizer(m)
+
+
 # ------------------------------------------------------------ target size
 
 # every fit that takes targets, with the prediction of its training rows;

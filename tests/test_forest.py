@@ -21,7 +21,8 @@ from smallpunch.errors import (
     TooFewRows,
 )
 from smallpunch.evaluation import cross_validate
-from smallpunch.features import apply_standardizer, assemble, fit_standardizer, strengths
+from smallpunch.features import (Standardizer, apply_standardizer, assemble, fit_standardizer,
+                                 strengths)
 from smallpunch.forest import (
     ForestConfig,
     Leaf,
@@ -412,10 +413,12 @@ def test_grown_table_matches_the_table_built_from_its_trees(
     cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, max_depth=max_depth,
                        mtry=p if all_features else None, bootstrap=bootstrap, seed=seed)
     model = fit_forest(x, y, cfg)
-    spec = pipeline.PipelineSpec(pipeline.ForestKind(config=cfg), standardize=False)
+    spec = pipeline.PipelineSpec(pipeline.ForestKind(config=cfg))
+    # a forest's file holds its standardizer: the identity, as x was never standardized
+    identity = Standardizer(np.zeros(p), np.ones(p))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "model.json"
-        save_model(path, pipeline.TrainedPipeline(spec, GridSpec(), None, None, model), {})
+        save_model(path, pipeline.TrainedPipeline(spec, GridSpec(), identity, None, model), {})
         loaded = load_model(path)[0].model
     grown, built = model.table, loaded.table
     for column in fields(_NodeTable):

@@ -7,10 +7,12 @@ change that alters any output bit fails here.  A second gate does the
 same for full-size forests: 200-tree rf and rf-scores models fitted on
 the 120-curve reference set, their model files and predictions.  A third
 pins model files of older formats: two format 1 rf files written before
-forests grew level by level, and the six format 2 files the script wrote
-before format 3 stored each fact once.  Each must load and predict its
-recorded bits, and saved again as format 3 it must load to the same model
-and save back byte for byte.  A fourth holds the empirical family on the
+forests grew level by level, the six format 2 files the script wrote
+before format 3 stored each fact once, and its six format 3 files with two
+more trained without standardizing before format 4 always standardized.
+Each must load and predict its recorded bits, and saved again in the
+current format it must load to the same model and save back byte for
+byte.  A fourth holds the empirical family on the
 reference set: the per-sample bytes of its 10-fold CV and its fitted beta,
 for both modes and both markers.  Floating-point results may differ in the last
 bits under another numpy build, so the digests hold only for the numpy
@@ -203,12 +205,12 @@ GOLDEN: dict[str, str] = {
     'data/m02_c05.csv': 'b1f301a9d34f519312eebd2602f34041e30080d9a3cb00876b7dad11b6856741',
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
-    'model_empirical-fixed-v.json': 'b1b76d8b96491713b58d7cccf44dc9f12d7f98161030fc4535739d519d077e8a',
-    'model_empirical-max-force.json': 'e5ef3c17e43422f2b0628f62922447c9e5998409a7fa6f7db6ec5371b85dfe5f',
-    'model_empirical.json': '610a7f455a38565fbd9527624752b88f6c24d16b0a6223899986f861540f84fe',
-    'model_pca-lm.json': '2894d370c3f9aeefdcba5fe2a4429159e5fd13ab59df504267281a87521ef9d7',
-    'model_rf-scores.json': '9270b2cf6559f496fa1ac3c7526877556cbc53023de48693b7559f5bc0739524',
-    'model_rf.json': '38b812549c77562d1476b898f9f40fef36a21321100e7a634b4548e831d4491d',
+    'model_empirical-fixed-v.json': 'bb5da49a564641e7b03de533be9c416c8b6a47a1466ea79d26f5bcfb86ae9c8c',
+    'model_empirical-max-force.json': 'cf79f6d3e2a5ee8f16328615f60afc24d911cd5c6ae6a04a1277228b728f306b',
+    'model_empirical.json': '180b50c81b17040c45b629b30bde2856b0d2557ea1b940cd461d1337cbcd4e66',
+    'model_pca-lm.json': '5f026abae87aa1e98d5dfcfce14bc4438c77ca35cd9c5af4f388c160c815d4ff',
+    'model_rf-scores.json': 'cbceeb3fef404411a50c20aee76c8e2c94c17b44c0674ef79a29b7718b193509',
+    'model_rf.json': '4b4b2b76597fe1b70dfd9f2611bd68bf1c85b84fe929a21374f92c28dbc06a9d',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
@@ -225,9 +227,9 @@ GOLDEN: dict[str, str] = {
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': 'a1dfe76469e0806d8d26661c6d0d21eb4c7a50a99eb1189ffab53fa4ff765b8d',
+    'model rf': 'a83d561ce17999a258f798de6b6362859cb32085541fc8eb52ea0384492828bc',
     'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
-    'model rf-scores': '84b9ffdd96b5987afdcbae18e2ca05c1584d0900aa04d454c0884d849abee21a',
+    'model rf-scores': '86d4c719fda9454b744af116dee0f4f2db92aa126e25d1489b07f23dab41366f',
     'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
 }
 
@@ -292,14 +294,32 @@ PINNED_V2: dict[str, str] = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED) + sorted(PINNED_V2))
+# The six model files the script above wrote, keyed by MODELS, as format 3,
+# before format 4 dropped pipeline.standardize; each file's sha256 is the
+# GOLDEN digest its model had then.  Two more were trained on the same set
+# with --no-standardize, which format 4 reads through the identity
+# standardizer: `train --pipeline pca-lm` and `train --pipeline rf --trees 10
+# --rf-input scores`.  Their digests are of predictions as for PINNED_V2.
+PINNED_V3: dict[str, str] = {
+    'empirical-fixed-v_v3.json': '32e16aff1d13f8ac9246ab834dff9c8cb31135ccd9a89b889c6956d2a289df1e',
+    'empirical-max-force_v3.json': '4e9d2f48af3b3a8ee39f609c7c0cdafa3ade04a5b3a235936af0cfc9e56a44ba',
+    'empirical_v3.json': '58516587939d659eedcf2b92582a151553a821d75fa1a2c74ea6854fd941f030',
+    'pca-lm-no-standardize_v3.json': '3e08ed0eb12c092f17b22c81080792faeeaba5877119bdb20aeea2d612e0c1ae',
+    'pca-lm_v3.json': '721d02ede5c53dbaec37b4eeb1151f649e28ebcaa6cbb163b95d9ba69d4783c2',
+    'rf-scores-no-standardize_v3.json': '84a18b0088e1ef0ea6d9b92558bd0cbf8c12413c266a8ec2809886ecfece4d42',
+    'rf-scores_v3.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
+    'rf_v3.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED) + sorted(PINNED_V2) + sorted(PINNED_V3))
 def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     stored = json.loads((DATA / name).read_text(encoding="utf-8"))
     trained, provenance = load_model(DATA / name)
-    v3, again = tmp_path / "v3.json", tmp_path / "again.json"
-    save_model(v3, trained, provenance)
-    assert json.loads(v3.read_text())["format_version"] == FORMAT_VERSION
-    reloaded, _ = load_model(v3)
+    saved, again = tmp_path / "saved.json", tmp_path / "again.json"
+    save_model(saved, trained, provenance)
+    assert json.loads(saved.read_text())["format_version"] == FORMAT_VERSION
+    reloaded, _ = load_model(saved)
     if stored["model"]["type"] == "forest":
         for column in fields(_NodeTable):
             want = getattr(trained.model.table, column.name)
@@ -311,12 +331,12 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
                 assert got == want, column.name
         assert reloaded.model.importances.tobytes() == trained.model.importances.tobytes()
         assert reloaded.model.oob_rmse == trained.model.oob_rmse
-    if stored["pca"] is not None:
-        # the ratios the older formats stored are the ones format 3 derives
+    if stored["pca"] is not None and stored["format_version"] < 3:
+        # the ratios formats 1 and 2 stored are the ones format 3 derives
         ratios = np.array(stored["pca"]["explained_ratio"])
         assert reloaded.pca.explained_ratio.tobytes() == ratios.tobytes()
     save_model(again, reloaded, provenance)
-    assert again.read_bytes() == v3.read_bytes()
+    assert again.read_bytes() == saved.read_bytes()
 
     _skip_other_numpy()
     raw, truth = generate(SynthConfig(n_materials=3, curves_per_material=6,
@@ -326,7 +346,7 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     for model in (trained, reloaded):
         curves = [resample(c, model.grid) for c in raw]
         predictions = predict_pipeline(model, curves, v_star=v_star)
-        assert _sha(predictions.tobytes()) == {**PINNED, **PINNED_V2}[name]
+        assert _sha(predictions.tobytes()) == {**PINNED, **PINNED_V2, **PINNED_V3}[name]
 
 
 if __name__ == "__main__":

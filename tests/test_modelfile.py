@@ -102,11 +102,11 @@ def test_unknown_version_is_refused(tmp_path, dataset):
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
-    # true, 2.0 and 3.0 compare equal to versions it reads
-    for version in (99, True, 2.0, 3.0, "2", None):
+    # true, 2.0, 3.0 and 4.0 compare equal to versions it reads
+    for version in (99, True, 2.0, 3.0, 4.0, "2", None):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        message = f"format_version {version!r} (this build reads 1, 2 and 3)"
+        message = f"format_version {version!r} (this build reads 1, 2, 3 and 4)"
         with pytest.raises(UnsupportedVersion, match=re.escape(message)):
             load_model(path)
 
@@ -209,8 +209,6 @@ def trained_by_family(dataset):
     ("rf", lambda d: d["pipeline"]["forest"], "bootstrap", "yes"),
     ("rf", lambda d: d["pipeline"]["forest"], "min_leaf", True),
     ("rf", lambda d: d["pipeline"]["forest"], "max_depth", 4.0),
-    ("pca-lm", lambda d: d["pipeline"], "standardize", "no"),
-    ("pca-lm", lambda d: d["pipeline"], "standardize", 1),
     ("rf", _model_array("threshold"), 0, True),
     ("rf", _model_array("threshold"), 0, "1.5"),
     ("rf", _model_array("value"), 0, True),
@@ -283,7 +281,7 @@ def trained_by_family(dataset):
         "split-threshold-inf", "split-threshold-overflow", "leaf-value-nan", "leaf-count-0",
         "leaf-count-overflow", "forest-n_trees-mismatch",
         "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
-        "forest-max_depth-float", "standardize-string", "standardize-int",
+        "forest-max_depth-float",
         "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",
         "n_features-float", "n_features-string", "n_features-mismatch", "importances-length",
         "intercept-bool", "coefficient-bool",
@@ -320,26 +318,18 @@ def _stray(block, family):
 
 # A file's blocks must agree with each other: a PCA block is stored exactly
 # when the family projects on PCA scores, and a standardizer exactly when
-# the flag is on and the family models the feature matrix.
+# the family models the feature matrix.
 @pytest.mark.parametrize("family,change,match", [
-    ("pca-lm", lambda doc, saved: doc["pipeline"].__setitem__("standardize", False),
-     "pca-lm model file with standardize=false holds a stray standardizer block"),
-    ("rf", _stray("pca", "pca-lm"),
-     "rf model file with standardize=true holds a stray PCA block"),
+    ("rf", _stray("pca", "pca-lm"), "rf model file holds a stray PCA block"),
     ("empirical", _stray("standardizer", "pca-lm"),
-     "empirical model file with standardize=true holds a stray standardizer block"),
-    ("empirical", _stray("pca", "pca-lm"),
-     "empirical model file with standardize=true holds a stray PCA block"),
-    ("pca-lm", lambda doc, saved: doc["pipeline"].pop("standardize"),
-     "missing field 'standardize'"),
-    ("rf", lambda doc, saved: doc["pipeline"].pop("standardize"),
-     "missing field 'standardize'"),
+     "empirical model file holds a stray standardizer block"),
+    ("empirical", _stray("pca", "pca-lm"), "empirical model file holds a stray PCA block"),
+    ("rf", _stray("standardizer", "empirical"), "rf model file lacks the standardizer block"),
     # the explained ratios, eigenvalues / total_variance, may not sum above 1
     ("pca-lm", lambda doc, saved: doc["pca"].__setitem__(
         "total_variance", sum(doc["pca"]["eigenvalues"]) / 2), "explained ratios exceed 1"),
-], ids=["pca-lm-standardize-false-with-standardizer", "rf-raw-with-pca",
-        "empirical-with-standardizer", "empirical-with-pca", "pca-lm-standardize-missing",
-        "rf-standardize-missing", "pca-eigenvalues-above-total_variance"])
+], ids=["rf-raw-with-pca", "empirical-with-standardizer", "empirical-with-pca",
+        "rf-without-standardizer", "pca-eigenvalues-above-total_variance"])
 def test_contradictory_or_incomplete_file_is_a_model_file_error(tmp_path, trained_by_family,
                                                                 family, change, match):
     saved = {}
@@ -427,6 +417,51 @@ def test_format_2_copies_that_disagree_are_refused(tmp_path, name, block, key, v
     else:
         block(doc)[key] = str(block(doc)[key]) if value is QUOTED else value
     _assert_refused(tmp_path / "model.json", doc, re.escape(message))
+
+
+# Format 3 stored pipeline.standardize, which format 4 drops: a feature
+# family saved with false gets the identity standardizer, so such a file
+# must hold none.  The pinned format 3 files are the documents.
+@pytest.mark.parametrize("name,block,key,value,message", [
+    ("pca-lm", lambda d: d["pipeline"], "standardize", "no",
+     "standardize must be true or false, got 'no'"),
+    ("pca-lm", lambda d: d["pipeline"], "standardize", 1,
+     "standardize must be true or false, got 1"),
+    ("empirical", lambda d: d["pipeline"], "standardize", None,
+     "standardize must be true or false, got None"),
+    ("pca-lm", lambda d: d["pipeline"], "standardize", DELETE, "missing field 'standardize'"),
+    ("rf", lambda d: d["pipeline"], "standardize", DELETE, "missing field 'standardize'"),
+    ("pca-lm", lambda d: d["pipeline"], "standardize", False,
+     "pca-lm model file with standardize=false holds a stray standardizer block"),
+    ("rf", lambda d: d["pipeline"], "standardize", False,
+     "rf model file with standardize=false holds a stray standardizer block"),
+    # the identity standardizer's width is the grid's, checked before it is built
+    ("pca-lm-no-standardize", lambda d: d["grid"], "n_points", 10**12,
+     "grid n_points must be at most"),
+    ("pca-lm-no-standardize", lambda d: d["grid"], "n_points", True,
+     "n_points must be an integer, got True"),
+    ("rf-scores-no-standardize", lambda d: d, "grid", DELETE, "missing field 'grid'"),
+], ids=["standardize-string", "standardize-int", "empirical-standardize-null",
+        "pca-lm-standardize-missing", "rf-standardize-missing",
+        "pca-lm-standardize-false-with-standardizer",
+        "rf-standardize-false-with-standardizer", "no-standardize-grid-n_points-huge",
+        "no-standardize-grid-n_points-bool", "no-standardize-grid-missing"])
+def test_format_3_standardize_setting_is_checked_before_it_is_dropped(tmp_path, name, block,
+                                                                      key, value, message):
+    doc = json.loads((DATA / f"{name}_v3.json").read_text(encoding="utf-8"))
+    if value is DELETE:
+        del block(doc)[key]
+    else:
+        block(doc)[key] = value
+    _assert_refused(tmp_path / "model.json", doc, re.escape(message))
+
+
+@pytest.mark.parametrize("name", ["pca-lm-no-standardize", "rf-scores-no-standardize"])
+def test_a_format_3_file_saved_without_standardizing_gets_the_identity(name):
+    trained, _ = load_model(DATA / f"{name}_v3.json")
+    width = trained.grid.n_points + 1
+    assert trained.standardizer.means.tobytes() == np.zeros(width).tobytes()
+    assert trained.standardizer.scales.tobytes() == np.ones(width).tobytes()
 
 
 def _assert_refused(path, doc, match=None):
@@ -536,7 +571,7 @@ def test_forest_block_is_read_by_its_files_version(tmp_path, trained_by_family):
     _assert_refused(path, doc, "count")
 
 
-@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[12].json")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[123].json")), ids=lambda p: p.name)
 def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     before = copy.deepcopy(doc)

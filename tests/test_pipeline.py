@@ -1,5 +1,7 @@
 """Pipeline wiring: family dispatch, preprocessing, grid contracts."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -118,11 +120,16 @@ def test_forest_pipeline_on_raw_and_scores(dataset):
                               predict_pipeline(scores, curves))
 
 
-def test_no_standardize_flag_is_honored(dataset):
+@pytest.mark.parametrize("kind", [PcaLmKind(), ForestKind(config=ForestConfig(n_trees=2)),
+                                  ForestKind(config=ForestConfig(n_trees=2), input="scores")],
+                         ids=["pca-lm", "rf", "rf-scores"])
+def test_every_feature_family_standardizes(dataset, kind):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind(), standardize=False))
-    assert trained.standardizer is None
-    assert trained.pca is not None
+    trained = fit_pipeline(curves, PipelineSpec(kind))
+    assert trained.standardizer is not None
+    assert trained.standardizer.means.size == curves[0].grid.n_points + 1
+    # the family is the whole spec: no switch turns standardizing off
+    assert [f.name for f in fields(PipelineSpec)] == ["kind"]
 
 
 def test_fixed_v_scalar_broadcasts_and_sequence_must_match(dataset):
