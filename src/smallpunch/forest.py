@@ -53,26 +53,25 @@ parallel arrays in level order, roots first, each split's two children
 side by side, leaves pointing at themselves; this module alone knows
 that layout.  One builder, _NodeTable.from_level_order, makes and checks
 every table from four level-order arrays: count per node, feature and
-threshold per split and value per leaf.  Growth hands it the columns it
-collects level by level; the model file stores the arrays level_order
-gives back, and a format 1 file's nested trees are flattened into them
-(modelfile.UPGRADES).  So a loaded forest's table is the fitted
-forest's table, array for array.  Nested Split/Leaf trees exist only
-where a reader asks for them: model.trees builds them straight from the
-table on first access and caches them; fitting, predicting and the model
-file never do.  Routing moves every (tree, row) pair down one level per
-step with numpy indexing, until all pairs sit at leaves.  A step takes a
-pair from a split to its left child when x <= threshold and to the next
-node, its right child, otherwise; a leaf's threshold is +inf, so it
-keeps its pairs.  Per-tree leaf values are summed in tree order from
-zeros, so predictions and the out-of-bag error have the bits a per-row
-walk of the trees gives.
+threshold per split and value per leaf.  They are ForestModel's fields:
+growth returns them, the model file stores them, and a format 1 file's
+nested trees are flattened into them (modelfile.UPGRADES).  So a loaded
+forest's table is the fitted forest's table, array for array.  Nested
+Split/Leaf trees exist only where a reader asks for them: model.trees
+builds them straight from the table on first access and caches them;
+fitting, predicting and the model file never do.  Routing moves every
+(tree, row) pair down one level per step with numpy indexing, until all
+pairs sit at leaves.  A step takes a pair from a split to its left child
+when x <= threshold and to the next node, its right child, otherwise; a
+leaf's threshold is +inf, so it keeps its pairs.  Per-tree leaf values
+are summed in tree order from zeros, so predictions and the out-of-bag
+error have the bits a per-row walk of the trees gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -165,7 +164,7 @@ class _NodeTable:
     leaf stays there; value is the leaf value and count its bag rows
     (0.0 and 0 on splits).  depth is the deepest leaf's, the number of
     steps that brings every pair to its leaf.  from_level_order builds
-    and checks every table; level_order returns the arrays it took.
+    and checks every table.
     """
 
     feature: np.ndarray
@@ -177,22 +176,22 @@ class _NodeTable:
     depth: int
 
     @classmethod
-    def from_level_order(cls, n_trees: int, n_features: int, count: np.ndarray,
-                         feature: np.ndarray, threshold: np.ndarray,
-                         value: np.ndarray) -> _NodeTable:
+    def from_level_order(cls, n_features: int, count: np.ndarray, feature: np.ndarray,
+                         threshold: np.ndarray, value: np.ndarray) -> _NodeTable:
         """The table of a forest given as four level-order arrays, checked whole.
 
         count holds every node's bag rows, 0 marking a split; feature and
         threshold hold every split's and value every leaf's, in node order.
-        Level order fixes the rest: the k-th split's children are nodes
-        n_trees + 2k and n_trees + 2k + 1, after it.  Leaf counts are >= 1,
-        split features in [0, n_features), thresholds and values finite.
+        Level order fixes the rest: n_trees = count.size - 2 * splits, and
+        the k-th split's children are nodes n_trees + 2k and n_trees + 2k + 1,
+        after it.  Leaf counts are >= 1, split features in [0, n_features),
+        thresholds and values finite.
         """
         split = count == 0
         splits, leaves = np.flatnonzero(split), np.flatnonzero(~split)
-        if count.size != n_trees + 2 * splits.size:
-            raise InvalidModel(f"{count.size} nodes with {splits.size} splits "
-                               f"do not make {n_trees} trees")
+        n_trees = count.size - 2 * splits.size
+        if n_trees < 1:
+            raise InvalidModel(f"{count.size} nodes with {splits.size} splits make no tree")
         if not feature.size == threshold.size == splits.size or value.size != leaves.size:
             raise InvalidModel(
                 f"{splits.size} splits and {leaves.size} leaves, but {feature.size} features, "
@@ -222,11 +221,6 @@ class _NodeTable:
         return cls(feature=full_feature, threshold=full_threshold, left=left,
                    value=full_value, count=count, n_trees=n_trees, depth=depth)
 
-    def level_order(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """from_level_order's arrays: count, feature and threshold per split, value per leaf."""
-        split = self.count == 0
-        return self.count, self.feature[split], self.threshold[split], self.value[~split]
-
     def tree_values(self, x: np.ndarray) -> np.ndarray:
         """Leaf value of every tree (rows of the result) for every row of x."""
         rows = np.arange(x.shape[0])
@@ -238,25 +232,31 @@ class _NodeTable:
 
 @dataclass(frozen=True)
 class ForestModel:
-    """A fitted forest's node table plus the diagnostics frozen at fit time.
+    """A fitted forest's diagnostics and level-order arrays, and its node table.
 
-    table is the forest: growth emits it, it routes every prediction and
-    the model file is written from it.  trees is the same forest as nested
-    Split/Leaf objects, built from the table on first access and cached.
-    importances are normalized variance reductions per feature (summing to
-    one when any split happened); oob_rmse is None when bootstrap was off
-    or some row was never out of bag.  The settings it grew with are its
-    caller's: pipeline.ForestKind.config holds them.
+    count, feature, threshold and value, annotated as the JSON lists the
+    model file holds, are the arrays from which the constructor builds
+    table, which routes every prediction.  trees is the same forest as
+    nested Split/Leaf objects, built from the table on first access and
+    cached.  importances are normalized variance reductions per feature
+    (summing to one when any split happened); oob_rmse is None when
+    bootstrap was off or some row was never out of bag.  The settings it
+    grew with are its caller's: pipeline.ForestKind.config holds them.
     """
 
-    table: _NodeTable = field(repr=False)
     n_features: int
     importances: np.ndarray
     oob_rmse: float | None
+    count: list[int]
+    feature: list[int]
+    threshold: list[float]
+    value: list[float]
 
     def __post_init__(self) -> None:
-        imp = np.asarray(self.importances, dtype=float)
-        object.__setattr__(self, "importances", imp)
+        for name, dtype in (("importances", float), ("count", np.intp), ("feature", np.intp),
+                            ("threshold", float), ("value", float)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+        imp = self.importances
         if imp.shape != (self.n_features,):
             raise InvalidModel("importances must have one entry per feature")
         if np.any(imp < 0.0) or not np.all(np.isfinite(imp)):
@@ -264,6 +264,10 @@ class ForestModel:
         total = float(imp.sum())
         if total != 0.0 and abs(total - 1.0) > 1e-8:
             raise InvalidModel(f"importances must sum to 1 or 0, got {total}")
+        if self.oob_rmse is not None and not 0.0 <= self.oob_rmse < math.inf:
+            raise InvalidModel(f"oob_rmse must be finite and >= 0, got {self.oob_rmse!r}")
+        object.__setattr__(self, "table", _NodeTable.from_level_order(
+            self.n_features, self.count, self.feature, self.threshold, self.value))
 
     @cached_property
     def trees(self) -> tuple[TreeNode, ...]:
@@ -452,8 +456,8 @@ def _grow_forest(
     rngs: Sequence[np.random.Generator],
     cfg: ForestConfig,
     mtry: int,
-) -> tuple[_NodeTable, np.ndarray]:
-    """Grow every tree level by level; returns the node table and the reductions.
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Grow every tree level by level; returns the level-order columns and the reductions.
 
     Row t of bags is tree t's bag.  A tree grows on the distinct rows of its
     bag, ascending, each weighted by the number of times the bag holds it.
@@ -466,7 +470,7 @@ def _grow_forest(
     mean target and its count its summed weight, its bag rows.  Each split
     node's segment is reordered stably, left rows first, into the next
     level.  Level after level, the nodes go into the four level-order
-    columns that _NodeTable.from_level_order builds the table from.
+    columns count, feature, threshold and value, a ForestModel's.
     """
     n_trees, n = bags.shape
     p = xv.shape[1]
@@ -525,8 +529,7 @@ def _grow_forest(
         tree = np.repeat(tree[is_split], 2)
         depth += 1
 
-    columns = (np.concatenate(column) for column in zip(*levels))
-    return _NodeTable.from_level_order(n_trees, p, *columns), reductions
+    return tuple(np.concatenate(column) for column in zip(*levels)), reductions
 
 
 def _tree_rng(seed: int, tree_index: int) -> np.random.Generator:
@@ -576,7 +579,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
         raise BadConfig(f"mtry {mtry} exceeds feature count {p}")
 
     rngs, bags = _bags(cfg, n)
-    table, importances = _grow_forest(xv, yv, bags, rngs, cfg, mtry)
+    columns, importances = _grow_forest(xv, yv, bags, rngs, cfg, mtry)
 
     oob_rmse = None
     if cfg.bootstrap:
@@ -586,6 +589,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
         oob[np.arange(cfg.n_trees)[:, None], bags] = False
         oob_count = oob.sum(axis=0)
         if np.all(oob_count > 0):
+            table = _NodeTable.from_level_order(p, *columns)
             oob_sum = _tree_order_sum(np.where(oob, table.tree_values(xv), 0.0))
             oob_pred = oob_sum / oob_count
             oob_rmse = float(np.sqrt(np.mean((oob_pred - yv) ** 2)))
@@ -594,12 +598,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     if total > 0.0:
         importances = importances / total
 
-    return ForestModel(
-        table=table,
-        n_features=p,
-        importances=importances,
-        oob_rmse=oob_rmse,
-    )
+    return ForestModel(p, importances, oob_rmse, *columns)
 
 
 def _tree_order_sum(values: np.ndarray) -> np.ndarray:

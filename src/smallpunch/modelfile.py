@@ -3,29 +3,110 @@
 JSON keeps the file human-inspectable; floats are serialized by repr so a
 saved model predicts bit-identically after reload.  Files declare
 format_version and loading refuses versions it does not know instead of
-guessing.  The family's own blocks, its settings under "pipeline" and its
-parameters under "model", are laid out by its kind class in pipeline.py;
-the grid, standardizer and PCA blocks by pipeline.record_to_doc.
+guessing.  This module alone knows the layout: the pipeline block is the
+family and its kind's fields, and every other block but provenance is a
+record's fields, each written by record_to_doc and read by
+record_from_doc; json_value checks each stored value's JSON type.
 
-Format 4 is written; it stores each fact once.  An older file's document
+Format 5 is written; it stores each fact once.  An older file's document
 is upgraded one version at a time by the pure steps of UPGRADES, so the
-kinds and records read format 4's layout alone.
+records read format 5's layout alone.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any
+
+import numpy as np
 
 from .curves import GridSpec
 from .errors import InvalidModel, ModelFileError, UnsupportedVersion
 from .features import Standardizer
 from .pca import PcaModel
-from .pipeline import (KINDS, PipelineSpec, TrainedPipeline, json_value, record_from_doc,
-                       record_to_doc)
+from .pipeline import KINDS, PipelineSpec, TrainedPipeline
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
+
+
+def record_to_doc(rec: Any) -> dict[str, Any]:
+    """A frozen dataclass's fields as a JSON-ready dict, ndarrays as lists.
+
+    Keys follow declaration order, which is the model file's layout: a
+    reordered, renamed or added field needs a new format and its upgrade
+    step.  A field holding a record is written as that record's block.
+    """
+    doc = {}
+    for f in fields(rec):
+        value = getattr(rec, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif is_dataclass(value):
+            value = record_to_doc(value)
+        doc[f.name] = value
+    return doc
+
+
+def record_from_doc(cls: type, doc: dict[str, Any]) -> Any:
+    """Rebuild cls from its fields' keys in doc; cls's constructor validates.
+
+    Each value must first have the JSON type its field declares
+    (json_value); a field whose default is a record is read from that
+    record's block.
+    """
+    return cls(**{
+        f.name: record_from_doc(type(f.default), json_value(doc[f.name], "dict", f.name))
+        if is_dataclass(f.default) else json_value(doc[f.name], f.type, f.name)
+        for f in fields(cls)})
+
+
+# The JSON types a value other than an array may hold, by its declared
+# type, and their name in an error; a float field also takes an integer
+# such as 1, and a dict is a model-file block.
+_SCALARS = {
+    "float": ({int, float}, "a number"),
+    "int": ({int}, "an integer"),
+    "bool": ({bool}, "true or false"),
+    "str": ({str}, "a string"),
+    "dict": ({dict}, "an object"),
+}
+# An array's entry type and dtype; only an np.ndarray may be a list of lists.
+_ARRAYS = {"np.ndarray": ("float", float), "list[float]": ("float", float),
+           "list[int]": ("int", np.intp)}
+
+
+def json_value(value: Any, declared: str, what: str) -> Any:
+    """value if it has the JSON type declared names, arrays read as ndarrays.
+
+    declared is a field's annotation as written, or "dict" for a block: a
+    key of _SCALARS or _ARRAYS, "| None" allowing null.  type(), not isinstance, is compared,
+    so true and false are never numbers.  A list of lists must have rows
+    of one length.  An integer too large for an array's dtype raises
+    OverflowError.
+    """
+    if value is None and declared.endswith(" | None"):
+        return None
+    declared = declared.removesuffix(" | None")
+    if declared in _SCALARS:
+        allowed, noun = _SCALARS[declared]
+        if type(value) not in allowed:
+            raise InvalidModel(f"{what} must be {noun}, got {value!r}")
+        return value
+    if type(value) is not list:
+        raise InvalidModel(f"{what} must be a list, got {value!r}")
+    entry, dtype = _ARRAYS[declared]
+    if declared == "np.ndarray" and value and type(value[0]) is list:
+        for row in value:
+            json_value(row, "list[float]", what)
+            if len(row) != len(value[0]):
+                raise InvalidModel(f"{what} must have rows of one length, "
+                                   f"got {len(value[0])} and {len(row)}")
+    elif not set(map(type, value)) <= _SCALARS[entry][0]:
+        for item in value:  # raises at the first entry of the wrong type
+            json_value(item, entry, what)
+    return np.array(value, dtype=dtype)
 
 
 def _forest_level_order(doc: dict[str, Any]) -> dict[str, Any]:
@@ -102,8 +183,27 @@ def _always_standardized(doc: dict[str, Any]) -> dict[str, Any]:
     return {**doc, "standardizer": {"means": [0.0] * width, "scales": [1.0] * width}}
 
 
+def _family_is_the_type(doc: dict[str, Any]) -> dict[str, Any]:
+    """Format 4 to 5: drop model.type, refusing one the family contradicts,
+    and store an rf pipeline's forest block under config, the field it fills."""
+    pipeline, model = (json_value(doc[key], "dict", key) for key in ("pipeline", "model"))
+    family, actual = pipeline.get("family"), model["type"]
+    # == takes any JSON value, where a dict lookup fails on a list; load_model
+    # refuses an unknown family
+    for name, expected in (("empirical", "empirical"), ("pca-lm", "linear"), ("rf", "forest")):
+        if family == name and actual != expected:
+            raise InvalidModel(f"pipeline family {family!r} expects a {expected} model, "
+                               f"got {actual!r}")
+    if family == "rf":
+        rest = {k: v for k, v in pipeline.items() if k != "forest"}
+        pipeline = {**rest, "config": json_value(pipeline["forest"], "dict", "forest")}
+    return {**doc, "pipeline": pipeline,
+            "model": {k: v for k, v in model.items() if k != "type"}}
+
+
 # UPGRADES[n] turns a format n document into a format n + 1 document
-UPGRADES = {1: _forest_level_order, 2: _facts_once, 3: _always_standardized}
+UPGRADES = {1: _forest_level_order, 2: _facts_once, 3: _always_standardized,
+            4: _family_is_the_type}
 READ_VERSIONS = (*UPGRADES, FORMAT_VERSION)
 
 
@@ -113,14 +213,11 @@ def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str,
     kind, std, pca = trained.spec.kind, trained.standardizer, trained.pca
     doc = {
         "format_version": FORMAT_VERSION,
-        "pipeline": {
-            "family": kind.name,
-            **kind.to_doc(),
-        },
+        "pipeline": {"family": kind.name, **record_to_doc(kind)},
         "grid": record_to_doc(trained.grid),
         "standardizer": None if std is None else record_to_doc(std),
         "pca": None if pca is None else record_to_doc(pca),
-        "model": {"type": kind.model_type, **kind.model_to_doc(trained.model)},
+        "model": record_to_doc(trained.model),
         "provenance": dict(provenance),
     }
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
@@ -166,17 +263,13 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         family = spec_doc["family"]
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
-        kind = KINDS[family].from_doc(spec_doc)
+        kind = record_from_doc(KINDS[family], spec_doc)
         grid = record_from_doc(GridSpec, grid_doc)
         standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)
         pca = None if pca_doc is None else record_from_doc(PcaModel, pca_doc)
-        actual = model_doc["type"]
-        if actual != kind.model_type:
-            raise ModelFileError(
-                f"pipeline family {family!r} expects a {kind.model_type} model, got {actual!r}"
-            )
-        model = kind.model_from_doc(model_doc)
-        provenance = doc.get("provenance", {})
+        model = record_from_doc(kind.model_class, model_doc)
+        kind.check_model(model)
+        provenance = json_value(doc.get("provenance", {}), "dict", "provenance")
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
     # json_value and the constructors reject malformed values and blocks

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadConfig, DegenerateData, InvalidModel, ShapeMismatch, TooFewRows
+from .errors import (BadConfig, DegenerateData, InvalidModel, NonFiniteValue, ShapeMismatch,
+                     TooFewRows)
 from .features import _matrix_values
 
 _ORTHO_TOL = 1e-10
@@ -56,6 +57,8 @@ class PcaModel:
             raise InvalidModel("loading columns are not orthonormal")
         if np.any(np.diff(eig) > 0.0) or np.any(eig < 0.0):
             raise InvalidModel("eigenvalues must be non-negative and non-increasing")
+        if not np.isfinite(self.total_variance):
+            raise NonFiniteValue(f"total_variance must be finite, got {self.total_variance!r}")
         if not (self.total_variance > 0.0):
             raise DegenerateData("total variance must be positive")
         if float(self.explained_ratio.sum()) > 1.0 + 1e-10:

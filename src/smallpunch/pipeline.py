@@ -9,11 +9,10 @@ applied before it:
 
 Everything that depends on the family lives on its kind class here: the
 family name, building the kind from the command line's flags, fitting and
-predicting, train's diagnostics and the family's part of the model file.
-KINDS finds a kind class by family name, so the command line names none.
-record_to_doc and record_from_doc write and read every model-file block
-that is a record's fields as they stand; json_value is the one check that
-a model-file value has the JSON type its field declares.
+predicting, train's diagnostics and the record its fit returns.  KINDS
+finds a kind class by family name, so the command line names none.  A
+kind and its model are records, and modelfile.py writes and reads each as
+its fields: no kind holds model-file code.
 
 fit_pipeline touches only the curves it is given, which is what makes the
 cross-validation in evaluation.py leakage-free: every fold refits the
@@ -40,7 +39,7 @@ from .curves import (
 from .errors import BadConfig, GridMismatch, InvalidModel, prefixed
 from .features import (Standardizer, apply_standardizer, assemble, column_labels,
                        fit_standardizer, strengths)
-from .forest import ForestConfig, ForestModel, _NodeTable, fit_forest, predict_forest
+from .forest import ForestConfig, ForestModel, fit_forest, predict_forest
 from .pca import PcaModel, fit_pca, transform
 from .regress import (
     EmpiricalModel,
@@ -58,89 +57,16 @@ from .regress import (
 FOREST_INPUT_RAW = "raw"
 FOREST_INPUT_SCORES = "scores"
 
-# Every kind class provides: name (the family) and model_type (the model
-# file's "type"); marker_strategy, None for families without markers;
+# Every kind class provides: name (the family); model_class, the record
+# its fit returns; marker_strategy, None for families without markers;
 # uses_features and uses_pca, which preprocessing the family fits;
 # flags, the dests of the command line's family flags the family reads,
 # each the name of the field it fills; from_flags, the kind those flags
 # name, every flag not given left at its field's default; fit -> Fitted and
 # predict, both given the curves and their assembled matrix; diagnostics,
-# the lines train prints to stderr; to_doc/from_doc for its "pipeline"
-# settings and model_to_doc/model_from_doc for its "model" parameters.
-# A kind reads only the current format's layout: modelfile.py upgrades an
-# older file's document before any kind sees it.
+# the lines train prints to stderr; check_model, which refuses a loaded
+# model that contradicts the kind's settings.
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
-
-
-def record_to_doc(rec: Any) -> dict[str, Any]:
-    """A frozen dataclass's fields as a JSON-ready dict, ndarrays as lists.
-
-    Keys follow declaration order, which is the model file's layout: a
-    reordered, renamed or added field needs a new format and its upgrade
-    step in modelfile.py.
-    """
-    doc = {}
-    for f in fields(rec):
-        value = getattr(rec, f.name)
-        doc[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
-    return doc
-
-
-def record_from_doc(cls: type, doc: dict[str, Any], **built: Any) -> Any:
-    """Rebuild cls from its fields' keys in doc; cls's constructor validates.
-
-    Each value must first have the JSON type its field declares (json_value).
-    built holds the fields the caller has already made, records of their own.
-    """
-    return cls(**built, **{f.name: json_value(doc[f.name], f.type, f.name)
-                           for f in fields(cls) if f.name not in built})
-
-
-# The JSON types a value other than an array may hold, by its declared
-# type, and their name in an error; a float field also takes an integer
-# such as 1, and a dict is a model-file block.
-_SCALARS = {
-    "float": ({int, float}, "a number"),
-    "int": ({int}, "an integer"),
-    "bool": ({bool}, "true or false"),
-    "str": ({str}, "a string"),
-    "dict": ({dict}, "an object"),
-}
-# An array's entry type and dtype; only an np.ndarray may be a list of lists.
-_ARRAYS = {"np.ndarray": ("float", float), "list[float]": ("float", float),
-           "list[int]": ("int", np.intp)}
-
-
-def json_value(value: Any, declared: str, what: str) -> Any:
-    """value if it has the JSON type declared names, arrays read as ndarrays.
-
-    declared is a field's annotation as written, or "dict" for a block: a
-    key of _SCALARS or _ARRAYS, "| None" allowing null.  type(), not isinstance, is compared,
-    so true and false are never numbers.  A list of lists must have rows
-    of one length.  An integer too large for an array's dtype raises
-    OverflowError.
-    """
-    if value is None and declared.endswith(" | None"):
-        return None
-    declared = declared.removesuffix(" | None")
-    if declared in _SCALARS:
-        allowed, noun = _SCALARS[declared]
-        if type(value) not in allowed:
-            raise InvalidModel(f"{what} must be {noun}, got {value!r}")
-        return value
-    if type(value) is not list:
-        raise InvalidModel(f"{what} must be a list, got {value!r}")
-    entry, dtype = _ARRAYS[declared]
-    if declared == "np.ndarray" and value and type(value[0]) is list:
-        for row in value:
-            json_value(row, "list[float]", what)
-            if len(row) != len(value[0]):
-                raise InvalidModel(f"{what} must have rows of one length, "
-                                   f"got {len(value[0])} and {len(row)}")
-    elif not set(map(type, value)) <= _SCALARS[entry][0]:
-        for item in value:  # raises at the first entry of the wrong type
-            json_value(item, entry, what)
-    return np.array(value, dtype=dtype)
 
 
 def fields_given(cls: type, args: Any) -> dict[str, Any]:
@@ -152,26 +78,18 @@ def fields_given(cls: type, args: Any) -> dict[str, Any]:
     return {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
 
 
-class _RecordBlocks:
-    """Model-file blocks that are the kind's and its model's own fields.
-
-    Subclasses set model_class, the record their fit returns, and report no diagnostics.
-    """
-
-    model_class: ClassVar[type]
-    to_doc = record_to_doc
-    from_doc = classmethod(record_from_doc)
-    model_to_doc = staticmethod(record_to_doc)
-
-    def model_from_doc(self, doc: dict[str, Any]):
-        return record_from_doc(self.model_class, doc)
+class _Kind:
+    """What a kind does unless it says otherwise."""
 
     def diagnostics(self, trained: TrainedPipeline) -> list[str]:
         return []
 
+    def check_model(self, model: Any) -> None:
+        """Refuse a loaded model that contradicts the kind's settings; none does here."""
+
 
 @dataclass(frozen=True)
-class EmpiricalKind(_RecordBlocks):
+class EmpiricalKind(_Kind):
     """Marker-based correlation family.
 
     The max-force correlation reads F_m and v_m alone, so that mode ignores
@@ -180,7 +98,6 @@ class EmpiricalKind(_RecordBlocks):
     """
 
     name: ClassVar[str] = "empirical"
-    model_type: ClassVar[str] = "empirical"
     model_class: ClassVar[type] = EmpiricalModel
     uses_features: ClassVar[bool] = False
     uses_pca: ClassVar[bool] = False
@@ -228,7 +145,7 @@ def _thicknesses(curves: list[UniformCurve]) -> np.ndarray:
     return np.array([c.meta.thickness_mm for c in curves], dtype=float)
 
 
-class _FeatureKind:
+class _FeatureKind(_Kind):
     """Fit and predict shared by the families that model the feature matrix.
 
     Subclasses define variance_threshold, uses_pca, _fit_model and
@@ -265,11 +182,10 @@ class _FeatureKind:
 
 
 @dataclass(frozen=True)
-class PcaLmKind(_RecordBlocks, _FeatureKind):
+class PcaLmKind(_FeatureKind):
     """PCA scores into a linear model."""
 
     name: ClassVar[str] = "pca-lm"
-    model_type: ClassVar[str] = "linear"
     model_class: ClassVar[type] = LinearModel
     uses_pca: ClassVar[bool] = True
     flags: ClassVar[tuple[str, ...]] = ("variance_threshold",)
@@ -295,13 +211,13 @@ class ForestKind(_FeatureKind):
     """Random forest on raw standardized columns or on PCA scores."""
 
     name: ClassVar[str] = "rf"
-    model_type: ClassVar[str] = "forest"
+    model_class: ClassVar[type] = ForestModel
     flags: ClassVar[tuple[str, ...]] = ("n_trees", "max_depth", "min_leaf", "mtry", "input",
                                         "variance_threshold")
 
-    config: ForestConfig = ForestConfig()
     input: str = FOREST_INPUT_RAW
     variance_threshold: float = 0.99
+    config: ForestConfig = ForestConfig()
 
     def __post_init__(self) -> None:
         if self.input not in (FOREST_INPUT_RAW, FOREST_INPUT_SCORES):
@@ -338,48 +254,11 @@ class ForestKind(_FeatureKind):
         shares = ",".join(f"{labels[j]}:{fmt(model.importances[j])}" for j in top)
         return [f"oob_rmse_MPa={oob}", f"top_importances={shares}"]
 
-    # The model file puts the config last, under "forest", and the node
-    # table after the model's diagnostics, so these blocks are written by hand.
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "input": self.input,
-            "variance_threshold": self.variance_threshold,
-            "forest": record_to_doc(self.config),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> ForestKind:
-        forest = json_value(doc["forest"], "dict", "forest")
-        return record_from_doc(cls, doc, config=record_from_doc(ForestConfig, forest))
-
-    # A forest's model block is its node table in level order: the four
-    # arrays of forest._NodeTable.level_order, from which the forest module
-    # builds and checks the table again.
-    @staticmethod
-    def model_to_doc(model: ForestModel) -> dict[str, Any]:
-        count, feature, threshold, value = model.table.level_order()
-        return {
-            "n_features": model.n_features,
-            "importances": model.importances.tolist(),
-            "oob_rmse": model.oob_rmse,
-            "count": count.tolist(),
-            "feature": feature.tolist(),
-            "threshold": threshold.tolist(),
-            "value": value.tolist(),
-        }
-
-    def model_from_doc(self, doc: dict[str, Any]) -> ForestModel:
-        n_features = json_value(doc["n_features"], "int", "n_features")
-        return ForestModel(
-            table=_NodeTable.from_level_order(
-                self.config.n_trees, n_features, json_value(doc["count"], "list[int]", "count"),
-                json_value(doc["feature"], "list[int]", "split feature"),
-                json_value(doc["threshold"], "list[float]", "split threshold"),
-                json_value(doc["value"], "list[float]", "leaf value")),
-            n_features=n_features,
-            importances=json_value(doc["importances"], "np.ndarray", "importances"),
-            oob_rmse=json_value(doc["oob_rmse"], "float | None", "oob_rmse"),
-        )
+    def check_model(self, model: ForestModel) -> None:
+        """Refuse a forest whose tree count is not the config's."""
+        if model.table.n_trees != self.config.n_trees:
+            raise InvalidModel(f"{model.count.size} nodes with {model.feature.size} splits "
+                               f"do not make {self.config.n_trees} trees")
 
 
 PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]

@@ -523,10 +523,10 @@ def test_predict_unknown_model_version_exits_5(tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda doc: doc["model"]["feature"].__setitem__(0, 999),
     lambda doc: doc["model"]["feature"].__setitem__(0, -1),
-    lambda doc: doc["pipeline"]["forest"].update(n_trees=3),
-    lambda doc: doc["pipeline"]["forest"].update(n_trees=2.5),
-    lambda doc: doc["pipeline"]["forest"].update(bootstrap="yes"),
-    lambda doc: doc["pipeline"]["forest"].update(min_leaf=True),
+    lambda doc: doc["pipeline"]["config"].update(n_trees=3),
+    lambda doc: doc["pipeline"]["config"].update(n_trees=2.5),
+    lambda doc: doc["pipeline"]["config"].update(bootstrap="yes"),
+    lambda doc: doc["pipeline"]["config"].update(min_leaf=True),
 ], ids=["feature-999", "feature-negative", "n_trees-mismatch", "n_trees-float",
         "bootstrap-string", "min_leaf-bool"])
 def test_predict_with_corrupt_forest_exits_4(tmp_path, capsys, edit):

@@ -439,12 +439,12 @@ def test_grown_table_matches_the_table_built_from_its_trees(
 
 
 def _grown_arrays():
-    """A small forest's width and the level-order arrays of its grown table."""
+    """A small forest's width and the level-order arrays growth returned."""
     rng = np.random.default_rng(41)
     x = rng.normal(size=(30, 4)).round(1)
     y = x[:, 0] * 40.0 + rng.normal(0.0, 1.0, 30)
     model = fit_forest(x, y, ForestConfig(n_trees=2, seed=5))
-    return model.n_features, model.table.level_order()
+    return model.n_features, [model.count, model.feature, model.threshold, model.value]
 
 
 @settings(max_examples=50, deadline=None)
@@ -456,17 +456,17 @@ def _grown_arrays():
     max_depth=st.none() | st.integers(1, 5),
     seed=st.integers(0, 2**16),
 )
-def test_the_builder_rebuilds_a_grown_table_from_its_level_order(x, n_trees, max_depth, seed):
+def test_the_builder_counts_the_trees_and_keeps_the_grown_columns(x, n_trees, max_depth, seed):
     y = np.arange(x.shape[0], dtype=float) * 7.0 + x.sum(axis=1)
     cfg = ForestConfig(n_trees=n_trees, max_depth=max_depth, min_leaf=1, seed=seed)
-    grown = fit_forest(x, y, cfg).table
-    built = _NodeTable.from_level_order(n_trees, x.shape[1], *grown.level_order())
-    for column in fields(_NodeTable):
-        want, got = getattr(grown, column.name), getattr(built, column.name)
-        if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), column.name
-        else:
-            assert got == want, column.name
+    model = fit_forest(x, y, cfg)
+    table, split = model.table, model.count == 0
+    assert table.n_trees == n_trees
+    assert table.count is model.count
+    for full, column in ((table.feature[split], model.feature),
+                         (table.threshold[split], model.threshold),
+                         (table.value[~split], model.value)):
+        assert full.dtype == column.dtype and full.tobytes() == column.tobytes()
 
 
 def _swap_last_split_and_node(arrays):
@@ -493,8 +493,9 @@ def _append(*pairs):
                                      f"{s + 1} thresholds and {n} values"),
     (lambda a: a.__setitem__(1, a[1][:-1]), lambda s, n: f"but {s - 1} features, {s} thr"),
     (_append((3, 500.0)), lambda s, n: f"{s} thresholds and {n + 1} values"),
-    (_append((0, 1), (3, 500.0)), lambda s, n: f"{2 + 2 * s + 1} nodes with {s} splits "
-                                               "do not make 2 trees"),
+    # every node a split: fewer nodes than a tree per split needs
+    (_set(0, slice(None), 0), lambda s, n: f"{2 + 2 * s} nodes with {2 + 2 * s} splits "
+                                           "make no tree"),
     (_swap_last_split_and_node, "split comes after its children, which level order puts"),
     (_set(0, -1, -1), "leaf count must be >= 1, got -1"),
     (_set(1, 0, 4), r"split feature outside \[0, 4\), got 4"),
@@ -502,7 +503,7 @@ def _append(*pairs):
     (_set(2, 0, np.inf), "threshold is not finite, got inf"),
     (_set(2, 0, np.nan), "threshold is not finite, got nan"),
     (_set(3, 0, -np.inf), "leaf value is not finite, got -inf"),
-], ids=["threshold-longer", "feature-shorter", "value-longer", "node-count",
+], ids=["threshold-longer", "feature-shorter", "value-longer", "no-tree",
         "split-after-children", "count-negative", "feature-too-large", "feature-negative",
         "threshold-inf", "threshold-nan", "value-inf"])
 def test_the_builder_refuses_arrays_that_disagree(change, match):
@@ -514,7 +515,7 @@ def test_the_builder_refuses_arrays_that_disagree(change, match):
     if callable(match):
         match = re.escape(match(splits, leaves))
     with pytest.raises(InvalidModel, match=match):
-        _NodeTable.from_level_order(2, p, *arrays)
+        _NodeTable.from_level_order(p, *arrays)
 
 
 def _refuse_trees(*args, **kwargs):

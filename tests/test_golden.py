@@ -8,8 +8,9 @@ same for full-size forests: 200-tree rf and rf-scores models fitted on
 the 120-curve reference set, their model files and predictions.  A third
 pins model files of older formats: two format 1 rf files written before
 forests grew level by level, the six format 2 files the script wrote
-before format 3 stored each fact once, and its six format 3 files with two
-more trained without standardizing before format 4 always standardized.
+before format 3 stored each fact once, its six format 3 files with two
+more trained without standardizing before format 4 always standardized,
+and its six format 4 files before format 5 dropped the model block's type.
 Each must load and predict its recorded bits, and saved again in the
 current format it must load to the same model and save back byte for
 byte.  A fourth holds the empirical family on the
@@ -205,12 +206,12 @@ GOLDEN: dict[str, str] = {
     'data/m02_c05.csv': 'b1f301a9d34f519312eebd2602f34041e30080d9a3cb00876b7dad11b6856741',
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
-    'model_empirical-fixed-v.json': 'bb5da49a564641e7b03de533be9c416c8b6a47a1466ea79d26f5bcfb86ae9c8c',
-    'model_empirical-max-force.json': 'cf79f6d3e2a5ee8f16328615f60afc24d911cd5c6ae6a04a1277228b728f306b',
-    'model_empirical.json': '180b50c81b17040c45b629b30bde2856b0d2557ea1b940cd461d1337cbcd4e66',
-    'model_pca-lm.json': '5f026abae87aa1e98d5dfcfce14bc4438c77ca35cd9c5af4f388c160c815d4ff',
-    'model_rf-scores.json': 'cbceeb3fef404411a50c20aee76c8e2c94c17b44c0674ef79a29b7718b193509',
-    'model_rf.json': '4b4b2b76597fe1b70dfd9f2611bd68bf1c85b84fe929a21374f92c28dbc06a9d',
+    'model_empirical-fixed-v.json': '55bf6a80be363f6a9b781393cc9b210aaf310b3f1a77957f4accf079acee4129',
+    'model_empirical-max-force.json': 'cd1f8b8cb71c3c0850e8fb3e9c1df76ada9bfaa0a3452c8c27bc208f0a22ff42',
+    'model_empirical.json': '55acae8257b55d55120e431f7936599d3201df6f5e8744c33e2a61795a4ad85f',
+    'model_pca-lm.json': '907ea944faf7e2bc9dc9d5a9161bca48cd8022268a843faddde0be47c22d49e6',
+    'model_rf-scores.json': '4be707e300574e37e729278635867f531178f0c4110b78968b317f3bcdca35a8',
+    'model_rf.json': 'e42a0d9b8feeae53f05355bd44cf71928d488b75c469cafd6731201ec24d970a',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
@@ -227,9 +228,9 @@ GOLDEN: dict[str, str] = {
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': 'a83d561ce17999a258f798de6b6362859cb32085541fc8eb52ea0384492828bc',
+    'model rf': '94069ca2c7270ac310239ec89918611bd96fe190f9bfaef15704f304d20cbd1f',
     'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
-    'model rf-scores': '86d4c719fda9454b744af116dee0f4f2db92aa126e25d1489b07f23dab41366f',
+    'model rf-scores': 'd28bd032974da36652de041eb4d8e67b6dea6989a6727376c49ff0e19d187be4',
     'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
 }
 
@@ -312,7 +313,22 @@ PINNED_V3: dict[str, str] = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(PINNED) + sorted(PINNED_V2) + sorted(PINNED_V3))
+# The six model files the script above wrote, keyed by MODELS, as format 4,
+# before format 5 dropped model.type and stored the forest's settings under
+# pipeline.config; each file's sha256 is the GOLDEN digest its model had
+# then.  Their digests are of predictions as for PINNED_V2.
+PINNED_V4: dict[str, str] = {
+    'empirical-fixed-v_v4.json': '32e16aff1d13f8ac9246ab834dff9c8cb31135ccd9a89b889c6956d2a289df1e',
+    'empirical-max-force_v4.json': '4e9d2f48af3b3a8ee39f609c7c0cdafa3ade04a5b3a235936af0cfc9e56a44ba',
+    'empirical_v4.json': '58516587939d659eedcf2b92582a151553a821d75fa1a2c74ea6854fd941f030',
+    'pca-lm_v4.json': '721d02ede5c53dbaec37b4eeb1151f649e28ebcaa6cbb163b95d9ba69d4783c2',
+    'rf-scores_v4.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
+    'rf_v4.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
+}
+PINNED_ALL = {**PINNED, **PINNED_V2, **PINNED_V3, **PINNED_V4}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_ALL))
 def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     stored = json.loads((DATA / name).read_text(encoding="utf-8"))
     trained, provenance = load_model(DATA / name)
@@ -320,7 +336,7 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     save_model(saved, trained, provenance)
     assert json.loads(saved.read_text())["format_version"] == FORMAT_VERSION
     reloaded, _ = load_model(saved)
-    if stored["model"]["type"] == "forest":
+    if trained.spec.name == "rf":
         for column in fields(_NodeTable):
             want = getattr(trained.model.table, column.name)
             got = getattr(reloaded.model.table, column.name)
@@ -346,7 +362,7 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     for model in (trained, reloaded):
         curves = [resample(c, model.grid) for c in raw]
         predictions = predict_pipeline(model, curves, v_star=v_star)
-        assert _sha(predictions.tobytes()) == {**PINNED, **PINNED_V2, **PINNED_V3}[name]
+        assert _sha(predictions.tobytes()) == PINNED_ALL[name]
 
 
 if __name__ == "__main__":

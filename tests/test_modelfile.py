@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import ModelFileError, UnsupportedVersion
-from smallpunch.forest import ForestConfig
+from smallpunch.forest import ForestConfig, ForestModel
 from smallpunch.modelfile import FORMAT_VERSION, UPGRADES, load_model, save_model
 from smallpunch.pipeline import (
     EmpiricalKind,
@@ -20,6 +21,7 @@ from smallpunch.pipeline import (
     fit_pipeline,
     predict_pipeline,
 )
+from smallpunch.regress import LinearModel
 from smallpunch.synth import SynthConfig, generate
 
 
@@ -72,7 +74,22 @@ def test_saved_file_is_valid_json_with_version(tmp_path, dataset):
     doc = json.loads(path.read_text())
     assert doc["format_version"] == FORMAT_VERSION
     assert doc["pipeline"]["family"] == "pca-lm"
-    assert doc["model"]["type"] == "linear"
+    assert list(doc["model"]) == [f.name for f in fields(LinearModel)]
+
+
+def test_every_block_is_its_records_fields_in_declaration_order(tmp_path, dataset):
+    curves, _ = dataset
+    kind = ForestKind(config=ForestConfig(n_trees=2, seed=1))
+    trained = fit_pipeline(curves, PipelineSpec(kind))
+    path = tmp_path / "model.json"
+    save_model(path, trained, {})
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["format_version", "pipeline", "grid", "standardizer", "pca", "model",
+                         "provenance"]
+    assert list(doc["pipeline"]) == ["family", "input", "variance_threshold", "config"]
+    assert list(doc["pipeline"]["config"]) == [f.name for f in fields(ForestConfig)]
+    assert list(doc["model"]) == [f.name for f in fields(ForestModel)] == [
+        "n_features", "importances", "oob_rmse", "count", "feature", "threshold", "value"]
 
 
 def test_save_is_byte_deterministic(tmp_path, dataset):
@@ -102,11 +119,11 @@ def test_unknown_version_is_refused(tmp_path, dataset):
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
-    # true, 2.0, 3.0 and 4.0 compare equal to versions it reads
-    for version in (99, True, 2.0, 3.0, 4.0, "2", None):
+    # true, 2.0, 3.0, 4.0 and 5.0 compare equal to versions it reads
+    for version in (99, True, 2.0, 3.0, 4.0, 5.0, "2", None):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        message = f"format_version {version!r} (this build reads 1, 2, 3 and 4)"
+        message = f"format_version {version!r} (this build reads 1, 2, 3, 4 and 5)"
         with pytest.raises(UnsupportedVersion, match=re.escape(message)):
             load_model(path)
 
@@ -135,9 +152,8 @@ def test_family_model_mismatch_is_refused(tmp_path, dataset):
     save_model(b, lin, {})
     doc = json.loads(a.read_text())
     doc["model"] = json.loads(b.read_text())["model"]
-    a.write_text(json.dumps(doc))
-    with pytest.raises(ModelFileError, match="expects"):
-        load_model(a)
+    # the family's model record reads the block: a linear one has no beta
+    _assert_refused(a, doc, re.escape("missing field 'beta'"))
 
 
 def test_missing_block_is_refused(tmp_path, dataset):
@@ -191,7 +207,7 @@ def trained_by_family(dataset):
     ("empirical", lambda d: d["pipeline"], "mode", "bogus"),
     ("pca-lm", lambda d: d["grid"], "n_points", "x"),
     ("pca-lm", lambda d: d["standardizer"], "means", "x"),
-    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", "x"),
+    ("rf", lambda d: d["pipeline"]["config"], "n_trees", "x"),
     ("rf", _model_array("value"), 0, "x"),
     ("empirical", lambda d: d, "pipeline", []),
     ("empirical", lambda d: d, "model", "x"),
@@ -204,15 +220,23 @@ def trained_by_family(dataset):
     # level order ends on a leaf; a count of 0 makes it a split, one too many
     ("rf", _model_array("count"), -1, 0),
     ("rf", _model_array("count"), -1, 2**64),
-    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 3),
-    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 2.5),
-    ("rf", lambda d: d["pipeline"]["forest"], "bootstrap", "yes"),
-    ("rf", lambda d: d["pipeline"]["forest"], "min_leaf", True),
-    ("rf", lambda d: d["pipeline"]["forest"], "max_depth", 4.0),
+    ("rf", lambda d: d["pipeline"]["config"], "n_trees", 3),
+    ("rf", lambda d: d["pipeline"]["config"], "n_trees", 2.5),
+    ("rf", lambda d: d["pipeline"]["config"], "bootstrap", "yes"),
+    ("rf", lambda d: d["pipeline"]["config"], "min_leaf", True),
+    ("rf", lambda d: d["pipeline"]["config"], "max_depth", 4.0),
     ("rf", _model_array("threshold"), 0, True),
     ("rf", _model_array("threshold"), 0, "1.5"),
     ("rf", _model_array("value"), 0, True),
     ("rf", lambda d: d["model"], "oob_rmse", True),
+    # json reads NaN and Infinity, which the records refuse
+    ("rf", lambda d: d["model"], "oob_rmse", float("nan")),
+    ("rf", lambda d: d["model"], "oob_rmse", float("inf")),
+    ("rf", lambda d: d["model"], "oob_rmse", -3.0),
+    ("pca-lm", lambda d: d["pca"], "total_variance", float("inf")),
+    # provenance is saved again as it was read, so it must be an object
+    ("pca-lm", lambda d: d, "provenance", 5),
+    ("pca-lm", lambda d: d, "provenance", None),
     # the fixture's forests have 152 columns: int() would have read these as 152
     ("rf", lambda d: d["model"], "n_features", 152.9),
     ("rf", lambda d: d["model"], "n_features", "152"),
@@ -271,7 +295,7 @@ def trained_by_family(dataset):
     ("pca-lm", lambda d: d, "pca", "x"),
     ("pca-lm", lambda d: d, "pipeline", 3),
     ("pca-lm", lambda d: d, "standardizer", [1.0]),
-    ("rf", lambda d: d["pipeline"], "forest", []),
+    ("rf", lambda d: d["pipeline"], "config", []),
     # a list of lists with rows of different lengths; a slice key drops an entry
     ("pca-lm", lambda d: d["pca"]["loadings"][0], slice(-1, None), []),
     ("pca-lm", lambda d: d["standardizer"], "means", [[1.0], [2.0, 3.0]]),
@@ -283,7 +307,8 @@ def trained_by_family(dataset):
         "forest-n_trees-float", "forest-bootstrap-string", "forest-min_leaf-bool",
         "forest-max_depth-float",
         "split-threshold-bool", "split-threshold-string", "leaf-value-bool", "oob_rmse-bool",
-        "n_features-float", "n_features-string", "n_features-mismatch", "importances-length",
+        "oob_rmse-nan", "oob_rmse-inf", "oob_rmse-negative", "pca-total_variance-inf",
+        "provenance-int", "provenance-null", "n_features-float", "n_features-string", "n_features-mismatch", "importances-length",
         "intercept-bool", "coefficient-bool",
         "standardizer-scale-bool", "pca-mean-bool", "pca-loading-bool",
         "pca-total_variance-bool", "variance_threshold-bool", "beta-bool", "grid-start-bool",
@@ -299,7 +324,7 @@ def trained_by_family(dataset):
         "pca-total_variance-quoted", "intercept-quoted",
         "beta-quoted", "grid-start-quoted", "oob_rmse-quoted", "grid-block-list",
         "model-block-list", "pca-block-string", "pipeline-block-int", "standardizer-block-list",
-        "forest-block-list", "pca-loadings-ragged", "standardizer-means-ragged"])
+        "config-block-list", "pca-loadings-ragged", "standardizer-means-ragged"])
 def test_malformed_field_is_a_model_file_error(tmp_path, trained_by_family,
                                                family, block, key, value):
     path = tmp_path / "model.json"
@@ -359,13 +384,13 @@ def test_quoted_number_error_names_the_field_and_the_value(tmp_path, trained_by_
     ("pca-lm", lambda d: d, "grid", [], "grid must be an object, got []"),
     ("pca-lm", lambda d: d, "pipeline", 3, "pipeline must be an object, got 3"),
     ("pca-lm", lambda d: d, "pca", "x", "pca must be an object, got 'x'"),
-    ("rf", lambda d: d["pipeline"], "forest", [], "forest must be an object, got []"),
+    ("rf", lambda d: d["pipeline"], "config", [], "config must be an object, got []"),
     # the fixture's PCA keeps three components
     ("pca-lm", lambda d: d["pca"]["loadings"][0], slice(-1, None), [],
      "loadings must have rows of one length, got 2 and 3"),
     ("pca-lm", lambda d: d["standardizer"], "means", [[1.0], [2.0, 3.0]],
      "means must have rows of one length, got 1 and 2"),
-], ids=["grid-block", "pipeline-block", "pca-block", "forest-block", "loadings-ragged",
+], ids=["grid-block", "pipeline-block", "pca-block", "config-block", "loadings-ragged",
         "means-ragged"])
 def test_wrong_block_type_or_ragged_array_error_names_it(tmp_path, trained_by_family,
                                                          family, block, key, value, message):
@@ -449,6 +474,41 @@ def test_format_2_copies_that_disagree_are_refused(tmp_path, name, block, key, v
 def test_format_3_standardize_setting_is_checked_before_it_is_dropped(tmp_path, name, block,
                                                                       key, value, message):
     doc = json.loads((DATA / f"{name}_v3.json").read_text(encoding="utf-8"))
+    if value is DELETE:
+        del block(doc)[key]
+    else:
+        block(doc)[key] = value
+    _assert_refused(tmp_path / "model.json", doc, re.escape(message))
+
+
+# Format 4 stored model.type, which restated pipeline.family, and an rf
+# file's forest settings under pipeline.forest.  Its upgrade to format 5
+# refuses a type that contradicts the family before it drops the type,
+# and moves the forest block to config, the field that holds it.  The
+# pinned format 4 files are the documents.
+@pytest.mark.parametrize("name,block,key,value,message", [
+    ("empirical", lambda d: d["model"], "type", "linear",
+     "pipeline family 'empirical' expects a empirical model, got 'linear'"),
+    ("pca-lm", lambda d: d["model"], "type", "forest",
+     "pipeline family 'pca-lm' expects a linear model, got 'forest'"),
+    ("rf", lambda d: d["model"], "type", None,
+     "pipeline family 'rf' expects a forest model, got None"),
+    ("rf", lambda d: d["model"], "type", DELETE, "missing field 'type'"),
+    # an unknown family is refused as such, whatever its model's type
+    ("pca-lm", lambda d: d["pipeline"], "family", "bogus", "unknown pipeline family: 'bogus'"),
+    ("rf", lambda d: d["pipeline"], "family", ["rf"], "unknown pipeline family: ['rf']"),
+    ("rf", lambda d: d["pipeline"], "forest", [], "forest must be an object, got []"),
+    ("rf-scores", lambda d: d["pipeline"], "forest", DELETE, "missing field 'forest'"),
+    ("rf", lambda d: d["pipeline"]["forest"], "n_trees", 11,
+     "124 nodes with 57 splits do not make 11 trees"),
+    ("rf-scores", lambda d: d["pipeline"]["forest"], "bootstrap", "yes",
+     "bootstrap must be true or false, got 'yes'"),
+], ids=["empirical-type-linear", "pca-lm-type-forest", "rf-type-null", "rf-type-missing",
+        "family-bogus", "family-list", "forest-block-list", "forest-block-missing",
+        "forest-n_trees-mismatch", "forest-bootstrap-string"])
+def test_format_4_type_and_forest_block_are_checked_before_they_go(tmp_path, name, block, key,
+                                                                   value, message):
+    doc = json.loads((DATA / f"{name}_v4.json").read_text(encoding="utf-8"))
     if value is DELETE:
         del block(doc)[key]
     else:
@@ -547,8 +607,8 @@ def _split_after_children(model):
     (_split_after_children, "after its children"),
     (lambda m: m["count"].__setitem__(-1, -1), "leaf count"),
     (lambda m: m.__setitem__("count", 5), "count must be a list, got 5"),
-    (lambda m: m["feature"].__setitem__(0, True), "split feature must be an integer, got True"),
-    (lambda m: m["value"].__setitem__(0, None), "leaf value must be a number, got None"),
+    (lambda m: m["feature"].__setitem__(0, True), "feature must be an integer, got True"),
+    (lambda m: m["value"].__setitem__(0, None), "value must be a number, got None"),
 ], ids=["threshold-longer", "feature-shorter", "value-longer", "node-count",
         "split-after-children", "count-negative", "count-not-a-list", "feature-bool",
         "value-null"])
@@ -560,18 +620,18 @@ def test_malformed_v2_forest_is_a_model_file_error(tmp_path, trained_by_family, 
     _assert_refused(path, doc, match)
 
 
-def test_forest_block_is_read_by_its_files_version(tmp_path, trained_by_family):
+def test_forest_block_is_read_by_its_files_version(tmp_path):
+    # format 1 nests a forest's trees; format 2 and later store level-order arrays
     path = tmp_path / "model.json"
-    save_model(path, trained_by_family["rf"], {})
-    doc = json.loads(path.read_text())
+    doc = json.loads((DATA / "rf_v4.json").read_text(encoding="utf-8"))
     doc["format_version"] = 1
-    _assert_refused(path, doc, "trees")
+    _assert_refused(path, doc, "missing field 'trees'")
     doc = json.loads(V1_FILE.read_text())
-    doc["format_version"] = FORMAT_VERSION
-    _assert_refused(path, doc, "count")
+    doc["format_version"] = 2
+    _assert_refused(path, doc, "missing field 'count'")
 
 
-@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[123].json")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[1234].json")), ids=lambda p: p.name)
 def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     before = copy.deepcopy(doc)

@@ -4,17 +4,17 @@ import ast
 import importlib
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import smallpunch
 from smallpunch import dataio
 from smallpunch.curves import GridSpec, parse_curve_csv
 from smallpunch.features import Standardizer, assemble, strengths
-from smallpunch.forest import ForestConfig, fit_forest, predict_forest
-from smallpunch.modelfile import save_model
+from smallpunch.forest import ForestConfig, ForestModel, fit_forest, predict_forest
+from smallpunch.modelfile import _ARRAYS, _SCALARS, save_model
 from smallpunch.pca import PcaModel, fit_pca
-from smallpunch.pipeline import _ARRAYS, _SCALARS, KINDS, PcaLmKind, PipelineSpec, fit_pipeline
+from smallpunch.pipeline import KINDS, PcaLmKind, PipelineSpec, fit_pipeline
 from smallpunch.regress import EmpiricalModel, LinearModel
 from smallpunch.synth import SynthConfig, generate
 
@@ -69,6 +69,15 @@ def _names(path):
         elif isinstance(node, ast.alias):
             found.append((node.lineno, node.name))
     return found
+
+
+def _defined_names(node):
+    """The names a class-body statement binds: a def's, an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
 def _tree_class_names(path):
@@ -230,17 +239,36 @@ def test_only_the_errors_module_raises_an_error_of_the_class_it_caught():
 
 
 def test_every_model_file_field_has_a_type_the_json_check_knows():
-    # pipeline.json_value checks a stored value by its field's declared
+    # modelfile.json_value checks a stored value by its field's declared
     # type; a field of a type it does not know would reach its constructor
-    # unchecked.  A field holding a record is built by its owner's from_doc.
+    # unchecked.  A field whose default is a record of this list is read
+    # as that record's block, whose own fields are checked.
     records = [GridSpec, Standardizer, PcaModel, LinearModel, EmpiricalModel, ForestConfig,
-               *KINDS.values()]
+               ForestModel, *KINDS.values()]
     names = {r.__name__ for r in records}
     unchecked = [(r.__name__, f.name, f.type) for r in records for f in fields(r)
                  if f.type.removesuffix(" | None") not in {*_SCALARS, *_ARRAYS}
-                 and not (f.type in names and "from_doc" in vars(r))]
-    assert len(records) == 9
+                 and not (f.type in names and is_dataclass(f.default))]
+    assert len(records) == 10
     assert unchecked == []
+
+
+def test_no_kind_holds_model_file_code():
+    # each model-file block is its record's fields, written and read by modelfile.py
+    pipeline = next(p for p in SOURCES if p.name == "pipeline.py")
+    file_code = {"to_doc", "from_doc", "model_to_doc", "model_from_doc", "model_type"}
+    defined = [(node.name, item.lineno, name)
+               for node in ast.walk(ast.parse(pipeline.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) for item in node.body
+               for name in _defined_names(item) if name in file_code]
+    assert defined == []
+
+
+def test_only_the_model_file_module_reads_and_writes_model_file_values():
+    codec = {"json_value", "record_to_doc", "record_from_doc"}
+    calls = {p.name: [(line, name) for line, name, _ in _calls(p, codec)] for p in SOURCES}
+    assert {name for _, name in calls.pop("modelfile.py")} == codec
+    assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
 def test_every_trace_point_of_the_benchmark_exists(monkeypatch):
