@@ -88,6 +88,10 @@ class Standardizer:
         if not np.all(s > 0.0):
             raise NonFiniteValue("standardizer scales must be > 0")
 
+    @property
+    def n_features(self) -> int:
+        return int(self.means.size)
+
 
 def assemble(curves: Sequence[UniformCurve]) -> np.ndarray:
     """Stack uniform curves into the n x (n_points + 1) feature matrix.

@@ -6,7 +6,8 @@ format_version and loading refuses versions it does not know instead of
 guessing.  This module alone knows the layout: the pipeline block is the
 family and its kind's fields, and every other block but provenance is a
 record's fields, each written by record_to_doc and read by
-record_from_doc; json_value checks each stored value's JSON type.
+record_from_doc, which refuses any other key; json_value checks each
+stored value's JSON type.
 
 Format 5 is written; it stores each fact once.  An older file's document
 is upgraded one version at a time by the pure steps of UPGRADES, so the
@@ -29,6 +30,8 @@ from .pca import PcaModel
 from .pipeline import KINDS, PipelineSpec, TrainedPipeline
 
 FORMAT_VERSION = 5
+# the top-level keys, in the order save_model writes them
+_BLOCKS = ("format_version", "pipeline", "grid", "standardizer", "pca", "model", "provenance")
 
 
 def record_to_doc(rec: Any) -> dict[str, Any]:
@@ -49,17 +52,27 @@ def record_to_doc(rec: Any) -> dict[str, Any]:
     return doc
 
 
-def record_from_doc(cls: type, doc: dict[str, Any]) -> Any:
-    """Rebuild cls from its fields' keys in doc; cls's constructor validates.
+def record_from_doc(cls: type, doc: dict[str, Any], block: str) -> Any:
+    """Rebuild cls from doc, the block named block; cls's constructor validates.
 
     Each value must first have the JSON type its field declares
     (json_value); a field whose default is a record is read from that
-    record's block.
+    record's block.  A key that is no field of cls is refused, after the
+    fields are read.
     """
-    return cls(**{
-        f.name: record_from_doc(type(f.default), json_value(doc[f.name], "dict", f.name))
+    values = {
+        f.name: record_from_doc(type(f.default), json_value(doc[f.name], "dict", f.name), f.name)
         if is_dataclass(f.default) else json_value(doc[f.name], f.type, f.name)
-        for f in fields(cls)})
+        for f in fields(cls)}
+    _refuse_unknown(doc, values, f"in the {block} block")
+    return cls(**values)
+
+
+def _refuse_unknown(doc: dict[str, Any], known: Any, where: str) -> None:
+    """Refuse the first key of doc that is not in known, naming it and where it is."""
+    for key in doc:
+        if key not in known:
+            raise InvalidModel(f"unknown key {key!r} {where}")
 
 
 # The JSON types a value other than an array may hold, by its declared
@@ -179,7 +192,7 @@ def _always_standardized(doc: dict[str, Any]) -> dict[str, Any]:
     if doc["standardizer"] is not None:
         raise InvalidModel(f"{family} model file with standardize=false holds a stray "
                            "standardizer block")
-    width = record_from_doc(GridSpec, json_value(doc["grid"], "dict", "grid")).n_points + 1
+    width = record_from_doc(GridSpec, json_value(doc["grid"], "dict", "grid"), "grid").n_points + 1
     return {**doc, "standardizer": {"means": [0.0] * width, "scales": [1.0] * width}}
 
 
@@ -195,6 +208,9 @@ def _family_is_the_type(doc: dict[str, Any]) -> dict[str, Any]:
             raise InvalidModel(f"pipeline family {family!r} expects a {expected} model, "
                                f"got {actual!r}")
     if family == "rf":
+        # format 4 has no config key, and the forest block would replace one unseen
+        if "config" in pipeline:
+            raise InvalidModel("unknown key 'config' in the pipeline block")
         rest = {k: v for k, v in pipeline.items() if k != "forest"}
         pipeline = {**rest, "config": json_value(pipeline["forest"], "dict", "forest")}
     return {**doc, "pipeline": pipeline,
@@ -231,8 +247,9 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     UnsupportedVersion
         format_version is not one this code reads.
     ModelFileError
-        A block is missing or malformed, or the stored components do not
-        match the declared pipeline family or each other.
+        A block is missing, malformed or holds an unknown key, or the
+        stored components do not match the declared pipeline family or
+        each other (TrainedPipeline's constructor refuses those).
     """
     path = Path(path)
     try:
@@ -263,13 +280,15 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
         family = spec_doc["family"]
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
-        kind = record_from_doc(KINDS[family], spec_doc)
-        grid = record_from_doc(GridSpec, grid_doc)
-        standardizer = None if std_doc is None else record_from_doc(Standardizer, std_doc)
-        pca = None if pca_doc is None else record_from_doc(PcaModel, pca_doc)
-        model = record_from_doc(kind.model_class, model_doc)
-        kind.check_model(model)
+        kind = record_from_doc(KINDS[family],
+                               {k: v for k, v in spec_doc.items() if k != "family"}, "pipeline")
+        trained = TrainedPipeline(
+            PipelineSpec(kind), record_from_doc(GridSpec, grid_doc, "grid"),
+            None if std_doc is None else record_from_doc(Standardizer, std_doc, "standardizer"),
+            None if pca_doc is None else record_from_doc(PcaModel, pca_doc, "pca"),
+            record_from_doc(kind.model_class, model_doc, "model"))
         provenance = json_value(doc.get("provenance", {}), "dict", "provenance")
+        _refuse_unknown(doc, _BLOCKS, "at the top level")
     except KeyError as exc:
         raise ModelFileError(f"{path}: missing field {exc}") from None
     # json_value and the constructors reject malformed values and blocks
@@ -278,11 +297,4 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     # OverflowError
     except (TypeError, ValueError, OverflowError) as exc:
         raise ModelFileError(f"{path}: {exc}") from None
-
-    # each block is stored exactly when the family uses it
-    for block, stored, used in (("PCA", pca, kind.uses_pca),
-                                ("standardizer", standardizer, kind.uses_features)):
-        if (stored is not None) != used:
-            state = "lacks the" if stored is None else "holds a stray"
-            raise ModelFileError(f"{path}: {family} model file {state} {block} block")
-    return TrainedPipeline(PipelineSpec(kind), grid, standardizer, pca, model), provenance
+    return trained, provenance

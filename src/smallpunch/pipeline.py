@@ -64,8 +64,8 @@ FOREST_INPUT_SCORES = "scores"
 # each the name of the field it fills; from_flags, the kind those flags
 # name, every flag not given left at its field's default; fit -> Fitted and
 # predict, both given the curves and their assembled matrix; diagnostics,
-# the lines train prints to stderr; check_model, which refuses a loaded
-# model that contradicts the kind's settings.
+# the lines train prints to stderr; check_model, which refuses a model that
+# contradicts the kind's settings (TrainedPipeline calls it).
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
 
 
@@ -85,7 +85,7 @@ class _Kind:
         return []
 
     def check_model(self, model: Any) -> None:
-        """Refuse a loaded model that contradicts the kind's settings; none does here."""
+        """Refuse a model that contradicts the kind's settings; none does here."""
 
 
 @dataclass(frozen=True)
@@ -161,24 +161,16 @@ class _FeatureKind(_Kind):
                 f"variance_threshold must be in (0, 1], got {self.variance_threshold}"
             )
 
+    # the model sees the standardized rows, or their PCA scores if the family uses PCA
     def fit(self, curves, matrix, targets, v_star) -> Fitted:
         std = fit_standardizer(matrix)
-        pca, design = self._design(matrix, std, None)
-        return std, pca, self._fit_model(design, targets)
+        rows = apply_standardizer(std, matrix)
+        pca = fit_pca(rows, self.variance_threshold) if self.uses_pca else None
+        return std, pca, self._fit_model(rows if pca is None else transform(pca, rows), targets)
 
     def predict(self, trained: TrainedPipeline, curves, matrix, v_star) -> np.ndarray:
-        _, design = self._design(matrix, trained.standardizer, trained.pca)
-        return self._predict_model(trained.model, design)
-
-    def _design(self, matrix, std, pca) -> tuple[PcaModel | None, np.ndarray]:
-        """The PCA, fitted here if pca is None, and the design the model sees:
-        the standardized rows, or their PCA scores if the family uses PCA."""
-        prepared = apply_standardizer(std, matrix)
-        if not self.uses_pca:
-            return None, prepared
-        if pca is None:
-            pca = fit_pca(prepared, self.variance_threshold)
-        return pca, transform(pca, prepared)
+        rows, pca = apply_standardizer(trained.standardizer, matrix), trained.pca
+        return self._predict_model(trained.model, rows if pca is None else transform(pca, rows))
 
 
 @dataclass(frozen=True)
@@ -284,13 +276,38 @@ class PipelineSpec:
 
 @dataclass(frozen=True)
 class TrainedPipeline:
-    """Everything needed to turn new uniform curves into predictions."""
+    """Everything needed to turn new uniform curves into predictions; the
+    constructor refuses blocks that contradict the family or each other."""
 
     spec: PipelineSpec
     grid: GridSpec
     standardizer: Standardizer | None
     pca: PcaModel | None
     model: EmpiricalModel | LinearModel | ForestModel
+
+    def __post_init__(self) -> None:
+        kind = self.spec.kind
+        if not isinstance(self.model, kind.model_class):
+            raise InvalidModel(f"{kind.name} model must be of type "
+                               f"{kind.model_class.__name__}, got {type(self.model).__name__}")
+        kind.check_model(self.model)
+        # each block is stored exactly when the family uses it
+        for block, stored, used in (("PCA", self.pca, kind.uses_pca),
+                                    ("standardizer", self.standardizer, kind.uses_features)):
+            if (stored is not None) != used:
+                state = "lacks the" if stored is None else "holds a stray"
+                raise InvalidModel(f"{kind.name} model file {state} {block} block")
+        if kind.uses_features:
+            # the standardizer and the PCA read the grid's forces and the
+            # temperature, the model the PCA scores if any, else those columns
+            width = self.grid.n_points + 1
+            scores = width if self.pca is None else self.pca.n_components
+            for block, record, expected in (("standardizer", self.standardizer, width),
+                                            ("PCA", self.pca, width),
+                                            ("model", self.model, scores)):
+                if record is not None and record.n_features != expected:
+                    raise InvalidModel(f"{block} block reads {record.n_features} columns, "
+                                       f"expected {expected}")
 
 
 def fit_pipeline(

@@ -73,6 +73,10 @@ class LinearModel:
         if not (np.isfinite(self.intercept) and np.all(np.isfinite(coef))):
             raise NonFiniteValue("linear model parameters must be finite")
 
+    @property
+    def n_features(self) -> int:
+        return int(self.coefficients.size)
+
 
 def empirical_feature(
     markers: CurveMarkers, h0_mm: float | Sequence[float] | np.ndarray, mode: str

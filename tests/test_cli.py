@@ -545,6 +545,31 @@ def test_predict_with_corrupt_forest_exits_4(tmp_path, capsys, edit):
     assert not (tmp_path / "p.csv").exists()
 
 
+# a pinned format 4 file with blocks that disagree in width or hold a stray
+# key is refused before any curve is read: the manifest does not exist
+@pytest.mark.parametrize("name,edit,message", [
+    ("pca-lm", lambda doc: doc["model"]["coefficients"].append(1.0),
+     "model block reads 5 columns, expected 4"),
+    ("pca-lm", lambda doc: [doc["standardizer"][key].append(1.0) for key in ("means", "scales")],
+     "standardizer block reads 153 columns, expected 152"),
+    ("rf-scores", lambda doc: doc["model"].update(n_features=152,
+                                                  importances=[1.0 / 152] * 152),
+     "model block reads 152 columns, expected 4"),
+    ("rf", lambda doc: doc["grid"].update(end_mm=9.0), "unknown key 'end_mm' in the grid block"),
+    ("rf", lambda doc: doc.update(extra=1), "unknown key 'extra' at the top level"),
+], ids=["coefficients-wide", "standardizer-wide", "n_features-wide", "grid-key", "top-key"])
+def test_predict_with_disagreeing_or_stray_blocks_exits_4_before_reading_curves(
+        tmp_path, capsys, name, edit, message):
+    doc = json.loads((Path(__file__).parent / "data" / f"{name}_v4.json").read_text())
+    edit(doc)
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "predict", str(tmp_path / "absent.csv"),
+                       "--model", str(model_path), "--out", str(tmp_path / "p.csv"))
+    assert code == 4 and err.strip() == f"error: {model_path}: {message}"
+    assert not (tmp_path / "p.csv").exists()
+
+
 def test_predict_fixed_v_without_source_exits_2(tmp_path, capsys):
     data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
     model_path = tmp_path / "model.json"

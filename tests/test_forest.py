@@ -1,10 +1,9 @@
 """Regression forest: exact splits, determinism, importances."""
 
+import json
 import math
 import re
-import tempfile
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,10 +20,10 @@ from smallpunch.errors import (
     TooFewRows,
 )
 from smallpunch.evaluation import cross_validate
-from smallpunch.features import (Standardizer, apply_standardizer, assemble, fit_standardizer,
-                                 strengths)
+from smallpunch.features import apply_standardizer, assemble, fit_standardizer, strengths
 from smallpunch.forest import (
     ForestConfig,
+    ForestModel,
     Leaf,
     Split,
     _NodeTable,
@@ -33,7 +32,7 @@ from smallpunch.forest import (
     fit_forest,
     predict_forest,
 )
-from smallpunch.modelfile import load_model, save_model
+from smallpunch.modelfile import load_model, record_from_doc, record_to_doc, save_model
 from smallpunch.pca import fit_pca, transform
 from smallpunch.synth import SynthConfig, generate
 
@@ -413,13 +412,9 @@ def test_grown_table_matches_the_table_built_from_its_trees(
     cfg = ForestConfig(n_trees=3, min_leaf=min_leaf, max_depth=max_depth,
                        mtry=p if all_features else None, bootstrap=bootstrap, seed=seed)
     model = fit_forest(x, y, cfg)
-    spec = pipeline.PipelineSpec(pipeline.ForestKind(config=cfg))
-    # a forest's file holds its standardizer: the identity, as x was never standardized
-    identity = Standardizer(np.zeros(p), np.ones(p))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "model.json"
-        save_model(path, pipeline.TrainedPipeline(spec, GridSpec(), identity, None, model), {})
-        loaded = load_model(path)[0].model
+    # the model block's round trip through JSON text, as save_model and load_model make it
+    text = json.dumps(record_to_doc(model))
+    loaded = record_from_doc(ForestModel, json.loads(text), "model")
     grown, built = model.table, loaded.table
     for column in fields(_NodeTable):
         want, got = getattr(grown, column.name), getattr(built, column.name)

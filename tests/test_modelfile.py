@@ -341,9 +341,39 @@ def _stray(block, family):
     return change
 
 
+def _widen(block, *arrays):
+    """Give the block's arrays one more entry: a zero row for a list of lists."""
+    def change(doc, saved):
+        for name in arrays:
+            array = doc[block][name]
+            array.append([0.0] * len(array[0]) if type(array[0]) is list else 1.0)
+    return change
+
+
+def _add(key, value, *path):
+    """Add key to the block path names, the top level if it names none."""
+    def change(doc, saved):
+        block = doc
+        for name in path:
+            block = block[name]
+        block[key] = value
+    return change
+
+
+def _forest_reads(n):
+    """Make the forest read n columns, each of equal importance."""
+    def change(doc, saved):
+        doc["model"].update(n_features=n, importances=[1.0 / n] * n)
+    return change
+
+
 # A file's blocks must agree with each other: a PCA block is stored exactly
 # when the family projects on PCA scores, and a standardizer exactly when
-# the family models the feature matrix.
+# the family models the feature matrix.  The standardizer and the PCA read
+# the grid's points and the temperature, the model the PCA's components or
+# those columns.  Every block holds its record's fields and no other key, and
+# the file holds its seven blocks and no other.  The fixtures' PCA keeps
+# three components, the pinned pca-lm and rf-scores files' PCA four.
 @pytest.mark.parametrize("family,change,match", [
     ("rf", _stray("pca", "pca-lm"), "rf model file holds a stray PCA block"),
     ("empirical", _stray("standardizer", "pca-lm"),
@@ -353,11 +383,33 @@ def _stray(block, family):
     # the explained ratios, eigenvalues / total_variance, may not sum above 1
     ("pca-lm", lambda doc, saved: doc["pca"].__setitem__(
         "total_variance", sum(doc["pca"]["eigenvalues"]) / 2), "explained ratios exceed 1"),
+    ("pca-lm_v4", _widen("model", "coefficients"), "model block reads 5 columns, expected 4"),
+    ("pca-lm_v4", _widen("standardizer", "means", "scales"),
+     "standardizer block reads 153 columns, expected 152"),
+    ("rf-scores_v4", _forest_reads(152), "model block reads 152 columns, expected 4"),
+    ("pca-lm", _widen("pca", "mean", "loadings"), "PCA block reads 153 columns, expected 152"),
+    ("rf", _forest_reads(153), "model block reads 153 columns, expected 152"),
+    ("rf", _add("type", "linear", "model"), "unknown key 'type' in the model block"),
+    ("rf", _add("forest", {"n_trees": 3}, "pipeline"),
+     "unknown key 'forest' in the pipeline block"),
+    ("rf", _add("end_mm", 9.0, "grid"), "unknown key 'end_mm' in the grid block"),
+    ("rf", _add("trees", 2, "pipeline", "config"), "unknown key 'trees' in the config block"),
+    ("pca-lm", _add("explained_ratio", [0.5], "pca"),
+     "unknown key 'explained_ratio' in the pca block"),
+    ("pca-lm", _add("standardize", True, "pipeline"),
+     "unknown key 'standardize' in the pipeline block"),
+    ("pca-lm", _add("n", 1, "standardizer"), "unknown key 'n' in the standardizer block"),
+    ("empirical", _add("extra", {}), "unknown key 'extra' at the top level"),
 ], ids=["rf-raw-with-pca", "empirical-with-standardizer", "empirical-with-pca",
-        "rf-without-standardizer", "pca-eigenvalues-above-total_variance"])
+        "rf-without-standardizer", "pca-eigenvalues-above-total_variance",
+        "pca-lm-v4-coefficients-wide", "pca-lm-v4-standardizer-wide",
+        "rf-scores-v4-n_features-wide", "pca-lm-pca-wide", "rf-n_features-wide",
+        "model-type", "pipeline-forest", "grid-end_mm", "config-trees", "pca-explained_ratio",
+        "pipeline-standardize", "standardizer-key", "top-level-key"])
 def test_contradictory_or_incomplete_file_is_a_model_file_error(tmp_path, trained_by_family,
                                                                 family, change, match):
-    saved = {}
+    saved = {f"{name}_v4": json.loads((DATA / f"{name}_v4.json").read_text(encoding="utf-8"))
+             for name in ("pca-lm", "rf-scores")}
     for name, trained in trained_by_family.items():
         save_model(tmp_path / "model.json", trained, {})
         saved[name] = json.loads((tmp_path / "model.json").read_text())
@@ -503,9 +555,12 @@ def test_format_3_standardize_setting_is_checked_before_it_is_dropped(tmp_path, 
      "124 nodes with 57 splits do not make 11 trees"),
     ("rf-scores", lambda d: d["pipeline"]["forest"], "bootstrap", "yes",
      "bootstrap must be true or false, got 'yes'"),
+    # format 4 has no config key, so the forest block must not replace one
+    ("rf", lambda d: d["pipeline"], "config", {"n_trees": "bogus"},
+     "unknown key 'config' in the pipeline block"),
 ], ids=["empirical-type-linear", "pca-lm-type-forest", "rf-type-null", "rf-type-missing",
         "family-bogus", "family-list", "forest-block-list", "forest-block-missing",
-        "forest-n_trees-mismatch", "forest-bootstrap-string"])
+        "forest-n_trees-mismatch", "forest-bootstrap-string", "config-key"])
 def test_format_4_type_and_forest_block_are_checked_before_they_go(tmp_path, name, block, key,
                                                                    value, message):
     doc = json.loads((DATA / f"{name}_v4.json").read_text(encoding="utf-8"))

@@ -1,6 +1,7 @@
 """Pipeline wiring: family dispatch, preprocessing, grid contracts."""
 
-from dataclasses import fields
+import re
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from smallpunch.errors import (
     EmptyTraining,
     GridMismatch,
     InvalidMarkers,
+    InvalidModel,
     LengthMismatch,
     MixedGrids,
 )
 from smallpunch.forest import ForestConfig, ForestModel
+from smallpunch import pipeline
 from smallpunch.pipeline import (
     KINDS,
     EmpiricalKind,
@@ -209,3 +212,51 @@ def test_refit_is_deterministic(dataset):
     a = predict_pipeline(fit_pipeline(curves, spec), curves)
     b = predict_pipeline(fit_pipeline(curves, spec), curves)
     assert np.array_equal(a, b)
+
+
+_FEATURE_KINDS = {"pca-lm": PcaLmKind(), "rf": ForestKind(config=ForestConfig(n_trees=3, seed=2)),
+                  "rf-scores": ForestKind(config=ForestConfig(n_trees=3, seed=2), input="scores")}
+
+
+@pytest.mark.parametrize("name", list(_FEATURE_KINDS))
+def test_predicting_fits_nothing(dataset, monkeypatch, name):
+    curves, _ = dataset
+    trained = fit_pipeline(curves, PipelineSpec(_FEATURE_KINDS[name]))
+    want = predict_pipeline(trained, curves)
+
+    def refuse(*args):
+        raise AssertionError("predict_pipeline fitted a block")
+
+    monkeypatch.setattr(pipeline, "fit_standardizer", refuse)
+    monkeypatch.setattr(pipeline, "fit_pca", refuse)
+    assert predict_pipeline(trained, curves).tobytes() == want.tobytes()
+
+
+def test_a_trained_pipeline_refuses_blocks_its_family_does_not_hold(dataset):
+    curves, _ = dataset
+    fitted = {name: fit_pipeline(curves, PipelineSpec(kind))
+              for name, kind in (("empirical", EmpiricalKind()), *_FEATURE_KINDS.items())}
+    lin, raw, scores = fitted["pca-lm"], fitted["rf"], fitted["rf-scores"]
+    cases = [
+        (lambda: replace(raw, model=lin.model),
+         "rf model must be of type ForestModel, got LinearModel"),
+        (lambda: replace(fitted["empirical"], model=lin.model),
+         "empirical model must be of type EmpiricalModel, got LinearModel"),
+        (lambda: replace(lin, pca=None), "pca-lm model file lacks the PCA block"),
+        (lambda: replace(raw, pca=scores.pca), "rf model file holds a stray PCA block"),
+        (lambda: replace(fitted["empirical"], standardizer=lin.standardizer),
+         "empirical model file holds a stray standardizer block"),
+        (lambda: replace(scores, standardizer=None), "rf model file lacks the standardizer block"),
+        # the settings name the tree count: 3 trees of this forest are not 4
+        (lambda: replace(raw, spec=PipelineSpec(ForestKind(config=ForestConfig(n_trees=4)))),
+         f"{raw.model.count.size} nodes with {raw.model.feature.size} splits "
+         "do not make 4 trees"),
+        (lambda: replace(lin, model=LinearModel(0.0, np.ones(lin.pca.n_components + 1))),
+         f"model block reads {lin.pca.n_components + 1} columns, "
+         f"expected {lin.pca.n_components}"),
+        (lambda: replace(raw, grid=GridSpec(n_points=150)),
+         "standardizer block reads 152 columns, expected 151"),
+    ]
+    for build, message in cases:
+        with pytest.raises(InvalidModel, match=re.escape(message) + "$"):
+            build()
