@@ -35,7 +35,6 @@ from .pipeline import (
     EmpiricalKind,
     ForestKind,
     PcaLmKind,
-    PipelineSpec,
     TrainedPipeline,
     fit_pipeline,
     predict_pipeline,
@@ -71,7 +70,6 @@ __all__ = [
     "MODE_MAX_FORCE",
     "PcaLmKind",
     "PcaModel",
-    "PipelineSpec",
     "RawCurve",
     "SmallPunchError",
     "SpecimenMeta",

@@ -8,8 +8,10 @@ rerun with the same inputs and seed; `train` additionally honors
 SOURCE_DATE_EPOCH for the provenance timestamp so saved model files can be
 reproduced exactly.
 
-No family is named here: the kind --pipeline names, found in KINDS, builds
-itself from the flags and gives the diagnostics train prints.
+No family is named here: --pipeline names a kind in KINDS, each family
+flag fills the field of that kind its dest names (fields_given), and the
+kind gives the diagnostics train prints.  This module alone knows the
+flags: no kind or record names one.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -37,8 +40,6 @@ from .pipeline import (
     FOREST_INPUT_SCORES,
     KINDS,
     PipelineKind,
-    PipelineSpec,
-    fields_given,
     fit_pipeline,
     predict_pipeline,
 )
@@ -67,21 +68,45 @@ def _timestamp() -> str:
     return dt.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
+def _name_flags(parser: argparse.ArgumentParser, actions: list[argparse.Action]) -> None:
+    """Give args the option of each flag by its dest, the field the flag fills."""
+    named = parser.get_default("flag_names") or {}
+    parser.set_defaults(flag_names={**named, **{a.dest: a.option_strings[0] for a in actions}})
+
+
+def fields_given(record: Any, args: argparse.Namespace) -> Any:
+    """record with each field a flag given in args fills set to that flag's value.
+
+    A flag left out is absent from args (argument_default is SUPPRESS), so
+    its field keeps record's value.  A field holding a record is filled
+    the same way, as modelfile.record_from_doc reads its block.  An error
+    names the flags given for record's own fields.
+    """
+    values = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if is_dataclass(value):
+            values[f.name] = fields_given(value, args)
+        elif f.name in args:
+            value = getattr(args, f.name)
+            values[f.name] = tuple(value) if isinstance(value, list) else value
+    with prefixed("/".join(args.flag_names[name] for name in values if name in args.flag_names)):
+        return replace(record, **values)
+
+
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
     """The grid flags; the parser's argument_default is SUPPRESS, as for the family flags.
 
     Each dest is the GridSpec field it fills, whose default GridSpec alone states.
     """
-    parser.add_argument("--grid-start", dest="start_mm", type=float,
-                        help="grid start displacement in mm")
-    parser.add_argument("--grid-spacing", dest="spacing_mm", type=float, help="grid spacing in mm")
-    parser.add_argument("--grid-points", dest="n_points", type=int, help="number of grid points")
-
-
-def _grid_from_args(args: argparse.Namespace, default: GridSpec = GridSpec()) -> GridSpec:
-    """default with each grid flag given in place of its field."""
-    with prefixed("--grid-start/--grid-spacing/--grid-points"):
-        return replace(default, **fields_given(GridSpec, args))
+    _name_flags(parser, [
+        parser.add_argument("--grid-start", dest="start_mm", type=float,
+                            help="grid start displacement in mm"),
+        parser.add_argument("--grid-spacing", dest="spacing_mm", type=float,
+                            help="grid spacing in mm"),
+        parser.add_argument("--grid-points", dest="n_points", type=int,
+                            help="number of grid points"),
+    ])
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
@@ -95,7 +120,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     empirical = parser.add_argument_group("empirical family")
     features = parser.add_argument_group("pca-lm and rf families")
     forest = parser.add_argument_group("rf family")
-    _family_flags(parser, [
+    _name_flags(parser, [
         empirical.add_argument("--mode", choices=EMPIRICAL_MODES,
                                help="empirical correlation variant"),
         empirical.add_argument("--marker", dest="marker_strategy", choices=MARKER_STRATEGIES,
@@ -120,9 +145,13 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                         help="has no effect; forests are grown in one thread")
 
 
-def _family_flags(parser: argparse.ArgumentParser, actions: list[argparse.Action]) -> None:
-    """Give args the option of each family flag by its dest, for _refuse_unread."""
-    parser.set_defaults(family_flags={a.dest: a.option_strings[0] for a in actions})
+def _reads(kind: PipelineKind | type) -> set[str]:
+    """The family's fields and its records' fields, and with a marker_strategy
+    field the fixed-v marker's v_i: the dests of the family flags it reads."""
+    read = set()
+    for f in fields(kind):
+        read |= {g.name for g in fields(f.default)} if is_dataclass(f.default) else {f.name}
+    return read | ({"v_star", "truth"} if "marker_strategy" in read else set())
 
 
 def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type) -> None:
@@ -132,34 +161,35 @@ def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type) -> None:
     marker, and the family that takes --rf-input reads --variance-threshold
     only with PCA scores.  Each setting is the flag's if given, else the kind's.
     """
-    given = {dest: option for dest, option in args.family_flags.items() if dest in args}
+    reads, family = _reads(kind), set().union(*map(_reads, KINDS.values()))
+    given = {d: o for d, o in args.flag_names.items() if d in args and d in family}
     fixed_v = getattr(args, "marker_strategy", kind.marker_strategy) == MARKER_FIXED_V
     scores = getattr(args, "input", getattr(kind, "input", None)) == FOREST_INPUT_SCORES
     for unread, why in (
-        ([o for d, o in given.items() if d not in kind.flags], "reads no such flag"),
+        ([o for d, o in given.items() if d not in reads], "reads no such flag"),
         ([o for d, o in given.items() if d in ("truth", "v_star") and not fixed_v],
          f"reads v_i only with --marker {MARKER_FIXED_V}"),
-        ([o for d, o in given.items() if d == "variance_threshold" and "input" in kind.flags
+        ([o for d, o in given.items() if d == "variance_threshold" and "input" in reads
           and not scores], f"reads it only with --rf-input {FOREST_INPUT_SCORES}"),
     ):
         if unread:
             raise BadConfig(f"{' and '.join(sorted(unread))}: the {kind.name} family {why}")
 
 
-def _spec_from_args(args: argparse.Namespace) -> PipelineSpec:
-    """The pipeline the flags of cv and train name, after every flag its family leaves unread."""
+def _kind_from_args(args: argparse.Namespace) -> PipelineKind:
+    """The kind the flags of cv and train name, after every flag its family leaves unread."""
     if "workers" in args and args.workers < 1:
         raise BadConfig("--workers must be >= 1")
     if args.seed < 0:
         raise BadConfig(f"--seed: seed must be >= 0, got {args.seed}")
     _refuse_unread(args, KINDS[args.pipeline])
-    return PipelineSpec.from_flags(args)
+    return fields_given(KINDS[args.pipeline](), args)
 
 
 def _v_star_source(args: argparse.Namespace, kind: PipelineKind) -> Path | float | None:
     """--truth's path or --v-star's checked value for a fixed-v kind, else None.
 
-    A max-force kind records the max-slope marker and so reads neither.
+    A max-force kind holds the max-slope marker and so reads neither.
     """
     if kind.marker_strategy != MARKER_FIXED_V:
         return None
@@ -187,20 +217,16 @@ def _v_star_for(source: Path | float | None, names: list[str]):
 
 
 def _labelled_inputs(args: argparse.Namespace):
-    """cv's and train's spec, curves and v_star; every flag is checked before a file is read."""
-    grid = _grid_from_args(args)
-    spec = _spec_from_args(args)
-    source = _v_star_source(args, spec.kind)
+    """cv's and train's kind, curves and v_star; every flag is checked before a file is read."""
+    grid = fields_given(GridSpec(), args)
+    kind = _kind_from_args(args)
+    source = _v_star_source(args, kind)
     names, curves = dataio.load_curves(args.manifest, grid)
-    return spec, curves, _v_star_for(source, names)
+    return kind, curves, _v_star_for(source, names)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    # the parser suppresses the flags not given, so SynthConfig's defaults fill them
-    given = fields_given(SynthConfig, args)
-    with prefixed("--materials/--per-material/--beta/--h0/--noise-sigma/--rm-range/"
-                  "--vi-range/--vi-step/--temp-range/--temp-slope/--seed"):
-        cfg = SynthConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in given.items()})
+    cfg = fields_given(SynthConfig(), args)
     curves, records = generate(cfg)
 
     outdir = args.out
@@ -219,8 +245,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise BadConfig("--k must be >= 2")
-    spec, curves, v_star = _labelled_inputs(args)
-    report = cross_validate(curves, spec, k=args.k, seed=args.seed, v_star=v_star,
+    kind, curves, v_star = _labelled_inputs(args)
+    report = cross_validate(curves, kind, k=args.k, seed=args.seed, v_star=v_star,
                             stratify_material=args.stratify_material)
     args.out.mkdir(parents=True, exist_ok=True)
     prefix = args.pipeline
@@ -233,8 +259,8 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     created = _timestamp()  # a malformed SOURCE_DATE_EPOCH is refused before any file is read
-    spec, curves, v_star = _labelled_inputs(args)
-    trained = fit_pipeline(curves, spec, v_star=v_star)
+    kind, curves, v_star = _labelled_inputs(args)
+    trained = fit_pipeline(curves, kind, v_star=v_star)
     preds = predict_pipeline(trained, curves, v_star=v_star)
     train_rmse = rmse(preds, strengths(curves))
 
@@ -253,20 +279,20 @@ def cmd_train(args: argparse.Namespace) -> int:
             f"cumulative_explained_variance={dataio.fmt(cum)}"
         )
     print(f"saved {args.out}")
-    for line in spec.kind.diagnostics(trained):
+    for line in kind.diagnostics(trained):
         print(line, file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
-    kind = trained.spec.kind
+    kind = trained.kind
     # a given v_i flag is checked before any curve is read
     _refuse_unread(args, kind)
     if "truth" in args or "v_star" in args:
         _v_star_source(args, kind)
     # with no grid flag given, the requested grid is the model's
-    requested = _grid_from_args(args, default=trained.grid)
+    requested = fields_given(trained.grid, args)
     if requested != trained.grid:
         raise GridMismatch(f"requested grid {requested} does not match model grid {trained.grid}")
     names, curves = dataio.load_curves(args.manifest, trained.grid)
@@ -298,23 +324,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_synth = sub.add_parser("synth", help="generate a synthetic dataset with planted truth",
                              argument_default=argparse.SUPPRESS)
-    p_synth.add_argument("--materials", type=int, dest="n_materials")
-    p_synth.add_argument("--per-material", type=int, dest="curves_per_material")
-    p_synth.add_argument("--beta", type=float, dest="beta_true")
-    p_synth.add_argument("--h0", type=float, dest="h0_mm")
-    p_synth.add_argument("--noise-sigma", type=float, dest="noise_sigma_N",
-                         help="force noise standard deviation in N")
-    p_synth.add_argument("--rm-range", type=float, nargs=2, dest="rm_range_MPa",
-                         metavar=("LO", "HI"))
-    p_synth.add_argument("--vi-range", type=float, nargs=2, dest="v_i_range_mm",
-                         metavar=("LO", "HI"))
-    p_synth.add_argument("--vi-step", type=float, dest="v_i_step_mm",
-                         help="planted v_i snaps to this step so it lies on the grid")
-    p_synth.add_argument("--temp-range", type=float, nargs=2, dest="temp_range_C",
-                         metavar=("LO", "HI"))
-    p_synth.add_argument("--temp-slope", type=float, dest="temp_slope_MPa_per_C",
-                         help="strength change per degree C (<= 0)")
-    p_synth.add_argument("--seed", type=int)
+    _name_flags(p_synth, [
+        p_synth.add_argument("--materials", type=int, dest="n_materials"),
+        p_synth.add_argument("--per-material", type=int, dest="curves_per_material"),
+        p_synth.add_argument("--beta", type=float, dest="beta_true"),
+        p_synth.add_argument("--h0", type=float, dest="h0_mm"),
+        p_synth.add_argument("--noise-sigma", type=float, dest="noise_sigma_N",
+                             help="force noise standard deviation in N"),
+        p_synth.add_argument("--rm-range", type=float, nargs=2, dest="rm_range_MPa",
+                             metavar=("LO", "HI")),
+        p_synth.add_argument("--vi-range", type=float, nargs=2, dest="v_i_range_mm",
+                             metavar=("LO", "HI")),
+        p_synth.add_argument("--vi-step", type=float, dest="v_i_step_mm",
+                             help="planted v_i snaps to this step so it lies on the grid"),
+        p_synth.add_argument("--temp-range", type=float, nargs=2, dest="temp_range_C",
+                             metavar=("LO", "HI")),
+        p_synth.add_argument("--temp-slope", type=float, dest="temp_slope_MPa_per_C",
+                             help="strength change per degree C (<= 0)"),
+        p_synth.add_argument("--seed", type=int),
+    ])
     p_synth.add_argument("--out", type=Path, required=True, help="output directory")
     p_synth.set_defaults(func=cmd_synth)
 
@@ -344,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("manifest", type=Path)
     p_pred.add_argument("--model", type=Path, required=True)
     _add_grid_flags(p_pred)
-    _family_flags(p_pred, [
+    _name_flags(p_pred, [
         p_pred.add_argument("--v-star", type=float,
                             help="shared v_i for fixed-v empirical models"),
         p_pred.add_argument("--truth", type=Path,

@@ -16,7 +16,7 @@ import numpy as np
 from .curves import UniformCurve, _v_star_rows
 from .errors import BadConfig, BadK, EmptyInput, LengthMismatch, prefixed
 from .features import strengths
-from .pipeline import PipelineSpec, TrainedPipeline, fit_pipeline, predict_pipeline
+from .pipeline import PipelineKind, TrainedPipeline, fit_pipeline, predict_pipeline
 
 
 def rmse(predictions: Sequence[float] | np.ndarray, truths: Sequence[float] | np.ndarray) -> float:
@@ -104,14 +104,14 @@ class CvReport:
 
 def cross_validate(
     curves: Sequence[UniformCurve],
-    spec: PipelineSpec,
+    kind: PipelineKind,
     k: int = 10,
     seed: int = 0,
     v_star: float | Sequence[float] | None = None,
     stratify_material: bool = False,
     collect_models: bool = False,
 ) -> CvReport:
-    """Seeded k-fold cross-validation of one pipeline spec.
+    """Seeded k-fold cross-validation of one pipeline kind.
 
     v_star, one value or one per curve, is shaped once into one value per
     curve (curves._v_star_rows, which refuses any other value before a fold
@@ -138,7 +138,7 @@ def cross_validate(
             (None, None) if stars is None else (stars[train_idx], stars[test_idx])
         )
         with prefixed(f"fold {fi}"):
-            trained = fit_pipeline([curve_list[i] for i in train_idx], spec, v_star=train_stars)
+            trained = fit_pipeline([curve_list[i] for i in train_idx], kind, v_star=train_stars)
             preds = predict_pipeline(
                 trained, [curve_list[i] for i in test_idx], v_star=test_stars
             )

@@ -27,7 +27,7 @@ from .curves import GridSpec
 from .errors import InvalidModel, ModelFileError, UnsupportedVersion
 from .features import Standardizer
 from .pca import PcaModel
-from .pipeline import KINDS, PipelineSpec, TrainedPipeline
+from .pipeline import KINDS, TrainedPipeline
 
 FORMAT_VERSION = 5
 # the top-level keys, in the order save_model writes them
@@ -226,7 +226,7 @@ READ_VERSIONS = (*UPGRADES, FORMAT_VERSION)
 def save_model(path: Path | str, trained: TrainedPipeline, provenance: dict[str, Any]) -> None:
     """Write a trained pipeline with its provenance block."""
     path = Path(path)
-    kind, std, pca = trained.spec.kind, trained.standardizer, trained.pca
+    kind, std, pca = trained.kind, trained.standardizer, trained.pca
     doc = {
         "format_version": FORMAT_VERSION,
         "pipeline": {"family": kind.name, **record_to_doc(kind)},
@@ -273,17 +273,17 @@ def load_model(path: Path | str) -> tuple[TrainedPipeline, dict[str, Any]]:
     try:
         for step in range(version, FORMAT_VERSION):
             doc = UPGRADES[step](doc)
-        spec_doc, grid_doc, model_doc = (json_value(doc[key], "dict", key)
+        kind_doc, grid_doc, model_doc = (json_value(doc[key], "dict", key)
                                          for key in ("pipeline", "grid", "model"))
         std_doc, pca_doc = (json_value(doc[key], "dict | None", key)
                             for key in ("standardizer", "pca"))
-        family = spec_doc["family"]
+        family = kind_doc["family"]
         if not isinstance(family, str) or family not in KINDS:
             raise ModelFileError(f"unknown pipeline family: {family!r}")
         kind = record_from_doc(KINDS[family],
-                               {k: v for k, v in spec_doc.items() if k != "family"}, "pipeline")
+                               {k: v for k, v in kind_doc.items() if k != "family"}, "pipeline")
         trained = TrainedPipeline(
-            PipelineSpec(kind), record_from_doc(GridSpec, grid_doc, "grid"),
+            kind, record_from_doc(GridSpec, grid_doc, "grid"),
             None if std_doc is None else record_from_doc(Standardizer, std_doc, "standardizer"),
             None if pca_doc is None else record_from_doc(PcaModel, pca_doc, "pca"),
             record_from_doc(kind.model_class, model_doc, "model"))

@@ -1,18 +1,19 @@
 """End-to-end pipelines from uniform curves to strength predictions.
 
-A PipelineSpec picks one of three model families and the preprocessing
-applied before it:
+A kind picks one of three model families and the preprocessing applied
+before it, and holds the family's settings:
 
 * empirical: curve markers -> single-factor correlation;
 * pca-lm: standardized features -> PCA scores -> linear model;
 * rf: standardized features (raw columns or PCA scores) -> forest.
 
 Everything that depends on the family lives on its kind class here: the
-family name, building the kind from the command line's flags, fitting and
-predicting, train's diagnostics and the record its fit returns.  KINDS
-finds a kind class by family name, so the command line names none.  A
-kind and its model are records, and modelfile.py writes and reads each as
-its fields: no kind holds model-file code.
+family name, fitting and predicting, train's diagnostics and the record
+its fit returns.  KINDS finds a kind class by family name, so the command
+line names none.  A kind and its model are records: modelfile.py writes
+and reads each as its fields, and the command line fills a kind's fields
+from the flags of the same names, so no kind holds model-file or
+command-line code.
 
 fit_pipeline touches only the curves it is given, which is what makes the
 cross-validation in evaluation.py leakage-free: every fold refits the
@@ -21,7 +22,7 @@ standardizer, the PCA and the model on training rows alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, ClassVar, Sequence, Union
 
 import numpy as np
@@ -36,7 +37,7 @@ from .curves import (
     fmt,
     frozen,
 )
-from .errors import BadConfig, GridMismatch, InvalidModel, prefixed
+from .errors import BadConfig, GridMismatch, InvalidModel
 from .features import (Standardizer, apply_standardizer, assemble, column_labels,
                        fit_standardizer, strengths)
 from .forest import ForestConfig, ForestModel, fit_forest, predict_forest
@@ -59,23 +60,13 @@ FOREST_INPUT_SCORES = "scores"
 
 # Every kind class provides: name (the family); model_class, the record
 # its fit returns; marker_strategy, None for families without markers;
-# uses_features and uses_pca, which preprocessing the family fits;
-# flags, the dests of the command line's family flags the family reads,
-# each the name of the field it fills; from_flags, the kind those flags
-# name, every flag not given left at its field's default; fit -> Fitted and
-# predict, both given the curves and their assembled matrix; diagnostics,
-# the lines train prints to stderr; check_model, which refuses a model that
-# contradicts the kind's settings (TrainedPipeline calls it).
+# uses_features and uses_pca, which preprocessing the family fits; its
+# dataclass fields, the family's settings, each stating its one default;
+# fit -> Fitted and predict, both given the curves and their assembled
+# matrix; diagnostics, the lines train prints to stderr; check_model, which
+# refuses a model that contradicts the kind's settings (TrainedPipeline
+# calls it).
 Fitted = tuple[Standardizer | None, PcaModel | None, Any]
-
-
-def fields_given(cls: type, args: Any) -> dict[str, Any]:
-    """The flags given in args, an argparse namespace, that fill a field of cls.
-
-    A flag not given is absent from args, so its field keeps the default
-    cls states.
-    """
-    return {f.name: getattr(args, f.name) for f in fields(cls) if f.name in args}
 
 
 class _Kind:
@@ -92,18 +83,15 @@ class _Kind:
 class EmpiricalKind(_Kind):
     """Marker-based correlation family.
 
-    The max-force correlation reads F_m and v_m alone, so that mode ignores
-    the marker strategy: it records max-slope, the default, needs no v_star
-    and neither locates nor checks an instability point.
+    The max-force correlation reads F_m and v_m alone, so that mode takes
+    no marker strategy but max-slope, the default, and refuses any other:
+    it needs no v_star and neither locates nor checks an instability point.
     """
 
     name: ClassVar[str] = "empirical"
     model_class: ClassVar[type] = EmpiricalModel
     uses_features: ClassVar[bool] = False
     uses_pca: ClassVar[bool] = False
-
-    # --v-star and --truth give the fixed-v marker's v_i, not a field
-    flags: ClassVar[tuple[str, ...]] = ("mode", "marker_strategy", "truth", "v_star")
 
     mode: str = MODE_INSTABILITY_FORCE
     marker_strategy: str = MARKER_MAX_SLOPE
@@ -113,12 +101,9 @@ class EmpiricalKind(_Kind):
             raise BadConfig(f"unknown empirical mode: {self.mode!r}")
         if self.marker_strategy not in MARKER_STRATEGIES:
             raise BadConfig(f"unknown marker strategy: {self.marker_strategy!r}")
-        if self.mode == MODE_MAX_FORCE:
-            object.__setattr__(self, "marker_strategy", MARKER_MAX_SLOPE)
-
-    @classmethod
-    def from_flags(cls, args: Any) -> EmpiricalKind:
-        return cls(**fields_given(cls, args))
+        if self.mode == MODE_MAX_FORCE and self.marker_strategy != MARKER_MAX_SLOPE:
+            raise BadConfig(f"the {MODE_MAX_FORCE} mode reads no instability marker, "
+                            f"got marker strategy {self.marker_strategy!r}")
 
     def _markers(self, forces: np.ndarray, grid: GridSpec, v_star) -> CurveMarkers:
         if self.mode != MODE_MAX_FORCE:
@@ -180,14 +165,8 @@ class PcaLmKind(_FeatureKind):
     name: ClassVar[str] = "pca-lm"
     model_class: ClassVar[type] = LinearModel
     uses_pca: ClassVar[bool] = True
-    flags: ClassVar[tuple[str, ...]] = ("variance_threshold",)
 
     variance_threshold: float = 0.99
-
-    @classmethod
-    def from_flags(cls, args: Any) -> PcaLmKind:
-        with prefixed("--variance-threshold"):
-            return cls(**fields_given(cls, args))
 
     @staticmethod
     def _fit_model(design, targets) -> LinearModel:
@@ -204,8 +183,6 @@ class ForestKind(_FeatureKind):
 
     name: ClassVar[str] = "rf"
     model_class: ClassVar[type] = ForestModel
-    flags: ClassVar[tuple[str, ...]] = ("n_trees", "max_depth", "min_leaf", "mtry", "input",
-                                        "variance_threshold")
 
     input: str = FOREST_INPUT_RAW
     variance_threshold: float = 0.99
@@ -215,14 +192,6 @@ class ForestKind(_FeatureKind):
         if self.input not in (FOREST_INPUT_RAW, FOREST_INPUT_SCORES):
             raise BadConfig(f"forest input must be 'raw' or 'scores', got {self.input!r}")
         super().__post_init__()
-
-    @classmethod
-    def from_flags(cls, args: Any) -> ForestKind:
-        # the command's --seed seeds the forest
-        with prefixed("--trees/--max-depth/--min-leaf/--mtry/--seed"):
-            config = ForestConfig(**fields_given(ForestConfig, args))
-        with prefixed("--rf-input/--variance-threshold"):
-            return cls(config=config, **fields_given(cls, args))
 
     @property
     def uses_pca(self) -> bool:
@@ -258,20 +227,9 @@ PipelineKind = Union[EmpiricalKind, PcaLmKind, ForestKind]
 KINDS: dict[str, type] = {k.name: k for k in (EmpiricalKind, PcaLmKind, ForestKind)}
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    """A model family: its kind, which holds the family's settings."""
-
-    kind: PipelineKind
-
-    @classmethod
-    def from_flags(cls, args: Any) -> PipelineSpec:
-        """The pipeline cv's and train's flags name: --pipeline's kind built from them."""
-        return cls(KINDS[args.pipeline].from_flags(args))
-
-    @property
-    def name(self) -> str:
-        return self.kind.name
+def PipelineSpec(kind: PipelineKind) -> PipelineKind:
+    """The benchmark's name for a kind, the whole pipeline spec; the package never calls it."""
+    return kind
 
 
 @dataclass(frozen=True)
@@ -279,14 +237,14 @@ class TrainedPipeline:
     """Everything needed to turn new uniform curves into predictions; the
     constructor refuses blocks that contradict the family or each other."""
 
-    spec: PipelineSpec
+    kind: PipelineKind
     grid: GridSpec
     standardizer: Standardizer | None
     pca: PcaModel | None
     model: EmpiricalModel | LinearModel | ForestModel
 
     def __post_init__(self) -> None:
-        kind = self.spec.kind
+        kind = self.kind
         if not isinstance(self.model, kind.model_class):
             raise InvalidModel(f"{kind.name} model must be of type "
                                f"{kind.model_class.__name__}, got {type(self.model).__name__}")
@@ -312,7 +270,7 @@ class TrainedPipeline:
 
 def fit_pipeline(
     curves: Sequence[UniformCurve],
-    spec: PipelineSpec,
+    kind: PipelineKind,
     v_star: float | Sequence[float] | None = None,
 ) -> TrainedPipeline:
     """Fit one pipeline on labeled curves.
@@ -323,8 +281,8 @@ def fit_pipeline(
     curve_list = list(curves)
     matrix = assemble(curve_list)
     targets = strengths(curve_list)
-    std, pca, model = spec.kind.fit(curve_list, matrix, targets, v_star)
-    return TrainedPipeline(spec, curve_list[0].grid, std, pca, model)
+    std, pca, model = kind.fit(curve_list, matrix, targets, v_star)
+    return TrainedPipeline(kind, curve_list[0].grid, std, pca, model)
 
 
 def predict_pipeline(
@@ -338,4 +296,4 @@ def predict_pipeline(
     if curve_list[0].grid != trained.grid:
         raise GridMismatch(f"curve 0 grid {curve_list[0].grid} differs from model grid "
                            f"{trained.grid}")
-    return trained.spec.kind.predict(trained, curve_list, matrix, v_star)
+    return trained.kind.predict(trained, curve_list, matrix, v_star)

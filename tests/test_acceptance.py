@@ -30,7 +30,6 @@ from smallpunch.pipeline import (
     EmpiricalKind,
     ForestKind,
     PcaLmKind,
-    PipelineSpec,
     fit_pipeline,
     predict_pipeline,
 )
@@ -81,9 +80,8 @@ def test_acceptance_1_zero_noise_round_trip():
     """Planted strengths are recovered through the full pipeline."""
     started = time.perf_counter()
     _, curves, _, stars = _reference_set(noise_sigma=0.0)
-    spec = PipelineSpec(EmpiricalKind(mode=MODE_INSTABILITY_FORCE,
-                                      marker_strategy=MARKER_FIXED_V))
-    report = cross_validate(curves, spec, k=10, seed=0, v_star=stars)
+    kind = EmpiricalKind(mode=MODE_INSTABILITY_FORCE, marker_strategy=MARKER_FIXED_V)
+    report = cross_validate(curves, kind, k=10, seed=0, v_star=stars)
     elapsed = time.perf_counter() - started
     ok = report.mean_rmse < 1e-6 and elapsed < 10.0
     _report(1, "zero-noise strengths recovered through 10-fold CV", ok,
@@ -194,9 +192,9 @@ def test_acceptance_5_forest_determinism(noisy_set, tmp_path):
     _, curves, _, _ = noisy_set
     targets = strengths(curves)
     cfg = ForestConfig(n_trees=30, seed=4)
-    spec = PipelineSpec(ForestKind(config=cfg))
-    first = fit_pipeline(curves, spec)
-    second = fit_pipeline(curves, spec)
+    kind = ForestKind(config=cfg)
+    first = fit_pipeline(curves, kind)
+    second = fit_pipeline(curves, kind)
     a, b = tmp_path / "first.json", tmp_path / "second.json"
     save_model(a, first, {})
     save_model(b, second, {})
@@ -216,13 +214,13 @@ def test_acceptance_6_pipeline_comparison(noisy_set):
     _, curves, _, _ = noisy_set
     started = time.perf_counter()
     means = {}
-    specs = {
-        "empirical": PipelineSpec(EmpiricalKind()),
-        "pca-lm": PipelineSpec(PcaLmKind()),
-        "rf": PipelineSpec(ForestKind(config=ForestConfig(n_trees=200, seed=0))),
+    kinds = {
+        "empirical": EmpiricalKind(),
+        "pca-lm": PcaLmKind(),
+        "rf": ForestKind(config=ForestConfig(n_trees=200, seed=0)),
     }
-    for name, spec in specs.items():
-        report = cross_validate(curves, spec, k=10, seed=0)
+    for name, kind in kinds.items():
+        report = cross_validate(curves, kind, k=10, seed=0)
         means[name] = report.mean_rmse
     elapsed = time.perf_counter() - started
 
@@ -250,12 +248,12 @@ def test_acceptance_7_no_leakage(tmp_path):
 
     ok = True
     details = []
-    for name, spec in (
-        ("empirical", PipelineSpec(EmpiricalKind())),
-        ("pca-lm", PipelineSpec(PcaLmKind())),
-        ("rf", PipelineSpec(ForestKind(config=ForestConfig(n_trees=10, seed=2)))),
+    for name, kind in (
+        ("empirical", EmpiricalKind()),
+        ("pca-lm", PcaLmKind()),
+        ("rf", ForestKind(config=ForestConfig(n_trees=10, seed=2))),
     ):
-        base = cross_validate(curves, spec, k=k, seed=1, collect_models=True)
+        base = cross_validate(curves, kind, k=k, seed=1, collect_models=True)
         unchanged = 0
         for fi, held_out in enumerate(folds):
             mutated = list(curves)
@@ -267,7 +265,7 @@ def test_acceptance_7_no_leakage(tmp_path):
                     meta=replace(c.meta, rm_MPa=777.0),
                     n_extrapolated=c.n_extrapolated,
                 )
-            poked = cross_validate(mutated, spec, k=k, seed=1,
+            poked = cross_validate(mutated, kind, k=k, seed=1,
                                    collect_models=True)
             same = model_bytes(
                 base.fold_models[fi], tmp_path / f"{name}_{fi}_a.json"

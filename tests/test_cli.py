@@ -20,7 +20,7 @@ from smallpunch.dataio import (fmt, load_curves, read_manifest, sha256_of, write
 from smallpunch.evaluation import cross_validate
 from smallpunch.forest import Split
 from smallpunch.modelfile import load_model
-from smallpunch.pipeline import PcaLmKind, PipelineSpec, predict_pipeline
+from smallpunch.pipeline import PcaLmKind, predict_pipeline
 
 
 def run(capsys, *argv):
@@ -169,7 +169,7 @@ def test_cv_writes_reports_and_matches_library(tmp_path, capsys):
         assert (out / f"pca-lm_{suffix}.csv").is_file()
 
     _, curves = load_curves(data / "manifest.csv", GridSpec())
-    report = cross_validate(curves, PipelineSpec(PcaLmKind()), k=3, seed=2)
+    report = cross_validate(curves, PcaLmKind(), k=3, seed=2)
     expected = f"pca-lm,3,{fmt(report.mean_rmse)},{fmt(report.std_rmse)}"
     assert stdout.strip() == expected
     summary = (out / "pca-lm_summary.csv").read_text().splitlines()
@@ -214,21 +214,18 @@ def test_cv_fixed_v_without_source_exits_2(tmp_path, capsys):
     assert code == 2 and "--v-star or --truth" in err
 
 
-def test_max_force_ignores_the_marker(tmp_path, capsys, monkeypatch):
-    # max-force reads no v_i, so a v_star beyond the grid's end changes nothing
-    monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
-    manifest = make_dataset(tmp_path, capsys, materials=2, per_material=3) / "manifest.csv"
-    runs = []
-    for name, marker in (("slope", ("--marker", "max-slope")),
-                         ("fixed", ("--marker", "fixed-v", "--v-star", "1.6"))):
-        flags = ("--pipeline", "empirical", "--mode", "max-force", *marker)
-        cv = run(capsys, "cv", str(manifest), *flags, "--k", "2", "--out", str(tmp_path / name))
-        model = tmp_path / f"{name}.json"
-        train = run(capsys, "train", str(manifest), *flags, "--out", str(model))
-        assert cv[0] == train[0] == 0, cv[2] + train[2]
-        files = [p.read_bytes() for p in sorted((tmp_path / name).iterdir())]
-        runs.append((cv[1], files, train[1].replace(str(model), "<model>"), model.read_bytes()))
-    assert runs[0] == runs[1]
+@pytest.mark.parametrize("command", ["cv", "train"])
+@pytest.mark.parametrize("v_star", [(), ("--v-star", "1.6")], ids=["alone", "v-star"])
+def test_max_force_refuses_another_marker_before_any_file_is_read(tmp_path, capsys, command,
+                                                                   v_star):
+    # max-force reads F_m and v_m alone, so it takes no marker but max-slope
+    out = tmp_path / "out"
+    code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
+                       "--pipeline", "empirical", "--mode", "max-force", "--marker", "fixed-v",
+                       *v_star, "--out", str(out))
+    assert (code, err) == (2, "error: --mode/--marker: the max-force mode reads no instability "
+                              "marker, got marker strategy 'fixed-v'\n")
+    assert not out.exists()
 
 
 def test_cv_stratified_runs(tmp_path, capsys):
@@ -278,7 +275,7 @@ def test_train_each_family(tmp_path, capsys, monkeypatch):
             assert cum >= 0.99
 
         trained, provenance = load_model(model_path)
-        assert trained.spec.name == pipeline
+        assert trained.kind.name == pipeline
         assert provenance["seed"] == 0
         assert provenance["created"] == "2023-11-14T22:13:20Z"
         assert provenance["manifest_sha256"] == sha256_of(manifest)
@@ -545,8 +542,9 @@ def test_predict_with_corrupt_forest_exits_4(tmp_path, capsys, edit):
     assert not (tmp_path / "p.csv").exists()
 
 
-# a pinned format 4 file with blocks that disagree in width or hold a stray
-# key is refused before any curve is read: the manifest does not exist
+# a pinned format 4 file with blocks that disagree in width, a stray key or
+# a setting its family refuses is refused before any curve is read: the
+# manifest does not exist
 @pytest.mark.parametrize("name,edit,message", [
     ("pca-lm", lambda doc: doc["model"]["coefficients"].append(1.0),
      "model block reads 5 columns, expected 4"),
@@ -557,7 +555,11 @@ def test_predict_with_corrupt_forest_exits_4(tmp_path, capsys, edit):
      "model block reads 152 columns, expected 4"),
     ("rf", lambda doc: doc["grid"].update(end_mm=9.0), "unknown key 'end_mm' in the grid block"),
     ("rf", lambda doc: doc.update(extra=1), "unknown key 'extra' at the top level"),
-], ids=["coefficients-wide", "standardizer-wide", "n_features-wide", "grid-key", "top-key"])
+    # max-force reads no instability marker
+    ("empirical-max-force", lambda doc: doc["pipeline"].update(marker_strategy="fixed-v"),
+     "the max-force mode reads no instability marker, got marker strategy 'fixed-v'"),
+], ids=["coefficients-wide", "standardizer-wide", "n_features-wide", "grid-key", "top-key",
+        "max-force-marker"])
 def test_predict_with_disagreeing_or_stray_blocks_exits_4_before_reading_curves(
         tmp_path, capsys, name, edit, message):
     doc = json.loads((Path(__file__).parent / "data" / f"{name}_v4.json").read_text())

@@ -27,7 +27,6 @@ from smallpunch.pipeline import (
     EmpiricalKind,
     ForestKind,
     PcaLmKind,
-    PipelineSpec,
 )
 from smallpunch.regress import MODE_INSTABILITY_FORCE
 from smallpunch.synth import SynthConfig, generate
@@ -234,21 +233,20 @@ def test_noiseless_curves_give_vanishing_empirical_error():
                       seed=3)
     curves, truth = _synth_uniform(cfg)
     stars = [rec.v_i_mm for rec in truth]
-    spec = PipelineSpec(EmpiricalKind(mode=MODE_INSTABILITY_FORCE,
-                                      marker_strategy=MARKER_FIXED_V))
-    report = cross_validate(curves, spec, k=3, seed=0, v_star=stars)
+    kind = EmpiricalKind(mode=MODE_INSTABILITY_FORCE, marker_strategy=MARKER_FIXED_V)
+    report = cross_validate(curves, kind, k=3, seed=0, v_star=stars)
     assert report.mean_rmse < 1e-6
 
 
 def test_constant_target_is_reproduced_by_linear_pipeline():
     curves = _random_labeled_curves(18, seed=7, rm=600.0)
-    report = cross_validate(curves, PipelineSpec(PcaLmKind()), k=3, seed=1)
+    report = cross_validate(curves, PcaLmKind(), k=3, seed=1)
     assert report.mean_rmse < 1e-8
 
 
 def test_report_statistics_recompute():
     curves = _random_labeled_curves(15, seed=8)
-    report = cross_validate(curves, PipelineSpec(PcaLmKind()), k=3, seed=2)
+    report = cross_validate(curves, PcaLmKind(), k=3, seed=2)
     arr = np.asarray(report.fold_rmse)
     assert report.mean_rmse == float(np.mean(arr))
     assert report.std_rmse == pytest.approx(float(np.std(arr, ddof=1)), rel=1e-15)
@@ -257,7 +255,7 @@ def test_report_statistics_recompute():
 
 def test_per_sample_covers_every_row_once():
     curves = _random_labeled_curves(14, seed=9)
-    report = cross_validate(curves, PipelineSpec(PcaLmKind()), k=4, seed=3)
+    report = cross_validate(curves, PcaLmKind(), k=4, seed=3)
     rows = sorted(r for r, _, _ in report.per_sample)
     assert rows == list(range(14))
     for row, truth, _ in report.per_sample:
@@ -270,7 +268,7 @@ def test_held_out_rows_are_not_memorized():
     curves = _random_labeled_curves(16, seed=10)
     kind = ForestKind(config=ForestConfig(n_trees=1, bootstrap=False,
                                           min_leaf=1, mtry=152, seed=0))
-    report = cross_validate(curves, PipelineSpec(kind), k=4, seed=4)
+    report = cross_validate(curves, kind, k=4, seed=4)
     assert report.mean_rmse > 1.0
 
 
@@ -278,8 +276,8 @@ def test_each_fold_fits_its_own_pca():
     cfg = SynthConfig(n_materials=4, curves_per_material=4, noise_sigma_N=5.0,
                       seed=11)
     curves, _ = _synth_uniform(cfg)
-    spec = PipelineSpec(PcaLmKind())
-    report = cross_validate(curves, spec, k=4, seed=5, collect_models=True)
+    kind = PcaLmKind()
+    report = cross_validate(curves, kind, k=4, seed=5, collect_models=True)
     m0, m1 = report.fold_models[0], report.fold_models[1]
     assert not np.array_equal(m0.pca.mean, m1.pca.mean)
 
@@ -288,9 +286,9 @@ def test_stratified_cv_runs_and_differs_from_plain():
     cfg = SynthConfig(n_materials=4, curves_per_material=5, noise_sigma_N=5.0,
                       seed=4)
     curves, _ = _synth_uniform(cfg)
-    spec = PipelineSpec(PcaLmKind())
-    plain = cross_validate(curves, spec, k=4, seed=6)
-    grouped = cross_validate(curves, spec, k=4, seed=6, stratify_material=True)
+    kind = PcaLmKind()
+    plain = cross_validate(curves, kind, k=4, seed=6)
+    grouped = cross_validate(curves, kind, k=4, seed=6, stratify_material=True)
     assert np.isfinite(grouped.mean_rmse)
     assert grouped.fold_rmse != plain.fold_rmse
 
@@ -299,33 +297,33 @@ def test_fold_errors_carry_the_fold_index():
     curves = _random_labeled_curves(8, seed=12)
     zero = make_uniform(np.zeros(151), meta=make_meta(rm=500.0))
     curves.append(zero)
-    spec = PipelineSpec(EmpiricalKind())
+    kind = EmpiricalKind()
     with pytest.raises(SmallPunchError, match=r"fold \d+:"):
-        cross_validate(curves, spec, k=3, seed=7)
+        cross_validate(curves, kind, k=3, seed=7)
 
 
 def test_unlabeled_curves_are_rejected():
     curves = _random_labeled_curves(6, seed=13)
     curves.append(make_uniform(np.ones(151), meta=make_meta()))
     with pytest.raises(PartialTargets):
-        cross_validate(curves, PipelineSpec(PcaLmKind()), k=3, seed=0)
+        cross_validate(curves, PcaLmKind(), k=3, seed=0)
 
 
 def test_v_star_sequence_must_match_length():
     cfg = SynthConfig(n_materials=2, curves_per_material=3, seed=5)
     curves, _ = _synth_uniform(cfg)
-    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
+    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
     with pytest.raises(LengthMismatch):
-        cross_validate(curves, spec, k=2, seed=0, v_star=[0.5, 0.5])
+        cross_validate(curves, kind, k=2, seed=0, v_star=[0.5, 0.5])
 
 
 def test_a_0d_v_star_is_one_shared_value():
     cfg = SynthConfig(n_materials=2, curves_per_material=4, seed=5)
     curves, _ = _synth_uniform(cfg)
-    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
-    shared = cross_validate(curves, spec, k=2, seed=0, v_star=0.5)
-    assert cross_validate(curves, spec, k=2, seed=0, v_star=np.array(0.5)) == shared
-    assert cross_validate(curves, spec, k=2, seed=0, v_star=[0.5] * len(curves)) == shared
+    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
+    shared = cross_validate(curves, kind, k=2, seed=0, v_star=0.5)
+    assert cross_validate(curves, kind, k=2, seed=0, v_star=np.array(0.5)) == shared
+    assert cross_validate(curves, kind, k=2, seed=0, v_star=[0.5] * len(curves)) == shared
 
 
 @pytest.mark.parametrize("v_star, error, message", [
@@ -338,7 +336,7 @@ def test_a_0d_v_star_is_one_shared_value():
 def test_a_v_star_that_is_not_one_value_or_one_per_curve_is_refused(v_star, error, message):
     cfg = SynthConfig(n_materials=2, curves_per_material=4, seed=5)
     curves, _ = _synth_uniform(cfg)
-    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
+    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
     with pytest.raises(error) as err:
-        cross_validate(curves, spec, k=2, seed=0, v_star=v_star)
+        cross_validate(curves, kind, k=2, seed=0, v_star=v_star)
     assert type(err.value) is error and str(err.value).startswith(message)

@@ -528,11 +528,11 @@ def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, tmp_path, referen
 
     raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6, seed=5))
     curves = [resample(c, GridSpec()) for c in raw]
-    spec = pipeline.PipelineSpec(pipeline.ForestKind(config=ForestConfig(n_trees=4, seed=1)))
-    report = cross_validate(curves, spec, k=3, collect_models=True)
+    kind = pipeline.ForestKind(config=ForestConfig(n_trees=4, seed=1))
+    report = cross_validate(curves, kind, k=3, collect_models=True)
     assert all("trees" not in vars(fold.model) for fold in report.fold_models)
 
-    trained = pipeline.fit_pipeline(curves, spec)
+    trained = pipeline.fit_pipeline(curves, kind)
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     loaded, _ = load_model(path)

@@ -13,11 +13,12 @@ more trained without standardizing before format 4 always standardized,
 and its six format 4 files before format 5 dropped the model block's type.
 Each must load and predict its recorded bits, and saved again in the
 current format it must load to the same model and save back byte for
-byte.  A fourth holds the empirical family on the
-reference set: the per-sample bytes of its 10-fold CV and its fitted beta,
-for both modes and both markers.  Floating-point results may differ in the last
-bits under another numpy build, so the digests hold only for the numpy
-version they were recorded with, and the tests skip elsewhere.
+byte.  A fourth holds the empirical family on the reference set: the
+per-sample bytes of its 10-fold CV and its fitted beta, for both modes
+with the max-slope marker and for instability-force with the fixed-v
+marker, which max-force refuses.  Floating-point results may differ in
+the last bits under another numpy build, so the digests hold only for the
+numpy version they were recorded with, and the tests skip elsewhere.
 
 To record the digests again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_golden.py`` and paste its output
@@ -47,7 +48,6 @@ from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import (
     EmpiricalKind,
     ForestKind,
-    PipelineSpec,
     fit_pipeline,
     predict_pipeline,
 )
@@ -111,7 +111,7 @@ def forest_digests(root: Path) -> dict[str, str]:
     digests: dict[str, str] = {}
     for name, rf_input in (("rf", "raw"), ("rf-scores", "scores")):
         kind = ForestKind(config=ForestConfig(n_trees=200, seed=0), input=rf_input)
-        trained = fit_pipeline(curves, PipelineSpec(kind))
+        trained = fit_pipeline(curves, kind)
         path = root / f"{name}.json"
         save_model(path, trained, {"seed": 0})
         loaded, _ = load_model(path)
@@ -123,21 +123,23 @@ def forest_digests(root: Path) -> dict[str, str]:
 def empirical_digests() -> dict[str, str]:
     """10-fold CV and fitted beta of the empirical family on the reference set.
 
-    Both modes with the max-slope marker and with the fixed-v marker at the
-    planted v_i (seed 7, 5 N noise): the per-sample (row, truth, prediction)
-    bytes of each cross-validation and the exact beta of a fit on all curves.
+    Both modes with the max-slope marker, and instability-force with the
+    fixed-v marker at the planted v_i (seed 7, 5 N noise): the per-sample
+    (row, truth, prediction) bytes of each cross-validation and the exact
+    beta of a fit on all curves.
     """
     raw, truth = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
     curves = [resample(c, GridSpec()) for c in raw]
     planted = [rec.v_i_mm for rec in truth]
     digests: dict[str, str] = {}
-    for mode in ("max-force", "instability-force"):
-        for marker, v_star in (("max-slope", None), ("fixed-v", planted)):
-            spec = PipelineSpec(EmpiricalKind(mode=mode, marker_strategy=marker))
-            report = cross_validate(curves, spec, k=10, seed=0, v_star=v_star)
-            beta = fit_pipeline(curves, spec, v_star=v_star).model.beta
-            digests[f"cv {mode} {marker}"] = _sha(np.array(report.per_sample).tobytes())
-            digests[f"beta {mode} {marker}"] = repr(beta)
+    for mode, marker, v_star in (("max-force", "max-slope", None),
+                                 ("instability-force", "max-slope", None),
+                                 ("instability-force", "fixed-v", planted)):
+        kind = EmpiricalKind(mode=mode, marker_strategy=marker)
+        report = cross_validate(curves, kind, k=10, seed=0, v_star=v_star)
+        beta = fit_pipeline(curves, kind, v_star=v_star).model.beta
+        digests[f"cv {mode} {marker}"] = _sha(np.array(report.per_sample).tobytes())
+        digests[f"beta {mode} {marker}"] = repr(beta)
     return digests
 
 
@@ -239,8 +241,6 @@ GOLDEN_FOREST: dict[str, str] = {
 GOLDEN_EMPIRICAL: dict[str, str] = {
     'cv max-force max-slope': '3ad70978ebf1329ea3fe9c31e125950918f4de4a6a66981f537847fd9ae1f819',
     'beta max-force max-slope': '0.3823110079067408',
-    'cv max-force fixed-v': '3ad70978ebf1329ea3fe9c31e125950918f4de4a6a66981f537847fd9ae1f819',
-    'beta max-force fixed-v': '0.3823110079067408',
     'cv instability-force max-slope': 'e2a0dcf01057dd4a3928c2906d81b4b09b2755a138cfb30e01c68ca276880f8c',
     'beta instability-force max-slope': '1.4864458877869418',
     'cv instability-force fixed-v': 'de35f6984a4b90ba58f70c92d1d0b63dfccfa899ff79bd78c87be7bf032d065c',
@@ -336,7 +336,7 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     save_model(saved, trained, provenance)
     assert json.loads(saved.read_text())["format_version"] == FORMAT_VERSION
     reloaded, _ = load_model(saved)
-    if trained.spec.name == "rf":
+    if trained.kind.name == "rf":
         for column in fields(_NodeTable):
             want = getattr(trained.model.table, column.name)
             got = getattr(reloaded.model.table, column.name)
@@ -357,7 +357,7 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     _skip_other_numpy()
     raw, truth = generate(SynthConfig(n_materials=3, curves_per_material=6,
                                       noise_sigma_N=5.0, seed=7))
-    fixed_v = trained.spec.kind.marker_strategy == MARKER_FIXED_V
+    fixed_v = trained.kind.marker_strategy == MARKER_FIXED_V
     v_star = [rec.v_i_mm for rec in truth] if fixed_v else None
     for model in (trained, reloaded):
         curves = [resample(c, model.grid) for c in raw]

@@ -17,7 +17,6 @@ from smallpunch.pipeline import (
     EmpiricalKind,
     ForestKind,
     PcaLmKind,
-    PipelineSpec,
     fit_pipeline,
     predict_pipeline,
 )
@@ -35,24 +34,23 @@ def dataset():
     return curves, stars
 
 
-def _specs():
+def _kinds():
     return [
-        (PipelineSpec(EmpiricalKind()), False),
-        (PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V)), True),
-        (PipelineSpec(PcaLmKind()), False),
-        (PipelineSpec(ForestKind(config=ForestConfig(n_trees=8, seed=3))), False),
-        (PipelineSpec(ForestKind(config=ForestConfig(n_trees=6, seed=4),
-                                 input="scores")), False),
+        (EmpiricalKind(), False),
+        (EmpiricalKind(marker_strategy=MARKER_FIXED_V), True),
+        (PcaLmKind(), False),
+        (ForestKind(config=ForestConfig(n_trees=8, seed=3)), False),
+        (ForestKind(config=ForestConfig(n_trees=6, seed=4), input="scores"), False),
     ]
 
 
-@pytest.mark.parametrize("spec,needs_stars", _specs(),
+@pytest.mark.parametrize("kind,needs_stars", _kinds(),
                          ids=[s.name + ("-fixed" if f else "")
-                              for s, f in _specs()])
-def test_round_trip_preserves_predictions(tmp_path, dataset, spec, needs_stars):
+                              for s, f in _kinds()])
+def test_round_trip_preserves_predictions(tmp_path, dataset, kind, needs_stars):
     curves, stars = dataset
     v_star = stars if needs_stars else None
-    trained = fit_pipeline(curves, spec, v_star=v_star)
+    trained = fit_pipeline(curves, kind, v_star=v_star)
     before = predict_pipeline(trained, curves, v_star=v_star)
 
     path = tmp_path / "model.json"
@@ -62,13 +60,13 @@ def test_round_trip_preserves_predictions(tmp_path, dataset, spec, needs_stars):
 
     assert np.array_equal(np.asarray(before), np.asarray(after))
     assert provenance == {"note": "round trip"}
-    assert loaded.spec == trained.spec
+    assert loaded.kind == trained.kind
     assert loaded.grid == trained.grid
 
 
 def test_saved_file_is_valid_json_with_version(tmp_path, dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    trained = fit_pipeline(curves, PcaLmKind())
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
@@ -80,7 +78,7 @@ def test_saved_file_is_valid_json_with_version(tmp_path, dataset):
 def test_every_block_is_its_records_fields_in_declaration_order(tmp_path, dataset):
     curves, _ = dataset
     kind = ForestKind(config=ForestConfig(n_trees=2, seed=1))
-    trained = fit_pipeline(curves, PipelineSpec(kind))
+    trained = fit_pipeline(curves, kind)
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
@@ -94,7 +92,7 @@ def test_every_block_is_its_records_fields_in_declaration_order(tmp_path, datase
 
 def test_save_is_byte_deterministic(tmp_path, dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    trained = fit_pipeline(curves, PcaLmKind())
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_model(a, trained, {"seed": 1})
     save_model(b, trained, {"seed": 1})
@@ -103,7 +101,7 @@ def test_save_is_byte_deterministic(tmp_path, dataset):
 
 def test_str_paths_save_and_load_like_paths(tmp_path, dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    trained = fit_pipeline(curves, PcaLmKind())
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_model(a, trained, {"seed": 1})
     save_model(str(b), trained, {"seed": 1})
@@ -115,7 +113,7 @@ def test_str_paths_save_and_load_like_paths(tmp_path, dataset):
 
 def test_unknown_version_is_refused(tmp_path, dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+    trained = fit_pipeline(curves, EmpiricalKind())
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
@@ -145,8 +143,8 @@ def test_corrupt_json_is_refused(tmp_path):
 
 def test_family_model_mismatch_is_refused(tmp_path, dataset):
     curves, _ = dataset
-    emp = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
-    lin = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    emp = fit_pipeline(curves, EmpiricalKind())
+    lin = fit_pipeline(curves, PcaLmKind())
     a, b = tmp_path / "emp.json", tmp_path / "lin.json"
     save_model(a, emp, {})
     save_model(b, lin, {})
@@ -158,7 +156,7 @@ def test_family_model_mismatch_is_refused(tmp_path, dataset):
 
 def test_missing_block_is_refused(tmp_path, dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    trained = fit_pipeline(curves, PcaLmKind())
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
@@ -172,7 +170,7 @@ def test_stripped_pca_block_is_refused(tmp_path, dataset):
     curves, _ = dataset
     scores = ForestKind(config=ForestConfig(n_trees=2, seed=1), input="scores")
     for kind in (PcaLmKind(), scores):
-        trained = fit_pipeline(curves, PipelineSpec(kind))
+        trained = fit_pipeline(curves, kind)
         path = tmp_path / "model.json"
         save_model(path, trained, {})
         doc = json.loads(path.read_text())
@@ -199,7 +197,7 @@ def _model_array(name):
 def trained_by_family(dataset):
     curves, _ = dataset
     kinds = (EmpiricalKind(), PcaLmKind(), ForestKind(config=ForestConfig(n_trees=2, seed=1)))
-    return {k.name: fit_pipeline(curves, PipelineSpec(k)) for k in kinds}
+    return {k.name: fit_pipeline(curves, k) for k in kinds}
 
 
 @pytest.mark.parametrize("family,block,key,value", [
@@ -702,8 +700,8 @@ def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
 
 def test_forest_trees_survive_re_save(tmp_path, dataset):
     curves, _ = dataset
-    spec = PipelineSpec(ForestKind(config=ForestConfig(n_trees=5, seed=7)))
-    trained = fit_pipeline(curves, spec)
+    kind = ForestKind(config=ForestConfig(n_trees=5, seed=7))
+    trained = fit_pipeline(curves, kind)
     first = tmp_path / "first.json"
     save_model(first, trained, {})
     loaded, _ = load_model(first)

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from smallpunch.cli import build_parser
+from smallpunch.cli import _kind_from_args, build_parser
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import (
     BadConfig,
@@ -20,11 +20,10 @@ from smallpunch.errors import (
 from smallpunch.forest import ForestConfig, ForestModel
 from smallpunch import pipeline
 from smallpunch.pipeline import (
-    KINDS,
     EmpiricalKind,
     ForestKind,
     PcaLmKind,
-    PipelineSpec,
+    TrainedPipeline,
     fit_pipeline,
     predict_pipeline,
 )
@@ -45,15 +44,15 @@ def dataset():
 
 
 def test_spec_names():
-    assert PipelineSpec(EmpiricalKind()).name == "empirical"
-    assert PipelineSpec(PcaLmKind()).name == "pca-lm"
-    assert PipelineSpec(ForestKind()).name == "rf"
+    assert EmpiricalKind().name == "empirical"
+    assert PcaLmKind().name == "pca-lm"
+    assert ForestKind().name == "rf"
 
 
 @pytest.mark.parametrize("flags,kind", [
     (("--pipeline", "empirical", "--marker", "fixed-v"),
      EmpiricalKind(mode="instability-force", marker_strategy=MARKER_FIXED_V)),
-    (("--pipeline", "empirical", "--mode", "max-force", "--marker", "fixed-v"),
+    (("--pipeline", "empirical", "--mode", "max-force", "--marker", "max-slope"),
      EmpiricalKind(mode="max-force")),
     (("--pipeline", "pca-lm", "--variance-threshold", "0.9"), PcaLmKind(variance_threshold=0.9)),
     (("--pipeline", "rf", "--trees", "7", "--max-depth", "4", "--min-leaf", "3", "--mtry", "5",
@@ -62,26 +61,27 @@ def test_spec_names():
                 input="scores", variance_threshold=0.9)),
 ], ids=["empirical-fixed-v", "empirical-max-force", "pca-lm", "rf"])
 def test_each_kind_builds_itself_from_the_flags(flags, kind):
+    # the command line fills each field from the flag of its name
     args = build_parser().parse_args(["train", "m.csv", *flags, "--out", "m.json"])
-    assert KINDS[args.pipeline].from_flags(args) == kind
+    assert _kind_from_args(args) == kind
 
 
 @pytest.mark.parametrize("kind", [EmpiricalKind(), PcaLmKind(), ForestKind()],
                          ids=lambda kind: kind.name)
 def test_with_no_family_flag_each_kind_takes_its_dataclass_defaults(kind):
     args = build_parser().parse_args(["cv", "m.csv", "--pipeline", kind.name, "--out", "o"])
-    assert PipelineSpec.from_flags(args) == PipelineSpec(kind)
+    assert _kind_from_args(args) == kind
 
 
 @pytest.mark.parametrize("kind", [EmpiricalKind(), PcaLmKind()])
 def test_only_the_forest_reports_diagnostics(dataset, kind):
     curves, _ = dataset
-    assert kind.diagnostics(fit_pipeline(curves, PipelineSpec(kind))) == []
+    assert kind.diagnostics(fit_pipeline(curves, kind)) == []
 
 
 def test_empirical_pipeline_trains_and_predicts(dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+    trained = fit_pipeline(curves, EmpiricalKind())
     assert isinstance(trained.model, EmpiricalModel)
     assert trained.standardizer is None and trained.pca is None
     preds = predict_pipeline(trained, curves)
@@ -91,7 +91,7 @@ def test_empirical_pipeline_trains_and_predicts(dataset):
 
 def test_pca_lm_pipeline_components(dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(PcaLmKind()))
+    trained = fit_pipeline(curves, PcaLmKind())
     assert isinstance(trained.model, LinearModel)
     assert trained.standardizer is not None and trained.pca is not None
     assert trained.model.coefficients.size == trained.pca.n_components
@@ -106,7 +106,7 @@ def test_forest_pipeline_on_raw_and_scores(dataset):
     curves, _ = dataset
     raw = fit_pipeline(
         curves,
-        PipelineSpec(ForestKind(config=ForestConfig(n_trees=10, seed=1))),
+        ForestKind(config=ForestConfig(n_trees=10, seed=1)),
     )
     assert isinstance(raw.model, ForestModel)
     assert raw.pca is None
@@ -114,8 +114,7 @@ def test_forest_pipeline_on_raw_and_scores(dataset):
 
     scores = fit_pipeline(
         curves,
-        PipelineSpec(ForestKind(config=ForestConfig(n_trees=10, seed=1),
-                                input="scores")),
+        ForestKind(config=ForestConfig(n_trees=10, seed=1), input="scores"),
     )
     assert scores.pca is not None
     assert scores.model.n_features == scores.pca.n_components
@@ -128,24 +127,26 @@ def test_forest_pipeline_on_raw_and_scores(dataset):
                          ids=["pca-lm", "rf", "rf-scores"])
 def test_every_feature_family_standardizes(dataset, kind):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(kind))
+    trained = fit_pipeline(curves, kind)
     assert trained.standardizer is not None
     assert trained.standardizer.means.size == curves[0].grid.n_points + 1
-    # the family is the whole spec: no switch turns standardizing off
-    assert [f.name for f in fields(PipelineSpec)] == ["kind"]
+    # the kind is the whole spec, and none holds a switch that turns standardizing off
+    assert [f.name for f in fields(TrainedPipeline)] == ["kind", "grid", "standardizer", "pca",
+                                                         "model"]
+    assert all("standardize" not in f.name for f in fields(kind))
 
 
 def test_fixed_v_scalar_broadcasts_and_sequence_must_match(dataset):
     curves, stars = dataset
-    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
-    scalar = fit_pipeline(curves, spec, v_star=0.5)
+    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
+    scalar = fit_pipeline(curves, kind, v_star=0.5)
     assert isinstance(scalar.model, EmpiricalModel)
-    per_curve = fit_pipeline(curves, spec, v_star=stars)
+    per_curve = fit_pipeline(curves, kind, v_star=stars)
     assert per_curve.model.beta != scalar.model.beta
     with pytest.raises(LengthMismatch):
-        fit_pipeline(curves, spec, v_star=stars[:-1])
+        fit_pipeline(curves, kind, v_star=stars[:-1])
     with pytest.raises(BadConfig):
-        fit_pipeline(curves, spec)
+        fit_pipeline(curves, kind)
 
 
 def test_max_force_reads_no_instability_point():
@@ -156,14 +157,12 @@ def test_max_force_reads_no_instability_point():
                             np.linspace(20.0, 95.0, 6), np.full(24, 95.0)])
     curves = [make_uniform(scale * shape, grid, make_meta(rm=rm))
               for scale, rm in ((1.0, 500.0), (1.2, 610.0), (0.9, 440.0))]
-    kind = EmpiricalKind(mode="max-force", marker_strategy=MARKER_FIXED_V)
-    assert kind.marker_strategy == "max-slope"
-    trained = fit_pipeline(curves, PipelineSpec(kind))
+    trained = fit_pipeline(curves, EmpiricalKind(mode="max-force"))
     f_m = np.array([100.0, 120.0, 90.0])
     want = trained.model.beta * f_m / (0.5 * 0.2)
     assert np.allclose(predict_pipeline(trained, curves), want, rtol=1e-12, atol=0.0)
     with pytest.raises(InvalidMarkers, match="v_i <= v_m"):
-        fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+        fit_pipeline(curves, EmpiricalKind())
 
 
 def test_unlabeled_training_set_is_rejected():
@@ -172,12 +171,12 @@ def test_unlabeled_training_set_is_rejected():
         for i in range(3)
     ]
     with pytest.raises(EmptyTraining):
-        fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+        fit_pipeline(curves, EmpiricalKind())
 
 
 def test_predicting_on_a_different_grid_is_refused(dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+    trained = fit_pipeline(curves, EmpiricalKind())
     other = make_uniform(np.arange(100.0), grid=GridSpec(n_points=100),
                          meta=make_meta(rm=500.0))
     with pytest.raises(GridMismatch, match="curve 0"):
@@ -186,7 +185,7 @@ def test_predicting_on_a_different_grid_is_refused(dataset):
 
 def test_predicting_on_mixed_grids_is_refused_before_the_model_grid_is_compared(dataset):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(EmpiricalKind()))
+    trained = fit_pipeline(curves, EmpiricalKind())
     other = make_uniform(np.arange(100.0), grid=GridSpec(n_points=100),
                          meta=make_meta(rm=500.0))
     with pytest.raises(MixedGrids, match="curve 1"):
@@ -198,6 +197,9 @@ def test_kind_validation():
         EmpiricalKind(mode="nope")
     with pytest.raises(BadConfig):
         EmpiricalKind(marker_strategy="nope")
+    # max-force reads no instability marker, so it takes none but max-slope
+    with pytest.raises(BadConfig, match="max-force mode reads no instability marker"):
+        EmpiricalKind(mode="max-force", marker_strategy=MARKER_FIXED_V)
     with pytest.raises(BadConfig):
         PcaLmKind(variance_threshold=0.0)
     with pytest.raises(BadConfig):
@@ -208,9 +210,9 @@ def test_kind_validation():
 
 def test_refit_is_deterministic(dataset):
     curves, _ = dataset
-    spec = PipelineSpec(ForestKind(config=ForestConfig(n_trees=12, seed=5)))
-    a = predict_pipeline(fit_pipeline(curves, spec), curves)
-    b = predict_pipeline(fit_pipeline(curves, spec), curves)
+    kind = ForestKind(config=ForestConfig(n_trees=12, seed=5))
+    a = predict_pipeline(fit_pipeline(curves, kind), curves)
+    b = predict_pipeline(fit_pipeline(curves, kind), curves)
     assert np.array_equal(a, b)
 
 
@@ -221,7 +223,7 @@ _FEATURE_KINDS = {"pca-lm": PcaLmKind(), "rf": ForestKind(config=ForestConfig(n_
 @pytest.mark.parametrize("name", list(_FEATURE_KINDS))
 def test_predicting_fits_nothing(dataset, monkeypatch, name):
     curves, _ = dataset
-    trained = fit_pipeline(curves, PipelineSpec(_FEATURE_KINDS[name]))
+    trained = fit_pipeline(curves, _FEATURE_KINDS[name])
     want = predict_pipeline(trained, curves)
 
     def refuse(*args):
@@ -234,7 +236,7 @@ def test_predicting_fits_nothing(dataset, monkeypatch, name):
 
 def test_a_trained_pipeline_refuses_blocks_its_family_does_not_hold(dataset):
     curves, _ = dataset
-    fitted = {name: fit_pipeline(curves, PipelineSpec(kind))
+    fitted = {name: fit_pipeline(curves, kind)
               for name, kind in (("empirical", EmpiricalKind()), *_FEATURE_KINDS.items())}
     lin, raw, scores = fitted["pca-lm"], fitted["rf"], fitted["rf-scores"]
     cases = [
@@ -248,7 +250,7 @@ def test_a_trained_pipeline_refuses_blocks_its_family_does_not_hold(dataset):
          "empirical model file holds a stray standardizer block"),
         (lambda: replace(scores, standardizer=None), "rf model file lacks the standardizer block"),
         # the settings name the tree count: 3 trees of this forest are not 4
-        (lambda: replace(raw, spec=PipelineSpec(ForestKind(config=ForestConfig(n_trees=4)))),
+        (lambda: replace(raw, kind=ForestKind(config=ForestConfig(n_trees=4))),
          f"{raw.model.count.size} nodes with {raw.model.feature.size} splits "
          "do not make 4 trees"),
         (lambda: replace(lin, model=LinearModel(0.0, np.ones(lin.pca.n_components + 1))),

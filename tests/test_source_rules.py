@@ -2,19 +2,20 @@
 
 import ast
 import importlib
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import smallpunch
-from smallpunch import dataio
+from smallpunch import dataio, pipeline
 from smallpunch.curves import GridSpec, parse_curve_csv
 from smallpunch.features import Standardizer, assemble, strengths
 from smallpunch.forest import ForestConfig, ForestModel, fit_forest, predict_forest
 from smallpunch.modelfile import _ARRAYS, _SCALARS, save_model
 from smallpunch.pca import PcaModel, fit_pca
-from smallpunch.pipeline import KINDS, PcaLmKind, PipelineSpec, fit_pipeline
+from smallpunch.pipeline import KINDS, PcaLmKind, fit_pipeline
 from smallpunch.regress import EmpiricalModel, LinearModel
 from smallpunch.synth import SynthConfig, generate
 
@@ -186,7 +187,8 @@ def test_the_command_line_reads_and_writes_no_file_itself():
 
 
 def test_the_command_line_imports_no_family():
-    # each kind builds itself from the flags and gives its own diagnostics
+    # the command line fills a kind's fields from the flags of their names,
+    # and each kind gives its own diagnostics
     family = {kind.__name__ for kind in KINDS.values()} | {
         "ForestConfig", "ForestModel", "column_labels"}
     cli = next(p for p in SOURCES if p.name == "cli.py")
@@ -208,6 +210,31 @@ def test_the_pipeline_flags_state_no_default():
         assert len(calls) >= least, name
         assert [line for line, _, node in calls
                 if any(kw.arg == "default" for kw in node.keywords)] == [], name
+
+
+def test_only_the_command_line_names_a_flag():
+    # a flag's dest is the field it fills: no kind or record knows its option
+    named = {p.name: lines for p in SOURCES if p.name != "cli.py" and (lines := [
+        node.lineno for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.search(r"--[A-Za-z]", node.value)
+    ])}
+    assert named == {}
+
+
+def test_no_kind_builds_itself_from_the_flags():
+    assert [(kind.__name__, name) for kind in KINDS.values()
+            for name in ("from_flags", "flags") if hasattr(kind, name)] == []
+
+
+def test_a_kind_is_the_whole_pipeline_spec():
+    # PipelineSpec is the benchmark's name for a kind; nothing else calls it
+    calls = {p.name: lines for p in SOURCES + TESTS
+             if (lines := [line for line, _, _ in _calls(p, {"PipelineSpec"})])}
+    assert calls == {}
+    benchmark_name = pipeline.PipelineSpec
+    kinds = [kind() for kind in KINDS.values()]
+    assert all(benchmark_name(k) is k for k in kinds)
 
 
 def test_only_the_model_file_module_knows_the_format_version():
@@ -305,7 +332,7 @@ def test_every_observer_of_the_benchmark_reads_what_its_function_returns(tmp_pat
     forest = fit_forest(x, y, ForestConfig(n_trees=3, seed=1))
     pca = fit_pca(x)
     text = (tmp_path / names[0]).read_text(encoding="utf-8")
-    trained = fit_pipeline(loaded[1], PipelineSpec(PcaLmKind()))
+    trained = fit_pipeline(loaded[1], PcaLmKind())
     calls = {
         "forest.fit": ((x, y), forest),
         "forest.predict": ((forest, x), predict_forest(forest, x)),

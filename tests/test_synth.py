@@ -10,7 +10,7 @@ import pytest
 from smallpunch.curves import GridSpec, MARKER_FIXED_V, RawCurve, resample
 from smallpunch.errors import BadConfig
 from smallpunch.evaluation import cross_validate
-from smallpunch.pipeline import EmpiricalKind, PipelineSpec
+from smallpunch.pipeline import EmpiricalKind
 from smallpunch.synth import RAW_STEP_MM, SynthConfig, generate, template
 
 
@@ -114,14 +114,14 @@ def test_noise_sample_is_shared_across_sigmas():
 
 def test_error_grows_with_noise():
     grid = GridSpec()
-    spec = PipelineSpec(EmpiricalKind(marker_strategy=MARKER_FIXED_V))
+    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
     means = []
     for sigma in (0.0, 2.0, 5.0, 10.0):
         raw, truth = generate(_small_cfg(curves_per_material=6,
                                          noise_sigma_N=sigma, seed=21))
         curves = [resample(c, grid) for c in raw]
         stars = [r.v_i_mm for r in truth]
-        report = cross_validate(curves, spec, k=3, seed=0, v_star=stars)
+        report = cross_validate(curves, kind, k=3, seed=0, v_star=stars)
         means.append(report.mean_rmse)
     assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
     assert means[0] < 1e-6 < means[-1]
