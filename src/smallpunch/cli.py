@@ -10,14 +10,13 @@ reproduced exactly.
 
 No family is named here: --pipeline names a kind in KINDS, each family
 flag fills the field of that kind its dest names (fields_given), and the
-kind gives the diagnostics train prints.  This module alone knows the
-flags: no kind or record names one.
+kind gives the diagnostics train prints; --truth instead gives each curve
+its v_i_mm.  This module alone knows the flags: no kind or record names one.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import re
 import sys
@@ -146,18 +145,18 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _reads(kind: PipelineKind | type) -> set[str]:
-    """The family's fields and its records' fields, and with a marker_strategy
-    field the fixed-v marker's v_i: the dests of the family flags it reads."""
+    """The family's fields and its records' fields, and with a v_star field
+    each curve's v_i from --truth: the dests of the family flags it reads."""
     read = set()
     for f in fields(kind):
         read |= {g.name for g in fields(f.default)} if is_dataclass(f.default) else {f.name}
-    return read | ({"v_star", "truth"} if "marker_strategy" in read else set())
+    return read | ({"truth"} if "v_star" in read else set())
 
 
 def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type) -> None:
     """Exit 2 naming each family flag given that kind's family does not read.
 
-    The empirical family reads --v-star and --truth only with the fixed-v
+    The empirical family reads --v-star or --truth only with the fixed-v
     marker, and the family that takes --rf-input reads --variance-threshold
     only with PCA scores.  Each setting is the flag's if given, else the kind's.
     """
@@ -174,6 +173,8 @@ def _refuse_unread(args: argparse.Namespace, kind: PipelineKind | type) -> None:
     ):
         if unread:
             raise BadConfig(f"{' and '.join(sorted(unread))}: the {kind.name} family {why}")
+    if "truth" in args and "v_star" in args:
+        raise BadConfig("the fixed-v marker takes --v-star or --truth, not both")
 
 
 def _kind_from_args(args: argparse.Namespace) -> PipelineKind:
@@ -186,43 +187,34 @@ def _kind_from_args(args: argparse.Namespace) -> PipelineKind:
     return fields_given(KINDS[args.pipeline](), args)
 
 
-def _v_star_source(args: argparse.Namespace, kind: PipelineKind) -> Path | float | None:
-    """--truth's path or --v-star's checked value for a fixed-v kind, else None.
+def _curves(args: argparse.Namespace, kind: PipelineKind, grid: GridSpec):
+    """The manifest's curve names and curves, each given its v_i_mm from --truth's row.
 
-    A max-force kind holds the max-slope marker and so reads neither.
+    A fixed-v kind reads its v_star when set, else each curve's v_i: it
+    needs one of them and takes no other, checked before any file is read.
     """
-    if kind.marker_strategy != MARKER_FIXED_V:
-        return None
-    truth, v_star = getattr(args, "truth", None), getattr(args, "v_star", None)
-    if truth is not None and v_star is not None:
-        raise BadConfig("the fixed-v marker takes --v-star or --truth, not both")
-    if truth is not None:
-        return truth
-    if v_star is None:
-        raise BadConfig("the fixed-v marker needs --v-star or --truth")
-    if not (0.0 < v_star < math.inf):
-        raise BadConfig(f"--v-star must be finite and > 0, got {v_star}")
-    return v_star
-
-
-def _v_star_for(source: Path | float | None, names: list[str]):
-    """v_star for the named curve files: each file's v_i from a truth file, else source."""
-    if not isinstance(source, Path):
-        return source
-    table = dataio.read_truth(source)
+    truth = getattr(args, "truth", None)
+    if kind.marker_strategy == MARKER_FIXED_V and (truth is None) == (kind.v_star is None):
+        raise BadConfig("the fixed-v marker needs --v-star or --truth" if truth is None else
+                        f"--truth {truth}: the model reads the v_star {kind.v_star} it stores, "
+                        "not each curve's v_i")
+    names, curves = dataio.load_curves(args.manifest, grid)
+    if truth is None:
+        return names, curves
+    table = dataio.read_truth(truth)
     rows = [table.get(dataio.file_identity(name)) for name in names]
     if None in rows:
-        raise BadConfig(f"--truth: {source} has no row for curve file '{names[rows.index(None)]}'")
-    return [row[1] for row in rows]
+        raise BadConfig(f"--truth: {truth} has no row for curve file '{names[rows.index(None)]}'")
+    with prefixed(f"--truth: {truth}"):
+        return names, [replace(c, meta=replace(c.meta, v_i_mm=row[1]))
+                       for c, row in zip(curves, rows)]
 
 
 def _labelled_inputs(args: argparse.Namespace):
-    """cv's and train's kind, curves and v_star; every flag is checked before a file is read."""
+    """cv's and train's kind and curves; every flag is checked before a file is read."""
     grid = fields_given(GridSpec(), args)
     kind = _kind_from_args(args)
-    source = _v_star_source(args, kind)
-    names, curves = dataio.load_curves(args.manifest, grid)
-    return kind, curves, _v_star_for(source, names)
+    return kind, _curves(args, kind, grid)[1]
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
@@ -245,8 +237,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 def cmd_cv(args: argparse.Namespace) -> int:
     if args.k < 2:
         raise BadConfig("--k must be >= 2")
-    kind, curves, v_star = _labelled_inputs(args)
-    report = cross_validate(curves, kind, k=args.k, seed=args.seed, v_star=v_star,
+    kind, curves = _labelled_inputs(args)
+    report = cross_validate(curves, kind, k=args.k, seed=args.seed,
                             stratify_material=args.stratify_material)
     args.out.mkdir(parents=True, exist_ok=True)
     prefix = args.pipeline
@@ -259,9 +251,9 @@ def cmd_cv(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     created = _timestamp()  # a malformed SOURCE_DATE_EPOCH is refused before any file is read
-    kind, curves, v_star = _labelled_inputs(args)
-    trained = fit_pipeline(curves, kind, v_star=v_star)
-    preds = predict_pipeline(trained, curves, v_star=v_star)
+    kind, curves = _labelled_inputs(args)
+    trained = fit_pipeline(curves, kind)
+    preds = predict_pipeline(trained, curves)
     train_rmse = rmse(preds, strengths(curves))
 
     provenance = {
@@ -286,20 +278,19 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
-    kind = trained.kind
-    # a given v_i flag is checked before any curve is read
-    _refuse_unread(args, kind)
-    if "truth" in args or "v_star" in args:
-        _v_star_source(args, kind)
-    # with no grid flag given, the requested grid is the model's
+    # the v_i and grid flags fill the model's kind and grid before any curve is read
+    _refuse_unread(args, trained.kind)
+    kind = fields_given(trained.kind, args)
+    if kind != trained.kind and trained.kind.v_star is not None:
+        raise BadConfig(f"--v-star {kind.v_star} differs from the v_star "
+                        f"{trained.kind.v_star} the model stores")
     requested = fields_given(trained.grid, args)
     if requested != trained.grid:
         raise GridMismatch(f"requested grid {requested} does not match model grid {trained.grid}")
-    names, curves = dataio.load_curves(args.manifest, trained.grid)
+    names, curves = _curves(args, kind, trained.grid)
     rows = []
-    if curves:  # an empty manifest needs no v_star and gets a header-only table
-        v_star = _v_star_for(_v_star_source(args, kind), names)
-        preds = predict_pipeline(trained, curves, v_star=v_star)
+    if curves:  # an empty manifest gets a header-only table
+        preds = predict_pipeline(replace(trained, kind=kind), curves)
         rows = [(dataio.file_identity(name), curve.meta, float(p))
                 for name, curve, p in zip(names, curves, preds)]
     dataio.write_predictions(args.out, rows)
@@ -374,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_flags(p_pred)
     _name_flags(p_pred, [
         p_pred.add_argument("--v-star", type=float,
-                            help="shared v_i for fixed-v empirical models"),
+                            help="shared v_i for fixed-v models that store none"),
         p_pred.add_argument("--truth", type=Path,
-                            help="truth CSV supplying per-file v_i for fixed-v empirical models"),
+                            help="truth CSV of per-file v_i for fixed-v models storing no v_star"),
     ])
     p_pred.add_argument("--out", type=Path, required=True, help="predictions CSV path")
     p_pred.set_defaults(func=cmd_predict)

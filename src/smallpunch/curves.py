@@ -62,13 +62,16 @@ class SpecimenMeta:
     """Identity, test temperature and geometry of one specimen.
 
     rm_MPa is the measured tensile strength when the specimen is labeled;
-    prediction-only specimens leave it as None.
+    prediction-only specimens leave it as None.  v_i_mm, its instability-onset
+    displacement when a truth table gives it, is what a fixed-v kind without
+    a shared v_star reads.
     """
 
     material_id: str
     temperature_C: float
     thickness_mm: float
     rm_MPa: float | None = None
+    v_i_mm: float | None = None
 
     def __post_init__(self) -> None:
         if not self.material_id:
@@ -81,6 +84,8 @@ class SpecimenMeta:
             raise InvalidSpecimen(f"thickness_mm must be finite and > 0, got {self.thickness_mm}")
         if self.rm_MPa is not None and not (0.0 < self.rm_MPa < math.inf):
             raise InvalidSpecimen(f"rm_MPa must be finite and > 0 when present, got {self.rm_MPa}")
+        if self.v_i_mm is not None and not (0.0 < self.v_i_mm < math.inf):
+            raise InvalidSpecimen(f"v_i_mm must be finite and > 0 when present, got {self.v_i_mm}")
 
 
 @dataclass(frozen=True)
@@ -597,7 +602,8 @@ def extract_markers(
     curve; a single curve is a batch of one.  A row's markers do not depend
     on the other rows, down to the bit, and match the per-curve reference
     kept in tests/test_markers_batch.py.  The first curve that fails raises
-    its error (see CurveMarkers).
+    its error (see CurveMarkers), except that a max-slope row whose smoothing
+    overflows is refused before any row's markers are checked.
 
     F_m is the grid force maximum and v_m its first displacement.  For the
     instability point two strategies exist:
@@ -619,6 +625,8 @@ def extract_markers(
     ------
     TooShort
         Fewer than 5 grid points.
+    NonFiniteValue
+        max-slope on a curve whose force sums or slopes overflow, naming it.
     BadConfig
         An unknown strategy, or fixed-v without a numeric v_star.
     LengthMismatch
@@ -637,7 +645,10 @@ def extract_markers(
     gx = grid.displacements()
 
     if strategy == MARKER_MAX_SLOPE:
-        diffs = np.diff(_moving_average5(f), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.diff(_moving_average5(f), axis=1)
+        raise_first_failure(f.shape[0], [(~np.all(np.isfinite(diffs), axis=1), lambda r: (
+            NonFiniteValue(f"curve {r}: forces overflow the max-slope smoothing")))])
         # diffs[:, j-1] belongs to grid point j; restrict to j >= _SLOPE_SKIP
         j = _SLOPE_SKIP + np.argmax(diffs[:, _SLOPE_SKIP - 1:], axis=1)
         v_i = gx[j]

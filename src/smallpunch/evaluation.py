@@ -13,10 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import UniformCurve, _v_star_rows
+from .curves import UniformCurve
 from .errors import BadConfig, BadK, EmptyInput, LengthMismatch, prefixed
 from .features import strengths
-from .pipeline import PipelineKind, TrainedPipeline, fit_pipeline, predict_pipeline
+from .pipeline import PipelineKind, fit_pipeline, predict_pipeline
 
 
 def rmse(predictions: Sequence[float] | np.ndarray, truths: Sequence[float] | np.ndarray) -> float:
@@ -76,14 +76,12 @@ class CvReport:
 
     k, mean_rmse and std_rmse (ddof=1) are the count, mean and standard
     deviation of fold_rmse.  per_sample holds one (row, truth, prediction)
-    triple for every held-out row, in fold order.  fold_models is
-    populated only when requested.  The seed that drew the folds is the
-    caller's argument to cross_validate.
+    triple for every held-out row, in fold order.  The seed that drew the
+    folds is the caller's argument to cross_validate.
     """
 
     fold_rmse: tuple[float, ...]
     per_sample: tuple[tuple[int, float, float], ...]
-    fold_models: tuple[TrainedPipeline, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.k < 2:
@@ -107,16 +105,13 @@ def cross_validate(
     kind: PipelineKind,
     k: int = 10,
     seed: int = 0,
-    v_star: float | Sequence[float] | None = None,
     stratify_material: bool = False,
-    collect_models: bool = False,
 ) -> CvReport:
     """Seeded k-fold cross-validation of one pipeline kind.
 
-    v_star, one value or one per curve, is shaped once into one value per
-    curve (curves._v_star_rows, which refuses any other value before a fold
-    is fitted), and each fold's rows take their own.  Errors raised while
-    fitting or scoring a fold are re-raised with the fold index prepended.
+    Every fact a fold reads travels with its curves, each curve's v_i_mm
+    included.  Errors raised while fitting or scoring a fold are re-raised
+    with the fold index prepended.
     """
     curve_list = list(curves)
     n = len(curve_list)
@@ -126,32 +121,17 @@ def cross_validate(
         folds = kfold_split(n, k, seed)
     truth_arr = strengths(curve_list)
 
-    stars = None if v_star is None else _v_star_rows(v_star, n)
-
     all_rows = np.arange(n)
     fold_rmse: list[float] = []
     per_sample: list[tuple[int, float, float]] = []
-    models: list[TrainedPipeline] = []
     for fi, test_idx in enumerate(folds):
         train_idx = np.setdiff1d(all_rows, test_idx)
-        train_stars, test_stars = (
-            (None, None) if stars is None else (stars[train_idx], stars[test_idx])
-        )
         with prefixed(f"fold {fi}"):
-            trained = fit_pipeline([curve_list[i] for i in train_idx], kind, v_star=train_stars)
-            preds = predict_pipeline(
-                trained, [curve_list[i] for i in test_idx], v_star=test_stars
-            )
+            trained = fit_pipeline([curve_list[i] for i in train_idx], kind)
+            preds = predict_pipeline(trained, [curve_list[i] for i in test_idx])
         fold_truth = truth_arr[test_idx]
         fold_rmse.append(rmse(preds, fold_truth))
         per_sample.extend(
             (int(row), float(t), float(p)) for row, t, p in zip(test_idx, fold_truth, preds)
         )
-        if collect_models:
-            models.append(trained)
-
-    return CvReport(
-        fold_rmse=tuple(fold_rmse),
-        per_sample=tuple(per_sample),
-        fold_models=tuple(models) if collect_models else None,
-    )
+    return CvReport(fold_rmse=tuple(fold_rmse), per_sample=tuple(per_sample))

@@ -9,9 +9,9 @@ record's fields, each written by record_to_doc and read by
 record_from_doc, which refuses any other key; json_value checks each
 stored value's JSON type.
 
-Format 5 is written; it stores each fact once.  An older file's document
+Format 6 is written; it stores each fact once.  An older file's document
 is upgraded one version at a time by the pure steps of UPGRADES, so the
-records read format 5's layout alone.
+records read format 6's layout alone.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .features import Standardizer
 from .pca import PcaModel
 from .pipeline import KINDS, TrainedPipeline
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 # the top-level keys, in the order save_model writes them
 _BLOCKS = ("format_version", "pipeline", "grid", "standardizer", "pca", "model", "provenance")
 
@@ -217,9 +217,19 @@ def _family_is_the_type(doc: dict[str, Any]) -> dict[str, Any]:
             "model": {k: v for k, v in model.items() if k != "type"}}
 
 
+def _v_star_stored(doc: dict[str, Any]) -> dict[str, Any]:
+    """Format 5 to 6: an empirical pipeline stores v_star, null in every older file,
+    whose fixed-v models took v_i from the command line."""
+    pipeline = json_value(doc["pipeline"], "dict", "pipeline")
+    if "v_star" in pipeline:  # format 5 has none, and one would be overwritten unseen
+        raise InvalidModel("unknown key 'v_star' in the pipeline block")
+    empirical = pipeline.get("family") == "empirical"
+    return {**doc, "pipeline": {**pipeline, "v_star": None}} if empirical else doc
+
+
 # UPGRADES[n] turns a format n document into a format n + 1 document
 UPGRADES = {1: _forest_level_order, 2: _facts_once, 3: _always_standardized,
-            4: _family_is_the_type}
+            4: _family_is_the_type, 5: _v_star_stored}
 READ_VERSIONS = (*UPGRADES, FORMAT_VERSION)
 
 

@@ -22,6 +22,7 @@ standardizer, the PCA and the model on training rows alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, ClassVar, Sequence, Union
 
@@ -30,6 +31,7 @@ import numpy as np
 from .curves import (
     CurveMarkers,
     GridSpec,
+    MARKER_FIXED_V,
     MARKER_MAX_SLOPE,
     MARKER_STRATEGIES,
     UniformCurve,
@@ -86,6 +88,8 @@ class EmpiricalKind(_Kind):
     The max-force correlation reads F_m and v_m alone, so that mode takes
     no marker strategy but max-slope, the default, and refuses any other:
     it needs no v_star and neither locates nor checks an instability point.
+    The fixed-v marker alone reads v_star, the v_i shared by every curve;
+    without one it reads each curve's own meta.v_i_mm.
     """
 
     name: ClassVar[str] = "empirical"
@@ -95,6 +99,7 @@ class EmpiricalKind(_Kind):
 
     mode: str = MODE_INSTABILITY_FORCE
     marker_strategy: str = MARKER_MAX_SLOPE
+    v_star: float | None = None
 
     def __post_init__(self) -> None:
         if self.mode not in EMPIRICAL_MODES:
@@ -104,10 +109,21 @@ class EmpiricalKind(_Kind):
         if self.mode == MODE_MAX_FORCE and self.marker_strategy != MARKER_MAX_SLOPE:
             raise BadConfig(f"the {MODE_MAX_FORCE} mode reads no instability marker, "
                             f"got marker strategy {self.marker_strategy!r}")
+        if self.v_star is not None and self.marker_strategy != MARKER_FIXED_V:
+            raise BadConfig(f"only the {MARKER_FIXED_V} marker reads a v_star, "
+                            f"got marker strategy {self.marker_strategy!r}")
+        if self.v_star is not None and not (0.0 < self.v_star < math.inf):
+            raise BadConfig(f"v_star must be finite and > 0, got {self.v_star}")
 
-    def _markers(self, forces: np.ndarray, grid: GridSpec, v_star) -> CurveMarkers:
+    def _markers(self, curves: list[UniformCurve], forces: np.ndarray) -> CurveMarkers:
+        grid = curves[0].grid
         if self.mode != MODE_MAX_FORCE:
-            return extract_markers(forces, grid, self.marker_strategy, v_star)
+            v_i = [c.meta.v_i_mm for c in curves] if self.v_star is None else self.v_star
+            if self.marker_strategy == MARKER_FIXED_V and self.v_star is None and None in v_i:
+                i = v_i.index(None)
+                raise BadConfig(f"curve {i} ({curves[i].meta.material_id}) has no v_i_mm for the "
+                                f"{MARKER_FIXED_V} marker, whose kind holds no v_star")
+            return extract_markers(forces, grid, self.marker_strategy, v_i)
         # the instability point sits at the maximum, where every check on it
         # holds: only F_m > 0 and v_m > 0 are checked
         f_m = frozen(np.max(forces, axis=1))
@@ -116,18 +132,14 @@ class EmpiricalKind(_Kind):
                             v_instability_mm=v_m)
 
     # the matrix's last column is the temperature; the rest are the forces
-    def fit(self, curves, matrix, targets, v_star) -> Fitted:
-        markers = self._markers(matrix[:, :-1], curves[0].grid, v_star)
-        feats = empirical_feature(markers, _thicknesses(curves), self.mode)
+    def fit(self, curves, matrix, targets) -> Fitted:
+        markers = self._markers(curves, matrix[:, :-1])
+        feats = empirical_feature(markers, [c.meta.thickness_mm for c in curves], self.mode)
         return None, None, fit_beta(feats, targets)
 
-    def predict(self, trained: TrainedPipeline, curves, matrix, v_star) -> np.ndarray:
-        markers = self._markers(matrix[:, :-1], trained.grid, v_star)
-        return predict_empirical(trained.model, markers, _thicknesses(curves), self.mode)
-
-
-def _thicknesses(curves: list[UniformCurve]) -> np.ndarray:
-    return np.array([c.meta.thickness_mm for c in curves], dtype=float)
+    def predict(self, trained: TrainedPipeline, curves, matrix) -> np.ndarray:
+        markers, h0 = self._markers(curves, matrix[:, :-1]), [c.meta.thickness_mm for c in curves]
+        return predict_empirical(trained.model, markers, h0, self.mode)
 
 
 class _FeatureKind(_Kind):
@@ -147,13 +159,13 @@ class _FeatureKind(_Kind):
             )
 
     # the model sees the standardized rows, or their PCA scores if the family uses PCA
-    def fit(self, curves, matrix, targets, v_star) -> Fitted:
+    def fit(self, curves, matrix, targets) -> Fitted:
         std = fit_standardizer(matrix)
         rows = apply_standardizer(std, matrix)
         pca = fit_pca(rows, self.variance_threshold) if self.uses_pca else None
         return std, pca, self._fit_model(rows if pca is None else transform(pca, rows), targets)
 
-    def predict(self, trained: TrainedPipeline, curves, matrix, v_star) -> np.ndarray:
+    def predict(self, trained: TrainedPipeline, curves, matrix) -> np.ndarray:
         rows, pca = apply_standardizer(trained.standardizer, matrix), trained.pca
         return self._predict_model(trained.model, rows if pca is None else transform(pca, rows))
 
@@ -268,32 +280,20 @@ class TrainedPipeline:
                                        f"expected {expected}")
 
 
-def fit_pipeline(
-    curves: Sequence[UniformCurve],
-    kind: PipelineKind,
-    v_star: float | Sequence[float] | None = None,
-) -> TrainedPipeline:
-    """Fit one pipeline on labeled curves.
-
-    v_star feeds the fixed-v marker strategy: a scalar is shared by every
-    curve, a sequence is matched to the curves one-to-one.
-    """
+def fit_pipeline(curves: Sequence[UniformCurve], kind: PipelineKind) -> TrainedPipeline:
+    """Fit one pipeline on labeled curves."""
     curve_list = list(curves)
     matrix = assemble(curve_list)
     targets = strengths(curve_list)
-    std, pca, model = kind.fit(curve_list, matrix, targets, v_star)
+    std, pca, model = kind.fit(curve_list, matrix, targets)
     return TrainedPipeline(kind, curve_list[0].grid, std, pca, model)
 
 
-def predict_pipeline(
-    trained: TrainedPipeline,
-    curves: Sequence[UniformCurve],
-    v_star: float | Sequence[float] | None = None,
-) -> np.ndarray:
+def predict_pipeline(trained: TrainedPipeline, curves: Sequence[UniformCurve]) -> np.ndarray:
     """Predict strengths for curves resampled on the pipeline's grid."""
     curve_list = list(curves)
     matrix = assemble(curve_list)  # every curve on the first one's grid
     if curve_list[0].grid != trained.grid:
         raise GridMismatch(f"curve 0 grid {curve_list[0].grid} differs from model grid "
                            f"{trained.grid}")
-    return trained.kind.predict(trained, curve_list, matrix, v_star)
+    return trained.kind.predict(trained, curve_list, matrix)

@@ -85,24 +85,25 @@ def empirical_feature(
 
     max-force uses F_m / (h_0 * v_m); instability-force uses F_i / h_0^2.
     h0_mm holds each curve's thickness, in the markers' row order, or one
-    thickness for all.  The first curve whose denominator is zero raises.
+    thickness for all.  The first curve whose denominator is zero, or whose
+    denominator or quotient overflows, raises.
     """
     h0 = np.broadcast_to(np.asarray(h0_mm, dtype=float), markers.f_max_N.shape)
-    if mode == MODE_MAX_FORCE:
-        v_m = markers.v_at_fmax_mm
-        denom = h0 * v_m
-        raise_first_failure(denom.size, [(
-            denom == 0.0,
-            lambda r: ZeroDenominator(f"h0 * v_m is zero (h0={h0[r]}, v_m={v_m[r]})"),
-        )])
-        return markers.f_max_N / denom
-    if mode == MODE_INSTABILITY_FORCE:
-        denom = h0 * h0
-        raise_first_failure(denom.size, [(
-            denom == 0.0, lambda r: ZeroDenominator(f"h0^2 is zero (h0={h0[r]})"),
-        )])
-        return markers.f_instability_N / denom
-    raise BadConfig(f"unknown empirical mode: {mode!r}")
+    v_m = markers.v_at_fmax_mm
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if mode == MODE_MAX_FORCE:
+            force, denom, zero = markers.f_max_N, h0 * v_m, "h0 * v_m is zero (h0={h0}, v_m={v_m})"
+        elif mode == MODE_INSTABILITY_FORCE:
+            force, denom, zero = markers.f_instability_N, h0 * h0, "h0^2 is zero (h0={h0})"
+        else:
+            raise BadConfig(f"unknown empirical mode: {mode!r}")
+        x = force / denom
+    raise_first_failure(x.size, [
+        (denom == 0.0, lambda r: ZeroDenominator(zero.format(h0=h0[r], v_m=v_m[r]))),
+        (~(np.isfinite(x) & np.isfinite(denom)), lambda r: NonFiniteValue(
+            f"curve {r}: regressor {force[r]} / {denom[r]} overflows")),
+    ])
+    return x
 
 
 def fit_beta(features: np.ndarray, targets: np.ndarray) -> EmpiricalModel:
@@ -134,8 +135,14 @@ def fit_beta(features: np.ndarray, targets: np.ndarray) -> EmpiricalModel:
 
 def predict_empirical(model: EmpiricalModel, markers: CurveMarkers,
                       h0_mm: float | Sequence[float] | np.ndarray, mode: str) -> np.ndarray:
-    """Apply the correlation mode names, with the fitted beta, to every curve's markers."""
-    return model.beta * empirical_feature(markers, h0_mm, mode)
+    """Apply the correlation mode names, with the fitted beta, to every curve's markers;
+    the first curve whose prediction overflows raises NonFiniteValue."""
+    x = empirical_feature(markers, h0_mm, mode)
+    with np.errstate(over="ignore"):
+        predictions = model.beta * x
+    raise_first_failure(x.size, [(~np.isfinite(predictions), lambda r: (
+        NonFiniteValue(f"curve {r}: prediction {model.beta} * {x[r]} overflows")))])
+    return predictions
 
 
 def fit_ols(design: np.ndarray, targets: np.ndarray) -> LinearModel:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from smallpunch import evaluation
 from smallpunch.curves import GridSpec, SpecimenMeta, UniformCurve
 
 
@@ -36,6 +38,27 @@ def make_uniform(
         meta=meta if meta is not None else make_meta(),
         n_extrapolated=n_extrapolated,
     )
+
+
+def with_v_i(curves, v_i):
+    """curves, each carrying its own v_i_mm, as the command line's --truth attaches it."""
+    return [replace(c, meta=replace(c.meta, v_i_mm=float(v))) for c, v in zip(curves, v_i)]
+
+
+def cv_fold_models(monkeypatch, curves, kind, **cv_args):
+    """The pipelines cross_validate fits, one per fold in fold order, caught by
+    a spy on evaluation.fit_pipeline, the name cross_validate calls."""
+    fitted = []
+    fit = evaluation.fit_pipeline
+
+    def spy(*args):
+        fitted.append(fit(*args))
+        return fitted[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(evaluation, "fit_pipeline", spy)
+        evaluation.cross_validate(curves, kind, **cv_args)
+    return fitted
 
 
 @pytest.fixture

@@ -44,7 +44,7 @@ from smallpunch.synth import SynthConfig, generate
 
 import pytest
 
-from conftest import make_meta, make_uniform
+from conftest import cv_fold_models, make_meta, make_uniform, with_v_i
 
 GRID = GridSpec()
 
@@ -81,7 +81,7 @@ def test_acceptance_1_zero_noise_round_trip():
     started = time.perf_counter()
     _, curves, _, stars = _reference_set(noise_sigma=0.0)
     kind = EmpiricalKind(mode=MODE_INSTABILITY_FORCE, marker_strategy=MARKER_FIXED_V)
-    report = cross_validate(curves, kind, k=10, seed=0, v_star=stars)
+    report = cross_validate(with_v_i(curves, stars), kind, k=10, seed=0)
     elapsed = time.perf_counter() - started
     ok = report.mean_rmse < 1e-6 and elapsed < 10.0
     _report(1, "zero-noise strengths recovered through 10-fold CV", ok,
@@ -232,7 +232,7 @@ def test_acceptance_6_pipeline_comparison(noisy_set):
             f"{detail}, {elapsed:.1f}s")
 
 
-def test_acceptance_7_no_leakage(tmp_path):
+def test_acceptance_7_no_leakage(tmp_path, monkeypatch):
     """Held-out targets leave every fold's fitted model bit-identical."""
     raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=8,
                                   noise_sigma_N=5.0, seed=7))
@@ -253,7 +253,7 @@ def test_acceptance_7_no_leakage(tmp_path):
         ("pca-lm", PcaLmKind()),
         ("rf", ForestKind(config=ForestConfig(n_trees=10, seed=2))),
     ):
-        base = cross_validate(curves, kind, k=k, seed=1, collect_models=True)
+        base = cv_fold_models(monkeypatch, curves, kind, k=k, seed=1)
         unchanged = 0
         for fi, held_out in enumerate(folds):
             mutated = list(curves)
@@ -265,12 +265,11 @@ def test_acceptance_7_no_leakage(tmp_path):
                     meta=replace(c.meta, rm_MPa=777.0),
                     n_extrapolated=c.n_extrapolated,
                 )
-            poked = cross_validate(mutated, kind, k=k, seed=1,
-                                   collect_models=True)
+            poked = cv_fold_models(monkeypatch, mutated, kind, k=k, seed=1)
             same = model_bytes(
-                base.fold_models[fi], tmp_path / f"{name}_{fi}_a.json"
+                base[fi], tmp_path / f"{name}_{fi}_a.json"
             ) == model_bytes(
-                poked.fold_models[fi], tmp_path / f"{name}_{fi}_b.json"
+                poked[fi], tmp_path / f"{name}_{fi}_b.json"
             )
             unchanged += int(same)
         ok = ok and unchanged == k

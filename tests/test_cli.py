@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -223,7 +224,9 @@ def test_max_force_refuses_another_marker_before_any_file_is_read(tmp_path, caps
     code, _, err = run(capsys, command, str(tmp_path / "missing" / "manifest.csv"),
                        "--pipeline", "empirical", "--mode", "max-force", "--marker", "fixed-v",
                        *v_star, "--out", str(out))
-    assert (code, err) == (2, "error: --mode/--marker: the max-force mode reads no instability "
+    # the error names every flag that fills the kind
+    named = "/".join(("--mode", "--marker", *v_star[:1]))
+    assert (code, err) == (2, f"error: {named}: the max-force mode reads no instability "
                               "marker, got marker strategy 'fixed-v'\n")
     assert not out.exists()
 
@@ -573,16 +576,17 @@ def test_predict_with_disagreeing_or_stray_blocks_exits_4_before_reading_curves(
 
 
 def test_predict_fixed_v_without_source_exits_2(tmp_path, capsys):
+    # a model trained on each curve's v_i stores no v_star
     data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
     model_path = tmp_path / "model.json"
     code, _, _ = run(capsys, "train", str(data / "manifest.csv"),
                      "--pipeline", "empirical", "--marker", "fixed-v",
-                     "--v-star", "0.5", "--out", str(model_path))
+                     "--truth", str(data / "truth.csv"), "--out", str(model_path))
     assert code == 0
-    code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
+    code, _, err = run(capsys, "predict", str(tmp_path / "missing.csv"),
                        "--model", str(model_path),
                        "--out", str(tmp_path / "p.csv"))
-    assert code == 2 and "--v-star or --truth" in err
+    assert (code, err) == (2, "error: the fixed-v marker needs --v-star or --truth\n")
 
 
 def test_predict_checks_a_given_v_star_before_any_curve_is_read(tmp_path, capsys):
@@ -591,14 +595,102 @@ def test_predict_checks_a_given_v_star_before_any_curve_is_read(tmp_path, capsys
     data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
     model_path = tmp_path / "m.json"
     code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
-                       "--marker", "fixed-v", "--v-star", "0.5", "--out", str(model_path))
+                       "--marker", "fixed-v", "--truth", str(data / "truth.csv"),
+                       "--out", str(model_path))
     assert code == 0, err
     (data / "m01_c02.csv").write_text("displacement_um,force_N\n0,zero\n")
     out = tmp_path / "p.csv"
     code, _, err = run(capsys, "predict", str(data / "manifest.csv"), "--model", str(model_path),
                        "--v-star", "-1", "--out", str(out))
-    assert code == 2 and "--v-star must be finite and > 0, got -1.0" in err
+    assert (code, err) == (2, "error: --v-star: v_star must be finite and > 0, got -1.0\n")
     assert "m01_c02.csv" not in err
+    assert not out.exists()
+
+
+def _fixed_v_at_half(tmp_path, capsys):
+    """The 2 x 4 synth set (seed 3, sigma 5 N) and a fixed-v model trained at --v-star 0.5."""
+    data = make_dataset(tmp_path, capsys, sigma=5.0, seed=3, materials=2, per_material=4)
+    model_path = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--marker", "fixed-v", "--v-star", "0.5", "--out", str(model_path))
+    assert code == 0, err
+    return data, model_path
+
+
+def test_a_fixed_v_model_stores_its_v_star_and_predicts_with_no_flag(tmp_path, capsys):
+    data, model_path = _fixed_v_at_half(tmp_path, capsys)
+    assert json.loads(model_path.read_text())["pipeline"] == {
+        "family": "empirical", "mode": "instability-force", "marker_strategy": "fixed-v",
+        "v_star": 0.5}
+    outputs = []
+    for flags in ((), ("--v-star", "0.5")):  # the stored value itself may be given
+        out = tmp_path / f"p{len(outputs)}.csv"
+        code, _, err = run(capsys, "predict", str(data / "manifest.csv"), "--model",
+                           str(model_path), *flags, "--out", str(out))
+        assert code == 0, err
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[1].split(",")[::3] == ["m00_c00.csv", "577.5723020273294"]
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--v-star", "0.9"), "--v-star 0.9 differs from the v_star 0.5 the model stores"),
+    (("--truth", "TRUTH"), "--truth TRUTH: the model reads the v_star 0.5 it stores, "
+                           "not each curve's v_i"),
+], ids=["v-star", "truth"])
+def test_a_stored_v_star_refuses_another_v_i_before_any_curve_is_read(tmp_path, capsys, flags,
+                                                                      message):
+    data, model_path = _fixed_v_at_half(tmp_path, capsys)
+    truth = str(data / "truth.csv")
+    flags = [truth if flag == "TRUTH" else flag for flag in flags]
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", str(tmp_path / "missing.csv"), "--model",
+                       str(model_path), *flags, "--out", str(out))
+    assert (code, err) == (2, f"error: {message.replace('TRUTH', truth)}\n")
+    assert not out.exists()
+
+
+def test_a_model_without_v_star_predicts_at_the_v_i_it_is_given(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    manifest, truth = str(data / "manifest.csv"), str(data / "truth.csv")
+    code, _, err = run(capsys, "train", manifest, "--pipeline", "empirical", "--marker",
+                       "fixed-v", "--truth", truth, "--out", str(tmp_path / "m.json"))
+    assert code == 0, err
+    for name, flags in (("each", ("--truth", truth)), ("shared", ("--v-star", "0.5"))):
+        code, _, err = run(capsys, "predict", manifest, "--model", str(tmp_path / "m.json"),
+                           *flags, "--out", str(tmp_path / f"{name}.csv"))
+        assert code == 0, err
+    _, curves = load_curves(data / "manifest.csv", GridSpec())
+    trained, _ = load_model(tmp_path / "m.json")
+    assert trained.kind.v_star is None
+    shared = predict_pipeline(replace(trained, kind=replace(trained.kind, v_star=0.5)), curves)
+    assert [line.split(",")[-1] for line in (tmp_path / "shared.csv").read_text().splitlines()[1:]
+            ] == [fmt(float(p)) for p in shared]
+    assert (tmp_path / "each.csv").read_text() != (tmp_path / "shared.csv").read_text()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--marker", "fixed-v", "--v-star", "1.4"), "curve 0: regressor 9.1e+307 / 0.25 overflows"),
+    ((), "curve 0: forces overflow the max-slope smoothing"),
+], ids=["fixed-v", "max-slope"])
+def test_predicting_forces_that_overflow_exits_4_with_no_warning(tmp_path, capsys, flags,
+                                                                 message):
+    # forces of 1e307 and 1e308 N: an inf strength or a NaN-picked marker before
+    data = make_dataset(tmp_path, capsys, sigma=5.0, seed=3, materials=2, per_material=4)
+    model_path = tmp_path / "m.json"
+    code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       *flags, "--out", str(model_path))
+    assert code == 0, err
+    big = tmp_path / "big"
+    big.mkdir()
+    (big / "big.csv").write_text("displacement_um,force_N\n0,0\n100,50\n500,1e307\n1500,1e308\n")
+    write_manifest(big / "manifest.csv", [("big.csv", SpecimenMeta("M9", 20.0, 0.5))])
+    out = tmp_path / "p.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(capsys, "predict", str(big / "manifest.csv"), "--model",
+                           str(model_path), "--out", str(out))
+    assert (code, err) == (4, f"error: {message}\n")
     assert not out.exists()
 
 
@@ -760,7 +852,9 @@ def test_non_finite_v_star_exits_2(tmp_path, capsys, command, value):
         argv = ("train", manifest, *fixed_v)
     out = tmp_path / "out"
     code, _, err = run(capsys, *argv, "--v-star", value, "--out", str(out))
-    assert code == 2 and f"--v-star must be finite and > 0, got {value}" in err
+    # the kind checks its v_star, and the error names the flags that fill it
+    named = "--v-star" if command == "predict" else "--marker/--v-star"
+    assert (code, err) == (2, f"error: {named}: v_star must be finite and > 0, got {value}\n")
     assert not out.exists()
 
 
@@ -777,6 +871,20 @@ def test_non_finite_truth_cell_exits_4_naming_file_and_row(tmp_path, capsys, col
                        "--marker", "fixed-v", "--truth", str(truth), "--k", "2",
                        "--out", str(tmp_path / "cv"))
     assert code == 4 and f"{truth}: row 3: non-finite value" in err
+
+
+def test_a_truth_v_i_that_is_not_positive_exits_4_naming_the_truth_file(tmp_path, capsys):
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
+    truth = data / "truth.csv"
+    lines = truth.read_text().splitlines()
+    cells = lines[2].split(",")
+    cells[2] = "0.0"
+    truth.write_text("\n".join([*lines[:2], ",".join(cells), *lines[3:]]) + "\n")
+    code, _, err = run(capsys, "cv", str(data / "manifest.csv"), "--pipeline", "empirical",
+                       "--marker", "fixed-v", "--truth", str(truth), "--k", "2",
+                       "--out", str(tmp_path / "cv"))
+    assert (code, err) == (4, f"error: --truth: {truth}: v_i_mm must be finite and > 0 when "
+                              "present, got 0.0\n")
 
 
 @pytest.mark.parametrize("command", ["cv", "train"])

@@ -3,6 +3,7 @@
 import platform
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from smallpunch.errors import (
     InvalidCurve,
     InvalidMarkers,
     InvalidSpecimen,
+    LengthMismatch,
     MalformedRow,
     NonFiniteValue,
     SmallPunchError,
@@ -97,6 +99,10 @@ def test_meta_validation():
             make_meta(thickness=value)
         with pytest.raises(InvalidSpecimen):
             make_meta(rm=value)
+    for value in (0.0, -0.5, np.inf, np.nan):
+        with pytest.raises(InvalidSpecimen, match="v_i_mm must be finite and > 0 when present"):
+            replace(make_meta(), v_i_mm=value)
+    assert replace(make_meta(), v_i_mm=0.5).v_i_mm == 0.5
 
 
 # ----------------------------------------------------------------- parsing
@@ -593,11 +599,12 @@ def test_ingest_hands_records_arrays_they_keep(monkeypatch):
         parse_curve_csv("displacement_um,force_N\n200,9\n0,0\n100,5\n100,7\n", meta),
         parse_curve_csv("# row walk\ndisplacement_um,force_N\n0,0\n100,5\n200,9\n", meta),
     ]
-    forces = np.array([resample(raw, grid).force_N for raw in parsed])
+    uniform = [resample(raw, grid) for raw in parsed]
+    forces = np.array([curve.force_N for curve in uniform])
     extract_markers(forces, grid)
     extract_markers(forces, grid, MARKER_FIXED_V, v_star=0.05)
     extract_markers(forces, grid, MARKER_FIXED_V, v_star=[0.05, 0.1, 0.15])
-    EmpiricalKind(mode=MODE_MAX_FORCE)._markers(forces, grid, None)
+    EmpiricalKind(mode=MODE_MAX_FORCE)._markers(uniform, forces)
     assert copied == []
 
 
@@ -726,6 +733,45 @@ def test_fixed_v_interpolates_between_grid_points():
 def test_fixed_v_requires_v_star():
     with pytest.raises(BadConfig):
         extract_markers([np.arange(20.0)], GridSpec(n_points=20), MARKER_FIXED_V)
+
+
+def test_a_0d_v_star_is_one_shared_value():
+    forces, grid = np.tile(np.arange(20.0), (3, 1)), GridSpec(n_points=20)
+    shared = extract_markers(forces, grid, MARKER_FIXED_V, 0.05)
+    for v_star in (np.array(0.05), [0.05] * 3):
+        got = extract_markers(forces, grid, MARKER_FIXED_V, v_star)
+        assert got.v_instability_mm.tobytes() == shared.v_instability_mm.tobytes()
+        assert got.f_instability_N.tobytes() == shared.f_instability_N.tobytes()
+
+
+@pytest.mark.parametrize("v_star, error, message", [
+    (np.full((1, 8), 0.5), LengthMismatch, "v_star of shape (1, 8) for 8 curves"),
+    ([[0.5] * 8], LengthMismatch, "v_star of shape (1, 8) for 8 curves"),
+    ([0.5, 0.5], LengthMismatch, "2 v_star values for 8 curves"),
+    ("half", BadConfig, "v_star must be numbers"),
+    ([0.5] * 7 + ["half"], BadConfig, "v_star must be numbers"),
+    (object(), BadConfig, "v_star must be numbers"),
+])
+def test_a_v_star_that_is_not_one_value_or_one_per_curve_is_refused(v_star, error, message):
+    with pytest.raises(error) as err:
+        extract_markers(np.tile(np.arange(20.0), (8, 1)), GridSpec(n_points=20), MARKER_FIXED_V,
+                        v_star)
+    assert type(err.value) is error and str(err.value).startswith(message)
+
+
+def test_max_slope_refuses_forces_that_overflow_the_smoothing_naming_the_curve():
+    # forces summing past the largest double would pick a NaN slope's point
+    grid, ramp = GridSpec(n_points=20), np.arange(20.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue) as err:
+            extract_markers(np.array([ramp, ramp * 5e306]), grid)
+        assert str(err.value) == "curve 1: forces overflow the max-slope smoothing"
+        # a sum of 9.5e307 keeps its markers, and fixed-v never smooths
+        big = extract_markers(np.array([ramp, ramp * 5e305]), grid)
+        assert big.f_max_N.tolist() == [19.0, 19 * 5e305]
+        fixed = extract_markers(np.array([ramp, ramp * 5e306]), grid, MARKER_FIXED_V, 0.05)
+        assert fixed.f_instability_N.tolist() == [5.0, 2.5e307]
 
 
 def test_unknown_strategy_rejected():

@@ -1,5 +1,6 @@
 """Metrics, fold construction and leakage-free cross-validation."""
 
+import re
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +32,7 @@ from smallpunch.pipeline import (
 from smallpunch.regress import MODE_INSTABILITY_FORCE
 from smallpunch.synth import SynthConfig, generate
 
-from conftest import make_meta, make_uniform
+from conftest import cv_fold_models, make_meta, make_uniform, with_v_i
 
 
 def _synth_uniform(cfg):
@@ -232,9 +233,8 @@ def test_noiseless_curves_give_vanishing_empirical_error():
     cfg = SynthConfig(n_materials=2, curves_per_material=6, noise_sigma_N=0.0,
                       seed=3)
     curves, truth = _synth_uniform(cfg)
-    stars = [rec.v_i_mm for rec in truth]
     kind = EmpiricalKind(mode=MODE_INSTABILITY_FORCE, marker_strategy=MARKER_FIXED_V)
-    report = cross_validate(curves, kind, k=3, seed=0, v_star=stars)
+    report = cross_validate(with_v_i(curves, [rec.v_i_mm for rec in truth]), kind, k=3, seed=0)
     assert report.mean_rmse < 1e-6
 
 
@@ -272,13 +272,11 @@ def test_held_out_rows_are_not_memorized():
     assert report.mean_rmse > 1.0
 
 
-def test_each_fold_fits_its_own_pca():
+def test_each_fold_fits_its_own_pca(monkeypatch):
     cfg = SynthConfig(n_materials=4, curves_per_material=4, noise_sigma_N=5.0,
                       seed=11)
     curves, _ = _synth_uniform(cfg)
-    kind = PcaLmKind()
-    report = cross_validate(curves, kind, k=4, seed=5, collect_models=True)
-    m0, m1 = report.fold_models[0], report.fold_models[1]
+    m0, m1, *_ = cv_fold_models(monkeypatch, curves, PcaLmKind(), k=4, seed=5)
     assert not np.array_equal(m0.pca.mean, m1.pca.mean)
 
 
@@ -309,34 +307,23 @@ def test_unlabeled_curves_are_rejected():
         cross_validate(curves, PcaLmKind(), k=3, seed=0)
 
 
-def test_v_star_sequence_must_match_length():
+def test_a_fixed_v_kind_without_v_star_refuses_a_curve_without_v_i():
     cfg = SynthConfig(n_materials=2, curves_per_material=3, seed=5)
-    curves, _ = _synth_uniform(cfg)
+    curves, truth = _synth_uniform(cfg)
+    curves = with_v_i(curves[:-1], [rec.v_i_mm for rec in truth]) + curves[-1:]
     kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
-    with pytest.raises(LengthMismatch):
-        cross_validate(curves, kind, k=2, seed=0, v_star=[0.5, 0.5])
+    with pytest.raises(BadConfig) as err:
+        cross_validate(curves, kind, k=2, seed=0)
+    assert type(err.value) is BadConfig
+    assert re.fullmatch(r"fold \d: curve \d \(M01\) has no v_i_mm for the fixed-v marker, "
+                        r"whose kind holds no v_star", str(err.value))
 
 
-def test_a_0d_v_star_is_one_shared_value():
+def test_a_shared_v_star_reads_as_every_curve_carrying_it():
     cfg = SynthConfig(n_materials=2, curves_per_material=4, seed=5)
     curves, _ = _synth_uniform(cfg)
-    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
-    shared = cross_validate(curves, kind, k=2, seed=0, v_star=0.5)
-    assert cross_validate(curves, kind, k=2, seed=0, v_star=np.array(0.5)) == shared
-    assert cross_validate(curves, kind, k=2, seed=0, v_star=[0.5] * len(curves)) == shared
-
-
-@pytest.mark.parametrize("v_star, error, message", [
-    (np.full((1, 8), 0.5), LengthMismatch, "v_star of shape (1, 8) for 8 curves"),
-    ([[0.5] * 8], LengthMismatch, "v_star of shape (1, 8) for 8 curves"),
-    ("half", BadConfig, "v_star must be numbers"),
-    ([0.5] * 7 + ["half"], BadConfig, "v_star must be numbers"),
-    (object(), BadConfig, "v_star must be numbers"),
-])
-def test_a_v_star_that_is_not_one_value_or_one_per_curve_is_refused(v_star, error, message):
-    cfg = SynthConfig(n_materials=2, curves_per_material=4, seed=5)
-    curves, _ = _synth_uniform(cfg)
-    kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
-    with pytest.raises(error) as err:
-        cross_validate(curves, kind, k=2, seed=0, v_star=v_star)
-    assert type(err.value) is error and str(err.value).startswith(message)
+    shared = cross_validate(curves, EmpiricalKind(marker_strategy=MARKER_FIXED_V, v_star=0.5),
+                            k=2, seed=0)
+    each = cross_validate(with_v_i(curves, [0.5] * len(curves)),
+                          EmpiricalKind(marker_strategy=MARKER_FIXED_V), k=2, seed=0)
+    assert each == shared

@@ -19,7 +19,6 @@ from smallpunch.errors import (
     ShapeMismatch,
     TooFewRows,
 )
-from smallpunch.evaluation import cross_validate
 from smallpunch.features import apply_standardizer, assemble, fit_standardizer, strengths
 from smallpunch.forest import (
     ForestConfig,
@@ -35,6 +34,8 @@ from smallpunch.forest import (
 from smallpunch.modelfile import load_model, record_from_doc, record_to_doc, save_model
 from smallpunch.pca import fit_pca, transform
 from smallpunch.synth import SynthConfig, generate
+
+from conftest import cv_fold_models
 
 
 def _single_tree_cfg(**overrides):
@@ -529,8 +530,8 @@ def test_fit_predict_and_cv_never_build_the_trees(monkeypatch, tmp_path, referen
     raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6, seed=5))
     curves = [resample(c, GridSpec()) for c in raw]
     kind = pipeline.ForestKind(config=ForestConfig(n_trees=4, seed=1))
-    report = cross_validate(curves, kind, k=3, collect_models=True)
-    assert all("trees" not in vars(fold.model) for fold in report.fold_models)
+    folds = cv_fold_models(monkeypatch, curves, kind, k=3)
+    assert len(folds) == 3 and all("trees" not in vars(fold.model) for fold in folds)
 
     trained = pipeline.fit_pipeline(curves, kind)
     path = tmp_path / "model.json"

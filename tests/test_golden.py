@@ -10,7 +10,8 @@ pins model files of older formats: two format 1 rf files written before
 forests grew level by level, the six format 2 files the script wrote
 before format 3 stored each fact once, its six format 3 files with two
 more trained without standardizing before format 4 always standardized,
-and its six format 4 files before format 5 dropped the model block's type.
+its six format 4 files before format 5 dropped the model block's type, and
+its six format 5 files before format 6 stored a fixed-v model's v_star.
 Each must load and predict its recorded bits, and saved again in the
 current format it must load to the same model and save back byte for
 byte.  A fourth holds the empirical family on the reference set: the
@@ -41,7 +42,7 @@ import numpy as np
 import pytest
 
 from smallpunch.cli import main
-from smallpunch.curves import MARKER_FIXED_V, GridSpec, resample
+from smallpunch.curves import GridSpec, resample
 from smallpunch.forest import ForestConfig, _NodeTable
 from smallpunch.modelfile import FORMAT_VERSION, load_model, save_model
 from smallpunch.evaluation import cross_validate
@@ -52,6 +53,8 @@ from smallpunch.pipeline import (
     predict_pipeline,
 )
 from smallpunch.synth import SynthConfig, generate
+
+from conftest import with_v_i
 
 EPOCH = "1700000000"
 
@@ -130,14 +133,13 @@ def empirical_digests() -> dict[str, str]:
     """
     raw, truth = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
     curves = [resample(c, GridSpec()) for c in raw]
-    planted = [rec.v_i_mm for rec in truth]
+    curves = with_v_i(curves, [rec.v_i_mm for rec in truth])
     digests: dict[str, str] = {}
-    for mode, marker, v_star in (("max-force", "max-slope", None),
-                                 ("instability-force", "max-slope", None),
-                                 ("instability-force", "fixed-v", planted)):
+    for mode, marker in (("max-force", "max-slope"), ("instability-force", "max-slope"),
+                         ("instability-force", "fixed-v")):
         kind = EmpiricalKind(mode=mode, marker_strategy=marker)
-        report = cross_validate(curves, kind, k=10, seed=0, v_star=v_star)
-        beta = fit_pipeline(curves, kind, v_star=v_star).model.beta
+        report = cross_validate(curves, kind, k=10, seed=0)
+        beta = fit_pipeline(curves, kind).model.beta
         digests[f"cv {mode} {marker}"] = _sha(np.array(report.per_sample).tobytes())
         digests[f"beta {mode} {marker}"] = repr(beta)
     return digests
@@ -208,12 +210,12 @@ GOLDEN: dict[str, str] = {
     'data/m02_c05.csv': 'b1f301a9d34f519312eebd2602f34041e30080d9a3cb00876b7dad11b6856741',
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
-    'model_empirical-fixed-v.json': '55bf6a80be363f6a9b781393cc9b210aaf310b3f1a77957f4accf079acee4129',
-    'model_empirical-max-force.json': 'cd1f8b8cb71c3c0850e8fb3e9c1df76ada9bfaa0a3452c8c27bc208f0a22ff42',
-    'model_empirical.json': '55acae8257b55d55120e431f7936599d3201df6f5e8744c33e2a61795a4ad85f',
-    'model_pca-lm.json': '907ea944faf7e2bc9dc9d5a9161bca48cd8022268a843faddde0be47c22d49e6',
-    'model_rf-scores.json': '4be707e300574e37e729278635867f531178f0c4110b78968b317f3bcdca35a8',
-    'model_rf.json': 'e42a0d9b8feeae53f05355bd44cf71928d488b75c469cafd6731201ec24d970a',
+    'model_empirical-fixed-v.json': '439172db2d047efba064af66cb32f991f40ef3424b7ee5c0408e42d094860363',
+    'model_empirical-max-force.json': '66390d6c70296cb40b95c82a7c1063edd12d3b3dcc6178b91d0fc3b736d47eb2',
+    'model_empirical.json': '7f7fd15ba7ab0a3429a798c4f64d348ccf85006b3d3ff121d2e9240952f6d173',
+    'model_pca-lm.json': '7be17e7a3ce46c96176a196f56564499dfded1b498def8a77672f809b738a89c',
+    'model_rf-scores.json': '695b346e476929b3d8d62bce956dc8697312e25dffb0f533bfd895cb7b5907fd',
+    'model_rf.json': '4d726af56c25156b354b70eab7b5bc95fe03fcb7d893f9f088729f55206bb9b0',
     'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
     'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
     'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
@@ -230,9 +232,9 @@ GOLDEN: dict[str, str] = {
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': '94069ca2c7270ac310239ec89918611bd96fe190f9bfaef15704f304d20cbd1f',
+    'model rf': '73f9d19cc360d32188b1a866d223a3fffdb7897e82b83973ed6558c5f994c7bb',
     'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
-    'model rf-scores': 'd28bd032974da36652de041eb4d8e67b6dea6989a6727376c49ff0e19d187be4',
+    'model rf-scores': '0c843ae925dbbbc7bacdd253e8d1e6ae1d7e41cc8b30530bec015670b2ecd2b3',
     'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
 }
 
@@ -325,7 +327,21 @@ PINNED_V4: dict[str, str] = {
     'rf-scores_v4.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
     'rf_v4.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
 }
-PINNED_ALL = {**PINNED, **PINNED_V2, **PINNED_V3, **PINNED_V4}
+
+
+# The six model files the script above wrote, keyed by MODELS, as format 5,
+# before format 6 stored v_star in an empirical pipeline; each file's sha256
+# is the GOLDEN digest its model had then.  Their digests are of predictions
+# as for PINNED_V2.
+PINNED_V5: dict[str, str] = {
+    'empirical-fixed-v_v5.json': '32e16aff1d13f8ac9246ab834dff9c8cb31135ccd9a89b889c6956d2a289df1e',
+    'empirical-max-force_v5.json': '4e9d2f48af3b3a8ee39f609c7c0cdafa3ade04a5b3a235936af0cfc9e56a44ba',
+    'empirical_v5.json': '58516587939d659eedcf2b92582a151553a821d75fa1a2c74ea6854fd941f030',
+    'pca-lm_v5.json': '721d02ede5c53dbaec37b4eeb1151f649e28ebcaa6cbb163b95d9ba69d4783c2',
+    'rf-scores_v5.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
+    'rf_v5.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
+}
+PINNED_ALL = {**PINNED, **PINNED_V2, **PINNED_V3, **PINNED_V4, **PINNED_V5}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_ALL))
@@ -357,11 +373,11 @@ def test_pinned_model_files_predict_and_save_unchanged(tmp_path, name):
     _skip_other_numpy()
     raw, truth = generate(SynthConfig(n_materials=3, curves_per_material=6,
                                       noise_sigma_N=5.0, seed=7))
-    fixed_v = trained.kind.marker_strategy == MARKER_FIXED_V
-    v_star = [rec.v_i_mm for rec in truth] if fixed_v else None
+    # every file stores no v_star: the fixed-v model reads each curve's planted v_i
+    assert getattr(trained.kind, "v_star", None) is None
     for model in (trained, reloaded):
-        curves = [resample(c, model.grid) for c in raw]
-        predictions = predict_pipeline(model, curves, v_star=v_star)
+        curves = with_v_i([resample(c, model.grid) for c in raw], [rec.v_i_mm for rec in truth])
+        predictions = predict_pipeline(model, curves)
         assert _sha(predictions.tobytes()) == PINNED_ALL[name]
 
 

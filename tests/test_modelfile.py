@@ -23,6 +23,8 @@ from smallpunch.pipeline import (
 from smallpunch.regress import LinearModel
 from smallpunch.synth import SynthConfig, generate
 
+from conftest import with_v_i
+
 
 @pytest.fixture(scope="module")
 def dataset():
@@ -36,27 +38,32 @@ def dataset():
 
 def _kinds():
     return [
-        (EmpiricalKind(), False),
-        (EmpiricalKind(marker_strategy=MARKER_FIXED_V), True),
-        (PcaLmKind(), False),
-        (ForestKind(config=ForestConfig(n_trees=8, seed=3)), False),
-        (ForestKind(config=ForestConfig(n_trees=6, seed=4), input="scores"), False),
+        EmpiricalKind(),
+        EmpiricalKind(marker_strategy=MARKER_FIXED_V),
+        EmpiricalKind(marker_strategy=MARKER_FIXED_V, v_star=0.5),
+        PcaLmKind(),
+        ForestKind(config=ForestConfig(n_trees=8, seed=3)),
+        ForestKind(config=ForestConfig(n_trees=6, seed=4), input="scores"),
     ]
 
 
-@pytest.mark.parametrize("kind,needs_stars", _kinds(),
-                         ids=[s.name + ("-fixed" if f else "")
-                              for s, f in _kinds()])
-def test_round_trip_preserves_predictions(tmp_path, dataset, kind, needs_stars):
+def _kind_id(kind):
+    fixed = "-fixed" if kind.marker_strategy == MARKER_FIXED_V else ""
+    return kind.name + fixed + ("-v-star" if fixed and kind.v_star is not None else "")
+
+
+@pytest.mark.parametrize("kind", _kinds(), ids=_kind_id)
+def test_round_trip_preserves_predictions(tmp_path, dataset, kind):
     curves, stars = dataset
-    v_star = stars if needs_stars else None
-    trained = fit_pipeline(curves, kind, v_star=v_star)
-    before = predict_pipeline(trained, curves, v_star=v_star)
+    # each curve carries its v_i, which only a fixed-v kind without v_star reads
+    curves = with_v_i(curves, stars)
+    trained = fit_pipeline(curves, kind)
+    before = predict_pipeline(trained, curves)
 
     path = tmp_path / "model.json"
     save_model(path, trained, {"note": "round trip"})
     loaded, provenance = load_model(path)
-    after = predict_pipeline(loaded, curves, v_star=v_star)
+    after = predict_pipeline(loaded, curves)
 
     assert np.array_equal(np.asarray(before), np.asarray(after))
     assert provenance == {"note": "round trip"}
@@ -117,11 +124,11 @@ def test_unknown_version_is_refused(tmp_path, dataset):
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
-    # true, 2.0, 3.0, 4.0 and 5.0 compare equal to versions it reads
-    for version in (99, True, 2.0, 3.0, 4.0, 5.0, "2", None):
+    # true, 2.0, 3.0, 4.0, 5.0 and 6.0 compare equal to versions it reads
+    for version in (99, True, 2.0, 3.0, 4.0, 5.0, 6.0, "2", None):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        message = f"format_version {version!r} (this build reads 1, 2, 3, 4 and 5)"
+        message = f"format_version {version!r} (this build reads 1, 2, 3, 4, 5 and 6)"
         with pytest.raises(UnsupportedVersion, match=re.escape(message)):
             load_model(path)
 
@@ -569,6 +576,41 @@ def test_format_4_type_and_forest_block_are_checked_before_they_go(tmp_path, nam
     _assert_refused(tmp_path / "model.json", doc, re.escape(message))
 
 
+# Format 5 stored no v_star: its fixed-v models took each v_i from the
+# command line.  Its upgrade to format 6 stores a null v_star in an
+# empirical pipeline, and refuses a format 5 block that already holds the
+# key, which would otherwise be overwritten unseen.
+@pytest.mark.parametrize("name,value", [("empirical-fixed-v", 0.5), ("empirical", None),
+                                        ("pca-lm", 0.5)])
+def test_a_format_5_file_holds_no_v_star(tmp_path, name, value):
+    doc = json.loads((DATA / f"{name}_v5.json").read_text(encoding="utf-8"))
+    doc["pipeline"]["v_star"] = value
+    _assert_refused(tmp_path / "model.json", doc,
+                    re.escape("unknown key 'v_star' in the pipeline block"))
+
+
+@pytest.mark.parametrize("marker,value,message", [
+    ("fixed-v", "0.5", "v_star must be a number, got '0.5'"),
+    ("fixed-v", True, "v_star must be a number, got True"),
+    ("fixed-v", float("nan"), "v_star must be finite and > 0, got nan"),
+    ("fixed-v", float("inf"), "v_star must be finite and > 0, got inf"),
+    ("fixed-v", -0.5, "v_star must be finite and > 0, got -0.5"),
+    ("fixed-v", 0, "v_star must be finite and > 0, got 0"),
+    ("max-slope", 0.5, "only the fixed-v marker reads a v_star, got marker strategy 'max-slope'"),
+    ("fixed-v", DELETE, "missing field 'v_star'"),
+], ids=["string", "bool", "nan", "inf", "negative", "zero", "max-slope", "missing"])
+def test_a_stored_v_star_is_checked(tmp_path, trained_by_family, marker, value, message):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family["empirical"], {})
+    doc = json.loads(path.read_text())
+    doc["pipeline"]["marker_strategy"] = marker
+    if value is DELETE:
+        del doc["pipeline"]["v_star"]
+    else:
+        doc["pipeline"]["v_star"] = value
+    _assert_refused(path, doc, re.escape(message))
+
+
 @pytest.mark.parametrize("name", ["pca-lm-no-standardize", "rf-scores-no-standardize"])
 def test_a_format_3_file_saved_without_standardizing_gets_the_identity(name):
     trained, _ = load_model(DATA / f"{name}_v3.json")
@@ -684,7 +726,7 @@ def test_forest_block_is_read_by_its_files_version(tmp_path):
     _assert_refused(path, doc, "missing field 'count'")
 
 
-@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[1234].json")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[12345].json")), ids=lambda p: p.name)
 def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     before = copy.deepcopy(doc)

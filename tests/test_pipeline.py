@@ -14,7 +14,6 @@ from smallpunch.errors import (
     GridMismatch,
     InvalidMarkers,
     InvalidModel,
-    LengthMismatch,
     MixedGrids,
 )
 from smallpunch.forest import ForestConfig, ForestModel
@@ -30,7 +29,7 @@ from smallpunch.pipeline import (
 from smallpunch.regress import EmpiricalModel, LinearModel
 from smallpunch.synth import SynthConfig, generate
 
-from conftest import make_meta, make_uniform
+from conftest import make_meta, make_uniform, with_v_i
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +51,8 @@ def test_spec_names():
 @pytest.mark.parametrize("flags,kind", [
     (("--pipeline", "empirical", "--marker", "fixed-v"),
      EmpiricalKind(mode="instability-force", marker_strategy=MARKER_FIXED_V)),
+    (("--pipeline", "empirical", "--marker", "fixed-v", "--v-star", "0.5"),
+     EmpiricalKind(marker_strategy=MARKER_FIXED_V, v_star=0.5)),
     (("--pipeline", "empirical", "--mode", "max-force", "--marker", "max-slope"),
      EmpiricalKind(mode="max-force")),
     (("--pipeline", "pca-lm", "--variance-threshold", "0.9"), PcaLmKind(variance_threshold=0.9)),
@@ -59,7 +60,7 @@ def test_spec_names():
       "--seed", "2", "--rf-input", "scores", "--variance-threshold", "0.9"),
      ForestKind(config=ForestConfig(n_trees=7, max_depth=4, min_leaf=3, mtry=5, seed=2),
                 input="scores", variance_threshold=0.9)),
-], ids=["empirical-fixed-v", "empirical-max-force", "pca-lm", "rf"])
+], ids=["empirical-fixed-v", "empirical-fixed-v-star", "empirical-max-force", "pca-lm", "rf"])
 def test_each_kind_builds_itself_from_the_flags(flags, kind):
     # the command line fills each field from the flag of its name
     args = build_parser().parse_args(["train", "m.csv", *flags, "--out", "m.json"])
@@ -136,17 +137,37 @@ def test_every_feature_family_standardizes(dataset, kind):
     assert all("standardize" not in f.name for f in fields(kind))
 
 
-def test_fixed_v_scalar_broadcasts_and_sequence_must_match(dataset):
+def test_fixed_v_reads_the_kinds_v_star_else_each_curves_own(dataset):
     curves, stars = dataset
     kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
-    scalar = fit_pipeline(curves, kind, v_star=0.5)
-    assert isinstance(scalar.model, EmpiricalModel)
-    per_curve = fit_pipeline(curves, kind, v_star=stars)
-    assert per_curve.model.beta != scalar.model.beta
-    with pytest.raises(LengthMismatch):
-        fit_pipeline(curves, kind, v_star=stars[:-1])
-    with pytest.raises(BadConfig):
+    shared = fit_pipeline(curves, replace(kind, v_star=0.5))
+    assert isinstance(shared.model, EmpiricalModel)
+    carried = with_v_i(curves, stars)
+    per_curve = fit_pipeline(carried, kind)
+    assert per_curve.model.beta != shared.model.beta
+    # a shared v_star wins over the curves' own, in fitting and predicting
+    assert fit_pipeline(carried, replace(kind, v_star=0.5)) == shared
+    assert (predict_pipeline(shared, carried).tobytes()
+            == predict_pipeline(shared, curves).tobytes())
+    with pytest.raises(BadConfig, match=r"^curve 0 \(M00\) has no v_i_mm"):
         fit_pipeline(curves, kind)
+    with pytest.raises(BadConfig, match=r"^curve 17 \(M02\) has no v_i_mm"):
+        predict_pipeline(per_curve, carried[:-1] + curves[-1:])
+
+
+@pytest.mark.parametrize("given, message", [
+    ({"v_star": 0.5}, "only the fixed-v marker reads a v_star, got marker strategy 'max-slope'"),
+    ({"marker_strategy": "fixed-v", "v_star": 0.0}, "v_star must be finite and > 0, got 0.0"),
+    ({"marker_strategy": "fixed-v", "v_star": -1.0}, "v_star must be finite and > 0, got -1.0"),
+    ({"marker_strategy": "fixed-v", "v_star": float("inf")},
+     "v_star must be finite and > 0, got inf"),
+    ({"marker_strategy": "fixed-v", "v_star": float("nan")},
+     "v_star must be finite and > 0, got nan"),
+], ids=["max-slope", "zero", "negative", "inf", "nan"])
+def test_the_empirical_kind_refuses_a_v_star_it_cannot_read(given, message):
+    with pytest.raises(BadConfig) as err:
+        EmpiricalKind(**given)
+    assert str(err.value) == message
 
 
 def test_max_force_reads_no_instability_point():

@@ -68,6 +68,43 @@ def test_unknown_mode_is_rejected():
         empirical_feature(_markers(), h0_mm=0.5, mode="nonsense")
 
 
+def _two_curves(second):
+    return CurveMarkers(f_max_N=[900.0, second], v_at_fmax_mm=[1.2, 0.5],
+                        f_instability_N=[889.0, second], v_instability_mm=[0.55, 0.5])
+
+
+@pytest.mark.parametrize("mode, message", [
+    (MODE_INSTABILITY_FORCE, "curve 1: regressor 9.1e+307 / 0.25 overflows"),
+    (MODE_MAX_FORCE, "curve 1: regressor 9.1e+307 / 0.25 overflows"),
+])
+def test_a_regressor_that_overflows_is_refused_naming_the_curve(mode, message):
+    with np.errstate(all="raise"):
+        with pytest.raises(NonFiniteValue) as err:
+            empirical_feature(_two_curves(9.1e307), 0.5, mode)
+        # a zero denominator of an earlier curve is its first fault
+        with pytest.raises(ZeroDenominator):
+            empirical_feature(_two_curves(9.1e307), [0.0, 0.5], mode)
+    assert str(err.value) == message
+
+
+def test_a_thickness_whose_square_overflows_is_refused_naming_the_curve():
+    # h0^2 = inf made the regressor, and so the strength, 0.0
+    with np.errstate(all="raise"):
+        with pytest.raises(NonFiniteValue) as err:
+            empirical_feature(_two_curves(400.0), [0.5, 1e200], MODE_INSTABILITY_FORCE)
+    assert str(err.value) == "curve 1: regressor 400.0 / inf overflows"
+
+
+def test_a_prediction_that_overflows_is_refused_naming_the_curve():
+    markers = _two_curves(4e307)  # a regressor of 1.6e308
+    with np.errstate(all="raise"):
+        assert predict_empirical(EmpiricalModel(beta=1.0), markers, 0.5,
+                                 MODE_INSTABILITY_FORCE).tolist() == [3556.0, 1.6e308]
+        with pytest.raises(NonFiniteValue) as err:
+            predict_empirical(EmpiricalModel(beta=1.5), markers, 0.5, MODE_INSTABILITY_FORCE)
+    assert str(err.value) == "curve 1: prediction 1.5 * 1.6e+308 overflows"
+
+
 # --------------------------------------------------------------- fit_beta
 
 def test_fit_beta_exact_on_proportional_data():

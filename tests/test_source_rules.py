@@ -180,6 +180,16 @@ def test_only_the_curve_module_shapes_v_star():
     assert shaped == {}
 
 
+def test_only_the_curve_module_takes_a_v_star_argument():
+    # a shared v_star is the empirical kind's field and each curve's v_i its
+    # SpecimenMeta's, so no function but the marker code is handed one
+    taken = {p.name: [node.lineno for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.arg) and node.arg == "v_star"]
+             for p in SOURCES}
+    assert taken.pop("curves.py")
+    assert {name: lines for name, lines in taken.items() if lines} == {}
+
+
 def test_the_command_line_reads_and_writes_no_file_itself():
     # every table goes through dataio, every model file through modelfile
     cli = next(p for p in SOURCES if p.name == "cli.py")

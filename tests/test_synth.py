@@ -13,6 +13,8 @@ from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import EmpiricalKind
 from smallpunch.synth import RAW_STEP_MM, SynthConfig, generate, template
 
+from conftest import with_v_i
+
 
 def _small_cfg(**overrides):
     base = dict(n_materials=2, curves_per_material=4, seed=30)
@@ -119,9 +121,8 @@ def test_error_grows_with_noise():
     for sigma in (0.0, 2.0, 5.0, 10.0):
         raw, truth = generate(_small_cfg(curves_per_material=6,
                                          noise_sigma_N=sigma, seed=21))
-        curves = [resample(c, grid) for c in raw]
-        stars = [r.v_i_mm for r in truth]
-        report = cross_validate(curves, kind, k=3, seed=0, v_star=stars)
+        curves = with_v_i([resample(c, grid) for c in raw], [r.v_i_mm for r in truth])
+        report = cross_validate(curves, kind, k=3, seed=0)
         means.append(report.mean_rmse)
     assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
     assert means[0] < 1e-6 < means[-1]
