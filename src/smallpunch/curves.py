@@ -210,7 +210,7 @@ class CurveMarkers:
     Every field holds one value per curve, in the order of the force
     matrix's rows; the strategy that located them is the caller's.  Each
     row is checked in the order below, and the first row that fails a
-    check raises the first check it fails.
+    check raises the first check it fails, naming the row as ``curve r``.
     """
 
     f_max_N: np.ndarray
@@ -226,13 +226,13 @@ class CurveMarkers:
         if not (f_m.size == v_m.size == f_i.size == v_i.size):
             raise InvalidMarkers("marker arrays must have equal lengths")
         raise_first_failure(f_m.size, [
-            (~(f_m > 0.0), lambda r: AllZero("curve has no positive force")),
-            (~(f_i > 0.0),
-             lambda r: InvalidMarkers(f"instability force must be > 0, got {f_i[r]}")),
-            (f_m < f_i,
-             lambda r: InvalidMarkers(f"max force {f_m[r]} below instability force {f_i[r]}")),
-            (~((0.0 < v_i) & (v_i <= v_m)),
-             lambda r: InvalidMarkers(f"need 0 < v_i <= v_m, got v_i={v_i[r]}, v_m={v_m[r]}")),
+            (~(f_m > 0.0), lambda r: AllZero(f"curve {r}: no positive force")),
+            (~(f_i > 0.0), lambda r: InvalidMarkers(
+                f"curve {r}: instability force must be > 0, got {f_i[r]}")),
+            (f_m < f_i, lambda r: InvalidMarkers(
+                f"curve {r}: max force {f_m[r]} below instability force {f_i[r]}")),
+            (~((0.0 < v_i) & (v_i <= v_m)), lambda r: InvalidMarkers(
+                f"curve {r}: need 0 < v_i <= v_m, got v_i={v_i[r]}, v_m={v_m[r]}")),
         ])
 
 

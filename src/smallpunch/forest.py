@@ -7,10 +7,10 @@ feature subsampling and out-of-bag error.  Determinism is a hard contract:
   stream's first draw (_bags gives both);
 * trees grow level by level (breadth first), all trees of a fit together.
   At each depth a tree draws the feature subsets of all its nodes that
-  are searched at that depth in one call, nodes left to right: for each
-  node, the first mtry of an argsort of p uniform numbers, ascending.
-  The subsets of every tree's nodes are then picked together, with the
-  bits that per-tree argsort gives;
+  are searched at that depth, nodes left to right, reading its stream in
+  order: for each node, the first mtry of an argsort of p uniform numbers,
+  ascending.  The subsets are picked in blocks of a bounded number of
+  uniforms, with the bits that per-tree argsort gives;
 * split ties are broken toward the lower feature index, then the lower
   threshold; candidate thresholds are midpoints between consecutive
   distinct sorted values, or the lower value where the midpoint rounds
@@ -287,6 +287,8 @@ class ForestModel:
 # elements of one padded split-search block: big enough that numpy's work
 # outweighs its per-call cost, small enough to stay in cache
 _BLOCK = 8192
+# uniforms of one feature-draw block: bounds the draws and their sorted copy
+_DRAW_BLOCK = 2**15
 
 
 def _search_ranks(xt: np.ndarray) -> np.ndarray:
@@ -431,22 +433,30 @@ def _best_splits(
 def _draw_features(
     rngs: Sequence[np.random.Generator], tree: np.ndarray, p: int, mtry: int
 ) -> np.ndarray:
-    """mtry features per node, ascending; each tree draws its level at once.
+    """mtry features per node, ascending; each tree reads its level in order.
 
     tree lists each node's tree, trees ascending and nodes left to right.
     Node i takes the columns of the mtry smallest of its p uniform numbers:
-    those at most the mtry-th smallest, found for all nodes by one sort.
+    those at most the mtry-th smallest, found by one sort per block of at
+    most _DRAW_BLOCK uniforms (or one node).  A tree split between blocks
+    reads on from its stream, so its nodes get the numbers of one draw.
     A node with a tie at that value takes the first mtry of its argsort,
     so every node gets the columns the argsort alone would give.
     """
-    trees, counts = np.unique(tree, return_counts=True)
-    u = np.concatenate([rngs[t].random((c, p)) for t, c in zip(trees.tolist(), counts.tolist())])
-    chosen = u <= np.sort(u, axis=1)[:, mtry - 1, None]
-    for i in np.flatnonzero(chosen.sum(axis=1) != mtry).tolist():
-        chosen[i] = False
-        chosen[i, np.argsort(u[i])[:mtry]] = True
-    # each row holds mtry chosen columns; flat positions, less the row's start
-    return np.flatnonzero(chosen).reshape(-1, mtry) - p * np.arange(len(u))[:, None]
+    feats = np.empty((tree.size, mtry), dtype=np.intp)
+    step = max(1, _DRAW_BLOCK // p)
+    for lo in range(0, tree.size, step):
+        trees, counts = np.unique(tree[lo:lo + step], return_counts=True)
+        u = np.concatenate([rngs[t].random((c, p))
+                            for t, c in zip(trees.tolist(), counts.tolist())])
+        chosen = u <= np.sort(u, axis=1)[:, mtry - 1, None]
+        for i in np.flatnonzero(chosen.sum(axis=1) != mtry).tolist():
+            chosen[i] = False
+            chosen[i, np.argsort(u[i])[:mtry]] = True
+        # each row holds mtry chosen columns; flat positions, less the row's start
+        np.subtract(np.flatnonzero(chosen).reshape(-1, mtry), p * np.arange(len(u))[:, None],
+                    out=feats[lo:lo + len(u)])
+    return feats
 
 
 def _grow_forest(

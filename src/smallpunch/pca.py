@@ -9,6 +9,12 @@ fit_pca and transform take a plain float array and check it on entry
 with features._matrix_values, transform also for the width the model
 needs.
 
+A tall X_c, n >= floor(11p/6), is first reduced to the p x p R of its QR
+factorization (Chan's R-SVD, 1982), so the unused n x p U is never formed.
+dgesdd factors first at that same threshold and decomposes that same R, so
+the bits are unchanged; below it, or where dgesdd would rescale a matrix of
+extreme magnitude, QR-first changes them, and X_c is decomposed itself.
+
 Sign convention: each loading column is flipped, if needed, so its
 largest-magnitude entry is positive.  This removes the sign ambiguity of
 the decomposition and makes refits on identical bits reproduce identical
@@ -26,6 +32,9 @@ from .errors import (BadConfig, DegenerateData, InvalidModel, NonFiniteValue, Sh
 from .features import _matrix_values
 
 _ORTHO_TOL = 1e-10
+# dgesdd rescales a matrix whose largest entry lies outside about
+# [2**-459, 2**459]; R's largest lies within sqrt(n) of the data's
+_QR_RANGE = (2.0**-400, 2.0**400)
 
 
 @dataclass(frozen=True)
@@ -98,11 +107,13 @@ def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
     if not (0.0 < threshold <= 1.0):
         raise BadConfig(f"variance threshold must be in (0, 1], got {threshold}")
     x = _matrix_values(x)
-    n = x.shape[0]
+    n, p = x.shape
     if n < 2:
         raise TooFewRows(f"PCA needs n >= 2 rows, got {n}")
     mean = x.mean(axis=0)
     centered = x - mean
+    if n >= 11 * p // 6 and _QR_RANGE[0] <= np.max(np.abs(centered)) <= _QR_RANGE[1]:
+        centered = np.linalg.qr(centered, mode="r")
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     eig = (svals * svals) / (n - 1)
     total = float(eig.sum())

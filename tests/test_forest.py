@@ -1,8 +1,10 @@
 """Regression forest: exact splits, determinism, importances."""
 
+import gc
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -579,15 +581,16 @@ def test_batched_feature_draws_match_per_tree_argsorts(p, share, nodes, seed):
     assert np.array_equal(got, want)
 
 
-class _FixedDraws:
-    """Stands in for a tree's generator: every random call returns u."""
+class _StreamDraws:
+    """Stands in for a tree's generator: random calls read on through the numbers u."""
 
     def __init__(self, u):
-        self.u = u
+        self.u, self.at = np.ravel(u), 0
 
     def random(self, shape):
-        assert shape == self.u.shape
-        return self.u.copy()
+        size = math.prod(shape)
+        self.at += size
+        return self.u[self.at - size:self.at].reshape(shape).copy()
 
 
 def test_feature_draws_with_a_tie_at_the_mtry_th_value_follow_the_argsort():
@@ -597,9 +600,79 @@ def test_feature_draws_with_a_tie_at_the_mtry_th_value_follow_the_argsort():
     # for 4 columns, mtry 2 and 3 take the tied pair whole
     for p, mtry in ((4, 1), (4, 2), (4, 3), (152, 51), (152, 1)):
         tree = np.array([0, 0])
-        got = forest._draw_features([_FixedDraws(u[p])], tree, p, mtry)
-        assert np.array_equal(got, _draw_features_per_tree([_FixedDraws(u[p])], tree, p, mtry))
+        got = forest._draw_features([_StreamDraws(u[p])], tree, p, mtry)
+        assert np.array_equal(got, _draw_features_per_tree([_StreamDraws(u[p])], tree, p, mtry))
     assert np.count_nonzero(u[152][0] <= 0.1) == 76  # ties 51 draws over 76 columns
+
+
+def _draw_features_one_shot(rngs, tree, p, mtry):
+    """The draw before blocks: every tree's level in one call, all nodes sorted at once."""
+    trees, counts = np.unique(tree, return_counts=True)
+    u = np.concatenate([rngs[t].random((c, p)) for t, c in zip(trees.tolist(), counts.tolist())])
+    chosen = u <= np.sort(u, axis=1)[:, mtry - 1, None]
+    for i in np.flatnonzero(chosen.sum(axis=1) != mtry).tolist():
+        chosen[i] = False
+        chosen[i, np.argsort(u[i])[:mtry]] = True
+    # each row holds mtry chosen columns; flat positions, less the row's start
+    return np.flatnonzero(chosen).reshape(-1, mtry) - p * np.arange(len(u))[:, None]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    p=st.sampled_from([1, 3, 10, 152]),
+    share=st.sampled_from(["one", "third", "all"]),
+    nodes=st.lists(st.integers(0, 30), min_size=1, max_size=10).filter(any),
+    block_nodes=st.sampled_from([None, 0, 1, 2, 3, 7, 40]),
+    seed=st.integers(0, 2**16),
+)
+def test_blocked_feature_draws_match_the_one_shot_draw(p, share, nodes, block_nodes, seed):
+    mtry = {"one": 1, "third": math.ceil(p / 3), "all": p}[share]
+    tree = np.repeat(np.arange(len(nodes)), nodes)  # nodes[t] open nodes of tree t
+    # a block of block_nodes nodes, or less than one node; blocks end inside trees
+    block = forest._DRAW_BLOCK if block_nodes is None else block_nodes * p + p // 2
+
+    def draw(draw_features):
+        return draw_features([_tree_rng(seed, t) for t in range(len(nodes))], tree, p, mtry)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(forest, "_DRAW_BLOCK", block)
+        got = draw(forest._draw_features)
+    want = draw(_draw_features_one_shot)
+    assert got.dtype == want.dtype and got.shape == want.shape == (tree.size, mtry)
+    assert np.array_equal(got, want)
+
+
+def test_blocked_feature_draws_keep_a_tie_split_between_blocks(monkeypatch):
+    # tree 0 has three nodes, tree 1 two; blocks of two nodes end inside tree 0
+    # and between the trees.  Node 1 ties at its mtry-th smallest for mtry 1
+    # and 2, and node 4's four numbers are equal
+    u0 = np.array([[0.5, 0.1, 0.2, 0.9], [0.3, 0.3, 0.3, 0.7], [0.8, 0.6, 0.4, 0.2]])
+    u1 = np.array([[0.25, 0.75, 0.5, 0.0], [0.6, 0.6, 0.6, 0.6]])
+    tree = np.array([0, 0, 0, 1, 1])
+    monkeypatch.setattr(forest, "_DRAW_BLOCK", 8)
+    for mtry in (1, 2, 3):
+        got = forest._draw_features([_StreamDraws(u0), _StreamDraws(u1)], tree, 4, mtry)
+        want = _draw_features_one_shot([_StreamDraws(u0), _StreamDraws(u1)], tree, 4, mtry)
+        assert np.array_equal(got, want)
+    assert got.tolist() == [[0, 1, 2], [0, 1, 2], [1, 2, 3], [0, 2, 3], [0, 1, 2]]
+
+
+def test_a_level_of_feature_draws_holds_one_block_of_uniforms_at_a_time():
+    # 200 trees of 10 open nodes on 152 columns, mtry 51: the one-shot draw
+    # held two 2,000 x 152 float matrices, 4.99 MB at its peak
+    p, mtry, per_tree = 152, 51, 10
+    tree = np.repeat(np.arange(200), per_tree)
+    rngs = [_tree_rng(0, t) for t in range(200)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        feats = forest._draw_features(rngs, tree, p, mtry)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the result, and per block the uniforms, their sorted copy and the
+    # chosen positions, with room for what numpy holds besides
+    assert peak <= feats.nbytes + 4 * 8 * forest._DRAW_BLOCK
 
 
 # --------------------------------------------------------------------------

@@ -5,7 +5,7 @@ once.  The per-curve functions they replaced are kept below verbatim, with
 their names prefixed, as the reference: every row of a batch must get the
 bits the reference gives that curve alone, and a batch with a failing row
 must raise the error, class and message, of the first row the reference
-fails on.
+fails on; a marker check's message names that row as ``curve r``.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def _reference_extract_markers(
         raise TooShort(f"need at least 5 grid points, got {n}")
     f_max = float(np.max(f))
     if f_max <= 0.0:
-        raise AllZero("curve has no positive force")
+        raise AllZero("no positive force")
     gx = curve.grid.displacements()
     v_m = float(gx[int(np.argmax(f))])
 
@@ -156,6 +156,17 @@ def _reference_empirical_feature(markers: _ReferenceMarkers, h0_mm: float, mode:
             raise ZeroDenominator(f"h0^2 is zero (h0={h0_mm})")
         return markers.f_instability_N / denom
     raise BadConfig(f"unknown empirical mode: {mode!r}")
+
+
+def _reference_rows(markers_of, rows) -> list[_ReferenceMarkers]:
+    """The reference run row by row; a marker check that fails names its row."""
+    markers = []
+    for r, row in enumerate(rows):
+        try:
+            markers.append(markers_of(row))
+        except (AllZero, InvalidMarkers) as exc:
+            raise type(exc)(f"curve {r}: {exc}") from None
+    return markers
 
 
 # ------------------------------------------------------ differential tests
@@ -232,14 +243,15 @@ def test_batch_markers_and_features_match_the_per_curve_reference(batch, strateg
     v_star = stars if strategy == MARKER_FIXED_V else None
     per_row = np.broadcast_to(np.asarray(stars), (forces.shape[0],))
 
-    want, want_error = _outcome(lambda: [
-        _reference_extract_markers(
+    def reference(row_h0_star):
+        row, t, vs = row_h0_star
+        return _reference_extract_markers(
             UniformCurve(grid, row, make_meta(thickness=float(t))),
             strategy,
             float(vs) if strategy == MARKER_FIXED_V else None,
         )
-        for row, t, vs in zip(forces, h0, per_row)
-    ])
+
+    want, want_error = _outcome(lambda: _reference_rows(reference, zip(forces, h0, per_row)))
     got, got_error = _outcome(lambda: extract_markers(forces, grid, strategy, v_star))
     assert got_error == want_error
     if want_error is not None:
@@ -263,16 +275,16 @@ def test_the_first_failing_row_raises_even_after_passing_rows():
     grid = GridSpec(n_points=20)
     good = np.arange(20.0)
     batch = np.array([good, good, np.zeros(20), -good])
-    _, want = _outcome(lambda: _reference_extract_markers(
-        UniformCurve(grid, np.zeros(20), make_meta())))
+    _, want = _outcome(lambda: _reference_rows(
+        lambda row: _reference_extract_markers(UniformCurve(grid, row, make_meta())), batch))
     _, got = _outcome(lambda: extract_markers(batch, grid))
-    assert got == want == (AllZero, "curve has no positive force")
+    assert got == want == (AllZero, "curve 2: no positive force")
     # row 1 fails a later check than row 2 does, and still raises first
     stars = [0.05, 0.15, 0.05]
     _, got = _outcome(lambda: extract_markers(
         np.array([good, np.r_[good[:10], np.full(10, 9.0)], np.zeros(20)]),
         grid, MARKER_FIXED_V, stars))
-    assert got == (InvalidMarkers, "need 0 < v_i <= v_m, got v_i=0.15, v_m=0.09")
+    assert got == (InvalidMarkers, "curve 1: need 0 < v_i <= v_m, got v_i=0.15, v_m=0.09")
 
 
 def test_batch_of_one_and_grid_checks():

@@ -130,6 +130,62 @@ def test_refit_is_bitwise_identical():
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
 
 
+def _direct_svd_fit(data):
+    """Eigenvalues and sign-fixed loadings, all kept, from np.linalg.svd of X_c itself."""
+    _, svals, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+    loadings = vt.T.copy()
+    for j in range(loadings.shape[1]):
+        col = loadings[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            loadings[:, j] = -col
+    return svals * svals / (data.shape[0] - 1), loadings
+
+
+def _tall_shapes():
+    """n = floor(11p/6) - 1, floor(11p/6) and floor(11p/6) + 1 for several p, and 600 x 152."""
+    for p in (1, 2, 5, 6, 10, 31, 64, 152):
+        for n in (11 * p // 6 - 1, 11 * p // 6, 11 * p // 6 + 1):
+            if n >= 2:
+                yield n, p
+    yield 600, 152
+
+
+@pytest.mark.parametrize("n, p", list(_tall_shapes()))
+def test_fit_keeps_the_bits_of_the_direct_svd_on_both_sides_of_the_qr_threshold(n, p):
+    rng = np.random.default_rng(1000 * n + p)
+    # columns of unequal scale and a shared trend, as resampled forces have
+    data = (rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+            + np.outer(rng.normal(size=n), np.linspace(1.0, 3.0, p)))
+    for scale in (1.0, 2.0**-470, 2.0**470):  # the last two are rescaled inside dgesdd
+        x = data * scale
+        eig, loadings = _direct_svd_fit(x)
+        model = fit_pca(x, threshold=1.0)
+        k = model.n_components
+        assert model.eigenvalues.tobytes() == eig[:k].tobytes(), scale
+        assert model.loadings.tobytes() == loadings[:, :k].tobytes(), scale
+
+
+def test_only_a_tall_matrix_of_moderate_magnitude_is_factored_first(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        calls.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    rng = np.random.default_rng(5)
+    for p in (5, 31, 152):
+        threshold = 11 * p // 6
+        fit_pca(rng.normal(size=(threshold - 1, p)), threshold=1.0)
+        fit_pca(rng.normal(size=(threshold - 1, p)) * 2.0**470, threshold=1.0)
+        fit_pca(rng.normal(size=(threshold + 1, p)) * 2.0**470, threshold=1.0)
+        assert calls == []
+        fit_pca(rng.normal(size=(threshold, p)), threshold=1.0)
+        assert calls == [(threshold, p)]
+        calls.clear()
+
+
 def test_sign_convention_largest_entry_positive():
     rng = np.random.default_rng(48)
     data = rng.normal(size=(15, 6))
