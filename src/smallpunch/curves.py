@@ -39,6 +39,7 @@ from .errors import (
     MalformedRow,
     NonFiniteValue,
     TooShort,
+    prefixed,
 )
 
 CURVE_HEADER = ("displacement_um", "force_N")
@@ -226,30 +227,31 @@ class CurveMarkers:
         if not (f_m.size == v_m.size == f_i.size == v_i.size):
             raise InvalidMarkers("marker arrays must have equal lengths")
         raise_first_failure(f_m.size, [
-            (~(f_m > 0.0), lambda r: AllZero(f"curve {r}: no positive force")),
+            (~(f_m > 0.0), lambda r: AllZero("no positive force")),
             (~(f_i > 0.0), lambda r: InvalidMarkers(
-                f"curve {r}: instability force must be > 0, got {f_i[r]}")),
+                f"instability force must be > 0, got {f_i[r]}")),
             (f_m < f_i, lambda r: InvalidMarkers(
-                f"curve {r}: max force {f_m[r]} below instability force {f_i[r]}")),
+                f"max force {f_m[r]} below instability force {f_i[r]}")),
             (~((0.0 < v_i) & (v_i <= v_m)), lambda r: InvalidMarkers(
-                f"curve {r}: need 0 < v_i <= v_m, got v_i={v_i[r]}, v_m={v_m[r]}")),
+                f"need 0 < v_i <= v_m, got v_i={v_i[r]}, v_m={v_m[r]}")),
         ])
 
 
 def raise_first_failure(
     n_rows: int, checks: Sequence[tuple[Any, Callable[[int], Exception]]]
 ) -> None:
-    """Raise the error of the first of n_rows rows that fails a check.
+    """Raise the error of the first of n_rows rows that fails a check, named ``curve r``.
 
     Each check is (bad, error): bad is a boolean per row, or one boolean
-    for every row, and error(r) builds row r's exception.  Checks are listed
-    in the order one row's are made, so the failing row raises its first.
+    for every row, and error(r) builds row r's error, stating only the fault.
+    Checks are listed in the order one row's are made, so a row raises its first.
     """
     bad = np.array([np.broadcast_to(b, (n_rows,)) for b, _ in checks], dtype=bool)
     failing = np.flatnonzero(bad.any(axis=0))
     if failing.size:
         r = int(failing[0])
-        raise checks[int(np.argmax(bad[:, r]))][1](r)
+        with prefixed(f"curve {r}"):
+            raise checks[int(np.argmax(bad[:, r]))][1](r)
 
 
 def fmt(x: float) -> str:
@@ -648,7 +650,7 @@ def extract_markers(
         with np.errstate(over="ignore", invalid="ignore"):
             diffs = np.diff(_moving_average5(f), axis=1)
         raise_first_failure(f.shape[0], [(~np.all(np.isfinite(diffs), axis=1), lambda r: (
-            NonFiniteValue(f"curve {r}: forces overflow the max-slope smoothing")))])
+            NonFiniteValue("forces overflow the max-slope smoothing")))])
         # diffs[:, j-1] belongs to grid point j; restrict to j >= _SLOPE_SKIP
         j = _SLOPE_SKIP + np.argmax(diffs[:, _SLOPE_SKIP - 1:], axis=1)
         v_i = gx[j]

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .curves import GridSpec, UniformCurve
+from .curves import GridSpec, UniformCurve, raise_first_failure
 from .errors import (
     EmptyInput,
     EmptyTraining,
@@ -102,9 +102,8 @@ def assemble(curves: Sequence[UniformCurve]) -> np.ndarray:
     if not curves:
         raise EmptyInput("no curves to assemble")
     grid = curves[0].grid
-    for i, c in enumerate(curves):
-        if c.grid != grid:
-            raise MixedGrids(f"curve {i} grid {c.grid} differs from {grid}")
+    raise_first_failure(len(curves), [([c.grid != grid for c in curves], lambda r: MixedGrids(
+        f"grid {curves[r].grid} differs from {grid}"))])
     values = np.empty((len(curves), grid.n_points + 1))
     for i, c in enumerate(curves):
         values[i, :-1] = c.force_N

@@ -103,6 +103,8 @@ def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
         n < 2.
     DegenerateData
         All rows identical (zero total variance).
+    NonFiniteValue
+        The eigenvalues or their total overflow.
     """
     if not (0.0 < threshold <= 1.0):
         raise BadConfig(f"variance threshold must be in (0, 1], got {threshold}")
@@ -115,8 +117,11 @@ def fit_pca(x: np.ndarray, threshold: float = 0.99) -> PcaModel:
     if n >= 11 * p // 6 and _QR_RANGE[0] <= np.max(np.abs(centered)) <= _QR_RANGE[1]:
         centered = np.linalg.qr(centered, mode="r")
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    eig = (svals * svals) / (n - 1)
-    total = float(eig.sum())
+    with np.errstate(over="ignore"):  # an overflow is refused below, before any ratio
+        eig = (svals * svals) / (n - 1)
+        total = float(eig.sum())
+    if not np.isfinite(total):  # an infinite eigenvalue makes the total infinite too
+        raise NonFiniteValue(f"the squared singular values overflow: total variance {total}")
     if total == 0.0:
         raise DegenerateData("all rows identical: nothing to decompose")
     cum = np.cumsum(eig / total)

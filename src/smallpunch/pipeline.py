@@ -38,6 +38,7 @@ from .curves import (
     extract_markers,
     fmt,
     frozen,
+    raise_first_failure,
 )
 from .errors import BadConfig, GridMismatch, InvalidModel
 from .features import (Standardizer, apply_standardizer, assemble, column_labels,
@@ -119,10 +120,10 @@ class EmpiricalKind(_Kind):
         grid = curves[0].grid
         if self.mode != MODE_MAX_FORCE:
             v_i = [c.meta.v_i_mm for c in curves] if self.v_star is None else self.v_star
-            if self.marker_strategy == MARKER_FIXED_V and self.v_star is None and None in v_i:
-                i = v_i.index(None)
-                raise BadConfig(f"curve {i} ({curves[i].meta.material_id}) has no v_i_mm for the "
-                                f"{MARKER_FIXED_V} marker, whose kind holds no v_star")
+            if self.marker_strategy == MARKER_FIXED_V and self.v_star is None:
+                raise_first_failure(len(v_i), [([v is None for v in v_i], lambda r: BadConfig(
+                    f"material {curves[r].meta.material_id} has no v_i_mm for the "
+                    f"{MARKER_FIXED_V} marker, whose kind holds no v_star"))])
             return extract_markers(forces, grid, self.marker_strategy, v_i)
         # the instability point sits at the maximum, where every check on it
         # holds: only F_m > 0 and v_m > 0 are checked

@@ -101,7 +101,7 @@ def empirical_feature(
     raise_first_failure(x.size, [
         (denom == 0.0, lambda r: ZeroDenominator(zero.format(h0=h0[r], v_m=v_m[r]))),
         (~(np.isfinite(x) & np.isfinite(denom)), lambda r: NonFiniteValue(
-            f"curve {r}: regressor {force[r]} / {denom[r]} overflows")),
+            f"regressor {force[r]} / {denom[r]} overflows")),
     ])
     return x
 
@@ -141,7 +141,7 @@ def predict_empirical(model: EmpiricalModel, markers: CurveMarkers,
     with np.errstate(over="ignore"):
         predictions = model.beta * x
     raise_first_failure(x.size, [(~np.isfinite(predictions), lambda r: (
-        NonFiniteValue(f"curve {r}: prediction {model.beta} * {x[r]} overflows")))])
+        NonFiniteValue(f"prediction {model.beta} * {x[r]} overflows")))])
     return predictions
 
 

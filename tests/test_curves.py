@@ -812,6 +812,30 @@ def test_marker_invariants_enforced():
                      v_instability_mm=[0.5])
 
 
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: RawCurve(np.zeros((2, 2)), np.zeros(2), make_meta()), InvalidCurve,
+     "displacement_mm must be one-dimensional"),
+    (lambda: RawCurve(np.array([0.0, 0.1, 0.2]), np.array([0.0, 1.0]), make_meta()),
+     InvalidCurve, "displacement and force must have equal length"),
+    (lambda: RawCurve(np.array([0.0, np.inf]), np.array([0.0, 1.0]), make_meta()),
+     NonFiniteValue, "non-finite displacement value"),
+    (lambda: UniformCurve(GridSpec(n_points=5), np.array([0.0, 1.0, np.nan, 3.0, 4.0]),
+                          make_meta()), NonFiniteValue, "non-finite force value"),
+    (lambda: UniformCurve(GridSpec(n_points=5), np.ones(5), make_meta(), n_extrapolated=6),
+     InvalidCurve, "n_extrapolated out of range: 6"),
+    (lambda: UniformCurve(GridSpec(n_points=5), np.ones(5), make_meta(), n_extrapolated=-1),
+     InvalidCurve, "n_extrapolated out of range: -1"),
+    (lambda: CurveMarkers(f_max_N=[10.0, 9.0], v_at_fmax_mm=[1.0], f_instability_N=[5.0],
+                          v_instability_mm=[0.5]), InvalidMarkers,
+     "marker arrays must have equal lengths"),
+], ids=["raw-2d", "raw-lengths", "raw-displacement-inf", "uniform-force-nan",
+        "uniform-extrapolated-above", "uniform-extrapolated-below", "markers-lengths"])
+def test_a_record_refuses_arrays_it_cannot_hold(make, error, message):
+    with pytest.raises(error) as err:
+        make()
+    assert type(err.value) is error and str(err.value) == message
+
+
 def test_uniform_curve_length_must_match_grid():
     with pytest.raises(InvalidCurve):
         UniformCurve(grid=GridSpec(), force_N=np.zeros(150), meta=make_meta())

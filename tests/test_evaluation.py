@@ -315,7 +315,7 @@ def test_a_fixed_v_kind_without_v_star_refuses_a_curve_without_v_i():
     with pytest.raises(BadConfig) as err:
         cross_validate(curves, kind, k=2, seed=0)
     assert type(err.value) is BadConfig
-    assert re.fullmatch(r"fold \d: curve \d \(M01\) has no v_i_mm for the fixed-v marker, "
+    assert re.fullmatch(r"fold \d: curve \d: material M01 has no v_i_mm for the fixed-v marker, "
                         r"whose kind holds no v_star", str(err.value))
 
 

@@ -96,8 +96,9 @@ def test_strengths_rejects_unlabelled_curves(default_grid):
 def test_assemble_rejects_mixed_grids():
     a = make_uniform(np.arange(151.0), grid=GridSpec())
     b = make_uniform(np.arange(100.0), grid=GridSpec(n_points=100))
-    with pytest.raises(MixedGrids):
+    with pytest.raises(MixedGrids) as err:
         assemble([a, b])
+    assert str(err.value) == f"curve 1: grid {b.grid} differs from {a.grid}"
 
 
 def test_assemble_rejects_empty():
@@ -202,6 +203,17 @@ def test_fits_refuse_targets_whose_sums_would_overflow(fit):
                        r"8 targets up to 1\.7e\+200 in magnitude, where n \* max\|y\| may be "
                        r"at most 1e\+150$"):
         fit(np.arange(1.0, 9.0)[:, None], y)
+
+
+@pytest.mark.parametrize("fit", _FITS.values(), ids=_FITS.keys())
+@pytest.mark.parametrize("y, error, message", [
+    (np.ones((8, 1)), ShapeMismatch, "targets must be one-dimensional"),
+    (np.r_[np.ones(7), np.nan], NonFiniteValue, "targets contain non-finite values"),
+], ids=["2d", "nan"])
+def test_fits_refuse_targets_that_are_not_a_finite_vector(fit, y, error, message):
+    with pytest.raises(error) as err:
+        fit(np.arange(1.0, 9.0)[:, None], y)
+    assert type(err.value) is error and str(err.value) == message
 
 
 @pytest.mark.parametrize("fit", _FITS.values(), ids=_FITS.keys())

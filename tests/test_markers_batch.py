@@ -5,7 +5,7 @@ once.  The per-curve functions they replaced are kept below verbatim, with
 their names prefixed, as the reference: every row of a batch must get the
 bits the reference gives that curve alone, and a batch with a failing row
 must raise the error, class and message, of the first row the reference
-fails on; a marker check's message names that row as ``curve r``.
+fails on; a row check's message names that row as ``curve r``.
 """
 
 from __future__ import annotations
@@ -158,15 +158,15 @@ def _reference_empirical_feature(markers: _ReferenceMarkers, h0_mm: float, mode:
     raise BadConfig(f"unknown empirical mode: {mode!r}")
 
 
-def _reference_rows(markers_of, rows) -> list[_ReferenceMarkers]:
-    """The reference run row by row; a marker check that fails names its row."""
-    markers = []
+def _reference_rows(compute, rows) -> list:
+    """The reference run row by row; a row check that fails names its row."""
+    results = []
     for r, row in enumerate(rows):
         try:
-            markers.append(markers_of(row))
-        except (AllZero, InvalidMarkers) as exc:
+            results.append(compute(row))
+        except (AllZero, InvalidMarkers, ZeroDenominator) as exc:
             raise type(exc)(f"curve {r}: {exc}") from None
-    return markers
+    return results
 
 
 # ------------------------------------------------------ differential tests
@@ -261,8 +261,9 @@ def test_batch_markers_and_features_match_the_per_curve_reference(batch, strateg
             [getattr(m, name) for m in want]).tobytes(), name
 
     for mode in EMPIRICAL_MODES:
-        want_x, want_error = _outcome(lambda: np.array(
-            [_reference_empirical_feature(m, float(t), mode) for m, t in zip(want, h0)]))
+        want_x, want_error = _outcome(lambda: np.array(_reference_rows(
+            lambda m_t: _reference_empirical_feature(m_t[0], float(m_t[1]), mode),
+            zip(want, h0))))
         got_x, got_error = _outcome(lambda: empirical_feature(got, h0, mode))
         assert got_error == want_error
         if want_error is None:
@@ -306,7 +307,7 @@ def test_batch_of_one_and_grid_checks():
 def test_zero_denominator_names_the_first_failing_curve():
     markers = extract_markers(np.array([np.arange(20.0)] * 3), GridSpec(n_points=20))
     h0 = [0.5, 1e-170, 5e-324]
-    for mode, message in ((MODE_INSTABILITY_FORCE, "h0^2 is zero (h0=1e-170)"),
-                          (MODE_MAX_FORCE, "h0 * v_m is zero (h0=5e-324, v_m=0.19)")):
+    for mode, message in ((MODE_INSTABILITY_FORCE, "curve 1: h0^2 is zero (h0=1e-170)"),
+                          (MODE_MAX_FORCE, "curve 2: h0 * v_m is zero (h0=5e-324, v_m=0.19)")):
         _, got = _outcome(lambda: empirical_feature(markers, h0, mode))
         assert got == (ZeroDenominator, message)

@@ -726,6 +726,18 @@ def test_forest_block_is_read_by_its_files_version(tmp_path):
     _assert_refused(path, doc, "missing field 'count'")
 
 
+def test_a_format_1_file_without_a_forest_reads_as_its_format_2_self(tmp_path, dataset):
+    # only a forest changed between formats 1 and 2
+    doc = json.loads((DATA / "pca-lm_v2.json").read_text(encoding="utf-8"))
+    v1 = {**doc, "format_version": 1}
+    assert UPGRADES[1](v1) == v1
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(v1), encoding="utf-8")
+    curves, _ = dataset
+    want = predict_pipeline(load_model(DATA / "pca-lm_v2.json")[0], curves)
+    assert predict_pipeline(load_model(path)[0], curves).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("path", sorted(DATA.glob("*_v[12345].json")), ids=lambda p: p.name)
 def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
     doc = json.loads(path.read_text(encoding="utf-8"))

@@ -6,6 +6,7 @@ import pytest
 from smallpunch.errors import (
     BadConfig,
     DegenerateData,
+    NonFiniteValue,
     ShapeMismatch,
     TooFewRows,
 )
@@ -223,6 +224,25 @@ def test_needs_two_rows():
 def test_identical_rows_are_degenerate():
     with pytest.raises(DegenerateData):
         fit_pca(np.tile([1.0, 2.0, 3.0], (5, 1)))
+
+
+@pytest.mark.parametrize("n, p", [(40, 10), (10, 40)])
+def test_data_whose_squared_singular_values_overflow_is_refused_without_a_warning(n, p):
+    x = np.random.default_rng(n).normal(size=(n, p)) * 2.0**600
+    with pytest.raises(NonFiniteValue) as err:
+        fit_pca(x)
+    assert str(err.value) == "the squared singular values overflow: total variance inf"
+
+
+def test_finite_eigenvalues_whose_total_overflows_are_refused_without_a_warning(monkeypatch):
+    # three eigenvalues of 1.69e308 each, whose sum no double holds
+    def svd(a, full_matrices=True):
+        return None, np.full(3, 1.3e154), np.eye(3)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    with pytest.raises(NonFiniteValue) as err:
+        fit_pca(np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]))
+    assert str(err.value) == "the squared singular values overflow: total variance inf"
 
 
 def test_threshold_must_be_in_unit_interval():

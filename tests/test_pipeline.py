@@ -149,10 +149,12 @@ def test_fixed_v_reads_the_kinds_v_star_else_each_curves_own(dataset):
     assert fit_pipeline(carried, replace(kind, v_star=0.5)) == shared
     assert (predict_pipeline(shared, carried).tobytes()
             == predict_pipeline(shared, curves).tobytes())
-    with pytest.raises(BadConfig, match=r"^curve 0 \(M00\) has no v_i_mm"):
+    with pytest.raises(BadConfig, match=r"^curve 0: material M00 has no v_i_mm"):
         fit_pipeline(curves, kind)
-    with pytest.raises(BadConfig, match=r"^curve 17 \(M02\) has no v_i_mm"):
+    with pytest.raises(BadConfig) as err:
         predict_pipeline(per_curve, carried[:-1] + curves[-1:])
+    assert str(err.value) == ("curve 17: material M02 has no v_i_mm for the fixed-v marker, "
+                              "whose kind holds no v_star")
 
 
 @pytest.mark.parametrize("given, message", [

@@ -12,6 +12,7 @@ from smallpunch.errors import (
     NonFiniteValue,
     NonPositiveFeature,
     RankDeficient,
+    ShapeMismatch,
     TooFewRows,
     ZeroDenominator,
 )
@@ -161,6 +162,17 @@ def test_fit_beta_rejects_empty_and_non_positive():
         fit_beta(np.array([100.0, 0.0]), np.array([30.0, 30.0]))
     with pytest.raises(LengthMismatch):
         fit_beta(np.array([100.0, 200.0]), np.array([30.0]))
+
+
+@pytest.mark.parametrize("fit, x, error, message", [
+    (fit_beta, np.ones((2, 1)), ShapeMismatch, "features must be one-dimensional"),
+    (fit_beta, np.array([1.0, np.inf]), NonFiniteValue, "features contain non-finite values"),
+    (fit_ols, np.ones((3, 1)), LengthMismatch, "3 design rows vs 2 targets"),
+], ids=["beta-2d", "beta-inf", "ols-lengths"])
+def test_fits_refuse_features_that_do_not_match_the_targets(fit, x, error, message):
+    with pytest.raises(error) as err:
+        fit(x, np.array([30.0, 40.0]))
+    assert type(err.value) is error and str(err.value) == message
 
 
 def test_empirical_model_validation():

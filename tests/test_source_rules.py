@@ -97,6 +97,14 @@ def _imported_packages(path):
     return found
 
 
+def _curve_row_fstrings(tree):
+    """Line of every f-string of a parsed node where a literal ending 'curve ' precedes a value."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.JoinedStr)
+            and any(isinstance(a, ast.Constant) and a.value.endswith("curve ")
+                    and isinstance(b, ast.FormattedValue)
+                    for a, b in zip(node.values, node.values[1:]))]
+
+
 def _unused_imports(path):
     """(line, name) of every name an import binds that the module never reads.
 
@@ -263,6 +271,20 @@ def test_the_command_line_asks_no_model_or_kind_its_class():
     asked = [(line, ast.unparse(node)) for line, _, node in _calls(cli, {"isinstance"})]
     assert [(line, call) for line, call in asked
             if "model" in call.lower() or "Kind" in call] == []
+
+
+def test_only_raise_first_failure_names_a_failing_curve():
+    # curves.raise_first_failure prefixes "curve r: " to the error of a
+    # batch's first failing row, so each check it is given states only its fault
+    named = {p.name: _curve_row_fstrings(ast.parse(p.read_text(encoding="utf-8"), str(p)))
+             for p in SOURCES}
+    curves = next(p for p in SOURCES if p.name == "curves.py")
+    prefix = next(node for node in ast.walk(ast.parse(curves.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.FunctionDef) and node.name == "raise_first_failure")
+    prefix_lines = _curve_row_fstrings(prefix)
+    named["curves.py"] = [line for line in named["curves.py"] if line not in prefix_lines]
+    assert {name: lines for name, lines in named.items() if lines} == {}
+    assert len(prefix_lines) == 1
 
 
 def test_only_the_errors_module_raises_an_error_of_the_class_it_caught():

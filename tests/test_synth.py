@@ -198,6 +198,28 @@ def test_config_validation():
             SynthConfig(**{field: value})
 
 
+@pytest.mark.parametrize("given, message", [
+    ({"rm_range_MPa": (600.0, 400.0)},
+     "rm_range_MPa must satisfy 0 < lo <= hi, got (600.0, 400.0)"),
+    ({"temp_range_C": (100.0, 20.0)}, "temp_range_C out of order or range, got (100.0, 20.0)"),
+    ({"temp_range_C": (-300.0, 20.0)},
+     "temp_range_C out of order or range, got (-300.0, 20.0)"),
+    ({"seed": -1}, "seed must be >= 0, got -1"),
+], ids=["rm-order", "temp-order", "temp-below-absolute-zero", "seed-negative"])
+def test_config_refuses_a_value_out_of_range_naming_it(given, message):
+    with pytest.raises(BadConfig) as err:
+        SynthConfig(**given)
+    assert type(err.value) is BadConfig and str(err.value) == message
+
+
+def test_a_v_i_range_holding_no_multiple_of_the_step_is_refused():
+    cfg = _small_cfg(v_i_range_mm=(0.301, 0.305), v_i_step_mm=0.01)
+    with pytest.raises(BadConfig) as err:
+        generate(cfg)
+    assert type(err.value) is BadConfig
+    assert str(err.value) == "v_i_range_mm (0.301, 0.305) contains no multiple of step 0.01"
+
+
 def test_slope_that_kills_strength_is_rejected():
     with pytest.raises(BadConfig):
         generate(SynthConfig(temp_slope_MPa_per_C=-2.0))
