@@ -2,11 +2,10 @@
 
 Subcommands: synth, cv, train, predict, report.  Exit codes follow one
 taxonomy everywhere: 0 success, 2 bad flags, 3 I/O failure, 4 data
-validation failure, 5 compatibility failure (model format version or grid
-mismatch).  Every seeded subcommand writes byte-identical outputs when
-rerun with the same inputs and seed; `train` additionally honors
-SOURCE_DATE_EPOCH for the provenance timestamp so saved model files can be
-reproduced exactly.
+validation failure, 5 a model format version this build cannot read.
+Every seeded subcommand writes byte-identical outputs when rerun with the
+same inputs and seed; `train` additionally honors SOURCE_DATE_EPOCH for
+the provenance timestamp so saved model files can be reproduced exactly.
 
 No family is named here: --pipeline names a kind in KINDS, each family
 flag fills the field of that kind its dest names (fields_given), and the
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import dataio
 from .curves import GridSpec, MARKER_FIXED_V, MARKER_STRATEGIES
-from .errors import BadConfig, GridMismatch, SmallPunchError, UnsupportedVersion, prefixed
+from .errors import BadConfig, SmallPunchError, UnsupportedVersion, prefixed
 from .evaluation import cross_validate, rmse
 from .features import strengths
 from .modelfile import load_model, save_model
@@ -191,13 +190,12 @@ def _curves(args: argparse.Namespace, kind: PipelineKind, grid: GridSpec):
     """The manifest's curve names and curves, each given its v_i_mm from --truth's row.
 
     A fixed-v kind reads its v_star when set, else each curve's v_i: it
-    needs one of them and takes no other, checked before any file is read.
+    needs one of them, checked before any file is read.  The flags that
+    would give it both are refused before it is built.
     """
     truth = getattr(args, "truth", None)
-    if kind.marker_strategy == MARKER_FIXED_V and (truth is None) == (kind.v_star is None):
-        raise BadConfig("the fixed-v marker needs --v-star or --truth" if truth is None else
-                        f"--truth {truth}: the model reads the v_star {kind.v_star} it stores, "
-                        "not each curve's v_i")
+    if kind.marker_strategy == MARKER_FIXED_V and truth is None and kind.v_star is None:
+        raise BadConfig("the fixed-v marker needs --v-star or --truth")
     names, curves = dataio.load_curves(args.manifest, grid)
     if truth is None:
         return names, curves
@@ -278,15 +276,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     trained, _ = load_model(args.model)
-    # the v_i and grid flags fill the model's kind and grid before any curve is read
+    # the model states the grid and any v_star; a v_i flag fills a fixed-v
+    # kind storing none, all before any curve is read
     _refuse_unread(args, trained.kind)
     kind = fields_given(trained.kind, args)
-    if kind != trained.kind and trained.kind.v_star is not None:
-        raise BadConfig(f"--v-star {kind.v_star} differs from the v_star "
-                        f"{trained.kind.v_star} the model stores")
-    requested = fields_given(trained.grid, args)
-    if requested != trained.grid:
-        raise GridMismatch(f"requested grid {requested} does not match model grid {trained.grid}")
+    given = [option for dest, option in args.flag_names.items() if dest in args]
+    if given and trained.kind.v_star is not None:
+        raise BadConfig(f"{given[0]}: the model reads the v_star {trained.kind.v_star} it stores")
     names, curves = _curves(args, kind, trained.grid)
     rows = []
     if curves:  # an empty manifest gets a header-only table
@@ -362,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
                             argument_default=argparse.SUPPRESS)
     p_pred.add_argument("manifest", type=Path)
     p_pred.add_argument("--model", type=Path, required=True)
-    _add_grid_flags(p_pred)
     _name_flags(p_pred, [
         p_pred.add_argument("--v-star", type=float,
                             help="shared v_i for fixed-v models that store none"),
@@ -388,7 +383,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     try:
         return args.func(args)
-    except (UnsupportedVersion, GridMismatch) as exc:
+    except UnsupportedVersion as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_COMPAT
     except BadConfig as exc:

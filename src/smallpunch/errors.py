@@ -55,7 +55,7 @@ class InvalidMarkers(SmallPunchError):
 
 
 class MixedGrids(SmallPunchError):
-    """Curves sampled on different grids cannot share a feature matrix."""
+    """A curve is off the grid of the others or of the model that reads them."""
 
 
 class PartialTargets(SmallPunchError):
@@ -120,7 +120,3 @@ class UnsupportedVersion(SmallPunchError):
 
 class GridOutsideCurve(SmallPunchError):
     """No point of the displacement grid lies within a curve's recorded span."""
-
-
-class GridMismatch(SmallPunchError):
-    """Curves and a fitted model disagree about the displacement grid."""

@@ -93,15 +93,16 @@ class Standardizer:
         return int(self.means.size)
 
 
-def assemble(curves: Sequence[UniformCurve]) -> np.ndarray:
+def assemble(curves: Sequence[UniformCurve], grid: GridSpec | None = None) -> np.ndarray:
     """Stack uniform curves into the n x (n_points + 1) feature matrix.
 
     Row i holds curve i's grid forces followed by its test temperature.
-    All curves must share one grid.
+    Every curve must lie on grid, by default curve 0's; the first that
+    does not is named.
     """
     if not curves:
         raise EmptyInput("no curves to assemble")
-    grid = curves[0].grid
+    grid = curves[0].grid if grid is None else grid
     raise_first_failure(len(curves), [([c.grid != grid for c in curves], lambda r: MixedGrids(
         f"grid {curves[r].grid} differs from {grid}"))])
     values = np.empty((len(curves), grid.n_points + 1))

@@ -40,7 +40,7 @@ from .curves import (
     frozen,
     raise_first_failure,
 )
-from .errors import BadConfig, GridMismatch, InvalidModel
+from .errors import BadConfig, InvalidModel
 from .features import (Standardizer, apply_standardizer, assemble, column_labels,
                        fit_standardizer, strengths)
 from .forest import ForestConfig, ForestModel, fit_forest, predict_forest
@@ -293,8 +293,5 @@ def fit_pipeline(curves: Sequence[UniformCurve], kind: PipelineKind) -> TrainedP
 def predict_pipeline(trained: TrainedPipeline, curves: Sequence[UniformCurve]) -> np.ndarray:
     """Predict strengths for curves resampled on the pipeline's grid."""
     curve_list = list(curves)
-    matrix = assemble(curve_list)  # every curve on the first one's grid
-    if curve_list[0].grid != trained.grid:
-        raise GridMismatch(f"curve 0 grid {curve_list[0].grid} differs from model grid "
-                           f"{trained.grid}")
+    matrix = assemble(curve_list, trained.grid)
     return trained.kind.predict(trained, curve_list, matrix)

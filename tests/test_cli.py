@@ -495,15 +495,15 @@ def test_predict_matches_library_predictions(tmp_path, capsys):
         assert got[name] == value  # repr round trip, bit for bit
 
 
-def test_predict_grid_mismatch_exits_5(tmp_path, capsys):
-    data = make_dataset(tmp_path, capsys, materials=2, per_material=3)
-    model_path = tmp_path / "model.json"
-    run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
-        "--out", str(model_path))
-    code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
-                       "--model", str(model_path), "--grid-points", "99",
-                       "--out", str(tmp_path / "p.csv"))
-    assert code == 5 and "grid" in err.lower()
+@pytest.mark.parametrize("flag", ["--grid-start", "--grid-spacing", "--grid-points"])
+def test_predict_takes_no_grid_flag(tmp_path, capsys, flag):
+    # the grid is the model's: reading the missing model would exit 3, so
+    # exit 2 shows the flag is refused before any file is read
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", str(tmp_path / "missing.csv"), "--model",
+                       str(tmp_path / "missing.json"), flag, "1", "--out", str(out))
+    assert code == 2 and "unrecognized arguments" in err
+    assert not out.exists()
 
 
 def test_predict_unknown_model_version_exits_5(tmp_path, capsys):
@@ -622,31 +622,23 @@ def test_a_fixed_v_model_stores_its_v_star_and_predicts_with_no_flag(tmp_path, c
     assert json.loads(model_path.read_text())["pipeline"] == {
         "family": "empirical", "mode": "instability-force", "marker_strategy": "fixed-v",
         "v_star": 0.5}
-    outputs = []
-    for flags in ((), ("--v-star", "0.5")):  # the stored value itself may be given
-        out = tmp_path / f"p{len(outputs)}.csv"
-        code, _, err = run(capsys, "predict", str(data / "manifest.csv"), "--model",
-                           str(model_path), *flags, "--out", str(out))
-        assert code == 0, err
-        outputs.append(out.read_text())
-    assert outputs[0] == outputs[1]
-    assert outputs[0].splitlines()[1].split(",")[::3] == ["m00_c00.csv", "577.5723020273294"]
+    out = tmp_path / "p.csv"
+    code, _, err = run(capsys, "predict", str(data / "manifest.csv"), "--model",
+                       str(model_path), "--out", str(out))
+    assert code == 0, err
+    assert out.read_text().splitlines()[1].split(",")[::3] == ["m00_c00.csv", "577.5723020273294"]
 
 
-@pytest.mark.parametrize("flags,message", [
-    (("--v-star", "0.9"), "--v-star 0.9 differs from the v_star 0.5 the model stores"),
-    (("--truth", "TRUTH"), "--truth TRUTH: the model reads the v_star 0.5 it stores, "
-                           "not each curve's v_i"),
-], ids=["v-star", "truth"])
-def test_a_stored_v_star_refuses_another_v_i_before_any_curve_is_read(tmp_path, capsys, flags,
-                                                                      message):
+@pytest.mark.parametrize("flags", [("--v-star", "0.9"), ("--v-star", "0.5"),
+                                   ("--truth", "TRUTH")], ids=["v-star", "same", "truth"])
+def test_a_stored_v_star_refuses_another_v_i_before_any_curve_is_read(tmp_path, capsys, flags):
+    # even the stored value itself: the model alone states its v_star
     data, model_path = _fixed_v_at_half(tmp_path, capsys)
-    truth = str(data / "truth.csv")
-    flags = [truth if flag == "TRUTH" else flag for flag in flags]
+    flags = [str(data / "truth.csv") if flag == "TRUTH" else flag for flag in flags]
     out = tmp_path / "p.csv"
     code, _, err = run(capsys, "predict", str(tmp_path / "missing.csv"), "--model",
                        str(model_path), *flags, "--out", str(out))
-    assert (code, err) == (2, f"error: {message.replace('TRUTH', truth)}\n")
+    assert (code, err) == (2, f"error: {flags[0]}: the model reads the v_star 0.5 it stores\n")
     assert not out.exists()
 
 

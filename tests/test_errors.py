@@ -2,10 +2,10 @@
 
 import pytest
 
-from smallpunch.errors import BadConfig, GridMismatch, MalformedRow, prefixed
+from smallpunch.errors import BadConfig, MalformedRow, UnsupportedVersion, prefixed
 
 
-@pytest.mark.parametrize("cls", [MalformedRow, GridMismatch, BadConfig])
+@pytest.mark.parametrize("cls", [MalformedRow, UnsupportedVersion, BadConfig])
 def test_prefixed_keeps_the_class_and_chains_the_cause(cls):
     inner = cls("bad cell")
     with pytest.raises(cls) as caught:

@@ -99,6 +99,10 @@ def test_assemble_rejects_mixed_grids():
     with pytest.raises(MixedGrids) as err:
         assemble([a, b])
     assert str(err.value) == f"curve 1: grid {b.grid} differs from {a.grid}"
+    # a grid given is the one every curve must lie on, curve 0 too
+    with pytest.raises(MixedGrids) as err:
+        assemble([b, a], a.grid)
+    assert str(err.value) == f"curve 0: grid {b.grid} differs from {a.grid}"
 
 
 def test_assemble_rejects_empty():

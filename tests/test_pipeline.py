@@ -11,7 +11,6 @@ from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
 from smallpunch.errors import (
     BadConfig,
     EmptyTraining,
-    GridMismatch,
     InvalidMarkers,
     InvalidModel,
     MixedGrids,
@@ -202,8 +201,9 @@ def test_predicting_on_a_different_grid_is_refused(dataset):
     trained = fit_pipeline(curves, EmpiricalKind())
     other = make_uniform(np.arange(100.0), grid=GridSpec(n_points=100),
                          meta=make_meta(rm=500.0))
-    with pytest.raises(GridMismatch, match="curve 0"):
+    with pytest.raises(MixedGrids) as err:
         predict_pipeline(trained, [other])
+    assert str(err.value) == f"curve 0: grid {other.grid} differs from {trained.grid}"
 
 
 def test_predicting_on_mixed_grids_is_refused_before_the_model_grid_is_compared(dataset):
