@@ -11,6 +11,8 @@ from .curves import (
     GridSpec,
     MARKER_FIXED_V,
     MARKER_MAX_SLOPE,
+    RULE_INTERVAL_MEAN,
+    RULE_POINT,
     RawCurve,
     SpecimenMeta,
     UniformCurve,
@@ -63,6 +65,8 @@ __all__ = [
     "ForestKind",
     "ForestModel",
     "GridSpec",
+    "RULE_INTERVAL_MEAN",
+    "RULE_POINT",
     "LinearModel",
     "MARKER_FIXED_V",
     "MARKER_MAX_SLOPE",

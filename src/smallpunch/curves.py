@@ -2,12 +2,15 @@
 
 A small punch test records punch force versus central displacement at a
 sampling distance of roughly one micrometre.  All modelling downstream works
-on a fixed uniform displacement grid, plus two physical markers per curve:
-the force maximum (F_m at v_m) and the force at the onset of plastic
-instability (F_i at v_i).  Markers are extracted for a whole batch at once,
-from the matrix of grid forces with one row per curve, in a few numpy
-passes (the fixed-v force is interpolated row by row); a curve gets the
-same bits in any batch as alone.
+on a fixed uniform displacement grid, by default 76 points 20 um apart, each
+holding the mean force over its cell, so every recorded row reaches the
+model (GridSpec states the grid and its rule, resample applies them), plus
+two physical markers per curve: the force maximum (F_m at v_m) and the
+force at the onset of plastic instability (F_i at v_i).  Markers are
+extracted for a whole batch at once, from the matrix of grid forces with
+one row per curve, in a few numpy passes (the fixed-v force is
+interpolated row by row); a curve gets the same bits in any batch as
+alone.
 
 Curve arrays are shared, not copied, and are to be treated as immutable.
 One rule, in _as_readonly_1d, decides what a record keeps: a read-only
@@ -20,9 +23,11 @@ make it writable again.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -47,6 +52,10 @@ CURVE_HEADER = ("displacement_um", "force_N")
 MARKER_MAX_SLOPE = "max-slope"
 MARKER_FIXED_V = "fixed-v"
 MARKER_STRATEGIES = (MARKER_MAX_SLOPE, MARKER_FIXED_V)
+
+RULE_INTERVAL_MEAN = "interval-mean"
+RULE_POINT = "point"
+GRID_RULES = (RULE_INTERVAL_MEAN, RULE_POINT)
 
 # max-slope candidates start after this many grid points; the initial
 # settling of the punch contact produces spurious steep differences there
@@ -91,17 +100,22 @@ class SpecimenMeta:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform displacement grid.
+    """Uniform displacement grid and the rule that reads a curve onto it.
 
-    The default covers [0, 1.5] mm with 151 points, i.e. 10 um spacing;
-    n_points may be at most MAX_GRID_POINTS.
+    The default covers [0, 1.5] mm with 76 points, i.e. 20 um spacing, and
+    gives each point the mean force over its cell (RULE_INTERVAL_MEAN);
+    RULE_POINT reads the curve at the point itself.  n_points may be at
+    most MAX_GRID_POINTS.
     """
 
     start_mm: float = 0.0
-    spacing_mm: float = 0.010
-    n_points: int = 151
+    spacing_mm: float = 0.02
+    n_points: int = 76
+    rule: str = RULE_INTERVAL_MEAN
 
     def __post_init__(self) -> None:
+        if self.rule not in GRID_RULES:
+            raise BadConfig(f"grid rule must be one of {', '.join(GRID_RULES)}, got {self.rule!r}")
         if not (0.0 < self.spacing_mm < math.inf):
             raise BadConfig(f"grid spacing must be finite and > 0, got {self.spacing_mm}")
         n = self.n_points
@@ -123,6 +137,17 @@ class GridSpec:
     def displacements(self) -> np.ndarray:
         """Grid displacement values in mm, length n_points."""
         return self.start_mm + self.spacing_mm * np.arange(self.n_points)
+
+    @cached_property
+    def _cells(self) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
+        """The points and the n_points + 1 cell edges as floats, for
+        bisection; the edges again as an array, point j's cell running from
+        edge j to edge j + 1, [x - h/2, x + h/2]; and the half inverse of
+        each cell's width.  Made once per grid, as resample reads them for
+        every curve, and read-only."""
+        edges = self.start_mm + self.spacing_mm * (np.arange(self.n_points + 1) - 0.5)
+        return (self.displacements().tolist(), edges.tolist(), frozen(edges),
+                frozen(0.5 / np.diff(edges)))
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -182,8 +207,8 @@ class RawCurve:
 class UniformCurve:
     """Curve resampled onto a GridSpec.
 
-    n_extrapolated counts grid points past the last raw displacement that
-    were filled by constant extrapolation.
+    n_extrapolated counts grid points past the last raw displacement (see
+    resample).
     """
 
     grid: GridSpec
@@ -198,7 +223,7 @@ class UniformCurve:
             raise InvalidCurve(
                 f"force length {f.size} does not match grid n_points {self.grid.n_points}"
             )
-        if not np.all(np.isfinite(f)):
+        if not np.isfinite(f).all():
             raise NonFiniteValue("non-finite force value")
         if not (0 <= self.n_extrapolated <= self.grid.n_points):
             raise InvalidCurve(f"n_extrapolated out of range: {self.n_extrapolated}")
@@ -542,22 +567,71 @@ def _collapse_duplicates(d_um: np.ndarray, f_n: np.ndarray, meta: SpecimenMeta) 
 
 
 def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
-    """Piecewise-linear resampling of a raw curve onto a uniform grid.
+    """A raw curve read onto a uniform grid by the grid's rule.
 
-    Grid points outside the raw displacement span are filled with the
+    Both rules read the piecewise-linear interpolant of the recorded rows.
+    RULE_INTERVAL_MEAN gives grid point x the mean of the interpolant over
+    its cell [x - h/2, x + h/2], so every recorded row reaches some point;
+    RULE_POINT gives it the interpolant's value at x.  A mean comes in
+    closed form from the trapezoid areas of the rows: those of the whole
+    segments inside the cell, and at each cell edge e between rows d_k and
+    d_k+1 the part trapezoid (e - d_k) * (f_k + f(e)) / 2, which holds the
+    segment's quadratic term.  A cell that sticks out past the recorded
+    span reads the end segment's linear extension there, so an affine
+    curve's means are its values at the points, end cells included.  The
+    cell edges are computed once per grid.
+
+    A point whose cell lies wholly outside the span, under the interval
+    rule, or that lies itself outside it, under the point rule, takes the
     nearest end force (constant extrapolation); the count of points past
     the last raw displacement is flagged as n_extrapolated.  A grid with
     no point inside that span raises GridOutsideCurve: every force would
-    be an end force.
+    be an end force.  Forces whose trapezoid areas overflow (rows near the
+    largest double) raise NonFiniteValue under the interval rule.
     """
-    gx = grid.displacements()
-    d = curve.displacement_mm
-    if not np.any((gx >= d[0]) & (gx <= d[-1])):
+    points, edge_list, edges, half_inverse_width = grid._cells
+    d, f = curve.displacement_mm, curve.force_N
+    first, last = d[0].item(), d[-1].item()
+    inside = bisect.bisect_right(points, last)
+    if inside <= bisect.bisect_left(points, first):
         raise GridOutsideCurve(f"no grid point lies within the recorded displacements "
-                               f"[{d[0]}, {d[-1]}] mm (grid {grid.start_mm} to {grid.end_mm} mm)")
-    f = np.interp(gx, d, curve.force_N)
-    n_extra = int(np.count_nonzero(gx > d[-1]))
-    return UniformCurve(grid=grid, force_N=frozen(f), meta=curve.meta, n_extrapolated=n_extra)
+                               f"[{first}, {last}] mm (grid {grid.start_mm} to {grid.end_mm} mm)")
+    if grid.rule == RULE_POINT:
+        forces = np.interp(grid.displacements(), d, f)
+    else:
+        forces = _interval_means(d, f, edges, half_inverse_width)
+        # cells wholly outside the span keep its end forces
+        if first >= edge_list[1]:
+            forces[:bisect.bisect_right(edge_list, first) - 1] = f[0]
+        if last <= edge_list[-2]:
+            forces[bisect.bisect_left(edge_list, last):] = f[-1]
+        if not np.isfinite(forces).all():
+            raise NonFiniteValue("forces overflow the running area of their interval means")
+    return UniformCurve(grid=grid, force_N=frozen(forces), meta=curve.meta,
+                        n_extrapolated=grid.n_points - inside)
+
+
+def _interval_means(d: np.ndarray, f: np.ndarray, edges: np.ndarray,
+                    half_inverse_width: np.ndarray) -> np.ndarray:
+    """Mean of the rows' piecewise-linear interpolant over each cell between edges.
+
+    Edge e reads segment k of the rows, d_k <= e < d_k+1, the first or last
+    segment extended past the span.  Twice the area from d_k to e is the
+    part trapezoid (e - d_k) * (f_k + f(e)), with f(e) = f_k + lam * (f_k+1
+    - f_k) and lam = (e - d_k) / (d_k+1 - d_k): no slope is formed, so a
+    steep segment cannot overflow.  Twice a cell's area is then the whole
+    segments' trapezoids from one edge's segment to the next's, summed,
+    plus the right edge's part trapezoid less the left edge's.  Overflow
+    leaves inf or NaN in the means for the caller to refuse, and no warning.
+    """
+    k = d[1:-1].searchsorted(edges, "right")
+    d_k, f_k = d[k], f[k]
+    t = edges - d_k
+    with np.errstate(over="ignore", invalid="ignore"):
+        part = t * (f_k + f_k + t / (d[1:][k] - d_k) * (f[1:][k] - f_k))
+        whole = np.add.reduceat((d[1:] - d[:-1]) * (f[1:] + f[:-1]), k)[:-1]
+        whole[k[1:] == k[:-1]] = 0.0  # reduceat's sum of an empty run is its first value
+        return (whole + part[1:] - part[:-1]) * half_inverse_width
 
 
 def _moving_average5(f: np.ndarray) -> np.ndarray:

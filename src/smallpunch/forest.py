@@ -459,6 +459,23 @@ def _draw_features(
     return feats
 
 
+def _rounding_bound(weight: np.ndarray, y_max: np.ndarray) -> np.ndarray:
+    """Bound on the rounding in a node's computed improvement, by its weight and max |y|.
+
+    The improvement sum_left**2 / n_left + sum_right**2 / n_right -
+    sum**2 / weight is formed from cumulative sums of at most m <= weight
+    rounded products w * y, each partial sum off by at most (m + 1) u
+    times the weighted |y| it adds, u = eps / 2.  Carried through the
+    squares, quotients and sums, the computed improvement is off by at
+    most (8 m + 18) u * weight * y_max**2; this bound is (4 weight + 12)
+    eps * weight * y_max**2, at least that.  A split whose exact gain is
+    zero has a computed improvement of rounding alone, never above it.
+    The products are ordered so that none overflows while weight * y_max
+    stays within the targets' bound (features._target_values).
+    """
+    return 4.0 * np.finfo(float).eps * (weight + 3.0) * (weight * y_max) * y_max
+
+
 def _grow_forest(
     xv: np.ndarray,
     yv: np.ndarray,
@@ -475,12 +492,14 @@ def _grow_forest(
     rows and weights as consecutive segments of two arrays.  A level first
     closes as leaves the nodes whose summed weight is below 2 * min_leaf,
     those at the depth limit and those with equal targets, then searches
-    the rest at once; a node whose best split does not strictly reduce the
-    summed squared error becomes a leaf too.  A leaf's value is its weighted
-    mean target and its count its summed weight, its bag rows.  Each split
-    node's segment is reordered stably, left rows first, into the next
-    level.  Level after level, the nodes go into the four level-order
-    columns count, feature, threshold and value, a ForestModel's.
+    the rest at once; a node whose best split does not reduce the summed
+    squared error by more than its rounding can reach (_rounding_bound)
+    becomes a leaf too, so no split of zero exact gain is ever taken.  A
+    leaf's value is its weighted mean target and its count its summed
+    weight, its bag rows.  Each split node's segment is reordered stably,
+    left rows first, into the next level.  Level after level, the nodes go
+    into the four level-order columns count, feature, threshold and value,
+    a ForestModel's.
     """
     n_trees, n = bags.shape
     p = xv.shape[1]
@@ -506,7 +525,8 @@ def _grow_forest(
         closed = weight < 2 * cfg.min_leaf
         if cfg.max_depth is not None and depth >= cfg.max_depth:
             closed[:] = True
-        closed |= np.minimum.reduceat(y, start) == np.maximum.reduceat(y, start)
+        low, high = np.minimum.reduceat(y, start), np.maximum.reduceat(y, start)
+        closed |= low == high
 
         is_split = np.zeros(tree.size, dtype=bool)
         feature = np.zeros(tree.size, dtype=np.intp)
@@ -517,7 +537,7 @@ def _grow_forest(
             improvement, feat, thr = _best_splits(
                 xt, rank, rows, wy, start[open_], size[open_], weight[open_], feats, cfg.min_leaf
             )
-            gain = improvement > 0.0
+            gain = improvement > _rounding_bound(weight[open_], np.maximum(-low, high)[open_])
             splits = open_[gain]
             is_split[splits] = True
             feature[splits] = feat[gain]

@@ -9,9 +9,9 @@ record's fields, each written by record_to_doc and read by
 record_from_doc, which refuses any other key; json_value checks each
 stored value's JSON type.
 
-Format 6 is written; it stores each fact once.  An older file's document
+Format 7 is written; it stores each fact once.  An older file's document
 is upgraded one version at a time by the pure steps of UPGRADES, so the
-records read format 6's layout alone.
+records read format 7's layout alone.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ from typing import Any
 
 import numpy as np
 
-from .curves import GridSpec
+from .curves import RULE_POINT, GridSpec
 from .errors import InvalidModel, ModelFileError, UnsupportedVersion
 from .features import Standardizer
 from .pca import PcaModel
 from .pipeline import KINDS, TrainedPipeline
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 # the top-level keys, in the order save_model writes them
 _BLOCKS = ("format_version", "pipeline", "grid", "standardizer", "pca", "model", "provenance")
 
@@ -192,7 +192,8 @@ def _always_standardized(doc: dict[str, Any]) -> dict[str, Any]:
     if doc["standardizer"] is not None:
         raise InvalidModel(f"{family} model file with standardize=false holds a stray "
                            "standardizer block")
-    width = record_from_doc(GridSpec, json_value(doc["grid"], "dict", "grid"), "grid").n_points + 1
+    grid = {**json_value(doc["grid"], "dict", "grid"), "rule": RULE_POINT}  # as format 7 reads it
+    width = record_from_doc(GridSpec, grid, "grid").n_points + 1
     return {**doc, "standardizer": {"means": [0.0] * width, "scales": [1.0] * width}}
 
 
@@ -227,9 +228,18 @@ def _v_star_stored(doc: dict[str, Any]) -> dict[str, Any]:
     return {**doc, "pipeline": {**pipeline, "v_star": None}} if empirical else doc
 
 
+def _grid_rule_stored(doc: dict[str, Any]) -> dict[str, Any]:
+    """Format 6 to 7: the grid block stores its rule, point sampling in every
+    older file, whose model was fitted on forces read at the grid points."""
+    grid = json_value(doc["grid"], "dict", "grid")
+    if "rule" in grid:  # format 6 has none, and one would be overwritten unseen
+        raise InvalidModel("unknown key 'rule' in the grid block")
+    return {**doc, "grid": {**grid, "rule": RULE_POINT}}
+
+
 # UPGRADES[n] turns a format n document into a format n + 1 document
 UPGRADES = {1: _forest_level_order, 2: _facts_once, 3: _always_standardized,
-            4: _family_is_the_type, 5: _v_star_stored}
+            4: _family_is_the_type, 5: _v_star_stored, 6: _grid_rule_stored}
 READ_VERSIONS = (*UPGRADES, FORMAT_VERSION)
 
 

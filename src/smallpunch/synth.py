@@ -11,10 +11,11 @@ construction: the instability-force correlation is exact on noiseless
 output.  The template is not a physical model; it exists so that every
 downstream stage has a closed-form oracle.
 
-The planted v_i is snapped to v_i_step_mm (default 0.010 mm, the default
-grid spacing) so the knee lies exactly on the uniform grid; without that,
-linear resampling across the knee would bias F(v_i) and break the
-zero-noise round-trip identity.
+The planted v_i is snapped to v_i_step_mm (default 0.010 mm) so the knee
+lies exactly on a point of a grid of that spacing; read there by the point
+rule (curves.RULE_POINT), F(v_i) is exact and the zero-noise round trip is
+an identity.  An interval mean, the default rule, averages each cell across
+the knee, and a coarser grid puts the knee between points.
 
 Determinism: material m draws from stream (seed, 1, m); curve c (global
 index) draws temperature, v_i and then the noise vector, in that order,

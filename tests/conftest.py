@@ -40,6 +40,34 @@ def make_uniform(
     )
 
 
+def interval_means_reference(displacement, force, grid: GridSpec) -> np.ndarray:
+    """Each grid point's interval mean by a loop over its cell: the reference for resample.
+
+    The cell [x - h/2, x + h/2] is cut at every recorded row inside it, and
+    the trapezoids of the piecewise-linear curve between the cuts are
+    summed; a cut outside the recorded span reads the end segment's linear
+    extension.  A cell with no length inside the span takes the end force.
+    """
+    d, f = np.asarray(displacement, dtype=float), np.asarray(force, dtype=float)
+
+    def at(v):
+        k = min(max(int(np.searchsorted(d, v, side="right")) - 1, 0), d.size - 2)
+        return f[k] + (v - d[k]) / (d[k + 1] - d[k]) * (f[k + 1] - f[k])
+
+    means = []
+    for x in grid.displacements():
+        a, b = x - grid.spacing_mm / 2, x + grid.spacing_mm / 2
+        if b <= d[0] or a >= d[-1]:
+            means.append(f[0] if b <= d[0] else f[-1])
+            continue
+        cuts = [a, *d[(d > a) & (d < b)], b]
+        values = [at(v) for v in cuts]
+        area = sum((q - p) * (u + w) / 2 for p, q, u, w in
+                   zip(cuts, cuts[1:], values, values[1:]))
+        means.append(area / (b - a))
+    return np.array(means)
+
+
 def with_v_i(curves, v_i):
     """curves, each carrying its own v_i_mm, as the command line's --truth attaches it."""
     return [replace(c, meta=replace(c.meta, v_i_mm=float(v))) for c, v in zip(curves, v_i)]

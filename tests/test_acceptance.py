@@ -15,6 +15,7 @@ from smallpunch.curves import (
     GridSpec,
     MARKER_FIXED_V,
     MARKER_MAX_SLOPE,
+    RULE_POINT,
     UniformCurve,
     extract_markers,
     resample,
@@ -47,6 +48,10 @@ import pytest
 from conftest import cv_fold_models, make_meta, make_uniform, with_v_i
 
 GRID = GridSpec()
+# the point rule on the 0.01 mm step the planted v_i snaps to: a curve's
+# force at its knee is read at the knee, where an interval mean averages
+# across it
+POINT_GRID = GridSpec(spacing_mm=0.01, n_points=151, rule=RULE_POINT)
 
 # verdict lines collected here; the terminal-summary hook in conftest.py
 # prints them after capture ends so they show on every run
@@ -62,11 +67,11 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"acceptance {number} ({name}) failed{suffix}"
 
 
-def _reference_set(noise_sigma):
+def _reference_set(noise_sigma, grid=GRID):
     cfg = SynthConfig(n_materials=5, curves_per_material=24,
                       noise_sigma_N=noise_sigma, seed=7)
     raw, truth = generate(cfg)
-    curves = [resample(c, GRID) for c in raw]
+    curves = [resample(c, grid) for c in raw]
     stars = [rec.v_i_mm for rec in truth]
     return cfg, curves, truth, stars
 
@@ -77,9 +82,9 @@ def noisy_set():
 
 
 def test_acceptance_1_zero_noise_round_trip():
-    """Planted strengths are recovered through the full pipeline."""
+    """Planted strengths are recovered through the full pipeline, on the point rule."""
     started = time.perf_counter()
-    _, curves, _, stars = _reference_set(noise_sigma=0.0)
+    _, curves, _, stars = _reference_set(noise_sigma=0.0, grid=POINT_GRID)
     kind = EmpiricalKind(mode=MODE_INSTABILITY_FORCE, marker_strategy=MARKER_FIXED_V)
     report = cross_validate(with_v_i(curves, stars), kind, k=10, seed=0)
     elapsed = time.perf_counter() - started
@@ -338,31 +343,34 @@ def test_acceptance_8_cli_round_trip(tmp_path, monkeypatch, capsys):
 
 
 def test_acceptance_9_resampling_contracts():
-    """Interpolation is exact on affine data and idempotent bit for bit."""
+    """Both rules are exact on affine data, end cells included; the point
+    rule is idempotent bit for bit; the markers are scale-equivariant."""
     from smallpunch.curves import RawCurve
 
     disp = np.linspace(0.0, 1.6, 400)
     affine = RawCurve(displacement_mm=disp, force_N=200.0 * disp + 3.0,
                       meta=make_meta())
-    uniform = resample(affine, GRID)
-    affine_err = float(np.max(np.abs(
-        uniform.force_N - (200.0 * GRID.displacements() + 3.0))))
+    affine_err = 0.0
+    for grid in (GRID, POINT_GRID):
+        uniform = resample(affine, grid)
+        affine_err = max(affine_err, float(np.max(np.abs(
+            uniform.force_N - (200.0 * grid.displacements() + 3.0)))))
 
     again = resample(
-        RawCurve(displacement_mm=GRID.displacements(),
+        RawCurve(displacement_mm=POINT_GRID.displacements(),
                  force_N=uniform.force_N, meta=make_meta()),
-        GRID,
+        POINT_GRID,
     )
     idempotent = bool(np.array_equal(uniform.force_N, again.force_N))
 
     base = np.concatenate([np.linspace(0.0, 100.0, 60) ** 1.5 / 10.0,
                            np.full(91, 1000.0)])
-    curve = make_uniform(base, grid=GRID)
-    scaled = make_uniform(base * 4.0, grid=GRID)
+    curve = make_uniform(base, grid=POINT_GRID)
+    scaled = make_uniform(base * 4.0, grid=POINT_GRID)
     equivariant = True
     for strategy, v_star in ((MARKER_MAX_SLOPE, None), (MARKER_FIXED_V, 0.37)):
-        m1 = extract_markers([curve.force_N], GRID, strategy, v_star)
-        m4 = extract_markers([scaled.force_N], GRID, strategy, v_star)
+        m1 = extract_markers([curve.force_N], POINT_GRID, strategy, v_star)
+        m4 = extract_markers([scaled.force_N], POINT_GRID, strategy, v_star)
         equivariant = equivariant and bool(
             np.array_equal(m4.f_max_N, 4.0 * m1.f_max_N)
             and np.array_equal(m4.f_instability_N, 4.0 * m1.f_instability_N)

@@ -15,13 +15,15 @@ import pytest
 import smallpunch
 from smallpunch import cli
 from smallpunch.cli import main
-from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta
-from smallpunch.dataio import (fmt, load_curves, read_manifest, sha256_of, write_curve_csv,
-                               write_manifest)
+from smallpunch.curves import GridSpec, RawCurve, SpecimenMeta, UniformCurve, parse_curve_csv
+from smallpunch.dataio import (fmt, load_curves, read_manifest, read_truth, sha256_of,
+                               write_curve_csv, write_manifest)
 from smallpunch.evaluation import cross_validate
 from smallpunch.forest import Split
 from smallpunch.modelfile import load_model
-from smallpunch.pipeline import PcaLmKind, predict_pipeline
+from smallpunch.pipeline import EmpiricalKind, PcaLmKind, predict_pipeline
+
+from conftest import interval_means_reference
 
 
 def run(capsys, *argv):
@@ -178,7 +180,12 @@ def test_cv_writes_reports_and_matches_library(tmp_path, capsys):
     assert summary[1] == expected
 
 
-def test_cv_fixed_v_with_truth_reaches_zero_error(tmp_path, capsys):
+def test_cv_fixed_v_with_truth_reaches_the_error_of_the_noiseless_interval_means(tmp_path,
+                                                                                  capsys):
+    # at zero noise the error is that of the noiseless curves' interval
+    # means, read by the reference loop over each cell: each cell's mean
+    # averages the curve across its knee, so it is not zero; on the point
+    # rule, tests/test_evaluation.py holds it at zero
     data = make_dataset(tmp_path, capsys, sigma=0.0, seed=13,
                         materials=2, per_material=6)
     out = tmp_path / "cv0"
@@ -188,7 +195,15 @@ def test_cv_fixed_v_with_truth_reaches_zero_error(tmp_path, capsys):
                           "--k", "3", "--out", str(out))
     assert code == 0
     mean = float(stdout.strip().split(",")[2])
-    assert mean < 1e-6
+    truth = read_truth(data / "truth.csv")
+    grid = GridSpec()
+    curves = []
+    for name, meta in read_manifest(data / "manifest.csv"):
+        raw = parse_curve_csv((data / name).read_text(), meta)
+        curves.append(UniformCurve(grid, interval_means_reference(
+            raw.displacement_mm, raw.force_N, grid), replace(meta, v_i_mm=truth[name][1])))
+    want = cross_validate(curves, EmpiricalKind(marker_strategy="fixed-v"), k=3, seed=0)
+    assert abs(mean - want.mean_rmse) < 1e-6
 
 
 def test_cv_rejects_k_below_two(tmp_path, capsys):
@@ -406,15 +421,24 @@ def test_train_refuses_targets_too_large_to_fit(tmp_path, capsys, flags):
     assert not model_path.exists()
 
 
+# the 151-point grid of 0.01 mm on which the curves below are written, one
+# row at each point; cv and train read them on it through the grid flags
+GRID_151 = GridSpec(spacing_mm=0.01, n_points=151)
+GRID_151_FLAGS = ("--grid-spacing", "0.01", "--grid-points", "151")
+
+
 def _column_75_alternating(tmp_path, lo, hi):
-    """Six curves of unit force but for column 75, which alternates lo and hi."""
-    grid = GridSpec()
+    """Six curves of unit force but for a row at 0.75 mm, which alternates lo and hi.
+
+    Read on GRID_151, a row at each point, column 75's cell mean is
+    (1 + 6 * force + 1) / 8, and columns 74 and 76 see an eighth of it.
+    """
     entries = []
     for i in range(6):
-        force = np.ones(grid.n_points)
+        force = np.ones(GRID_151.n_points)
         force[75] = (lo, hi)[i % 2]
         meta = SpecimenMeta("M0", 20.0, 0.5, (500.0, 600.0)[i % 2])
-        write_curve_csv(tmp_path / f"c{i}.csv", RawCurve(grid.displacements(), force, meta))
+        write_curve_csv(tmp_path / f"c{i}.csv", RawCurve(GRID_151.displacements(), force, meta))
         entries.append((f"c{i}.csv", meta))
     write_manifest(tmp_path / "manifest.csv", entries)
     return tmp_path / "manifest.csv"
@@ -422,8 +446,8 @@ def _column_75_alternating(tmp_path, lo, hi):
 
 # adjacent doubles whose midpoint rounds onto the upper one: growth once
 # crashed at the next level, both sides sent left.  The forest sees them
-# standardized, 0.0 and 1.29, so a split lies between; tests/test_forest.py
-# holds the midpoint rule on adjacent doubles.
+# averaged into column 75's cell and standardized, so a split lies between;
+# tests/test_forest.py holds the midpoint rule on adjacent doubles.
 @pytest.mark.parametrize("lo,hi", [(1.0000000000000002, 1.0000000000000004)],
                          ids=["rounds-up"])
 def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_path, capsys,
@@ -431,33 +455,63 @@ def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_p
     manifest = _column_75_alternating(tmp_path, lo, hi)
     model_path = tmp_path / "model.json"
     code, _, err = run(capsys, "train", str(manifest), "--pipeline", "rf",
-                       "--trees", "5", "--out", str(model_path))
+                       "--trees", "5", *GRID_151_FLAGS, "--out", str(model_path))
     assert code == 0, err
     trained = load_model(model_path)[0]
+    column = np.unique([c.force_N[75] for c in load_curves(manifest, GRID_151)[1]])
+    assert column.size == 2
     std = trained.standardizer
-    low, high = (np.array([lo, hi]) - std.means[75]) / std.scales[75]
+    low, high = (column - std.means[75]) / std.scales[75]
     assert any(isinstance(root, Split) and root.feature == 75 and low <= root.threshold < high
                for root in trained.model.trees)
 
 
-# finite doubles whose sum overflows: the refusal names the column, and no
-# numpy warning reaches stderr
-@pytest.mark.parametrize("argv", [("train", "--pipeline", "rf", "--trees", "5"),
-                                  ("train", "--pipeline", "pca-lm"),
-                                  ("cv", "--pipeline", "pca-lm", "--k", "2")],
-                         ids=["train-rf", "train-pca-lm", "cv-pca-lm"])
-def test_standardizing_a_column_whose_sum_overflows_is_refused_naming_it(tmp_path, argv):
-    manifest = _column_75_alternating(tmp_path, 1.7e308, 1.75e308)
+def _smallpunch(*argv):
+    """Run the command line in a new interpreter: its exit code, stdout and stderr."""
     src = str(Path(smallpunch.__file__).parents[1])
-    out = tmp_path / "out"
-    done = subprocess.run([sys.executable, "-m", "smallpunch", argv[0], str(manifest),
-                           *argv[1:], "--out", str(out)],
+    done = subprocess.run([sys.executable, "-m", "smallpunch", *map(str, argv)],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+# finite doubles whose sum overflows: the refusal names the column, and no
+# numpy warning reaches stderr.  Rows of 8e307 N pass the interval means,
+# column 75's six means then sum past the largest double, and column 74,
+# an eighth of the rows, has finite means whose squared spread overflows.
+@pytest.mark.parametrize("argv,mean", [
+    (("train", "--pipeline", "rf", "--trees", "5"), "1.0312500000000003e+307"),
+    (("train", "--pipeline", "pca-lm"), "1.0312500000000003e+307"),
+    (("cv", "--pipeline", "pca-lm", "--k", "2"), "1.0208333333333335e+307"),  # fold 0's rows
+], ids=["train-rf", "train-pca-lm", "cv-pca-lm"])
+def test_standardizing_a_column_whose_sum_overflows_is_refused_naming_it(tmp_path, argv, mean):
+    manifest = _column_75_alternating(tmp_path, 8e307, 8.5e307)
+    out = tmp_path / "out"
     fold = "fold 0: " if argv[0] == "cv" else ""
-    assert (done.returncode, done.stdout, done.stderr) == (
-        4, "", f"error: {fold}column 75 too large to standardize without overflow: "
-               "mean inf, scale inf\n")
+    assert _smallpunch(argv[0], manifest, *argv[1:], *GRID_151_FLAGS, "--out", out) == (
+        4, "", f"error: {fold}column 74 too large to standardize without overflow: "
+               f"mean {mean}, scale inf\n")
+    assert not out.exists()
+
+
+# a row of 1.7e308 N: the interval means' running area passes the largest
+# double, and loading refuses the curve, naming its file, with no warning
+@pytest.mark.parametrize("command", ["cv", "predict"])
+def test_a_curve_whose_running_area_overflows_is_refused_naming_its_file(tmp_path, capsys,
+                                                                         command):
+    (tmp_path / "big").mkdir()
+    manifest = _column_75_alternating(tmp_path / "big", 1.7e308, 1.75e308)
+    model = tmp_path / "m.json"
+    data = make_dataset(tmp_path, capsys, materials=2, per_material=2)
+    code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "pca-lm",
+                       "--out", str(model))
+    assert code == 0, err
+    flags = (("--model", model) if command == "predict"
+             else ("--pipeline", "pca-lm", "--k", "2"))
+    out = tmp_path / "out"
+    assert _smallpunch(command, manifest, *flags, "--out", out) == (
+        4, "", f"error: {manifest.parent / 'c0.csv'}: forces overflow the running area of "
+               "their interval means\n")
     assert not out.exists()
 
 
@@ -512,7 +566,7 @@ def test_predict_unknown_model_version_exits_5(tmp_path, capsys):
     run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
         "--out", str(model_path))
     doc = json.loads(model_path.read_text())
-    doc["format_version"] = 7
+    doc["format_version"] = 8
     model_path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "predict", str(data / "manifest.csv"),
                        "--model", str(model_path),
@@ -626,7 +680,7 @@ def test_a_fixed_v_model_stores_its_v_star_and_predicts_with_no_flag(tmp_path, c
     code, _, err = run(capsys, "predict", str(data / "manifest.csv"), "--model",
                        str(model_path), "--out", str(out))
     assert code == 0, err
-    assert out.read_text().splitlines()[1].split(",")[::3] == ["m00_c00.csv", "577.5723020273294"]
+    assert out.read_text().splitlines()[1].split(",")[::3] == ["m00_c00.csv", "579.4992090532005"]
 
 
 @pytest.mark.parametrize("flags", [("--v-star", "0.9"), ("--v-star", "0.5"),
@@ -662,7 +716,8 @@ def test_a_model_without_v_star_predicts_at_the_v_i_it_is_given(tmp_path, capsys
 
 
 @pytest.mark.parametrize("flags,message", [
-    (("--marker", "fixed-v", "--v-star", "1.4"), "curve 0: regressor 9.1e+307 / 0.25 overflows"),
+    (("--marker", "fixed-v", "--v-star", "1.4"),
+     "curve 0: regressor 9.09999999999999e+307 / 0.25 overflows"),
     ((), "curve 0: forces overflow the max-slope smoothing"),
 ], ids=["fixed-v", "max-slope"])
 def test_predicting_forces_that_overflow_exits_4_with_no_warning(tmp_path, capsys, flags,

@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from smallpunch import curves as curves_module
 from smallpunch.curves import (
@@ -15,7 +15,10 @@ from smallpunch.curves import (
     GridSpec,
     MARKER_FIXED_V,
     MARKER_MAX_SLOPE,
+    GRID_RULES,
     MAX_GRID_POINTS,
+    RULE_INTERVAL_MEAN,
+    RULE_POINT,
     RawCurve,
     UniformCurve,
     _parse_rows,
@@ -45,15 +48,16 @@ from smallpunch.pipeline import EmpiricalKind
 from smallpunch.regress import MODE_MAX_FORCE
 from smallpunch.synth import SynthConfig, generate
 
-from conftest import make_meta, make_uniform
+from conftest import interval_means_reference, make_meta, make_uniform
 
 
 # ---------------------------------------------------------------- GridSpec
 
-def test_default_grid_covers_1p5mm_with_151_points():
+def test_default_grid_covers_1p5mm_with_76_points():
     g = GridSpec()
     d = g.displacements()
-    assert d.shape == (151,)
+    assert g.rule == RULE_INTERVAL_MEAN
+    assert d.shape == (76,)
     assert d[0] == 0.0
     assert d[-1] == pytest.approx(1.5, abs=1e-12)
     assert np.all(np.diff(d) > 0)
@@ -618,16 +622,111 @@ def test_fixed_v_markers_never_freeze_the_callers_v_star():
 
 # --------------------------------------------------------------- resample
 
-def test_resample_affine_curve_is_exact():
+@pytest.mark.parametrize("rule", GRID_RULES)
+def test_resample_affine_curve_is_exact(rule):
+    # each cell's mean of an affine curve is its value at the cell's point,
+    # end cells included: they read the end segments' linear extension
     raw = RawCurve(np.array([0.0, 1.5]), np.array([0.0, 150.0]), make_meta())
-    uni = resample(raw, GridSpec())
-    assert np.allclose(uni.force_N, np.arange(151.0), atol=1e-12)
+    grid = GridSpec(rule=rule)
+    uni = resample(raw, grid)
+    assert np.allclose(uni.force_N, 100.0 * grid.displacements(), atol=1e-12)
     assert uni.n_extrapolated == 0
+
+
+@pytest.mark.parametrize("rule", GRID_RULES)
+def test_resample_affine_curve_of_many_rows_is_exact_to_its_end_cells(rule):
+    # rows every micrometre, as synth writes them, over a span that ends
+    # inside the first and the last cell
+    d = np.arange(1, 1500) / 1000.0
+    raw = RawCurve(d, 3.0 + 200.0 * d, make_meta())
+    grid = GridSpec(rule=rule)
+    uni = resample(raw, grid)
+    want = 3.0 + 200.0 * grid.displacements()
+    if rule == RULE_POINT:  # the end points lie outside the span: end forces
+        want[[0, -1]] = raw.force_N[[0, -1]]
+    assert np.allclose(uni.force_N, want, rtol=0.0, atol=1e-10)
+    assert uni.n_extrapolated == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 40),
+    start=st.floats(0.0, 1.0),
+    span=st.floats(0.001, 2.0),
+    spacing=st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.3]),
+    n_points=st.integers(1, 40),
+    grid_start=st.floats(0.0, 1.0),
+    data=st.data(),
+)
+def test_resample_matches_the_reference_loop_over_each_cell(rows, start, span, spacing,
+                                                            n_points, grid_start, data):
+    d = start + span * np.unique(np.r_[0.0, 1.0, np.array(data.draw(
+        st.lists(st.floats(0.0, 1.0), min_size=rows - 2, max_size=rows - 2)))])
+    assume(np.all(np.diff(d) > 1e-9 * span))
+    f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d.size, max_size=d.size)))
+    f[0] = abs(f[0])  # a curve starts at a force >= 0
+    grid = GridSpec(start_mm=grid_start, spacing_mm=spacing, n_points=n_points)
+    raw = RawCurve(d, f, make_meta())
+    try:
+        got = resample(raw, grid)
+    except GridOutsideCurve:
+        assume(False)
+    want = interval_means_reference(d, f, grid)
+    scale = np.max(np.abs(f)) * max(1.0, spacing / np.min(np.diff(d)))
+    assert np.allclose(got.force_N, want, rtol=0.0, atol=1e-9 * scale)
+
+
+def test_resample_gives_a_point_with_rows_at_its_cell_edges_the_weighted_mean():
+    # rows at x - h/2, x and x + h/2: the cell's two half trapezoids
+    # average to (f- + 2 f0 + f+) / 4
+    grid = GridSpec()
+    x, h = grid.displacements()[10], grid.spacing_mm
+    forces = np.array([1.0, 5.0, 2.0])
+    raw = RawCurve(np.array([x - h / 2, x, x + h / 2]), forces, make_meta())
+    uni = resample(raw, grid)
+    assert uni.force_N[10] == pytest.approx((1.0 + 2 * 5.0 + 2.0) / 4, abs=1e-12)
+
+
+def test_resample_takes_the_mean_of_every_row_in_a_cell():
+    # a curve of noise at every row: each interior cell's mean is the rows'
+    # trapezoid average over the cell, and the same bits come back alone and
+    # among other curves
+    rng = np.random.default_rng(5)
+    d = np.arange(0, 1501) / 1000.0
+    grid = GridSpec()
+    curves = [RawCurve(d, rng.normal(100.0, 5.0, d.size), make_meta()) for _ in range(3)]
+    means = [resample(c, grid).force_N for c in curves]
+    h, f = grid.spacing_mm, curves[1].force_N
+    for j in range(1, grid.n_points - 1):
+        lo, hi = int(round((grid.displacements()[j] - h / 2) * 1000)), int(round(
+            (grid.displacements()[j] + h / 2) * 1000))
+        want = np.sum((f[lo:hi] + f[lo + 1:hi + 1]) / 2) / (hi - lo)
+        assert means[1][j] == pytest.approx(want, rel=1e-12)
+    assert resample(curves[1], grid).force_N.tobytes() == means[1].tobytes()
+
+
+def test_a_grid_refuses_a_rule_it_does_not_know():
+    with pytest.raises(BadConfig, match="grid rule must be one of interval-mean, point, "
+                                        "got 'midpoint'"):
+        GridSpec(rule="midpoint")
+
+
+@pytest.mark.parametrize("forces", [
+    [0.0, 1e308, 1e308, 1e308, 1e308],  # the running area passes the largest double
+    [0.0, 1.7e308, -1.7e308, 0.0, 0.0],  # a segment's rise does
+], ids=["area", "rise"])
+def test_resample_refuses_forces_whose_interval_means_overflow(forces):
+    raw = RawCurve(np.linspace(0.0, 1.5, 5), np.array(forces), make_meta())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="^forces overflow the running area of their "
+                                                 "interval means$"):
+            resample(raw, GridSpec())
 
 
 def test_resample_hand_checked_interpolation():
     raw = RawCurve(np.array([0.0, 0.02, 0.04]), np.array([0.0, 4.0, 6.0]), make_meta())
-    uni = resample(raw, GridSpec(n_points=5))
+    uni = resample(raw, GridSpec(spacing_mm=0.01, n_points=5, rule=RULE_POINT))
     assert uni.force_N[1] == pytest.approx(2.0, abs=1e-12)  # midpoint of first segment
     assert uni.force_N[3] == pytest.approx(5.0, abs=1e-12)
 
@@ -636,14 +735,15 @@ def test_resample_constant_extrapolation_is_flagged():
     raw = RawCurve(np.array([0.0, 1.0]), np.array([0.0, 100.0]), make_meta())
     uni = resample(raw, GridSpec())
     beyond = uni.grid.displacements() > 1.0
-    assert uni.n_extrapolated == int(beyond.sum()) == 50
+    assert uni.n_extrapolated == int(beyond.sum()) == 25
     assert np.all(uni.force_N[beyond] == 100.0)
 
 
 def test_resample_fills_before_first_sample_with_first_force():
     raw = RawCurve(np.array([0.05, 1.5]), np.array([5.0, 150.0]), make_meta())
     uni = resample(raw, GridSpec())
-    assert np.all(uni.force_N[:5] == 5.0)
+    # the cells of points 0, 0.02 and 0.04 mm end at or before 0.05 mm
+    assert np.all(uni.force_N[:3] == 5.0)
     assert uni.n_extrapolated == 0
 
 
@@ -666,8 +766,9 @@ def test_resample_keeps_a_grid_with_one_point_inside_the_curve():
 
 
 def test_resample_idempotent_bitwise():
+    # the point rule only: a cell's mean mixes in its neighbours' forces
     rng = np.random.default_rng(3)
-    grid = GridSpec()
+    grid = GridSpec(spacing_mm=0.01, n_points=151, rule=RULE_POINT)
     uni = make_uniform(rng.uniform(0.0, 400.0, 151), grid=grid)
     # view the uniform curve as raw samples and resample onto the same grid
     raw = RawCurve(grid.displacements(), uni.force_N, uni.meta)
@@ -725,7 +826,8 @@ def test_max_slope_recovers_planted_knee_within_two_steps():
 
 
 def test_fixed_v_interpolates_between_grid_points():
-    m = extract_markers([np.arange(151.0) * 2.0], GridSpec(), MARKER_FIXED_V, v_star=0.015)
+    m = extract_markers([np.arange(151.0) * 2.0], GridSpec(spacing_mm=0.01, n_points=151),
+                        MARKER_FIXED_V, v_star=0.015)
     assert m.v_instability_mm.tolist() == [0.015]
     assert m.f_instability_N[0] == pytest.approx(3.0, abs=1e-12)
 
@@ -761,7 +863,7 @@ def test_a_v_star_that_is_not_one_value_or_one_per_curve_is_refused(v_star, erro
 
 def test_max_slope_refuses_forces_that_overflow_the_smoothing_naming_the_curve():
     # forces summing past the largest double would pick a NaN slope's point
-    grid, ramp = GridSpec(n_points=20), np.arange(20.0)
+    grid, ramp = GridSpec(spacing_mm=0.01, n_points=20), np.arange(20.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue) as err:

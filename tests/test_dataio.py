@@ -292,7 +292,7 @@ def test_load_curves_resamples_and_names(tmp_path):
                    [(n, c.meta) for n, c in zip(names, curves)])
     got_names, uniform = load_curves(tmp_path / "manifest.csv", GridSpec())
     assert got_names == names
-    assert all(u.force_N.size == 151 for u in uniform)
+    assert all(u.force_N.size == 76 for u in uniform)
     assert uniform[0].meta == curves[0].meta
 
 

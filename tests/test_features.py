@@ -37,15 +37,15 @@ def _matrix(values):
 def test_assemble_shape_and_labels(default_grid):
     rng = np.random.default_rng(0)
     curves = [
-        make_uniform(rng.uniform(0, 100, 151), grid=default_grid,
+        make_uniform(rng.uniform(0, 100, 76), grid=default_grid,
                      meta=make_meta(temperature=float(t)))
         for t in (20.0, 150.0)
     ]
     matrix = assemble(curves)
     labels = column_labels(default_grid)
-    assert matrix.shape == (2, 152) and len(labels) == 152
+    assert matrix.shape == (2, 77) and len(labels) == 77
     assert labels[0] == "F@0.000mm"
-    assert labels[150] == "F@1.500mm"
+    assert labels[75] == "F@1.500mm"
     assert labels[-1] == "temperature_C"
     assert np.array_equal(matrix[:, -1], [20.0, 150.0])
 
@@ -55,20 +55,20 @@ def test_assemble_temperature_span_matches_test_campaign(default_grid):
     temps = np.linspace(-177.0, 331.0, 23)
     rng = np.random.default_rng(1)
     curves = [
-        make_uniform(rng.uniform(0, 100, 151), grid=default_grid,
+        make_uniform(rng.uniform(0, 100, 76), grid=default_grid,
                      meta=make_meta(material="P91", temperature=float(t)))
         for t in temps
     ]
     matrix = assemble(curves)
     col = matrix[:, -1]
-    assert matrix.shape == (23, 152)
+    assert matrix.shape == (23, 77)
     assert col.min() == -177.0
     assert col.max() == 331.0
 
 
 def test_strengths_reads_every_label_in_order(default_grid):
     curves = [
-        make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta(rm=500.0 + i))
+        make_uniform(np.arange(76.0), grid=default_grid, meta=make_meta(rm=500.0 + i))
         for i in range(3)
     ]
     assert np.array_equal(strengths(curves), [500.0, 501.0, 502.0])
@@ -76,17 +76,17 @@ def test_strengths_reads_every_label_in_order(default_grid):
 
 def test_strengths_rejects_partial_targets(default_grid):
     curves = [
-        make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta(rm=500.0)),
-        make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta()),
+        make_uniform(np.arange(76.0), grid=default_grid, meta=make_meta(rm=500.0)),
+        make_uniform(np.arange(76.0), grid=default_grid, meta=make_meta()),
     ]
     with pytest.raises(PartialTargets):
         strengths(curves)
     # assembling the matrix reads no labels
-    assert assemble(curves).shape == (2, 152)
+    assert assemble(curves).shape == (2, 77)
 
 
 def test_strengths_rejects_unlabelled_curves(default_grid):
-    curves = [make_uniform(np.arange(151.0), grid=default_grid, meta=make_meta())]
+    curves = [make_uniform(np.arange(76.0), grid=default_grid, meta=make_meta())]
     with pytest.raises(EmptyTraining):
         strengths(curves)
     with pytest.raises(EmptyTraining):
@@ -94,7 +94,7 @@ def test_strengths_rejects_unlabelled_curves(default_grid):
 
 
 def test_assemble_rejects_mixed_grids():
-    a = make_uniform(np.arange(151.0), grid=GridSpec())
+    a = make_uniform(np.arange(76.0), grid=GridSpec())
     b = make_uniform(np.arange(100.0), grid=GridSpec(n_points=100))
     with pytest.raises(MixedGrids) as err:
         assemble([a, b])
@@ -112,11 +112,11 @@ def test_assemble_rejects_empty():
 
 def test_assemble_preserves_row_order(default_grid):
     rng = np.random.default_rng(2)
-    forces = [rng.uniform(0, 10, 151) for _ in range(4)]
+    forces = [rng.uniform(0, 10, 76) for _ in range(4)]
     curves = [make_uniform(f, grid=default_grid) for f in forces]
     matrix = assemble(curves)
     for i, f in enumerate(forces):
-        assert np.array_equal(matrix[i, :151], f)
+        assert np.array_equal(matrix[i, :76], f)
 
 
 # ----------------------------------------------------------- standardizer

@@ -6,6 +6,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -680,7 +681,7 @@ def test_a_level_of_feature_draws_holds_one_block_of_uniforms_at_a_time():
 # of a tree's bag, duplicates included, by the criterion fit_forest uses:
 # positions ranked by sum_left**2 / n_left + sum_right**2 / n_right, the first
 # highest over features then thresholds winning, and the improvement computed
-# for the winner alone.  Where no draw can change a tree (mtry = p) both must
+# for the winner alone and taken where it exceeds the rounding bound.  Where no draw can change a tree (mtry = p) both must
 # grow the same trees: on any targets without bootstrap, and with it where
 # every sum of targets is exact.
 
@@ -706,7 +707,10 @@ def _reference_best_split(xs, ys, min_leaf):
     col, pos = divmod(flat, hi - lo)
     total = cy[col, -1]
     improvement = float(score[col, pos] - total * total / m)
-    if not improvement > 0.0:
+    # growth's gain test: more than the rounding a zero exact gain can show,
+    # bounded by the node's row count (here its bag rows) and largest |y|
+    y_max = float(np.abs(ys).max())
+    if not improvement > 4.0 * np.finfo(float).eps * (m + 3.0) * (m * y_max) * y_max:
         return None
     below, above = xs[col, lo + pos], xs[col, lo + pos + 1]
     # scikit-learn's splitter rule: the lower value where the midpoint
@@ -781,7 +785,7 @@ def _assert_grows_like_the_reference(x, y, **overrides):
 
 @pytest.fixture(scope="module")
 def reference_design():
-    """Standardized 152 columns of the reference set, their PCA scores, targets."""
+    """Standardized 77 columns of the reference set, their PCA scores, targets."""
     raw, _ = generate(SynthConfig(noise_sigma_N=5.0, seed=7))
     curves = [resample(c, GridSpec()) for c in raw]
     matrix = assemble(curves)
@@ -820,3 +824,62 @@ def test_level_wise_growth_matches_the_reference_on_grid_data(
     y = data.draw(arrays(float, x.shape[0], elements=st.integers(400, 3600).map(lambda k: k / 4.0)))
     _assert_grows_like_the_reference(x, y, min_leaf=min_leaf, max_depth=max_depth,
                                      bootstrap=bootstrap, seed=seed)
+
+
+def _exact_gains(model, x, y, cfg):
+    """Every split's drop in summed squared error, in exact rational arithmetic.
+
+    Each tree's bag rows are routed down it, duplicates included; a split's
+    gain is S_l**2 / n_l + S_r**2 / n_r - S**2 / n over the rows reaching it.
+    """
+    bags = forest._bags(cfg, x.shape[0])[1]
+    gains = []
+
+    def walk(node, rows):
+        if isinstance(node, Leaf):
+            return
+        goes_left = x[rows, node.feature] <= node.threshold
+        sums = [sum(map(Fraction, y[part].tolist()), Fraction(0))
+                for part in (rows[goes_left], rows[~goes_left])]
+        n_left = int(goes_left.sum())
+        gains.append(sums[0] ** 2 / n_left + sums[1] ** 2 / (rows.size - n_left)
+                     - (sums[0] + sums[1]) ** 2 / rows.size)
+        walk(node.left, rows[goes_left])
+        walk(node.right, rows[~goes_left])
+
+    for tree, bag in zip(model.trees, bags):
+        walk(tree, bag)
+    return gains
+
+
+def test_a_split_of_zero_exact_gain_is_never_taken():
+    # a node of targets 100, 0.1, 0.1, 100 on the one drawn feature splits
+    # 2 | 2 into halves of equal mean: the exact gain is zero, and the
+    # computed one rounded above zero, so growth once made two leaves of
+    # 50.05 that changed no prediction
+    x = np.array([[0.0, 3.0], [1.0, 3.0], [1.0, 1.0], [2.0, 1.0], [0.0, 3.0], [2.0, 1.0]])
+    y = np.array([100.0, 0.1, 0.1, 0.1, 0.1, 100.0])
+    cfg = ForestConfig(n_trees=3, min_leaf=1, mtry=1, bootstrap=False, seed=59)
+    model = fit_forest(x, y, cfg)
+    assert all(gain > 0 for gain in _exact_gains(model, x, y, cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(4, 14),
+    p=st.integers(1, 3),
+    mtry=st.integers(1, 3),
+    bootstrap=st.booleans(),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_every_split_has_a_positive_exact_gain(n, p, mtry, bootstrap, seed, data):
+    # few distinct targets and feature values make ties of equal means
+    # common: every split grown must still reduce the exact squared error
+    y = np.array(data.draw(st.lists(st.sampled_from([196.53, 100.0, 0.1, 37.7]),
+                                    min_size=n, max_size=n)))
+    x = np.array(data.draw(st.lists(st.lists(st.integers(0, 3).map(float), min_size=p,
+                                             max_size=p), min_size=n, max_size=n)))
+    cfg = ForestConfig(n_trees=3, min_leaf=1, mtry=min(mtry, p), bootstrap=bootstrap, seed=seed)
+    model = fit_forest(x, y, cfg)
+    assert all(gain > 0 for gain in _exact_gains(model, x, y, cfg))

@@ -10,8 +10,9 @@ pins model files of older formats: two format 1 rf files written before
 forests grew level by level, the six format 2 files the script wrote
 before format 3 stored each fact once, its six format 3 files with two
 more trained without standardizing before format 4 always standardized,
-its six format 4 files before format 5 dropped the model block's type, and
-its six format 5 files before format 6 stored a fixed-v model's v_star.
+its six format 4 files before format 5 dropped the model block's type,
+its six format 5 files before format 6 stored a fixed-v model's v_star, and
+its six format 6 files before format 7 stored the grid's resampling rule.
 Each must load and predict its recorded bits, and saved again in the
 current format it must load to the same model and save back byte for
 byte.  A fourth holds the empirical family on the reference set: the
@@ -148,48 +149,48 @@ def empirical_digests() -> dict[str, str]:
 GOLDEN_NUMPY = '2.4.6'
 GOLDEN: dict[str, str] = {
     'stdout synth': 'b91e9f9dc01a9ddc8c945ae4987a0c67c5be9203e5296aa9255c7810fb22e645',
-    'stdout train empirical': '9ae1f894bc2408f3a4bf2df9e93c5507ad974fe217e188168084e3758bdb6d81',
+    'stdout train empirical': 'c51b4a6833c7c869d4154ac51f26e28cf7cd95fbe8a04ac0f01f6a9bdafbde40',
     'stdout predict empirical': 'a9d239fdd0bcdf38aaf565a2a7e72ffe78c2844e1a039b0f53d195c61388ea40',
-    'stdout cv empirical': 'aa31800d88a8ad40397f74ffdfe1aac9eabc82fef0b0e04c20994eb04cfe3575',
-    'stdout report empirical': '806141a63c40b3caeaffdfda2df5951e74c9b13ea19ea61ff88906a0f0a3fb16',
-    'stdout train empirical-fixed-v': '177db131e36a5237b8e7965bf138087acebed18a77221b7a8442e9e4f774e12e',
+    'stdout cv empirical': 'e9bda75bf17ae87f99c60bf252a2a2cb7fc149d0947eede5d003072e322734b5',
+    'stdout report empirical': 'c70227a3afb26e0c2ed4f89876eb5a6cc74108b62f0ae8a03870551f3df1e7d0',
+    'stdout train empirical-fixed-v': '1cec81830d1f8b579e7ee00248a71fec5ea83586aa8f15f409ba6ca8a15f1b37',
     'stdout predict empirical-fixed-v': '132c4d60303726c4fcb5eae94c2757dcba5953ae03fc49f8900b5f5fb3df3cca',
-    'stdout cv empirical-fixed-v': '4d6c5f7d266e19cfe1a35482c4451d9651f0336896253bcc0dbf2341b27d638b',
-    'stdout report empirical-fixed-v': '65361180e0381f5dc2912654e1be83f574f551ca67febd35b068cc98afff7b83',
-    'stdout train empirical-max-force': '5c3eb76fc05c7d3a99715cb4fbd2f161be1e330a7cbcf730fac91e764f5cb29e',
+    'stdout cv empirical-fixed-v': '45f519013371820ba2fe6a6995ca16eaf4a80c490b2cd9b03f2ef63528a45cad',
+    'stdout report empirical-fixed-v': 'cc16cef2af152b3638d9646f4b0413b7bcffd1f49f8b7ad667db67e5ee26c2bc',
+    'stdout train empirical-max-force': 'a6c7a11c1d8cb6f88c5e1aad9688c2cae7de3ba973f1562032ec6e658b63f75d',
     'stdout predict empirical-max-force': '1d6e97f7e7ee76d1373e9814885478b28af54ea02051d3bc50c0d7143833a9a0',
-    'stdout cv empirical-max-force': 'd70ecf72277a1e64193cafa0eb27b4e28667d2fe8b5684e6d43e8eec72620ed8',
-    'stdout report empirical-max-force': 'f6292d6fd43dda9d1aad4ef3801839eb94bcb260ae2a0b02acdd3aff547994b9',
-    'stdout train pca-lm': 'c27986573e5728f7c45e2d137fed144ff31d804f2ba56d7270db3a51c69d7698',
+    'stdout cv empirical-max-force': '7682f4b1170a43aeda6b0c9e847ca7741abf714c1443176ed5bf97a2e3595e51',
+    'stdout report empirical-max-force': '51ddc8a4c5a0710bd219b9b318c31a627e8e47d1e87e938ca13be8c8b9b2138b',
+    'stdout train pca-lm': '53134ccad482becc8af4dd5ac10a081f425f709c6fb91983f0995d9cef5e5183',
     'stdout predict pca-lm': 'e608c9358eb68d36565d5e76e1d996f1852eba2bf409c6ba3282d0be3a544444',
-    'stdout cv pca-lm': '8b42e9860ad04a116aecad3778976dd838369220c03bbad6f55bf12f23e1905c',
-    'stdout report pca-lm': '5413772139588eb6abd4e8c1057f1d0d791956ef9971321f26915e57d2b80f3d',
-    'stdout train rf': '6308a3c163b025dbd14ebc479946094ba518349f5416c3a7f9af99a0c9a1b4ab',
+    'stdout cv pca-lm': 'c219fba44c3c768cb3c531368279bd6f968ac28fb9ec9317f43dfb743ca4ff37',
+    'stdout report pca-lm': '801439d9cf4f9a30acf7858380d1710602480f0f3f647e0377f116fdef7bfc64',
+    'stdout train rf': '499e403dd460ffcb795267d2c5a1d1a331fb36ee63775c6ce974689a9e984519',
     'stdout predict rf': '90376b2b0224b3a70e38f19bd50f4d4c5afea7e1110032e56ea783b89fa1ad43',
-    'stdout cv rf': '4a5a4923bfe332599360e6b12e3b52a457864f804732bb32b52ecbff08e525b2',
-    'stdout report rf': '3a68966db3d1db8ce568a43c8b70d342a519fc12007b0ba9af1dd1699b652e16',
-    'stdout train rf-scores': '74e7f15af181aa3fe6f6c1ff911eb5bdcf8137ac8078152258285880c9f2c7d3',
+    'stdout cv rf': 'c286b1dbac2d5424ef06896a19d0a86e8b6fd634bd6ec695c499668eb9eb33c5',
+    'stdout report rf': '0a107f35c47d9747820ae36d44c46e1bfc4fc20cdd007bb1af153f2971addd7a',
+    'stdout train rf-scores': 'fa2787cd7bb87ce061b7f3b88666b1683965e58c120de9b2f2ef8f51baaf3abb',
     'stdout predict rf-scores': 'a9d1f1b786ff5de5e5e84bf31430c964b9afc9cea425287f21d208f01fdc05bf',
-    'stdout cv rf-scores': '06f7afdddb1b4661d94c70274c66cb9fcd6528aca47b9ede549b055ba96df278',
-    'stdout report rf-scores': '8a6bf92212f54341bfd0729fed732713ba694e857d6794971a9f054f8c1570d5',
-    'cv_empirical/empirical_folds.csv': '34a8f439e9c53b9167d07c4181631f5904f0ccc1799695a07bc114f6ca2adffb',
-    'cv_empirical/empirical_samples.csv': '4cba79d96cb17bb0e583361c0e0d92d701389f6907f8500a8cc49116d14f0f80',
-    'cv_empirical/empirical_summary.csv': 'c0127461146f3ece8dd6a9332db2c7a7fd9c473402482bc7d02c7ae47a5159b2',
-    'cv_empirical-fixed-v/empirical_folds.csv': '3e177295dee8adcb0fcfa9e4a9f9f6fcd0f3794ab3834ba2db2909edafcdd6e6',
-    'cv_empirical-fixed-v/empirical_samples.csv': 'a331fee12cce9de9458948abd7dc1afcb18cb5f0cc899745ebe6f9e74f826843',
-    'cv_empirical-fixed-v/empirical_summary.csv': '7ce7716f8fc111b2889c10a4f2f2e92932119d6365f6d1c1498b24b9396eee75',
-    'cv_empirical-max-force/empirical_folds.csv': '2e9f952a785a067e4ec279c1d9b77c0ab4668b2608e8556896a9ab7dcde229d4',
-    'cv_empirical-max-force/empirical_samples.csv': 'd874c1f17014aa6e3f44414212026958d0b3b0d2835155dc940670c0ad962a5b',
-    'cv_empirical-max-force/empirical_summary.csv': 'd89a192e678791a1c40687a4e73bd82fe245506c72989f8c4c6c7819d3dfa99d',
-    'cv_pca-lm/pca-lm_folds.csv': 'e15d33152721cd68ab7e14ef0bda2cb46040663b8654fc6156f76c85fb6dba0d',
-    'cv_pca-lm/pca-lm_samples.csv': '9bebc9088df9acc33bbe4dfdf169d89998021e834f14dca54eb4e142d165e454',
-    'cv_pca-lm/pca-lm_summary.csv': 'f6ad0264172ad584a9889c2ee6fa70a2df62eda79025f4838b1fdc88e09d6f51',
-    'cv_rf/rf_folds.csv': '6f0d653785251bee7c685a260fc87fe310f458f1a0fe64cdaf4632a2e38a9309',
-    'cv_rf/rf_samples.csv': 'c99f7c4fa9a6b2a33fc3d513e10d4602ffa110f2c373a826f1f600e88593b70a',
-    'cv_rf/rf_summary.csv': '5afa3b15c453440ff1466e0f8c75b8be45377d83392b67112428ddc8f043e20f',
-    'cv_rf-scores/rf_folds.csv': '8f8212022b120e37353d061f1bc0ea1edc95230c2e7cc7a4e5364a0580d93cf8',
-    'cv_rf-scores/rf_samples.csv': '2bb34716a581cf335d794e1cbc78bc5662c21fd3d6136d45b693124cc35c2310',
-    'cv_rf-scores/rf_summary.csv': '4df0436d4f74b712a7d7bcf6402561fb6e7b1a05b6ebd93d920fa21df182e42c',
+    'stdout cv rf-scores': '76996d37052954419cb97ad64e3d5591d692232581015262e5815fcb1bec1dc1',
+    'stdout report rf-scores': '3d440e35ca75e7da70693b7d15fcd60d63687943f6da757ad625180eea5714c8',
+    'cv_empirical/empirical_folds.csv': 'efdee6d856268671a5db2a12886f0d2c6e4f5fc70ddc33cadca269b3c4820221',
+    'cv_empirical/empirical_samples.csv': '5a66e6da84de7b72a2dd161a34bfa53bbff30931ed4a3513b52dde25b3f9ad4c',
+    'cv_empirical/empirical_summary.csv': 'd9b915fc9e957dc2aea3b4602708badd6b2c5be079bc3181d67d405d37d0cac4',
+    'cv_empirical-fixed-v/empirical_folds.csv': '8e8005d973466fc77bbae6379305954331fb9cad9a06ce9a837d4c0468f2349c',
+    'cv_empirical-fixed-v/empirical_samples.csv': 'c5296a440a3c942faf058ed9ec1d7c012b06adf7444af2bee14e28551fb2d6b7',
+    'cv_empirical-fixed-v/empirical_summary.csv': 'e602521e97449ae2ebeae933de31300f9f9bf081e7b62eecd71229f51b167877',
+    'cv_empirical-max-force/empirical_folds.csv': '3a382a3e9fe2fffac7c47e846db7752098969af528714e46ab2d1a344c71aa77',
+    'cv_empirical-max-force/empirical_samples.csv': '6f1eed96b934ac2b1ae0bb129ebca08a1f8234709106ec8493d0e9f34c729fc3',
+    'cv_empirical-max-force/empirical_summary.csv': '9df3516944ab094228fc44cee32ec9b228dbb42d047711f245db57d9cfd380f6',
+    'cv_pca-lm/pca-lm_folds.csv': '3e91166c658621113393b2756b43c1fc668b54570272ffe24db04a1889c2903b',
+    'cv_pca-lm/pca-lm_samples.csv': '071f1f4a0016ecd5927eeb377bc96b3e6c4f094d7321a24d471b489927b95d8b',
+    'cv_pca-lm/pca-lm_summary.csv': '17cdd79c61521825780528e6c76d1e7d9d4a2f9b65c2f43b68be915935e68147',
+    'cv_rf/rf_folds.csv': '31b9ed6383d5c1092164854bf88b1984545dd9eff11e6554dc87010a5f159398',
+    'cv_rf/rf_samples.csv': '46051c3a136043b97eb67884c97cc3286f16aa4dc1ab3c687671cd4f69dfe887',
+    'cv_rf/rf_summary.csv': '9a8b5587ffe2dc178c88fe11f914f4db42b257966e9b18362a0428f059df7767',
+    'cv_rf-scores/rf_folds.csv': 'a5cf1f039f3f78a6cb6b641d666532e4ea0a4a0eaaa78b6215494c48dd739fb7',
+    'cv_rf-scores/rf_samples.csv': 'e279821d3077ab31a8efe16a27741840e6db52bc95f3e1084b2ac65d2525c70e',
+    'cv_rf-scores/rf_summary.csv': '02cf051c14d1528df46b3f6da5547dafa83d9328516102dc369fa98fc6f89ca7',
     'data/m00_c00.csv': '0ef8b9771de07d21d3a98bb6ba1460d3ab1e073aed2c00decc51565207c553d5',
     'data/m00_c01.csv': 'fafdde49d048133360bfffcdd99fcb7476a5bd437438e8b7d7a5bcb4fdbae469',
     'data/m00_c02.csv': '8556bfc6bbe66a84e361b747e7e04e13456a4eddbb42d5e9d4a7c53bccdb1ca6',
@@ -210,43 +211,43 @@ GOLDEN: dict[str, str] = {
     'data/m02_c05.csv': 'b1f301a9d34f519312eebd2602f34041e30080d9a3cb00876b7dad11b6856741',
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
-    'model_empirical-fixed-v.json': '439172db2d047efba064af66cb32f991f40ef3424b7ee5c0408e42d094860363',
-    'model_empirical-max-force.json': '66390d6c70296cb40b95c82a7c1063edd12d3b3dcc6178b91d0fc3b736d47eb2',
-    'model_empirical.json': '7f7fd15ba7ab0a3429a798c4f64d348ccf85006b3d3ff121d2e9240952f6d173',
-    'model_pca-lm.json': '7be17e7a3ce46c96176a196f56564499dfded1b498def8a77672f809b738a89c',
-    'model_rf-scores.json': '695b346e476929b3d8d62bce956dc8697312e25dffb0f533bfd895cb7b5907fd',
-    'model_rf.json': '4d726af56c25156b354b70eab7b5bc95fe03fcb7d893f9f088729f55206bb9b0',
-    'pred_empirical-fixed-v.csv': 'd31ade20fefe5ccf0b45a50dd5816a36c765629d710365674d87397b520d4b4a',
-    'pred_empirical-max-force.csv': '764d4bbe92778d4c5832e119a3dc9e8818538240a37931fd71e35d1a0e14757c',
-    'pred_empirical.csv': '1431e30e7a5228c0eb337c63440cdc2da6db0192d204eb04f3f3316f234d79d0',
-    'pred_pca-lm.csv': 'd41b150ddb92b01f2abe09783728edede98dd6a37f2b083aaee363ff38242305',
-    'pred_rf-scores.csv': '6a0de50c4477a1394f4c3dac6a39674c2694f72e61d7eb9962bb428509fa4e7d',
-    'pred_rf.csv': '1efdd82d6a2d87b82628b266a3ca03abd20bb04470ec33315678d40e72717fc4',
-    'report_empirical-fixed-v.csv': 'cce6f61abd9101832ad489fa3b95fc77fd2fdbdddb43d52f58cc7928ea3add7c',
-    'report_empirical-max-force.csv': '8e4ff718581b27f195dcde5a64b155dd839973c4c72d448049375be35e4cbca4',
-    'report_empirical.csv': '77c8b8be51be7553c5d6c35cc4d62a4d9d826b47333a2d70302da7ecad07028f',
-    'report_pca-lm.csv': '70af1ae72132b7519d48a94669d0ceaf383cd8bfcdf916d9afb88e37ce1671c1',
-    'report_rf-scores.csv': 'dd4f89f9dfceb0c9b3931dc991da67c541185ed168d59991706cb1002f5609ae',
-    'report_rf.csv': '39dc99419c307c941205f32a3e3eb37367d63a838254a19232cf8a550da47660',
+    'model_empirical-fixed-v.json': 'f1baa6441816dd6078ed16af8497f0d042ef350e381de86ef6b62f53db9b0a37',
+    'model_empirical-max-force.json': '28ac173fd723fcab94ccae344f162688f9a4c0a8a9cce4bf02e0e3f1da0f4d02',
+    'model_empirical.json': '70f2bb99c018dd0b09c4461b49993e6aadca58adad68464dd930093fcc111b5b',
+    'model_pca-lm.json': '214d5d6fccf72a91f8a2486495cbb9a673807f53521429303edaae887b7fb9f9',
+    'model_rf-scores.json': '1abb876957a6d8edffc302436be1727b9065685fb3ec9a47f5e964356df3da35',
+    'model_rf.json': 'ecf66c4e3d2ebaf0d86c2c30dd63c4eb390b908c40c2ba3e21b5556060e07a1f',
+    'pred_empirical-fixed-v.csv': 'a75715c18382845438ac160be9bd925eac2e1ef83af18127df35f7d1aaefcf75',
+    'pred_empirical-max-force.csv': '42863dd04f859c52debcfabc9da37a6e87fcaff23e73988f5c0d56c4c54362cf',
+    'pred_empirical.csv': 'a7c46df01d2598718f8ee11a7705dcb432810cc53e5cac4968aefe10400ab6b9',
+    'pred_pca-lm.csv': '6dc1b2112c0632b510f59f0931da5db4505a912714ff38278f1ee7a77f51d38f',
+    'pred_rf-scores.csv': '1d359fd44ec35102b26f9896dcfc38e91d904b6fec44934c73419355e0cb2cb5',
+    'pred_rf.csv': '69f94c8a71ba128afc6b04c17a66239d533a0f1179fee2918ed194f58c5555c2',
+    'report_empirical-fixed-v.csv': '4f4f85a9bda7927df430a64b3a85e4b3b82a2929c87b2f319b8cb526fb012069',
+    'report_empirical-max-force.csv': '1b1444754266d19483dc25ce4087bae1d1bfa07ea7f1e861a0d3dc463acd6aba',
+    'report_empirical.csv': 'c9ab1f2a20345f13fca04dfffef04443451a4aefa8ea3a99e84c2566bf7ad79c',
+    'report_pca-lm.csv': 'e32134acb343d7ea9e3440e7bf698961cb7151d9aac849f3c739ea9afd859358',
+    'report_rf-scores.csv': 'c1534d92f80764644f9c79110a785bbf43ae0b6af61af7e3084c1cbf954022f9',
+    'report_rf.csv': 'c1c415e86b5f3bc32dfaf5870ed509ee53e7503975f5c3376a255c78eb380d87',
 }
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': '73f9d19cc360d32188b1a866d223a3fffdb7897e82b83973ed6558c5f994c7bb',
-    'predict rf': '1d284275e0405c9f86a01620edb063e7a5e4fd46868b8063c15c1e20151bf387',
-    'model rf-scores': '0c843ae925dbbbc7bacdd253e8d1e6ae1d7e41cc8b30530bec015670b2ecd2b3',
-    'predict rf-scores': '45a8a3e0701490fb26e9a934e05add2cab951efb212c7c40a946e3fe5e24cde3',
+    'model rf': 'd5af0b06813a76346d5cb2dd2a055dd2d7dcd98a450bff82cc740d3167f18f2b',
+    'predict rf': 'd90a67a21517927cffbfd683fc1d334253fa540b512fea70e73a826aa2e81c8c',
+    'model rf-scores': '19948f6997282a807dfc9020bf97ba1f5d869c3cb451fde1c98459de0e4834eb',
+    'predict rf-scores': '53307b31103ddf02441814d17a5ea48bcf83be3c3f6c549bb4e301b99644fb94',
 }
 
 
 # The empirical family on the reference set; see empirical_digests.
 GOLDEN_EMPIRICAL: dict[str, str] = {
-    'cv max-force max-slope': '3ad70978ebf1329ea3fe9c31e125950918f4de4a6a66981f537847fd9ae1f819',
-    'beta max-force max-slope': '0.3823110079067408',
-    'cv instability-force max-slope': 'e2a0dcf01057dd4a3928c2906d81b4b09b2755a138cfb30e01c68ca276880f8c',
-    'beta instability-force max-slope': '1.4864458877869418',
-    'cv instability-force fixed-v': 'de35f6984a4b90ba58f70c92d1d0b63dfccfa899ff79bd78c87be7bf032d065c',
-    'beta instability-force fixed-v': '0.29992697514583755',
+    'cv max-force max-slope': 'ab0d312461d8e7626050a35cbd87886c58c8fdeec18185386348c76a31aff68d',
+    'beta max-force max-slope': '0.381268220273452',
+    'cv instability-force max-slope': '3471a39ce7cddee39acebb37adcfa0c6b5e4ce7450483851e6c79fc4ca956c6e',
+    'beta instability-force max-slope': '1.0564438177844606',
+    'cv instability-force fixed-v': '2bd31f09025190f3b3a8cbbf9effd4d69af9c7fa710aaba0ed48d60a9e63bc43',
+    'beta instability-force fixed-v': '0.2989025258000794',
 }
 
 
@@ -341,7 +342,22 @@ PINNED_V5: dict[str, str] = {
     'rf-scores_v5.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
     'rf_v5.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
 }
-PINNED_ALL = {**PINNED, **PINNED_V2, **PINNED_V3, **PINNED_V4, **PINNED_V5}
+
+
+# The six model files the script above wrote, keyed by MODELS, as format 6,
+# before format 7 stored the grid's rule; each file's sha256 is the GOLDEN
+# digest its model had then.  They were fitted on forces read at the points
+# of the 151-point grid, which format 7 reads as the point rule.  Their
+# digests are of predictions as for PINNED_V2.
+PINNED_V6: dict[str, str] = {
+    'empirical-fixed-v_v6.json': '32e16aff1d13f8ac9246ab834dff9c8cb31135ccd9a89b889c6956d2a289df1e',
+    'empirical-max-force_v6.json': '4e9d2f48af3b3a8ee39f609c7c0cdafa3ade04a5b3a235936af0cfc9e56a44ba',
+    'empirical_v6.json': '58516587939d659eedcf2b92582a151553a821d75fa1a2c74ea6854fd941f030',
+    'pca-lm_v6.json': '721d02ede5c53dbaec37b4eeb1151f649e28ebcaa6cbb163b95d9ba69d4783c2',
+    'rf-scores_v6.json': '6659513174a5412e7763b3a9ff4ab6aa808fb58b55670d1cc70823afdf8c3d94',
+    'rf_v6.json': '7f12a8570d1f6669746f80882f80abf69ce70203b38e4198dacb11807f3aa3b0',
+}
+PINNED_ALL = {**PINNED, **PINNED_V2, **PINNED_V3, **PINNED_V4, **PINNED_V5, **PINNED_V6}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_ALL))

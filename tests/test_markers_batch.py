@@ -273,7 +273,7 @@ def test_batch_markers_and_features_match_the_per_curve_reference(batch, strateg
 
 
 def test_the_first_failing_row_raises_even_after_passing_rows():
-    grid = GridSpec(n_points=20)
+    grid = GridSpec(spacing_mm=0.01, n_points=20)
     good = np.arange(20.0)
     batch = np.array([good, good, np.zeros(20), -good])
     _, want = _outcome(lambda: _reference_rows(
@@ -305,7 +305,8 @@ def test_batch_of_one_and_grid_checks():
 
 
 def test_zero_denominator_names_the_first_failing_curve():
-    markers = extract_markers(np.array([np.arange(20.0)] * 3), GridSpec(n_points=20))
+    markers = extract_markers(np.array([np.arange(20.0)] * 3),
+                              GridSpec(spacing_mm=0.01, n_points=20))
     h0 = [0.5, 1e-170, 5e-324]
     for mode, message in ((MODE_INSTABILITY_FORCE, "curve 1: h0^2 is zero (h0=1e-170)"),
                           (MODE_MAX_FORCE, "curve 2: h0 * v_m is zero (h0=5e-324, v_m=0.19)")):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallpunch.curves import GridSpec, MARKER_FIXED_V, resample
+from smallpunch.curves import GridSpec, MARKER_FIXED_V, RULE_INTERVAL_MEAN, RULE_POINT, resample
 from smallpunch.errors import ModelFileError, UnsupportedVersion
 from smallpunch.forest import ForestConfig, ForestModel
 from smallpunch.modelfile import FORMAT_VERSION, UPGRADES, load_model, save_model
@@ -124,11 +124,11 @@ def test_unknown_version_is_refused(tmp_path, dataset):
     path = tmp_path / "model.json"
     save_model(path, trained, {})
     doc = json.loads(path.read_text())
-    # true, 2.0, 3.0, 4.0, 5.0 and 6.0 compare equal to versions it reads
-    for version in (99, True, 2.0, 3.0, 4.0, 5.0, 6.0, "2", None):
+    # true, 2.0, 3.0, 4.0, 5.0, 6.0 and 7.0 compare equal to versions it reads
+    for version in (99, True, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, "2", None):
         doc["format_version"] = version
         path.write_text(json.dumps(doc))
-        message = f"format_version {version!r} (this build reads 1, 2, 3, 4, 5 and 6)"
+        message = f"format_version {version!r} (this build reads 1, 2, 3, 4, 5, 6 and 7)"
         with pytest.raises(UnsupportedVersion, match=re.escape(message)):
             load_model(path)
 
@@ -377,8 +377,8 @@ def _forest_reads(n):
 # the family models the feature matrix.  The standardizer and the PCA read
 # the grid's points and the temperature, the model the PCA's components or
 # those columns.  Every block holds its record's fields and no other key, and
-# the file holds its seven blocks and no other.  The fixtures' PCA keeps
-# three components, the pinned pca-lm and rf-scores files' PCA four.
+# the file holds its seven blocks and no other.  The fixtures' PCA and the
+# pinned pca-lm and rf-scores files' PCA keep four components.
 @pytest.mark.parametrize("family,change,match", [
     ("rf", _stray("pca", "pca-lm"), "rf model file holds a stray PCA block"),
     ("empirical", _stray("standardizer", "pca-lm"),
@@ -392,8 +392,8 @@ def _forest_reads(n):
     ("pca-lm_v4", _widen("standardizer", "means", "scales"),
      "standardizer block reads 153 columns, expected 152"),
     ("rf-scores_v4", _forest_reads(152), "model block reads 152 columns, expected 4"),
-    ("pca-lm", _widen("pca", "mean", "loadings"), "PCA block reads 153 columns, expected 152"),
-    ("rf", _forest_reads(153), "model block reads 153 columns, expected 152"),
+    ("pca-lm", _widen("pca", "mean", "loadings"), "PCA block reads 78 columns, expected 77"),
+    ("rf", _forest_reads(78), "model block reads 78 columns, expected 77"),
     ("rf", _add("type", "linear", "model"), "unknown key 'type' in the model block"),
     ("rf", _add("forest", {"n_trees": 3}, "pipeline"),
      "unknown key 'forest' in the pipeline block"),
@@ -442,9 +442,9 @@ def test_quoted_number_error_names_the_field_and_the_value(tmp_path, trained_by_
     ("pca-lm", lambda d: d, "pipeline", 3, "pipeline must be an object, got 3"),
     ("pca-lm", lambda d: d, "pca", "x", "pca must be an object, got 'x'"),
     ("rf", lambda d: d["pipeline"], "config", [], "config must be an object, got []"),
-    # the fixture's PCA keeps three components
+    # the fixture's PCA keeps four components
     ("pca-lm", lambda d: d["pca"]["loadings"][0], slice(-1, None), [],
-     "loadings must have rows of one length, got 2 and 3"),
+     "loadings must have rows of one length, got 3 and 4"),
     ("pca-lm", lambda d: d["standardizer"], "means", [[1.0], [2.0, 3.0]],
      "means must have rows of one length, got 1 and 2"),
 ], ids=["grid-block", "pipeline-block", "pca-block", "config-block", "loadings-ragged",
@@ -587,6 +587,40 @@ def test_a_format_5_file_holds_no_v_star(tmp_path, name, value):
     doc["pipeline"]["v_star"] = value
     _assert_refused(tmp_path / "model.json", doc,
                     re.escape("unknown key 'v_star' in the pipeline block"))
+
+
+# Format 6 stored no grid rule: its models were fitted on forces read at the
+# grid points.  Its upgrade to format 7 gives the grid block the point rule,
+# and refuses a format 6 block that already holds the key, which would
+# otherwise be overwritten unseen.
+@pytest.mark.parametrize("name", ["empirical", "pca-lm", "rf"])
+def test_a_format_6_file_reads_its_grid_by_the_point_rule(tmp_path, name):
+    doc = json.loads((DATA / f"{name}_v6.json").read_text(encoding="utf-8"))
+    assert UPGRADES[6](doc)["grid"] == {**doc["grid"], "rule": RULE_POINT}
+    assert load_model(DATA / f"{name}_v6.json")[0].grid == GridSpec(
+        spacing_mm=0.01, n_points=151, rule=RULE_POINT)
+    for value in (RULE_POINT, RULE_INTERVAL_MEAN):
+        doc["grid"]["rule"] = value
+        _assert_refused(tmp_path / "model.json", doc,
+                        re.escape("unknown key 'rule' in the grid block"))
+
+
+@pytest.mark.parametrize("value,message", [
+    ("midpoint", "grid rule must be one of interval-mean, point, got 'midpoint'"),
+    (1, "rule must be a string, got 1"),
+    (DELETE, "missing field 'rule'"),
+])
+def test_a_format_7_grid_rule_is_one_the_build_knows(tmp_path, trained_by_family, value,
+                                                      message):
+    path = tmp_path / "model.json"
+    save_model(path, trained_by_family["pca-lm"], {})
+    doc = json.loads(path.read_text())
+    assert doc["grid"]["rule"] == RULE_INTERVAL_MEAN
+    if value is DELETE:
+        del doc["grid"]["rule"]
+    else:
+        doc["grid"]["rule"] = value
+    _assert_refused(path, doc, re.escape(message))
 
 
 @pytest.mark.parametrize("marker,value,message", [
@@ -733,12 +767,15 @@ def test_a_format_1_file_without_a_forest_reads_as_its_format_2_self(tmp_path, d
     assert UPGRADES[1](v1) == v1
     path = tmp_path / "model.json"
     path.write_text(json.dumps(v1), encoding="utf-8")
-    curves, _ = dataset
-    want = predict_pipeline(load_model(DATA / "pca-lm_v2.json")[0], curves)
+    trained = load_model(DATA / "pca-lm_v2.json")[0]
+    raw, _ = generate(SynthConfig(n_materials=3, curves_per_material=6, noise_sigma_N=4.0,
+                                  seed=50))
+    curves = [resample(c, trained.grid) for c in raw]
+    want = predict_pipeline(trained, curves)
     assert predict_pipeline(load_model(path)[0], curves).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[12345].json")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(DATA.glob("*_v[123456].json")), ids=lambda p: p.name)
 def test_an_older_file_upgrades_to_the_document_its_model_saves(tmp_path, path):
     doc = json.loads(path.read_text(encoding="utf-8"))
     before = copy.deepcopy(doc)

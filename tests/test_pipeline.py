@@ -110,7 +110,7 @@ def test_forest_pipeline_on_raw_and_scores(dataset):
     )
     assert isinstance(raw.model, ForestModel)
     assert raw.pca is None
-    assert raw.model.n_features == 152
+    assert raw.model.n_features == raw.grid.n_points + 1 == 77
 
     scores = fit_pipeline(
         curves,
@@ -174,7 +174,7 @@ def test_the_empirical_kind_refuses_a_v_star_it_cannot_read(given, message):
 def test_max_force_reads_no_instability_point():
     # the steepest rise comes after the force maximum, so max-slope's v_i
     # exceeds v_m; max-force reads F_m and v_m alone and fits anyway
-    grid = GridSpec(n_points=60)
+    grid = GridSpec(spacing_mm=0.01, n_points=60)
     shape = np.concatenate([np.linspace(0.0, 100.0, 21), np.linspace(90.0, 10.0, 9),
                             np.linspace(20.0, 95.0, 6), np.full(24, 95.0)])
     curves = [make_uniform(scale * shape, grid, make_meta(rm=rm))
@@ -279,8 +279,8 @@ def test_a_trained_pipeline_refuses_blocks_its_family_does_not_hold(dataset):
         (lambda: replace(lin, model=LinearModel(0.0, np.ones(lin.pca.n_components + 1))),
          f"model block reads {lin.pca.n_components + 1} columns, "
          f"expected {lin.pca.n_components}"),
-        (lambda: replace(raw, grid=GridSpec(n_points=150)),
-         "standardizer block reads 152 columns, expected 151"),
+        (lambda: replace(raw, grid=GridSpec(n_points=75)),
+         "standardizer block reads 77 columns, expected 76"),
     ]
     for build, message in cases:
         with pytest.raises(InvalidModel, match=re.escape(message) + "$"):

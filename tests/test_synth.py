@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smallpunch.curves import GridSpec, MARKER_FIXED_V, RawCurve, resample
+from smallpunch.curves import GridSpec, MARKER_FIXED_V, RULE_POINT, RawCurve, resample
 from smallpunch.errors import BadConfig
 from smallpunch.evaluation import cross_validate
 from smallpunch.pipeline import EmpiricalKind
@@ -115,7 +115,9 @@ def test_noise_sample_is_shared_across_sigmas():
 
 
 def test_error_grows_with_noise():
-    grid = GridSpec()
+    # the point rule on the 0.01 mm grid the planted v_i snaps to, where the
+    # noiseless error vanishes
+    grid = GridSpec(spacing_mm=0.01, n_points=151, rule=RULE_POINT)
     kind = EmpiricalKind(marker_strategy=MARKER_FIXED_V)
     means = []
     for sigma in (0.0, 2.0, 5.0, 10.0):
