@@ -23,7 +23,6 @@ make it writable again.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,15 +138,13 @@ class GridSpec:
         return self.start_mm + self.spacing_mm * np.arange(self.n_points)
 
     @cached_property
-    def _cells(self) -> tuple[list[float], list[float], np.ndarray, np.ndarray]:
-        """The points and the n_points + 1 cell edges as floats, for
-        bisection; the edges again as an array, point j's cell running from
-        edge j to edge j + 1, [x - h/2, x + h/2]; and the half inverse of
-        each cell's width.  Made once per grid, as resample reads them for
-        every curve, and read-only."""
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The points; the n_points + 1 cell edges, point j's cell running
+        from edge j to edge j + 1, [x - h/2, x + h/2]; and the half inverse
+        of each cell's width.  Made once per grid, as resample reads them
+        for every curve, and read-only."""
         edges = self.start_mm + self.spacing_mm * (np.arange(self.n_points + 1) - 0.5)
-        return (self.displacements().tolist(), edges.tolist(), frozen(edges),
-                frozen(0.5 / np.diff(edges)))
+        return frozen(self.displacements()), frozen(edges), frozen(0.5 / np.diff(edges))
 
 
 def frozen(arr: np.ndarray) -> np.ndarray:
@@ -577,9 +574,12 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
     segments inside the cell, and at each cell edge e between rows d_k and
     d_k+1 the part trapezoid (e - d_k) * (f_k + f(e)) / 2, which holds the
     segment's quadratic term.  A cell that sticks out past the recorded
-    span reads the end segment's linear extension there, so an affine
-    curve's means are its values at the points, end cells included.  The
-    cell edges are computed once per grid.
+    span reads there the linear extension of the chord over its part
+    inside the span, from the span's end to its edge inside it (or to the
+    span's other end, where that is nearer): an affine curve's means are
+    its values at the points, end cells included, and the extension's
+    slope spans half a cell of rows, not the one end segment, whose noise
+    it would multiply.  The cell edges are computed once per grid.
 
     A point whose cell lies wholly outside the span, under the interval
     rule, or that lies itself outside it, under the point rule, takes the
@@ -589,30 +589,41 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
     be an end force.  Forces whose trapezoid areas overflow (rows near the
     largest double) raise NonFiniteValue under the interval rule.
     """
-    points, edge_list, edges, half_inverse_width = grid._cells
+    points, edges, half_inverse_width = grid._cells
     d, f = curve.displacement_mm, curve.force_N
     first, last = d[0].item(), d[-1].item()
-    inside = bisect.bisect_right(points, last)
-    if inside <= bisect.bisect_left(points, first):
+    inside = int(points.searchsorted(last, "right"))
+    if inside <= points.searchsorted(first):
         raise GridOutsideCurve(f"no grid point lies within the recorded displacements "
                                f"[{first}, {last}] mm (grid {grid.start_mm} to {grid.end_mm} mm)")
     if grid.rule == RULE_POINT:
-        forces = np.interp(grid.displacements(), d, f)
+        forces = np.interp(points, d, f)
     else:
-        forces = _interval_means(d, f, edges, half_inverse_width)
-        # cells wholly outside the span keep its end forces
-        if first >= edge_list[1]:
-            forces[:bisect.bisect_right(edge_list, first) - 1] = f[0]
-        if last <= edge_list[-2]:
-            forces[bisect.bisect_left(edge_list, last):] = f[-1]
+        # edges at or before the first row, and before the last: the end
+        # cells are lo - 1 and hi - 1, and those past them lie wholly outside
+        lo, hi = int(edges.searchsorted(first, "right")), int(edges.searchsorted(last))
+        forces = _interval_means(d, f, edges, half_inverse_width, lo, hi)
+        forces[:max(lo - 1, 0)] = f[0]
+        forces[hi:] = f[-1]
         if not np.isfinite(forces).all():
             raise NonFiniteValue("forces overflow the running area of their interval means")
     return UniformCurve(grid=grid, force_N=frozen(forces), meta=curve.meta,
                         n_extrapolated=grid.n_points - inside)
 
 
+def _on_segments(xp: np.ndarray, fp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The piecewise-linear interpolant of rows (xp, fp) at x, the end segments extended.
+
+    f(x) = f_k + lam * (f_k+1 - f_k), lam = (x - x_k) / (x_k+1 - x_k): no
+    slope is formed, so a steep segment cannot overflow.
+    """
+    k = xp[1:-1].searchsorted(x, "right")
+    f_k = fp[k]
+    return f_k + (x - xp[k]) / (xp[k + 1] - xp[k]) * (fp[k + 1] - f_k)
+
+
 def _interval_means(d: np.ndarray, f: np.ndarray, edges: np.ndarray,
-                    half_inverse_width: np.ndarray) -> np.ndarray:
+                    half_inverse_width: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Mean of the rows' piecewise-linear interpolant over each cell between edges.
 
     Edge e reads segment k of the rows, d_k <= e < d_k+1, the first or last
@@ -621,14 +632,36 @@ def _interval_means(d: np.ndarray, f: np.ndarray, edges: np.ndarray,
     - f_k) and lam = (e - d_k) / (d_k+1 - d_k): no slope is formed, so a
     steep segment cannot overflow.  Twice a cell's area is then the whole
     segments' trapezoids from one edge's segment to the next's, summed,
-    plus the right edge's part trapezoid less the left edge's.  Overflow
+    plus the right edge's part trapezoid less the left edge's.
+
+    The end cells, lo - 1 from edge lo - 1 <= d_0 and hi - 1 to edge hi > d_n
+    (see resample), read past the span along the chord from the span's end
+    to the curve at their inner edge, or at the span's other end where that
+    is nearer: f(e) there is read on that chord, and the right edge's part
+    trapezoid runs from d_n, after the last segment's whole one.  Overflow
     leaves inf or NaN in the means for the caller to refuse, and no warning.
     """
     k = d[1:-1].searchsorted(edges, "right")
     d_k, f_k = d[k], f[k]
     t = edges - d_k
     with np.errstate(over="ignore", invalid="ignore"):
-        part = t * (f_k + f_k + t / (d[1:][k] - d_k) * (f[1:][k] - f_k))
+        rise = t / (d[1:][k] - d_k) * (f[1:][k] - f_k)
+
+        def on_chord(outer: int, end: int, inner: int) -> float:
+            # f at edge outer on the chord from row end (0 or -1) to the
+            # curve at edge inner, or at the other end row where that is nearer
+            if d[0] <= edges[inner] <= d[-1]:
+                x, f_x = edges[inner], f_k[inner] + rise[inner]
+            else:
+                x, f_x = d[-1 - end], f[-1 - end]
+            return f[end] + (edges[outer] - d[end]) / (x - d[end]) * (f_x - f[end])
+
+        part = t * (f_k + f_k + rise)
+        if lo > 0 and edges[lo - 1] < d[0]:
+            part[lo - 1] = t[lo - 1] * (f[0] + on_chord(lo - 1, 0, lo))
+        if hi < edges.size and edges[hi] > d[-1]:
+            part[hi] = ((d[-1] - d[-2]) * (f[-2] + f[-1])
+                        + (edges[hi] - d[-1]) * (f[-1] + on_chord(hi, -1, hi - 1)))
         whole = np.add.reduceat((d[1:] - d[:-1]) * (f[1:] + f[:-1]), k)[:-1]
         whole[k[1:] == k[:-1]] = 0.0  # reduceat's sum of an empty run is its first value
         return (whole + part[1:] - part[:-1]) * half_inverse_width
@@ -695,7 +728,8 @@ def extract_markers(
         v_i is the caller-supplied displacement ``v_star``, one value shared
         by every curve or a 1-D sequence of one per curve, nothing else;
         F_i is the piecewise-linear interpolated force at v_i, by
-        ``np.interp`` on each row.
+        ``np.interp`` on each row, or where its slope overflows, by
+        _on_segments, which forms none.
 
     Raises
     ------
@@ -732,6 +766,10 @@ def extract_markers(
     elif strategy == MARKER_FIXED_V:
         v_i = _v_star_rows(v_star, f.shape[0])
         f_i = np.array([np.interp(v, gx, row) for v, row in zip(v_i, f)])
+        # np.interp forms the slope, which a rise near the largest double
+        # overflows: such a row is read again without one
+        for r in np.flatnonzero(~np.isfinite(f_i)):
+            f_i[r] = _on_segments(gx, f[r], min(max(v_i[r], gx[0]), gx[-1]))
     else:
         raise BadConfig(f"unknown marker strategy: {strategy!r}")
 

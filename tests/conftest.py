@@ -45,14 +45,20 @@ def interval_means_reference(displacement, force, grid: GridSpec) -> np.ndarray:
 
     The cell [x - h/2, x + h/2] is cut at every recorded row inside it, and
     the trapezoids of the piecewise-linear curve between the cuts are
-    summed; a cut outside the recorded span reads the end segment's linear
-    extension.  A cell with no length inside the span takes the end force.
+    summed.  A cut outside the recorded span reads the linear extension of
+    the chord from the span's end to the cell's other edge, or to the
+    span's other end where that is nearer.  A cell with no length inside
+    the span takes the end force.
     """
     d, f = np.asarray(displacement, dtype=float), np.asarray(force, dtype=float)
 
     def at(v):
         k = min(max(int(np.searchsorted(d, v, side="right")) - 1, 0), d.size - 2)
         return f[k] + (v - d[k]) / (d[k + 1] - d[k]) * (f[k + 1] - f[k])
+
+    def on_chord(v, end, inner):
+        f_end = f[0] if end == d[0] else f[-1]
+        return f_end + (v - end) / (inner - end) * (at(inner) - f_end)
 
     means = []
     for x in grid.displacements():
@@ -61,7 +67,8 @@ def interval_means_reference(displacement, force, grid: GridSpec) -> np.ndarray:
             means.append(f[0] if b <= d[0] else f[-1])
             continue
         cuts = [a, *d[(d > a) & (d < b)], b]
-        values = [at(v) for v in cuts]
+        values = [on_chord(v, d[0], min(b, d[-1])) if v < d[0] else
+                  on_chord(v, d[-1], max(a, d[0])) if v > d[-1] else at(v) for v in cuts]
         area = sum((q - p) * (u + w) / 2 for p, q, u, w in
                    zip(cuts, cuts[1:], values, values[1:]))
         means.append(area / (b - a))

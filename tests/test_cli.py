@@ -717,12 +717,12 @@ def test_a_model_without_v_star_predicts_at_the_v_i_it_is_given(tmp_path, capsys
 
 @pytest.mark.parametrize("flags,message", [
     (("--marker", "fixed-v", "--v-star", "1.4"),
-     "curve 0: regressor 9.09999999999999e+307 / 0.25 overflows"),
+     "curve 0: regressor 7.300000000000022e+307 / 0.25 overflows"),
     ((), "curve 0: forces overflow the max-slope smoothing"),
 ], ids=["fixed-v", "max-slope"])
 def test_predicting_forces_that_overflow_exits_4_with_no_warning(tmp_path, capsys, flags,
                                                                  message):
-    # forces of 1e307 and 1e308 N: an inf strength or a NaN-picked marker before
+    # forces of 1e307 and 8e307 N: an inf strength or a NaN-picked marker before
     data = make_dataset(tmp_path, capsys, sigma=5.0, seed=3, materials=2, per_material=4)
     model_path = tmp_path / "m.json"
     code, _, err = run(capsys, "train", str(data / "manifest.csv"), "--pipeline", "empirical",
@@ -730,7 +730,7 @@ def test_predicting_forces_that_overflow_exits_4_with_no_warning(tmp_path, capsy
     assert code == 0, err
     big = tmp_path / "big"
     big.mkdir()
-    (big / "big.csv").write_text("displacement_um,force_N\n0,0\n100,50\n500,1e307\n1500,1e308\n")
+    (big / "big.csv").write_text("displacement_um,force_N\n0,0\n100,50\n500,1e307\n1500,8e307\n")
     write_manifest(big / "manifest.csv", [("big.csv", SpecimenMeta("M9", 20.0, 0.5))])
     out = tmp_path / "p.csv"
     with warnings.catch_warnings():

@@ -663,7 +663,8 @@ def test_resample_matches_the_reference_loop_over_each_cell(rows, start, span, s
     d = start + span * np.unique(np.r_[0.0, 1.0, np.array(data.draw(
         st.lists(st.floats(0.0, 1.0), min_size=rows - 2, max_size=rows - 2)))])
     assume(np.all(np.diff(d) > 1e-9 * span))
-    f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3), min_size=d.size, max_size=d.size)))
+    f = np.array(data.draw(st.lists(st.floats(-1e3, 1e3, allow_subnormal=False),
+                                    min_size=d.size, max_size=d.size)))
     f[0] = abs(f[0])  # a curve starts at a force >= 0
     grid = GridSpec(start_mm=grid_start, spacing_mm=spacing, n_points=n_points)
     raw = RawCurve(d, f, make_meta())
@@ -674,6 +675,27 @@ def test_resample_matches_the_reference_loop_over_each_cell(rows, start, span, s
     want = interval_means_reference(d, f, grid)
     scale = np.max(np.abs(f)) * max(1.0, spacing / np.min(np.diff(d)))
     assert np.allclose(got.force_N, want, rtol=0.0, atol=1e-9 * scale)
+
+
+def test_resample_end_cells_carry_less_noise_than_one_row():
+    # rows every micrometre from 0 to 1.5 mm, as synth writes them, under
+    # noise of 5 N: half of each end cell lies outside the span and reads
+    # the chord over its inside half, so the end cells carry less noise than
+    # one row, the point rule's reading there (about 4 N against about 1 N
+    # for an interior cell, as extrapolating from one side must); the end
+    # segment's own extension multiplied a row's noise to about 19 N
+    rng = np.random.default_rng(11)
+    d = np.arange(1501) / 1000.0
+    grid = GridSpec()
+    affine = 100.0 + 300.0 * grid.displacements()
+    errors = np.array([
+        resample(RawCurve(d, 100.0 + 300.0 * d + rng.normal(0.0, 5.0, d.size), make_meta()),
+                 grid).force_N - affine
+        for _ in range(400)
+    ])
+    spread = errors.std(axis=0)
+    assert np.all(spread[[0, -1]] < 5.0)
+    assert np.all(spread[[0, -1]] < 5.0 * np.median(spread[1:-1]))
 
 
 def test_resample_gives_a_point_with_rows_at_its_cell_edges_the_weighted_mean():
@@ -874,6 +896,12 @@ def test_max_slope_refuses_forces_that_overflow_the_smoothing_naming_the_curve()
         assert big.f_max_N.tolist() == [19.0, 19 * 5e305]
         fixed = extract_markers(np.array([ramp, ramp * 5e306]), grid, MARKER_FIXED_V, 0.05)
         assert fixed.f_instability_N.tolist() == [5.0, 2.5e307]
+        # on the default spacing v* lies between two points, whose rise of
+        # 5e306 N over 0.02 mm is a slope past the largest double
+        between = extract_markers(np.array([ramp, ramp * 5e306]), GridSpec(n_points=20),
+                                  MARKER_FIXED_V, 0.05)
+        assert between.f_instability_N[0] == 2.5
+        assert between.f_instability_N[1] == pytest.approx(1.25e307, rel=1e-12)
 
 
 def test_unknown_strategy_rejected():

@@ -149,48 +149,48 @@ def empirical_digests() -> dict[str, str]:
 GOLDEN_NUMPY = '2.4.6'
 GOLDEN: dict[str, str] = {
     'stdout synth': 'b91e9f9dc01a9ddc8c945ae4987a0c67c5be9203e5296aa9255c7810fb22e645',
-    'stdout train empirical': 'c51b4a6833c7c869d4154ac51f26e28cf7cd95fbe8a04ac0f01f6a9bdafbde40',
+    'stdout train empirical': '03bf11fc9e0dc84b87e1d013d5d6aac387f01defa1f83fde5a3cfbda0879ae82',
     'stdout predict empirical': 'a9d239fdd0bcdf38aaf565a2a7e72ffe78c2844e1a039b0f53d195c61388ea40',
-    'stdout cv empirical': 'e9bda75bf17ae87f99c60bf252a2a2cb7fc149d0947eede5d003072e322734b5',
-    'stdout report empirical': 'c70227a3afb26e0c2ed4f89876eb5a6cc74108b62f0ae8a03870551f3df1e7d0',
+    'stdout cv empirical': 'abd192761f7f6bf5a413e2b710bf9d82952668b41f8686a365ad6af08f5c4386',
+    'stdout report empirical': '68e4b5d8ca4ac1eb0ab656a82aa354cfafc7cd39e1b0920d0b3537e8e37e9d90',
     'stdout train empirical-fixed-v': '1cec81830d1f8b579e7ee00248a71fec5ea83586aa8f15f409ba6ca8a15f1b37',
     'stdout predict empirical-fixed-v': '132c4d60303726c4fcb5eae94c2757dcba5953ae03fc49f8900b5f5fb3df3cca',
     'stdout cv empirical-fixed-v': '45f519013371820ba2fe6a6995ca16eaf4a80c490b2cd9b03f2ef63528a45cad',
     'stdout report empirical-fixed-v': 'cc16cef2af152b3638d9646f4b0413b7bcffd1f49f8b7ad667db67e5ee26c2bc',
-    'stdout train empirical-max-force': 'a6c7a11c1d8cb6f88c5e1aad9688c2cae7de3ba973f1562032ec6e658b63f75d',
+    'stdout train empirical-max-force': '4d39f3a18f598f55dbc5788d6b0bf7070677d1f8fc160c5eb834d13365bee52b',
     'stdout predict empirical-max-force': '1d6e97f7e7ee76d1373e9814885478b28af54ea02051d3bc50c0d7143833a9a0',
-    'stdout cv empirical-max-force': '7682f4b1170a43aeda6b0c9e847ca7741abf714c1443176ed5bf97a2e3595e51',
-    'stdout report empirical-max-force': '51ddc8a4c5a0710bd219b9b318c31a627e8e47d1e87e938ca13be8c8b9b2138b',
-    'stdout train pca-lm': '53134ccad482becc8af4dd5ac10a081f425f709c6fb91983f0995d9cef5e5183',
+    'stdout cv empirical-max-force': 'b4b81435ede1572bbb234b131cc6aee4e2da77e5010fb9ee89cf58b998479bce',
+    'stdout report empirical-max-force': '7e437a5607ebcd5a9684ef396142534d0d34e74499a06103efcacf59b259b931',
+    'stdout train pca-lm': 'f318f7caae751d8942e9138b337f34bfea66949a60cda87d9648afaceb226122',
     'stdout predict pca-lm': 'e608c9358eb68d36565d5e76e1d996f1852eba2bf409c6ba3282d0be3a544444',
-    'stdout cv pca-lm': 'c219fba44c3c768cb3c531368279bd6f968ac28fb9ec9317f43dfb743ca4ff37',
-    'stdout report pca-lm': '801439d9cf4f9a30acf7858380d1710602480f0f3f647e0377f116fdef7bfc64',
-    'stdout train rf': '499e403dd460ffcb795267d2c5a1d1a331fb36ee63775c6ce974689a9e984519',
+    'stdout cv pca-lm': '6a9f311abf158fe540ecf20416ee721e12909ff00ad9324f5ffabfb9dff22807',
+    'stdout report pca-lm': '250383398489155b81ad85f353f1b76853e73d6bba9e1e56568db1ba7daaf3fa',
+    'stdout train rf': '8586f3065d03bc04619b51491c49cd56414fcec2489c35cfcb41f4087450f711',
     'stdout predict rf': '90376b2b0224b3a70e38f19bd50f4d4c5afea7e1110032e56ea783b89fa1ad43',
-    'stdout cv rf': 'c286b1dbac2d5424ef06896a19d0a86e8b6fd634bd6ec695c499668eb9eb33c5',
-    'stdout report rf': '0a107f35c47d9747820ae36d44c46e1bfc4fc20cdd007bb1af153f2971addd7a',
-    'stdout train rf-scores': 'fa2787cd7bb87ce061b7f3b88666b1683965e58c120de9b2f2ef8f51baaf3abb',
+    'stdout cv rf': '443f246af86f0bc9449e52d83006912c36bf2c881fb2439eb1ca40a0c6fd9b62',
+    'stdout report rf': '6150d488e3416a11798cf46b861fc34fc0e6a4fe47997912692338e6b9315308',
+    'stdout train rf-scores': 'ee0e13630b77ab486e916b413a24d45805b701f0a32195027b3fff502ef9ddbc',
     'stdout predict rf-scores': 'a9d1f1b786ff5de5e5e84bf31430c964b9afc9cea425287f21d208f01fdc05bf',
-    'stdout cv rf-scores': '76996d37052954419cb97ad64e3d5591d692232581015262e5815fcb1bec1dc1',
-    'stdout report rf-scores': '3d440e35ca75e7da70693b7d15fcd60d63687943f6da757ad625180eea5714c8',
-    'cv_empirical/empirical_folds.csv': 'efdee6d856268671a5db2a12886f0d2c6e4f5fc70ddc33cadca269b3c4820221',
-    'cv_empirical/empirical_samples.csv': '5a66e6da84de7b72a2dd161a34bfa53bbff30931ed4a3513b52dde25b3f9ad4c',
-    'cv_empirical/empirical_summary.csv': 'd9b915fc9e957dc2aea3b4602708badd6b2c5be079bc3181d67d405d37d0cac4',
+    'stdout cv rf-scores': '227c7811d1ea1e1b3f3e0b59d0524477bb0dc57c5db7a7c9de236fc600225e83',
+    'stdout report rf-scores': '5e013eb4cdd05ecb131817e9f3641f9bd7e88b3f8c7e2223616c117c75c054ec',
+    'cv_empirical/empirical_folds.csv': '82796905414effc1c7dfca8126719c563984a54784243b0d95a528dd14cec21a',
+    'cv_empirical/empirical_samples.csv': '1b9008e156e0f05d00cfb6e747a743841433455ba2fd9196bc59ed4c308675ab',
+    'cv_empirical/empirical_summary.csv': '631fc8f1e8234625f6588e2bb62de572b8a9201a00b49c37ab96f418196fe8e5',
     'cv_empirical-fixed-v/empirical_folds.csv': '8e8005d973466fc77bbae6379305954331fb9cad9a06ce9a837d4c0468f2349c',
     'cv_empirical-fixed-v/empirical_samples.csv': 'c5296a440a3c942faf058ed9ec1d7c012b06adf7444af2bee14e28551fb2d6b7',
     'cv_empirical-fixed-v/empirical_summary.csv': 'e602521e97449ae2ebeae933de31300f9f9bf081e7b62eecd71229f51b167877',
-    'cv_empirical-max-force/empirical_folds.csv': '3a382a3e9fe2fffac7c47e846db7752098969af528714e46ab2d1a344c71aa77',
-    'cv_empirical-max-force/empirical_samples.csv': '6f1eed96b934ac2b1ae0bb129ebca08a1f8234709106ec8493d0e9f34c729fc3',
-    'cv_empirical-max-force/empirical_summary.csv': '9df3516944ab094228fc44cee32ec9b228dbb42d047711f245db57d9cfd380f6',
-    'cv_pca-lm/pca-lm_folds.csv': '3e91166c658621113393b2756b43c1fc668b54570272ffe24db04a1889c2903b',
-    'cv_pca-lm/pca-lm_samples.csv': '071f1f4a0016ecd5927eeb377bc96b3e6c4f094d7321a24d471b489927b95d8b',
-    'cv_pca-lm/pca-lm_summary.csv': '17cdd79c61521825780528e6c76d1e7d9d4a2f9b65c2f43b68be915935e68147',
-    'cv_rf/rf_folds.csv': '31b9ed6383d5c1092164854bf88b1984545dd9eff11e6554dc87010a5f159398',
-    'cv_rf/rf_samples.csv': '46051c3a136043b97eb67884c97cc3286f16aa4dc1ab3c687671cd4f69dfe887',
-    'cv_rf/rf_summary.csv': '9a8b5587ffe2dc178c88fe11f914f4db42b257966e9b18362a0428f059df7767',
-    'cv_rf-scores/rf_folds.csv': 'a5cf1f039f3f78a6cb6b641d666532e4ea0a4a0eaaa78b6215494c48dd739fb7',
-    'cv_rf-scores/rf_samples.csv': 'e279821d3077ab31a8efe16a27741840e6db52bc95f3e1084b2ac65d2525c70e',
-    'cv_rf-scores/rf_summary.csv': '02cf051c14d1528df46b3f6da5547dafa83d9328516102dc369fa98fc6f89ca7',
+    'cv_empirical-max-force/empirical_folds.csv': '278059075b43f4cdcb11750733322ca111b4b953191fecfb03fcdb5be06cfd8d',
+    'cv_empirical-max-force/empirical_samples.csv': '2009f63d694509d869d7b6369ee524d369ddf9808303857f741490a874d8f638',
+    'cv_empirical-max-force/empirical_summary.csv': '35a1043eaa6451e90f07ac47d95e096a502640fcceadf37278065fdda371ea2b',
+    'cv_pca-lm/pca-lm_folds.csv': '84a579ce72a25b28e94a28cbdd94d67bdb4bd3775304f177383215c61a18ab50',
+    'cv_pca-lm/pca-lm_samples.csv': 'f4c617864f910821b81aa312c6e606915a12dff77f3898fe5c41211bd45c046c',
+    'cv_pca-lm/pca-lm_summary.csv': 'b5476356c041298be51bb9ddf649bc646cca43a4fd92383b52cae32406f866b8',
+    'cv_rf/rf_folds.csv': '1eca19f84412dc83e6a03e44bf6c18491fc42372161d2e6ff920defda8dd01e3',
+    'cv_rf/rf_samples.csv': 'fbde6ad81a957fe43426973e4a4d7020ab4659a7b678c57d42f655f500a1f3a5',
+    'cv_rf/rf_summary.csv': 'a00e65df6a7da280f162da8901fea3f9deb796b7160ae93b2bf5ad99ddb0f05b',
+    'cv_rf-scores/rf_folds.csv': 'f076b2b96091ef4e0e7d9afd3d35238ef06e258e549d55716af0a59de2141d02',
+    'cv_rf-scores/rf_samples.csv': '8ba44754e5af3b2649bff22b20c95061a6246add2aefcaa1e684797b146d20a4',
+    'cv_rf-scores/rf_summary.csv': '3d43f2dac5cb09a49b9a3cd42ece80ba1e8100b46cc34591b08aff6c63f882b3',
     'data/m00_c00.csv': '0ef8b9771de07d21d3a98bb6ba1460d3ab1e073aed2c00decc51565207c553d5',
     'data/m00_c01.csv': 'fafdde49d048133360bfffcdd99fcb7476a5bd437438e8b7d7a5bcb4fdbae469',
     'data/m00_c02.csv': '8556bfc6bbe66a84e361b747e7e04e13456a4eddbb42d5e9d4a7c53bccdb1ca6',
@@ -212,40 +212,40 @@ GOLDEN: dict[str, str] = {
     'data/manifest.csv': '9e6dfc524d9f676b58cc5d15199615737b08613117663d7d517b4c590a9c09fb',
     'data/truth.csv': '4159b98ac706cbaad0f7d3b3703be0a681062054b8ca3de715ea221f6b8aa96a',
     'model_empirical-fixed-v.json': 'f1baa6441816dd6078ed16af8497f0d042ef350e381de86ef6b62f53db9b0a37',
-    'model_empirical-max-force.json': '28ac173fd723fcab94ccae344f162688f9a4c0a8a9cce4bf02e0e3f1da0f4d02',
-    'model_empirical.json': '70f2bb99c018dd0b09c4461b49993e6aadca58adad68464dd930093fcc111b5b',
-    'model_pca-lm.json': '214d5d6fccf72a91f8a2486495cbb9a673807f53521429303edaae887b7fb9f9',
-    'model_rf-scores.json': '1abb876957a6d8edffc302436be1727b9065685fb3ec9a47f5e964356df3da35',
-    'model_rf.json': 'ecf66c4e3d2ebaf0d86c2c30dd63c4eb390b908c40c2ba3e21b5556060e07a1f',
+    'model_empirical-max-force.json': '7bef6a4c1620ce791c660008c732176a60150794e39050a38a351dd2f92d5e60',
+    'model_empirical.json': '2bcdfeaff4eddec642892f83be11ffc3fb85f6287927dab6276862de2afbc969',
+    'model_pca-lm.json': '204cd7c1aa49c03ab7e73e39dfdb61a17d908afd7365b5a1fa4cfcb98fc40dee',
+    'model_rf-scores.json': '684d889c39ea4ae751eeaa04d8685a528a24f6abc30741dc743ac9dd6f9b97ce',
+    'model_rf.json': '9237c543ea65ca6ce13c0ecb6e75795cbaacafb918f4e3dd501d9af29e2be8e9',
     'pred_empirical-fixed-v.csv': 'a75715c18382845438ac160be9bd925eac2e1ef83af18127df35f7d1aaefcf75',
-    'pred_empirical-max-force.csv': '42863dd04f859c52debcfabc9da37a6e87fcaff23e73988f5c0d56c4c54362cf',
-    'pred_empirical.csv': 'a7c46df01d2598718f8ee11a7705dcb432810cc53e5cac4968aefe10400ab6b9',
-    'pred_pca-lm.csv': '6dc1b2112c0632b510f59f0931da5db4505a912714ff38278f1ee7a77f51d38f',
-    'pred_rf-scores.csv': '1d359fd44ec35102b26f9896dcfc38e91d904b6fec44934c73419355e0cb2cb5',
-    'pred_rf.csv': '69f94c8a71ba128afc6b04c17a66239d533a0f1179fee2918ed194f58c5555c2',
+    'pred_empirical-max-force.csv': 'eb6fbb43b19bccfad4aefc7c8e8b1d8b3960544ab29f5bfb44530d64eb55d05e',
+    'pred_empirical.csv': 'daf9d155e831d712408d096d8efa5f297760042d8fbb84d49f11b531c78e4ecd',
+    'pred_pca-lm.csv': 'c6c5c4de6c4a3fa6a10d79446c4b5d32c8ede032ae76708b020a7f4726b15231',
+    'pred_rf-scores.csv': '900688fba827df7399361582e3c634eed4da215929fedfc6f83fc4baa99dd085',
+    'pred_rf.csv': '55d80e443b1791b98e479dc10ee9bd1a33af16a92b877682ebb38a169690dd2f',
     'report_empirical-fixed-v.csv': '4f4f85a9bda7927df430a64b3a85e4b3b82a2929c87b2f319b8cb526fb012069',
-    'report_empirical-max-force.csv': '1b1444754266d19483dc25ce4087bae1d1bfa07ea7f1e861a0d3dc463acd6aba',
-    'report_empirical.csv': 'c9ab1f2a20345f13fca04dfffef04443451a4aefa8ea3a99e84c2566bf7ad79c',
-    'report_pca-lm.csv': 'e32134acb343d7ea9e3440e7bf698961cb7151d9aac849f3c739ea9afd859358',
-    'report_rf-scores.csv': 'c1534d92f80764644f9c79110a785bbf43ae0b6af61af7e3084c1cbf954022f9',
-    'report_rf.csv': 'c1c415e86b5f3bc32dfaf5870ed509ee53e7503975f5c3376a255c78eb380d87',
+    'report_empirical-max-force.csv': 'd6fff52aa6a5e25654be0c651165a333102ea7ecb3d9478ced5354a3ff9ffcd2',
+    'report_empirical.csv': 'edc787183c8419fa2341568915887f3dfe1aac63945af3bbe973d91a46d8cbac',
+    'report_pca-lm.csv': '75ab89fc4739fdc2710c3d320968b62c82f9d044d400e42a323f46aea85ed3e0',
+    'report_rf-scores.csv': '30d65080bbc8321c3afcd1dd90b43b6aa9a34e84a7cd9fded620e936af3eb500',
+    'report_rf.csv': 'a117281ceaef8c7af441eb1028b2dbb0f1a055a635d3fa4bb651006cdd358eb3',
 }
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': 'd5af0b06813a76346d5cb2dd2a055dd2d7dcd98a450bff82cc740d3167f18f2b',
-    'predict rf': 'd90a67a21517927cffbfd683fc1d334253fa540b512fea70e73a826aa2e81c8c',
-    'model rf-scores': '19948f6997282a807dfc9020bf97ba1f5d869c3cb451fde1c98459de0e4834eb',
-    'predict rf-scores': '53307b31103ddf02441814d17a5ea48bcf83be3c3f6c549bb4e301b99644fb94',
+    'model rf': '3830861bac68e43f6ddbe3ea5c58f73569ae1be40a4ebfcd872822d894ded2b9',
+    'predict rf': '64d6e073861013455f3c5a0907987ed0941360d235ad0b662d7fd5a27a9d4566',
+    'model rf-scores': 'f82a905602bd8f1a1c45a48b1ab808669a47f2613107679769494516a7f6d828',
+    'predict rf-scores': 'd9283994986148c1e386eb01cabc7c159e93338845133b9364c9b6a3898eb22d',
 }
 
 
 # The empirical family on the reference set; see empirical_digests.
 GOLDEN_EMPIRICAL: dict[str, str] = {
-    'cv max-force max-slope': 'ab0d312461d8e7626050a35cbd87886c58c8fdeec18185386348c76a31aff68d',
-    'beta max-force max-slope': '0.381268220273452',
-    'cv instability-force max-slope': '3471a39ce7cddee39acebb37adcfa0c6b5e4ce7450483851e6c79fc4ca956c6e',
-    'beta instability-force max-slope': '1.0564438177844606',
+    'cv max-force max-slope': 'c68330f9063ad146e48273b37af8436e95d52a1edc5d0f0e9e053716e69027d0',
+    'beta max-force max-slope': '0.3826072264419882',
+    'cv instability-force max-slope': '69bef83fa9f1996506daace2438ce13cd88e8f89a296f0fb8b08bf725df414c6',
+    'beta instability-force max-slope': '1.122141919923683',
     'cv instability-force fixed-v': '2bd31f09025190f3b3a8cbbf9effd4d69af9c7fa710aaba0ed48d60a9e63bc43',
     'beta instability-force fixed-v': '0.2989025258000794',
 }
