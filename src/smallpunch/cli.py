@@ -134,7 +134,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
                             help="forest depth cap (default unlimited)"),
         forest.add_argument("--min-leaf", type=int, help="minimum samples per forest leaf"),
         forest.add_argument("--mtry", type=int,
-                            help="features tried per split (default ceil(p/3))"),
+                            help="features tried per split "
+                                 "(default min(ceil(p/3), max(2, ceil(p/6))))"),
         forest.add_argument("--rf-input", dest="input",
                             choices=(FOREST_INPUT_RAW, FOREST_INPUT_SCORES),
                             help="feed the forest raw standardized columns or PCA scores"),

@@ -587,7 +587,10 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
     the last raw displacement is flagged as n_extrapolated.  A grid with
     no point inside that span raises GridOutsideCurve: every force would
     be an end force.  Forces whose trapezoid areas overflow (rows near the
-    largest double) raise NonFiniteValue under the interval rule.
+    largest double) raise NonFiniteValue under the interval rule.  Under the
+    point rule a point whose np.interp slope overflows is read again by
+    _on_segments, which forms none, so every finite reading keeps
+    np.interp's bits; a rise that overflows even so raises NonFiniteValue.
     """
     points, edges, half_inverse_width = grid._cells
     d, f = curve.displacement_mm, curve.force_N
@@ -598,6 +601,14 @@ def resample(curve: RawCurve, grid: GridSpec) -> UniformCurve:
                                f"[{first}, {last}] mm (grid {grid.start_mm} to {grid.end_mm} mm)")
     if grid.rule == RULE_POINT:
         forces = np.interp(points, d, f)
+        # np.interp forms the slope, which a rise near the largest double
+        # overflows: such a point, inside the span, is read again without one
+        steep = np.flatnonzero(~np.isfinite(forces))
+        if steep.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                forces[steep] = _on_segments(d, f, points[steep])
+            if not np.isfinite(forces).all():
+                raise NonFiniteValue("forces overflow the rise between their rows")
     else:
         # edges at or before the first row, and before the last: the end
         # cells are lo - 1 and hi - 1, and those past them lie wholly outside

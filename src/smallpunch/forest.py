@@ -94,7 +94,10 @@ def _is_int(value) -> bool:
 class ForestConfig:
     """Forest hyperparameters.
 
-    mtry of None means ceil(p / 3) at fit time.  max_depth of None means
+    mtry of None means default_mtry(p) at fit time: a sixth of the p
+    columns, rounded up, but at least 2 and never more than ceil(p / 3).
+    A model file written before this default holds "mtry": null for
+    ceil(p / 3); no prediction reads mtry.  max_depth of None means
     unlimited.  bootstrap=False fits every tree on the rows as-is (no
     resampling), which disables out-of-bag error.
     """
@@ -578,6 +581,16 @@ def _bags(cfg: ForestConfig, n: int) -> tuple[list[np.random.Generator], np.ndar
     return rngs, np.array([_bootstrap_rows(rng, n, cfg.bootstrap) for rng in rngs])
 
 
+def default_mtry(p: int) -> int:
+    """Features searched per split when ForestConfig.mtry is None.
+
+    ceil(p / 6), at least 2, at most ceil(p / 3): neighbouring grid forces
+    are near-copies, so a third of them mostly adds copies of the best
+    column, while a forest on a few PCA scores (p <= 6) keeps ceil(p / 3).
+    """
+    return min(math.ceil(p / 3), max(2, math.ceil(p / 6)))
+
+
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig()) -> ForestModel:
     """Fit the forest, growing all n_trees trees together, level by level.
 
@@ -588,7 +601,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     y : ndarray
         n finite targets.
     cfg : ForestConfig
-        Hyperparameters; cfg.mtry=None resolves to ceil(p / 3).
+        Hyperparameters; cfg.mtry=None resolves to default_mtry(p).
 
     Raises
     ------
@@ -604,7 +617,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
         raise LengthMismatch(f"{n} feature rows vs {yv.size} targets")
     if n < 2:
         raise TooFewRows(f"forest needs n >= 2 rows, got {n}")
-    mtry = cfg.mtry if cfg.mtry is not None else math.ceil(p / 3)
+    mtry = cfg.mtry if cfg.mtry is not None else default_mtry(p)
     if mtry > p:
         raise BadConfig(f"mtry {mtry} exceeds feature count {p}")
 

@@ -454,8 +454,10 @@ def test_train_splits_between_values_whose_midpoint_is_not_below_the_upper(tmp_p
                                                                             lo, hi):
     manifest = _column_75_alternating(tmp_path, lo, hi)
     model_path = tmp_path / "model.json"
+    # every root searches all 152 columns, column 75 among them
     code, _, err = run(capsys, "train", str(manifest), "--pipeline", "rf",
-                       "--trees", "5", *GRID_151_FLAGS, "--out", str(model_path))
+                       "--trees", "5", "--mtry", "152", *GRID_151_FLAGS,
+                       "--out", str(model_path))
     assert code == 0, err
     trained = load_model(model_path)[0]
     column = np.unique([c.force_N[75] for c in load_curves(manifest, GRID_151)[1]])
@@ -512,6 +514,20 @@ def test_a_curve_whose_running_area_overflows_is_refused_naming_its_file(tmp_pat
     assert _smallpunch(command, manifest, *flags, "--out", out) == (
         4, "", f"error: {manifest.parent / 'c0.csv'}: forces overflow the running area of "
                "their interval means\n")
+    assert not out.exists()
+
+
+# a format 6 file reads curves by the point rule; a rise from 1.7e308 to
+# -1.7e308 N overflows even read without a slope, and predict refuses it,
+# naming its file, with no warning
+def test_predicting_with_a_format_6_file_a_rise_that_overflows_exits_4(tmp_path):
+    (tmp_path / "steep.csv").write_text(
+        "displacement_um,force_N\n0,0\n375,1.7e308\n1500,-1.7e308\n")
+    write_manifest(tmp_path / "manifest.csv", [("steep.csv", SpecimenMeta("M9", 20.0, 0.5))])
+    out = tmp_path / "p.csv"
+    assert _smallpunch("predict", tmp_path / "manifest.csv", "--model",
+                       Path(__file__).parent / "data" / "pca-lm_v6.json", "--out", out) == (
+        4, "", f"error: {tmp_path / 'steep.csv'}: forces overflow the rise between their rows\n")
     assert not out.exists()
 
 

@@ -746,6 +746,33 @@ def test_resample_refuses_forces_whose_interval_means_overflow(forces):
             resample(raw, GridSpec())
 
 
+# a rise of 1e308 N over 0.375 mm: np.interp's slope overflows, so under
+# the point rule those points are read again with no slope formed, and
+# every other point keeps np.interp's bits
+def test_point_rule_reads_a_rise_whose_slope_overflows_without_one():
+    d, f = np.array([0.0, 0.375, 1.5]), np.array([0.0, 1e308, 1e308])
+    grid = GridSpec(rule=RULE_POINT)
+    x = grid.displacements()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        interp = np.interp(x, d, f)
+        uni = resample(RawCurve(d, f, make_meta()), grid)
+    steep = ~np.isfinite(interp)
+    assert steep.sum() == 18
+    assert uni.force_N[~steep].tobytes() == interp[~steep].tobytes()
+    assert uni.force_N[steep] == pytest.approx(x[steep] / 0.375 * 1e308, rel=1e-12)
+
+
+def test_point_rule_refuses_a_rise_that_overflows_without_a_slope():
+    raw = RawCurve(np.array([0.0, 0.375, 1.5]), np.array([0.0, 1.7e308, -1.7e308]),
+                   make_meta())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match="^forces overflow the rise between their "
+                                                 "rows$"):
+            resample(raw, GridSpec(rule=RULE_POINT))
+
+
 def test_resample_hand_checked_interpolation():
     raw = RawCurve(np.array([0.0, 0.02, 0.04]), np.array([0.0, 4.0, 6.0]), make_meta())
     uni = resample(raw, GridSpec(spacing_mm=0.01, n_points=5, rule=RULE_POINT))

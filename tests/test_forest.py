@@ -31,6 +31,7 @@ from smallpunch.forest import (
     _NodeTable,
     _bootstrap_rows,
     _tree_rng,
+    default_mtry,
     fit_forest,
     predict_forest,
 )
@@ -253,6 +254,21 @@ def test_config_validation():
                          ("bootstrap", "yes"), ("bootstrap", 1)]:
         with pytest.raises(BadConfig, match=field):
             ForestConfig(**{field: value})
+
+
+# a sixth of the columns, at least 2, at most a third: a forest on a few
+# PCA scores (p <= 6) keeps ceil(p / 3), where mtry 1 in place of 2 made
+# rf on scores markedly worse
+def test_default_mtry_is_a_sixth_of_the_columns_but_a_third_of_a_few():
+    ps = [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 77, 152]
+    assert [default_mtry(p) for p in ps] == [1, 1, 1, 2, 2, 2, 2, 2, 2, 3, 13, 26]
+    assert all(default_mtry(p) == math.ceil(p / 3) for p in range(1, 7))
+    x = np.random.default_rng(5).normal(size=(30, 13))
+    y = x[:, 4] + x[:, 9]
+    fitted = [fit_forest(x, y, ForestConfig(n_trees=3, mtry=m, seed=2)) for m in (None, 3)]
+    for name in ("count", "feature", "threshold", "value"):
+        assert [np.asarray(getattr(m, name)).tobytes() for m in fitted] == [
+            np.asarray(getattr(fitted[1], name)).tobytes()] * 2
 
 
 def test_fit_validation():

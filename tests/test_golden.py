@@ -165,10 +165,10 @@ GOLDEN: dict[str, str] = {
     'stdout predict pca-lm': 'e608c9358eb68d36565d5e76e1d996f1852eba2bf409c6ba3282d0be3a544444',
     'stdout cv pca-lm': '6a9f311abf158fe540ecf20416ee721e12909ff00ad9324f5ffabfb9dff22807',
     'stdout report pca-lm': '250383398489155b81ad85f353f1b76853e73d6bba9e1e56568db1ba7daaf3fa',
-    'stdout train rf': '8586f3065d03bc04619b51491c49cd56414fcec2489c35cfcb41f4087450f711',
+    'stdout train rf': '212d2407dc795097f9950f2580ac6103094536c211ee822321caea78478ea724',
     'stdout predict rf': '90376b2b0224b3a70e38f19bd50f4d4c5afea7e1110032e56ea783b89fa1ad43',
-    'stdout cv rf': '443f246af86f0bc9449e52d83006912c36bf2c881fb2439eb1ca40a0c6fd9b62',
-    'stdout report rf': '6150d488e3416a11798cf46b861fc34fc0e6a4fe47997912692338e6b9315308',
+    'stdout cv rf': '53f5a60cc6b3fd78e322e753276693ebd6b8e1801769f6ba85e3ce7dc76560a6',
+    'stdout report rf': '76a348352ba8a6910e0e8f26fcbfd26cb3544c2e50edba469b47fda8c127746e',
     'stdout train rf-scores': 'ee0e13630b77ab486e916b413a24d45805b701f0a32195027b3fff502ef9ddbc',
     'stdout predict rf-scores': 'a9d1f1b786ff5de5e5e84bf31430c964b9afc9cea425287f21d208f01fdc05bf',
     'stdout cv rf-scores': '227c7811d1ea1e1b3f3e0b59d0524477bb0dc57c5db7a7c9de236fc600225e83',
@@ -185,9 +185,9 @@ GOLDEN: dict[str, str] = {
     'cv_pca-lm/pca-lm_folds.csv': '84a579ce72a25b28e94a28cbdd94d67bdb4bd3775304f177383215c61a18ab50',
     'cv_pca-lm/pca-lm_samples.csv': 'f4c617864f910821b81aa312c6e606915a12dff77f3898fe5c41211bd45c046c',
     'cv_pca-lm/pca-lm_summary.csv': 'b5476356c041298be51bb9ddf649bc646cca43a4fd92383b52cae32406f866b8',
-    'cv_rf/rf_folds.csv': '1eca19f84412dc83e6a03e44bf6c18491fc42372161d2e6ff920defda8dd01e3',
-    'cv_rf/rf_samples.csv': 'fbde6ad81a957fe43426973e4a4d7020ab4659a7b678c57d42f655f500a1f3a5',
-    'cv_rf/rf_summary.csv': 'a00e65df6a7da280f162da8901fea3f9deb796b7160ae93b2bf5ad99ddb0f05b',
+    'cv_rf/rf_folds.csv': 'bf059b3698d6b41bf6457679c039817061c5f3b5d970d7c144c25fef3b834881',
+    'cv_rf/rf_samples.csv': '51f5cb92679f84e3c6e0aa36559d93efab6822589eeb51ea2036a50a70758e42',
+    'cv_rf/rf_summary.csv': 'db15924e5e95a60a30e993e32921c66a497842f7cf8a9d9c33f6904631e25dd5',
     'cv_rf-scores/rf_folds.csv': 'f076b2b96091ef4e0e7d9afd3d35238ef06e258e549d55716af0a59de2141d02',
     'cv_rf-scores/rf_samples.csv': '8ba44754e5af3b2649bff22b20c95061a6246add2aefcaa1e684797b146d20a4',
     'cv_rf-scores/rf_summary.csv': '3d43f2dac5cb09a49b9a3cd42ece80ba1e8100b46cc34591b08aff6c63f882b3',
@@ -216,25 +216,25 @@ GOLDEN: dict[str, str] = {
     'model_empirical.json': '2bcdfeaff4eddec642892f83be11ffc3fb85f6287927dab6276862de2afbc969',
     'model_pca-lm.json': '204cd7c1aa49c03ab7e73e39dfdb61a17d908afd7365b5a1fa4cfcb98fc40dee',
     'model_rf-scores.json': '684d889c39ea4ae751eeaa04d8685a528a24f6abc30741dc743ac9dd6f9b97ce',
-    'model_rf.json': '9237c543ea65ca6ce13c0ecb6e75795cbaacafb918f4e3dd501d9af29e2be8e9',
+    'model_rf.json': '19ef9cb4cc7820756f30250e91b000ab87a82417eb7a27793665e3eeccaaa9cb',
     'pred_empirical-fixed-v.csv': 'a75715c18382845438ac160be9bd925eac2e1ef83af18127df35f7d1aaefcf75',
     'pred_empirical-max-force.csv': 'eb6fbb43b19bccfad4aefc7c8e8b1d8b3960544ab29f5bfb44530d64eb55d05e',
     'pred_empirical.csv': 'daf9d155e831d712408d096d8efa5f297760042d8fbb84d49f11b531c78e4ecd',
     'pred_pca-lm.csv': 'c6c5c4de6c4a3fa6a10d79446c4b5d32c8ede032ae76708b020a7f4726b15231',
     'pred_rf-scores.csv': '900688fba827df7399361582e3c634eed4da215929fedfc6f83fc4baa99dd085',
-    'pred_rf.csv': '55d80e443b1791b98e479dc10ee9bd1a33af16a92b877682ebb38a169690dd2f',
+    'pred_rf.csv': '1d8eeca4d114ee7c449a4ee486c3e48fc77f73f5f53f240c05d4826b2db24971',
     'report_empirical-fixed-v.csv': '4f4f85a9bda7927df430a64b3a85e4b3b82a2929c87b2f319b8cb526fb012069',
     'report_empirical-max-force.csv': 'd6fff52aa6a5e25654be0c651165a333102ea7ecb3d9478ced5354a3ff9ffcd2',
     'report_empirical.csv': 'edc787183c8419fa2341568915887f3dfe1aac63945af3bbe973d91a46d8cbac',
     'report_pca-lm.csv': '75ab89fc4739fdc2710c3d320968b62c82f9d044d400e42a323f46aea85ed3e0',
     'report_rf-scores.csv': '30d65080bbc8321c3afcd1dd90b43b6aa9a34e84a7cd9fded620e936af3eb500',
-    'report_rf.csv': 'a117281ceaef8c7af441eb1028b2dbb0f1a055a635d3fa4bb651006cdd358eb3',
+    'report_rf.csv': '31b7baeccc0c6bc4d37d4128f356f2d1e60af3333524baafbed5f13b8baf55f9',
 }
 
 
 GOLDEN_FOREST: dict[str, str] = {
-    'model rf': '3830861bac68e43f6ddbe3ea5c58f73569ae1be40a4ebfcd872822d894ded2b9',
-    'predict rf': '64d6e073861013455f3c5a0907987ed0941360d235ad0b662d7fd5a27a9d4566',
+    'model rf': 'deaf44393afdd2c51d45316804b2e7b55041d922a8fea45b87d406fe3662ef57',
+    'predict rf': '3afaf2d23c216b67d7deaec724103a55df703a39417bb0917c5364aa11f18d71',
     'model rf-scores': 'f82a905602bd8f1a1c45a48b1ab808669a47f2613107679769494516a7f6d828',
     'predict rf-scores': 'd9283994986148c1e386eb01cabc7c159e93338845133b9364c9b6a3898eb22d',
 }
